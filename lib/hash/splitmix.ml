@@ -5,7 +5,7 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 let create seed = { state = seed }
 let of_int i = create (Int64.of_int i)
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
@@ -13,6 +13,26 @@ let mix64 z =
 let next t =
   t.state <- Int64.add t.state golden_gamma;
   mix64 t.state
+
+(* the state lives in a local and [mix64] is inlined, so the loop
+   allocates no Int64 per word *)
+let fill_bytes t b off len =
+  if off < 0 || len < 0 || off > Bytes.length b - len then invalid_arg "Splitmix.fill_bytes";
+  let s = ref t.state in
+  let pos = ref off and stop = off + len in
+  while !pos < stop do
+    s := Int64.add !s golden_gamma;
+    let z = mix64 !s in
+    if stop - !pos >= 8 then Bytes.set_int64_le b !pos z
+    else
+      (* a short tail keeps the low bytes of one more word *)
+      for k = 0 to stop - !pos - 1 do
+        Bytes.set b (!pos + k)
+          (Char.unsafe_chr (Int64.to_int (Int64.shift_right_logical z (8 * k)) land 0xff))
+      done;
+    pos := !pos + 8
+  done;
+  t.state <- !s
 
 let int t bound =
   if bound <= 0 then invalid_arg "Splitmix.int: bound must be positive";

@@ -13,6 +13,13 @@ val of_int : int -> t
 val next : t -> int64
 (** Next raw 64-bit output. *)
 
+val fill_bytes : t -> Bytes.t -> int -> int -> unit
+(** [fill_bytes t b off len] writes [len] bytes of the stream into [b]
+    at [off]: the outputs of successive {!next} calls, each stored
+    little-endian, the last one cut to its low bytes when [len] is not
+    a multiple of 8.  Advances [t] exactly as that many {!next} calls
+    would, without allocating per word. *)
+
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. [bound > 0]. *)
 

@@ -126,8 +126,9 @@ type prepared = {
   p_author : Role.id;
   p_phase : string;
   p_step : string;
-  p_items : Wire.item list;
+  p_payload : (Cost.kind * int) list;  (* payload bytes by kind *)
   p_frame : string;
+  p_csum : int;  (* Wire.checksum p_frame *)
   p_force_late : bool;
   p_cost : (Cost.kind * int) list;
   p_decodes : bool;  (* receiver-side decode + step check, precomputed *)
@@ -139,7 +140,10 @@ type prepared = {
    from an RNG derived statelessly from [(net_seed, tag)], so a frame's
    content depends only on its tag — never on how many frames other
    domains have prepared, which is what keeps the transcript digest
-   identical at any domain count. *)
+   identical at any domain count.  The frame's digest checksum falls out
+   of the encoding pass (only a corrupted frame is hashed again), and
+   only the payload tally outlives this call: the synthesized items die
+   here instead of waiting for Phase B. *)
 let prepare t ~author ~phase ~step ?(items = []) ?(corrupt = false) ?(force_late = false)
     ~cost ~tag () =
   let missing =
@@ -163,9 +167,13 @@ let prepare t ~author ~phase ~step ?(items = []) ?(corrupt = false) ?(force_late
     else Wire.skeleton_items_of_cost t.config.sizing missing
   in
   let items = items @ synthesized in
-  let msg = { Wire.step; items } in
-  let frame = Wire.to_frame msg in
-  let frame = if corrupt then corrupt_frame frame else frame in
+  let frame, csum = Wire.to_frame_with_checksum { Wire.step; items } in
+  let frame, csum =
+    if corrupt then
+      let bad = corrupt_frame frame in
+      (bad, Wire.checksum bad)
+    else (frame, csum)
+  in
   let p_decodes =
     match Wire.of_frame frame with
     | exception Wire.Decode_error _ -> false
@@ -175,8 +183,9 @@ let prepare t ~author ~phase ~step ?(items = []) ?(corrupt = false) ?(force_late
     p_author = author;
     p_phase = phase;
     p_step = step;
-    p_items = items;
+    p_payload = tally_payload items;
     p_frame = frame;
+    p_csum = csum;
     p_force_late = force_late;
     p_cost = cost;
     p_decodes;
@@ -186,12 +195,11 @@ let prepare t ~author ~phase ~step ?(items = []) ?(corrupt = false) ?(force_late
 (* The sequential half: transcript digest, cost charging, transmission
    and bulletin slot — everything whose order is the board's order. *)
 let commit t p =
-  let { p_author = author; p_phase = phase; p_step = step; p_items = items; p_frame = frame;
-        p_force_late = force_late; p_cost = cost; p_decodes; p_local; } = p in
+  let { p_author = author; p_phase = phase; p_step = step; p_payload = payload; p_frame = frame;
+        p_csum; p_force_late = force_late; p_cost = cost; p_decodes; p_local; } = p in
   let frame_bytes = String.length frame in
   t.frames <- t.frames + 1;
   t.frame_bytes <- t.frame_bytes + frame_bytes;
-  let payload = tally_payload items in
   let tally = Bulletin.cost t.bulletin in
   List.iter (fun (kind, b) -> Cost.charge_bytes tally ~phase kind b) payload;
   Meter.record t.meter ~phase ~step ~role:(Role.to_string author) ~frame_bytes ~payload;
@@ -219,9 +227,10 @@ let commit t p =
   in
   (* Transcript digest: chain the authoritative checksum of what
      crossed the wire.  Locally materialized frames (sim runs, owned
-     frames, legacy broadcast) contribute their own checksum exactly
-     as before; a routed delivery contributes the checksum of the
-     received bytes, and a digest record contributes the checksum the
+     frames, legacy broadcast) contribute their own checksum, carried
+     from [prepare]; a routed delivery contributes the checksum of the
+     received bytes (the carried one when they equal the local
+     replay), and a digest record contributes the checksum the
      daemon computed on ingest — all of which equal the owner's true
      checksum, so every member (and the sim run at equal seeds) chains
      to the same digest.  A [`Down] exchange chains the local
@@ -233,10 +242,9 @@ let commit t p =
      checksum, verified on daemon ingest and re-verified below. *)
   let csum, consistent =
     match exchange with
-    | `Local | `Down -> (Wire.checksum frame, true)
-    | `Frame f ->
-      if p_local then (Wire.checksum f, String.equal f frame)
-      else (Wire.checksum f, String.length f = frame_bytes)
+    | `Local | `Down -> (p_csum, true)
+    | `Frame f when p_local && String.equal f frame -> (p_csum, true)
+    | `Frame f -> (Wire.checksum f, (not p_local) && String.length f = frame_bytes)
     | `Summary (csum, len) -> (csum, len = frame_bytes)
   in
   t.digest <- ((t.digest * 1000003) + csum) land max_int;

@@ -121,7 +121,9 @@ val post :
     to the same digest — as a fully sequential run. *)
 
 type prepared
-(** A frame ready to commit: encoded, checksummed, pre-decoded. *)
+(** A frame ready to commit: encoded, checksummed, pre-decoded.  It
+    keeps the frame, its checksum and the payload byte tally, not the
+    message items. *)
 
 val prepare :
   t ->

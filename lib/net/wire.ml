@@ -208,11 +208,14 @@ let with_scratch f =
   if Buffer.length buf > 1 lsl 20 then Buffer.reset buf;
   out
 
+let put_message buf m =
+  put_bytes buf m.step;
+  put_varint buf (List.length m.items);
+  List.iter (put_item buf) m.items
+
 let encode_message m =
   with_scratch (fun buf ->
-      put_bytes buf m.step;
-      put_varint buf (List.length m.items);
-      List.iter (put_item buf) m.items;
+      put_message buf m;
       Buffer.contents buf)
 
 let decode_message_at d =
@@ -231,13 +234,58 @@ let decode_message s =
 (* Framing: magic, version, length, payload, checksum                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Transport integrity checksum — 63-bit multiplicative hash, written
-   as 8 little-endian bytes.  Detects corruption in flight; it is not
-   a cryptographic MAC (authenticity comes from the NIZK layer). *)
-let checksum s =
-  let h = ref 0x1505 in
-  String.iter (fun c -> h := ((!h * 31) + Char.code c) land max_int) s;
+(* Transport integrity checksum, written as 8 little-endian bytes.
+   Detects corruption in flight; it is not a cryptographic MAC
+   (authenticity comes from the NIZK layer).  It is the polynomial hash
+
+     checksum s = (0x1505 * 31^L + sum_i s.[i] * 31^(L-1-i)) mod 2^62
+
+   [fold] evaluates it by Horner's rule eight bytes at a time, in
+   native 63-bit arithmetic: reducing mod 2^62 ([land max_int]) once at
+   the end equals reducing after every byte.  Unreduced folds compose
+   over concatenation,
+
+     fold h (a ^ b) = fold h a * 31^|b| + fold 0 b
+
+   which lets a sender derive the whole-frame checksum from its one
+   pass over the payload. *)
+let checksum_seed = 0x1505
+
+let p2 = 31 * 31
+let p3 = p2 * 31
+let p4 = p3 * 31
+let p5 = p4 * 31
+let p6 = p5 * 31
+let p7 = p6 * 31
+let p8 = p7 * 31
+
+(* 31^k mod 2^63 *)
+let pow31 k =
+  let rec go acc b k =
+    if k = 0 then acc else go (if k land 1 = 1 then acc * b else acc) (b * b) (k lsr 1)
+  in
+  go 1 31 k
+
+let fold h s off len =
+  let code j = Char.code (String.unsafe_get s j) in
+  if off < 0 || len < 0 || off > String.length s - len then invalid_arg "Wire.fold";
+  let h = ref h and i = ref off in
+  let stop = off + len in
+  while !i <= stop - 8 do
+    let j = !i in
+    h :=
+      (!h * p8) + (code j * p7) + (code (j + 1) * p6) + (code (j + 2) * p5)
+      + (code (j + 3) * p4) + (code (j + 4) * p3) + (code (j + 5) * p2)
+      + (code (j + 6) * 31) + code (j + 7);
+    i := j + 8
+  done;
+  while !i < stop do
+    h := (!h * 31) + code !i;
+    incr i
+  done;
   !h
+
+let checksum s = fold checksum_seed s 0 (String.length s) land max_int
 
 let put_checksum buf h =
   for i = 0 to 7 do
@@ -255,17 +303,40 @@ let version = 1
    it; the default comfortably holds every frame the protocol emits. *)
 let max_frame_len = ref (1 lsl 26)
 
-let to_frame m =
-  let payload = encode_message m in
-  (* the scratch is free again: [encode_message] copied its result out *)
+(* The payload is encoded once into the scratch buffer and copied once
+   into the exact-size frame; one pass over the copied payload yields
+   both the trailer and, by the concatenation identity, the checksum
+   of the whole frame. *)
+let to_frame_with_checksum m =
   with_scratch (fun buf ->
-      Buffer.add_char buf magic0;
-      Buffer.add_char buf magic1;
-      put_u8 buf version;
-      put_bytes buf payload;
-      put_checksum buf (checksum payload);
-      Buffer.contents buf)
+      put_message buf m;
+      let plen = Buffer.length buf in
+      let header =
+        let hb = Buffer.create 16 in
+        Buffer.add_char hb magic0;
+        Buffer.add_char hb magic1;
+        put_u8 hb version;
+        put_varint hb plen;
+        Buffer.contents hb
+      in
+      let hlen = String.length header in
+      let b = Bytes.create (hlen + plen + 8) in
+      Bytes.blit_string header 0 b 0 hlen;
+      Buffer.blit buf 0 b hlen plen;
+      let body = fold 0 (Bytes.unsafe_to_string b) hlen plen in
+      let scale = pow31 plen in
+      Bytes.set_int64_le b (hlen + plen)
+        (Int64.of_int (((checksum_seed * scale) + body) land max_int));
+      let frame = Bytes.unsafe_to_string b in
+      let whole = (fold checksum_seed header 0 hlen * scale) + body in
+      (frame, fold whole frame (hlen + plen) 8 land max_int))
 
+let to_frame m = fst (to_frame_with_checksum m)
+
+(* The payload is verified and decoded where it lies in the frame.  A
+   decode that ends exactly at the payload's end read no byte past it
+   (the cursor only advances), so this accepts precisely the frames a
+   decode of the extracted payload would. *)
 let of_frame s =
   let d = { src = s; pos = 0 } in
   if remaining d < 3 then fail "truncated frame";
@@ -277,15 +348,14 @@ let of_frame s =
   if len > !max_frame_len then
     fail "frame payload %d exceeds max_frame_len %d" len !max_frame_len;
   if len > remaining d then fail "length prefix %d exceeds remaining %d" len (remaining d);
-  let payload = String.sub d.src d.pos len in
-  d.pos <- d.pos + len;
-  if remaining d <> 8 then fail "bad frame trailer";
-  let h = ref 0 in
-  for i = 7 downto 0 do
-    h := (!h lsl 8) lor Char.code s.[d.pos + i]
-  done;
-  if !h <> checksum payload then fail "checksum mismatch";
-  decode_message payload
+  let start = d.pos in
+  let stop = start + len in
+  if String.length s - stop <> 8 then fail "bad frame trailer";
+  let trailer = Int64.to_int (String.get_int64_le s stop) in
+  if trailer <> fold checksum_seed s start len land max_int then fail "checksum mismatch";
+  let m = decode_message_at d in
+  if d.pos <> stop then fail "payload does not end at the trailer";
+  m
 
 (* ------------------------------------------------------------------ *)
 (* Wire-size model for ideal-functionality objects                     *)
@@ -306,11 +376,9 @@ let default_sizing =
 
 let random_blob rng len =
   let b = Bytes.create len in
-  let full = len / 8 in
-  for i = 0 to full - 1 do
-    Bytes.set_int64_le b (8 * i) (Splitmix.next rng)
-  done;
-  for i = 8 * full to len - 1 do
+  let full = 8 * (len / 8) in
+  Splitmix.fill_bytes rng b 0 full;
+  for i = full to len - 1 do
     Bytes.set b i (Char.chr (Splitmix.int rng 256))
   done;
   Bytes.unsafe_to_string b

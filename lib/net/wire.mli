@@ -79,11 +79,18 @@ val summary : message -> (Cost.kind * int) list
 (** {1 Framing} *)
 
 val checksum : string -> int
-(** 63-bit transport-integrity checksum (not a MAC — authenticity
-    comes from the NIZK layer). *)
+(** Transport-integrity checksum (not a MAC — authenticity comes from
+    the NIZK layer): the polynomial hash
+    [(0x1505 * 31^L + sum_i s.[i] * 31^(L-1-i)) mod 2^62] of the [L]
+    bytes of [s], evaluated eight bytes at a time. *)
 
 val to_frame : message -> string
 (** [magic "YW"; version; length-prefixed payload; 8-byte checksum]. *)
+
+val to_frame_with_checksum : message -> string * int
+(** [(f, checksum f)] where [f = to_frame m].  The frame's checksum is
+    derived from the same single pass over the payload that produces
+    the trailer, so the frame bytes are never hashed a second time. *)
 
 val of_frame : string -> message
 (** Verifies magic, version, framing and checksum before decoding.

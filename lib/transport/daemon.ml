@@ -304,23 +304,23 @@ let serve ?(config = default_config) ?meter ?journal:journal_path ?chaos ?topolo
   (* only slot-bound connections receive broadcasts: a reconnecting
      connection must get its ordered replay first, or new frames would
      arrive out of order and be dropped as stale by the client *)
+  let targets () = List.filter (fun c -> (not c.closed) && c.slot <> None) !conns in
   let broadcast msg =
-    let targets = List.filter (fun c -> (not c.closed) && c.slot <> None) !conns in
-    match msg with
-    | Envelope.Deliver { seq; slot = owner; frame } ->
-      let payload = lazy (Envelope.encode msg) in
-      let csum = Wire.checksum frame in
-      List.iter
-        (fun c ->
-          match c.sub with
-          | Some _ -> routed_deliver c ~seq ~owner ~frame ~csum
-          | None ->
-            let tslot = match c.slot with Some s -> s | None -> assert false in
-            if deliver_to c ~seq ~slot:tslot (Lazy.force payload) then incr frames_out)
-        targets
-    | _ ->
-      let payload = Envelope.encode msg in
-      List.iter (fun c -> enqueue_ctl c payload) targets
+    let payload = Envelope.encode msg in
+    List.iter (fun c -> enqueue_ctl c payload) (targets ())
+  in
+  (* fan an accepted post out to every target; [csum] is the frame's
+     checksum, already computed once for the digest chain *)
+  let deliver_post ~seq ~owner ~frame ~csum =
+    let payload = lazy (Envelope.encode (Envelope.Deliver { seq; slot = owner; frame })) in
+    List.iter
+      (fun c ->
+        match c.sub with
+        | Some _ -> routed_deliver c ~seq ~owner ~frame ~csum
+        | None ->
+          let tslot = match c.slot with Some s -> s | None -> assert false in
+          if deliver_to c ~seq ~slot:tslot (Lazy.force payload) then incr frames_out)
+      (targets ())
   in
   let expire_pending now =
     let expired =
@@ -415,7 +415,8 @@ let serve ?(config = default_config) ?meter ?journal:journal_path ?chaos ?topolo
         | (_ : Wire.message) -> ()
         | exception Wire.Decode_error _ -> incr garbled);
         Hashtbl.replace board seq (slot, frame);
-        chain (Wire.checksum frame);
+        let csum = Wire.checksum frame in
+        chain csum;
         jappend ~slot (Journal.Posted { seq; slot; frame });
         (* accepted and journaled: a scheduled kill fires here, before
            the broadcast, so the restarted daemon (whose recovered
@@ -423,7 +424,7 @@ let serve ?(config = default_config) ?meter ?journal:journal_path ?chaos ?topolo
         (match chaos with
         | Some ch when Chaos.kill_now ch ~seq -> raise Crash_now
         | _ -> ());
-        broadcast (Envelope.Deliver { seq; slot; frame })
+        deliver_post ~seq ~owner:slot ~frame ~csum
       end
     | Envelope.Report { slot; json } ->
       if c.slot <> Some slot then violate "report: slot %d on connection %s" slot (conn_name c);
@@ -434,24 +435,47 @@ let serve ?(config = default_config) ?meter ?journal:journal_path ?chaos ?topolo
     | Envelope.Shutdown | Envelope.Recovered _ ->
       violate "client sent a daemon-only message"
   in
+  (* hand [n] freshly read bytes to the connection's envelope stream
+     and handle every complete envelope *)
+  let ingest c n =
+    c.recv_b <- c.recv_b + n;
+    Envelope.feed_bytes c.stream scratch n;
+    try
+      let rec drain () =
+        match Envelope.next c.stream with
+        | Some msg ->
+          handle c msg;
+          drain ()
+        | None -> ()
+      in
+      drain ()
+    with Envelope.Envelope_error _ | Protocol_violation _ -> drop_conn c
+  in
   let read_conn c =
     match Unix.read c.fd scratch 0 (Bytes.length scratch) with
     | 0 -> drop_conn c
-    | n -> (
-      c.recv_b <- c.recv_b + n;
-      Envelope.feed_bytes c.stream scratch n;
-      try
-        let rec drain () =
-          match Envelope.next c.stream with
-          | Some msg ->
-            handle c msg;
-            drain ()
-          | None -> ()
-        in
-        drain ()
-      with Envelope.Envelope_error _ | Protocol_violation _ -> drop_conn c)
+    | n -> ingest c n
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
     | exception Unix.Unix_error _ -> drop_conn c
+  in
+  (* A failed write means the peer has gone, but what it sent before
+     closing — typically its final [Report] — may still sit unread in
+     the receive buffer.  Handle all of it before dropping, or a client
+     that reports and exits while deliveries are queued for it would be
+     blamed as down. *)
+  let drain_and_drop c =
+    let rec go () =
+      if not c.closed then
+        match Unix.read c.fd scratch 0 (Bytes.length scratch) with
+        | 0 -> ()
+        | n ->
+          ingest c n;
+          go ()
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+        | exception Unix.Unix_error _ -> ()
+    in
+    go ();
+    drop_conn c
   in
   let write_conn c =
     if (not c.closed) && not (Queue.is_empty c.outq) then begin
@@ -467,7 +491,7 @@ let serve ?(config = default_config) ?meter ?journal:journal_path ?chaos ?topolo
         end
         else c.out_off <- c.out_off + n
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-      | exception Unix.Unix_error _ -> drop_conn c
+      | exception Unix.Unix_error _ -> drain_and_drop c
     end
   in
   let accept_conn () =

@@ -182,12 +182,95 @@ let arb_message =
       { Wire.step = Printf.sprintf "step-%d" (seed land 0xff); items = List.init nitems (fun _ -> item ()) })
     QCheck.(pair int (int_bound 6))
 
+(* byte-at-a-time reference for [Wire.checksum]: the per-byte Horner
+   recurrence, reduced mod 2^62 after every step *)
+let ref_checksum s =
+  let h = ref 0x1505 in
+  String.iter (fun c -> h := ((!h * 31) + Char.code c) land max_int) s;
+  !h
+
+let test_checksum_reference () =
+  let rng = Splitmix.of_int 0xC5 in
+  for len = 0 to 300 do
+    let s = Wire.random_blob rng len in
+    Alcotest.(check int) (Printf.sprintf "random, length %d" len) (ref_checksum s) (Wire.checksum s);
+    let ff = String.make len '\xff' in
+    Alcotest.(check int) (Printf.sprintf "all 0xff, length %d" len) (ref_checksum ff)
+      (Wire.checksum ff)
+  done;
+  let mib = Wire.random_blob rng (1 lsl 20) in
+  Alcotest.(check int) "1 MiB" (ref_checksum mib) (Wire.checksum mib)
+
+let test_splitmix_fill () =
+  List.iter
+    (fun len ->
+      let a = Splitmix.of_int len and b = Splitmix.of_int len in
+      let filled = Bytes.make (len + 6) '?' in
+      Splitmix.fill_bytes a filled 3 len;
+      let expected = Bytes.make (len + 6) '?' in
+      for i = 0 to ((len + 7) / 8) - 1 do
+        let w = Splitmix.next b in
+        for k = 0 to min 8 (len - (8 * i)) - 1 do
+          Bytes.set expected (3 + (8 * i) + k)
+            (Char.chr (Int64.to_int (Int64.shift_right_logical w (8 * k)) land 0xff))
+        done
+      done;
+      Alcotest.(check string) (Printf.sprintf "length %d" len) (Bytes.to_string expected)
+        (Bytes.to_string filled);
+      Alcotest.(check int64) (Printf.sprintf "stream continues, length %d" len) (Splitmix.next b)
+        (Splitmix.next a))
+    [ 0; 1; 7; 8; 9; 15; 16; 17; 63; 64; 512; 1001 ]
+
+(* the frame layout built from its parts, with the reference checksum *)
+let ref_frame m =
+  let payload = Wire.encode_message m in
+  let buf = Buffer.create (String.length payload + 16) in
+  Buffer.add_string buf "YW";
+  Wire.put_u8 buf 1;
+  Wire.put_bytes buf payload;
+  Wire.put_checksum buf (ref_checksum payload);
+  Buffer.contents buf
+
 let qcheck_props =
   [
     QCheck.Test.make ~count:200 ~name:"message roundtrip" arb_message (fun m ->
         message_equal m (Wire.decode_message (Wire.encode_message m)));
     QCheck.Test.make ~count:200 ~name:"frame roundtrip" arb_message (fun m ->
         message_equal m (Wire.of_frame (Wire.to_frame m)));
+    QCheck.Test.make ~count:200 ~name:"frame = reference layout, sender checksum = checksum"
+      arb_message (fun m ->
+        let f, h = Wire.to_frame_with_checksum m in
+        String.equal f (ref_frame m) && String.equal f (Wire.to_frame m) && h = ref_checksum f);
+    QCheck.Test.make ~count:100 ~name:"digest chains the checksum of the frame sent"
+      QCheck.(pair arb_message bool)
+      (fun (m, corrupt) ->
+        let b = Board.create () in
+        let sent = ref [] in
+        Board.set_link b
+          (Some
+             {
+               Board.owns = (fun _ -> true);
+               local = (fun _ -> true);
+               send = (fun ~seq:_ ~phase:_ ~author:_ ~frame -> sent := frame :: !sent);
+               recv = (fun ~seq:_ ~phase:_ ~author:_ -> `Down);
+               stats = (fun () -> (0, 0));
+             });
+        ignore
+          (Board.post b ~author:(Role.id ~committee:"Q#1" ~index:0) ~phase:"p"
+             ~step:m.Wire.step ~items:m.Wire.items ~corrupt
+             ~cost:[ (Cost.Ciphertext, 3); (Cost.Proof, 1) ]
+             ());
+        match !sent with
+        | [ frame ] ->
+          (* the chain's first link, over the bytes that went out: a
+             corrupted frame is hashed as flipped, and still rejected *)
+          (Board.transcript b).Board.digest
+          = ((0x9e3779b9 * 1000003) + ref_checksum frame) land max_int
+          && corrupt
+             = (match Wire.of_frame frame with
+               | _ -> false
+               | exception Wire.Decode_error _ -> true)
+        | _ -> false);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -500,6 +583,9 @@ let () =
           Alcotest.test_case "frame tampering" `Quick test_frame_tamper_rejection;
           Alcotest.test_case "payload accounting" `Quick test_item_accounting;
           Alcotest.test_case "items of cost" `Quick test_items_of_cost;
+          Alcotest.test_case "checksum = byte-at-a-time reference" `Quick
+            test_checksum_reference;
+          Alcotest.test_case "splitmix fill = next stream" `Quick test_splitmix_fill;
         ] );
       ("wire-properties", List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_props);
       ( "sim",

@@ -16,6 +16,7 @@ module Runner = Yoso_transport.Runner
 module Policy = Yoso_transport.Transport_policy
 module Chaos = Yoso_transport.Chaos
 module Topology = Yoso_transport.Topology
+module Daemon = Yoso_transport.Daemon
 module Board = Yoso_net.Board
 module Role = Yoso_runtime.Role
 
@@ -575,6 +576,114 @@ let test_routed_forced_disconnects () =
   end
 
 (* ------------------------------------------------------------------ *)
+(* Report loss: a client reports and closes with deliveries queued     *)
+(* ------------------------------------------------------------------ *)
+
+let recv_msg fd stream =
+  let deadline = Sockio.deadline_after 10_000. in
+  let rec go () =
+    match Envelope.next stream with
+    | Some m -> m
+    | None ->
+      Envelope.feed stream (Sockio.read_exactly ~deadline fd (max 1 (Envelope.needed stream)));
+      go ()
+  in
+  go ()
+
+let rec await fd stream pred = if not (pred (recv_msg fd stream)) then await fd stream pred
+
+(* Slot 0 never reads, so the daemon's deliveries to it back up in its
+   write queue.  The daemon is frozen while slot 0 sends its [Report]
+   and closes; when it resumes, the connection is writable (the peer's
+   receive queue was freed) and readable in the same event-loop turn,
+   and the failed write must not discard the unread report. *)
+let test_report_then_close () =
+  if not Sys.unix then ()
+  else begin
+    ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
+    let path =
+      Filename.concat (Filename.get_temp_dir_name ())
+        (Printf.sprintf "yoso-report-%d.sock" (Unix.getpid ()))
+    in
+    (try Unix.unlink path with Unix.Unix_error _ -> ());
+    let listen = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.bind listen (Unix.ADDR_UNIX path);
+    Unix.listen listen 8;
+    let rd, wr = Unix.pipe ~cloexec:true () in
+    let config = { Daemon.default_config with Daemon.grace_s = 0.2 } in
+    match Unix.fork () with
+    | 0 ->
+      Unix.close rd;
+      let status =
+        match Daemon.serve ~config ~listen ~nslots:2 () with
+        | r ->
+          let ints l = String.concat "," (List.map string_of_int l) in
+          Sockio.write_all wr
+            (Printf.sprintf "reported %s; down %s" (ints (List.map fst r.Daemon.reports))
+               (ints r.Daemon.down));
+          0
+        | exception _ -> 3
+      in
+      Unix._exit status
+    | pid ->
+      Unix.close wr;
+      let clients () =
+        let connect slot =
+          let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          Unix.connect fd (Unix.ADDR_UNIX path);
+          Sockio.write_all fd (Envelope.encode (Envelope.Hello { slot; nslots = 2; seed = 0 }));
+          (fd, Envelope.stream ())
+        in
+        let a, sa = connect 0 in
+        let b, sb = connect 1 in
+        let started = function Envelope.Start -> true | _ -> false in
+        await a sa started;
+        await b sb started;
+        let frame =
+          Wire.to_frame
+            { Wire.step = "bulk"; items = [ Wire.Ciphertexts [| String.make 60_000 'x' |] ] }
+        in
+        let posts = 16 in
+        for seq = 0 to posts - 1 do
+          Sockio.write_all b (Envelope.encode (Envelope.Post { seq; slot = 1; frame }))
+        done;
+        (* slot 1's own last delivery: the daemon has queued every post
+           for slot 0, far more than its socket buffer holds *)
+        await b sb (function Envelope.Deliver { seq; _ } -> seq = posts - 1 | _ -> false);
+        Unix.kill pid Sys.sigstop;
+        ignore (Unix.waitpid [ Unix.WUNTRACED ] pid);
+        Sockio.write_all a (Envelope.encode (Envelope.Report { slot = 0; json = "{}" }));
+        Unix.close a;
+        Sockio.write_all b (Envelope.encode (Envelope.Report { slot = 1; json = "{}" }));
+        Unix.kill pid Sys.sigcont;
+        let out = Buffer.create 64 in
+        let chunk = Bytes.create 256 in
+        let rec drain () =
+          match Unix.read rd chunk 0 (Bytes.length chunk) with
+          | 0 -> ()
+          | n ->
+            Buffer.add_subbytes out chunk 0 n;
+            drain ()
+        in
+        drain ();
+        Unix.close b;
+        Buffer.contents out
+      in
+      let out =
+        match clients () with
+        | out -> out
+        | exception e ->
+          (* never leave a frozen daemon behind *)
+          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+          raise e
+      in
+      ignore (Unix.waitpid [] pid);
+      List.iter Unix.close [ rd; listen ];
+      Unix.unlink path;
+      Alcotest.(check string) "report survives the failed write" "reported 0,1; down " out
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Routing property: delivery set = verifier interest set              *)
 (* ------------------------------------------------------------------ *)
 
@@ -725,7 +834,11 @@ let () =
             test_routing_property_faulty;
         ] );
       ( "crash",
-        [ Alcotest.test_case "member dies mid-round" `Quick test_crash_mid_round ] );
+        [
+          Alcotest.test_case "member dies mid-round" `Quick test_crash_mid_round;
+          Alcotest.test_case "report, then close with deliveries queued" `Quick
+            test_report_then_close;
+        ] );
       ( "policy",
         [
           Alcotest.test_case "backoff bounds and determinism" `Quick
