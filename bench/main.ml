@@ -20,9 +20,17 @@ module CP = Yoso_mpc.Cdn_paillier
 module Bgw = Yoso_mpc.Bgw_baseline
 module Gen = Yoso_circuit.Generators
 module PS = Yoso_shamir.Packed_shamir.Make (F)
+module Json = Yoso_runtime.Json
 
 let header title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
+
+(* every machine-readable artifact goes through here *)
+let write_json path v =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Json.to_string v);
+      output_char oc '\n');
+  Printf.printf "  wrote %s\n" path
 
 (* ------------------------------------------------------------------ *)
 (* T1: Table 1 — sortition parameters with a gap                       *)
@@ -211,50 +219,40 @@ let net_bytes () =
   Printf.printf
     "online data bytes/gate spread across n: %.2f%% (claim: < 5%%); replay byte-identical: %b\n"
     (100. *. spread) replay_ok;
-  (* machine-readable artifact *)
-  let oc = open_out "BENCH_net.json" in
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"experiment\": \"net\",\n  \"circuit\": {\"kind\": \"wide_mul_reduced\", \
-        \"width\": %d, \"depth\": %d},\n"
-       width depth);
-  Buffer.add_string buf
-    "  \"sizing\": {\"ciphertext_bytes\": 512, \"proof_bytes\": 32, \"partial_bytes\": \
-     512, \"key_bytes\": 256},\n";
-  Buffer.add_string buf "  \"rows\": [\n";
-  List.iteri
-    (fun i (n, params, r) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"n\": %d, \"t\": %d, \"k\": %d, \"mult_gates\": %d, \
-            \"online_field_bytes\": %d, \"online_field_bytes_per_gate\": %.2f, \
-            \"online_bytes\": %d, \"online_bytes_per_gate\": %.2f, \"offline_bytes\": \
-            %d, \"offline_bytes_per_gate\": %.2f, \"setup_bytes\": %d, \"posts\": %d, \
-            \"frames\": %d, \"frame_bytes\": %d, \"transcript_digest\": %d}%s\n"
-           n params.Params.t params.Params.k r.Protocol.num_mult
-           r.Protocol.online_field_bytes
-           (Protocol.online_field_bytes_per_gate r)
-           r.Protocol.online_bytes
-           (Protocol.online_bytes_per_gate r)
-           r.Protocol.offline_bytes
-           (Protocol.offline_bytes_per_gate r)
-           r.Protocol.setup_bytes r.Protocol.posts
-           r.Protocol.transcript.Yoso_net.Board.frames
-           r.Protocol.transcript.Yoso_net.Board.frame_bytes
-           r.Protocol.transcript.Yoso_net.Board.digest
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"online_data_bytes_per_gate_spread\": %.6f,\n  \"flat_within_5pct\": %b,\n  \
-        \"replay_byte_identical\": %b\n}\n"
-       spread (spread < 0.05) replay_ok);
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote BENCH_net.json\n";
+  write_json "BENCH_net.json"
+    Json.(
+      Obj
+        [
+          ("experiment", String "net");
+          ( "circuit",
+            Obj [ ("kind", String "wide_mul_reduced"); ("width", Int width); ("depth", Int depth) ] );
+          ( "sizing",
+            Obj
+              [ ("ciphertext_bytes", Int 512); ("proof_bytes", Int 32);
+                ("partial_bytes", Int 512); ("key_bytes", Int 256) ] );
+          ( "rows",
+            List
+              (List.map
+                 (fun (n, params, r) ->
+                   let t = r.Protocol.transcript and per_gate f = Float (2, f r) in
+                   Obj
+                     [ ("n", Int n); ("t", Int params.Params.t); ("k", Int params.Params.k);
+                       ("mult_gates", Int r.Protocol.num_mult);
+                       ("online_field_bytes", Int r.Protocol.online_field_bytes);
+                       ("online_field_bytes_per_gate", per_gate Protocol.online_field_bytes_per_gate);
+                       ("online_bytes", Int r.Protocol.online_bytes);
+                       ("online_bytes_per_gate", per_gate Protocol.online_bytes_per_gate);
+                       ("offline_bytes", Int r.Protocol.offline_bytes);
+                       ("offline_bytes_per_gate", per_gate Protocol.offline_bytes_per_gate);
+                       ("setup_bytes", Int r.Protocol.setup_bytes); ("posts", Int r.Protocol.posts);
+                       ("frames", Int t.Yoso_net.Board.frames);
+                       ("frame_bytes", Int t.Yoso_net.Board.frame_bytes);
+                       ("transcript_digest", Int t.Yoso_net.Board.digest) ])
+                 rows) );
+          ("online_data_bytes_per_gate_spread", Float (6, spread));
+          ("flat_within_5pct", Bool (spread < 0.05));
+          ("replay_byte_identical", Bool replay_ok);
+        ]);
   if spread >= 0.05 then failwith "net sweep: online data bytes/gate not flat within 5%"
 
 (* ------------------------------------------------------------------ *)
@@ -565,37 +563,36 @@ let time_bench () =
     if k_enc < 1.05 then failwith "bench time: encrypt-shape kernel speedup below 1.05x"
   end;
   if not !smoke then begin
-    let b = Buffer.create 512 in
-    let pair name naive mont =
-      Buffer.add_string b
-        (Printf.sprintf
-           "\"%s\":{\"naive_ms\":%.4f,\"mont_ms\":%.4f,\"speedup\":%.2f}," name naive
-           mont (naive /. mont))
+    let pair naive mont =
+      Json.(
+        Obj
+          [ ("naive_ms", Float (4, naive)); ("mont_ms", Float (4, mont));
+            ("speedup", Float (2, naive /. mont)) ])
     in
-    Buffer.add_string b (Printf.sprintf "{\"bits\":%d,\"keygen_ms\":%.4f," bits keygen_ms);
-    pair "encrypt" enc_naive enc_mont;
-    pair "partial_decrypt" tpdec_naive tpdec_mont;
-    Buffer.add_string b
-      (Printf.sprintf
-         "\"kernel\":{\"modulus_bits\":%d,\"encrypt_shape_speedup\":%.2f,\
-          \"tpdec_shape_speedup\":%.2f},"
-         (B.bit_length n2) k_enc k_tpdec);
-    Buffer.add_string b
-      (Printf.sprintf "\"combine\":{\"parties\":%d,\"threshold\":%d,\"naive_ms\":%.4f,\
-                       \"multiexp_ms\":%.4f,\"speedup\":%.2f}," comb_n comb_t comb_naive
-         comb_mont (comb_naive /. comb_mont));
-    Buffer.add_string b "\"protocol\":[";
-    List.iteri
-      (fun i (n, k, ms) ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b (Printf.sprintf "{\"n\":%d,\"k\":%d,\"ms\":%.1f}" n k ms))
-      protocol_rows;
-    Buffer.add_string b "],\"transcript_identical\":true}";
-    let oc = open_out "BENCH_time.json" in
-    output_string oc (Buffer.contents b);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "  wrote BENCH_time.json\n"
+    write_json "BENCH_time.json"
+      Json.(
+        Obj
+          [
+            ("bits", Int bits); ("keygen_ms", Float (4, keygen_ms));
+            ("encrypt", pair enc_naive enc_mont);
+            ("partial_decrypt", pair tpdec_naive tpdec_mont);
+            ( "kernel",
+              Obj
+                [ ("modulus_bits", Int (B.bit_length n2));
+                  ("encrypt_shape_speedup", Float (2, k_enc));
+                  ("tpdec_shape_speedup", Float (2, k_tpdec)) ] );
+            ( "combine",
+              Obj
+                [ ("parties", Int comb_n); ("threshold", Int comb_t);
+                  ("naive_ms", Float (4, comb_naive)); ("multiexp_ms", Float (4, comb_mont));
+                  ("speedup", Float (2, comb_naive /. comb_mont)) ] );
+            ( "protocol",
+              List
+                (List.map
+                   (fun (n, k, ms) -> Obj [ ("n", Int n); ("k", Int k); ("ms", Float (1, ms)) ])
+                   protocol_rows) );
+            ("transcript_identical", Bool true);
+          ])
   end
 
 (* ------------------------------------------------------------------ *)
@@ -771,53 +768,46 @@ let par_bench () =
   end;
 
   if not !smoke then begin
-    let b = Buffer.create 1024 in
-    (* [cores.recommended] is what [Domain.recommended_domain_count]
-       reported; [cores.used] is the widest pool the grid actually
-       ran.  Keeping both makes a grid recorded on a small box
-       readable for what it is. *)
-    Buffer.add_string b
-      (Printf.sprintf "{\"experiment\":\"par\",\"cores\":{\"recommended\":%d,\"used\":%d},\
-                       \"combine\":{\"parties\":%d,\
-                       \"threshold\":%d,\"bits\":%d,\"powmods_ms\":%.4f,\"multiexp_ms\":\
-                       %.4f,\"speedup\":%.2f},\"kernel\":["
-         cores
-         (List.fold_left max 1 domain_sweep)
-         n_parties t bits comb_powmods comb_multi (comb_powmods /. comb_multi));
-    List.iteri
-      (fun i (kbits, s) ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b
-          (Printf.sprintf "{\"bits\":%d,\"wide_vs_narrow_speedup\":%.2f}" kbits s))
-      kernel_rows;
-    Buffer.add_string b "],\"grid\":[";
-    List.iteri
-      (fun i (n, k, cells, digest) ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b (Printf.sprintf "{\"n\":%d,\"k\":%d,\"cells\":[" n k);
-        let ms1 =
-          match cells with
-          | (1, ms, _) :: _ -> ms
-          | _ -> failwith "bench par: grid row missing the 1-domain cell"
-        in
-        List.iteri
-          (fun j (d, ms, _) ->
-            if j > 0 then Buffer.add_char b ',';
-            (* speedup is relative to this row's own 1-domain cell, so
-               the trajectory reads directly from the JSON *)
-            Buffer.add_string b
-              (Printf.sprintf "{\"domains\":%d,\"ms\":%.1f,\"speedup\":%.2f}" d ms
-                 (ms1 /. ms)))
-          cells;
-        Buffer.add_string b
-          (Printf.sprintf "],\"transcript_digest\":%d,\"digest_identical\":true}" digest))
-      grid;
-    Buffer.add_string b "]}";
-    let oc = open_out "BENCH_par.json" in
-    output_string oc (Buffer.contents b);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "  wrote BENCH_par.json\n"
+    let grid_row (n, k, cells, digest) =
+      let ms1 =
+        match cells with
+        | (1, ms, _) :: _ -> ms
+        | _ -> failwith "bench par: grid row missing the 1-domain cell"
+      in
+      (* speedup is relative to this row's own 1-domain cell, so the
+         trajectory reads directly from the JSON *)
+      let cell (d, ms, _) =
+        Json.(Obj [ ("domains", Int d); ("ms", Float (1, ms)); ("speedup", Float (2, ms1 /. ms)) ])
+      in
+      Json.(
+        Obj
+          [ ("n", Int n); ("k", Int k); ("cells", List (List.map cell cells));
+            ("transcript_digest", Int digest); ("digest_identical", Bool true) ])
+    in
+    write_json "BENCH_par.json"
+      Json.(
+        Obj
+          [
+            ("experiment", String "par");
+            (* [cores.recommended] is what [Domain.recommended_domain_count]
+               reported; [cores.used] is the widest pool the grid actually
+               ran.  Keeping both makes a grid recorded on a small box
+               readable for what it is. *)
+            ( "cores",
+              Obj [ ("recommended", Int cores); ("used", Int (List.fold_left max 1 domain_sweep)) ] );
+            ( "combine",
+              Obj
+                [ ("parties", Int n_parties); ("threshold", Int t); ("bits", Int bits);
+                  ("powmods_ms", Float (4, comb_powmods)); ("multiexp_ms", Float (4, comb_multi));
+                  ("speedup", Float (2, comb_powmods /. comb_multi)) ] );
+            ( "kernel",
+              List
+                (List.map
+                   (fun (kbits, s) ->
+                     Obj [ ("bits", Int kbits); ("wide_vs_narrow_speedup", Float (2, s)) ])
+                   kernel_rows) );
+            ("grid", List (List.map grid_row grid));
+          ])
   end
 
 (* ------------------------------------------------------------------ *)
@@ -856,7 +846,7 @@ let transport_bench () =
           let config =
             Protocol.config ~seed ~transport:"unix" ~link ()
           in
-          Protocol.report_json (Protocol.execute ~params ~config ~circuit ~inputs ())
+          Json.to_string (Protocol.report_json (Protocol.execute ~params ~config ~circuit ~inputs ()))
         in
         (* three geometries over the same seeded run: legacy broadcast,
            interest-routed, and interest-routed with a sharded board *)
@@ -928,37 +918,32 @@ let transport_bench () =
     \   full frames only from their quorum sources plus digest records from the rest,\n\
     \   yet the daemon's stitched digest chain still equals the in-process transcript)\n";
   if not !smoke then begin
-    let b = Buffer.create 1024 in
-    Buffer.add_string b "{\"experiment\":\"transport\",\"endpoint\":\"unix\",\"rows\":[";
-    List.iteri
-      (fun i (n, geometry, topology, sim_ms, res, sim_r, ratio, vs_legacy) ->
-        if i > 0 then Buffer.add_char b ',';
-        let shards, quorum, routed =
-          match topology with
-          | Some (t : Topology.t) -> (t.Topology.shards, t.Topology.quorum, t.Topology.routed)
-          | None -> (1, n - 1, false)
-        in
-        Buffer.add_string b
-          (Printf.sprintf
-             "{\"n\":%d,\"geometry\":%S,\"routed\":%b,\"shards\":%d,\"quorum\":%d,\
-              \"sim_ms\":%.1f,\"unix_ms\":%.1f,\"agree\":%b,\
-              \"transcript_digest\":%d,\"digest_identical\":true,\"frames_in\":%d,\
-              \"frames_out\":%d,\"digests_out\":%d,\"batches_out\":%d,\
-              \"suppressed_bytes\":%d,\"daemon_bytes_in\":%d,\"daemon_bytes_out\":%d,\
-              \"egress_vs_broadcast\":%.4f,\"routing_ratio\":%.4f}"
-             n geometry routed shards quorum sim_ms res.Runner.wall_ms res.Runner.agree
-             sim_r.Protocol.transcript.Yoso_net.Board.digest
-             res.Runner.stats.Daemon.frames_in res.Runner.stats.Daemon.frames_out
-             res.Runner.stats.Daemon.digests_out res.Runner.stats.Daemon.batches_out
-             res.Runner.stats.Daemon.suppressed_bytes res.Runner.stats.Daemon.bytes_in
-             res.Runner.stats.Daemon.bytes_out vs_legacy ratio))
-      rows;
-    Buffer.add_string b "]}";
-    let oc = open_out "BENCH_transport.json" in
-    output_string oc (Buffer.contents b);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "  wrote BENCH_transport.json\n"
+    let row (n, geometry, topology, sim_ms, res, sim_r, ratio, vs_legacy) =
+      let shards, quorum, routed =
+        match topology with
+        | Some (t : Topology.t) -> (t.Topology.shards, t.Topology.quorum, t.Topology.routed)
+        | None -> (1, n - 1, false)
+      in
+      let st = res.Runner.stats in
+      Json.(
+        Obj
+          [ ("n", Int n); ("geometry", String geometry); ("routed", Bool routed);
+            ("shards", Int shards); ("quorum", Int quorum); ("sim_ms", Float (1, sim_ms));
+            ("unix_ms", Float (1, res.Runner.wall_ms)); ("agree", Bool res.Runner.agree);
+            ("transcript_digest", Int sim_r.Protocol.transcript.Yoso_net.Board.digest);
+            ("digest_identical", Bool true); ("frames_in", Int st.Daemon.frames_in);
+            ("frames_out", Int st.Daemon.frames_out); ("digests_out", Int st.Daemon.digests_out);
+            ("batches_out", Int st.Daemon.batches_out);
+            ("suppressed_bytes", Int st.Daemon.suppressed_bytes);
+            ("daemon_bytes_in", Int st.Daemon.bytes_in);
+            ("daemon_bytes_out", Int st.Daemon.bytes_out);
+            ("egress_vs_broadcast", Float (4, vs_legacy)); ("routing_ratio", Float (4, ratio)) ])
+    in
+    write_json "BENCH_transport.json"
+      Json.(
+        Obj
+          [ ("experiment", String "transport"); ("endpoint", String "unix");
+            ("rows", List (List.map row rows)) ])
   end
 
 (* ------------------------------------------------------------------ *)
@@ -987,7 +972,7 @@ let chaos_bench () =
     let config =
       Protocol.config ~seed ~transport:"unix" ~link ()
     in
-    Protocol.report_json (Protocol.execute ~params ~config ~circuit ~inputs ())
+    Json.to_string (Protocol.report_json (Protocol.execute ~params ~config ~circuit ~inputs ()))
   in
   let with_journal f =
     let path = Filename.temp_file "yoso-bench-chaos" ".wal" in
@@ -1064,30 +1049,22 @@ let chaos_bench () =
     "  (every case: unanimous reports, zero blames, transcript digest byte-identical\n\
     \   to the fault-free sim — faults live below the protocol, recovery hides them)\n";
   if not !smoke then begin
-    let b = Buffer.create 1024 in
-    Buffer.add_string b
-      (Printf.sprintf
-         "{\"experiment\":\"chaos\",\"n\":%d,\"frames\":%d,\"transcript_digest\":%d,\"rows\":["
-         n frames digest);
-    List.iteri
-      (fun i (label, wall_ms, res, digest_equal) ->
-        if i > 0 then Buffer.add_char b ',';
-        let st = res.Runner.stats in
-        Buffer.add_string b
-          (Printf.sprintf
-             "{\"case\":%S,\"wall_ms\":%.1f,\"restarts\":%d,\"reconnects\":%d,\
-              \"replayed\":%d,\"recovered\":%d,\"journal_bytes\":%d,\
-              \"digest_identical\":%b}"
-             label wall_ms res.Runner.restarts st.Daemon.reconnects
-             st.Daemon.replayed_frames st.Daemon.recovered_frames
-             st.Daemon.journal_bytes digest_equal))
-      rows;
-    Buffer.add_string b "]}";
-    let oc = open_out "BENCH_chaos.json" in
-    output_string oc (Buffer.contents b);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "  wrote BENCH_chaos.json\n"
+    let row (label, wall_ms, res, digest_equal) =
+      let st = res.Runner.stats in
+      Json.(
+        Obj
+          [ ("case", String label); ("wall_ms", Float (1, wall_ms));
+            ("restarts", Int res.Runner.restarts); ("reconnects", Int st.Daemon.reconnects);
+            ("replayed", Int st.Daemon.replayed_frames);
+            ("recovered", Int st.Daemon.recovered_frames);
+            ("journal_bytes", Int st.Daemon.journal_bytes);
+            ("digest_identical", Bool digest_equal) ])
+    in
+    write_json "BENCH_chaos.json"
+      Json.(
+        Obj
+          [ ("experiment", String "chaos"); ("n", Int n); ("frames", Int frames);
+            ("transcript_digest", Int digest); ("rows", List (List.map row rows)) ])
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1225,46 +1202,41 @@ let compile_bench () =
     "  (identical outputs through the protocol; the compiler only removes work)\n";
 
   if not !smoke then begin
-    let b = Buffer.create 4096 in
-    Buffer.add_string b "{\"experiment\":\"compile\",\"programs\":[";
-    List.iteri
-      (fun i (name, size, opt, ns, os) ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b
-          (Printf.sprintf
-             "{\"name\":%S,\"size\":%d,\"naive\":%s,\"final\":%s,\"passes\":[%s]}" name
-             size (Ir.stats_json ns) (Ir.stats_json os)
-             (String.concat ","
-                (List.map
-                   (fun (pass, s) ->
-                     Printf.sprintf "{\"pass\":%S,\"after\":%s}" pass (Ir.stats_json s))
-                   opt.Lang.pass_stats))))
-      named_rows;
-    Buffer.add_string b
-      (Printf.sprintf
-         "],\"chain\":{\"leaves\":%d,\"naive_depth\":%d,\"optimized_depth\":%d},"
-         chain_len cn.Ir.depth co.Ir.depth);
-    Buffer.add_string b
-      (Printf.sprintf
-         "\"random_family\":{\"seeds\":%d,\"nodes_naive\":%d,\"nodes_optimized\":%d,\
-          \"muls_naive\":%d,\"muls_optimized\":%d,\"depth_naive\":%d,\
-          \"depth_optimized\":%d,\"strictly_smaller_every_seed\":true},"
-         nseeds nodes_n nodes_o muls_n muls_o depth_n depth_o);
-    Buffer.add_string b
-      (Printf.sprintf
-         "\"e2e_auction\":{\"naive\":{\"mult_gates\":%d,\"online_elements\":%d,\
-          \"offline_elements\":%d,\"posts\":%d},\"optimized\":{\"mult_gates\":%d,\
-          \"online_elements\":%d,\"offline_elements\":%d,\"posts\":%d},\
-          \"outputs_match_interpreter\":true}}"
-         r_naive.Protocol.num_mult r_naive.Protocol.online_elements
-         r_naive.Protocol.offline_elements r_naive.Protocol.posts
-         r_opt.Protocol.num_mult r_opt.Protocol.online_elements
-         r_opt.Protocol.offline_elements r_opt.Protocol.posts);
-    let oc = open_out "BENCH_compile.json" in
-    output_string oc (Buffer.contents b);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "  wrote BENCH_compile.json\n"
+    let e2e r =
+      Json.(
+        Obj
+          [ ("mult_gates", Int r.Protocol.num_mult);
+            ("online_elements", Int r.Protocol.online_elements);
+            ("offline_elements", Int r.Protocol.offline_elements);
+            ("posts", Int r.Protocol.posts) ])
+    in
+    let program (name, size, opt, ns, os) =
+      Json.(
+        Obj
+          [ ("name", String name); ("size", Int size); ("naive", Ir.stats_json ns);
+            ("final", Ir.stats_json os); ("passes", Lang.pass_stats_json opt.Lang.pass_stats) ])
+    in
+    write_json "BENCH_compile.json"
+      Json.(
+        Obj
+          [
+            ("experiment", String "compile");
+            ("programs", List (List.map program named_rows));
+            ( "chain",
+              Obj
+                [ ("leaves", Int chain_len); ("naive_depth", Int cn.Ir.depth);
+                  ("optimized_depth", Int co.Ir.depth) ] );
+            ( "random_family",
+              Obj
+                [ ("seeds", Int nseeds); ("nodes_naive", Int nodes_n);
+                  ("nodes_optimized", Int nodes_o); ("muls_naive", Int muls_n);
+                  ("muls_optimized", Int muls_o); ("depth_naive", Int depth_n);
+                  ("depth_optimized", Int depth_o); ("strictly_smaller_every_seed", Bool true) ] );
+            ( "e2e_auction",
+              Obj
+                [ ("naive", e2e r_naive); ("optimized", e2e r_opt);
+                  ("outputs_match_interpreter", Bool true) ] );
+          ])
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1371,7 +1343,7 @@ let factory_bench () =
     d.Depot.producer_blocks d.Depot.consumer_blocks;
   Printf.printf "  refills  : %d batches, %d B attributed\n"
     (List.length (Meter.refills streamed.Factory.meter))
-    (Meter.refill_total streamed.Factory.meter);
+    (Meter.side_total streamed.Factory.meter Meter.Refill);
   if streamed.Factory.refills_during_online = 0 then
     failwith "factory: no producer/consumer overlap observed";
   (* the stream must sustain at least one-shot throughput: it saves
@@ -1423,18 +1395,16 @@ let factory_bench () =
     failwith "factory: RLC verification not cheaper than per-proof checks";
 
   if not !smoke then begin
-    let b = Buffer.create 512 in
-    Printf.bprintf b
-      "{\"circuits\":%d,\"total_mult\":%d,\"oneshot_gates_per_sec\":%.2f,\"streamed_gates_per_sec\":%.2f,\"speedup\":%.3f,"
-      circuits total_mult base_gps stream_gps (stream_gps /. base_gps);
-    Printf.bprintf b "\"audit_each_us_per_triple\":%.3f,\"audit_rlc_us_per_triple\":%.3f,"
-      each_us rlc_us;
-    Printf.bprintf b "\"stream\":%s}" (Factory.report_json streamed);
-    let oc = open_out "BENCH_factory.json" in
-    output_string oc (Buffer.contents b);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "  wrote BENCH_factory.json\n"
+    write_json "BENCH_factory.json"
+      Json.(
+        Obj
+          [ ("circuits", Int circuits); ("total_mult", Int total_mult);
+            ("oneshot_gates_per_sec", Float (2, base_gps));
+            ("streamed_gates_per_sec", Float (2, stream_gps));
+            ("speedup", Float (3, stream_gps /. base_gps));
+            ("audit_each_us_per_triple", Float (3, each_us));
+            ("audit_rlc_us_per_triple", Float (3, rlc_us));
+            ("stream", Factory.report_json streamed) ])
   end
 
 (* ------------------------------------------------------------------ *)

@@ -23,6 +23,8 @@ module Sim = Yoso_net.Sim
 module Factory = Yoso_factory.Factory
 module Depot = Yoso_factory.Depot
 module Runner = Yoso_transport.Runner
+module Daemon = Yoso_transport.Daemon
+module Json = Yoso_runtime.Json
 module Lang = Yoso_lang.Compiler
 module Programs = Yoso_lang.Programs
 open Cmdliner
@@ -80,12 +82,14 @@ let run_transport ~deadline_ms ~topology ~params ~circuit ~inputs ~base_config ~
         Protocol.net = { base_config.Protocol.net with Protocol.link = Some link } }
     in
     match Protocol.execute ~params ~config ~circuit ~inputs () with
-    | r -> Protocol.report_json ~options:{ Protocol.Report.default with extra } r
+    | r -> Json.to_string (Protocol.report_json ~options:{ Protocol.Report.default with extra } r)
     | exception Faults.Protocol_failure f ->
       (* still deterministic: every replica fails at the same step, so
          the reports agree on the failure too *)
-      Printf.sprintf "{\"protocol_failure\":\"%s/%s (committee %s)\"}" f.Faults.f_phase
-        f.Faults.f_step f.Faults.f_committee
+      let failure =
+        Printf.sprintf "%s/%s (committee %s)" f.Faults.f_phase f.Faults.f_step f.Faults.f_committee
+      in
+      Json.(to_string (Obj [ ("protocol_failure", String failure) ]))
   in
   let seed = base_config.Protocol.exec.Protocol.seed in
   let meter = Yoso_net.Meter.create () in
@@ -100,36 +104,29 @@ let run_transport ~deadline_ms ~topology ~params ~circuit ~inputs ~base_config ~
     exit 2
   | (_, first) :: _ ->
     if json then begin
-      let b = Buffer.create 1024 in
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"transport\":%S,\"nslots\":%d,\"agree\":%b,\"wall_ms\":%.1f,\"down\":[%s],\
-            \"restarts\":%d,\
-            \"daemon\":{\"frames_in\":%d,\"frames_out\":%d,\"digests_out\":%d,\
-            \"batches_out\":%d,\"suppressed_bytes\":%d,\"garbled_frames\":%d,\
-            \"bytes_in\":%d,\"bytes_out\":%d,\"reconnects\":%d,\"replayed_frames\":%d,\
-            \"recovered_frames\":%d,\"journal_bytes\":%d,\"shards\":%d,\"digest\":%d},\
-            \"report\":"
-           transport n res.Runner.agree res.Runner.wall_ms
-           (String.concat "," (List.map string_of_int res.Runner.down))
-           res.Runner.restarts
-           res.Runner.stats.Yoso_transport.Daemon.frames_in
-           res.Runner.stats.Yoso_transport.Daemon.frames_out
-           res.Runner.stats.Yoso_transport.Daemon.digests_out
-           res.Runner.stats.Yoso_transport.Daemon.batches_out
-           res.Runner.stats.Yoso_transport.Daemon.suppressed_bytes
-           res.Runner.stats.Yoso_transport.Daemon.garbled_frames
-           res.Runner.stats.Yoso_transport.Daemon.bytes_in
-           res.Runner.stats.Yoso_transport.Daemon.bytes_out
-           res.Runner.stats.Yoso_transport.Daemon.reconnects
-           res.Runner.stats.Yoso_transport.Daemon.replayed_frames
-           res.Runner.stats.Yoso_transport.Daemon.recovered_frames
-           res.Runner.stats.Yoso_transport.Daemon.journal_bytes
-           res.Runner.stats.Yoso_transport.Daemon.shards
-           res.Runner.stats.Yoso_transport.Daemon.digest);
-      Buffer.add_string b first;
-      Buffer.add_char b '}';
-      print_endline (Buffer.contents b)
+      let st = res.Runner.stats in
+      let daemon =
+        [ ("frames_in", st.Daemon.frames_in); ("frames_out", st.Daemon.frames_out);
+          ("digests_out", st.Daemon.digests_out); ("batches_out", st.Daemon.batches_out);
+          ("suppressed_bytes", st.Daemon.suppressed_bytes);
+          ("garbled_frames", st.Daemon.garbled_frames); ("bytes_in", st.Daemon.bytes_in);
+          ("bytes_out", st.Daemon.bytes_out); ("reconnects", st.Daemon.reconnects);
+          ("replayed_frames", st.Daemon.replayed_frames);
+          ("recovered_frames", st.Daemon.recovered_frames);
+          ("journal_bytes", st.Daemon.journal_bytes); ("shards", st.Daemon.shards);
+          ("digest", st.Daemon.digest) ]
+      in
+      print_endline
+        Json.(
+          to_string
+            (Obj
+               [ ("transport", String transport); ("nslots", Int n);
+                 ("agree", Bool res.Runner.agree); ("wall_ms", Float (1, res.Runner.wall_ms));
+                 ("down", List (List.map (fun s -> Int s) res.Runner.down));
+                 ("restarts", Int res.Runner.restarts);
+                 ("daemon", Obj (List.map (fun (k, v) -> (k, Int v)) daemon));
+                 (* the members' unanimous report, as they sent it *)
+                 ("report", Raw first) ]))
     end
     else begin
       Format.printf "transport: %s, %d member processes + board daemon@." transport n;
@@ -250,7 +247,7 @@ let run_cmd protocol program kind size n t k eps malicious fail_stop seed fault_
     if stream > 1 then begin
       let jobs = Array.init stream (fun _ -> { Factory.circuit; inputs }) in
       let r = Factory.stream ~params ~config ?capacity:depot ~jobs () in
-      if json then print_endline (Factory.report_json r)
+      if json then print_endline (Json.to_string (Factory.report_json r))
       else begin
         Format.printf "factory: %d circuits, %d mult gates, %.1f ms wall, %.1f gates/s@."
           r.Factory.circuits r.Factory.total_mult r.Factory.wall_ms r.Factory.gates_per_sec;
@@ -262,7 +259,7 @@ let run_cmd protocol program kind size n t k eps malicious fail_stop seed fault_
           d.Depot.consumer_blocks;
         Format.printf "refills: %d batches, %d B attributed, %d landed during online@."
           (List.length (Meter.refills r.Factory.meter))
-          (Meter.refill_total r.Factory.meter)
+          (Meter.side_total r.Factory.meter Meter.Refill)
           r.Factory.refills_during_online;
         List.iter
           (fun cr ->
@@ -286,9 +283,10 @@ let run_cmd protocol program kind size n t k eps malicious fail_stop seed fault_
     in
     if json then
       print_endline
-        (Protocol.report_json
-           ~options:{ Protocol.Report.default with Protocol.Report.timings = true; extra }
-           r)
+        (Json.to_string
+           (Protocol.report_json
+              ~options:{ Protocol.Report.default with Protocol.Report.timings = true; extra }
+              r))
     else begin
       List.iter
         (fun o ->

@@ -60,8 +60,6 @@ let constants b = List.rev b.const_order
 let sub b ?(const_client = 0) a b' =
   add b a (mul b (constant_wire b ~client:const_client (-1)) b')
 
-let sub_via_mul b ~minus_one_wire a b' = add b a (mul b minus_one_wire b')
-
 let output b ~client wire =
   check_usable b;
   push b (Circuit.Output { client; wire })

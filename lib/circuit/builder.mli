@@ -32,12 +32,6 @@ val sub : t -> ?const_client:int -> Circuit.wire -> Circuit.wire -> Circuit.wire
     the [-1] constant via {!constant_wire} on [const_client] (default
     [0]). *)
 
-val sub_via_mul : t -> minus_one_wire:Circuit.wire -> Circuit.wire -> Circuit.wire -> Circuit.wire
-[@@ocaml.deprecated "use Builder.sub, which materializes the -1 constant itself"]
-(** [a - b] given a wire carrying the constant [-1]: [a + (-1)*b].
-    Deprecated: {!sub} wraps the constants-client idiom and needs no
-    manual [-1] plumbing.  Kept as an alias for one release. *)
-
 val output : t -> client:int -> Circuit.wire -> unit
 
 val sum : t -> Circuit.wire list -> Circuit.wire

@@ -83,34 +83,6 @@ let config ?(adversary = Params.no_adversary) ?plan ?(validate = true) ?(seed = 
 
 let default_config = config ()
 
-module Legacy = struct
-  type flat_config = {
-    adversary : Params.adversary;
-    plan : Faults.plan option;
-    validate : bool;
-    seed : int;
-    net : Board.config;
-    domains : int;
-    transport : string;
-    link : Board.link option;
-  }
-
-  let default_flat =
-    {
-      adversary = Params.no_adversary;
-      plan = None;
-      validate = true;
-      seed = 0xC0FFEE;
-      net = Board.default_config;
-      domains = 1;
-      transport = "sim";
-      link = None;
-    }
-
-  let of_flat { adversary; plan; validate; seed; net; domains; transport; link } =
-    config ~adversary ?plan ~validate ~seed ~domains ~board:net ~transport ?link ()
-end
-
 (* ------------------------------------------------------------------ *)
 (* Produce/consume session halves                                       *)
 (* ------------------------------------------------------------------ *)
@@ -227,115 +199,62 @@ module Report = struct
   type options = {
     timings : bool;
     transport_stats : bool;
-    extra : (string * string) list;
+    extra : (string * Yoso_runtime.Json.t) list;
   }
 
   let default = { timings = false; transport_stats = false; extra = [] }
 end
 
-(* hand-rolled JSON: values are ints, floats and plain ASCII strings.
-   [timings] is opt-in because wall-clock fields would break the
+(* [timings] is opt-in because wall-clock fields would break the
    byte-equality oracles (cross-domain and cross-process reports must
    be identical); [transport_stats] is opt-in for the same reason —
    under chaos, different slots survive different reconnect counts,
    and the agreement check must still compare equal. *)
-let report_json ?(options = Report.default) r =
+let report_json ?(options = Report.default) (r : report) =
   let { Report.timings; transport_stats; extra } = options in
-  let b = Buffer.create 1024 in
-  let first = ref true in
-  let sep () = if !first then first := false else Buffer.add_char b ',' in
-  let field name pp v =
-    sep ();
-    Buffer.add_string b (Printf.sprintf "%S:" name);
-    pp v
+  let open Yoso_runtime.Json in
+  let flt x = Float (4, x) and opt on fields = if on then fields else [] in
+  let net = r.net and t = r.transcript in
+  let output o =
+    Obj
+      [ ("client", Int o.Online.client); ("wire", Int o.Online.wire);
+        ("value", Int (F.to_int o.Online.value)) ]
   in
-  let int name v = field name (fun v -> Buffer.add_string b (string_of_int v)) v in
-  let flt name v = field name (fun v -> Buffer.add_string b (Printf.sprintf "%.4f" v)) v in
-  let str name v = field name (fun v -> Buffer.add_string b (Printf.sprintf "%S" v)) v in
-  Buffer.add_char b '{';
-  int "num_gates" r.num_gates;
-  int "num_mult" r.num_mult;
-  int "posts" r.posts;
-  int "committees" r.committees;
-  int "setup_elements" r.setup_elements;
-  int "offline_elements" r.offline_elements;
-  int "online_elements" r.online_elements;
-  flt "offline_per_gate" (offline_per_gate r);
-  flt "online_per_gate" (online_per_gate r);
-  int "setup_bytes" r.setup_bytes;
-  int "offline_bytes" r.offline_bytes;
-  int "online_bytes" r.online_bytes;
-  int "online_field_bytes" r.online_field_bytes;
-  flt "offline_bytes_per_gate" (offline_bytes_per_gate r);
-  flt "online_bytes_per_gate" (online_bytes_per_gate r);
-  flt "online_field_bytes_per_gate" (online_field_bytes_per_gate r);
-  int "faults_detected" r.faults_detected;
-  int "posts_rejected" r.posts_rejected;
-  str "transport" r.transport;
-  if transport_stats then begin
-    int "reconnects" r.reconnects;
-    int "replays" r.replays
-  end;
-  if timings then begin
-    sep ();
-    Buffer.add_string b "\"phase_ms\":{";
-    first := true;
-    List.iter (fun (phase, ms) -> flt phase ms) r.phase_ms;
-    Buffer.add_char b '}';
-    first := false
-  end;
-  sep ();
-  Buffer.add_string b "\"net\":{";
-  first := true;
-  int "rounds" r.net.Sim.rounds;
-  int "sent" r.net.Sim.sent;
-  int "delivered" r.net.Sim.delivered;
-  int "late" r.net.Sim.late;
-  int "dropped" r.net.Sim.dropped;
-  int "bytes_sent" r.net.Sim.bytes_sent;
-  int "bytes_delivered" r.net.Sim.bytes_delivered;
-  flt "elapsed_ms" r.net.Sim.elapsed_ms;
-  int "max_in_flight" r.net.Sim.max_in_flight;
-  Buffer.add_string b "},";
-  first := true;
-  Buffer.add_string b "\"transcript\":{";
-  int "frames" r.transcript.Board.frames;
-  int "frame_bytes" r.transcript.Board.frame_bytes;
-  int "digest" r.transcript.Board.digest;
-  Buffer.add_string b "},";
-  first := true;
-  Buffer.add_string b "\"outputs\":[";
-  List.iteri
-    (fun i out ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "{\"client\":%d,\"wire\":%d,\"value\":%d}" out.Online.client
-           out.Online.wire
-           (F.to_int out.Online.value)))
-    r.outputs;
-  Buffer.add_string b "],";
-  first := true;
-  Buffer.add_string b "\"blames\":[";
-  List.iteri
-    (fun i bl ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_char b '{';
-      first := true;
-      str "role" (Yoso_runtime.Role.to_string bl.Faults.role);
-      str "kind" (Faults.kind_to_string bl.Faults.kind);
-      str "phase" bl.Faults.phase;
-      str "step" bl.Faults.step;
-      Buffer.add_char b '}')
-    r.blames;
-  Buffer.add_string b "]";
-  List.iter
-    (fun (name, json) -> Buffer.add_string b (Printf.sprintf ",%S:%s" name json))
-    extra;
-  Buffer.add_char b '}';
-  Buffer.contents b
-
-let report_json_flags ?(timings = false) ?(transport_stats = false) ?(extra = []) r =
-  report_json ~options:{ Report.timings; transport_stats; extra } r
+  let blame bl =
+    Obj
+      [ ("role", String (Yoso_runtime.Role.to_string bl.Faults.role));
+        ("kind", String (Faults.kind_to_string bl.Faults.kind));
+        ("phase", String bl.Faults.phase); ("step", String bl.Faults.step) ]
+  in
+  Obj
+    ([ ("num_gates", Int r.num_gates); ("num_mult", Int r.num_mult); ("posts", Int r.posts);
+       ("committees", Int r.committees); ("setup_elements", Int r.setup_elements);
+       ("offline_elements", Int r.offline_elements); ("online_elements", Int r.online_elements);
+       ("offline_per_gate", flt (offline_per_gate r)); ("online_per_gate", flt (online_per_gate r));
+       ("setup_bytes", Int r.setup_bytes); ("offline_bytes", Int r.offline_bytes);
+       ("online_bytes", Int r.online_bytes); ("online_field_bytes", Int r.online_field_bytes);
+       ("offline_bytes_per_gate", flt (offline_bytes_per_gate r));
+       ("online_bytes_per_gate", flt (online_bytes_per_gate r));
+       ("online_field_bytes_per_gate", flt (online_field_bytes_per_gate r));
+       ("faults_detected", Int r.faults_detected); ("posts_rejected", Int r.posts_rejected);
+       ("transport", String r.transport) ]
+    @ opt transport_stats [ ("reconnects", Int r.reconnects); ("replays", Int r.replays) ]
+    @ opt timings [ ("phase_ms", Obj (List.map (fun (p, ms) -> (p, flt ms)) r.phase_ms)) ]
+    @ [ ( "net",
+          Obj
+            [ ("rounds", Int net.Sim.rounds); ("sent", Int net.Sim.sent);
+              ("delivered", Int net.Sim.delivered); ("late", Int net.Sim.late);
+              ("dropped", Int net.Sim.dropped); ("bytes_sent", Int net.Sim.bytes_sent);
+              ("bytes_delivered", Int net.Sim.bytes_delivered);
+              ("elapsed_ms", flt net.Sim.elapsed_ms);
+              ("max_in_flight", Int net.Sim.max_in_flight) ] );
+        ( "transcript",
+          Obj
+            [ ("frames", Int t.Board.frames); ("frame_bytes", Int t.Board.frame_bytes);
+              ("digest", Int t.Board.digest) ] );
+        ("outputs", List (List.map output r.outputs));
+        ("blames", List (List.map blame r.blames)) ]
+    @ extra)
 
 let expected circuit ~inputs = Eval.run circuit ~inputs
 

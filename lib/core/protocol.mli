@@ -53,9 +53,7 @@ val online_field_bytes_per_gate : report -> float
 (** {1 Configuration}
 
     Execution knobs, grouped by concern into nested sub-records.
-    Build one with the smart constructor {!config} — positional
-    record updates on the flat layout are gone; the deprecated
-    {!Legacy} shim bridges old call sites for one release. *)
+    Build one with the smart constructor {!config}. *)
 
 type exec_config = {
   adversary : Params.adversary;
@@ -132,27 +130,6 @@ val default_config : config
     seed [0xC0FFEE], ideal network, 1 domain, sim transport, no
     link, no journal, no chaos. *)
 
-(** Compatibility shim for the pre-nesting flat configuration record.
-    New code builds a {!config} with the smart constructor. *)
-module Legacy : sig
-  type flat_config = {
-    adversary : Params.adversary;
-    plan : Yoso_runtime.Faults.plan option;
-    validate : bool;
-    seed : int;
-    net : Yoso_net.Board.config;
-    domains : int;
-    transport : string;
-    link : Yoso_net.Board.link option;
-  }
-
-  val default_flat : flat_config
-  [@@deprecated "use Protocol.config (the smart constructor) instead"]
-
-  val of_flat : flat_config -> config
-  [@@deprecated "use Protocol.config (the smart constructor) instead"]
-end
-
 (** {1 Produce/consume session halves}
 
     One circuit's run split open, so preprocessing and consumption can
@@ -224,11 +201,10 @@ module Report : sig
   type options = {
     timings : bool;  (** emit the per-phase wall-clock object ["phase_ms"] *)
     transport_stats : bool;  (** emit ["reconnects"]/["replays"] *)
-    extra : (string * string) list;
-        (** caller-supplied [(name, raw_json)] fields appended to the
-            object — used by the CLI to attach compiler pass
-            statistics; callers on the byte-equality paths must pass
-            deterministic values *)
+    extra : (string * Yoso_runtime.Json.t) list;
+        (** caller-supplied fields appended to the object — used by the
+            CLI to attach compiler pass statistics; callers on the
+            byte-equality paths must pass deterministic values *)
   }
 
   val default : options
@@ -238,15 +214,12 @@ module Report : sig
       byte. *)
 end
 
-val report_json : ?options:Report.options -> report -> string
+val report_json : ?options:Report.options -> report -> Yoso_runtime.Json.t
 (** The report as a single JSON object (counts, per-gate metrics, byte
     totals, network stats, transcript digest, outputs, blames,
     transport kind).  [options] (default {!Report.default}) switches
-    on the non-deterministic extras. *)
-
-val report_json_flags :
-  ?timings:bool -> ?transport_stats:bool -> ?extra:(string * string) list -> report -> string
-[@@deprecated "use report_json ?options with a Report.options record"]
+    on the non-deterministic extras.  {!Yoso_runtime.Json.to_string}
+    gives the text members send across process boundaries. *)
 
 val expected : Circuit.t -> inputs:(int -> F.t array) -> (int * F.t) list
 (** Plain (in-the-clear) evaluation, for cross-checking. *)

@@ -99,9 +99,9 @@ let stream ~params ?(config = Protocol.default_config) ?capacity ?low ~jobs () =
            mutex then orders these writes before any consumer read *)
         Protocol.record_offline_ms s ((Unix.gettimeofday () -. t0) *. 1000.);
         let after = Meter.phase_total meter ~phase:"offline" in
-        Meter.record_refill refill_meter
-          ~batch:(Printf.sprintf "c%d/%s" j (Offline.item_kind item))
-          ~bytes:(after - !before);
+        Meter.record_side refill_meter Meter.Refill
+          ~label:(Printf.sprintf "c%d/%s" j (Offline.item_kind item))
+          (after - !before);
         before := after;
         Depot.put depot ~circuit:j ~kind:(Offline.item_kind item)
           ~units:(Offline.item_units layout item) (Item item);
@@ -197,30 +197,27 @@ let stream ~params ?(config = Protocol.default_config) ?capacity ?low ~jobs () =
   }
 
 let report_json r =
-  let b = Buffer.create 1024 in
-  Buffer.add_char b '{';
-  Printf.bprintf b "\"circuits\":%d,\"total_mult\":%d," r.circuits r.total_mult;
-  Printf.bprintf b "\"wall_ms\":%.3f,\"gates_per_sec\":%.2f," r.wall_ms r.gates_per_sec;
-  Printf.bprintf b "\"factory_elements\":%d,\"online_elements\":%d,"
-    (Cost.elements r.cost ~phase:"factory")
-    (Cost.elements r.cost ~phase:"online");
-  Printf.bprintf b "\"refill_bytes\":%d,\"refill_batches\":%d,"
-    (Meter.refill_total r.meter)
-    (List.length (Meter.refills r.meter));
-  Printf.bprintf b "\"refills_during_online\":%d," r.refills_during_online;
+  let open Yoso_runtime.Json in
   let d = r.depot in
-  Printf.bprintf b
-    "\"depot\":{\"puts\":%d,\"draws\":%d,\"producer_blocks\":%d,\"consumer_blocks\":%d,\"max_occupancy\":%d},"
-    d.Depot.puts d.Depot.draws d.Depot.producer_blocks d.Depot.consumer_blocks
-    d.Depot.max_occupancy;
-  Buffer.add_string b "\"runs\":[";
-  List.iteri
-    (fun i cr ->
-      if i > 0 then Buffer.add_char b ',';
-      let t = cr.report.Protocol.transcript in
-      Printf.bprintf b
-        "{\"index\":%d,\"seed\":%d,\"num_mult\":%d,\"digest\":%d,\"frames\":%d}" cr.index
-        cr.seed cr.report.Protocol.num_mult t.Board.digest t.Board.frames)
-    r.results;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let run cr =
+    let t = cr.report.Protocol.transcript in
+    Obj
+      [ ("index", Int cr.index); ("seed", Int cr.seed);
+        ("num_mult", Int cr.report.Protocol.num_mult); ("digest", Int t.Board.digest);
+        ("frames", Int t.Board.frames) ]
+  in
+  Obj
+    [ ("circuits", Int r.circuits); ("total_mult", Int r.total_mult);
+      ("wall_ms", Float (3, r.wall_ms)); ("gates_per_sec", Float (2, r.gates_per_sec));
+      ("factory_elements", Int (Cost.elements r.cost ~phase:"factory"));
+      ("online_elements", Int (Cost.elements r.cost ~phase:"online"));
+      ("refill_bytes", Int (Meter.side_total r.meter Meter.Refill));
+      ("refill_batches", Int (List.length (Meter.refills r.meter)));
+      ("refills_during_online", Int r.refills_during_online);
+      ( "depot",
+        Obj
+          [ ("puts", Int d.Depot.puts); ("draws", Int d.Depot.draws);
+            ("producer_blocks", Int d.Depot.producer_blocks);
+            ("consumer_blocks", Int d.Depot.consumer_blocks);
+            ("max_occupancy", Int d.Depot.max_occupancy) ] );
+      ("runs", List (List.map run r.results)) ]

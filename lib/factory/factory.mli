@@ -77,6 +77,6 @@ val stream :
     {!Yoso_runtime.Faults.Protocol_failure} from an audit) propagate
     to the caller after the producer domain is joined. *)
 
-val report_json : report -> string
+val report_json : report -> Yoso_runtime.Json.t
 (** Stream-level summary as one JSON object: throughput, depot stats,
     refill attribution, and the per-circuit digest/output list. *)

@@ -305,24 +305,24 @@ let check c ~inputs =
 
 let final_stats c = Ir.stats c.ir
 
+let pass_stats_json passes =
+  let open Yoso_runtime.Json in
+  let pass (name, s) = Obj [ ("pass", String name); ("after", Ir.stats_json s) ] in
+  List (List.map pass passes)
+
 let stats_json c =
-  let pass_entries =
-    List.map
-      (fun (name, s) -> Printf.sprintf "{\"pass\":%S,\"after\":%s}" name (Ir.stats_json s))
-      c.pass_stats
-  in
-  Printf.sprintf
-    "{\"program\":%S,\"naive\":%s,\"passes\":[%s],\"circuit\":{\"gates\":%d,\"inputs\":%d,\"outputs\":%d,\"adds\":%d,\"muls\":%d,\"depth\":%d,\"mult_width\":%d},\"constants\":%d}"
-    c.program.Ast.p_name (Ir.stats_json c.naive_stats)
-    (String.concat "," pass_entries)
-    (Circuit.size c.circuit)
-    (Circuit.num_inputs c.circuit)
-    (Circuit.num_outputs c.circuit)
-    (Circuit.num_add c.circuit)
-    (Circuit.num_mul c.circuit)
-    (Circuit.depth c.circuit)
-    (Circuit.mult_width c.circuit)
-    (List.length c.constants)
+  let open Yoso_runtime.Json in
+  let g = c.circuit in
+  Obj
+    [ ("program", String c.program.Ast.p_name); ("naive", Ir.stats_json c.naive_stats);
+      ("passes", pass_stats_json c.pass_stats);
+      ( "circuit",
+        Obj
+          [ ("gates", Int (Circuit.size g)); ("inputs", Int (Circuit.num_inputs g));
+            ("outputs", Int (Circuit.num_outputs g)); ("adds", Int (Circuit.num_add g));
+            ("muls", Int (Circuit.num_mul g)); ("depth", Int (Circuit.depth g));
+            ("mult_width", Int (Circuit.mult_width g)) ] );
+      ("constants", Int (List.length c.constants)) ]
 
 let pp_pipeline ppf c =
   let line name (s : Ir.stats) =

@@ -53,5 +53,13 @@ val check : compiled -> inputs:(int -> int array) -> bool
     {!Interp.run}. *)
 
 val final_stats : compiled -> Ir.stats
-val stats_json : compiled -> string
+
+val pass_stats_json : (string * Ir.stats) list -> Yoso_runtime.Json.t
+(** A pass log ({!field:compiled.pass_stats}) as a JSON list of
+    [{"pass": name, "after": stats}] objects. *)
+
+val stats_json : compiled -> Yoso_runtime.Json.t
+(** The program name, naive and per-pass IR statistics and the final
+    circuit's shape as one JSON object. *)
+
 val pp_pipeline : Format.formatter -> compiled -> unit

@@ -76,9 +76,10 @@ let stats ir =
   }
 
 let stats_json s =
-  Printf.sprintf
-    "{\"nodes\":%d,\"inputs\":%d,\"consts\":%d,\"adds\":%d,\"muls\":%d,\"depth\":%d}"
-    s.nodes s.inputs s.consts s.adds s.muls s.depth
+  let open Yoso_runtime.Json in
+  Obj
+    [ ("nodes", Int s.nodes); ("inputs", Int s.inputs); ("consts", Int s.consts);
+      ("adds", Int s.adds); ("muls", Int s.muls); ("depth", Int s.depth) ]
 
 let use_counts ir =
   let uses = Array.make (Array.length ir.defs) 0 in

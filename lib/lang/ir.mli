@@ -42,7 +42,7 @@ type stats = {
 }
 
 val stats : t -> stats
-val stats_json : stats -> string
+val stats_json : stats -> Yoso_runtime.Json.t
 
 val depths : t -> int array
 (** Per-def multiplicative depth. *)

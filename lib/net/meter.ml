@@ -1,15 +1,19 @@
 module Cost = Yoso_runtime.Cost
 
+type side =
+  | Conn_sent
+  | Conn_received
+  | Route_full
+  | Route_digest
+  | Route_suppressed
+  | Refill
+
 type t = {
   by_kind : (string * Cost.kind, int) Hashtbl.t; (* payload bytes *)
   by_step : (string * string, int) Hashtbl.t; (* frame bytes per (phase, step) *)
   by_role : (string, int) Hashtbl.t; (* frame bytes per role family *)
   framing : (string, int) Hashtbl.t; (* non-payload bytes per phase *)
-  by_conn : (string, int * int) Hashtbl.t; (* (sent, received) per connection *)
-  by_route : (string, int * int * int) Hashtbl.t;
-      (* (full, digest, suppressed) delivery bytes per subscription *)
-  by_refill : (string, int) Hashtbl.t;
-      (* frame bytes per factory refill batch ("c3/layer2") *)
+  sides : (side * string, int) Hashtbl.t; (* side-counter bytes per (counter, label) *)
 }
 
 let create () =
@@ -18,9 +22,7 @@ let create () =
     by_step = Hashtbl.create 16;
     by_role = Hashtbl.create 16;
     framing = Hashtbl.create 8;
-    by_conn = Hashtbl.create 8;
-    by_route = Hashtbl.create 8;
-    by_refill = Hashtbl.create 8;
+    sides = Hashtbl.create 16;
   }
 
 let add tbl key n = Hashtbl.replace tbl key (n + Option.value ~default:0 (Hashtbl.find_opt tbl key))
@@ -69,76 +71,49 @@ let phases t =
 
 let grand_total t = Hashtbl.fold (fun _ v acc -> acc + v) t.by_step 0
 
-(* transport-level socket accounting: envelope bytes per connection,
-   kept apart from the frame tables so phase/kind totals stay equal to
-   an unsocketed run of the same seeds *)
-let record_conn t ~conn ~sent ~received =
-  if sent < 0 || received < 0 then invalid_arg "Meter.record_conn: negative byte count";
-  let s0, r0 = Option.value ~default:(0, 0) (Hashtbl.find_opt t.by_conn conn) in
-  Hashtbl.replace t.by_conn conn (s0 + sent, r0 + received)
+(* side counters attribute bytes that the phase tables already count,
+   or that never enter them (socket envelopes), to a label: a
+   connection, a subscription or a factory refill batch.  They never
+   feed the phase/kind/role totals, so those stay equal to an
+   unsocketed one-shot run of the same seeds *)
+let side_name = function
+  | Conn_sent -> "conn.sent"
+  | Conn_received -> "conn.received"
+  | Route_full -> "route.full"
+  | Route_digest -> "route.digest"
+  | Route_suppressed -> "route.suppressed"
+  | Refill -> "refill"
 
-let connections t = sorted_bindings t.by_conn
+let record_side t side ~label n =
+  if n < 0 then invalid_arg "Meter.record_side: negative count";
+  add t.sides (side, label) n
 
-let conn_total t =
-  Hashtbl.fold (fun _ (s, r) (ts, tr) -> (ts + s, tr + r)) t.by_conn (0, 0)
+let side_counts t side =
+  sorted_bindings t.sides
+  |> List.filter_map (fun ((s, label), n) -> if s = side then Some (label, n) else None)
 
-(* interest-routed delivery accounting, attributed per subscription:
-   [full] is full-frame bytes actually delivered to the subscriber,
-   [digest] the compact checksum-record bytes, and [suppressed] the
-   full-frame bytes routing avoided sending (what a broadcast daemon
-   would have shipped instead of each digest record) *)
-let record_route t ~sub ~full ~digest ~suppressed =
-  if full < 0 || digest < 0 || suppressed < 0 then
-    invalid_arg "Meter.record_route: negative byte count";
-  let f0, d0, s0 = Option.value ~default:(0, 0, 0) (Hashtbl.find_opt t.by_route sub) in
-  Hashtbl.replace t.by_route sub (f0 + full, d0 + digest, s0 + suppressed)
+let side_total t side =
+  Hashtbl.fold (fun (s, _) n acc -> if s = side then acc + n else acc) t.sides 0
 
-let routes t = sorted_bindings t.by_route
-
-let route_total t =
-  Hashtbl.fold
-    (fun _ (f, d, s) (tf, td, ts) -> (tf + f, td + d, ts + s))
-    t.by_route (0, 0, 0)
+let refills t = side_counts t Refill
 
 (* fraction of the broadcast-equivalent full-frame volume that was
    actually shipped in full; 1.0 when nothing was suppressed (legacy
    broadcast, or no routed deliveries recorded at all) *)
 let routing_ratio t =
-  let full, _, suppressed = route_total t in
+  let full = side_total t Route_full and suppressed = side_total t Route_suppressed in
   if full + suppressed = 0 then 1.0
   else float_of_int full /. float_of_int (full + suppressed)
 
-(* factory refill accounting, attributed per depot batch: like
-   connection and routing bytes, refill bytes are an *attribution* of
-   frames already metered through the phase tables — they never feed
-   the phase/kind/role totals, so those stay equal to a one-shot run
-   of the same seeds *)
-let record_refill t ~batch ~bytes =
-  if bytes < 0 then invalid_arg "Meter.record_refill: negative byte count";
-  add t.by_refill batch bytes
-
-let refills t = sorted_bindings t.by_refill
-let refill_total t = Hashtbl.fold (fun _ b acc -> acc + b) t.by_refill 0
-
-(* aggregate a per-circuit meter into a stream-level one: phase tables
-   merge additively (the factory maps refill phases via its own Cost
-   accounting); refill attributions merge keyed as given *)
+(* aggregate a per-circuit meter into a stream-level one: every table
+   merges additively, side counters keyed as given (the factory maps
+   refill phases via its own Cost accounting) *)
 let merge_into ~dst src =
   Hashtbl.iter (fun (p, k) b -> add dst.by_kind (p, k) b) src.by_kind;
   Hashtbl.iter (fun (p, s) b -> add dst.by_step (p, s) b) src.by_step;
   Hashtbl.iter (fun r b -> add dst.by_role r b) src.by_role;
   Hashtbl.iter (fun p b -> add dst.framing p b) src.framing;
-  Hashtbl.iter
-    (fun c (s, r) ->
-      let s0, r0 = Option.value ~default:(0, 0) (Hashtbl.find_opt dst.by_conn c) in
-      Hashtbl.replace dst.by_conn c (s0 + s, r0 + r))
-    src.by_conn;
-  Hashtbl.iter
-    (fun sub (f, d, s) ->
-      let f0, d0, s0 = Option.value ~default:(0, 0, 0) (Hashtbl.find_opt dst.by_route sub) in
-      Hashtbl.replace dst.by_route sub (f0 + f, d0 + d, s0 + s))
-    src.by_route;
-  Hashtbl.iter (fun b n -> add dst.by_refill b n) src.by_refill
+  Hashtbl.iter (fun k n -> add dst.sides k n) src.sides
 
 let pp ppf t =
   List.iter
@@ -153,13 +128,6 @@ let pp ppf t =
         (phase_total t ~phase))
     (phases t);
   List.iter
-    (fun (conn, (s, r)) ->
-      Format.fprintf ppf "@[<h>conn %-12s sent=%dB received=%dB@]@." conn s r)
-    (connections t);
-  List.iter
-    (fun (sub, (f, d, s)) ->
-      Format.fprintf ppf "@[<h>sub  %-12s full=%dB digest=%dB suppressed=%dB@]@." sub f d s)
-    (routes t);
-  List.iter
-    (fun (batch, b) -> Format.fprintf ppf "@[<h>refill %-12s bytes=%dB@]@." batch b)
-    (refills t)
+    (fun ((side, label), n) ->
+      Format.fprintf ppf "@[<h>%-16s %-12s %dB@]@." (side_name side) label n)
+    (sorted_bindings t.sides)

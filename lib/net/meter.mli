@@ -29,56 +29,10 @@ val record :
 val role_family : string -> string
 (** Strips the committee uniqueness counter: ["exec#3"] -> ["exec"]. *)
 
-val record_conn : t -> conn:string -> sent:int -> received:int -> unit
-(** Adds transport-level socket bytes (envelope bytes on a genuine
-    connection) to the per-connection tally.  Kept in its own bucket:
-    connection bytes never feed the phase/kind/role totals, so those
-    stay equal to an unsocketed run of the same seeds. *)
-
-val connections : t -> (string * (int * int)) list
-(** Per-connection [(sent, received)] envelope bytes, sorted by
-    connection name. *)
-
-val conn_total : t -> int * int
-(** Summed [(sent, received)] over every connection. *)
-
-val record_route : t -> sub:string -> full:int -> digest:int -> suppressed:int -> unit
-(** Adds interest-routed delivery bytes, attributed to one
-    {e subscription} (a slot's registered interest set) rather than
-    lumped into its connection row: [full] full-frame bytes delivered,
-    [digest] compact checksum-record bytes delivered, [suppressed]
-    full-frame bytes routing avoided (what a broadcast daemon would
-    have shipped instead).  Like connection bytes, routing bytes never
-    feed the phase/kind/role totals. *)
-
-val routes : t -> (string * (int * int * int)) list
-(** Per-subscription [(full, digest, suppressed)] bytes, sorted. *)
-
-val route_total : t -> int * int * int
-(** Summed [(full, digest, suppressed)] over every subscription. *)
-
-val routing_ratio : t -> float
-(** [full / (full + suppressed)] over all subscriptions — the fraction
-    of the broadcast-equivalent volume actually shipped in full.
-    [1.0] when nothing was suppressed. *)
-
-val record_refill : t -> batch:string -> bytes:int -> unit
-(** Adds factory refill bytes attributed to one depot batch (e.g.
-    ["c3/layer2"]: circuit 3, layer-2 packed shares).  Like connection
-    and routing bytes, refill attributions never feed the
-    phase/kind/role totals — they re-attribute frames that were
-    already metered — so per-circuit totals stay equal to a one-shot
-    run of the same seeds. *)
-
-val refills : t -> (string * int) list
-(** Per-batch refill bytes, sorted by batch label. *)
-
-val refill_total : t -> int
-(** Summed refill bytes over every batch. *)
-
 val merge_into : dst:t -> t -> unit
-(** Adds every bucket of [src] into [dst] — the factory aggregates the
-    per-circuit meters of a stream into one stream-level meter. *)
+(** Adds every bucket of [src], side counters included, into [dst] —
+    the factory aggregates the per-circuit meters of a stream into one
+    stream-level meter. *)
 
 val kind_bytes : t -> phase:string -> Cost.kind -> int
 val data_bytes : t -> phase:string -> int
@@ -89,3 +43,41 @@ val roles : t -> (string * int) list
 val phases : t -> string list
 val grand_total : t -> int
 val pp : Format.formatter -> t -> unit
+
+(** {1 Side counters}
+
+    Labelled byte attributions kept apart from the phase tables: either
+    bytes those tables never see (socket envelopes) or a re-attribution
+    of frames they already count (routed deliveries, factory refills).
+    Side counts never feed the phase/kind/role totals, so those stay
+    equal to an unsocketed one-shot run of the same seeds. *)
+
+type side =
+  | Conn_sent  (** envelope bytes the daemon sent on a connection *)
+  | Conn_received  (** envelope bytes the daemon received on it *)
+  | Route_full  (** full-frame bytes routed to a subscription *)
+  | Route_digest  (** compact checksum-record bytes routed to it *)
+  | Route_suppressed
+      (** full-frame bytes routing avoided for it: what a broadcast
+          daemon would have shipped instead of each digest record *)
+  | Refill
+      (** factory refill bytes of one depot batch (e.g. ["c3/layer2"]:
+          circuit 3, layer-2 packed shares) *)
+
+val record_side : t -> side -> label:string -> int -> unit
+(** Adds bytes to one [(side, label)] counter.
+    @raise Invalid_argument on a negative count. *)
+
+val side_counts : t -> side -> (string * int) list
+(** Per-label bytes of one side counter, sorted by label. *)
+
+val side_total : t -> side -> int
+(** Summed bytes of one side counter over every label. *)
+
+val refills : t -> (string * int) list
+(** [side_counts t Refill]. *)
+
+val routing_ratio : t -> float
+(** [full / (full + suppressed)] over all subscriptions — the fraction
+    of the broadcast-equivalent volume actually shipped in full.
+    [1.0] when nothing was suppressed. *)

@@ -601,16 +601,19 @@ let serve ?(config = default_config) ?meter ?journal:journal_path ?chaos ?topolo
              slot's subscription, not its connection row: the conn row
              keeps only control + post traffic, so conn totals stay
              comparable across geometries *)
-          Meter.record_conn m ~conn:(conn_name c)
-            ~sent:(max 0 (c.sent_b - c.replay_b - c.full_b - c.digest_b))
-            ~received:c.recv_b;
+          let label = conn_name c in
+          Meter.record_side m Meter.Conn_sent ~label
+            (max 0 (c.sent_b - c.replay_b - c.full_b - c.digest_b));
+          Meter.record_side m Meter.Conn_received ~label c.recv_b;
           (* catch-up replay is accounted separately so phase totals
              stay comparable with a fault-free run *)
           if c.replay_b > 0 then
-            Meter.record_conn m ~conn:("replay:" ^ conn_name c) ~sent:c.replay_b ~received:0;
-          if c.sub <> None then
-            Meter.record_route m ~sub:(conn_name c) ~full:c.full_b ~digest:c.digest_b
-              ~suppressed:c.supp_b)
+            Meter.record_side m Meter.Conn_sent ~label:("replay:" ^ label) c.replay_b;
+          if c.sub <> None then begin
+            Meter.record_side m Meter.Route_full ~label c.full_b;
+            Meter.record_side m Meter.Route_digest ~label c.digest_b;
+            Meter.record_side m Meter.Route_suppressed ~label c.supp_b
+          end)
         !conns
   in
   let close_all () =

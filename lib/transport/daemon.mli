@@ -134,6 +134,6 @@ val serve :
     Per-connection envelope bytes are recorded into [meter] under
     ["slotN"] names, with catch-up replay split out under
     ["replay:slotN"] and routed delivery attributed per subscription
-    via {!Meter.record_route}.  The listen socket is left open; the
+    via {!Meter.record_side}.  The listen socket is left open; the
     caller owns it.
     @raise Crashed when a chaos kill point fires. *)

@@ -11,7 +11,6 @@ type result = {
   wall_ms : float;
   restarts : int;
   stats : Daemon.stats;
-  conn_bytes : (string * (int * int)) list;
   children : (int * Unix.process_status) list;
 }
 
@@ -179,8 +178,6 @@ let run ?(endpoint = `Unix_socket) ?config ?deadline_ms ?crash ?meter ?policy ?j
       wall_ms = (Unix.gettimeofday () -. t0) *. 1000.;
       restarts = List.length crashed;
       stats = List.fold_left (fun acc s -> add_stats s acc) d.stats crashed;
-      conn_bytes =
-        (match meter with Some m -> Meter.connections m | None -> []);
       children;
     }
   | exception e ->

@@ -35,8 +35,6 @@ type result = {
   wall_ms : float;
   restarts : int;  (** daemon lives lost to chaos kill points *)
   stats : Daemon.stats;  (** summed field-wise across daemon lives *)
-  conn_bytes : (string * (int * int)) list;
-      (** per-connection (sent, received) daemon-side byte counts *)
   children : (int * Unix.process_status) list;  (** slot -> exit status *)
 }
 

@@ -280,6 +280,29 @@ let test_protocol_e2e () =
   (* 2 of 3 voted yes, threshold 2: passed *)
   List.iter (fun (_, v) -> Alcotest.check felt "passed" F.one v) got
 
+(* byte-for-byte pin of the compiler statistics for the named
+   auction, recorded before they moved onto Yoso_runtime.Json *)
+let pinned_auction_stats =
+  "{\"program\":\"auction\",\"naive\":{\"nodes\":2943,\"inputs\":360,\
+    \"consts\":720,\"adds\":833,\"muls\":1030,\"depth\":15},\
+    \"passes\":[{\"pass\":\"fold\",\"after\":{\"nodes\":2763,\"inputs\":360,\
+    \"consts\":660,\"adds\":773,\"muls\":970,\"depth\":15}},{\"pass\":\"rewrite\",\
+    \"after\":{\"nodes\":2721,\"inputs\":360,\"consts\":661,\"adds\":772,\
+    \"muls\":928,\"depth\":14}},{\"pass\":\"cse\",\"after\":{\"nodes\":960,\
+    \"inputs\":40,\"consts\":10,\"adds\":412,\"muls\":498,\"depth\":14}},\
+    {\"pass\":\"reassoc\",\"after\":{\"nodes\":960,\"inputs\":40,\"consts\":10,\
+    \"adds\":412,\"muls\":498,\"depth\":12}},{\"pass\":\"fold2\",\
+    \"after\":{\"nodes\":960,\"inputs\":40,\"consts\":10,\"adds\":412,\
+    \"muls\":498,\"depth\":12}},{\"pass\":\"cse2\",\"after\":{\"nodes\":954,\
+    \"inputs\":40,\"consts\":10,\"adds\":412,\"muls\":492,\"depth\":12}}],\
+    \"circuit\":{\"gates\":964,\"inputs\":50,\"outputs\":10,\"adds\":412,\
+    \"muls\":492,\"depth\":12,\"mult_width\":179},\"constants\":10}"
+
+let test_stats_json_pinned () =
+  let c = Compiler.compile (Programs.by_name "auction" ~size:5) in
+  Alcotest.(check string) "auction stats" pinned_auction_stats
+    (Yoso_runtime.Json.to_string (Compiler.stats_json c))
+
 let () =
   Alcotest.run "lang"
     [
@@ -302,6 +325,7 @@ let () =
           Alcotest.test_case "200 random programs == interpreter" `Slow
             test_random_equivalence;
           Alcotest.test_case "constants client" `Quick test_constants_client;
+          Alcotest.test_case "stats json pinned" `Quick test_stats_json_pinned;
         ] );
       ( "passes",
         [

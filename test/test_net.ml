@@ -365,24 +365,72 @@ let test_meter_roles_and_phases () =
       Meter.record m ~phase:"x" ~step:"s" ~role:"r" ~frame_bytes:1
         ~payload:[ (Cost.Key, 2) ])
 
+let all_sides =
+  Meter.[ Conn_sent; Conn_received; Route_full; Route_digest; Route_suppressed; Refill ]
+
 let test_meter_refills () =
   let m = Meter.create () in
-  Meter.record_refill m ~batch:"c0/lambdas" ~bytes:100;
-  Meter.record_refill m ~batch:"c0/lambdas" ~bytes:20;
-  Meter.record_refill m ~batch:"c1/holder" ~bytes:5;
+  Meter.record_side m Meter.Refill ~label:"c0/lambdas" 100;
+  Meter.record_side m Meter.Refill ~label:"c0/lambdas" 20;
+  Meter.record_side m Meter.Refill ~label:"c1/holder" 5;
   Alcotest.(check int) "per-batch accumulates" 120
     (List.assoc "c0/lambdas" (Meter.refills m));
-  Alcotest.(check int) "refill total" 125 (Meter.refill_total m);
+  Alcotest.(check int) "refill total" 125 (Meter.side_total m Meter.Refill);
   (* refills are a side-attribution, never phase traffic *)
   Alcotest.(check int) "no phase traffic" 0 (Meter.grand_total m);
   let dst = Meter.create () in
-  Meter.record_refill dst ~batch:"c1/holder" ~bytes:1;
+  Meter.record_side dst Meter.Refill ~label:"c1/holder" 1;
   Meter.merge_into ~dst m;
   Alcotest.(check int) "merged batch" 6 (List.assoc "c1/holder" (Meter.refills dst));
-  Alcotest.(check int) "merged total" 126 (Meter.refill_total dst);
-  Alcotest.check_raises "negative rejected"
-    (Invalid_argument "Meter.record_refill: negative byte count") (fun () ->
-      Meter.record_refill m ~batch:"x" ~bytes:(-1))
+  Alcotest.(check int) "merged total" 126 (Meter.side_total dst Meter.Refill)
+
+let test_meter_side_counters () =
+  let m = Meter.create () in
+  (* counter [i] gets label "a" += i+1 twice and label "b" += 10 *)
+  List.iteri
+    (fun i side ->
+      Meter.record_side m side ~label:"a" (i + 1);
+      Meter.record_side m side ~label:"b" 10;
+      Meter.record_side m side ~label:"a" (i + 1))
+    all_sides;
+  List.iteri
+    (fun i side ->
+      Alcotest.(check (list (pair string int)))
+        "per-label, sorted, counters kept apart"
+        [ ("a", 2 * (i + 1)); ("b", 10) ]
+        (Meter.side_counts m side);
+      Alcotest.(check int) "total" ((2 * (i + 1)) + 10) (Meter.side_total m side))
+    all_sides;
+  Alcotest.(check int) "side counts are not phase traffic" 0 (Meter.grand_total m);
+  (* merge adds counter-by-counter and label-by-label *)
+  let dst = Meter.create () in
+  Meter.record_side dst Meter.Route_digest ~label:"c" 7;
+  Meter.merge_into ~dst m;
+  Meter.merge_into ~dst m;
+  List.iteri
+    (fun i side ->
+      let extra = if side = Meter.Route_digest then [ ("c", 7) ] else [] in
+      Alcotest.(check (list (pair string int)))
+        "merged twice"
+        ([ ("a", 4 * (i + 1)); ("b", 20) ] @ extra)
+        (Meter.side_counts dst side))
+    all_sides;
+  List.iter
+    (fun side ->
+      Alcotest.check_raises "negative rejected"
+        (Invalid_argument "Meter.record_side: negative count") (fun () ->
+          Meter.record_side m side ~label:"x" (-1)))
+    all_sides
+
+let test_meter_routing_ratio () =
+  let m = Meter.create () in
+  Alcotest.(check (float 0.)) "nothing routed" 1.0 (Meter.routing_ratio m);
+  Meter.record_side m Meter.Route_full ~label:"slot0" 30;
+  Meter.record_side m Meter.Route_digest ~label:"slot0" 1000;
+  Meter.record_side m Meter.Route_suppressed ~label:"slot0" 50;
+  Meter.record_side m Meter.Route_suppressed ~label:"slot1" 40;
+  (* digest records are not full-frame volume: 30 / (30 + 90) *)
+  Alcotest.(check (float 1e-12)) "full / (full + suppressed)" 0.25 (Meter.routing_ratio m)
 
 (* ------------------------------------------------------------------ *)
 (* Board                                                               *)
@@ -549,7 +597,7 @@ let test_report_json () =
       ~config:(Protocol.config ~seed:11 ())
       ~circuit ~inputs ()
   in
-  let js = Protocol.report_json r in
+  let js = Yoso_runtime.Json.to_string (Protocol.report_json r) in
   Alcotest.(check bool) "object" true (String.length js > 2 && js.[0] = '{');
   List.iter
     (fun key ->
@@ -566,6 +614,121 @@ let test_report_json () =
       "num_mult"; "online_field_bytes_per_gate"; "offline_bytes"; "net"; "transcript";
       "digest"; "outputs"; "blames";
     ]
+
+(* Byte-for-byte pins of the report JSON for a seeded faulty run,
+   recorded before the report moved onto Yoso_runtime.Json: any change
+   to key order, decimals or escaping fails here. *)
+let pinned_report_default =
+  "{\"num_gates\":17,\"num_mult\":4,\"posts\":259,\"committees\":16,\
+    \"setup_elements\":39,\"offline_elements\":4704,\"online_elements\":936,\
+    \"offline_per_gate\":1176.0000,\"online_per_gate\":234.0000,\
+    \"setup_bytes\":14743,\"offline_bytes\":2334976,\"online_bytes\":433180,\
+    \"online_field_bytes\":160,\"offline_bytes_per_gate\":583744.0000,\
+    \"online_bytes_per_gate\":108295.0000,\"online_field_bytes_per_gate\":40.0000,\
+    \"faults_detected\":16,\"posts_rejected\":16,\"transport\":\"sim\",\
+    \"net\":{\"rounds\":17,\"sent\":259,\"delivered\":259,\"late\":0,\
+    \"dropped\":0,\"bytes_sent\":2782899,\"bytes_delivered\":2765027,\
+    \"elapsed_ms\":1700.0000,\"max_in_flight\":16},\"transcript\":{\"frames\":259,\
+    \"frame_bytes\":2782899,\"digest\":782272987632467621},\
+    \"outputs\":[{\"client\":0,\"wire\":14,\"value\":130},{\"client\":1,\
+    \"wire\":14,\"value\":130}],\"blames\":[{\"role\":\"Off-B1#1[15]\",\
+    \"kind\":\"tamper-share\",\"phase\":\"offline\",\
+    \"step\":\"beaver: first-committee shares\"},{\"role\":\"Off-B2#2[0]\",\
+    \"kind\":\"bad-proof\",\"phase\":\"offline\",\
+    \"step\":\"beaver: second-committee shares and products\"},\
+    {\"role\":\"Off-R#3[2]\",\"kind\":\"tamper-share\",\"phase\":\"offline\",\
+    \"step\":\"random wire values\"},{\"role\":\"Off-D#4[12]\",\
+    \"kind\":\"wrong-degree\",\"phase\":\"offline\",\
+    \"step\":\"open masked beaver values\"},{\"role\":\"Off-P#6[6]\",\
+    \"kind\":\"garbage-ciphertext\",\"phase\":\"offline\",\
+    \"step\":\"packing helper randoms\"},{\"role\":\"Off-D#5[14]\",\
+    \"kind\":\"bad-proof\",\"phase\":\"offline\",\
+    \"step\":\"re-encrypt input lambdas to KFF\"},{\"role\":\"Off-D#7[2]\",\
+    \"kind\":\"wrong-degree\",\"phase\":\"offline\",\
+    \"step\":\"re-encrypt packed shares to KFF\"},{\"role\":\"Off-D#8[7]\",\
+    \"kind\":\"bad-proof\",\"phase\":\"offline\",\
+    \"step\":\"re-encrypt packed shares to KFF\"},{\"role\":\"Off-D#9[15]\",\
+    \"kind\":\"tamper-share\",\"phase\":\"offline\",\
+    \"step\":\"re-encrypt packed shares to KFF\"},{\"role\":\"Off-D#10[0]\",\
+    \"kind\":\"tamper-share\",\"phase\":\"offline\",\
+    \"step\":\"re-encrypt packed shares to KFF\"},{\"role\":\"Off-D#11[4]\",\
+    \"kind\":\"garbage-ciphertext\",\"phase\":\"offline\",\
+    \"step\":\"re-encrypt packed shares to KFF\"},{\"role\":\"Off-D#12[6]\",\
+    \"kind\":\"bad-proof\",\"phase\":\"offline\",\
+    \"step\":\"re-encrypt packed shares to KFF\"},{\"role\":\"Off-D#13[10]\",\
+    \"kind\":\"tamper-share\",\"phase\":\"online\",\
+    \"step\":\"future key distribution\"},{\"role\":\"Off-D#15[8]\",\
+    \"kind\":\"wrong-degree\",\"phase\":\"online\",\
+    \"step\":\"future key distribution\"},{\"role\":\"On-L#14[4]\",\
+    \"kind\":\"bad-proof\",\"phase\":\"online\",\
+    \"step\":\"multiplication: publish mu-gamma shares\"},\
+    {\"role\":\"Off-D#16[8]\",\"kind\":\"bad-proof\",\"phase\":\"online\",\
+    \"step\":\"output: re-encrypt lambdas to clients\"}]}"
+
+let pinned_report_stats_extra =
+  "{\"num_gates\":17,\"num_mult\":4,\"posts\":259,\"committees\":16,\
+    \"setup_elements\":39,\"offline_elements\":4704,\"online_elements\":936,\
+    \"offline_per_gate\":1176.0000,\"online_per_gate\":234.0000,\
+    \"setup_bytes\":14743,\"offline_bytes\":2334976,\"online_bytes\":433180,\
+    \"online_field_bytes\":160,\"offline_bytes_per_gate\":583744.0000,\
+    \"online_bytes_per_gate\":108295.0000,\"online_field_bytes_per_gate\":40.0000,\
+    \"faults_detected\":16,\"posts_rejected\":16,\"transport\":\"sim\",\
+    \"reconnects\":0,\"replays\":0,\"net\":{\"rounds\":17,\"sent\":259,\
+    \"delivered\":259,\"late\":0,\"dropped\":0,\"bytes_sent\":2782899,\
+    \"bytes_delivered\":2765027,\"elapsed_ms\":1700.0000,\"max_in_flight\":16},\
+    \"transcript\":{\"frames\":259,\"frame_bytes\":2782899,\
+    \"digest\":782272987632467621},\"outputs\":[{\"client\":0,\"wire\":14,\
+    \"value\":130},{\"client\":1,\"wire\":14,\"value\":130}],\
+    \"blames\":[{\"role\":\"Off-B1#1[15]\",\"kind\":\"tamper-share\",\
+    \"phase\":\"offline\",\"step\":\"beaver: first-committee shares\"},\
+    {\"role\":\"Off-B2#2[0]\",\"kind\":\"bad-proof\",\"phase\":\"offline\",\
+    \"step\":\"beaver: second-committee shares and products\"},\
+    {\"role\":\"Off-R#3[2]\",\"kind\":\"tamper-share\",\"phase\":\"offline\",\
+    \"step\":\"random wire values\"},{\"role\":\"Off-D#4[12]\",\
+    \"kind\":\"wrong-degree\",\"phase\":\"offline\",\
+    \"step\":\"open masked beaver values\"},{\"role\":\"Off-P#6[6]\",\
+    \"kind\":\"garbage-ciphertext\",\"phase\":\"offline\",\
+    \"step\":\"packing helper randoms\"},{\"role\":\"Off-D#5[14]\",\
+    \"kind\":\"bad-proof\",\"phase\":\"offline\",\
+    \"step\":\"re-encrypt input lambdas to KFF\"},{\"role\":\"Off-D#7[2]\",\
+    \"kind\":\"wrong-degree\",\"phase\":\"offline\",\
+    \"step\":\"re-encrypt packed shares to KFF\"},{\"role\":\"Off-D#8[7]\",\
+    \"kind\":\"bad-proof\",\"phase\":\"offline\",\
+    \"step\":\"re-encrypt packed shares to KFF\"},{\"role\":\"Off-D#9[15]\",\
+    \"kind\":\"tamper-share\",\"phase\":\"offline\",\
+    \"step\":\"re-encrypt packed shares to KFF\"},{\"role\":\"Off-D#10[0]\",\
+    \"kind\":\"tamper-share\",\"phase\":\"offline\",\
+    \"step\":\"re-encrypt packed shares to KFF\"},{\"role\":\"Off-D#11[4]\",\
+    \"kind\":\"garbage-ciphertext\",\"phase\":\"offline\",\
+    \"step\":\"re-encrypt packed shares to KFF\"},{\"role\":\"Off-D#12[6]\",\
+    \"kind\":\"bad-proof\",\"phase\":\"offline\",\
+    \"step\":\"re-encrypt packed shares to KFF\"},{\"role\":\"Off-D#13[10]\",\
+    \"kind\":\"tamper-share\",\"phase\":\"online\",\
+    \"step\":\"future key distribution\"},{\"role\":\"Off-D#15[8]\",\
+    \"kind\":\"wrong-degree\",\"phase\":\"online\",\
+    \"step\":\"future key distribution\"},{\"role\":\"On-L#14[4]\",\
+    \"kind\":\"bad-proof\",\"phase\":\"online\",\
+    \"step\":\"multiplication: publish mu-gamma shares\"},\
+    {\"role\":\"Off-D#16[8]\",\"kind\":\"bad-proof\",\"phase\":\"online\",\
+    \"step\":\"output: re-encrypt lambdas to clients\"}],\"pin\":{\"list\":[1,\
+    \"a\"]}}"
+
+let test_report_json_pinned () =
+  let adversary = { Params.malicious = 1; passive = 0; fail_stop = 0 } in
+  let config =
+    Protocol.config ~adversary ~plan:(Yoso_runtime.Faults.random ~seed:0xBAD) ~seed:11 ()
+  in
+  let r = Protocol.execute ~params:params16 ~config ~circuit ~inputs () in
+  Alcotest.(check int) "blames present" 16 (List.length r.Protocol.blames);
+  let to_string = Yoso_runtime.Json.to_string in
+  Alcotest.(check string) "default options" pinned_report_default
+    (to_string (Protocol.report_json r));
+  let extra = Yoso_runtime.Json.[ ("pin", Obj [ ("list", List [ Int 1; String "a" ]) ]) ] in
+  Alcotest.(check string) "transport_stats + extra" pinned_report_stats_extra
+    (to_string
+       (Protocol.report_json
+          ~options:{ Protocol.Report.default with transport_stats = true; extra }
+          r))
 
 let () =
   Alcotest.run "net"
@@ -601,6 +764,8 @@ let () =
         [
           Alcotest.test_case "roles and phases" `Quick test_meter_roles_and_phases;
           Alcotest.test_case "refill buckets" `Quick test_meter_refills;
+          Alcotest.test_case "side counters" `Quick test_meter_side_counters;
+          Alcotest.test_case "routing ratio" `Quick test_meter_routing_ratio;
         ] );
       ( "board",
         [
@@ -618,5 +783,6 @@ let () =
           Alcotest.test_case "over lan" `Quick test_protocol_over_lan;
           Alcotest.test_case "lossy never wrong" `Quick test_protocol_lossy_never_wrong;
           Alcotest.test_case "report json" `Quick test_report_json;
+          Alcotest.test_case "report json pinned" `Quick test_report_json_pinned;
         ] );
     ]

@@ -309,7 +309,8 @@ let test_protocol_identical_across_domains () =
       let r = protocol_report ~domains in
       Alcotest.(check string)
         (Printf.sprintf "report domains=%d == domains=1" domains)
-        (Protocol.report_json base) (Protocol.report_json r);
+        (Yoso_runtime.Json.to_string (Protocol.report_json base))
+        (Yoso_runtime.Json.to_string (Protocol.report_json r));
       Alcotest.(check int)
         (Printf.sprintf "offline bytes domains=%d" domains)
         base.Protocol.offline_bytes r.Protocol.offline_bytes;

@@ -2,6 +2,7 @@ module Role = Yoso_runtime.Role
 module Committee = Yoso_runtime.Committee
 module Bulletin = Yoso_runtime.Bulletin
 module Cost = Yoso_runtime.Cost
+module Json = Yoso_runtime.Json
 module Splitmix = Yoso_hash.Splitmix
 
 (* ------------------------------------------------------------------ *)
@@ -214,6 +215,43 @@ let test_bulletin_charges_cost () =
     ();
   Alcotest.(check int) "charged" 5 (Cost.elements (Bulletin.cost b) ~phase:"online")
 
+(* ------------------------------------------------------------------ *)
+(* Json: the one emitter                                               *)
+(* ------------------------------------------------------------------ *)
+
+let json = Alcotest.(check string)
+
+let test_json_escaping () =
+  json "quote, backslash, newline" {|"a\"b\\c\nd"|} (Json.to_string (Json.String "a\"b\\c\nd"));
+  json "control byte" {|"\u0001\u001f"|} (Json.to_string (Json.String "\001\031"));
+  json "tab and return" {|"\u0009\u000d"|} (Json.to_string (Json.String "\t\r"));
+  json "utf-8 passes through" "\"\xc3\xa9\"" (Json.to_string (Json.String "\xc3\xa9"));
+  json "keys escaped too" {|{"k\"":1}|} (Json.to_string (Json.Obj [ ("k\"", Json.Int 1) ]))
+
+let test_json_scalars () =
+  json "int" "-42" (Json.to_string (Json.Int (-42)));
+  json "bool" "true" (Json.to_string (Json.Bool true));
+  json "fixed decimals" "1.5000" (Json.to_string (Json.Float (4, 1.5)));
+  json "rounding" "2.68" (Json.to_string (Json.Float (2, 2.675000001)));
+  json "zero decimals" "3" (Json.to_string (Json.Float (0, 3.2)));
+  json "six decimals" "0.000123" (Json.to_string (Json.Float (6, 0.000123)));
+  json "non-finite is null" "[null,null]"
+    (Json.to_string (Json.List [ Json.Float (1, Float.nan); Json.Float (1, Float.infinity) ]))
+
+let test_json_structure () =
+  json "empty list" "[]" (Json.to_string (Json.List []));
+  json "empty object" "{}" (Json.to_string (Json.Obj []));
+  json "nesting keeps field order" {|{"z":[1,{"a":[]}],"a":{"b":false}}|}
+    (Json.to_string
+       Json.(
+         Obj
+           [
+             ("z", List [ Int 1; Obj [ ("a", List []) ] ]);
+             ("a", Obj [ ("b", Bool false) ]);
+           ]));
+  json "raw splice verbatim" {|{"report":{"x": 1},"n":2}|}
+    (Json.to_string Json.(Obj [ ("report", Raw {|{"x": 1}|}); ("n", Int 2) ]))
+
 let () =
   Alcotest.run "runtime"
     [
@@ -242,5 +280,11 @@ let () =
           Alcotest.test_case "cost pp" `Quick test_cost_pp;
           Alcotest.test_case "seq monotonic" `Quick test_bulletin_seq_monotonic;
           Alcotest.test_case "bulletin charges" `Quick test_bulletin_charges_cost;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "string escaping" `Quick test_json_escaping;
+          Alcotest.test_case "scalars and decimals" `Quick test_json_scalars;
+          Alcotest.test_case "lists, objects, raw" `Quick test_json_structure;
         ] );
     ]

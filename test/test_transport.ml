@@ -20,6 +20,14 @@ module Daemon = Yoso_transport.Daemon
 module Board = Yoso_net.Board
 module Role = Yoso_runtime.Role
 
+(* reports cross the process boundary as JSON text *)
+let report_json r = Yoso_runtime.Json.to_string (Protocol.report_json r)
+
+let failure_json (f : Yoso_runtime.Faults.failure) =
+  Yoso_runtime.Json.(
+    to_string
+      (Obj [ ("protocol_failure", String (f.f_phase ^ "/" ^ f.f_step)) ]))
+
 (* ------------------------------------------------------------------ *)
 (* Wire frame cap                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -268,10 +276,10 @@ let relabel ~from:a ~to_:b json =
 let equivalence_case ?topology ?plan ~name ~adversary ~seed () =
   let sim_config = Protocol.config ~adversary ?plan ~seed () in
   let sim_r = Protocol.execute ~params:params8 ~config:sim_config ~circuit ~inputs () in
-  let sim_json = Protocol.report_json sim_r in
+  let sim_json = report_json sim_r in
   let child ~slot:_ ~link =
     let config = Protocol.config ~adversary ?plan ~seed ~transport:"unix" ~link () in
-    Protocol.report_json (Protocol.execute ~params:params8 ~config ~circuit ~inputs ())
+    report_json (Protocol.execute ~params:params8 ~config ~circuit ~inputs ())
   in
   let meter = Meter.create () in
   let res =
@@ -295,13 +303,15 @@ let equivalence_case ?topology ?plan ~name ~adversary ~seed () =
   (* under routing the delivery bytes live in the subscription rows,
      so the conn row's sent side may legitimately be empty *)
   let is_routed = match topology with Some t -> t.Topology.routed | None -> false in
+  let sent = Meter.side_counts meter Meter.Conn_sent in
+  let received = Meter.side_counts meter Meter.Conn_received in
   Alcotest.(check bool)
     (name ^ ": per-connection bytes recorded")
     true
-    (List.length (Meter.connections meter) = 8
-    && List.for_all
-         (fun (_, (s, r)) -> r > 0 && (is_routed || s > 0))
-         (Meter.connections meter));
+    (List.length sent = 8
+    && List.map fst sent = List.map fst received
+    && List.for_all (fun (_, r) -> r > 0) received
+    && (is_routed || List.for_all (fun (_, s) -> s > 0) sent));
   (match topology with
   | Some topo when topo.Topology.routed ->
     (* routing actually suppressed traffic, and the daemon's stitched
@@ -319,7 +329,10 @@ let equivalence_case ?topology ?plan ~name ~adversary ~seed () =
       topo.Topology.shards res.Runner.stats.Yoso_transport.Daemon.shards;
     Alcotest.(check bool) (name ^ ": routed bytes attributed per subscription")
       true
-      (List.length (Meter.routes meter) = 8 && Meter.routing_ratio meter < 1.0)
+      (List.for_all
+         (fun side -> List.length (Meter.side_counts meter side) = 8)
+         Meter.[ Route_full; Route_digest; Route_suppressed ]
+      && Meter.routing_ratio meter < 1.0)
   | _ -> ())
 
 let test_equivalence_fault_free () =
@@ -359,10 +372,9 @@ let test_crash_mid_round () =
   let child ~slot:_ ~link =
     let config = Protocol.config ~seed ~transport:"unix" ~link () in
     match Protocol.execute ~params:params8 ~config ~circuit ~inputs () with
-    | r -> Protocol.report_json r
+    | r -> report_json r
     | exception Yoso_runtime.Faults.Protocol_failure f ->
-      Printf.sprintf "{\"protocol_failure\":\"%s/%s\"}" f.Yoso_runtime.Faults.f_phase
-        f.Yoso_runtime.Faults.f_step
+      failure_json f
   in
   let res =
     Runner.run ~deadline_ms:10_000. ~crash:(3, 2) ~nslots:8 ~seed ~child ()
@@ -447,10 +459,9 @@ let test_connect_retry_elapsed_cap () =
 let chaos_child ~seed ~slot:_ ~link =
   let config = Protocol.config ~seed ~transport:"unix" ~link () in
   match Protocol.execute ~params:params8 ~config ~circuit ~inputs () with
-  | r -> Protocol.report_json r
+  | r -> report_json r
   | exception Yoso_runtime.Faults.Protocol_failure f ->
-    Printf.sprintf "{\"protocol_failure\":\"%s/%s\"}" f.Yoso_runtime.Faults.f_phase
-      f.Yoso_runtime.Faults.f_step
+    failure_json f
 
 let with_journal f =
   let path = Filename.temp_file "yoso-drill" ".wal" in
@@ -469,7 +480,7 @@ let with_journal f =
 let check_against_sim ~name ~seed res =
   let sim_config = Protocol.config ~seed () in
   let sim_json =
-    Protocol.report_json (Protocol.execute ~params:params8 ~config:sim_config ~circuit ~inputs ())
+    report_json (Protocol.execute ~params:params8 ~config:sim_config ~circuit ~inputs ())
   in
   Alcotest.(check int) (name ^ ": all reported") 8 (List.length res.Runner.reports);
   Alcotest.(check bool) (name ^ ": unanimous") true res.Runner.agree;
@@ -715,7 +726,7 @@ let routing_property_case ?plan ~name ~adversary ~seed () =
   in
   let config link = Protocol.config ~adversary ?plan ~seed ~link () in
   let base_json =
-    Protocol.report_json
+    report_json
       (Protocol.execute ~params:params8 ~config:(config record_link) ~circuit ~inputs ())
   in
   for me = 0 to nslots - 1 do
@@ -749,7 +760,7 @@ let routing_property_case ?plan ~name ~adversary ~seed () =
       }
     in
     let json =
-      Protocol.report_json
+      report_json
         (Protocol.execute ~params:params8 ~config:(config replay_link) ~circuit ~inputs ())
     in
     Alcotest.(check string)
