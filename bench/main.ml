@@ -848,20 +848,23 @@ let transport_bench () =
           in
           Json.to_string (Protocol.report_json (Protocol.execute ~params ~config ~circuit ~inputs ()))
         in
-        (* three geometries over the same seeded run: legacy broadcast,
-           interest-routed, and interest-routed with a sharded board *)
+        (* three geometries over the same seeded run: full-quorum
+           broadcast, the n/8 quorum, and that quorum over a sharded
+           board *)
+        let quorum = Topology.default_quorum ~nslots:n in
         let geometries =
           [
-            ("broadcast", None);
-            ("routed", Some (Topology.routed ~nslots:n ()));
-            ("routed+sharded", Some (Topology.routed ~shards:4 ~nslots:n ()));
+            ("broadcast", Topology.make ~nslots:n ());
+            ("routed", Topology.make ~quorum ~nslots:n ());
+            ("routed+sharded", Topology.make ~shards:4 ~quorum ~nslots:n ());
           ]
         in
-        let legacy_egress = ref 0 in
+        let bcast_egress = ref 0 in
         List.map
-          (fun (geometry, topology) ->
+          (fun (geometry, (topology : Topology.t)) ->
+            let routed = topology.Topology.quorum < n - 1 in
             let meter = Yoso_net.Meter.create () in
-            let res = Runner.run ~meter ?topology ~nslots:n ~seed ~child () in
+            let res = Runner.run ~meter ~topology ~nslots:n ~seed ~child () in
             let report = match res.Runner.reports with (_, j) :: _ -> j | [] -> "{}" in
             let field f = Runner.json_int_field report ~field:f in
             let digest_equal =
@@ -871,45 +874,42 @@ let transport_bench () =
                  = Some sim_r.Protocol.transcript.Yoso_net.Board.frame_bytes
             in
             let egress = res.Runner.stats.Daemon.bytes_out in
-            if topology = None then legacy_egress := egress;
-            let vs_legacy = float_of_int egress /. float_of_int (max 1 !legacy_egress) in
+            if not routed then bcast_egress := egress;
+            let vs_bcast = float_of_int egress /. float_of_int (max 1 !bcast_egress) in
             let ratio = Yoso_net.Meter.routing_ratio meter in
             Printf.printf "  %-5d %-14s %10.1f %8b | %12d %7.0f%% %7.2f\n" n geometry
-              res.Runner.wall_ms res.Runner.agree egress (vs_legacy *. 100.) ratio;
+              res.Runner.wall_ms res.Runner.agree egress (vs_bcast *. 100.) ratio;
             if not (res.Runner.agree && digest_equal && res.Runner.down = []) then
               failwith
                 (Printf.sprintf
                    "bench transport: n=%d %s run diverged from sim (agree=%b equal=%b)"
                    n geometry res.Runner.agree digest_equal);
-            (match topology with
-            | Some topo ->
-              (* the daemon's stitched digest chain equals the board
-                 transcript every member (and the sim) reports *)
-              if res.Runner.stats.Daemon.digest
-                 <> sim_r.Protocol.transcript.Yoso_net.Board.digest
-              then
-                failwith
-                  (Printf.sprintf
-                     "bench transport: n=%d %s daemon digest %d <> sim digest %d" n
-                     geometry res.Runner.stats.Daemon.digest
-                     sim_r.Protocol.transcript.Yoso_net.Board.digest);
-              if res.Runner.stats.Daemon.shards <> topo.Topology.shards then
-                failwith "bench transport: daemon shard count mismatch";
+            (* the daemon's stitched digest chain equals the board
+               transcript every member (and the sim) reports *)
+            if res.Runner.stats.Daemon.digest <> sim_r.Protocol.transcript.Yoso_net.Board.digest
+            then
+              failwith
+                (Printf.sprintf "bench transport: n=%d %s daemon digest %d <> sim digest %d" n
+                   geometry res.Runner.stats.Daemon.digest
+                   sim_r.Protocol.transcript.Yoso_net.Board.digest);
+            if res.Runner.stats.Daemon.shards <> topology.Topology.shards then
+              failwith "bench transport: daemon shard count mismatch";
+            if routed then begin
               (* routing must actually suppress traffic: the full-frame
-                 share of routed deliveries is quorum/(n-1), far below 1 *)
+                 share of deliveries is quorum/n, far below 1 *)
               if ratio >= 0.5 then
                 failwith
                   (Printf.sprintf "bench transport: n=%d %s routing ratio %.2f >= 0.5" n
                      geometry ratio);
               (* the headline claim: routed egress is at most a fifth of
                  the broadcast geometry's on the same run *)
-              if egress * 5 > !legacy_egress then
+              if egress * 5 > !bcast_egress then
                 failwith
                   (Printf.sprintf
                      "bench transport: n=%d %s egress %d B > 1/5 of broadcast %d B" n
-                     geometry egress !legacy_egress)
-            | None -> ());
-            (n, geometry, topology, sim_ms, res, sim_r, ratio, vs_legacy))
+                     geometry egress !bcast_egress)
+            end;
+            (n, geometry, topology, sim_ms, res, sim_r, ratio, vs_bcast))
           geometries)
       n_sweep
   in
@@ -918,17 +918,14 @@ let transport_bench () =
     \   full frames only from their quorum sources plus digest records from the rest,\n\
     \   yet the daemon's stitched digest chain still equals the in-process transcript)\n";
   if not !smoke then begin
-    let row (n, geometry, topology, sim_ms, res, sim_r, ratio, vs_legacy) =
-      let shards, quorum, routed =
-        match topology with
-        | Some (t : Topology.t) -> (t.Topology.shards, t.Topology.quorum, t.Topology.routed)
-        | None -> (1, n - 1, false)
-      in
+    let row (n, geometry, (topology : Topology.t), sim_ms, res, sim_r, ratio, vs_bcast) =
       let st = res.Runner.stats in
       Json.(
         Obj
-          [ ("n", Int n); ("geometry", String geometry); ("routed", Bool routed);
-            ("shards", Int shards); ("quorum", Int quorum); ("sim_ms", Float (1, sim_ms));
+          [ ("n", Int n); ("geometry", String geometry);
+            ("routed", Bool (topology.Topology.quorum < n - 1));
+            ("shards", Int topology.Topology.shards); ("quorum", Int topology.Topology.quorum);
+            ("sim_ms", Float (1, sim_ms));
             ("unix_ms", Float (1, res.Runner.wall_ms)); ("agree", Bool res.Runner.agree);
             ("transcript_digest", Int sim_r.Protocol.transcript.Yoso_net.Board.digest);
             ("digest_identical", Bool true); ("frames_in", Int st.Daemon.frames_in);
@@ -937,7 +934,7 @@ let transport_bench () =
             ("suppressed_bytes", Int st.Daemon.suppressed_bytes);
             ("daemon_bytes_in", Int st.Daemon.bytes_in);
             ("daemon_bytes_out", Int st.Daemon.bytes_out);
-            ("egress_vs_broadcast", Float (4, vs_legacy)); ("routing_ratio", Float (4, ratio)) ])
+            ("egress_vs_broadcast", Float (4, vs_bcast)); ("routing_ratio", Float (4, ratio)) ])
     in
     write_json "BENCH_transport.json"
       Json.(

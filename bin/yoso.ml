@@ -94,7 +94,7 @@ let run_transport ~deadline_ms ~topology ~params ~circuit ~inputs ~base_config ~
   let seed = base_config.Protocol.exec.Protocol.seed in
   let meter = Yoso_net.Meter.create () in
   let res =
-    Runner.run ~endpoint ~deadline_ms ~meter ?journal ?chaos ?topology ~nslots:n ~seed
+    Runner.run ~endpoint ~deadline_ms ~meter ?journal ?chaos ~topology ~nslots:n ~seed
       ~child ()
   in
   (match res.Runner.reports with
@@ -141,20 +141,13 @@ let run_transport ~deadline_ms ~topology ~params ~circuit ~inputs ~base_config ~
         res.Runner.stats.Yoso_transport.Daemon.frames_out
         res.Runner.stats.Yoso_transport.Daemon.bytes_in
         res.Runner.stats.Yoso_transport.Daemon.bytes_out;
-      (match topology with
-      | Some topo when topo.Yoso_transport.Topology.routed ->
-        Format.printf
-          "routing: %a, %d digest records, %d batches, %d B suppressed, daemon \
-           digest %d@."
-          Yoso_transport.Topology.pp topo
-          res.Runner.stats.Yoso_transport.Daemon.digests_out
-          res.Runner.stats.Yoso_transport.Daemon.batches_out
-          res.Runner.stats.Yoso_transport.Daemon.suppressed_bytes
-          res.Runner.stats.Yoso_transport.Daemon.digest
-      | Some topo when topo.Yoso_transport.Topology.shards > 1 ->
-        Format.printf "shards: %d (journal partitioned by posting slot)@."
-          topo.Yoso_transport.Topology.shards
-      | _ -> ());
+      Format.printf
+        "routing: %a, %d digest records, %d batches, %d B suppressed, daemon digest %d@."
+        Yoso_transport.Topology.pp topology
+        res.Runner.stats.Yoso_transport.Daemon.digests_out
+        res.Runner.stats.Yoso_transport.Daemon.batches_out
+        res.Runner.stats.Yoso_transport.Daemon.suppressed_bytes
+        res.Runner.stats.Yoso_transport.Daemon.digest;
       if
         res.Runner.restarts > 0
         || res.Runner.stats.Yoso_transport.Daemon.reconnects > 0
@@ -178,8 +171,8 @@ let run_transport ~deadline_ms ~topology ~params ~circuit ~inputs ~base_config ~
   if res.Runner.agree && res.Runner.down = [] then 0 else 2
 
 let run_cmd protocol program kind size n t k eps malicious fail_stop seed fault_seed json
-    net_seed latency drop domains transport deadline_ms journal chaos routed shards
-    quorum stream depot =
+    net_seed latency drop domains transport deadline_ms journal chaos shards quorum stream
+    depot =
   let params =
     match eps with
     | Some eps -> Params.of_gap ~n ~eps ()
@@ -225,12 +218,7 @@ let run_cmd protocol program kind size n t k eps malicious fail_stop seed fault_
     let adversary = { Params.malicious; passive = 0; fail_stop } in
     let plan = Faults.random ~seed:(Option.value ~default:seed fault_seed) in
     if transport <> "sim" then begin
-      let topology =
-        if routed then
-          Some (Yoso_transport.Topology.routed ~shards ?quorum ~nslots:n ())
-        else if shards > 1 then Some (Yoso_transport.Topology.sharded ~shards ~nslots:n)
-        else None
-      in
+      let topology = Yoso_transport.Topology.make ~shards ?quorum ~nslots:n () in
       let base_config =
         Protocol.config ~adversary ~plan ~seed ~board:net ~domains ~transport ?journal
           ?chaos ()
@@ -241,8 +229,8 @@ let run_cmd protocol program kind size n t k eps malicious fail_stop seed fault_
     end;
     if journal <> None || chaos <> None then
       failwith "--journal and --chaos need a socket transport (--transport unix|tcp)";
-    if routed || shards > 1 then
-      failwith "--routed and --shards need a socket transport (--transport unix|tcp)";
+    if quorum <> None || shards > 1 then
+      failwith "--quorum and --shards need a socket transport (--transport unix|tcp)";
     let config = Protocol.config ~adversary ~plan ~seed ~board:net ~domains () in
     if stream > 1 then begin
       let jobs = Array.init stream (fun _ -> { Factory.circuit; inputs }) in
@@ -523,16 +511,6 @@ let run_t =
              per-delivery sever/truncate/duplicate/delay rates plus scheduled \
              daemon kill points ($(b,kill) needs $(b,--journal)).")
   in
-  let routed =
-    Arg.(
-      value & flag
-      & info [ "routed" ]
-          ~doc:
-            "Interest-routed delivery with role-local execution (socket transports \
-             only): each member receives full frames only from its quorum sources \
-             and compact digest records from everyone else, and materializes only \
-             the frames of roles it owns.")
-  in
   let shards =
     Arg.(
       value & opt int 1
@@ -549,8 +527,10 @@ let run_t =
       & opt (some int) None
       & info [ "quorum" ] ~docv:"Q"
           ~doc:
-            "Full-frame fan-out under $(b,--routed): each frame goes in full to the \
-             $(docv) slots after its owner in ring order (default max 2 n/8).")
+            "Full-frame fan-out (socket transports only): each frame goes in full to \
+             the $(docv) slots after its owner in ring order and as a compact digest \
+             record to everyone else; each member materializes only the frames it \
+             owns or receives in full.  Default $(b,n-1), a full broadcast.")
   in
   let stream =
     Arg.(
@@ -580,7 +560,7 @@ let run_t =
     Term.(
       const run_cmd $ protocol $ program $ kind $ size $ n_arg $ t_arg $ k_arg $ eps $ malicious
       $ fail_stop $ seed_arg $ fault_seed $ json $ net_seed $ latency $ drop $ domains
-      $ transport $ deadline $ journal $ chaos $ routed $ shards $ quorum $ stream $ depot)
+      $ transport $ deadline $ journal $ chaos $ shards $ quorum $ stream $ depot)
 
 let analyze_t =
   let c_param = Arg.(value & opt int 1000 & info [ "big-c"; "C" ] ~doc:"Sortition parameter C.") in

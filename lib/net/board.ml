@@ -21,9 +21,9 @@ type outcome = Delivered | Late | Dropped | Garbled
    physically sends the frame, receives it in full, or receives only
    its routed (checksum, length) digest record.  [local] says whether
    this process must materialize the author's true frame bytes
-   (owners always; everyone under legacy broadcast) or may prepare a
-   zero-filled skeleton of the same wire weight (role-local
-   execution). *)
+   (owners always, and every author whose frames it receives in full)
+   or may prepare a zero-filled skeleton of the same wire weight
+   (role-local execution). *)
 type delivery = [ `Frame of string | `Summary of int * int | `Down ]
 
 type link = {
@@ -227,11 +227,11 @@ let commit t p =
   in
   (* Transcript digest: chain the authoritative checksum of what
      crossed the wire.  Locally materialized frames (sim runs, owned
-     frames, legacy broadcast) contribute their own checksum, carried
-     from [prepare]; a routed delivery contributes the checksum of the
-     received bytes (the carried one when they equal the local
-     replay), and a digest record contributes the checksum the
-     daemon computed on ingest — all of which equal the owner's true
+     frames) contribute their own checksum, carried from [prepare]; a
+     delivered full frame contributes the checksum of the received
+     bytes (the carried one when they equal the local replay), and a
+     digest record contributes the checksum the daemon computed on
+     ingest — all of which equal the owner's true
      checksum, so every member (and the sim run at equal seeds) chains
      to the same digest.  A [`Down] exchange chains the local
      skeleton's checksum, which is seed-deterministic and therefore

@@ -49,8 +49,8 @@ val outcome_to_string : outcome -> string
     {!Wire.skeleton_items_of_cost}) instead of materializing the true
     bytes — the content arrives through [recv], either in full
     ([`Frame]) or as the daemon's [`Summary (checksum, length)] digest
-    record.  Owners must always be [local]; a legacy broadcast link
-    returns [true] for everyone and behaves exactly as before.
+    record.  Owners must always be [local]; a full-broadcast link
+    returns [true] for everyone (replicated execution).
 
     [recv] returning [`Down] means the owning process is gone (socket
     EOF or round-deadline timeout); the commit is treated exactly like

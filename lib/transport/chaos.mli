@@ -2,7 +2,7 @@
 
     A seeded fault layer the daemon consults at two points: once per
     accepted frame (should the daemon "crash" here?) and once per
-    [Deliver] enqueued to a peer (should this delivery be severed,
+    delivery record enqueued to a peer (should it be severed,
     truncated, duplicated or delayed?).  Every decision is a stateless
     draw from [(seed, seq, slot)], so a given seed replays the exact
     same fault schedule regardless of select timing, and a restarted
@@ -21,8 +21,8 @@ type action =
   | Pass
   | Sever  (** close the connection abruptly (no [Peer_down]) *)
   | Truncate of float
-      (** write this fraction of the frame, then sever — the peer sees
-          a torn envelope followed by EOF *)
+      (** write this fraction of the delivery's envelope, then sever —
+          the peer sees a torn envelope followed by EOF *)
   | Duplicate  (** enqueue the delivery twice *)
   | Delay of float  (** stall the connection's writes for this many ms *)
 

@@ -8,11 +8,10 @@ type t = {
   seed : int;
   deadline_ms : float;
   policy : Transport_policy.t;
-  topology : Topology.t option;  (* routed: subscribe after every handshake *)
   mutable stream : Envelope.stream;  (* reset on reconnect: torn bytes die with the socket *)
   pending : (int, [ `Frame of string | `Summary of int * int ]) Hashtbl.t;
       (* seq -> delivery, non-own *)
-  unacked : (int, string) Hashtbl.t;  (* own posts without a Deliver echo yet *)
+  unacked : (int, string) Hashtbl.t;  (* own posts without a digest ack yet *)
   down : bool array;
   mutable next_deliver : int;  (* low-water mark: deliveries are monotone *)
   mutable own_posts : int;
@@ -40,26 +39,14 @@ let rec recv t ~deadline =
     Envelope.feed t.stream (Sockio.read_exactly ?deadline t.fd k);
     recv t ~deadline
 
-(* the Subscribe this client owes the daemon after every successful
-   handshake: its interest set under the routed topology, or nothing
-   at all (legacy full broadcast) without one *)
-let subscription t =
-  match t.topology with
-  | Some topo when topo.Topology.routed ->
-    Some
-      (Envelope.encode
-         (Envelope.Subscribe
-            { slot = t.slot; full_of = Topology.full_sources topo ~me:t.slot }))
-  | _ -> None
-
 (* Deliveries arrive in daemon commit order, so a [Peer_down] can only
    be seen after every frame its slot managed to post — marking the
    slot down never races a frame we still owe to [pending].  A
    delivery below the low-water mark is a duplicate (chaos injection,
    or replay overlapping an in-flight frame) and is absorbed
    silently — the board's total order makes re-delivery idempotent.
-   An own-slot delivery — full frame or digest record alike — is the
-   daemon's ack for an in-flight post. *)
+   An own-slot delivery (always a digest record) is the daemon's ack
+   for an in-flight post. *)
 let deliver t ~seq ~slot d =
   if seq >= t.next_deliver then begin
     t.next_deliver <- seq + 1;
@@ -69,7 +56,6 @@ let deliver t ~seq ~slot d =
 
 let absorb t msg =
   match msg with
-  | Envelope.Deliver { seq; slot; frame } -> deliver t ~seq ~slot (`Frame frame)
   | Envelope.Deliver_batch records ->
     List.iter
       (function
@@ -83,8 +69,7 @@ let absorb t msg =
   | Envelope.Shutdown -> t.shutdown <- true
   | Envelope.Start -> t.started <- true
   | Envelope.Recovered _ -> violate "recovered outside a recover handshake"
-  | Envelope.Hello _ | Envelope.Post _ | Envelope.Report _ | Envelope.Recover _
-  | Envelope.Subscribe _ ->
+  | Envelope.Hello _ | Envelope.Post _ | Envelope.Report _ | Envelope.Recover _ ->
     violate "daemon sent a client-only message"
 
 (* Reconnect and catch up: fresh socket, [Recover] handshake carrying
@@ -98,7 +83,7 @@ let absorb t msg =
 let recover t =
   if t.shutdown then raise Sockio.Closed;
   let retry = t.policy.Transport_policy.reconnect in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Sockio.now () in
   let handshakes = 3 in
   let rec go attempt =
     (try Unix.close t.fd with Unix.Unix_error _ -> ());
@@ -125,15 +110,12 @@ let recover t =
         |> List.sort compare
         |> List.iter (fun (seq, frame) ->
                Sockio.write_all fd
-                 (Envelope.encode (Envelope.Post { seq; slot = t.slot; frame })));
-        (* the fresh connection starts unsubscribed (catch-up replay is
-           always legacy full frames): re-register the interest set *)
-        Option.iter (Sockio.write_all fd) (subscription t)
+                 (Envelope.encode (Envelope.Post { seq; slot = t.slot; frame })))
       | m -> violate "expected recovered, got %s" (Format.asprintf "%a" Envelope.pp_msg m)
     with
     | () -> t.reconnects <- t.reconnects + 1
     | exception ((Sockio.Closed | Sockio.Timeout | Unix.Unix_error _) as e) ->
-      let elapsed = (Unix.gettimeofday () -. t0) *. 1000. in
+      let elapsed = (Sockio.now () -. t0) *. 1000. in
       if attempt >= handshakes || elapsed > retry.Transport_policy.max_elapsed_ms then
         match e with
         | Sockio.Timeout | Sockio.Closed -> raise Sockio.Closed
@@ -142,14 +124,8 @@ let recover t =
   in
   go 1
 
-let connect ?deadline_ms ?(policy = Transport_policy.default) ?topology ~addr ~slot ~nslots
-    ~seed () =
+let connect ?deadline_ms ?(policy = Transport_policy.default) ~addr ~slot ~nslots ~seed () =
   if slot < 0 || slot >= nslots then invalid_arg "Client.connect: slot out of range";
-  (match topology with
-  | Some (topo : Topology.t) ->
-    if topo.Topology.nslots <> nslots then
-      invalid_arg "Client.connect: topology nslots mismatch"
-  | None -> ());
   let deadline_ms =
     match deadline_ms with Some d -> d | None -> policy.Transport_policy.round_deadline_ms
   in
@@ -166,7 +142,6 @@ let connect ?deadline_ms ?(policy = Transport_policy.default) ?topology ~addr ~s
       seed;
       deadline_ms;
       policy;
-      topology;
       stream = Envelope.stream ();
       pending = Hashtbl.create 64;
       unacked = Hashtbl.create 8;
@@ -180,7 +155,6 @@ let connect ?deadline_ms ?(policy = Transport_policy.default) ?topology ~addr ~s
     }
   in
   Sockio.write_all fd (Envelope.encode (Envelope.Hello { slot; nslots; seed }));
-  Option.iter (Sockio.write_all fd) (subscription t);
   let deadline = Some (Sockio.deadline_after deadline_ms) in
   let rec await_start () =
     if not t.started then

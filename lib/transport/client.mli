@@ -10,14 +10,12 @@
     we wait — surfaces as [`Down], which the caller maps onto the
     silent-fault path.
 
-    {b Routing.}  With a routed [?topology], the client registers its
-    interest set ([Subscribe]) right after every [Hello]/[Recover]
-    handshake; the daemon then delivers only the frames of slots in
-    {!Topology.full_sources} in full and everything else as a
-    [`Summary (checksum, length)] digest record, both coalesced into
-    [Deliver_batch] envelopes.  Without a topology (or with a
-    broadcast one) the client never subscribes and gets the legacy
-    full-frame [Deliver] stream.
+    {b Routing.}  The client registers nothing: the daemon derives
+    each slot's interest from the run's {!Topology.t} and delivers the
+    frames of the slot's quorum sources ({!Topology.full_sources}) in
+    full and everything else — the slot's own frames included, as
+    acks — as a [`Summary (checksum, length)] digest record, both
+    coalesced into [Deliver_batch] envelopes.
 
     {b Reconnect.}  A connection that dies mid-run (daemon restart,
     injected fault) is re-established transparently: the client
@@ -38,7 +36,6 @@ exception Protocol_error of string
 val connect :
   ?deadline_ms:float ->
   ?policy:Transport_policy.t ->
-  ?topology:Topology.t ->
   addr:Unix.sockaddr ->
   slot:int ->
   nslots:int ->
@@ -46,8 +43,7 @@ val connect :
   unit ->
   t
 (** Connects (with bounded retry-and-backoff, so racing the daemon's
-    [listen] is safe), sends [Hello] (and, under a routed [topology],
-    [Subscribe]) and blocks until [Start] — riding out a daemon
+    [listen] is safe), sends [Hello] and blocks until [Start] — riding out a daemon
     restart in between via the recover path.  [deadline_ms] is the
     per-round receive deadline used by every subsequent blocking
     wait; defaults to [policy]'s [round_deadline_ms]. *)
@@ -63,7 +59,7 @@ val stats : t -> int * int
 
 val post : t -> seq:int -> frame:string -> unit
 (** Ship board frame [seq], owned by this slot, to the daemon.  The
-    matching [Deliver] echo is consumed internally when it comes back;
+    matching digest-record ack is consumed internally when it comes back;
     it is not returned by {!fetch}.  A connection lost mid-write
     triggers recovery (the frame is re-posted if the daemon never
     accepted it).
@@ -72,7 +68,7 @@ val post : t -> seq:int -> frame:string -> unit
 val fetch :
   t -> seq:int -> owner:int -> [ `Frame of string | `Summary of int * int | `Down ]
 (** Block until the daemon delivers frame [seq] (posted by slot
-    [owner]) — in full ([`Frame]) or as a routed digest record
+    [owner]) — in full ([`Frame]) or as a digest record
     ([`Summary (checksum, length)]) — or return [`Down] if that slot
     is known dead, went dead while we waited, or the round deadline
     expired.  A dropped connection is recovered in place; only an

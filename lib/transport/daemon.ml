@@ -43,14 +43,16 @@ type result = { reports : (int * string) list; down : int list; stats : stats }
 
 exception Crashed of stats
 
+(* delivery-record bytes sent to one connection, per record kind *)
+type route_bytes = { mutable full : int; mutable digest : int; mutable supp : int }
+
 type conn = {
   fd : Unix.file_descr;
   id : int;  (* accept order, names pre-hello connections *)
   stream : Envelope.stream;
-  outq : string Queue.t;
+  outq : (string * bool) Queue.t;  (* envelope bytes, is a delivery batch *)
   mutable out_off : int;  (* bytes of the queue head already written *)
   mutable slot : int option;
-  mutable sub : bool array option;  (* per-owner full-frame interest, once subscribed *)
   mutable batch : Envelope.record list;  (* pending delivery records, reversed *)
   mutable batch_bytes : int;
   mutable reported : bool;
@@ -59,10 +61,9 @@ type conn = {
   mutable sever_after_flush : bool;  (* chaos truncate: close once outq drains *)
   mutable sent_b : int;  (* daemon -> peer *)
   mutable recv_b : int;  (* peer -> daemon *)
-  mutable replay_b : int;  (* portion of sent_b that was catch-up replay *)
-  mutable full_b : int;  (* routed full-frame delivery bytes *)
-  mutable digest_b : int;  (* routed digest-record bytes *)
-  mutable supp_b : int;  (* full-frame bytes routing avoided sending *)
+  mutable batch_b : int;  (* portion of sent_b that was [Deliver_batch] envelopes *)
+  live : route_bytes;  (* records of first-time deliveries *)
+  replay : route_bytes;  (* records of catch-up replay *)
 }
 
 let conn_name c =
@@ -79,19 +80,14 @@ let shard_journal_path base k = if k = 0 then base else Printf.sprintf "%s.shard
 
 let serve ?(config = default_config) ?meter ?journal:journal_path ?chaos ?topology ~listen
     ~nslots () =
-  if nslots < 1 then invalid_arg "Daemon.serve: nslots must be >= 1";
-  let shards =
-    match topology with
-    | Some (topo : Topology.t) ->
-      if topo.Topology.nslots <> nslots then
-        invalid_arg "Daemon.serve: topology nslots mismatch";
-      topo.Topology.shards
-    | None -> 1
-  in
+  let topo = match topology with Some t -> t | None -> Topology.make ~nslots () in
+  if topo.Topology.nslots <> nslots then invalid_arg "Daemon.serve: topology nslots mismatch";
+  let shards = topo.Topology.shards in
   ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
   let conns = ref [] in
   let accepted = ref 0 in
-  let board : (int, int * string) Hashtbl.t = Hashtbl.create 64 in
+  (* seq -> (posting slot, frame, frame checksum) *)
+  let board : (int, int * string * int) Hashtbl.t = Hashtbl.create 64 in
   let next_seq = ref 0 in
   let started = ref false in
   let reports = Hashtbl.create 8 in
@@ -111,12 +107,12 @@ let serve ?(config = default_config) ?meter ?journal:journal_path ?chaos ?topolo
   let timed_out = ref false in
   (* the daemon's own transcript digest: chained over accepted posts
      in sequence order (across all shards — the stitch), same chain as
-     Board, so a fault-free routed run can be checked against the sim
+     Board, so a fault-free run can be checked against the sim
      digest without any client's help *)
   let digest = ref 0x9e3779b9 in
   let chain csum = digest := ((!digest * 1000003) + csum) land max_int in
   let scratch = Bytes.create 65536 in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Sockio.now () in
 
   (* crash recovery: the journals are the only state that survives a
      daemon death — stitch the per-shard files back together (merge
@@ -143,9 +139,10 @@ let serve ?(config = default_config) ?meter ?journal:journal_path ?chaos ?topolo
       (List.init shards Fun.id);
     List.iter
       (fun (seq, slot, frame) ->
-        Hashtbl.replace board seq (slot, frame);
+        let csum = Wire.checksum frame in
+        Hashtbl.replace board seq (slot, frame, csum);
         if seq >= !next_seq then next_seq := seq + 1;
-        chain (Wire.checksum frame);
+        chain csum;
         incr recovered)
       (List.sort compare !posted));
   let journals =
@@ -158,13 +155,13 @@ let serve ?(config = default_config) ?meter ?journal:journal_path ?chaos ?topolo
   in
   (* shard bookkeeping is keyed by the posting slot: a committee
      partition of the board *)
-  let shard_of_slot slot = slot mod shards in
   let jappend ~slot r =
-    if Array.length journals > 0 then Journal.append journals.(shard_of_slot slot) r
+    if Array.length journals > 0 then
+      Journal.append journals.(Topology.shard_of_slot topo ~slot) r
   in
 
-  let enqueue c payload =
-    if (not c.closed) && not c.sever_after_flush then Queue.add payload c.outq
+  let enqueue ?(delivery = false) c payload =
+    if (not c.closed) && not c.sever_after_flush then Queue.add (payload, delivery) c.outq
   in
   (* coalesce this connection's pending delivery records into one
      envelope.  Records were appended in seq order, so a flushed batch
@@ -177,10 +174,10 @@ let serve ?(config = default_config) ?meter ?journal:journal_path ?chaos ?topolo
       c.batch <- [];
       c.batch_bytes <- 0;
       incr batches_out;
-      enqueue c payload
+      enqueue ~delivery:true c payload
   in
-  (* control traffic and full-frame [Deliver]s must not overtake
-     batched records queued earlier: flush first *)
+  (* control traffic must not overtake batched records queued
+     earlier: flush first *)
   let enqueue_ctl c payload =
     flush_batch c;
     enqueue c payload
@@ -203,7 +200,7 @@ let serve ?(config = default_config) ?meter ?journal:journal_path ?chaos ?topolo
              && (not (Hashtbl.mem reports s))
              && (not (List.mem s !down))
              && not (Hashtbl.mem pending_down s) ->
-        Hashtbl.replace pending_down s (Unix.gettimeofday () +. config.grace_s)
+        Hashtbl.replace pending_down s (Sockio.now () +. config.grace_s)
       | _ -> ()
     end
   in
@@ -215,79 +212,49 @@ let serve ?(config = default_config) ?meter ?journal:journal_path ?chaos ?topolo
       try Unix.close c.fd with Unix.Unix_error _ -> ()
     end
   in
-  (* chaos consult for one first-time delivery to one peer; replay
-     traffic bypasses this (fault schedules stay finite).  Returns
-     whether the frame was actually enqueued. *)
-  let deliver_to c ~seq ~slot payload =
-    match chaos with
-    | Some ch when not c.sever_after_flush -> (
-      match Chaos.on_deliver ch ~seq ~slot with
-      | Chaos.Pass ->
-        enqueue c payload;
-        true
-      | Chaos.Duplicate ->
-        enqueue c payload;
-        enqueue c payload;
-        true
-      | Chaos.Delay ms ->
-        (* stall the whole connection, never one frame: per-connection
-           FIFO order is what the client's catch-up logic relies on *)
-        enqueue c payload;
-        let until = Unix.gettimeofday () +. (ms /. 1000.) in
-        if until > c.stall_until then c.stall_until <- until;
-        true
-      | Chaos.Sever ->
-        drop_conn c;
-        false
-      | Chaos.Truncate f ->
-        let len = String.length payload in
-        let k = max 1 (min (len - 1) (int_of_float (f *. float_of_int len))) in
-        enqueue c (String.sub payload 0 k);
-        c.sever_after_flush <- true;
-        false)
-    | _ ->
-      enqueue c payload;
-      true
+  (* the record slot [me] gets for [owner]'s frame: in full inside the
+     owner's quorum, a compact digest record everywhere else — for the
+     owner itself that record is its ack *)
+  let record_for ~me ~seq ~owner ~frame ~csum =
+    if Topology.wants_full topo ~me ~owner then Envelope.Full { seq; slot = owner; frame }
+    else Envelope.Digest { seq; slot = owner; csum; len = String.length frame }
   in
-  (* interest-routed delivery to a subscribed connection: a full
-     record for members of the owner's quorum, a compact digest record
-     for everyone else, both riding the per-connection batch.  Chaos
-     is consulted per record with the same outcomes as the legacy
-     path *)
-  let routed_deliver c ~seq ~owner ~frame ~csum =
-    let tslot = match c.slot with Some s -> s | None -> assert false in
-    let record =
-      match c.sub with
-      | Some wants when not wants.(owner) ->
-        Envelope.Digest { seq; slot = owner; csum; len = String.length frame }
-      | _ -> Envelope.Full { seq; slot = owner; frame }
-    in
-    let account () =
-      match record with
-      | Envelope.Full _ ->
-        c.full_b <- c.full_b + Envelope.record_size record;
-        incr frames_out
-      | Envelope.Digest _ ->
-        c.digest_b <- c.digest_b + Envelope.record_size record;
-        c.supp_b <- c.supp_b + String.length frame;
-        suppressed := !suppressed + String.length frame;
-        incr digests_out
-    in
+  let append_delivery c ~replay ~frame record =
+    append_record c record;
+    let b = if replay then c.replay else c.live in
+    let sz = Envelope.record_size record in
+    match record with
+    | Envelope.Full _ ->
+      b.full <- b.full + sz;
+      if not replay then incr frames_out
+    | Envelope.Digest _ ->
+      b.digest <- b.digest + sz;
+      b.supp <- b.supp + String.length frame;
+      if not replay then begin
+        incr digests_out;
+        suppressed := !suppressed + String.length frame
+      end
+  in
+  (* first-time delivery of one accepted post to one slot-bound
+     connection, riding its per-connection batch.  Chaos is consulted
+     once per record; catch-up replay bypasses it (fault schedules stay
+     finite) *)
+  let deliver c ~seq ~owner ~frame ~csum =
+    let me = match c.slot with Some s -> s | None -> assert false in
+    let record = record_for ~me ~seq ~owner ~frame ~csum in
+    let send () = append_delivery c ~replay:false ~frame record in
     match chaos with
     | Some ch when not c.sever_after_flush -> (
-      match Chaos.on_deliver ch ~seq ~slot:tslot with
-      | Chaos.Pass ->
-        append_record c record;
-        account ()
+      match Chaos.on_deliver ch ~seq ~slot:me with
+      | Chaos.Pass -> send ()
       | Chaos.Duplicate ->
-        append_record c record;
-        append_record c record;
-        account ();
-        account ()
+        send ();
+        send ()
       | Chaos.Delay ms ->
-        append_record c record;
-        account ();
-        let until = Unix.gettimeofday () +. (ms /. 1000.) in
+        (* stall the whole connection, never one record: per-connection
+           FIFO order is what the client's catch-up logic relies on *)
+        send ();
+        let until = Sockio.now () +. (ms /. 1000.) in
         if until > c.stall_until then c.stall_until <- until
       | Chaos.Sever -> drop_conn c
       | Chaos.Truncate f ->
@@ -295,11 +262,9 @@ let serve ?(config = default_config) ?meter ?journal:journal_path ?chaos ?topolo
         let payload = Envelope.encode (Envelope.Deliver_batch [ record ]) in
         let len = String.length payload in
         let k = max 1 (min (len - 1) (int_of_float (f *. float_of_int len))) in
-        enqueue c (String.sub payload 0 k);
+        enqueue ~delivery:true c (String.sub payload 0 k);
         c.sever_after_flush <- true)
-    | _ ->
-      append_record c record;
-      account ()
+    | _ -> send ()
   in
   (* only slot-bound connections receive broadcasts: a reconnecting
      connection must get its ordered replay first, or new frames would
@@ -308,19 +273,6 @@ let serve ?(config = default_config) ?meter ?journal:journal_path ?chaos ?topolo
   let broadcast msg =
     let payload = Envelope.encode msg in
     List.iter (fun c -> enqueue_ctl c payload) (targets ())
-  in
-  (* fan an accepted post out to every target; [csum] is the frame's
-     checksum, already computed once for the digest chain *)
-  let deliver_post ~seq ~owner ~frame ~csum =
-    let payload = lazy (Envelope.encode (Envelope.Deliver { seq; slot = owner; frame })) in
-    List.iter
-      (fun c ->
-        match c.sub with
-        | Some _ -> routed_deliver c ~seq ~owner ~frame ~csum
-        | None ->
-          let tslot = match c.slot with Some s -> s | None -> assert false in
-          if deliver_to c ~seq ~slot:tslot (Lazy.force payload) then incr frames_out)
-      (targets ())
   in
   let expire_pending now =
     let expired =
@@ -356,16 +308,6 @@ let serve ?(config = default_config) ?meter ?journal:journal_path ?chaos ?topolo
       c.slot <- Some slot;
       Hashtbl.remove pending_down slot;
       if !started then enqueue c (Envelope.encode Envelope.Start) else maybe_start ()
-    | Envelope.Subscribe { slot; full_of } ->
-      if c.slot <> Some slot then
-        violate "subscribe: slot %d on connection %s" slot (conn_name c);
-      let wants = Array.make nslots false in
-      List.iter
-        (fun o ->
-          if o < 0 || o >= nslots then violate "subscribe: source slot %d out of range" o;
-          wants.(o) <- true)
-        full_of;
-      c.sub <- Some wants
     | Envelope.Recover { slot; nslots = peer_nslots; seed = _; next_seq = client_next } ->
       if peer_nslots <> nslots then
         violate "recover: peer expects %d slots, run has %d" peer_nslots nslots;
@@ -381,15 +323,14 @@ let serve ?(config = default_config) ?meter ?journal:journal_path ?chaos ?topolo
       incr reconnects;
       enqueue c
         (Envelope.encode (Envelope.Recovered { next_seq = !next_seq; started = !started }));
-      (* ordered catch-up: replay the board gap; a missing seq is a
-         gap left by a dead slot and the survivors skipped it too *)
+      (* ordered catch-up: replay the board gap as the very records
+         live delivery would have sent; a missing seq is a gap left by
+         a dead slot and the survivors skipped it too *)
       for seq = client_next to !next_seq - 1 do
         match Hashtbl.find_opt board seq with
-        | Some (s, frame) ->
-          let payload = Envelope.encode (Envelope.Deliver { seq; slot = s; frame }) in
-          enqueue c payload;
-          incr replayed;
-          c.replay_b <- c.replay_b + String.length payload
+        | Some (owner, frame, csum) ->
+          append_delivery c ~replay:true ~frame (record_for ~me:slot ~seq ~owner ~frame ~csum);
+          incr replayed
         | None -> ()
       done;
       maybe_start ()
@@ -400,7 +341,7 @@ let serve ?(config = default_config) ?meter ?journal:journal_path ?chaos ?topolo
         (* a reconnecting owner re-posts frames it cannot prove the
            daemon accepted; byte-identical duplicates are absorbed *)
         match Hashtbl.find_opt board seq with
-        | Some (s, f) when s = slot && f = frame -> ()
+        | Some (s, f, _) when s = slot && f = frame -> ()
         | _ -> violate "post: seq %d, already at %d" seq !next_seq
       end
       else begin
@@ -414,25 +355,25 @@ let serve ?(config = default_config) ?meter ?journal:journal_path ?chaos ?topolo
         (match Wire.of_frame frame with
         | (_ : Wire.message) -> ()
         | exception Wire.Decode_error _ -> incr garbled);
-        Hashtbl.replace board seq (slot, frame);
         let csum = Wire.checksum frame in
+        Hashtbl.replace board seq (slot, frame, csum);
         chain csum;
         jappend ~slot (Journal.Posted { seq; slot; frame });
         (* accepted and journaled: a scheduled kill fires here, before
-           the broadcast, so the restarted daemon (whose recovered
+           the delivery, so the restarted daemon (whose recovered
            counter is already past [seq]) never re-crashes *)
         (match chaos with
         | Some ch when Chaos.kill_now ch ~seq -> raise Crash_now
         | _ -> ());
-        deliver_post ~seq ~owner:slot ~frame ~csum
+        List.iter (fun c -> deliver c ~seq ~owner:slot ~frame ~csum) (targets ())
       end
     | Envelope.Report { slot; json } ->
       if c.slot <> Some slot then violate "report: slot %d on connection %s" slot (conn_name c);
       Hashtbl.replace reports slot json;
       jappend ~slot (Journal.Reported { slot; json });
       c.reported <- true
-    | Envelope.Start | Envelope.Deliver _ | Envelope.Deliver_batch _ | Envelope.Peer_down _
-    | Envelope.Shutdown | Envelope.Recovered _ ->
+    | Envelope.Start | Envelope.Deliver_batch _ | Envelope.Peer_down _ | Envelope.Shutdown
+    | Envelope.Recovered _ ->
       violate "client sent a daemon-only message"
   in
   (* hand [n] freshly read bytes to the connection's envelope stream
@@ -479,11 +420,12 @@ let serve ?(config = default_config) ?meter ?journal:journal_path ?chaos ?topolo
   in
   let write_conn c =
     if (not c.closed) && not (Queue.is_empty c.outq) then begin
-      let head = Queue.peek c.outq in
+      let head, delivery = Queue.peek c.outq in
       let len = String.length head - c.out_off in
       match Unix.single_write_substring c.fd head c.out_off len with
       | n ->
         c.sent_b <- c.sent_b + n;
+        if delivery then c.batch_b <- c.batch_b + n;
         if n = len then begin
           ignore (Queue.pop c.outq);
           c.out_off <- 0;
@@ -509,7 +451,6 @@ let serve ?(config = default_config) ?meter ?journal:journal_path ?chaos ?topolo
               outq = Queue.create ();
               out_off = 0;
               slot = None;
-              sub = None;
               batch = [];
               batch_bytes = 0;
               reported = false;
@@ -518,10 +459,9 @@ let serve ?(config = default_config) ?meter ?journal:journal_path ?chaos ?topolo
               sever_after_flush = false;
               sent_b = 0;
               recv_b = 0;
-              replay_b = 0;
-              full_b = 0;
-              digest_b = 0;
-              supp_b = 0;
+              batch_b = 0;
+              live = { full = 0; digest = 0; supp = 0 };
+              replay = { full = 0; digest = 0; supp = 0 };
             };
           ]
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
@@ -537,10 +477,10 @@ let serve ?(config = default_config) ?meter ?journal:journal_path ?chaos ?topolo
   in
   (* main event loop *)
   let rec loop () =
-    if Unix.gettimeofday () -. t0 > config.total_timeout_s then timed_out := true
+    if Sockio.now () -. t0 > config.total_timeout_s then timed_out := true
     else if slots_settled () && not (pending_writes ()) then ()
     else begin
-      let now = Unix.gettimeofday () in
+      let now = Sockio.now () in
       expire_pending now;
       let live = List.filter (fun c -> not c.closed) !conns in
       let rds = listen :: List.map (fun c -> c.fd) live in
@@ -595,25 +535,23 @@ let serve ?(config = default_config) ?meter ?journal:journal_path ?chaos ?topolo
     match meter with
     | None -> ()
     | Some m ->
+      let routes label (b : route_bytes) =
+        Meter.record_side m Meter.Route_full ~label b.full;
+        Meter.record_side m Meter.Route_digest ~label b.digest;
+        Meter.record_side m Meter.Route_suppressed ~label b.supp
+      in
       List.iter
         (fun c ->
-          (* routed and replayed delivery bytes are attributed to the
-             slot's subscription, not its connection row: the conn row
-             keeps only control + post traffic, so conn totals stay
-             comparable across geometries *)
+          (* delivery records are attributed to the slot's route rows;
+             the conn row keeps only control traffic sent and post
+             traffic received *)
           let label = conn_name c in
-          Meter.record_side m Meter.Conn_sent ~label
-            (max 0 (c.sent_b - c.replay_b - c.full_b - c.digest_b));
+          Meter.record_side m Meter.Conn_sent ~label (c.sent_b - c.batch_b);
           Meter.record_side m Meter.Conn_received ~label c.recv_b;
-          (* catch-up replay is accounted separately so phase totals
-             stay comparable with a fault-free run *)
-          if c.replay_b > 0 then
-            Meter.record_side m Meter.Conn_sent ~label:("replay:" ^ label) c.replay_b;
-          if c.sub <> None then begin
-            Meter.record_side m Meter.Route_full ~label c.full_b;
-            Meter.record_side m Meter.Route_digest ~label c.digest_b;
-            Meter.record_side m Meter.Route_suppressed ~label c.supp_b
-          end)
+          routes label c.live;
+          (* catch-up replay gets its own rows so totals stay
+             comparable with a fault-free run *)
+          if c.replay.full + c.replay.digest > 0 then routes ("replay:" ^ label) c.replay)
         !conns
   in
   let close_all () =
@@ -639,9 +577,9 @@ let serve ?(config = default_config) ?meter ?journal:journal_path ?chaos ?topolo
   (* orderly shutdown: tell everyone, best-effort flush, close *)
   if not !timed_out then begin
     broadcast Envelope.Shutdown;
-    let flush_deadline = Unix.gettimeofday () +. 1.0 in
+    let flush_deadline = Sockio.now () +. 1.0 in
     let rec flush () =
-      if pending_writes () && Unix.gettimeofday () < flush_deadline then begin
+      if pending_writes () && Sockio.now () < flush_deadline then begin
         let live = List.filter (fun c -> not c.closed) !conns in
         let wrs =
           (* shutdown overrides any chaos stall *)

@@ -11,13 +11,14 @@
       against the global post counter (posts arrive in strictly
       increasing order — the protocol's commit order is total),
       appends the frame to the write-ahead journal (when one is
-      configured) and delivers it to every slot-bound connection:
-      legacy connections get a full [Deliver {seq; ...}] broadcast,
-      while connections that registered a [Subscribe] interest set get
-      {e routed} delivery — a [Full] record if the posting slot is in
-      their interest set, a [Digest] record (checksum + length)
-      otherwise, coalesced into [Deliver_batch] envelopes flushed once
-      per event-loop turn (or when a batch reaches the body cap);
+      configured) and delivers it to every slot-bound connection as
+      one record: a [Full] record if that slot is in the poster's
+      quorum ({!Topology.wants_full} — the daemon derives each slot's
+      interest from the run's topology, clients register nothing), a
+      [Digest] record (checksum + length) otherwise, the poster's own
+      ack included.  Records are coalesced into [Deliver_batch]
+      envelopes flushed once per event-loop turn (or when a batch
+      reaches the body cap);
     + a connection that dies before delivering its [Report] starts a
       {e grace window}; only if the slot fails to reconnect (via the
       [Recover] handshake) before it expires is [Peer_down]
@@ -35,22 +36,21 @@
     unsharded one — the global digest oracle survives the partition.
 
     {b Crash recovery.}  With [?journal] set, every accepted frame is
-    journaled {e before} broadcast.  A daemon restarted on the same
+    journaled {e before} delivery.  A daemon restarted on the same
     journal path replays the intact prefix of every shard file,
     merges the posts by sequence number and rebuilds its board,
     sequence counter, digest chain, start flag and report table, then
     resumes serving on the same listen socket; reconnecting clients
     send [Recover] with the next delivery they have not seen and get
-    the gap replayed in order (as legacy full [Deliver]s — catch-up
-    bypasses routing so recovery semantics are identical on every
-    path).  Re-posts of already-accepted frames (byte-identical) are
-    absorbed silently — a reconnecting owner cannot prove which
-    in-flight posts survived.
+    the gap replayed in order, as the very [Full]/[Digest] records
+    live delivery would have sent them.  Re-posts of already-accepted
+    frames (byte-identical) are absorbed silently — a reconnecting
+    owner cannot prove which in-flight posts survived.
 
-    {b Chaos.}  With [?chaos] set, first-time deliveries may be
-    severed, truncated, duplicated or delayed (per-connection FIFO
-    order is always preserved — a delay stalls the whole connection),
-    and scheduled kill points crash the daemon with {!Crashed} right
+    {b Chaos.}  With [?chaos] set, every first-time delivery record
+    may be severed, truncated, duplicated or delayed (catch-up replay
+    is exempt; per-connection FIFO order is always preserved — a
+    delay stalls the whole connection), and scheduled kill points crash the daemon with {!Crashed} right
     after the journal append, so the restarted daemon never
     re-crashes on the same frame.
 
@@ -79,18 +79,18 @@ val default_config : config
 type stats = {
   connections : int;
   frames_in : int;  (** [Post] envelopes accepted (duplicates excluded) *)
-  frames_out : int;  (** full-frame deliveries enqueued (per recipient) *)
-  digests_out : int;  (** routed [Digest] records enqueued (per recipient) *)
+  frames_out : int;  (** live [Full] records enqueued (per recipient) *)
+  digests_out : int;  (** live [Digest] records enqueued (per recipient, acks included) *)
   batches_out : int;  (** [Deliver_batch] envelopes flushed *)
   suppressed_bytes : int;
-      (** full-frame bytes routing avoided sending (frames summarized
-          as [Digest] records instead) *)
+      (** full-frame bytes live delivery avoided sending (frames
+          summarized as [Digest] records instead) *)
   garbled_frames : int;  (** inner frames failing [Wire.of_frame] on ingest *)
   bytes_in : int;
   bytes_out : int;
   peer_downs : int;
   reconnects : int;  (** [Recover] handshakes accepted *)
-  replayed_frames : int;  (** catch-up [Deliver]s replayed to reconnectors *)
+  replayed_frames : int;  (** catch-up records replayed to reconnectors *)
   recovered_frames : int;  (** board frames rebuilt from the journal at startup *)
   journal_bytes : int;  (** total journal file size across shards (0 without) *)
   shards : int;  (** board partitions (1 = unsharded) *)
@@ -128,12 +128,12 @@ val serve :
     is set and partial results are returned).  [journal] is the
     write-ahead journal path: replayed at startup (all shard files,
     stitched), appended per accepted frame to the posting slot's
-    shard file.  [topology] sets the shard count (its [nslots] must
-    match; routing itself is driven by what each client [Subscribe]s
-    to, so an unrouted topology still shards the journal).
-    Per-connection envelope bytes are recorded into [meter] under
-    ["slotN"] names, with catch-up replay split out under
-    ["replay:slotN"] and routed delivery attributed per subscription
-    via {!Meter.record_side}.  The listen socket is left open; the
+    shard file.  [topology] (default {!Topology.make}: one shard, full
+    quorum; its [nslots] must match) sets the shard count and every
+    slot's full-frame sources.  Bytes are recorded into [meter] via
+    {!Meter.record_side} under ["slotN"] labels: delivery records in
+    the [Route_*] rows (catch-up replay under ["replay:slotN"]), the
+    rest of the connection's traffic — control sent, posts and
+    reports received — in the [Conn_*] rows.  The listen socket is left open; the
     caller owns it.
     @raise Crashed when a chaos kill point fires. *)

@@ -12,13 +12,11 @@ type msg =
   | Hello of { slot : int; nslots : int; seed : int }
   | Start
   | Post of { seq : int; slot : int; frame : string }
-  | Deliver of { seq : int; slot : int; frame : string }
   | Peer_down of { slot : int }
   | Report of { slot : int; json : string }
   | Shutdown
   | Recover of { slot : int; nslots : int; seed : int; next_seq : int }
   | Recovered of { next_seq : int; started : bool }
-  | Subscribe of { slot : int; full_of : int list }
   | Deliver_batch of record list
 
 let pp_msg ppf = function
@@ -27,8 +25,6 @@ let pp_msg ppf = function
   | Start -> Format.fprintf ppf "start"
   | Post { seq; slot; frame } ->
     Format.fprintf ppf "post{seq=%d;slot=%d;%dB}" seq slot (String.length frame)
-  | Deliver { seq; slot; frame } ->
-    Format.fprintf ppf "deliver{seq=%d;slot=%d;%dB}" seq slot (String.length frame)
   | Peer_down { slot } -> Format.fprintf ppf "peer-down{slot=%d}" slot
   | Report { slot; json } ->
     Format.fprintf ppf "report{slot=%d;%dB}" slot (String.length json)
@@ -38,8 +34,6 @@ let pp_msg ppf = function
       next_seq
   | Recovered { next_seq; started } ->
     Format.fprintf ppf "recovered{next=%d;started=%b}" next_seq started
-  | Subscribe { slot; full_of } ->
-    Format.fprintf ppf "subscribe{slot=%d;full_of=%d}" slot (List.length full_of)
   | Deliver_batch records ->
     let fulls =
       List.length (List.filter (function Full _ -> true | Digest _ -> false) records)
@@ -56,17 +50,17 @@ let trailer_len = 8 (* Wire.checksum, 8 bytes LE *)
    their own; cap accordingly *)
 let default_max_body = !Wire.max_frame_len + 4096
 
+(* tags 4 and 10 belonged to retired messages: never reuse them, so a
+   stray old-format envelope is rejected as an unknown type *)
 let tag = function
   | Hello _ -> 1
   | Start -> 2
   | Post _ -> 3
-  | Deliver _ -> 4
   | Peer_down _ -> 5
   | Report _ -> 6
   | Shutdown -> 7
   | Recover _ -> 8
   | Recovered _ -> 9
-  | Subscribe _ -> 10
   | Deliver_batch _ -> 11
 
 (* wire size of one batch record, for the daemon's flush-on-cap logic:
@@ -116,7 +110,7 @@ let encode_body buf = function
     Wire.put_varint buf nslots;
     Wire.put_varint buf seed
   | Start | Shutdown -> ()
-  | Post { seq; slot; frame } | Deliver { seq; slot; frame } ->
+  | Post { seq; slot; frame } ->
     Wire.put_varint buf seq;
     Wire.put_varint buf slot;
     Wire.put_bytes buf frame
@@ -132,60 +126,55 @@ let encode_body buf = function
   | Recovered { next_seq; started } ->
     Wire.put_varint buf next_seq;
     Wire.put_varint buf (if started then 1 else 0)
-  | Subscribe { slot; full_of } ->
-    Wire.put_varint buf slot;
-    Wire.put_varint buf (List.length full_of);
-    List.iter (Wire.put_varint buf) full_of
   | Deliver_batch records ->
     Wire.put_varint buf (List.length records);
     List.iter (put_record buf) records
 
+(* a body that passed its checksum can still be hostile: every
+   [Wire] decode failure inside it surfaces as [Envelope_error] *)
 let decode_body ~tag body =
   let d = { Wire.src = body; pos = 0 } in
   let msg =
-    match tag with
-    | 1 ->
-      let slot = Wire.get_varint d in
-      let nslots = Wire.get_varint d in
-      let seed = Wire.get_varint d in
-      Hello { slot; nslots; seed }
-    | 2 -> Start
-    | 3 | 4 ->
-      let seq = Wire.get_varint d in
-      let slot = Wire.get_varint d in
-      let frame = Wire.get_bytes d in
-      if tag = 3 then Post { seq; slot; frame } else Deliver { seq; slot; frame }
-    | 5 -> Peer_down { slot = Wire.get_varint d }
-    | 6 ->
-      let slot = Wire.get_varint d in
-      let json = Wire.get_bytes d in
-      Report { slot; json }
-    | 7 -> Shutdown
-    | 8 ->
-      let slot = Wire.get_varint d in
-      let nslots = Wire.get_varint d in
-      let seed = Wire.get_varint d in
-      let next_seq = Wire.get_varint d in
-      Recover { slot; nslots; seed; next_seq }
-    | 9 ->
-      let next_seq = Wire.get_varint d in
-      let started =
-        match Wire.get_varint d with
-        | 0 -> false
-        | 1 -> true
-        | b -> fail "recovered: bad started flag %d" b
-      in
-      Recovered { next_seq; started }
-    | 10 ->
-      let slot = Wire.get_varint d in
-      let n = Wire.get_varint d in
-      if n > 1 lsl 20 then fail "subscribe: %d sources" n;
-      Subscribe { slot; full_of = List.init n (fun _ -> Wire.get_varint d) }
-    | 11 ->
-      let n = Wire.get_varint d in
-      if n > 1 lsl 20 then fail "deliver-batch: %d records" n;
-      Deliver_batch (List.init n (fun _ -> get_record d))
-    | t -> fail "unknown envelope type %d" t
+    try
+      match tag with
+      | 1 ->
+        let slot = Wire.get_varint d in
+        let nslots = Wire.get_varint d in
+        let seed = Wire.get_varint d in
+        Hello { slot; nslots; seed }
+      | 2 -> Start
+      | 3 ->
+        let seq = Wire.get_varint d in
+        let slot = Wire.get_varint d in
+        let frame = Wire.get_bytes d in
+        Post { seq; slot; frame }
+      | 5 -> Peer_down { slot = Wire.get_varint d }
+      | 6 ->
+        let slot = Wire.get_varint d in
+        let json = Wire.get_bytes d in
+        Report { slot; json }
+      | 7 -> Shutdown
+      | 8 ->
+        let slot = Wire.get_varint d in
+        let nslots = Wire.get_varint d in
+        let seed = Wire.get_varint d in
+        let next_seq = Wire.get_varint d in
+        Recover { slot; nslots; seed; next_seq }
+      | 9 ->
+        let next_seq = Wire.get_varint d in
+        let started =
+          match Wire.get_varint d with
+          | 0 -> false
+          | 1 -> true
+          | b -> fail "recovered: bad started flag %d" b
+        in
+        Recovered { next_seq; started }
+      | 11 ->
+        let n = Wire.get_varint d in
+        if n > 1 lsl 20 then fail "deliver-batch: %d records" n;
+        Deliver_batch (List.init n (fun _ -> get_record d))
+      | t -> fail "unknown envelope type %d" t
+    with Wire.Decode_error e -> fail "envelope type %d: %s" tag e
   in
   if d.Wire.pos <> String.length body then
     fail "envelope body: %d trailing bytes" (String.length body - d.Wire.pos);

@@ -6,8 +6,8 @@
 
     The checksum ({!Yoso_net.Wire.checksum} over the body) is verified
     on ingest, so a corrupted envelope is rejected at the transport
-    layer; the bulletin frames carried {e inside} [Post]/[Deliver]
-    bodies keep their own [Wire] checksums and are re-verified by the
+    layer; the bulletin frames carried {e inside} [Post] bodies and
+    [Full] records keep their own [Wire] checksums and are re-verified by the
     receiving protocol code (a tampered frame must land on the board
     and be excluded there, not vanish in transit).
 
@@ -17,8 +17,10 @@
     force unbounded allocation. *)
 
 exception Envelope_error of string
-(** Malformed envelope: bad magic/version/type, body over the cap,
-    checksum mismatch, or an undecodable body. *)
+(** Malformed envelope: bad magic/version/type (including the retired
+    types 4 and 10), body over the cap, checksum mismatch, or an
+    undecodable body.  The decoder raises no other exception on any
+    input bytes. *)
 
 type record =
   | Full of { seq : int; slot : int; frame : string }
@@ -35,8 +37,6 @@ type msg =
   | Start  (** daemon -> clients when all [nslots] slots said hello *)
   | Post of { seq : int; slot : int; frame : string }
       (** client -> daemon: the owner ships board frame [seq] *)
-  | Deliver of { seq : int; slot : int; frame : string }
-      (** daemon -> all clients, in strict [seq] order *)
   | Peer_down of { slot : int }
       (** daemon -> all clients: that slot's connection died *)
   | Report of { slot : int; json : string }
@@ -50,17 +50,12 @@ type msg =
       (** daemon -> reconnecting client: the board's high-water mark
           (next sequence number to be assigned) and whether the run
           has started; deliveries for the gap follow in order *)
-  | Subscribe of { slot : int; full_of : int list }
-      (** client -> daemon, after [Hello]/[Recover]: register this
-          slot's interest set — the owner slots whose frames it must
-          receive as [Full] records; every other frame arrives as a
-          [Digest] record.  A connection that never subscribes gets
-          legacy full-frame [Deliver] broadcast. *)
   | Deliver_batch of record list
-      (** daemon -> subscribed clients: one flush's worth of
-          deliveries, coalesced into a single envelope.  Records are
-          in strict [seq] order, both within a batch and across
-          consecutive batches on one connection. *)
+      (** daemon -> clients, the only delivery message: one flush's
+          worth of [Full] and [Digest] records (live deliveries and
+          catch-up replay alike), coalesced into a single envelope.
+          Records are in strict [seq] order, both within a batch and
+          across consecutive batches on one connection. *)
 
 val pp_msg : Format.formatter -> msg -> unit
 

@@ -14,18 +14,15 @@ type result = {
   children : (int * Unix.process_status) list;
 }
 
-let link_of_client ?crash_after ?topology ~nslots client =
+let link_of_client ?crash_after ~topology client =
   let me = Client.slot client in
-  let owns (r : Role.id) = r.Role.index mod nslots = me in
-  let routed =
-    match topology with Some (t : Topology.t) -> t.Topology.routed | None -> false
-  in
+  let owner (r : Role.id) = Topology.owner_slot topology ~index:r.Role.index in
   {
-    Board.owns;
-    (* role-local execution: under a routed topology this process
-       materializes only its own frames; everything else is a skeleton
-       whose content (or digest) arrives through [recv] *)
-    local = (fun r -> (not routed) || owns r);
+    Board.owns = (fun r -> owner r = me);
+    (* this process materializes the frames it owns or receives in
+       full; everything else is a skeleton whose digest record arrives
+       through [recv] *)
+    local = (fun r -> Topology.local topology ~me ~owner:(owner r));
     send =
       (fun ~seq ~phase:_ ~author:_ ~frame ->
         (match crash_after with
@@ -37,8 +34,7 @@ let link_of_client ?crash_after ?topology ~nslots client =
         Client.post client ~seq ~frame);
     recv =
       (fun ~seq ~phase:_ ~author ->
-        (Client.fetch client ~seq ~owner:(author.Role.index mod nslots)
-          :> Board.delivery));
+        (Client.fetch client ~seq ~owner:(owner author) :> Board.delivery));
     stats = (fun () -> Client.stats client);
   }
 
@@ -95,11 +91,8 @@ let add_stats a b =
 
 let run ?(endpoint = `Unix_socket) ?config ?deadline_ms ?crash ?meter ?policy ?journal
     ?chaos ?topology ~nslots ~seed ~child () =
-  if nslots < 1 then invalid_arg "Runner.run: nslots must be >= 1";
-  (match topology with
-  | Some (topo : Topology.t) ->
-    if topo.Topology.nslots <> nslots then invalid_arg "Runner.run: topology nslots mismatch"
-  | None -> ());
+  let topology = match topology with Some t -> t | None -> Topology.make ~nslots () in
+  if topology.Topology.nslots <> nslots then invalid_arg "Runner.run: topology nslots mismatch";
   let policy = Option.value policy ~default:Transport_policy.default in
   let deadline_ms =
     match deadline_ms with
@@ -123,12 +116,12 @@ let run ?(endpoint = `Unix_socket) ?config ?deadline_ms ?crash ?meter ?policy ?j
         try
           Unix.close listen;
           let client =
-            Client.connect ~deadline_ms ~policy ?topology ~addr ~slot ~nslots ~seed ()
+            Client.connect ~deadline_ms ~policy ~addr ~slot ~nslots ~seed ()
           in
           let crash_after =
             match crash with Some (s, m) when s = slot -> Some m | _ -> None
           in
-          let link = link_of_client ?crash_after ?topology ~nslots client in
+          let link = link_of_client ?crash_after ~topology client in
           let json = child ~slot ~link in
           Client.report client ~json;
           Client.close client;
@@ -159,7 +152,7 @@ let run ?(endpoint = `Unix_socket) ?config ?deadline_ms ?crash ?meter ?policy ?j
      on the same listen fd (its backlog holds the reconnect storm) and
      recover the board from the journal *)
   let rec go crashed =
-    match Daemon.serve ?config ?meter ?journal ?chaos ?topology ~listen ~nslots () with
+    match Daemon.serve ?config ?meter ?journal ?chaos ~topology ~listen ~nslots () with
     | d -> (d, crashed)
     | exception Daemon.Crashed st -> go (st :: crashed)
   in

@@ -3,23 +3,20 @@
     {!Yoso_net.Board.link} wired to a {!Client}, and collects the
     final reports.
 
-    The execution model without a topology is replicated determinism:
-    every child runs the {e same} seeded protocol; the link decides,
+    Every child runs the {e same} seeded protocol; the link decides,
     per board frame, whether this child physically ships the frame or
-    blocks on the daemon's broadcast.  All children therefore produce
-    byte-identical reports — [agree] is the cheap agreement oracle —
-    and the transcript digest matches a plain in-process run with the
-    same seeds.
-
-    With a {e routed} {!Topology.t}, execution is {e role-local}:
-    each child materializes only the frames of slots it owns,
-    prepares everything else as zero-filled skeletons of identical
-    wire weight, and receives non-owned content through the daemon's
-    interest-routed delivery — full frames from its quorum sources,
-    digest records (checksum + length) from everyone else.  The board
-    digest chains the authoritative checksum of whatever crossed the
-    wire, so reports still agree byte-for-byte and the fault-free
-    digest still equals the sim digest at equal seeds. *)
+    blocks on the daemon's delivery, and whether it materializes the
+    frame at all.  The rule is {!Topology.local}: a child materializes
+    exactly the frames it owns or receives in full (those of its
+    quorum sources) and byte-compares every received full frame
+    against its own replay; every other frame is a zero-filled
+    skeleton of identical wire weight, checked against the daemon's
+    digest record (checksum + length).  At the default full quorum
+    this is replicated execution.  The board digest chains the
+    authoritative checksum of whatever crossed the wire, so all
+    children produce byte-identical reports — [agree] is the cheap
+    agreement oracle — and the fault-free digest equals a plain
+    in-process run with the same seeds. *)
 
 module Board = Yoso_net.Board
 module Meter = Yoso_net.Meter
@@ -38,12 +35,10 @@ type result = {
   children : (int * Unix.process_status) list;  (** slot -> exit status *)
 }
 
-val link_of_client :
-  ?crash_after:int -> ?topology:Topology.t -> nslots:int -> Client.t -> Board.link
+val link_of_client : ?crash_after:int -> topology:Topology.t -> Client.t -> Board.link
 (** The link a child plugs into its board: [owns] maps role index
-    [mod nslots] onto this client's slot; [local] is [owns] under a
-    routed [topology] (role-local execution) and constant-[true]
-    otherwise (replicated execution); [send] posts owned frames;
+    [mod nslots] onto this client's slot; [local] is
+    {!Topology.local}; [send] posts owned frames;
     [recv] blocks on the daemon's delivery.  [crash_after m] makes
     the process die ([Unix._exit 13]) when it is about to post its
     [m+1]-th own frame — the deterministic mid-round crash drill. *)
@@ -76,9 +71,9 @@ val run :
     fires the daemon is restarted in place on the same listen socket,
     recovering the board from the journal — [restarts] counts the
     lives lost; clients ride the restart out via their reconnect
-    path.  [topology] switches on interest routing and role-local
-    execution (when [routed]) and shards the daemon's bookkeeping
-    and journal (when [shards > 1]).
+    path.  [topology] (default {!Topology.make}: one shard, full
+    quorum) sets the delivery quorum and shards the daemon's
+    bookkeeping and journal.
     @raise Invalid_argument if [chaos] schedules kill points without
     a [journal]. *)
 

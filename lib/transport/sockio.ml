@@ -1,7 +1,11 @@
 exception Timeout
 exception Closed
 
-let deadline_after ms = Unix.gettimeofday () +. (ms /. 1000.)
+(* monotonic seconds: deadlines and elapsed budgets must not move
+   when the wall clock is stepped *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
+let deadline_after ms = now () +. (ms /. 1000.)
 
 (* Park until [fd] is ready in the given direction, honouring the
    absolute deadline.  EINTR during select is retried with the
@@ -11,7 +15,7 @@ let rec wait ~dir ~deadline fd =
     match deadline with
     | None -> -1.
     | Some d ->
-      let left = d -. Unix.gettimeofday () in
+      let left = d -. now () in
       if left <= 0. then raise Timeout else left
   in
   let rd, wr = match dir with `Read -> ([ fd ], []) | `Write -> ([], [ fd ]) in
@@ -62,7 +66,7 @@ let connect_with_retry ?(retry = Transport_policy.connect_retry) ?(seed = 0) add
   | _ -> ()
   | exception Invalid_argument _ -> () (* no sigpipe on this platform *));
   let domain = Unix.domain_of_sockaddr addr in
-  let t0 = Unix.gettimeofday () in
+  let t0 = now () in
   let rec go attempt =
     let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
     match Unix.connect fd addr with
@@ -78,7 +82,7 @@ let connect_with_retry ?(retry = Transport_policy.connect_retry) ?(seed = 0) add
       let sleep = Transport_policy.backoff_ms retry ~seed ~attempt in
       (* the total elapsed cap dominates the attempt budget: doubling
          backoff must never overshoot the round deadline *)
-      let elapsed = (Unix.gettimeofday () -. t0) *. 1000. in
+      let elapsed = (now () -. t0) *. 1000. in
       if elapsed +. sleep > retry.Transport_policy.max_elapsed_ms then raise e
       else begin
         Unix.sleepf (sleep /. 1000.);

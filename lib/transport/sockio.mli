@@ -6,7 +6,7 @@
     at any byte boundary must still assemble), {!write_all} keeps
     writing until the whole string is on the wire.  Both retry
     [EINTR] transparently, park on [select] for [EAGAIN], and enforce
-    an optional absolute wall-clock deadline. *)
+    an optional absolute deadline on the monotonic clock ({!now}). *)
 
 exception Timeout
 (** The deadline passed before the operation completed. *)
@@ -18,7 +18,7 @@ exception Closed
 val read_exactly : ?deadline:float -> Unix.file_descr -> int -> string
 (** [read_exactly fd n] returns exactly [n] bytes, looping over
     however many partial reads the kernel delivers.  [deadline] is an
-    absolute [Unix.gettimeofday] instant.
+    absolute {!now} instant.
     @raise Timeout if the deadline passes first.
     @raise Closed on EOF. *)
 
@@ -40,6 +40,11 @@ val connect_with_retry :
     signals.
     @raise Unix.Unix_error when the last attempt within budget fails. *)
 
+val now : unit -> float
+(** Seconds on the monotonic clock (arbitrary origin, never stepped
+    by wall-clock changes).  Every transport deadline, budget and
+    grace window is measured on it. *)
+
 val deadline_after : float -> float
-(** [deadline_after ms] is the absolute instant [ms] milliseconds from
-    now. *)
+(** [deadline_after ms] is the absolute {!now} instant [ms]
+    milliseconds from now. *)

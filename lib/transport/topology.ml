@@ -1,38 +1,27 @@
-(* Shard/subscription geometry for the routed transport.  Pure data +
-   pure functions: the same value is consumed by the Runner (to derive
-   each member's subscription), the Daemon (to route deliveries and
-   partition journals) and the bench/CLI (to label rows). *)
+(* Shard and quorum geometry of the socket transport.  Pure data +
+   pure functions: the same value is consumed by the Runner (to decide
+   which frames each member materialises), the Daemon (to route
+   deliveries and partition journals) and the bench/CLI (to label
+   rows). *)
 
 type t = {
   nslots : int;
   shards : int;
   quorum : int;
-  routed : bool;
 }
-
-let validate t =
-  if t.nslots < 1 then invalid_arg "Topology: nslots must be >= 1";
-  if t.shards < 1 || t.shards > t.nslots then
-    invalid_arg "Topology: shards must be in [1, nslots]";
-  if t.routed && (t.quorum < 1 || t.quorum > max 1 (t.nslots - 1)) then
-    invalid_arg "Topology: quorum must be in [1, nslots-1]";
-  t
-
-let broadcast ~nslots = validate { nslots; shards = 1; quorum = max 1 (nslots - 1); routed = false }
 
 (* n/8 full copies per frame, floored at 2 (so every frame always has
    at least two independent full-frame holders besides its owner's
    journal record), capped by the committee size *)
 let default_quorum ~nslots = min (max 1 (nslots - 1)) (max 2 (nslots / 8))
 
-let routed ?(shards = 1) ?quorum ~nslots () =
-  let quorum = match quorum with Some q -> q | None -> default_quorum ~nslots in
-  validate { nslots; shards; quorum; routed = true }
-
-(* journal/bookkeeping sharding without interest routing: every member
-   still receives every frame in full *)
-let sharded ~shards ~nslots =
-  validate { nslots; shards; quorum = max 1 (nslots - 1); routed = false }
+let make ?(shards = 1) ?quorum ~nslots () =
+  if nslots < 1 then invalid_arg "Topology: nslots must be >= 1";
+  let quorum = match quorum with Some q -> q | None -> max 1 (nslots - 1) in
+  if shards < 1 || shards > nslots then invalid_arg "Topology: shards must be in [1, nslots]";
+  if quorum < 1 || quorum > max 1 (nslots - 1) then
+    invalid_arg "Topology: quorum must be in [1, nslots-1]";
+  { nslots; shards; quorum }
 
 let owner_slot t ~index = index mod t.nslots
 
@@ -42,18 +31,12 @@ let shard_of_slot t ~slot = slot mod t.shards
    order.  Deterministic and rotation-balanced: every slot serves in
    exactly [quorum] other slots' quorums *)
 let wants_full t ~me ~owner =
-  (not t.routed)
-  ||
   let d = (me - owner + t.nslots) mod t.nslots in
   d >= 1 && d <= t.quorum
 
-(* the subscription slot [me] registers at Hello time: every owner
-   whose frames it must receive in full *)
-let full_sources t ~me =
-  if not t.routed then List.init t.nslots Fun.id
-  else
-    List.filter (fun owner -> wants_full t ~me ~owner) (List.init t.nslots Fun.id)
+let local t ~me ~owner = owner = me || wants_full t ~me ~owner
 
-let pp ppf t =
-  Format.fprintf ppf "{nslots=%d;shards=%d;quorum=%d;routed=%b}" t.nslots t.shards t.quorum
-    t.routed
+let full_sources t ~me =
+  List.filter (fun owner -> wants_full t ~me ~owner) (List.init t.nslots Fun.id)
+
+let pp ppf t = Format.fprintf ppf "{nslots=%d;shards=%d;quorum=%d}" t.nslots t.shards t.quorum

@@ -1,4 +1,4 @@
-(** Shard and subscription geometry for the routed transport.
+(** Shard and quorum geometry of the socket transport.
 
     One {!t} value describes how a run's board is laid out:
 
@@ -14,37 +14,29 @@
     - [quorum] full-frame fan-out: each posted frame is delivered in
       full to the [quorum] slots following its owner in ring order,
       and as a compact [(seq, slot, checksum, length)] digest record
-      to everyone else (including the owner, as its ack);
-    - [routed = false] is the legacy geometry: every slot receives
-      every frame in full.
+      to everyone else (including the owner, as its ack).  Broadcast
+      is [quorum = nslots - 1]: every other slot gets the frame in
+      full.
 
-    The same value is consumed by {!Runner} (derives each member's
-    subscription), {!Daemon} (routes deliveries, partitions journals)
+    The same value is consumed by {!Runner} (which frames a member
+    materialises), {!Daemon} (routes deliveries, partitions journals)
     and the CLI/bench. *)
 
 type t = private {
   nslots : int;
   shards : int;
   quorum : int;
-  routed : bool;
 }
 
-val broadcast : nslots:int -> t
-(** Legacy geometry: one shard, full delivery to every slot. *)
-
-val routed : ?shards:int -> ?quorum:int -> nslots:int -> unit -> t
-(** Interest-routed geometry.  [shards] defaults to 1; [quorum]
-    defaults to {!default_quorum}.
-    @raise Invalid_argument on [shards] outside [1, nslots] or
-    [quorum] outside [1, nslots-1]. *)
-
-val sharded : shards:int -> nslots:int -> t
-(** Journal/bookkeeping sharding {e without} interest routing: every
-    slot still receives every frame in full.
-    @raise Invalid_argument on [shards] outside [1, nslots]. *)
+val make : ?shards:int -> ?quorum:int -> nslots:int -> unit -> t
+(** [shards] defaults to 1; [quorum] defaults to [nslots - 1]
+    (broadcast).
+    @raise Invalid_argument on [nslots < 1], [shards] outside
+    [1, nslots] or [quorum] outside [1, nslots-1]. *)
 
 val default_quorum : nslots:int -> int
-(** [max 2 (nslots / 8)], capped at [nslots - 1]. *)
+(** The n/8 fan-out policy: [max 2 (nslots / 8)], capped at
+    [nslots - 1]. *)
 
 val owner_slot : t -> index:int -> int
 (** The slot owning a role with the given committee index. *)
@@ -53,12 +45,18 @@ val shard_of_slot : t -> slot:int -> int
 (** Which board shard records frames posted by [slot]. *)
 
 val wants_full : t -> me:int -> owner:int -> bool
-(** Whether slot [me] receives [owner]'s frames in full (always [true]
-    when not routed). *)
+(** Whether slot [me] receives [owner]'s frames in full: [me] is one
+    of the [quorum] slots after [owner] in ring order. *)
+
+val local : t -> me:int -> owner:int -> bool
+(** The execution rule: slot [me] materialises [owner]'s frames iff it
+    owns them or receives them in full ([owner = me || wants_full]).
+    It byte-compares every full frame it receives against its own
+    replay; every other frame is a skeleton checked against the
+    daemon's digest record. *)
 
 val full_sources : t -> me:int -> int list
-(** The subscription slot [me] registers: every owner slot whose
-    frames it receives in full.  [List.length] is [quorum] (or
-    [nslots] when not routed). *)
+(** Every owner slot whose frames [me] receives in full, ascending.
+    [List.length] is [quorum] (for [nslots > 1]). *)
 
 val pp : Format.formatter -> t -> unit

@@ -64,12 +64,10 @@ let sample_msgs =
     Envelope.Hello { slot = 3; nslots = 16; seed = 0xC0FFEE };
     Envelope.Start;
     Envelope.Post { seq = 0; slot = 3; frame = "frame-zero" };
-    Envelope.Deliver { seq = 0; slot = 3; frame = "frame-zero" };
     Envelope.Post { seq = 12345; slot = 0; frame = String.make 600 '\x7f' };
     Envelope.Peer_down { slot = 7 };
     Envelope.Report { slot = 1; json = "{\"digest\":42}" };
     Envelope.Shutdown;
-    Envelope.Subscribe { slot = 2; full_of = [ 3; 4; 7 ] };
     Envelope.Deliver_batch
       [
         Envelope.Full { seq = 9; slot = 1; frame = "full-frame-bytes" };
@@ -154,9 +152,53 @@ let test_envelope_rejections () =
   (* bad magic *)
   let st = Envelope.stream () in
   Envelope.feed st "XXXXXXXX";
-  match Envelope.next st with
+  (match Envelope.next st with
   | exception Envelope.Envelope_error _ -> ()
-  | _ -> Alcotest.fail "bad magic must be rejected"
+  | _ -> Alcotest.fail "bad magic must be rejected");
+  (* hostile bodies behind a valid header and checksum: the retired
+     full-frame delivery (tag 4) and interest registration (tag 10)
+     in their old encodings, unknown tags, and known tags whose body
+     is truncated or carries trailing bytes.  Each is rejected with
+     [Envelope_error] and nothing else. *)
+  let raw ~tag body =
+    let le n k = String.init n (fun i -> Char.chr ((k lsr (8 * i)) land 0xff)) in
+    "YT\001" ^ String.make 1 (Char.chr tag) ^ le 4 (String.length body) ^ body
+    ^ le 8 (Wire.checksum body)
+  in
+  let varints l =
+    let buf = Buffer.create 16 in
+    List.iter (Wire.put_varint buf) l;
+    Buffer.contents buf
+  in
+  let old_deliver =
+    let buf = Buffer.create 16 in
+    Wire.put_varint buf 0;
+    Wire.put_varint buf 3;
+    Wire.put_bytes buf "frame-zero";
+    Buffer.contents buf
+  in
+  List.iter
+    (fun (what, tag, body) ->
+      let st = Envelope.stream () in
+      Envelope.feed st (raw ~tag body);
+      match Envelope.next st with
+      | exception Envelope.Envelope_error _ -> ()
+      | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+      | _ -> Alcotest.failf "%s must be rejected" what)
+    [
+      ("retired deliver", 4, old_deliver);
+      ("retired deliver, empty body", 4, "");
+      ("retired subscribe", 10, varints [ 2; 3; 3; 4; 7 ]);
+      ("retired subscribe, empty body", 10, "");
+      ("unknown tag", 0, "");
+      ("unknown tag 12", 12, "");
+      ("truncated post", 3, String.sub old_deliver 0 5);
+      ("truncated hello", 1, varints [ 3 ]);
+      ("overlong varint", 5, String.make 12 '\xff');
+      ("post with trailing bytes", 3, old_deliver ^ "x");
+      ("batch record kind 2", 11, varints [ 1; 2 ]);
+      ("batch claims more records than it has", 11, varints [ 3 ]);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Sockio: chunked delivery, deadlines, closed peers                   *)
@@ -273,7 +315,7 @@ let relabel ~from:a ~to_:b json =
     ^ String.sub json (i + String.length na)
         (String.length json - i - String.length na)
 
-let equivalence_case ?topology ?plan ~name ~adversary ~seed () =
+let equivalence_case ~topology ?plan ~name ~adversary ~seed () =
   let sim_config = Protocol.config ~adversary ?plan ~seed () in
   let sim_r = Protocol.execute ~params:params8 ~config:sim_config ~circuit ~inputs () in
   let sim_json = report_json sim_r in
@@ -283,7 +325,7 @@ let equivalence_case ?topology ?plan ~name ~adversary ~seed () =
   in
   let meter = Meter.create () in
   let res =
-    Runner.run ~meter ~deadline_ms:10_000. ?topology ~nslots:8 ~seed ~child ()
+    Runner.run ~meter ~deadline_ms:10_000. ~topology ~nslots:8 ~seed ~child ()
   in
   Alcotest.(check int) (name ^ ": all reported") 8 (List.length res.Runner.reports);
   Alcotest.(check bool) (name ^ ": unanimous") true res.Runner.agree;
@@ -300,9 +342,8 @@ let equivalence_case ?topology ?plan ~name ~adversary ~seed () =
     (name ^ ": every frame crossed the wire")
     sim_r.Protocol.transcript.Yoso_net.Board.frames
     res.Runner.stats.Yoso_transport.Daemon.frames_in;
-  (* under routing the delivery bytes live in the subscription rows,
-     so the conn row's sent side may legitimately be empty *)
-  let is_routed = match topology with Some t -> t.Topology.routed | None -> false in
+  (* delivery records live in the route rows; the conn rows keep the
+     control traffic sent and the posts received *)
   let sent = Meter.side_counts meter Meter.Conn_sent in
   let received = Meter.side_counts meter Meter.Conn_received in
   Alcotest.(check bool)
@@ -311,56 +352,59 @@ let equivalence_case ?topology ?plan ~name ~adversary ~seed () =
     (List.length sent = 8
     && List.map fst sent = List.map fst received
     && List.for_all (fun (_, r) -> r > 0) received
-    && (is_routed || List.for_all (fun (_, s) -> s > 0) sent));
-  (match topology with
-  | Some topo when topo.Topology.routed ->
-    (* routing actually suppressed traffic, and the daemon's stitched
-       digest chain equals the board transcript every member reports *)
-    Alcotest.(check bool) (name ^ ": digest records flowed") true
-      (res.Runner.stats.Yoso_transport.Daemon.digests_out > 0);
-    Alcotest.(check bool) (name ^ ": deliveries batched") true
-      (res.Runner.stats.Yoso_transport.Daemon.batches_out > 0);
-    Alcotest.(check bool) (name ^ ": bytes suppressed") true
-      (res.Runner.stats.Yoso_transport.Daemon.suppressed_bytes > 0);
-    Alcotest.(check int) (name ^ ": daemon digest = sim digest")
-      sim_r.Protocol.transcript.Board.digest
-      res.Runner.stats.Yoso_transport.Daemon.digest;
-    Alcotest.(check int) (name ^ ": shards recorded")
-      topo.Topology.shards res.Runner.stats.Yoso_transport.Daemon.shards;
-    Alcotest.(check bool) (name ^ ": routed bytes attributed per subscription")
-      true
-      (List.for_all
-         (fun side -> List.length (Meter.side_counts meter side) = 8)
-         Meter.[ Route_full; Route_digest; Route_suppressed ]
-      && Meter.routing_ratio meter < 1.0)
-  | _ -> ())
+    && List.for_all (fun (_, s) -> s > 0) sent);
+  (* every geometry suppresses traffic — at full quorum through the
+     owners' digest acks — and the daemon's stitched digest chain
+     equals the board transcript every member reports *)
+  let st = res.Runner.stats in
+  Alcotest.(check int) (name ^ ": one digest record per frame and non-quorum slot")
+    (st.Daemon.frames_in * (8 - topology.Topology.quorum))
+    st.Daemon.digests_out;
+  Alcotest.(check int) (name ^ ": one full record per frame and quorum slot")
+    (st.Daemon.frames_in * topology.Topology.quorum)
+    st.Daemon.frames_out;
+  Alcotest.(check bool) (name ^ ": deliveries batched") true (st.Daemon.batches_out > 0);
+  Alcotest.(check bool) (name ^ ": bytes suppressed") true (st.Daemon.suppressed_bytes > 0);
+  Alcotest.(check int) (name ^ ": daemon digest = sim digest")
+    sim_r.Protocol.transcript.Board.digest st.Daemon.digest;
+  Alcotest.(check int) (name ^ ": shards recorded") topology.Topology.shards st.Daemon.shards;
+  Alcotest.(check bool) (name ^ ": delivery bytes attributed per slot")
+    true
+    (List.for_all
+       (fun side -> List.length (Meter.side_counts meter side) = 8)
+       Meter.[ Route_full; Route_digest; Route_suppressed ]
+    && Meter.routing_ratio meter < 1.0)
+
+(* the three geometries: full-quorum broadcast, the n/8 quorum, and
+   that quorum over a sharded board *)
+let full_quorum = Topology.make ~nslots:8 ()
+let default_quorum = Topology.make ~quorum:(Topology.default_quorum ~nslots:8) ~nslots:8 ()
 
 let test_equivalence_fault_free () =
-  equivalence_case ~name:"fault-free" ~adversary:Params.no_adversary ~seed:0xE8 ()
+  equivalence_case ~topology:full_quorum ~name:"fault-free" ~adversary:Params.no_adversary
+    ~seed:0xE8 ()
 
 let test_equivalence_faulty () =
   let adversary = { Params.malicious = 1; passive = 0; fail_stop = 1 } in
-  equivalence_case ~name:"faulty"
+  equivalence_case ~topology:full_quorum ~name:"faulty"
     ~adversary
     ~plan:(Yoso_runtime.Faults.random ~seed:0xBAD)
     ~seed:0xE9 ()
 
 let test_equivalence_routed_fault_free () =
-  equivalence_case
-    ~topology:(Topology.routed ~nslots:8 ())
+  equivalence_case ~topology:default_quorum
     ~name:"routed fault-free" ~adversary:Params.no_adversary ~seed:0xE8 ()
 
 let test_equivalence_routed_faulty () =
   let adversary = { Params.malicious = 1; passive = 0; fail_stop = 1 } in
-  equivalence_case
-    ~topology:(Topology.routed ~nslots:8 ())
+  equivalence_case ~topology:default_quorum
     ~name:"routed faulty" ~adversary
     ~plan:(Yoso_runtime.Faults.random ~seed:0xBAD)
     ~seed:0xE9 ()
 
 let test_equivalence_routed_sharded () =
   equivalence_case
-    ~topology:(Topology.routed ~shards:3 ~nslots:8 ())
+    ~topology:(Topology.make ~shards:3 ~quorum:default_quorum.Topology.quorum ~nslots:8 ())
     ~name:"routed+sharded" ~adversary:Params.no_adversary ~seed:0xEA ()
 
 (* ------------------------------------------------------------------ *)
@@ -543,7 +587,7 @@ let test_sharded_kill_restart () =
   if not Sys.unix then ()
   else begin
     let seed = 0xC4A6 in
-    let topology = Topology.routed ~shards:2 ~nslots:8 () in
+    let topology = Topology.make ~shards:2 ~quorum:default_quorum.Topology.quorum ~nslots:8 () in
     let frames = sim_frames ~seed in
     with_journal (fun journal ->
         let chaos = Chaos.create { Chaos.none with Chaos.kill_at = [ frames / 2 ] } in
@@ -567,22 +611,35 @@ let test_sharded_kill_restart () =
           (Runner.json_int_field report ~field:"digest"))
   end
 
-(* forced disconnects while routing: reconnect catch-up (legacy full
-   replay) must splice cleanly into a routed delivery stream *)
+(* forced disconnects under a small quorum: reconnect catch-up replays
+   the very records live delivery would have sent — digest records for
+   non-quorum sources — and must splice cleanly into the live stream *)
 let test_routed_forced_disconnects () =
   if not Sys.unix then ()
   else begin
     let seed = 0x5E7F in
-    let topology = Topology.routed ~nslots:8 () in
     let frames = sim_frames ~seed in
     let sever_at = [ (frames / 5, 2); (2 * frames / 3, 5) ] in
     let chaos = Chaos.create { Chaos.none with Chaos.sever_at } in
-    let res = Runner.run ~chaos ~topology ~nslots:8 ~seed ~child:(chaos_child ~seed) () in
+    let meter = Meter.create () in
+    let res =
+      Runner.run ~meter ~chaos ~topology:default_quorum ~nslots:8 ~seed
+        ~child:(chaos_child ~seed) ()
+    in
     Alcotest.(check int) "daemon never died" 0 res.Runner.restarts;
     Alcotest.(check bool) "severed clients reconnected" true
       (res.Runner.stats.Yoso_transport.Daemon.reconnects >= 2);
+    Alcotest.(check bool) "catch-up replay happened" true
+      (res.Runner.stats.Yoso_transport.Daemon.replayed_frames > 0);
     Alcotest.(check bool) "digest records flowed" true
       (res.Runner.stats.Yoso_transport.Daemon.digests_out > 0);
+    let replay_rows side =
+      List.filter
+        (fun (label, b) -> String.starts_with ~prefix:"replay:" label && b > 0)
+        (Meter.side_counts meter side)
+    in
+    Alcotest.(check bool) "replay arrived as digest records" true
+      (replay_rows Meter.Route_digest <> []);
     check_against_sim ~name:"routed forced disconnects" ~seed res
   end
 
@@ -658,9 +715,17 @@ let test_report_then_close () =
         for seq = 0 to posts - 1 do
           Sockio.write_all b (Envelope.encode (Envelope.Post { seq; slot = 1; frame }))
         done;
-        (* slot 1's own last delivery: the daemon has queued every post
-           for slot 0, far more than its socket buffer holds *)
-        await b sb (function Envelope.Deliver { seq; _ } -> seq = posts - 1 | _ -> false);
+        (* slot 1's ack for its last post: the daemon has queued every
+           post for slot 0 as a full record, far more than its socket
+           buffer holds *)
+        await b sb (function
+          | Envelope.Deliver_batch records ->
+            List.exists
+              (function
+                | Envelope.Digest { seq; slot = 1; _ } -> seq = posts - 1
+                | Envelope.Full _ | Envelope.Digest _ -> false)
+              records
+          | _ -> false);
         Unix.kill pid Sys.sigstop;
         ignore (Unix.waitpid [ Unix.WUNTRACED ] pid);
         Sockio.write_all a (Envelope.encode (Envelope.Report { slot = 0; json = "{}" }));
@@ -698,20 +763,21 @@ let test_report_then_close () =
 (* Routing property: delivery set = verifier interest set              *)
 (* ------------------------------------------------------------------ *)
 
-(* In-process oracle for the routed delivery sets.  A recording run
-   captures every frame the protocol commits (the frames a member's
-   verifier consults, in commit order).  Then, for every slot, a
-   role-local replay run is fed exactly what the daemon would route to
-   it — full frames from its quorum sources, (checksum, length)
-   summaries from everyone else — and must (a) consult each non-owned
-   frame exactly once, (b) see full frames for precisely
-   [Topology.full_sources], and (c) produce a report byte-identical to
-   the recording run.  Under- or over-delivery would break (a)/(b);
-   insufficient routing (a summary where content was needed) would
-   break (c). *)
-let routing_property_case ?plan ~name ~adversary ~seed () =
-  let nslots = 8 in
-  let topo = Topology.routed ~nslots () in
+(* In-process oracle for the delivery sets.  A recording run captures
+   every frame the protocol commits (the frames a member's verifier
+   consults, in commit order).  Then, for every slot, a replay run
+   under the transport's execution rule ([Topology.local]) is fed
+   exactly what the daemon would route to it — full frames from its
+   quorum sources, (checksum, length) summaries from everyone else —
+   and must (a) consult each non-owned frame exactly once, (b) see
+   full frames for precisely [Topology.full_sources], and (c) produce
+   a report byte-identical to the recording run.  Under- or
+   over-delivery would break (a)/(b); insufficient routing (a summary
+   where content was needed) or a full frame differing from the local
+   replay would break (c).  Run at the n/8 quorum and at full
+   quorum. *)
+let routing_property_at ?plan ~name ~adversary ~seed topo =
+  let nslots = topo.Topology.nslots in
   let recorded : (int, int * string) Hashtbl.t = Hashtbl.create 64 in
   let record_link =
     {
@@ -735,7 +801,9 @@ let routing_property_case ?plan ~name ~adversary ~seed () =
     let replay_link =
       {
         Board.owns = (fun (r : Role.id) -> r.Role.index mod nslots = me);
-        local = (fun (r : Role.id) -> r.Role.index mod nslots = me);
+        local =
+          (fun (r : Role.id) ->
+            Topology.local topo ~me ~owner:(Topology.owner_slot topo ~index:r.Role.index));
         send = (fun ~seq:_ ~phase:_ ~author:_ ~frame:_ -> ());
         recv =
           (fun ~seq ~phase:_ ~author ->
@@ -793,6 +861,14 @@ let routing_property_case ?plan ~name ~adversary ~seed () =
       (Printf.sprintf "%s: slot %d summary deliveries" name me)
       !expected_summary !summaries
   done
+
+let routing_property_case ?plan ~name ~adversary ~seed () =
+  let nslots = 8 in
+  List.iter
+    (fun quorum ->
+      let name = Printf.sprintf "%s, quorum %d" name quorum in
+      routing_property_at ?plan ~name ~adversary ~seed (Topology.make ~quorum ~nslots ()))
+    [ Topology.default_quorum ~nslots; nslots - 1 ]
 
 let test_routing_property_fault_free () =
   routing_property_case ~name:"fault-free" ~adversary:Params.no_adversary ~seed:0x207 ()
