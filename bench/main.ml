@@ -339,6 +339,7 @@ let micro () =
   let big_mod = B.add (B.random_bits st 256) B.one in
   let pk, _sk = Yoso_paillier.Paillier.keygen ~bits:128 ~rng:st () in
   let msg = B.random_below st pk.Yoso_paillier.Paillier.n in
+  let pctx = Yoso_paillier.Paillier.Ctx.create pk in
   let ps = PS.make_params ~n:64 ~k:8 in
   let secrets = Array.init 8 (fun _ -> F.random st) in
   let sharing = PS.share ps ~degree:39 ~secrets ~rng:st in
@@ -354,7 +355,7 @@ let micro () =
       [
         Test.make ~name:"sha256-1KiB" (Staged.stage (fun () -> ignore (Yoso_hash.Sha256.digest_string sha_input)));
         Test.make ~name:"bigint-modpow-256b" (Staged.stage (fun () -> ignore (B.powmod big_base big_exp big_mod)));
-        Test.make ~name:"paillier-encrypt-128b" (Staged.stage (fun () -> ignore (Yoso_paillier.Paillier.encrypt pk ~rng:st msg)));
+        Test.make ~name:"paillier-encrypt-128b" (Staged.stage (fun () -> ignore (Yoso_paillier.Paillier.Ctx.encrypt pctx ~rng:st msg)));
         Test.make ~name:"packed-share-n64-k8" (Staged.stage (fun () -> ignore (PS.share ps ~degree:39 ~secrets ~rng:st)));
         Test.make ~name:"packed-reconstruct-n64-k8" (Staged.stage (fun () -> ignore (PS.reconstruct ps ~degree:39 pairs)));
         Test.make ~name:"e2e-protocol-n8-dot4" (Staged.stage small_protocol);
@@ -380,6 +381,7 @@ let micro () =
 
 module P = Yoso_paillier.Paillier
 module T = Yoso_paillier.Threshold
+module Oracles = Yoso_oracles
 module Pool = Yoso_parallel.Pool
 
 let smoke = ref false
@@ -446,22 +448,24 @@ let time_bench () =
   let keygen_ms = per_op_ms (fun () -> P.keygen ~bits ~rng:st ()) in
   let tpk, shares = T.keygen ~bits ~n:5 ~t:2 ~rng:st () in
   let pk = tpk.T.pk in
-  let pctx = P.context pk in
-  let tctx = T.context tpk in
+  let tctx = T.Ctx.create tpk in
+  let pctx = T.Ctx.paillier tctx in
   let m = B.random_below st pk.P.n in
   let r = P.sample_unit pk ~rng:st in
-  (* equal outputs first: both backends must agree bit for bit *)
-  let ct_naive = P.Reference.encrypt_with pk ~r m in
+  (* equal outputs first: the naive side is the independent oracle, and
+     both sides must agree bit for bit *)
   let ct_mont = P.Ctx.encrypt_with pctx ~r m in
-  if not (B.equal ct_naive.P.c ct_mont.P.c) then
+  if not (B.equal (Oracles.Paillier.encrypt_with pk ~r m) (P.raw ct_mont)) then
     failwith "bench time: naive and Montgomery encryptions differ";
   let ct = ct_mont in
   let subset = [ 1; 2; 3 ] in
-  let parts_naive = List.map (fun i -> T.Reference.partial_decrypt tpk shares.(i - 1) ct) subset in
+  let parts_naive =
+    List.map (fun i -> Oracles.Threshold.partial_decrypt tpk shares.(i - 1) (P.raw ct)) subset
+  in
   let parts_mont = List.map (fun i -> T.Ctx.partial_decrypt tctx shares.(i - 1) ct) subset in
   if parts_naive <> parts_mont then
     failwith "bench time: naive and Montgomery partial decryptions differ";
-  let dec_naive = T.Reference.combine tpk parts_naive in
+  let dec_naive = Oracles.Threshold.combine tpk parts_naive in
   let dec_mont = T.Ctx.combine tctx parts_mont in
   if not (B.equal dec_naive dec_mont && B.equal dec_naive m) then
     failwith "bench time: combine results differ or decrypt wrong";
@@ -471,21 +475,23 @@ let time_bench () =
   let comb_n = if !smoke then 8 else 128 in
   let comb_t = comb_n / 4 in
   let tpk_c, shares_c = T.keygen ~bits ~n:comb_n ~t:comb_t ~rng:st () in
-  let tctx_c = T.context tpk_c in
+  let tctx_c = T.Ctx.create tpk_c in
   let m_c = B.random_below st tpk_c.T.pk.P.n in
   let ct_c = T.Ctx.encrypt tctx_c ~rng:st m_c in
   let parts_c =
     List.init (comb_t + 1) (fun i -> T.Ctx.partial_decrypt tctx_c shares_c.(i) ct_c)
   in
-  if not (B.equal (T.Reference.combine tpk_c parts_c) m_c)
+  if not (B.equal (Oracles.Threshold.combine tpk_c parts_c) m_c)
      || not (B.equal (T.Ctx.combine tctx_c parts_c) m_c)
   then failwith "bench time: committee-sized combine results differ or decrypt wrong";
   (* timings *)
-  let enc_naive = per_op_ms (fun () -> P.Reference.encrypt_with pk ~r m) in
+  let enc_naive = per_op_ms (fun () -> Oracles.Paillier.encrypt_with pk ~r m) in
   let enc_mont = per_op_ms (fun () -> P.Ctx.encrypt_with pctx ~r m) in
-  let tpdec_naive = per_op_ms (fun () -> T.Reference.partial_decrypt tpk shares.(0) ct) in
+  let tpdec_naive =
+    per_op_ms (fun () -> Oracles.Threshold.partial_decrypt tpk shares.(0) (P.raw ct))
+  in
   let tpdec_mont = per_op_ms (fun () -> T.Ctx.partial_decrypt tctx shares.(0) ct) in
-  let comb_naive = per_op_ms (fun () -> T.Reference.combine tpk_c parts_c) in
+  let comb_naive = per_op_ms (fun () -> Oracles.Threshold.combine tpk_c parts_c) in
   let comb_mont = per_op_ms (fun () -> T.Ctx.combine tctx_c parts_c) in
   let row name naive mont =
     Printf.printf "  %-16s %10.4f ms %10.4f ms %8.2fx\n" name naive mont (naive /. mont)
@@ -611,19 +617,23 @@ let par_bench () =
   let t = (n_parties / 4) in
   let st = Random.State.make [| 0x9A12 |] in
   let tpk, shares = T.keygen ~bits ~n:n_parties ~t ~rng:st () in
-  let tctx = T.context tpk in
+  let tctx = T.Ctx.create tpk in
   let m = B.random_below st tpk.T.pk.P.n in
   let ct = T.Ctx.encrypt tctx ~rng:st m in
   let parts =
     List.init (t + 1) (fun i -> T.Ctx.partial_decrypt tctx shares.(i) ct)
   in
-  (* equal outputs before any timing *)
+  (* the baseline is the oracle's combine with one Montgomery powmod
+     per partial; equal outputs before any timing *)
+  let mont = P.Ctx.mont_n2 (T.Ctx.paillier tctx) in
+  let per_partial () =
+    Oracles.Threshold.combine ~pow:(fun b e _ -> B.Mont.powmod mont b e) tpk parts
+  in
   let dec_multi = T.Ctx.combine tctx parts in
-  let dec_powmods = T.Ctx.combine_powmods tctx parts in
-  if not (B.equal dec_multi dec_powmods && B.equal dec_multi m) then
+  if not (B.equal dec_multi (per_partial ()) && B.equal dec_multi m) then
     failwith "bench par: multiexp and per-partial combine disagree";
   let comb_multi = per_op_ms (fun () -> T.Ctx.combine tctx parts) in
-  let comb_powmods = per_op_ms (fun () -> T.Ctx.combine_powmods tctx parts) in
+  let comb_powmods = per_op_ms per_partial in
   Printf.printf
     "  combine %d-of-%d (%d-bit): powmods %.2f ms, multiexp %.2f ms, %.2fx\n"
     (t + 1) n_parties bits comb_powmods comb_multi (comb_powmods /. comb_multi);
@@ -1273,14 +1283,12 @@ let factory_bench () =
     Array.init (2 * (if !smoke then 4 else 8)) (fun i -> F.of_int ((c + 2) * (i + 3) * (j + 5)))
   in
   let base_seed = 0xFAC709 in
-  (* both sides run the same amortizations on the wire (the transcript
-     must match); they differ only in the audit verifier — per-proof
-     checks for the one-shot baseline, RLC aggregation for the stream —
-     which is CPU-local and never posts *)
+  (* both sides run the same opts (the transcript must match), so the
+     one-shot baseline and the stream verify their triple audits the
+     same way, by RLC aggregation *)
   let opts =
     { Offline.default_opts with Offline.audit_triples = true; packed_reenc = true }
   in
-  let baseline_opts = { opts with Offline.audit_verify = `Each } in
   Feldman.prepare ();
 
   Printf.printf "  %d circuits (%d mult gates each), n=%d t=%d k=%d\n%!" circuits
@@ -1295,7 +1303,7 @@ let factory_bench () =
                  ~config:
                    (Protocol.config
                       ~seed:(Factory.derived_seed base_seed j)
-                      ~offline:baseline_opts ())
+                      ~offline:opts ())
                  ~circuit ~inputs:(inputs_of j) ())
         done)
   in
@@ -1343,8 +1351,7 @@ let factory_bench () =
     (Meter.side_total streamed.Factory.meter Meter.Refill);
   if streamed.Factory.refills_during_online = 0 then
     failwith "factory: no producer/consumer overlap observed";
-  (* the stream must sustain at least one-shot throughput: it saves
-     the per-proof audit exponentiations (RLC) and overlaps
+  (* the stream must sustain at least one-shot throughput: it overlaps
      preprocessing with online execution.  The full bar only means
      something with a core for each side of the pipeline — on one
      core the two domains time-slice and every minor GC syncs them,

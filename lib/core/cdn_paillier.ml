@@ -11,13 +11,6 @@ type report = {
   rejected_contributions : int;
 }
 
-let sample_unit st n =
-  let rec go () =
-    let r = B.random_below st n in
-    if B.is_zero r || not (B.is_one (B.gcd r n)) then go () else r
-  in
-  go ()
-
 let expected ~modulus circuit ~inputs =
   let values = Array.make circuit.Circuit.wire_count B.zero in
   let cursor = Hashtbl.create 8 in
@@ -41,12 +34,8 @@ let execute ~n ~t ?(bits = 96) ?(malicious = []) ?(seed = 0xBEEF) ~circuit ~inpu
   (* contexts are built once here and threaded through every
      committee: all Z_{N^2} exponentiation below is Montgomery, and
      combine's Lagrange weights are cached across openings *)
-  let tctx = T.context tpk in
+  let tctx = T.Ctx.create tpk in
   let pctx = T.Ctx.paillier tctx in
-  (* force the lazy tables up front (fixed-base windows, weight/theta
-     caches grow on demand otherwise) — the committee loops below hit
-     them from a steady state *)
-  T.Ctx.preload tctx;
   let pk = tpk.T.pk in
   let modulus = pk.P.n in
   let rejected = ref 0 in
@@ -61,20 +50,20 @@ let execute ~n ~t ?(bits = 96) ?(malicious = []) ?(seed = 0xBEEF) ~circuit ~inpu
     let contribs =
       List.init n (fun i ->
           let a = B.random_below st modulus in
-          let r = sample_unit st modulus in
+          let r = P.sample_unit pk ~rng:st in
           let c = P.Ctx.encrypt_with pctx ~r a in
           let proof =
             if is_malicious i then
               (* lie about the plaintext: proof will not verify *)
-              Sigma.Plaintext_knowledge.prove pk ~rng:st ~m:(B.add a B.one) ~r ~c
-            else Sigma.Plaintext_knowledge.prove pk ~rng:st ~m:a ~r ~c
+              Sigma.Plaintext_knowledge.prove pctx ~rng:st ~m:(B.add a B.one) ~r ~c
+            else Sigma.Plaintext_knowledge.prove pctx ~rng:st ~m:a ~r ~c
           in
           (c, proof))
     in
     let verified =
       List.filter
         (fun (c, proof) ->
-          let ok = Sigma.Plaintext_knowledge.verify pk ~c proof in
+          let ok = Sigma.Plaintext_knowledge.verify pctx ~c proof in
           if not ok then incr rejected;
           ok)
         contribs
@@ -87,19 +76,19 @@ let execute ~n ~t ?(bits = 96) ?(malicious = []) ?(seed = 0xBEEF) ~circuit ~inpu
     let contribs =
       List.init n (fun i ->
           let b = B.random_below st modulus in
-          let r = sample_unit st modulus in
+          let r = P.sample_unit pk ~rng:st in
           let c_b = P.Ctx.encrypt_with pctx ~r b in
           let c_c =
             if is_malicious i then P.Ctx.encrypt pctx ~rng:st (B.of_int 1337)
             else P.Ctx.scalar_mul pctx b c_a
           in
-          let proof = Sigma.Multiplication.prove pk ~rng:st ~b ~r ~c_a ~c_b ~c_c in
+          let proof = Sigma.Multiplication.prove pctx ~rng:st ~b ~r ~c_a ~c_b ~c_c in
           (c_b, c_c, proof))
     in
     let verified =
       List.filter
         (fun (c_b, c_c, proof) ->
-          let ok = Sigma.Multiplication.verify pk ~c_a ~c_b ~c_c proof in
+          let ok = Sigma.Multiplication.verify pctx ~c_a ~c_b ~c_c proof in
           if not ok then incr rejected;
           ok)
         contribs
@@ -166,10 +155,10 @@ let execute ~n ~t ?(bits = 96) ?(malicious = []) ?(seed = 0xBEEF) ~circuit ~inpu
         let i = Option.value ~default:0 (Hashtbl.find_opt cursor client) in
         let v = B.erem (inputs client).(i) modulus in
         Hashtbl.replace cursor client (i + 1);
-        let r = sample_unit st modulus in
+        let r = P.sample_unit pk ~rng:st in
         let c = P.Ctx.encrypt_with pctx ~r v in
-        let proof = Sigma.Plaintext_knowledge.prove pk ~rng:st ~m:v ~r ~c in
-        if not (Sigma.Plaintext_knowledge.verify pk ~c proof) then
+        let proof = Sigma.Plaintext_knowledge.prove pctx ~rng:st ~m:v ~r ~c in
+        if not (Sigma.Plaintext_knowledge.verify pctx ~c proof) then
           failwith "Cdn_paillier: honest input proof failed";
         wire_ct.(wire) <- Some c
       | Circuit.Add { a; b; out } ->

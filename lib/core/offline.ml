@@ -33,13 +33,12 @@ type t = {
 
 type opts = {
   audit_triples : bool;
-  audit_verify : [ `Each | `Batched ];
   audit_tamper : int list;
   packed_reenc : bool;
 }
 
 let default_opts =
-  { audit_triples = false; audit_verify = `Batched; audit_tamper = []; packed_reenc = false }
+  { audit_triples = false; audit_tamper = []; packed_reenc = false }
 
 type item =
   | Lambdas of F.t Te.ct array
@@ -116,11 +115,9 @@ let audit_committee = "Off-Audit"
    aggregated post per gate chunk carrying the triple commitments and
    Chaum-Pedersen proofs the producing committees would jointly
    publish (statements are computed via the simulator shortcut,
-   {!Ideal_te.reveal}).  Verification strategy is a local choice —
-   [`Batched] RLC-aggregates the whole chunk into three multiexps,
-   [`Each] runs the definitional per-proof check — and does not touch
-   the transcript, so streamed and one-shot runs stay digest-equal
-   regardless of how the verifier is configured. *)
+   {!Ideal_te.reveal}).  Verification RLC-aggregates the whole chunk
+   into three multiexps; it is CPU-local and never touches the
+   transcript. *)
 let audit_triples (ctx : Ops.ctx) te opts ~gpc ~c_x ~c_y ~c_z =
   let m = Array.length c_x in
   List.iter
@@ -144,12 +141,7 @@ let audit_triples (ctx : Ops.ctx) te opts ~gpc ~c_x ~c_y ~c_z =
            ~phase ~step
            ~cost:[ (Cost.Proof, len); (Cost.Key, 3 * len) ]
            ());
-      let ok =
-        match opts.audit_verify with
-        | `Each -> Array.for_all (fun (st, pf) -> Feldman.Product.verify st pf) batch
-        | `Batched -> Feldman.Product.verify_batch batch
-      in
-      if not ok then begin
+      if not (Feldman.Product.verify_batch batch) then begin
         let bad = Feldman.Product.attribute batch in
         List.iter
           (fun i ->

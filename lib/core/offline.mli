@@ -62,13 +62,11 @@ type t = {
 type opts = {
   audit_triples : bool;
       (** post one aggregated {!Yoso_shamir.Feldman.Product} proof
-          batch per triple chunk and verify it; a bad triple aborts
-          with {!Yoso_runtime.Faults.Protocol_failure} after exact
+          batch per triple chunk and verify it by random linear
+          combination ({!Yoso_shamir.Feldman.Product.verify_batch});
+          a bad triple aborts with
+          {!Yoso_runtime.Faults.Protocol_failure} after exact
           attribution *)
-  audit_verify : [ `Each | `Batched ];
-      (** verifier strategy: definitional per-proof checks or
-          random-linear-combination aggregation.  Local choice — does
-          not touch the transcript. *)
   audit_tamper : int list;
       (** adversary/test hook: gate indices whose audited [z]
           commitment is shifted by [h] before verification *)
@@ -79,7 +77,7 @@ type opts = {
 }
 
 val default_opts : opts
-(** Everything off, [audit_verify = `Batched]. *)
+(** Everything off. *)
 
 (** {1 Streaming producer interface}
 

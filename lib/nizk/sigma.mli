@@ -15,8 +15,8 @@
     [2^-chal_bits] per proof (statistical parameter, not a bottleneck
     for the reproduction).
 
-    All exponentiations go through the memoized {!P.context} for the
-    key, so proving/verifying many statements under one key reuses the
+    Every prover and verifier takes the key's {!P.Ctx.t}, so
+    proving/verifying many statements under one key reuses its
     Montgomery precomputation. *)
 
 module B = Yoso_bigint.Bigint
@@ -28,7 +28,7 @@ module Plaintext_knowledge : sig
   type proof = { a : B.t; z_m : B.t; z_r : B.t }
 
   val prove :
-    P.public_key ->
+    P.Ctx.t ->
     rng:Random.State.t ->
     m:B.t ->
     r:B.t ->
@@ -36,9 +36,9 @@ module Plaintext_knowledge : sig
     proof
   (** [r] must be the randomness actually used in [c]. *)
 
-  val verify : P.public_key -> c:P.ciphertext -> proof -> bool
+  val verify : P.Ctx.t -> c:P.ciphertext -> proof -> bool
 
-  val size_bits : P.public_key -> int
+  val size_bits : P.Ctx.t -> int
   (** Communication size of a proof, in bits (for cost accounting). *)
 end
 
@@ -46,7 +46,7 @@ module Multiplication : sig
   type proof = { a1 : B.t; a2 : B.t; z : B.t; z_r : B.t }
 
   val prove :
-    P.public_key ->
+    P.Ctx.t ->
     rng:Random.State.t ->
     b:B.t ->
     r:B.t ->
@@ -56,7 +56,7 @@ module Multiplication : sig
     proof
 
   val verify :
-    P.public_key -> c_a:P.ciphertext -> c_b:P.ciphertext -> c_c:P.ciphertext -> proof -> bool
+    P.Ctx.t -> c_a:P.ciphertext -> c_b:P.ciphertext -> c_c:P.ciphertext -> proof -> bool
 
-  val size_bits : P.public_key -> int
+  val size_bits : P.Ctx.t -> int
 end

@@ -30,11 +30,6 @@ let keygen ?(bits = 128) ~rng () =
   let pk = { n; n2; bits } in
   (pk, { pk; p; q; lambda; mu })
 
-(* (1 + N)^m = 1 + m*N mod N^2 *)
-let g_pow pk m =
-  let m = B.erem m pk.n in
-  B.erem (B.add B.one (B.mul m pk.n)) pk.n2
-
 let sample_unit pk ~rng =
   let rec go () =
     let r = B.random_below rng pk.n in
@@ -49,31 +44,23 @@ let check_same fn pk ct =
   if not (B.equal ct.pk_n2 pk.n2) then
     invalid_arg (fn ^ ": ciphertext under a different key")
 
-module Ctx = struct
-  type t = {
-    pk : public_key;
-    mont_n : B.Mont.ctx;
-    mont_n2 : B.Mont.ctx;
-    fb_g : B.Mont.fixed_base;
-  }
+let raw ct = ct.c
 
-  let create pk =
-    let mont_n = B.Mont.create pk.n in
-    let mont_n2 = B.Mont.create pk.n2 in
-    let fb_g = B.Mont.fixed_base mont_n2 (B.add B.one pk.n) in
-    { pk; mont_n; mont_n2; fb_g }
+module Ctx = struct
+  type t = { pk : public_key; mont_n : B.Mont.ctx; mont_n2 : B.Mont.ctx }
+
+  let create pk = { pk; mont_n = B.Mont.create pk.n; mont_n2 = B.Mont.create pk.n2 }
 
   let public_key ctx = ctx.pk
   let mont_n2 ctx = ctx.mont_n2
   let pow_n ctx b e = B.Mont.powmod ctx.mont_n b e
   let pow_n2 ctx b e = B.Mont.powmod ctx.mont_n2 b e
 
-  (* the closed form 1 + m*N beats any exponentiation for s = 1 *)
-  let g_pow ctx m = g_pow ctx.pk m
-
-  (* table-driven g^m, kept for the Damgard-Jurik s > 1 generalisation
-     where no closed form exists; tests pin it to the closed form *)
-  let g_pow_table ctx m = B.Mont.fixed_powmod ctx.fb_g (B.erem m ctx.pk.n)
+  (* (1 + N)^m = 1 + m*N mod N^2: the closed form beats any
+     exponentiation for s = 1 *)
+  let g_pow ctx m =
+    let m = B.erem m ctx.pk.n in
+    B.erem (B.add B.one (B.mul m ctx.pk.n)) ctx.pk.n2
 
   let randomizer ctx r = pow_n2 ctx r ctx.pk.n
 
@@ -114,69 +101,4 @@ module Ctx = struct
     { pk_n2 = ctx.pk.n2; c = B.mulmod ct.c (randomizer ctx r) ctx.pk.n2 }
 
   let of_raw ctx v = { pk_n2 = ctx.pk.n2; c = B.erem v ctx.pk.n2 }
-
-  (* Force every lazily-grown table in the context now.  The fixed-base
-     window table extends itself inside [fixed_powmod] — a write — so a
-     context shared across a Domain pool must be preloaded before the
-     fan-out, not first-touched mid-chunk by whichever worker gets
-     there first. *)
-  let preload ctx = B.Mont.preload ctx.fb_g ~bits:(B.bit_length ctx.pk.n)
-end
-
-(* Contexts are memoized on the physical identity of the key record:
-   protocol code builds one [public_key] per epoch and passes it
-   around, so a handful of cache slots suffices and lookups are a
-   short pointer scan.  The cache is mutated under a mutex so the
-   convenience wrappers stay safe if two domains race to build the
-   first context for a key (pooled code should still thread an
-   explicit preloaded [Ctx.t] — see [Ctx.preload]). *)
-let ctx_cache : (public_key * Ctx.t) list ref = ref []
-let ctx_cache_cap = 8
-let ctx_cache_lock = Mutex.create ()
-
-let context pk =
-  let rec find = function
-    | [] -> None
-    | (k, c) :: tl -> if k == pk then Some c else find tl
-  in
-  Mutex.lock ctx_cache_lock;
-  let c =
-    match find !ctx_cache with
-    | Some c -> c
-    | None ->
-      let c = Ctx.create pk in
-      let keep = List.filteri (fun i _ -> i < ctx_cache_cap - 1) !ctx_cache in
-      ctx_cache := (pk, c) :: keep;
-      c
-  in
-  Mutex.unlock ctx_cache_lock;
-  c
-
-let encrypt_with pk ~r m = Ctx.encrypt_with (context pk) ~r m
-let encrypt pk ~rng m = Ctx.encrypt (context pk) ~rng m
-let decrypt sk ct = Ctx.decrypt (context sk.pk) sk ct
-let add pk a b = Ctx.add (context pk) a b
-let scalar_mul pk s ct = Ctx.scalar_mul (context pk) s ct
-let linear_combination pk cts coeffs = Ctx.linear_combination (context pk) cts coeffs
-let rerandomize pk ~rng ct = Ctx.rerandomize (context pk) ~rng ct
-let raw ct = ct.c
-let of_raw pk v = { pk_n2 = pk.n2; c = B.erem v pk.n2 }
-
-(* Deprecated positional-RNG aliases, one release *)
-module Reference = struct
-  let encrypt_with pk ~r m =
-    if not (B.is_one (B.gcd r pk.n)) then
-      invalid_arg "Paillier.encrypt_with: randomness not a unit";
-    let c = B.mulmod (g_pow pk m) (B.powmod_naive r pk.n pk.n2) pk.n2 in
-    { pk_n2 = pk.n2; c }
-
-  let decrypt sk ct =
-    if not (B.equal ct.pk_n2 sk.pk.n2) then
-      invalid_arg "Paillier.decrypt: ciphertext under a different key";
-    let x = B.powmod_naive ct.c sk.lambda sk.pk.n2 in
-    B.erem (B.mul (l_function sk.pk x) sk.mu) sk.pk.n
-
-  let scalar_mul pk s ct =
-    check_same "Paillier.scalar_mul" pk ct;
-    { pk_n2 = pk.n2; c = B.powmod_naive ct.c (B.erem s pk.n) pk.n2 }
 end

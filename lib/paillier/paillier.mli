@@ -6,12 +6,10 @@
     {!Yoso_bigint}: plaintext ring [Z_N], ciphertexts in [Z_{N^2}],
     [Enc(m; r) = (1 + N)^m * r^N mod N^2].
 
-    {b Contexts.} All modular exponentiation goes through a
-    {!Ctx.t}, which precomputes the Montgomery contexts for [N] and
-    [N^2] and the fixed-base table for [g] once per key.  Protocol
-    code should obtain one with {!context} (memoized per key record)
-    or {!Ctx.create} and thread it; the bare-[public_key] entry
-    points below remain as thin wrappers that look the context up. *)
+    {b Contexts.} Every operation goes through a {!Ctx.t}, which
+    precomputes the Montgomery contexts for [N] and [N^2] once per
+    key.  Build one with {!Ctx.create} and thread it; there is no
+    bare-key entry point. *)
 
 module B = Yoso_bigint.Bigint
 
@@ -36,10 +34,12 @@ val keygen : ?bits:int -> rng:Random.State.t -> unit -> public_key * secret_key
     scale, not production scale — documented in DESIGN.md).
     @raise Invalid_argument if [bits < 16]. *)
 
-(** {1 Context API}
+val sample_unit : public_key -> rng:Random.State.t -> B.t
+(** A uniform unit of [Z_N] (encryption randomness): rejection
+    sampling over [\[0, N)], one [random_below] draw per attempt. *)
 
-    The preferred interface: build once per key, reuse across
-    operations. *)
+val raw : ciphertext -> B.t
+(** The underlying [Z_{N^2}] element (for transcripts/hashing). *)
 
 module Ctx : sig
   type t
@@ -60,99 +60,37 @@ module Ctx : sig
       @raise Invalid_argument on negative exponent. *)
 
   val g_pow : t -> B.t -> B.t
-  (** [(1 + N)^m mod N^2] via the closed form [1 + m*N]. *)
-
-  val g_pow_table : t -> B.t -> B.t
-  (** Same value via the fixed-base table — the path the
-      Damgard-Jurik [s > 1] generalisation would need; equal to
-      {!g_pow} for all inputs. *)
-
-  val randomizer : t -> B.t -> B.t
-  (** [r^N mod N^2], the randomizer path of encryption. *)
+  (** [(1 + N)^m mod N^2] via the closed form [1 + (m mod N)*N]. *)
 
   val encrypt : t -> rng:Random.State.t -> B.t -> ciphertext
+  (** [encrypt ctx ~rng m] for [m] reduced into [Z_N], with
+      randomness from {!sample_unit}. *)
+
   val encrypt_with : t -> r:B.t -> B.t -> ciphertext
-  (** @raise Invalid_argument if [r] is not a unit mod [N]. *)
+  (** Deterministic variant with explicit randomness [r].
+      @raise Invalid_argument if [r] is not a unit mod [N]. *)
 
   val decrypt : t -> secret_key -> ciphertext -> B.t
   (** @raise Invalid_argument if the ciphertext is under a key with a
       different modulus. *)
 
   val add : t -> ciphertext -> ciphertext -> ciphertext
+  (** Homomorphic addition of plaintexts.
+      @raise Invalid_argument on a foreign ciphertext. *)
+
   val scalar_mul : t -> B.t -> ciphertext -> ciphertext
+  (** Homomorphic multiplication of the plaintext by a known scalar.
+      @raise Invalid_argument on a foreign ciphertext. *)
+
   val linear_combination : t -> ciphertext list -> B.t list -> ciphertext
-  (** @raise Invalid_argument on list length mismatch or foreign
+  (** [TEval]: ciphertext of [sum_i coeff_i * m_i].
+      @raise Invalid_argument on list length mismatch or foreign
       ciphertexts. *)
 
   val rerandomize : t -> rng:Random.State.t -> ciphertext -> ciphertext
+  (** Fresh randomness, same plaintext.
+      @raise Invalid_argument on a foreign ciphertext. *)
+
   val of_raw : t -> B.t -> ciphertext
-
-  val preload : t -> unit
-  (** Force every lazily-grown table in the context (today: the
-      fixed-base window table, which [fixed_powmod] extends in place —
-      a write).  Call before sharing a context across a Domain pool so
-      no worker first-touches the growth mid-chunk. *)
-end
-
-val context : public_key -> Ctx.t
-(** Memoized {!Ctx.create}: contexts are cached by physical identity
-    of the [public_key] record (a small LRU-ish list), so repeated
-    calls with the same key record are cheap. *)
-
-(** {1 Bare-key wrappers}
-
-    Thin wrappers over the context API, each doing a [context] lookup
-    per call. *)
-
-val encrypt : public_key -> rng:Random.State.t -> B.t -> ciphertext
-(** [encrypt pk ~rng m] for [m] reduced into [Z_N]. *)
-
-val encrypt_with : public_key -> r:B.t -> B.t -> ciphertext
-(** Deterministic variant with explicit randomness [r] coprime to [N]
-    (used by sigma-protocol tests).
-    @raise Invalid_argument if [r] is not a unit mod [N]. *)
-
-val decrypt : secret_key -> ciphertext -> B.t
-(** @raise Invalid_argument if the ciphertext is under a key with a
-    different modulus. *)
-
-val add : public_key -> ciphertext -> ciphertext -> ciphertext
-(** Homomorphic addition of plaintexts.
-    @raise Invalid_argument on a foreign ciphertext. *)
-
-val scalar_mul : public_key -> B.t -> ciphertext -> ciphertext
-(** Homomorphic multiplication of the plaintext by a known scalar.
-    @raise Invalid_argument on a foreign ciphertext. *)
-
-val linear_combination : public_key -> ciphertext list -> B.t list -> ciphertext
-(** [TEval]: ciphertext of [sum_i coeff_i * m_i].
-    @raise Invalid_argument on list length mismatch or foreign
-    ciphertexts. *)
-
-val rerandomize : public_key -> rng:Random.State.t -> ciphertext -> ciphertext
-(** Fresh randomness, same plaintext.
-    @raise Invalid_argument on a foreign ciphertext. *)
-
-val raw : ciphertext -> B.t
-(** The underlying [Z_{N^2}] element (for transcripts/hashing). *)
-
-val of_raw : public_key -> B.t -> ciphertext
-(** Inject a received value; reduced mod [N^2]. *)
-
-val sample_unit : public_key -> rng:Random.State.t -> B.t
-(** A uniform unit of [Z_N] (encryption randomness). *)
-
-val g_pow : public_key -> B.t -> B.t
-(** [(1 + N)^m mod N^2] via the closed form; context-free. *)
-
-(** {1 Reference implementations}
-
-    Naive square-and-multiply versions of the exponentiation-heavy
-    operations, kept as the baseline side of the [bench time]
-    naive-vs-Montgomery comparison and for equivalence tests. *)
-
-module Reference : sig
-  val encrypt_with : public_key -> r:B.t -> B.t -> ciphertext
-  val decrypt : secret_key -> ciphertext -> B.t
-  val scalar_mul : public_key -> B.t -> ciphertext -> ciphertext
+  (** Inject a received value; reduced mod [N^2]. *)
 end

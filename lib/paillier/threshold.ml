@@ -15,11 +15,6 @@ let share_epoch s = s.epoch
 let unsafe_share ~index ~epoch ~value = { index; epoch; value }
 let unsafe_partial ~index ~epoch ~d = { p_index = index; p_epoch = epoch; d }
 
-(* signed modular exponentiation over a given pow: negative exponents
-   via inverse *)
-let pow_signed ~pow b e m =
-  if B.sign e >= 0 then pow b e m else pow (B.invmod b m) (B.neg e) m
-
 (* integral Lagrange-at-zero weight: mu_i = Delta * prod_{j in s, j<>i} j / (j - i).
    Exact division is guaranteed because prod (j - i) divides Delta. *)
 let mu_weight delta subset i =
@@ -79,57 +74,6 @@ let dedup_partials parts =
       end)
     parts
 
-(* [TPDec] and [TDec] bodies, parameterized over the exponentiation
-   backend so the context-accelerated path and the naive Reference
-   path cannot drift apart.  [weights subset] must return the
-   [2 * mu_i] combining weight for each index of [subset];
-   [theta_inv epoch] the inverse of [theta] mod [N]. *)
-let partial_decrypt_with ~pow tpk share ct =
-  let e = B.mul B.two (B.mul tpk.delta share.value) in
-  { p_index = share.index;
-    p_epoch = share.epoch;
-    d = pow_signed ~pow (Paillier.raw ct) e tpk.pk.Paillier.n2 }
-
-(* the combination step factored over a product-of-powers kernel:
-   [prodpow] receives the full [(partial, 2*mu_i)] batch and must
-   return [prod d_i ^ w_i mod N^2] (negative weights included).  The
-   multi-exponentiation path and the per-partial fold share everything
-   else. *)
-let combine_core ~prodpow ~weights ~theta_inv tpk parts =
-  let parts = dedup_partials parts in
-  let need = tpk.threshold + 1 in
-  if List.length parts < need then
-    invalid_arg
-      (Printf.sprintf "Threshold.combine: %d partials, need %d" (List.length parts) need);
-  let chosen = List.filteri (fun i _ -> i < need) parts in
-  (match chosen with
-  | [] -> ()
-  | p0 :: rest ->
-    if List.exists (fun p -> p.p_epoch <> p0.p_epoch) rest then
-      invalid_arg "Threshold.combine: partials from different epochs");
-  let epoch = (List.hd chosen).p_epoch in
-  let subset = List.map (fun p -> p.p_index) chosen in
-  let ws = weights subset in
-  let pairs =
-    Array.of_list (List.map (fun p -> (p.d, List.assoc p.p_index ws)) chosen)
-  in
-  let acc = prodpow pairs in
-  (* acc = 1 + (m * theta_e mod N) * N *)
-  let l = B.div (B.sub acc B.one) tpk.pk.Paillier.n in
-  B.erem (B.mul l (theta_inv epoch)) tpk.pk.Paillier.n
-
-let combine_with ~pow ~weights ~theta_inv tpk parts =
-  let n2 = tpk.pk.Paillier.n2 in
-  let prodpow pairs =
-    Array.fold_left
-      (fun acc (b, e) -> B.mulmod acc (pow_signed ~pow b e n2) n2)
-      B.one pairs
-  in
-  combine_core ~prodpow ~weights ~theta_inv tpk parts
-
-let default_weights tpk subset =
-  List.map (fun i -> (i, B.mul B.two (mu_weight tpk.delta subset i))) subset
-
 module Ctx = struct
   type t = {
     tpk : tpk;
@@ -141,20 +85,19 @@ module Ctx = struct
   let create tpk =
     {
       tpk;
-      pctx = Paillier.context tpk.pk;
+      pctx = Paillier.Ctx.create tpk.pk;
       weight_cache = Hashtbl.create 4;
       theta_inv_cache = Hashtbl.create 4;
     }
 
   let tpk ctx = ctx.tpk
   let paillier ctx = ctx.pctx
-  let pow ctx b e _m = Paillier.Ctx.pow_n2 ctx.pctx b e
 
   let weights ctx subset =
     match Hashtbl.find_opt ctx.weight_cache subset with
     | Some ws -> ws
     | None ->
-      let ws = default_weights ctx.tpk subset in
+      let ws = List.map (fun i -> (i, B.mul B.two (mu_weight ctx.tpk.delta subset i))) subset in
       Hashtbl.replace ctx.weight_cache subset ws;
       ws
 
@@ -170,31 +113,46 @@ module Ctx = struct
 
   let eval ctx cts coeffs = Paillier.Ctx.linear_combination ctx.pctx cts coeffs
 
+  (* d_i = c^(2 Delta s_i) mod N^2; epoch >= 1 shares can be negative,
+     handled through the inverse *)
   let partial_decrypt ctx share ct =
-    partial_decrypt_with ~pow:(pow ctx) ctx.tpk share ct
+    let e = B.mul B.two (B.mul ctx.tpk.delta share.value) in
+    let c = Paillier.raw ct in
+    let d =
+      if B.sign e >= 0 then Paillier.Ctx.pow_n2 ctx.pctx c e
+      else Paillier.Ctx.pow_n2 ctx.pctx (B.invmod c ctx.tpk.pk.Paillier.n2) (B.neg e)
+    in
+    { p_index = share.index; p_epoch = share.epoch; d }
 
-  (* Straus/Pippenger multi-exponentiation over the Montgomery context
-     for N^2: one shared-window pass over all t+1 partials instead of
-     t+1 independent powmods *)
+  (* prod d_i^(2 mu_i) runs as one Straus/Pippenger multi-exponentiation
+     over the Montgomery context for N^2: one shared-window pass over
+     all t+1 partials instead of t+1 independent powmods *)
   let combine ctx parts =
-    let mont = Paillier.Ctx.mont_n2 ctx.pctx in
-    combine_core
-      ~prodpow:(fun pairs -> B.Multiexp.run mont pairs)
-      ~weights:(weights ctx) ~theta_inv:(theta_inv ctx) ctx.tpk parts
-
-  (* the pre-multiexp path — one Montgomery powmod per partial — kept
-     callable so benchmarks can measure the speedup against it *)
-  let combine_powmods ctx parts =
-    combine_with ~pow:(pow ctx) ~weights:(weights ctx)
-      ~theta_inv:(theta_inv ctx) ctx.tpk parts
+    let tpk = ctx.tpk in
+    let parts = dedup_partials parts in
+    let need = tpk.threshold + 1 in
+    if List.length parts < need then
+      invalid_arg
+        (Printf.sprintf "Threshold.combine: %d partials, need %d" (List.length parts) need);
+    let chosen = List.filteri (fun i _ -> i < need) parts in
+    let epoch = (List.hd chosen).p_epoch in
+    if List.exists (fun p -> p.p_epoch <> epoch) chosen then
+      invalid_arg "Threshold.combine: partials from different epochs";
+    let ws = weights ctx (List.map (fun p -> p.p_index) chosen) in
+    let pairs =
+      Array.of_list (List.map (fun p -> (p.d, List.assoc p.p_index ws)) chosen)
+    in
+    let acc = B.Multiexp.run (Paillier.Ctx.mont_n2 ctx.pctx) pairs in
+    (* acc = 1 + (m * theta_e mod N) * N *)
+    let l = B.div (B.sub acc B.one) tpk.pk.Paillier.n in
+    B.erem (B.mul l (theta_inv ctx epoch)) tpk.pk.Paillier.n
 
   (* Force the lazy state a pooled fan-out would otherwise first-touch
-     mid-chunk: the Paillier fixed-base table, the combining weights
-     for [subsets], and the theta inverses for [epochs].  The two
-     Hashtbl caches are not safe for concurrent writes, so shared
-     contexts must be preloaded before the job. *)
+     mid-chunk: the combining weights for [subsets] and the theta
+     inverses for [epochs].  The two Hashtbl caches are not safe for
+     concurrent writes, so shared contexts must be preloaded before
+     the job. *)
   let preload ?(epochs = []) ?(subsets = []) ctx =
-    Paillier.Ctx.preload ctx.pctx;
     List.iter (fun e -> ignore (theta_inv ctx e)) epochs;
     List.iter (fun s -> ignore (weights ctx s)) subsets
 
@@ -205,44 +163,11 @@ module Ctx = struct
     let m0 = combine ctx (List.map (fun s -> partial_decrypt ctx s ct) honest) in
     (* beta' = beta * (1+N)^(m - m0): same randomness component, target
        plaintext *)
-    let n = ctx.tpk.pk.Paillier.n and n2 = ctx.tpk.pk.Paillier.n2 in
-    let diff = B.erem (B.sub m m0) n in
-    let adjust = B.erem (B.add B.one (B.mul diff n)) n2 in
+    let adjust = Paillier.Ctx.g_pow ctx.pctx (B.sub m m0) in
+    let n2 = ctx.tpk.pk.Paillier.n2 in
     let ct' = Paillier.Ctx.of_raw ctx.pctx (B.mulmod (Paillier.raw ct) adjust n2) in
     List.map (fun s -> partial_decrypt ctx s ct') honest
 end
-
-(* memoized on the physical identity of the tpk record, like
-   Paillier.context; mutated under a mutex for the same reason *)
-let ctx_cache : (tpk * Ctx.t) list ref = ref []
-let ctx_cache_cap = 8
-let ctx_cache_lock = Mutex.create ()
-
-let context tpk =
-  let rec find = function
-    | [] -> None
-    | (k, c) :: tl -> if k == tpk then Some c else find tl
-  in
-  Mutex.lock ctx_cache_lock;
-  let c =
-    match find !ctx_cache with
-    | Some c -> c
-    | None ->
-      let c = Ctx.create tpk in
-      let keep = List.filteri (fun i _ -> i < ctx_cache_cap - 1) !ctx_cache in
-      ctx_cache := (tpk, c) :: keep;
-      c
-  in
-  Mutex.unlock ctx_cache_lock;
-  c
-
-let encrypt tpk ~rng m = Ctx.encrypt (context tpk) ~rng m
-let eval tpk cts coeffs = Ctx.eval (context tpk) cts coeffs
-let partial_decrypt tpk share ct = Ctx.partial_decrypt (context tpk) share ct
-let combine tpk parts = Ctx.combine (context tpk) parts
-
-let sim_partial_decrypt tpk ct ~m ~honest =
-  Ctx.sim_partial_decrypt (context tpk) ct ~m ~honest
 
 let reshare tpk share ~rng =
   let t = tpk.threshold in
@@ -288,13 +213,3 @@ let recombine_share tpk ~index ~epoch subshares =
       B.zero chosen
   in
   { index; epoch; value }
-
-module Reference = struct
-  let partial_decrypt tpk share ct =
-    partial_decrypt_with ~pow:B.powmod_naive tpk share ct
-
-  let combine tpk parts =
-    combine_with ~pow:B.powmod_naive ~weights:(default_weights tpk)
-      ~theta_inv:(fun epoch -> B.invmod (theta tpk epoch) tpk.pk.Paillier.n)
-      tpk parts
-end

@@ -19,11 +19,12 @@
     shares grow by ~[2 log2 Delta + 1] bits per epoch, which is fine
     at test scale.)
 
-    {b Contexts.} Like {!Paillier.Ctx}, a {!Ctx.t} carries the
-    Montgomery contexts (via the underlying {!Paillier.Ctx.t}) plus
-    caches for the [Delta]-scaled Lagrange combining weights (per
+    {b Contexts.} Every operation goes through a {!Ctx.t}: it carries
+    the Montgomery contexts (via the underlying {!Paillier.Ctx.t})
+    plus caches for the [Delta]-scaled Lagrange combining weights (per
     partial subset) and the [theta^-1] epoch compensation scalars, so
-    repeated combines over the same committee recompute nothing. *)
+    repeated combines over the same committee recompute nothing.  The
+    key-share arithmetic of [TKRes]/[TKRec] needs no context. *)
 
 module B = Yoso_bigint.Bigint
 
@@ -61,29 +62,35 @@ module Ctx : sig
   val tpk : t -> tpk
 
   val paillier : t -> Paillier.Ctx.t
-  (** The underlying Paillier context for [pk] (shared with
-      {!Paillier.context}). *)
+  (** The underlying Paillier context for [pk]. *)
 
   val encrypt : t -> rng:Random.State.t -> B.t -> Paillier.ciphertext
+
   val eval : t -> Paillier.ciphertext list -> B.t list -> Paillier.ciphertext
+  (** [TEval], delegating to {!Paillier.Ctx.linear_combination}. *)
 
   val partial_decrypt : t -> key_share -> Paillier.ciphertext -> partial
-  (** [TPDec] via Montgomery exponentiation. *)
+  (** [TPDec]: [c^(2 Delta s_i) mod N^2] via Montgomery
+      exponentiation. *)
 
   val combine : t -> partial list -> B.t
-  (** [TDec] with cached combining weights and [theta^-1].  The
-      [prod d_i ^ (2 mu_i)] core runs as one {!B.Multiexp} batch over
-      the Montgomery context for [N^2] (Straus for committee-sized
-      batches, Pippenger beyond) instead of one powmod per partial.
-      @raise Invalid_argument as {!val-combine}. *)
-
-  val combine_powmods : t -> partial list -> B.t
-  (** [TDec] on the pre-multi-exponentiation path: one independent
-      Montgomery powmod per partial.  Same output as {!combine} on
-      every input; kept as the measured baseline of [bench par]. *)
+  (** [TDec]: needs [>= t + 1] partials with distinct indices, all of
+      the same epoch; extras ignored.  Uses the cached combining
+      weights and [theta^-1]; the [prod d_i ^ (2 mu_i)] core runs as
+      one {!B.Multiexp} batch over the Montgomery context for [N^2]
+      (Straus for committee-sized batches, Pippenger beyond).
+      @raise Invalid_argument otherwise. *)
 
   val sim_partial_decrypt :
     t -> Paillier.ciphertext -> m:B.t -> honest:key_share list -> partial list
+  (** [SimTPDec]: given the honest parties' key shares and a target
+      plaintext [m], produces partial decryptions for the honest
+      parties such that {!combine} on them returns [m] — by re-basing
+      the partials on the adjusted ciphertext
+      [beta * (1+N)^(m - Dec(beta))], which is distributed identically
+      to a fresh encryption of [m] with [beta]'s randomness component.
+      Needs [>= t + 1] honest shares.
+      @raise Invalid_argument otherwise. *)
 
   val weights : t -> int list -> (int * B.t) list
   (** [(i, 2 * mu_i)] combining weights for a partial subset, cached
@@ -93,32 +100,12 @@ module Ctx : sig
   (** [theta(epoch)^-1 mod N], cached per epoch. *)
 
   val preload : ?epochs:int list -> ?subsets:int list list -> t -> unit
-  (** Force the context's lazy state now: the underlying
-      {!Paillier.Ctx.preload}, plus the combining-weight cache for
-      each of [subsets] and the theta-inverse cache for each of
+  (** Force the context's lazy state now: the combining-weight cache
+      for each of [subsets] and the theta-inverse cache for each of
       [epochs].  The caches are plain [Hashtbl]s — not safe for
       concurrent first writes — so a context shared across a Domain
       pool must be preloaded before the fan-out. *)
 end
-
-val context : tpk -> Ctx.t
-(** Memoized {!Ctx.create}, keyed on physical identity of the [tpk]
-    record. *)
-
-(** {1 Bare-key wrappers} *)
-
-val encrypt : tpk -> rng:Random.State.t -> B.t -> Paillier.ciphertext
-
-val eval : tpk -> Paillier.ciphertext list -> B.t list -> Paillier.ciphertext
-(** [TEval], delegating to {!Paillier.linear_combination}. *)
-
-val partial_decrypt : tpk -> key_share -> Paillier.ciphertext -> partial
-(** [TPDec]. *)
-
-val combine : tpk -> partial list -> B.t
-(** [TDec]: needs [>= t + 1] partials with distinct indices, all of
-    the same epoch; extras ignored.  @raise Invalid_argument
-    otherwise. *)
 
 val reshare : tpk -> key_share -> rng:Random.State.t -> B.t array
 (** [TKRes]: party [i]'s re-sharing messages; slot [j] (0-based) is
@@ -137,20 +124,10 @@ val recombine_share :
     passing the same ordered list everywhere suffices.
     @raise Invalid_argument with fewer than [t + 1] distinct senders. *)
 
-val sim_partial_decrypt :
-  tpk -> Paillier.ciphertext -> m:B.t -> honest:key_share list -> partial list
-(** [SimTPDec]: given the honest parties' key shares and a target
-    plaintext [m], produces partial decryptions for the honest parties
-    such that {!combine} on them returns [m] — by re-basing the
-    partials on the adjusted ciphertext [beta * (1+N)^(m - Dec(beta))],
-    which is distributed identically to a fresh encryption of [m] with
-    [beta]'s randomness component.  Needs [>= t + 1] honest shares.
-    @raise Invalid_argument otherwise. *)
-
 val theta : tpk -> int -> B.t
 (** [theta_e = 4 Delta^2 (2 Delta^2)^e mod N]: the scalar a combined
     plaintext is implicitly multiplied by after epoch-[e]
-    reconstruction (compensated inside {!val-combine}). *)
+    reconstruction (compensated inside {!Ctx.combine}). *)
 
 val mu_weight : B.t -> int list -> int -> B.t
 (** [mu_weight delta subset i]: integral Lagrange-at-zero weight
@@ -166,14 +143,3 @@ val unsafe_share : index:int -> epoch:int -> value:B.t -> key_share
 val unsafe_partial : index:int -> epoch:int -> d:B.t -> partial
 (** Test/adversary constructor (e.g. a malicious role posting a junk
     partial decryption). *)
-
-(** {1 Reference implementations}
-
-    Naive square-and-multiply [TPDec]/[TDec], sharing their bodies
-    with the context path (only the exponentiation backend differs);
-    baseline side of [bench time]. *)
-
-module Reference : sig
-  val partial_decrypt : tpk -> key_share -> Paillier.ciphertext -> partial
-  val combine : tpk -> partial list -> B.t
-end

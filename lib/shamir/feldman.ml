@@ -73,14 +73,6 @@ let verify_share commitment ~index ~share =
   in
   B.equal (pow_h g (F.to_int share)) (B.Multiexp.run mctx pairs)
 
-let verify_dealing_each ~n d =
-  Array.length d.shares = n
-  && (let ok = ref true in
-      Array.iteri
-        (fun i s -> if not (verify_share d.commitment ~index:i ~share:s) then ok := false)
-        d.shares;
-      !ok)
-
 (* random-linear-combination batch check:
    h^(sum_i r_i s_i) =? prod_j C_j^(sum_i r_i (i+1)^j), all exponents
    mod q.  A dealing whose shares all verify passes identically; a bad

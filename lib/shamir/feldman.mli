@@ -63,10 +63,6 @@ val verify_dealing : ?rng:Random.State.t -> n:int -> dealing -> bool
     are derived deterministically from the dealing (Fiat-Shamir
     heuristic, matching the toy-sized group). *)
 
-val verify_dealing_each : n:int -> dealing -> bool
-(** Per-share verification — [n] independent {!verify_share} calls.
-    The definitional check the batch variant is tested against. *)
-
 (** {1 Product (Beaver-triple) proofs}
 
     Chaum-Pedersen proofs over the same order-[q] subgroup that a

@@ -66,7 +66,9 @@ module Make (F : Yoso_field.Field.S) = struct
     in
     { degree; shares }
 
-  (* Deprecated positional-RNG alias, one release *)
+  (* the degree-(k-1) sharing with exactly [vec] at the secret points:
+     no randomness, so every party derives the same shares of a public
+     vector (Online packs each batch's public mu vectors this way) *)
   let share_public p vec =
     if Array.length vec <> p.k then
       invalid_arg "Packed_shamir.share_public: vector length <> k";

@@ -243,38 +243,25 @@ let test_depot_validation () =
 (* Triple audits end to end                                            *)
 (* ------------------------------------------------------------------ *)
 
-let audit_opts verify =
-  { Offline.default_opts with Offline.audit_triples = true; audit_verify = verify }
-
-let run_audited ?(tamper = []) verify =
+let run_audited ?(tamper = []) () =
   let params = Params.create ~n:8 ~t:2 ~k:2 () in
   let circuit = Gen.wide_mul_reduced ~width:4 ~depth:2 ~clients:2 in
   let inputs c = Array.init 8 (fun i -> F.of_int ((c + 3) * (i + 1))) in
   Protocol.execute ~params
     ~config:
       (Protocol.config ~seed:0xA0D1
-         ~offline:{ (audit_opts verify) with Offline.audit_tamper = tamper }
+         ~offline:
+           { Offline.default_opts with Offline.audit_triples = true; audit_tamper = tamper }
          ())
     ~circuit ~inputs ()
 
-(* the verifier strategy is CPU-local: RLC aggregation and per-proof
-   checks accept the same runs and produce the same bytes *)
-let test_audit_verify_strategy_local () =
-  let a = run_audited `Each and b = run_audited `Batched in
-  Alcotest.(check int) "digests equal" a.Protocol.transcript.Board.digest
-    b.Protocol.transcript.Board.digest;
-  Alcotest.(check bool) "outputs equal" true (a.Protocol.outputs = b.Protocol.outputs)
-
 let test_audit_catches_tampered_triple () =
-  List.iter
-    (fun verify ->
-      match run_audited ~tamper:[ 2 ] verify with
-      | _ -> Alcotest.fail "tampered triple audit passed"
-      | exception Faults.Protocol_failure f ->
-        Alcotest.(check string) "audit step blamed" "beaver: batch product-proof audit"
-          f.Faults.f_step;
-        Alcotest.(check string) "audit committee" "Off-Audit" f.Faults.f_committee)
-    [ `Each; `Batched ]
+  match run_audited ~tamper:[ 2 ] () with
+  | _ -> Alcotest.fail "tampered triple audit passed"
+  | exception Faults.Protocol_failure f ->
+    Alcotest.(check string) "audit step blamed" "beaver: batch product-proof audit"
+      f.Faults.f_step;
+    Alcotest.(check string) "audit committee" "Off-Audit" f.Faults.f_committee
 
 let () =
   Alcotest.run "factory"
@@ -300,7 +287,6 @@ let () =
         ] );
       ( "audit",
         [
-          Alcotest.test_case "verify strategy local" `Quick test_audit_verify_strategy_local;
           Alcotest.test_case "tamper caught" `Quick test_audit_catches_tampered_triple;
         ] );
     ]

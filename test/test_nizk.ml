@@ -6,13 +6,8 @@ module Ideal = Yoso_nizk.Ideal
 
 let st = Random.State.make [| 0x512A |]
 let pk, sk = P.keygen ~bits:128 ~rng:st ()
-
-let sample_unit () =
-  let rec go () =
-    let r = B.random_below st pk.P.n in
-    if B.is_zero r || not (B.is_one (B.gcd r pk.P.n)) then go () else r
-  in
-  go ()
+let ctx = P.Ctx.create pk
+let sample_unit () = P.sample_unit pk ~rng:st
 
 (* ------------------------------------------------------------------ *)
 (* Transcript                                                          *)
@@ -73,43 +68,43 @@ let test_ptk_roundtrip () =
   for _ = 1 to 10 do
     let m = B.random_below st pk.P.n in
     let r = sample_unit () in
-    let c = P.encrypt_with pk ~r m in
-    let proof = Sigma.Plaintext_knowledge.prove pk ~rng:st ~m ~r ~c in
-    Alcotest.(check bool) "verifies" true (Sigma.Plaintext_knowledge.verify pk ~c proof)
+    let c = P.Ctx.encrypt_with ctx ~r m in
+    let proof = Sigma.Plaintext_knowledge.prove ctx ~rng:st ~m ~r ~c in
+    Alcotest.(check bool) "verifies" true (Sigma.Plaintext_knowledge.verify ctx ~c proof)
   done
 
 let test_ptk_rejects_wrong_ciphertext () =
   let m = B.random_below st pk.P.n in
   let r = sample_unit () in
-  let c = P.encrypt_with pk ~r m in
-  let proof = Sigma.Plaintext_knowledge.prove pk ~rng:st ~m ~r ~c in
-  let c' = P.encrypt pk ~rng:st m in
+  let c = P.Ctx.encrypt_with ctx ~r m in
+  let proof = Sigma.Plaintext_knowledge.prove ctx ~rng:st ~m ~r ~c in
+  let c' = P.Ctx.encrypt ctx ~rng:st m in
   Alcotest.(check bool) "different ciphertext rejected" false
-    (Sigma.Plaintext_knowledge.verify pk ~c:c' proof)
+    (Sigma.Plaintext_knowledge.verify ctx ~c:c' proof)
 
 let test_ptk_rejects_tampered_proof () =
   let m = B.random_below st pk.P.n in
   let r = sample_unit () in
-  let c = P.encrypt_with pk ~r m in
-  let proof = Sigma.Plaintext_knowledge.prove pk ~rng:st ~m ~r ~c in
+  let c = P.Ctx.encrypt_with ctx ~r m in
+  let proof = Sigma.Plaintext_knowledge.prove ctx ~rng:st ~m ~r ~c in
   let bad = { proof with Sigma.Plaintext_knowledge.z_m = B.add proof.Sigma.Plaintext_knowledge.z_m B.one } in
   Alcotest.(check bool) "tampered z_m rejected" false
-    (Sigma.Plaintext_knowledge.verify pk ~c bad);
+    (Sigma.Plaintext_knowledge.verify ctx ~c bad);
   let bad2 = { proof with Sigma.Plaintext_knowledge.a = B.add proof.Sigma.Plaintext_knowledge.a B.one } in
   Alcotest.(check bool) "tampered a rejected" false
-    (Sigma.Plaintext_knowledge.verify pk ~c bad2)
+    (Sigma.Plaintext_knowledge.verify ctx ~c bad2)
 
 let test_ptk_rejects_wrong_witness_proof () =
   (* prover lies about m: resulting proof must not verify *)
   let m = B.random_below st pk.P.n in
   let r = sample_unit () in
-  let c = P.encrypt_with pk ~r m in
-  let proof = Sigma.Plaintext_knowledge.prove pk ~rng:st ~m:(B.add m B.one) ~r ~c in
+  let c = P.Ctx.encrypt_with ctx ~r m in
+  let proof = Sigma.Plaintext_knowledge.prove ctx ~rng:st ~m:(B.add m B.one) ~r ~c in
   Alcotest.(check bool) "wrong witness rejected" false
-    (Sigma.Plaintext_knowledge.verify pk ~c proof)
+    (Sigma.Plaintext_knowledge.verify ctx ~c proof)
 
 let test_ptk_size () =
-  Alcotest.(check int) "4|N| bits" (4 * 128) (Sigma.Plaintext_knowledge.size_bits pk)
+  Alcotest.(check int) "4|N| bits" (4 * 128) (Sigma.Plaintext_knowledge.size_bits ctx)
 
 (* ------------------------------------------------------------------ *)
 (* Multiplication sigma proofs                                         *)
@@ -119,43 +114,43 @@ let mult_instance () =
   let a = B.random_below st pk.P.n in
   let b = B.random_below st pk.P.n in
   let r = sample_unit () in
-  let c_a = P.encrypt pk ~rng:st a in
-  let c_b = P.encrypt_with pk ~r b in
-  let c_c = P.scalar_mul pk b c_a in
+  let c_a = P.Ctx.encrypt ctx ~rng:st a in
+  let c_b = P.Ctx.encrypt_with ctx ~r b in
+  let c_c = P.Ctx.scalar_mul ctx b c_a in
   (a, b, r, c_a, c_b, c_c)
 
 let test_mult_roundtrip () =
   for _ = 1 to 5 do
     let _, b, r, c_a, c_b, c_c = mult_instance () in
-    let proof = Sigma.Multiplication.prove pk ~rng:st ~b ~r ~c_a ~c_b ~c_c in
+    let proof = Sigma.Multiplication.prove ctx ~rng:st ~b ~r ~c_a ~c_b ~c_c in
     Alcotest.(check bool) "verifies" true
-      (Sigma.Multiplication.verify pk ~c_a ~c_b ~c_c proof);
+      (Sigma.Multiplication.verify ctx ~c_a ~c_b ~c_c proof);
     (* plaintext of c_c really is a*b *)
-    let a = P.decrypt sk c_a in
+    let a = P.Ctx.decrypt ctx sk c_a in
     Alcotest.(check bool) "c_c = a*b" true
-      (B.equal (P.decrypt sk c_c) (B.erem (B.mul a b) pk.P.n))
+      (B.equal (P.Ctx.decrypt ctx sk c_c) (B.erem (B.mul a b) pk.P.n))
   done
 
 let test_mult_rejects_wrong_product () =
   let _, b, r, c_a, c_b, _ = mult_instance () in
   (* claim a different product ciphertext *)
-  let c_c_bad = P.encrypt pk ~rng:st (B.of_int 999) in
-  let proof = Sigma.Multiplication.prove pk ~rng:st ~b ~r ~c_a ~c_b ~c_c:c_c_bad in
+  let c_c_bad = P.Ctx.encrypt ctx ~rng:st (B.of_int 999) in
+  let proof = Sigma.Multiplication.prove ctx ~rng:st ~b ~r ~c_a ~c_b ~c_c:c_c_bad in
   Alcotest.(check bool) "wrong product rejected" false
-    (Sigma.Multiplication.verify pk ~c_a ~c_b ~c_c:c_c_bad proof)
+    (Sigma.Multiplication.verify ctx ~c_a ~c_b ~c_c:c_c_bad proof)
 
 let test_mult_rejects_swapped_statement () =
   let _, b, r, c_a, c_b, c_c = mult_instance () in
-  let proof = Sigma.Multiplication.prove pk ~rng:st ~b ~r ~c_a ~c_b ~c_c in
+  let proof = Sigma.Multiplication.prove ctx ~rng:st ~b ~r ~c_a ~c_b ~c_c in
   Alcotest.(check bool) "swapped statement rejected" false
-    (Sigma.Multiplication.verify pk ~c_a:c_b ~c_b:c_a ~c_c proof)
+    (Sigma.Multiplication.verify ctx ~c_a:c_b ~c_b:c_a ~c_c proof)
 
 let test_mult_rejects_negative_response () =
   let _, b, r, c_a, c_b, c_c = mult_instance () in
-  let proof = Sigma.Multiplication.prove pk ~rng:st ~b ~r ~c_a ~c_b ~c_c in
+  let proof = Sigma.Multiplication.prove ctx ~rng:st ~b ~r ~c_a ~c_b ~c_c in
   let bad = { proof with Sigma.Multiplication.z = B.neg B.one } in
   Alcotest.(check bool) "negative z rejected" false
-    (Sigma.Multiplication.verify pk ~c_a ~c_b ~c_c bad)
+    (Sigma.Multiplication.verify ctx ~c_a ~c_b ~c_c bad)
 
 (* ------------------------------------------------------------------ *)
 (* Ideal NIZK                                                          *)

@@ -13,7 +13,9 @@ module Randgen = Yoso_mpc.Randgen
 module Gen = Yoso_circuit.Generators
 module Faults = Yoso_runtime.Faults
 module Feldman = Yoso_shamir.Feldman
+module Paillier = Yoso_paillier.Paillier
 module Threshold = Yoso_paillier.Threshold
+module Oracles = Yoso_oracles
 
 let with_pool ~domains f =
   let pool = Pool.create ~domains in
@@ -344,48 +346,54 @@ let test_randgen_identical_across_pools () =
 (* multiexp-backed combine and batch verification                      *)
 (* ------------------------------------------------------------------ *)
 
-let test_combine_backends_agree () =
+(* every party re-shares; recipients combine the same sender list *)
+let next_epoch tpk shares ~epoch ~rng =
+  let n = Array.length shares in
+  let resharings = Array.map (fun s -> Threshold.reshare tpk s ~rng) shares in
+  Array.init n (fun j ->
+      Threshold.recombine_share tpk ~index:(j + 1) ~epoch
+        (List.init n (fun i -> (i + 1, resharings.(i).(j)))))
+
+(* the multiexp combine against the oracle's per-partial Montgomery and
+   naive combines, on the partials of a random (t+1)-subset (random
+   order, one duplicate) at one of [epochs] *)
+let combine_agrees tpk by_epoch ~epochs seed =
+  let rng = Random.State.make [| seed |] in
+  let ctx = Threshold.Ctx.create tpk in
+  let mont = Paillier.Ctx.mont_n2 (Threshold.Ctx.paillier ctx) in
+  let epoch = List.nth epochs (Random.State.int rng (List.length epochs)) in
+  let shares = by_epoch.(epoch) in
+  let m = B.random_below rng tpk.Threshold.pk.Paillier.n in
+  let ct = Threshold.Ctx.encrypt ctx ~rng m in
+  let order =
+    List.map snd
+      (List.sort compare
+         (List.init (Array.length shares) (fun i -> (Random.State.bits rng, i))))
+  in
+  let chosen = List.filteri (fun i _ -> i <= tpk.Threshold.threshold) order in
+  let partials =
+    List.map (fun i -> Threshold.Ctx.partial_decrypt ctx shares.(i) ct) (List.hd chosen :: chosen)
+  in
+  let multi = Threshold.Ctx.combine ctx partials in
+  B.equal multi m
+  && B.equal multi (Oracles.Threshold.combine ~pow:(fun b e _ -> B.Mont.powmod mont b e) tpk partials)
+  && B.equal multi (Oracles.Threshold.combine tpk partials)
+
+let prop_combine_backends_agree =
   let rng = Random.State.make [| 0x7E57C0 |] in
   let tpk, shares = Threshold.keygen ~bits:96 ~n:9 ~t:3 ~rng () in
-  let ctx = Threshold.context tpk in
-  List.iter
-    (fun m ->
-      let m = B.of_int m in
-      let ct = Threshold.Ctx.encrypt ctx ~rng m in
-      let partials =
-        Array.to_list (Array.map (fun s -> Threshold.Ctx.partial_decrypt ctx s ct) shares)
-      in
-      let multi = Threshold.Ctx.combine ctx partials in
-      let powmods = Threshold.Ctx.combine_powmods ctx partials in
-      let reference = Threshold.Reference.combine tpk partials in
-      Alcotest.(check string) "multiexp == per-partial powmods" (B.to_string powmods)
-        (B.to_string multi);
-      Alcotest.(check string) "multiexp == naive reference" (B.to_string reference)
-        (B.to_string multi))
-    [ 0; 1; 42; 987654 ]
+  QCheck.Test.make ~count:10 ~name:"combine backends agree" QCheck.(make Gen.nat)
+    (combine_agrees tpk [| shares |] ~epochs:[ 0 ])
 
-let test_combine_after_reshare () =
-  (* epoch-1 partials exercise negative and Delta-grown weights through
-     the multiexp path *)
+(* epoch-1 and -2 partials exercise negative and Delta-grown weights
+   through the multiexp path *)
+let prop_combine_after_reshare =
   let rng = Random.State.make [| 0xE70C |] in
   let tpk, shares = Threshold.keygen ~bits:96 ~n:5 ~t:2 ~rng () in
-  let ctx = Threshold.context tpk in
-  let resharings = Array.map (fun s -> Threshold.reshare tpk s ~rng) shares in
-  let next =
-    Array.init 5 (fun j ->
-        Threshold.recombine_share tpk ~index:(j + 1) ~epoch:1
-          (List.init 5 (fun i -> (i + 1, resharings.(i).(j)))))
-  in
-  let m = B.of_int 31337 in
-  let ct = Threshold.Ctx.encrypt ctx ~rng m in
-  let partials =
-    Array.to_list (Array.map (fun s -> Threshold.Ctx.partial_decrypt ctx s ct) next)
-  in
-  Alcotest.(check string) "epoch-1 combine" (B.to_string m)
-    (B.to_string (Threshold.Ctx.combine ctx partials));
-  Alcotest.(check string) "epoch-1 combine_powmods agrees"
-    (B.to_string (Threshold.Ctx.combine_powmods ctx partials))
-    (B.to_string (Threshold.Ctx.combine ctx partials))
+  let s1 = next_epoch tpk shares ~epoch:1 ~rng in
+  let s2 = next_epoch tpk s1 ~epoch:2 ~rng in
+  QCheck.Test.make ~count:10 ~name:"combine after reshare" QCheck.(make Gen.nat)
+    (combine_agrees tpk [| shares; s1; s2 |] ~epochs:[ 1; 2 ])
 
 let test_feldman_batch_verify () =
   let rng = Random.State.make [| 0xFE1D7 |] in
@@ -394,7 +402,7 @@ let test_feldman_batch_verify () =
     let d = Feldman.deal ~t ~n ~secret:(F.random rng) ~rng in
     Alcotest.(check bool) "good dealing: batch accepts" true (Feldman.verify_dealing ~n d);
     Alcotest.(check bool) "good dealing: per-share accepts" true
-      (Feldman.verify_dealing_each ~n d);
+      (Oracles.Feldman.verify_dealing_each ~n d);
     Alcotest.(check bool) "good dealing: explicit rng accepts" true
       (Feldman.verify_dealing ~rng ~n d);
     (* corrupt one share: both paths must reject *)
@@ -404,7 +412,7 @@ let test_feldman_batch_verify () =
     let bad = { d with Feldman.shares = bad_shares } in
     Alcotest.(check bool) "bad dealing: batch rejects" false (Feldman.verify_dealing ~n bad);
     Alcotest.(check bool) "bad dealing: per-share rejects" false
-      (Feldman.verify_dealing_each ~n bad);
+      (Oracles.Feldman.verify_dealing_each ~n bad);
     Alcotest.(check bool) "bad dealing: explicit rng rejects" false
       (Feldman.verify_dealing ~rng ~n bad)
   done;
@@ -444,8 +452,8 @@ let () =
         ] );
       ( "multiexp paths",
         [
-          Alcotest.test_case "combine backends agree" `Quick test_combine_backends_agree;
-          Alcotest.test_case "combine after reshare" `Quick test_combine_after_reshare;
+          QCheck_alcotest.to_alcotest prop_combine_backends_agree;
+          QCheck_alcotest.to_alcotest prop_combine_after_reshare;
           Alcotest.test_case "feldman batch verify" `Quick test_feldman_batch_verify;
         ] );
     ]
