@@ -131,19 +131,19 @@ type prepared = {
   p_csum : int;  (* Wire.checksum p_frame *)
   p_force_late : bool;
   p_cost : (Cost.kind * int) list;
-  p_decodes : bool;  (* receiver-side decode + step check, precomputed *)
+  p_corrupt : bool;  (* flipped in the sender's hand *)
   p_local : bool;  (* true frame bytes; false = zero-filled skeleton *)
 }
 
-(* The pure half of a post: synthesize the missing wire weight, encode
-   the frame, and pre-run the receiver's decode check.  Blob bytes come
-   from an RNG derived statelessly from [(net_seed, tag)], so a frame's
-   content depends only on its tag — never on how many frames other
-   domains have prepared, which is what keeps the transcript digest
-   identical at any domain count.  The frame's digest checksum falls out
-   of the encoding pass (only a corrupted frame is hashed again), and
-   only the payload tally outlives this call: the synthesized items die
-   here instead of waiting for Phase B. *)
+(* The pure half of a post: synthesize the missing wire weight and
+   encode the frame.  Blob bytes come from an RNG derived statelessly
+   from [(net_seed, tag)], so a frame's content depends only on its
+   tag — never on how many frames other domains have prepared, which
+   is what keeps the transcript digest identical at any domain count.
+   The frame's digest checksum falls out of the encoding pass (only a
+   corrupted frame is hashed again), and only the payload tally
+   outlives this call: the synthesized items die here instead of
+   waiting for Phase B. *)
 let prepare t ~author ~phase ~step ?(items = []) ?(corrupt = false) ?(force_late = false)
     ~cost ~tag () =
   let missing =
@@ -174,11 +174,6 @@ let prepare t ~author ~phase ~step ?(items = []) ?(corrupt = false) ?(force_late
       (bad, Wire.checksum bad)
     else (frame, csum)
   in
-  let p_decodes =
-    match Wire.of_frame frame with
-    | exception Wire.Decode_error _ -> false
-    | decoded -> decoded.Wire.step = step
-  in
   {
     p_author = author;
     p_phase = phase;
@@ -188,7 +183,7 @@ let prepare t ~author ~phase ~step ?(items = []) ?(corrupt = false) ?(force_late
     p_csum = csum;
     p_force_late = force_late;
     p_cost = cost;
-    p_decodes;
+    p_corrupt = corrupt;
     p_local = local;
   }
 
@@ -196,7 +191,7 @@ let prepare t ~author ~phase ~step ?(items = []) ?(corrupt = false) ?(force_late
    and bulletin slot — everything whose order is the board's order. *)
 let commit t p =
   let { p_author = author; p_phase = phase; p_step = step; p_payload = payload; p_frame = frame;
-        p_csum; p_force_late = force_late; p_cost = cost; p_decodes; p_local; } = p in
+        p_csum; p_force_late = force_late; p_cost = cost; p_corrupt; p_local; } = p in
   let frame_bytes = String.length frame in
   t.frames <- t.frames + 1;
   t.frame_bytes <- t.frame_bytes + frame_bytes;
@@ -239,7 +234,7 @@ let commit t p =
      integrity oracle: byte equality when the frame was locally
      replayed in full, wire-weight (length) equality for role-local
      skeletons — content integrity then rests on the frame's own
-     checksum, verified on daemon ingest and re-verified below. *)
+     checksum, which the daemon verifies on ingest. *)
   let csum, consistent =
     match exchange with
     | `Local | `Down -> (p_csum, true)
@@ -268,11 +263,14 @@ let commit t p =
       Bulletin.post t.bulletin ~author ~phase ~cost (step ^ " [past round deadline]");
       Late
     | Sim.Delivered ->
-      (* a frame that fails its integrity check (or decodes to another
-         step) occupies its slot on the board but contributes nothing;
-         verification will exclude the author *)
+      (* a frame that fails its integrity check occupies its slot on
+         the board but contributes nothing; verification will exclude
+         the author.  The sender's own frame needs no decode here: the
+         encoder emits only frames [Wire.of_frame] accepts, and the
+         single flipped byte of a corrupted one always fails the
+         checksum. *)
       Bulletin.post t.bulletin ~author ~phase ~cost step;
-      if p_decodes && consistent then Delivered else Garbled)
+      if consistent && not p_corrupt then Delivered else Garbled)
 
 (* post = prepare + commit with a tag drawn from the per-round post
    counter; single-threaded callers never see the split. *)

@@ -3,11 +3,20 @@
     Wraps the abstract {!Yoso_runtime.Bulletin} so that every post is
     a real transmission: the message is encoded to a canonical
     {!Wire} frame, sent through the {!Sim} network, and — if it
-    arrives — decoded and integrity-checked on the receiving side.
-    Fault behaviours become genuine network events: a [Delayed] role
-    is a frame that misses its round deadline, a corrupted payload is
-    a frame that fails its checksum, and (under lossy models) an
-    honest post can simply vanish.
+    arrives — integrity-checked.  Fault behaviours become genuine
+    network events: a [Delayed] role is a frame that misses its round
+    deadline, a corrupted payload is a frame that fails its checksum,
+    and (under lossy models) an honest post can simply vanish.
+
+    Frame bytes are decoded only where they cross a process boundary.
+    Two checks run there: the board daemon decodes every posted frame
+    on ingest ({!Wire.of_frame}), and {!commit} compares what a
+    {!link} delivers with the local replay (bytes for a materialized
+    frame, length for a skeleton).  The sender never decodes its own
+    frame: {!Wire.to_frame} emits only frames {!Wire.of_frame}
+    accepts, and the one flipped byte of a [corrupt] frame always
+    fails the checksum, so a sender-side decode could only ever
+    answer [not corrupt].
 
     Under {!default_config} (ideal network) every post is [Delivered]
     unless forced late, so protocol behaviour — post counts, blame
@@ -97,15 +106,16 @@ val post :
   cost:(Cost.kind * int) list ->
   unit ->
   outcome
-(** Encode, transmit, deliver, decode.  [items] carry real element
-    data (e.g. the online field payloads); any part of [cost] they do
-    not cover is synthesized at the configured {!Wire.sizing} so the
+(** Encode, transmit, deliver.  [items] carry real element data
+    (e.g. the online field payloads); any part of [cost] they do not
+    cover is synthesized at the configured {!Wire.sizing} so the
     frame has the full wire weight of the post.  [corrupt] flips a
-    byte in flight (the frame lands but fails verification);
-    [force_late] stalls the sender past the round deadline.  Element
-    counts are charged to the bulletin's {!Cost.t} exactly as before;
-    measured bytes are charged alongside and broken down in the
-    {!Meter}.
+    byte in flight: the flipped frame is transmitted and chained into
+    the transcript, and the post is [Garbled] unless it is dropped or
+    late.  [force_late] stalls the sender past the round deadline.
+    Element counts are charged to the bulletin's {!Cost.t} exactly as
+    before; measured bytes are charged alongside and broken down in
+    the {!Meter}.
 
     Equivalent to {!prepare} (tagged by a per-round post counter)
     followed immediately by {!commit}. *)
@@ -113,17 +123,17 @@ val post :
 (** {1 Split posting}
 
     A post factors into a pure, parallelizable half ({!prepare}:
-    payload synthesis, frame encoding, checksum, receiver-side decode
-    check) and a sequential half ({!commit}: transcript digest chain,
-    cost metering, transmission, bulletin slot).  Committee fan-out
+    payload synthesis, frame encoding, checksum) and a sequential half
+    ({!commit}: transcript digest chain, cost metering, transmission,
+    link consistency check, bulletin slot).  Committee fan-out
     prepares all members' frames concurrently, then commits them in
     index order, so the board observes the same sequence — and hashes
     to the same digest — as a fully sequential run. *)
 
 type prepared
-(** A frame ready to commit: encoded, checksummed, pre-decoded.  It
-    keeps the frame, its checksum and the payload byte tally, not the
-    message items. *)
+(** A frame ready to commit: encoded and checksummed.  It keeps the
+    frame, its checksum, whether it was corrupted and the payload byte
+    tally, not the message items. *)
 
 val prepare :
   t ->

@@ -102,9 +102,14 @@ let get_bigint d =
     if s = 2 then B.neg v else v
   | s -> fail "bigint: bad sign byte %d" s
 
-let get_count d ~what ~max =
+(* [min_bytes] is the shortest encoding of one element: a count the
+   remaining bytes cannot hold is rejected before anything of that size
+   is allocated *)
+let get_count d ~what ~max ~min_bytes =
   let n = get_varint d in
   if n > max then fail "%s count %d exceeds limit %d" what n max;
+  if n > remaining d / min_bytes then
+    fail "%s count %d exceeds remaining %d bytes" what n (remaining d);
   n
 
 (* ------------------------------------------------------------------ *)
@@ -123,6 +128,12 @@ type item =
 type message = { step : string; items : item list }
 
 let max_vec = 1 lsl 24
+let max_items = 4096
+
+(* the encoder refuses every shape the decoder rejects *)
+let put_count buf n =
+  if n > max_vec then invalid_arg (Printf.sprintf "Wire: vector of %d exceeds %d" n max_vec);
+  put_varint buf n
 
 let item_tag = function
   | Field_elements _ -> 1
@@ -152,36 +163,40 @@ let item_payload_bytes = function
     Array.fold_left (fun acc b -> acc + String.length (B.to_bytes_be b)) 0 bs
 
 let put_blob_array buf bs =
-  put_varint buf (Array.length bs);
+  put_count buf (Array.length bs);
   Array.iter (put_bytes buf) bs
 
 let get_blob_array d ~what =
-  let n = get_count d ~what ~max:max_vec in
+  let n = get_count d ~what ~max:max_vec ~min_bytes:1 in
   Array.init n (fun _ -> get_bytes d)
 
 let put_item buf it =
   put_u8 buf (item_tag it);
   match it with
   | Field_elements v ->
-    put_varint buf (Array.length v);
+    put_count buf (Array.length v);
     Array.iter (put_field buf) v
   | Packed_sharing { degree; shares } ->
+    if degree >= Array.length shares then
+      invalid_arg
+        (Printf.sprintf "Wire: sharing degree %d not determined by %d shares" degree
+           (Array.length shares));
     put_varint buf degree;
-    put_varint buf (Array.length shares);
+    put_count buf (Array.length shares);
     Array.iter (put_field buf) shares
   | Ciphertexts bs | Proofs bs | Partial_decs bs | Public_keys bs -> put_blob_array buf bs
   | Bigints bs ->
-    put_varint buf (Array.length bs);
+    put_count buf (Array.length bs);
     Array.iter (put_bigint buf) bs
 
 let get_item d =
   match get_u8 d with
   | 1 ->
-    let n = get_count d ~what:"field vector" ~max:max_vec in
+    let n = get_count d ~what:"field vector" ~max:max_vec ~min_bytes:4 in
     Field_elements (Array.init n (fun _ -> get_field d))
   | 2 ->
     let degree = get_varint d in
-    let n = get_count d ~what:"sharing" ~max:max_vec in
+    let n = get_count d ~what:"sharing" ~max:max_vec ~min_bytes:4 in
     if degree >= n then fail "sharing degree %d not determined by %d shares" degree n;
     Packed_sharing { degree; shares = Array.init n (fun _ -> get_field d) }
   | 3 -> Ciphertexts (get_blob_array d ~what:"ciphertexts")
@@ -189,7 +204,7 @@ let get_item d =
   | 5 -> Partial_decs (get_blob_array d ~what:"partials")
   | 6 -> Public_keys (get_blob_array d ~what:"keys")
   | 7 ->
-    let n = get_count d ~what:"bigints" ~max:max_vec in
+    let n = get_count d ~what:"bigints" ~max:max_vec ~min_bytes:1 in
     Bigints (Array.init n (fun _ -> get_bigint d))
   | t -> fail "unknown item tag %d" t
 
@@ -204,13 +219,14 @@ let scratch_key = Domain.DLS.new_key (fun () -> Buffer.create 4096)
 let with_scratch f =
   let buf = Domain.DLS.get scratch_key in
   Buffer.clear buf;
-  let out = f buf in
-  if Buffer.length buf > 1 lsl 20 then Buffer.reset buf;
-  out
+  Fun.protect (fun () -> f buf) ~finally:(fun () ->
+      if Buffer.length buf > 1 lsl 20 then Buffer.reset buf)
 
 let put_message buf m =
+  let n = List.length m.items in
+  if n > max_items then invalid_arg (Printf.sprintf "Wire: %d items exceed %d" n max_items);
   put_bytes buf m.step;
-  put_varint buf (List.length m.items);
+  put_varint buf n;
   List.iter (put_item buf) m.items
 
 let encode_message m =
@@ -220,7 +236,7 @@ let encode_message m =
 
 let decode_message_at d =
   let step = get_bytes d in
-  let n = get_count d ~what:"items" ~max:4096 in
+  let n = get_count d ~what:"items" ~max:max_items ~min_bytes:2 in
   let items = List.init n (fun _ -> get_item d) in
   { step; items }
 
@@ -311,6 +327,9 @@ let to_frame_with_checksum m =
   with_scratch (fun buf ->
       put_message buf m;
       let plen = Buffer.length buf in
+      if plen > !max_frame_len then
+        invalid_arg
+          (Printf.sprintf "Wire: frame payload %d exceeds max_frame_len %d" plen !max_frame_len);
       let header =
         let hb = Buffer.create 16 in
         Buffer.add_char hb magic0;
@@ -351,8 +370,10 @@ let of_frame s =
   let start = d.pos in
   let stop = start + len in
   if String.length s - stop <> 8 then fail "bad frame trailer";
-  let trailer = Int64.to_int (String.get_int64_le s stop) in
-  if trailer <> fold checksum_seed s start len land max_int then fail "checksum mismatch";
+  (* compared as all 64 bits: a 63-bit [int] would drop the top bit and
+     accept two trailers for one payload *)
+  if String.get_int64_le s stop <> Int64.of_int (fold checksum_seed s start len land max_int)
+  then fail "checksum mismatch";
   let m = decode_message_at d in
   if d.pos <> stop then fail "payload does not end at the trailer";
   m

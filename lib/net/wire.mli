@@ -71,7 +71,16 @@ val item_payload_bytes : item -> int
     length prefixes (those are accounted as framing overhead). *)
 
 val encode_message : message -> string
+(** Raises [Invalid_argument] on a message {!decode_message} would
+    reject: more than 4096 items, a vector of more than [2^24]
+    elements, or a [Packed_sharing] whose [degree] is not below its
+    share count. *)
+
 val decode_message : string -> message
+(** The inverse of {!encode_message}.  Counts are checked against the
+    bytes that remain before anything of that size is allocated, so a
+    short input declaring a huge vector is rejected without
+    materializing it. *)
 
 val summary : message -> (Cost.kind * int) list
 (** Element tally of a message, in {!Cost.all_kinds} order. *)
@@ -85,23 +94,33 @@ val checksum : string -> int
     bytes of [s], evaluated eight bytes at a time. *)
 
 val to_frame : message -> string
-(** [magic "YW"; version; length-prefixed payload; 8-byte checksum]. *)
+(** [magic "YW"; version; length-prefixed payload; 8-byte checksum].
+    The encoder refuses what the decoder rejects: it raises
+    [Invalid_argument] where {!encode_message} does, and on a payload
+    longer than {!max_frame_len}.  Every frame it returns therefore
+    decodes, [of_frame (to_frame m) = m], which is why a sender never
+    needs to decode its own frame. *)
 
 val to_frame_with_checksum : message -> string * int
-(** [(f, checksum f)] where [f = to_frame m].  The frame's checksum is
-    derived from the same single pass over the payload that produces
-    the trailer, so the frame bytes are never hashed a second time. *)
+(** [(f, checksum f)] where [f = to_frame m], raising as {!to_frame}
+    does.  The frame's checksum is derived from the same single pass
+    over the payload that produces the trailer, so the frame bytes are
+    never hashed a second time. *)
 
 val of_frame : string -> message
 (** Verifies magic, version, framing and checksum before decoding.
     Frames whose declared payload length exceeds {!max_frame_len} are
-    rejected before the payload is materialized. *)
+    rejected before the payload is materialized.  Every input either
+    decodes to a message whose {!to_frame} is the input itself, or
+    raises {!Decode_error}.  This is the check that runs where frame
+    bytes cross a process boundary (the board daemon's ingest). *)
 
 val max_frame_len : int ref
 (** Configurable cap on a frame's declared payload length (default
     64 MiB).  A malicious peer announcing an oversized frame is
     rejected with a structured {!Decode_error} instead of forcing an
-    unbounded allocation; transports apply the same cap on ingest. *)
+    unbounded allocation; transports apply the same cap on ingest, and
+    {!to_frame} refuses to emit a payload over it. *)
 
 (** {1 Size model for ideal-functionality objects} *)
 

@@ -221,15 +221,17 @@ let test_splitmix_fill () =
         (Splitmix.next a))
     [ 0; 1; 7; 8; 9; 15; 16; 17; 63; 64; 512; 1001 ]
 
-(* the frame layout built from its parts, with the reference checksum *)
-let ref_frame m =
-  let payload = Wire.encode_message m in
+(* the frame layout built from its parts around a payload, with the
+   reference checksum as its trailer *)
+let frame_of_payload payload =
   let buf = Buffer.create (String.length payload + 16) in
   Buffer.add_string buf "YW";
   Wire.put_u8 buf 1;
   Wire.put_bytes buf payload;
   Wire.put_checksum buf (ref_checksum payload);
   Buffer.contents buf
+
+let ref_frame m = frame_of_payload (Wire.encode_message m)
 
 let qcheck_props =
   [
@@ -271,6 +273,359 @@ let qcheck_props =
                | _ -> false
                | exception Wire.Decode_error _ -> true)
         | _ -> false);
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Encoder limits and decoder fuzzing                                  *)
+(* ------------------------------------------------------------------ *)
+
+let hex s =
+  String.concat "" (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+
+let of_hex h =
+  String.init (String.length h / 2) (fun i ->
+      Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
+let with_cap cap f =
+  let saved = !Wire.max_frame_len in
+  Wire.max_frame_len := cap;
+  Fun.protect ~finally:(fun () -> Wire.max_frame_len := saved) f
+
+(* the decoder's limits, restated: at most 4096 items, and a sharing's
+   degree below its share count *)
+let within_limits m =
+  List.length m.Wire.items <= 4096
+  && List.for_all
+       (function
+         | Wire.Packed_sharing { degree; shares } -> degree >= 0 && degree < Array.length shares
+         | _ -> true)
+       m.Wire.items
+
+(* messages at the encoder's limits: sharings with degrees around their
+   share count, item lists around 4096, and a frame cap a few bytes
+   either side of the payload length *)
+let arb_edge =
+  let open QCheck.Gen in
+  let field = map F.of_int (int_bound (F.p - 1)) in
+  let sharing =
+    let* n = int_bound 6 in
+    let* degree = int_range (max 0 (n - 2)) (n + 2) in
+    let+ shares = array_size (return n) field in
+    Wire.Packed_sharing { degree; shares }
+  in
+  let small =
+    oneof [ sharing; map (fun v -> Wire.Field_elements v) (array_size (int_bound 4) field) ]
+  in
+  let items =
+    frequency
+      [
+        (3, list_size (int_bound 4) small);
+        (1, map (fun n -> List.init n (fun _ -> Wire.Field_elements [||])) (int_range 4094 4098));
+      ]
+  in
+  let print (m, slack) =
+    Printf.sprintf "%d items, degrees/shares [%s], cap slack %d" (List.length m.Wire.items)
+      (String.concat "; "
+         (List.filter_map
+            (function
+              | Wire.Packed_sharing { degree; shares } ->
+                Some (Printf.sprintf "%d/%d" degree (Array.length shares))
+              | _ -> None)
+            m.Wire.items))
+      slack
+  in
+  QCheck.make ~print
+    (pair (map (fun items -> { Wire.step = "edge"; items }) items) (int_range (-3) 3))
+
+let encoder_refuses_what_decoder_rejects (m, slack) =
+  let plen = if within_limits m then String.length (Wire.encode_message m) else 0 in
+  let cap = if within_limits m then max 0 (plen + slack) else !Wire.max_frame_len in
+  with_cap cap (fun () ->
+      let decodable = within_limits m && plen <= cap in
+      match Wire.to_frame m with
+      | exception Invalid_argument _ -> not decodable
+      | f -> decodable && message_equal m (Wire.of_frame f))
+
+(* vectors over 2^24 elements, one per encoding path: refused before a
+   byte is written.  Each element type's array is 128 MiB, so one is
+   collected before the next is made. *)
+let test_encoder_refuses_long_vectors () =
+  let n = (1 lsl 24) + 1 in
+  let refuses what items =
+    match Wire.to_frame { Wire.step = "long"; items } with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s of %d elements must be refused" what n
+  in
+  List.iter
+    (fun check ->
+      check ();
+      Gc.full_major ())
+    [
+      (fun () ->
+        let fes = Array.make n F.zero in
+        refuses "field vector" [ Wire.Field_elements fes ];
+        refuses "sharing" [ Wire.Packed_sharing { degree = 0; shares = fes } ]);
+      (fun () -> refuses "blob array" [ Wire.Ciphertexts (Array.make n "") ]);
+      (fun () -> refuses "bigint array" [ Wire.Bigints (Array.make n B.zero) ]);
+    ]
+
+(* A payload as the encoder lays it out, one segment per field, so a
+   mutator can target one field and re-render the rest unchanged. *)
+type seg =
+  | Len of int  (* byte-length prefix: step, blob, bigint magnitude *)
+  | Count of int  (* item count, vector or share count, sharing degree *)
+  | Tag of int  (* item tag *)
+  | Sign of int  (* bigint sign byte *)
+  | Fe of int  (* field element, 4 bytes little-endian *)
+  | Mag of string  (* bigint magnitude, right after its [Len] *)
+  | Raw of string  (* step and blob bytes, or bytes a mutator spliced in *)
+
+let segs_of_message m =
+  let blob s = [ Len (String.length s); Raw s ] in
+  let fes v = List.map (fun x -> Fe (F.to_int x)) (Array.to_list v) in
+  let blobs tag bs =
+    Tag tag :: Count (Array.length bs) :: List.concat_map blob (Array.to_list bs)
+  in
+  let bigint b =
+    match B.sign b with
+    | 0 -> [ Sign 0 ]
+    | s ->
+      let mag = B.to_bytes_be b in
+      [ Sign (if s > 0 then 1 else 2); Len (String.length mag); Mag mag ]
+  in
+  let item = function
+    | Wire.Field_elements v -> Tag 1 :: Count (Array.length v) :: fes v
+    | Wire.Packed_sharing { degree; shares } ->
+      Tag 2 :: Count degree :: Count (Array.length shares) :: fes shares
+    | Wire.Ciphertexts bs -> blobs 3 bs
+    | Wire.Proofs bs -> blobs 4 bs
+    | Wire.Partial_decs bs -> blobs 5 bs
+    | Wire.Public_keys bs -> blobs 6 bs
+    | Wire.Bigints bs ->
+      Tag 7 :: Count (Array.length bs) :: List.concat_map bigint (Array.to_list bs)
+  in
+  blob m.Wire.step @ (Count (List.length m.Wire.items) :: List.concat_map item m.Wire.items)
+
+let render segs =
+  let buf = Buffer.create 64 in
+  List.iter
+    (function
+      | Len v | Count v -> Wire.put_varint buf v
+      | Tag v | Sign v -> Wire.put_u8 buf v
+      | Fe v -> Wire.put_fixed32 buf v
+      | Mag s | Raw s -> Buffer.add_string buf s)
+    segs;
+  Buffer.contents buf
+
+let gen_wire_message =
+  let open QCheck.Gen in
+  let field = map F.of_int (int_bound (F.p - 1)) in
+  let blobs = array_size (int_bound 3) (string_size (int_bound 12)) in
+  let bigint st =
+    let b = B.random_bits st (Random.State.int st 80) in
+    if Random.State.bool st then B.neg b else b
+  in
+  let item =
+    oneof
+      [
+        map (fun v -> Wire.Field_elements v) (array_size (int_bound 5) field);
+        (let* n = int_range 1 5 in
+         let* degree = int_bound (n - 1) in
+         let+ shares = array_size (return n) field in
+         Wire.Packed_sharing { degree; shares });
+        map (fun a -> Wire.Ciphertexts a) blobs;
+        map (fun a -> Wire.Proofs a) blobs;
+        map (fun a -> Wire.Partial_decs a) blobs;
+        map (fun a -> Wire.Public_keys a) blobs;
+        map (fun a -> Wire.Bigints a) (array_size (int_bound 3) bigint);
+      ]
+  in
+  let* step = string_size ~gen:printable (int_bound 8) in
+  let+ items = list_size (int_bound 5) item in
+  { Wire.step; items }
+
+(* canonical LEB128 bytes of [v] made non-canonical: the last byte gets
+   a continuation bit and 1-9 redundant groups follow, the longer ones
+   past the decoder's eight-byte limit *)
+let overlong_varint v =
+  let open QCheck.Gen in
+  let canon = render [ Count v ] in
+  let last = String.length canon - 1 in
+  let body = String.sub canon 0 last ^ String.make 1 (Char.chr (Char.code canon.[last] lor 0x80)) in
+  let+ extra = int_range 1 9 in
+  body ^ String.make (extra - 1) '\x80' ^ "\x00"
+
+(* Structure-aware mutations of a valid frame, named for the report.
+   Mutations inside the payload recompute the trailer, so the parser
+   is exercised past the checksum; header and trailer mutations keep
+   the bytes as they fall. *)
+let mutate m =
+  let open QCheck.Gen in
+  let segs = Array.of_list (segs_of_message m) in
+  let payload = Wire.encode_message m in
+  let frame = Wire.to_frame m in
+  let plen = String.length payload in
+  let hlen = String.length frame - plen - 8 in
+  let splice i j repl =
+    frame_of_payload
+      (render
+         (Array.to_list (Array.sub segs 0 i) @ repl
+         @ Array.to_list (Array.sub segs j (Array.length segs - j))))
+  in
+  (* a mutation of one segment kind, when the message has one *)
+  let at name wanted f =
+    let idx =
+      List.filter (fun i -> wanted segs.(i)) (List.init (Array.length segs) Fun.id)
+    in
+    if idx = [] then None
+    else
+      Some
+        (let* i = oneofl idx in
+         let+ name', bytes = f i segs.(i) in
+         (name ^ name', bytes))
+  in
+  let varint_seg = function Len _ | Count _ -> true | _ -> false in
+  let flip =
+    let* pos = int_bound (String.length frame - 1) in
+    let+ mask = int_range 1 255 in
+    let b = Bytes.of_string frame in
+    Bytes.set b pos (Char.chr (Char.code frame.[pos] lxor mask));
+    if pos >= hlen && pos < hlen + plen then
+      ("flip payload byte", frame_of_payload (Bytes.sub_string b hlen plen))
+    else ("flip header/trailer byte", Bytes.to_string b)
+  in
+  let truncate =
+    let* raw = bool in
+    if raw then
+      map (fun k -> ("truncate frame", String.sub frame 0 k)) (int_bound (String.length frame - 1))
+    else
+      map
+        (fun k -> ("truncate payload", frame_of_payload (String.sub payload 0 k)))
+        (int_bound (plen - 1))
+  in
+  let extend =
+    let* raw = bool in
+    let+ tail = string_size (int_range 1 8) in
+    if raw then ("extend frame", frame ^ tail)
+    else ("extend payload", frame_of_payload (payload ^ tail))
+  in
+  let frame_length =
+    let+ len =
+      oneof
+        [
+          map (fun d -> plen + d) (int_range 1 16);
+          return ((1 lsl 26) + 1);
+          int_range 0 (1 lsl 40);
+        ]
+    in
+    let buf = Buffer.create (plen + 24) in
+    Buffer.add_string buf "YW\001";
+    Wire.put_varint buf len;
+    Buffer.add_string buf payload;
+    Wire.put_checksum buf (ref_checksum payload);
+    ("inflated frame length", Buffer.contents buf)
+  in
+  let noise =
+    let+ junk = string_size (int_bound 64) in
+    ("random payload", frame_of_payload junk)
+  in
+  let inflate =
+    at "inflated " varint_seg (fun i seg ->
+        let v = match seg with Len v | Count v -> v | _ -> 0 in
+        let+ v' =
+          oneof
+            [
+              map (fun d -> v + d) (int_range 1 1000);
+              oneofl [ 4096; 4097; 1 lsl 24; (1 lsl 24) + 1; (1 lsl 56) - 1 ];
+              map (fun k -> 1 lsl k) (int_range 8 55);
+            ]
+        in
+        let seg' = match seg with Len _ -> Len v' | _ -> Count v' in
+        ((match seg with Len _ -> "length prefix" | _ -> "count"), splice i (i + 1) [ seg' ]))
+  in
+  let overlong =
+    at "overlong varint" varint_seg (fun i seg ->
+        let v = match seg with Len v | Count v -> v | _ -> 0 in
+        let+ bytes = overlong_varint v in
+        ("", splice i (i + 1) [ Raw bytes ]))
+  in
+  let field =
+    at "field element >= p" (function Fe _ -> true | _ -> false) (fun i _ ->
+        let+ v = oneof [ int_range F.p ((1 lsl 32) - 1); return F.p ] in
+        ("", splice i (i + 1) [ Fe v ]))
+  in
+  let leading_zero =
+    at "bigint with leading zero bytes" (function Mag _ -> true | _ -> false) (fun i seg ->
+        let mag = match seg with Mag s -> s | _ -> "" in
+        let+ zeros = int_range 1 3 in
+        ( "",
+          splice (i - 1) (i + 1)
+            [ Len (String.length mag + zeros); Mag (String.make zeros '\000' ^ mag) ] ))
+  in
+  let tag =
+    at "item tag " (function Tag _ -> true | _ -> false) (fun i _ ->
+        let+ t = int_bound 255 in
+        (string_of_int t, splice i (i + 1) [ Tag t ]))
+  in
+  let sign =
+    at "bigint sign " (function Sign _ -> true | _ -> false) (fun i _ ->
+        let+ s = int_bound 255 in
+        (string_of_int s, splice i (i + 1) [ Sign s ]))
+  in
+  oneof
+    ([ flip; truncate; extend; frame_length; noise ]
+    @ List.filter_map Fun.id [ inflate; overlong; field; leading_zero; tag; sign ])
+
+let arb_hostile =
+  QCheck.make
+    ~print:(fun (name, f) -> Printf.sprintf "%s: %s" name (hex f))
+    QCheck.Gen.(gen_wire_message >>= mutate)
+
+(* words allocated so far, minor and direct-major; [Gc.allocated_bytes]
+   reads a minor count that is only refreshed by minor collections *)
+let words_allocated () =
+  let q = Gc.quick_stat () in
+  Gc.minor_words () +. q.Gc.major_words -. q.Gc.promoted_words
+
+(* The decoder's contract on any input: decode to a message whose
+   frame is the input itself, or raise [Decode_error] — any other
+   exception escapes and fails the caller.  Allocation is bounded by
+   the input's length, so a short frame cannot make the decoder
+   materialize a count it does not carry. *)
+let decodes_to_itself_or_rejects f =
+  let before = words_allocated () in
+  let bounded () = words_allocated () -. before <= float_of_int ((8 * String.length f) + 8192) in
+  match Wire.of_frame f with
+  | exception Wire.Decode_error _ -> bounded ()
+  | m -> bounded () && String.equal (Wire.to_frame m) f
+
+let test_wire_corpus () =
+  List.iter
+    (fun (name, h, expected) ->
+      match Wire.of_frame (of_hex h) with
+      | exception Wire.Decode_error e ->
+        let has_sub s sub =
+          let n = String.length sub in
+          let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+          go 0
+        in
+        if not (has_sub e expected) then
+          Alcotest.failf "%s: rejected with %S, expected %S" name e expected;
+        Alcotest.(check bool) (name ^ ": bounded allocation") true
+          (decodes_to_itself_or_rejects (of_hex h))
+      | _ -> Alcotest.failf "%s: must be rejected" name)
+    Wire_corpus.frames
+
+let wire_fuzz_props =
+  [
+    QCheck.Test.make ~count:500 ~long_factor:50 ~name:"encoder refuses what the decoder rejects"
+      arb_edge encoder_refuses_what_decoder_rejects;
+    QCheck.Test.make ~count:500 ~long_factor:50 ~name:"segment model = encoder layout"
+      (QCheck.make gen_wire_message) (fun m ->
+        String.equal (render (segs_of_message m)) (Wire.encode_message m));
+    QCheck.Test.make ~count:2000 ~long_factor:50
+      ~name:"mutated frames decode to themselves or raise Decode_error" arb_hostile
+      (fun (_, f) -> decodes_to_itself_or_rejects f);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -527,6 +882,58 @@ let test_board_transcript_replay () =
   in
   Alcotest.(check bool) "seed changes the transcript" true (t1.Board.digest <> t3.Board.digest)
 
+(* The outcome the board owes a sender, pinned without a sender-side
+   decode: under an ideal network, a post is [Garbled] exactly when it
+   was corrupted, and the transcript chains the reference checksum of
+   the bytes that went out — with no link, as the owner of a full-local
+   link, as a full-local receiver, and as a skeleton receiver given the
+   owner's frame or its digest record. *)
+let board_outcome_oracle =
+  QCheck.Test.make ~count:100 ~name:"outcome oracle: Garbled iff corrupt, digest = reference chain"
+    QCheck.(pair arb_message bool)
+    (fun (m, corrupt) ->
+      let run link =
+        let b = Board.create () in
+        Board.set_link b link;
+        let outcome =
+          Board.post b ~author:(Role.id ~committee:"Q#1" ~index:0) ~phase:"p" ~step:m.Wire.step
+            ~items:m.Wire.items ~corrupt
+            ~cost:[ (Cost.Ciphertext, 3); (Cost.Proof, 1) ]
+            ()
+        in
+        (outcome, (Board.transcript b).Board.digest)
+      in
+      let link ~owns ~local ?(send = fun ~seq:_ ~phase:_ ~author:_ ~frame:_ -> ()) delivery =
+        Some
+          {
+            Board.owns = (fun _ -> owns);
+            local = (fun _ -> local);
+            send;
+            recv = (fun ~seq:_ ~phase:_ ~author:_ -> delivery);
+            stats = (fun () -> (0, 0));
+          }
+      in
+      let sent = ref "" in
+      let owner =
+        run
+          (link ~owns:true ~local:true
+             ~send:(fun ~seq:_ ~phase:_ ~author:_ ~frame -> sent := frame)
+             `Down)
+      in
+      let frame = !sent in
+      let expected =
+        ( (if corrupt then Board.Garbled else Board.Delivered),
+          ((0x9e3779b9 * 1000003) + ref_checksum frame) land max_int )
+      in
+      List.for_all (( = ) expected)
+        [
+          owner;
+          run None;
+          run (link ~owns:false ~local:true (`Frame frame));
+          run (link ~owns:false ~local:false (`Frame frame));
+          run (link ~owns:false ~local:false (`Summary (ref_checksum frame, String.length frame)));
+        ])
+
 (* ------------------------------------------------------------------ *)
 (* Protocol integration                                                *)
 (* ------------------------------------------------------------------ *)
@@ -749,8 +1156,13 @@ let () =
           Alcotest.test_case "checksum = byte-at-a-time reference" `Quick
             test_checksum_reference;
           Alcotest.test_case "splitmix fill = next stream" `Quick test_splitmix_fill;
+          Alcotest.test_case "encoder refuses vectors over 2^24" `Quick
+            test_encoder_refuses_long_vectors;
         ] );
       ("wire-properties", List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_props);
+      ( "wire-fuzz",
+        Alcotest.test_case "hostile frame corpus" `Quick test_wire_corpus
+        :: List.map QCheck_alcotest.to_alcotest wire_fuzz_props );
       ( "sim",
         [
           Alcotest.test_case "ideal delivers" `Quick test_sim_ideal_delivers;
@@ -775,6 +1187,7 @@ let () =
           Alcotest.test_case "drop consumes slot" `Quick test_board_drop_consumes_slot;
           Alcotest.test_case "speak once" `Quick test_board_speak_once;
           Alcotest.test_case "transcript replay" `Quick test_board_transcript_replay;
+          QCheck_alcotest.to_alcotest ~long:false board_outcome_oracle;
         ] );
       ( "protocol",
         [
