@@ -87,18 +87,6 @@ let next_round t =
   Sim.next_round t.sim;
   t.round_posts <- 0
 
-let tally_payload items =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun it ->
-      let k = Wire.item_kind it in
-      let b = Wire.item_payload_bytes it in
-      Hashtbl.replace tbl k (b + Option.value ~default:0 (Hashtbl.find_opt tbl k)))
-    items;
-  List.filter_map
-    (fun k -> Option.map (fun b -> (k, b)) (Hashtbl.find_opt tbl k))
-    Cost.all_kinds
-
 let item_count items kind =
   List.fold_left
     (fun acc it ->
@@ -127,23 +115,26 @@ type prepared = {
   p_phase : string;
   p_step : string;
   p_payload : (Cost.kind * int) list;  (* payload bytes by kind *)
-  p_frame : string;
-  p_csum : int;  (* Wire.checksum p_frame *)
+  p_frame : string option;  (* kept only when a link sends or compares it *)
+  p_len : int;
+  p_csum : int;  (* Wire.checksum of the frame *)
   p_force_late : bool;
   p_cost : (Cost.kind * int) list;
   p_corrupt : bool;  (* flipped in the sender's hand *)
   p_local : bool;  (* true frame bytes; false = zero-filled skeleton *)
 }
 
-(* The pure half of a post: synthesize the missing wire weight and
-   encode the frame.  Blob bytes come from an RNG derived statelessly
-   from [(net_seed, tag)], so a frame's content depends only on its
-   tag — never on how many frames other domains have prepared, which
-   is what keeps the transcript digest identical at any domain count.
-   The frame's digest checksum falls out of the encoding pass (only a
-   corrupted frame is hashed again), and only the payload tally
-   outlives this call: the synthesized items die here instead of
-   waiting for Phase B. *)
+(* The pure half of a post: encode the frame with the missing wire
+   weight synthesized in place.  Blob bytes come from an RNG derived
+   statelessly from [(net_seed, tag)], so a frame's content depends
+   only on its tag — never on how many frames other domains have
+   prepared, which is what keeps the transcript digest identical at
+   any domain count.  The frame's digest checksum falls out of the
+   encoding pass (only a corrupted frame is hashed again).  The frame
+   is built in the encoder's scratch buffer and copied out only when
+   its bytes outlive this call: a link sends it or compares it with
+   what arrives, or it is corrupted.  Otherwise its length, checksum
+   and payload tally are all Phase B needs. *)
 let prepare t ~author ~phase ~step ?(items = []) ?(corrupt = false) ?(force_late = false)
     ~cost ~tag () =
   let missing =
@@ -157,29 +148,30 @@ let prepare t ~author ~phase ~step ?(items = []) ?(corrupt = false) ?(force_late
      whose content this process will receive routed (or as a checksum
      digest) — is prepared as a zero-filled skeleton of identical wire
      weight, skipping the per-byte blob stream entirely *)
-  let local = match t.link with None -> true | Some l -> l.local author in
-  let synthesized =
-    if local then
-      let blob_rng =
-        Splitmix.of_int (Splitmix.mix (t.config.net_seed lxor 0x0b10b5) tag)
-      in
-      Wire.items_of_cost t.config.sizing blob_rng missing
-    else Wire.skeleton_items_of_cost t.config.sizing missing
+  let local, keep =
+    match t.link with
+    | None -> (true, false)
+    | Some l -> (l.local author, l.owns author || l.local author)
   in
-  let items = items @ synthesized in
-  let frame, csum = Wire.to_frame_with_checksum { Wire.step; items } in
-  let frame, csum =
-    if corrupt then
-      let bad = corrupt_frame frame in
-      (bad, Wire.checksum bad)
-    else (frame, csum)
+  let rng =
+    if local then Some (Splitmix.of_int (Splitmix.mix (t.config.net_seed lxor 0x0b10b5) tag))
+    else None
+  in
+  let sizing = t.config.sizing in
+  let frame, len, csum =
+    Wire.with_frame ~sizing ?rng ~synth:missing { Wire.step; items } (fun b len csum ->
+        if corrupt then
+          let bad = corrupt_frame (Bytes.sub_string b 0 len) in
+          ((if keep then Some bad else None), len, Wire.checksum bad)
+        else ((if keep then Some (Bytes.sub_string b 0 len) else None), len, csum))
   in
   {
     p_author = author;
     p_phase = phase;
     p_step = step;
-    p_payload = tally_payload items;
+    p_payload = Wire.payload_tally sizing items missing;
     p_frame = frame;
+    p_len = len;
     p_csum = csum;
     p_force_late = force_late;
     p_cost = cost;
@@ -190,9 +182,14 @@ let prepare t ~author ~phase ~step ?(items = []) ?(corrupt = false) ?(force_late
 (* The sequential half: transcript digest, cost charging, transmission
    and bulletin slot — everything whose order is the board's order. *)
 let commit t p =
-  let { p_author = author; p_phase = phase; p_step = step; p_payload = payload; p_frame = frame;
-        p_csum; p_force_late = force_late; p_cost = cost; p_corrupt; p_local; } = p in
-  let frame_bytes = String.length frame in
+  let { p_author = author; p_phase = phase; p_step = step; p_payload = payload; p_frame;
+        p_len = frame_bytes; p_csum; p_force_late = force_late; p_cost = cost; p_corrupt;
+        p_local; } = p in
+  let frame () =
+    match p_frame with
+    | Some f -> f
+    | None -> invalid_arg "Board.commit: a link was set after the frame was prepared"
+  in
   t.frames <- t.frames + 1;
   t.frame_bytes <- t.frame_bytes + frame_bytes;
   let tally = Bulletin.cost t.bulletin in
@@ -213,7 +210,7 @@ let commit t p =
     | Some link ->
       let seq = t.frames - 1 in
       if link.owns author then begin
-        link.send ~seq ~phase ~author ~frame;
+        link.send ~seq ~phase ~author ~frame:(frame ());
         `Local
       end
       else
@@ -238,7 +235,7 @@ let commit t p =
   let csum, consistent =
     match exchange with
     | `Local | `Down -> (p_csum, true)
-    | `Frame f when p_local && String.equal f frame -> (p_csum, true)
+    | `Frame f when p_local && String.equal f (frame ()) -> (p_csum, true)
     | `Frame f -> (Wire.checksum f, (not p_local) && String.length f = frame_bytes)
     | `Summary (csum, len) -> (csum, len = frame_bytes)
   in

@@ -18,6 +18,12 @@
     fails the checksum, so a sender-side decode could only ever
     answer [not corrupt].
 
+    A frame is materialized only when a {!link} needs its bytes (its
+    owner sends them, a receiver compares them) or it is [corrupt]:
+    {!prepare} encodes into the encoder's per-domain scratch buffer
+    ({!Wire.with_frame}) and otherwise keeps only the frame's length,
+    checksum and payload tally, which is all {!commit} needs.
+
     Under {!default_config} (ideal network) every post is [Delivered]
     unless forced late, so protocol behaviour — post counts, blame
     verdicts, element tallies — is identical to the unsimulated board;
@@ -54,12 +60,14 @@ val outcome_to_string : outcome -> string
 
     [local] is the role-local execution switch: when it returns
     [false] for an author, this process prepares that author's frames
-    as zero-filled {e skeletons} of identical wire weight (see
-    {!Wire.skeleton_items_of_cost}) instead of materializing the true
-    bytes — the content arrives through [recv], either in full
-    ([`Frame]) or as the daemon's [`Summary (checksum, length)] digest
-    record.  Owners must always be [local]; a full-broadcast link
-    returns [true] for everyone (replicated execution).
+    as zero-filled {e skeletons} of identical wire weight ({!Wire.with_frame}
+    without an RNG) and keeps only their length — the content arrives
+    through [recv], either in full ([`Frame]) or as the daemon's
+    [`Summary (checksum, length)] digest record.  A frame this process
+    owns or prepares [local]ly is copied out of the scratch buffer,
+    since [send] or the byte comparison needs it.  Owners must always
+    be [local]; a full-broadcast link returns [true] for everyone
+    (replicated execution).
 
     [recv] returning [`Down] means the owning process is gone (socket
     EOF or round-deadline timeout); the commit is treated exactly like
@@ -132,8 +140,9 @@ val post :
 
 type prepared
 (** A frame ready to commit: encoded and checksummed.  It keeps the
-    frame, its checksum, whether it was corrupted and the payload byte
-    tally, not the message items. *)
+    frame's length, its checksum, whether it was corrupted and the
+    payload byte tally, not the message items; the frame bytes only
+    when the board's link needs them. *)
 
 val prepare :
   t ->
@@ -155,7 +164,9 @@ val prepare :
 val commit : t -> prepared -> outcome
 (** Mutates the board: digest chain, meters, network transmission,
     bulletin slot.  Must be called from one domain, in the intended
-    board order. *)
+    board order, under the link the frame was prepared with: raises
+    [Invalid_argument] if a link now needs bytes {!prepare} did not
+    keep. *)
 
 val next_round : t -> unit
 

@@ -131,8 +131,11 @@ let max_vec = 1 lsl 24
 let max_items = 4096
 
 (* the encoder refuses every shape the decoder rejects *)
+let check_count n =
+  if n > max_vec then invalid_arg (Printf.sprintf "Wire: vector of %d exceeds %d" n max_vec)
+
 let put_count buf n =
-  if n > max_vec then invalid_arg (Printf.sprintf "Wire: vector of %d exceeds %d" n max_vec);
+  check_count n;
   put_varint buf n
 
 let item_tag = function
@@ -222,8 +225,9 @@ let with_scratch f =
   Fun.protect (fun () -> f buf) ~finally:(fun () ->
       if Buffer.length buf > 1 lsl 20 then Buffer.reset buf)
 
-let put_message buf m =
-  let n = List.length m.items in
+(* [extra] items, written by the caller, follow the message's own *)
+let put_message ?(extra = 0) buf m =
+  let n = List.length m.items + extra in
   if n > max_items then invalid_arg (Printf.sprintf "Wire: %d items exceed %d" n max_items);
   put_bytes buf m.step;
   put_varint buf n;
@@ -245,6 +249,75 @@ let decode_message s =
   let m = decode_message_at d in
   if d.pos <> String.length s then fail "trailing garbage (%d bytes)" (remaining d);
   m
+
+(* ------------------------------------------------------------------ *)
+(* Wire-size model for ideal-functionality objects                     *)
+(* ------------------------------------------------------------------ *)
+
+type sizing = {
+  ciphertext_bytes : int;
+  proof_bytes : int;
+  partial_bytes : int;
+  key_bytes : int;
+}
+
+(* modeled on 2048-bit threshold Paillier (ciphertexts and partial
+   decryptions live in Z_{N^2} = 4096 bits) with constant-size
+   Groth-Maller-style proofs (256-bit tag, as Nizk.size_bits) *)
+let default_sizing =
+  { ciphertext_bytes = 512; proof_bytes = 32; partial_bytes = 512; key_bytes = 256 }
+
+(* payload bytes of one synthesized element of a kind *)
+let element_bytes sizing = function
+  | Cost.Field_element -> 4
+  | Cost.Ciphertext -> sizing.ciphertext_bytes
+  | Cost.Proof -> sizing.proof_bytes
+  | Cost.Partial_decryption -> sizing.partial_bytes
+  | Cost.Key -> sizing.key_bytes
+
+(* whole words from the stream, then one draw per trailing byte *)
+let fill_blob rng b off len =
+  let full = 8 * (len / 8) in
+  Splitmix.fill_bytes rng b off full;
+  for i = full to len - 1 do
+    Bytes.set b (off + i) (Char.chr (Splitmix.int rng 256))
+  done
+
+let random_blob rng len =
+  let b = Bytes.create len in
+  fill_blob rng b 0 len;
+  Bytes.unsafe_to_string b
+
+let blobs rng len n = Array.init n (fun _ -> random_blob rng len)
+
+let items_of_cost sizing rng cost =
+  List.filter_map
+    (fun (kind, n) ->
+      if n <= 0 then None
+      else
+        Some
+          (match kind with
+          | Cost.Field_element ->
+            Field_elements (Array.init n (fun _ -> F.of_int (Splitmix.int rng F.p)))
+          | Cost.Ciphertext -> Ciphertexts (blobs rng sizing.ciphertext_bytes n)
+          | Cost.Proof -> Proofs (blobs rng sizing.proof_bytes n)
+          | Cost.Partial_decryption -> Partial_decs (blobs rng sizing.partial_bytes n)
+          | Cost.Key -> Public_keys (blobs rng sizing.key_bytes n)))
+    cost
+
+let payload_tally sizing items synth =
+  let bytes =
+    List.map (fun it -> (item_kind it, item_payload_bytes it)) items
+    @ List.filter_map
+        (fun (kind, n) -> if n <= 0 then None else Some (kind, n * element_bytes sizing kind))
+        synth
+  in
+  List.filter_map
+    (fun k ->
+      match List.filter (fun (k', _) -> k' = k) bytes with
+      | [] -> None
+      | l -> Some (k, List.fold_left (fun acc (_, b) -> acc + b) 0 l))
+    Cost.all_kinds
 
 (* ------------------------------------------------------------------ *)
 (* Framing: magic, version, length, payload, checksum                  *)
@@ -319,36 +392,104 @@ let version = 1
    it; the default comfortably holds every frame the protocol emits. *)
 let max_frame_len = ref (1 lsl 26)
 
-(* The payload is encoded once into the scratch buffer and copied once
-   into the exact-size frame; one pass over the copied payload yields
-   both the trailer and, by the concatenation identity, the checksum
-   of the whole frame. *)
-let to_frame_with_checksum m =
+let varint_len v =
+  let rec go n v = if v < 0x80 then n else go (n + 1) (v lsr 7) in
+  go 1 v
+
+(* [put_varint] into bytes at [pos]; returns the position after it *)
+let rec set_varint b pos v =
+  if v < 0x80 then begin
+    Bytes.set b pos (Char.unsafe_chr v);
+    pos + 1
+  end
+  else begin
+    Bytes.set b pos (Char.unsafe_chr (0x80 lor (v land 0x7f)));
+    set_varint b (pos + 1) (v lsr 7)
+  end
+
+(* the item [items_of_cost] makes for a kind: its tag and encoded length *)
+let synth_tag = function
+  | Cost.Field_element -> 1
+  | Cost.Ciphertext -> 3
+  | Cost.Proof -> 4
+  | Cost.Partial_decryption -> 5
+  | Cost.Key -> 6
+
+let synth_len sizing (kind, n) =
+  check_count n;
+  let size = element_bytes sizing kind in
+  if size < 0 then invalid_arg (Printf.sprintf "Wire: negative element size %d" size);
+  let per = match kind with Cost.Field_element -> 4 | _ -> varint_len size + size in
+  1 + varint_len n + (n * per)
+
+(* Writes the item [items_of_cost] would encode for [(kind, n)] at
+   [pos], drawing from [rng] in the same order (zeros without one);
+   returns the position after it. *)
+let write_synth sizing rng b pos (kind, n) =
+  Bytes.set b pos (Char.chr (synth_tag kind));
+  let pos = ref (set_varint b (pos + 1) n) in
+  (match kind with
+  | Cost.Field_element ->
+    for _ = 1 to n do
+      let v = match rng with Some r -> Splitmix.int r F.p | None -> 0 in
+      Bytes.set_int32_le b !pos (Int32.of_int v);
+      pos := !pos + 4
+    done
+  | _ ->
+    let size = element_bytes sizing kind in
+    for _ = 1 to n do
+      pos := set_varint b !pos size;
+      (match rng with
+      | Some r -> fill_blob r b !pos size
+      | None -> Bytes.fill b !pos size '\000');
+      pos := !pos + size
+    done);
+  !pos
+
+(* Every frame is built in a domain-local scratch [Bytes], reused like
+   the scratch buffer: a caller reads the frame inside [with_frame]'s
+   continuation and copies it out only if it keeps the bytes.  An
+   oversized scratch is released after use. *)
+let frame_key = Domain.DLS.new_key (fun () -> ref (Bytes.create 4096))
+
+(* One encoder for every frame.  The message's own items are encoded
+   into the scratch buffer; the synthesized items' lengths are known
+   up front, so the header is written first, the real items are blitted
+   behind it and the synthesized ones are written in place after them.
+   One pass over the payload then yields both the trailer and, by the
+   concatenation identity, the checksum of the whole frame. *)
+let with_frame ?(sizing = default_sizing) ?rng ?(synth = []) m k =
+  let synth = List.filter (fun (_, n) -> n > 0) synth in
+  let slen = List.fold_left (fun acc ks -> acc + synth_len sizing ks) 0 synth in
   with_scratch (fun buf ->
-      put_message buf m;
-      let plen = Buffer.length buf in
+      put_message ~extra:(List.length synth) buf m;
+      let rlen = Buffer.length buf in
+      let plen = rlen + slen in
       if plen > !max_frame_len then
         invalid_arg
           (Printf.sprintf "Wire: frame payload %d exceeds max_frame_len %d" plen !max_frame_len);
-      let header =
-        let hb = Buffer.create 16 in
-        Buffer.add_char hb magic0;
-        Buffer.add_char hb magic1;
-        put_u8 hb version;
-        put_varint hb plen;
-        Buffer.contents hb
-      in
-      let hlen = String.length header in
-      let b = Bytes.create (hlen + plen + 8) in
-      Bytes.blit_string header 0 b 0 hlen;
-      Buffer.blit buf 0 b hlen plen;
-      let body = fold 0 (Bytes.unsafe_to_string b) hlen plen in
+      let hlen = 3 + varint_len plen in
+      let flen = hlen + plen + 8 in
+      let cell = Domain.DLS.get frame_key in
+      if Bytes.length !cell < flen then cell := Bytes.create (max flen (2 * Bytes.length !cell));
+      let b = !cell in
+      Bytes.set b 0 magic0;
+      Bytes.set b 1 magic1;
+      Bytes.set b 2 (Char.chr version);
+      ignore (set_varint b 3 plen);
+      Buffer.blit buf 0 b hlen rlen;
+      ignore (List.fold_left (write_synth sizing rng b) (hlen + rlen) synth);
+      let s = Bytes.unsafe_to_string b in
+      let body = fold 0 s hlen plen in
       let scale = pow31 plen in
       Bytes.set_int64_le b (hlen + plen)
         (Int64.of_int (((checksum_seed * scale) + body) land max_int));
-      let frame = Bytes.unsafe_to_string b in
-      let whole = (fold checksum_seed header 0 hlen * scale) + body in
-      (frame, fold whole frame (hlen + plen) 8 land max_int))
+      let whole = (fold checksum_seed s 0 hlen * scale) + body in
+      let csum = fold whole s (hlen + plen) 8 land max_int in
+      Fun.protect (fun () -> k b flen csum) ~finally:(fun () ->
+          if Bytes.length !cell > 1 lsl 20 then cell := Bytes.create 4096))
+
+let to_frame_with_checksum m = with_frame m (fun b len csum -> (Bytes.sub_string b 0 len, csum))
 
 let to_frame m = fst (to_frame_with_checksum m)
 
@@ -377,69 +518,6 @@ let of_frame s =
   let m = decode_message_at d in
   if d.pos <> stop then fail "payload does not end at the trailer";
   m
-
-(* ------------------------------------------------------------------ *)
-(* Wire-size model for ideal-functionality objects                     *)
-(* ------------------------------------------------------------------ *)
-
-type sizing = {
-  ciphertext_bytes : int;
-  proof_bytes : int;
-  partial_bytes : int;
-  key_bytes : int;
-}
-
-(* modeled on 2048-bit threshold Paillier (ciphertexts and partial
-   decryptions live in Z_{N^2} = 4096 bits) with constant-size
-   Groth-Maller-style proofs (256-bit tag, as Nizk.size_bits) *)
-let default_sizing =
-  { ciphertext_bytes = 512; proof_bytes = 32; partial_bytes = 512; key_bytes = 256 }
-
-let random_blob rng len =
-  let b = Bytes.create len in
-  let full = 8 * (len / 8) in
-  Splitmix.fill_bytes rng b 0 full;
-  for i = full to len - 1 do
-    Bytes.set b i (Char.chr (Splitmix.int rng 256))
-  done;
-  Bytes.unsafe_to_string b
-
-let blobs rng len n = Array.init n (fun _ -> random_blob rng len)
-
-let items_of_cost sizing rng cost =
-  List.filter_map
-    (fun (kind, n) ->
-      if n <= 0 then None
-      else
-        Some
-          (match kind with
-          | Cost.Field_element ->
-            Field_elements (Array.init n (fun _ -> F.of_int (Splitmix.int rng F.p)))
-          | Cost.Ciphertext -> Ciphertexts (blobs rng sizing.ciphertext_bytes n)
-          | Cost.Proof -> Proofs (blobs rng sizing.proof_bytes n)
-          | Cost.Partial_decryption -> Partial_decs (blobs rng sizing.partial_bytes n)
-          | Cost.Key -> Public_keys (blobs rng sizing.key_bytes n)))
-    cost
-
-(* Same shape — identical item tallies, lengths and framing — with
-   zero-filled blob bytes.  A role-local receiver only needs the wire
-   weight of a frame it will never ship (content arrives routed, or as
-   a checksum digest), so the per-byte RNG stream is skipped
-   entirely. *)
-let skeleton_items_of_cost sizing cost =
-  let zeros len n = Array.make n (String.make len '\000') in
-  List.filter_map
-    (fun (kind, n) ->
-      if n <= 0 then None
-      else
-        Some
-          (match kind with
-          | Cost.Field_element -> Field_elements (Array.make n (F.of_int 0))
-          | Cost.Ciphertext -> Ciphertexts (zeros sizing.ciphertext_bytes n)
-          | Cost.Proof -> Proofs (zeros sizing.proof_bytes n)
-          | Cost.Partial_decryption -> Partial_decs (zeros sizing.partial_bytes n)
-          | Cost.Key -> Public_keys (zeros sizing.key_bytes n)))
-    cost
 
 let summary m =
   let tally = Hashtbl.create 8 in

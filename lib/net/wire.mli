@@ -85,43 +85,6 @@ val decode_message : string -> message
 val summary : message -> (Cost.kind * int) list
 (** Element tally of a message, in {!Cost.all_kinds} order. *)
 
-(** {1 Framing} *)
-
-val checksum : string -> int
-(** Transport-integrity checksum (not a MAC — authenticity comes from
-    the NIZK layer): the polynomial hash
-    [(0x1505 * 31^L + sum_i s.[i] * 31^(L-1-i)) mod 2^62] of the [L]
-    bytes of [s], evaluated eight bytes at a time. *)
-
-val to_frame : message -> string
-(** [magic "YW"; version; length-prefixed payload; 8-byte checksum].
-    The encoder refuses what the decoder rejects: it raises
-    [Invalid_argument] where {!encode_message} does, and on a payload
-    longer than {!max_frame_len}.  Every frame it returns therefore
-    decodes, [of_frame (to_frame m) = m], which is why a sender never
-    needs to decode its own frame. *)
-
-val to_frame_with_checksum : message -> string * int
-(** [(f, checksum f)] where [f = to_frame m], raising as {!to_frame}
-    does.  The frame's checksum is derived from the same single pass
-    over the payload that produces the trailer, so the frame bytes are
-    never hashed a second time. *)
-
-val of_frame : string -> message
-(** Verifies magic, version, framing and checksum before decoding.
-    Frames whose declared payload length exceeds {!max_frame_len} are
-    rejected before the payload is materialized.  Every input either
-    decodes to a message whose {!to_frame} is the input itself, or
-    raises {!Decode_error}.  This is the check that runs where frame
-    bytes cross a process boundary (the board daemon's ingest). *)
-
-val max_frame_len : int ref
-(** Configurable cap on a frame's declared payload length (default
-    64 MiB).  A malicious peer announcing an oversized frame is
-    rejected with a structured {!Decode_error} instead of forcing an
-    unbounded allocation; transports apply the same cap on ingest, and
-    {!to_frame} refuses to emit a payload over it. *)
-
 (** {1 Size model for ideal-functionality objects} *)
 
 type sizing = {
@@ -140,12 +103,71 @@ val random_blob : Splitmix.t -> int -> string
 
 val items_of_cost : sizing -> Splitmix.t -> (Cost.kind * int) list -> item list
 (** Synthesize wire items at modeled sizes for an abstract element
-    tally; used for objects whose ideal implementation has no bit
-    representation. *)
+    tally, one item per entry with a positive count, in list order;
+    used for objects whose ideal implementation has no bit
+    representation.  {!with_frame} writes the same items straight into
+    a frame without building them. *)
 
-val skeleton_items_of_cost : sizing -> (Cost.kind * int) list -> item list
-(** Like {!items_of_cost} with zero-filled blob bytes: identical item
-    tallies, payload lengths and framing, no RNG stream.  Role-local
-    execution uses this for frames another process ships — the
-    skeleton carries the exact wire {e weight} while the content (or
-    its checksum) arrives over the transport. *)
+val payload_tally : sizing -> item list -> (Cost.kind * int) list -> (Cost.kind * int) list
+(** [payload_tally sizing items synth] is the {!item_payload_bytes}
+    of [items @ items_of_cost sizing rng synth] summed by kind, in
+    {!Cost.all_kinds} order, with a kind present iff one of those
+    items has it — computed from the counts, without synthesizing. *)
+
+(** {1 Framing} *)
+
+val checksum : string -> int
+(** Transport-integrity checksum (not a MAC — authenticity comes from
+    the NIZK layer): the polynomial hash
+    [(0x1505 * 31^L + sum_i s.[i] * 31^(L-1-i)) mod 2^62] of the [L]
+    bytes of [s], evaluated eight bytes at a time. *)
+
+val to_frame : message -> string
+(** [magic "YW"; version; length-prefixed payload; 8-byte checksum].
+    The encoder refuses what the decoder rejects: it raises
+    [Invalid_argument] where {!encode_message} does, and on a payload
+    longer than {!max_frame_len}.  Every frame it returns therefore
+    decodes, [of_frame (to_frame m) = m], which is why a sender never
+    needs to decode its own frame.  Equivalent to {!with_frame} with
+    no synthesized items, copied out. *)
+
+val to_frame_with_checksum : message -> string * int
+(** [(f, checksum f)] where [f = to_frame m], raising as {!to_frame}
+    does.  The frame's checksum is derived from the same single pass
+    over the payload that produces the trailer, so the frame bytes are
+    never hashed a second time. *)
+
+val with_frame :
+  ?sizing:sizing ->
+  ?rng:Splitmix.t ->
+  ?synth:(Cost.kind * int) list ->
+  message ->
+  (Bytes.t -> int -> int -> 'a) ->
+  'a
+(** [with_frame ~sizing ?rng ~synth m k] encodes the frame of
+    [{m with items = m.items @ items_of_cost sizing rng synth}] — with
+    zero-filled blobs and field elements when [rng] is absent (the
+    frame's wire weight without its content) — and returns
+    [k b len csum]: the frame is the first [len] bytes of [b], and
+    [csum] its {!checksum}.  The synthesized items are written in
+    place, drawing from [rng] exactly as {!items_of_cost} does, so
+    every byte equals that encoding.  [b] is a domain-local scratch
+    buffer, valid only until [k] returns: [k] copies out what it keeps
+    and must not encode another frame.  Raises [Invalid_argument] as
+    {!to_frame} does, counting the synthesized items, or on a negative
+    modeled size, before anything is written. *)
+
+val of_frame : string -> message
+(** Verifies magic, version, framing and checksum before decoding.
+    Frames whose declared payload length exceeds {!max_frame_len} are
+    rejected before the payload is materialized.  Every input either
+    decodes to a message whose {!to_frame} is the input itself, or
+    raises {!Decode_error}.  This is the check that runs where frame
+    bytes cross a process boundary (the board daemon's ingest). *)
+
+val max_frame_len : int ref
+(** Configurable cap on a frame's declared payload length (default
+    64 MiB).  A malicious peer announcing an oversized frame is
+    rejected with a structured {!Decode_error} instead of forcing an
+    unbounded allocation; transports apply the same cap on ingest, and
+    {!to_frame} refuses to emit a payload over it. *)

@@ -259,12 +259,11 @@ let next st =
     if buffered st < header_len + blen + trailer_len then None
     else begin
       let body = String.sub st.acc (st.pos + header_len) blen in
-      let h = ref 0 in
-      let toff = st.pos + header_len + blen in
-      for i = 7 downto 0 do
-        h := (!h lsl 8) lor Char.code st.acc.[toff + i]
-      done;
-      if !h <> Wire.checksum body then fail "envelope checksum mismatch";
+      (* compared as all 64 bits, as [Wire.of_frame] does: a 63-bit
+         [int] would drop bit 63 and accept two trailers for one body *)
+      if String.get_int64_le st.acc (st.pos + header_len + blen)
+         <> Int64.of_int (Wire.checksum body)
+      then fail "envelope checksum mismatch";
       st.pos <- st.pos + header_len + blen + trailer_len;
       compact st;
       Some (decode_body ~tag:t body)

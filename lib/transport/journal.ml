@@ -100,12 +100,9 @@ let scan path =
       else if pos + 4 + blen + 8 > len then (List.rev acc, pos)
       else
         let body = String.sub data (pos + 4) blen in
-        let h = ref 0 in
-        let toff = pos + 4 + blen in
-        for i = 7 downto 0 do
-          h := (!h lsl 8) lor byte (toff + i)
-        done;
-        if !h <> Wire.checksum body then (List.rev acc, pos)
+        (* all 64 bits of the trailer: a 63-bit [int] would drop bit 63 *)
+        if String.get_int64_le data (pos + 4 + blen) <> Int64.of_int (Wire.checksum body) then
+          (List.rev acc, pos)
         else
           match decode_body body with
           | r -> go (pos + 4 + blen + 8) (r :: acc)

@@ -96,6 +96,25 @@ let test_corrupted_record () =
         (List.length got);
       Alcotest.(check int) "intact prefix length" prefix_len (Journal.intact_bytes path))
 
+(* the trailer carries a 62-bit checksum, so bit 63 is always 0: a
+   record with it flipped is damage, and replay stops there *)
+let test_trailer_bit63 () =
+  with_temp (fun path ->
+      let encoded = List.map Journal.encode_record sample_records in
+      let damaged_index = 2 in
+      let upto i =
+        List.fold_left ( + ) 0 (List.map String.length (List.filteri (fun j _ -> j < i) encoded))
+      in
+      let data = Bytes.of_string (String.concat "" encoded) in
+      let top = upto (damaged_index + 1) - 1 in
+      Bytes.set data top (Char.chr (Char.code (Bytes.get data top) lxor 0x80));
+      write_raw path (Bytes.to_string data);
+      Alcotest.(check (list record)) "stops before the damaged record"
+        (List.filteri (fun i _ -> i < damaged_index) sample_records)
+        (Journal.replay path);
+      Alcotest.(check int) "intact prefix length" (upto damaged_index)
+        (Journal.intact_bytes path))
+
 (* a journal with a torn tail must accept new appends *after* cutting
    the tail, or the new records would be unreachable to replay *)
 let test_reopen_truncates_torn_tail () =
@@ -122,6 +141,7 @@ let () =
           Alcotest.test_case "truncate at every boundary" `Quick
             test_truncate_every_boundary;
           Alcotest.test_case "corrupted record" `Quick test_corrupted_record;
+          Alcotest.test_case "trailer bit 63 flipped" `Quick test_trailer_bit63;
           Alcotest.test_case "reopen truncates torn tail" `Quick
             test_reopen_truncates_torn_tail;
         ] );

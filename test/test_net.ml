@@ -10,6 +10,7 @@ module Board = Yoso_net.Board
 module Params = Yoso_mpc.Params
 module Protocol = Yoso_mpc.Protocol
 module Gen = Yoso_circuit.Generators
+module Pool = Yoso_parallel.Pool
 
 let rejects name f =
   match f () with
@@ -233,6 +234,94 @@ let frame_of_payload payload =
 
 let ref_frame m = frame_of_payload (Wire.encode_message m)
 
+(* The reference for [Wire.with_frame]: the synthesized items
+   materialized ([Wire.items_of_cost], or zero-filled without an RNG)
+   and appended to the real ones, then encoded whole; and the payload
+   tally by a table pass over every item. *)
+let skeleton_items sizing cost =
+  let zeros len n = Array.make n (String.make len '\000') in
+  List.filter_map
+    (fun (kind, n) ->
+      if n <= 0 then None
+      else
+        Some
+          (match kind with
+          | Cost.Field_element -> Wire.Field_elements (Array.make n F.zero)
+          | Cost.Ciphertext -> Wire.Ciphertexts (zeros sizing.Wire.ciphertext_bytes n)
+          | Cost.Proof -> Wire.Proofs (zeros sizing.Wire.proof_bytes n)
+          | Cost.Partial_decryption -> Wire.Partial_decs (zeros sizing.Wire.partial_bytes n)
+          | Cost.Key -> Wire.Public_keys (zeros sizing.Wire.key_bytes n)))
+    cost
+
+let ref_tally items =
+  let tbl = Hashtbl.create 8 in
+  List.iter
+    (fun it ->
+      let k = Wire.item_kind it in
+      Hashtbl.replace tbl k
+        (Wire.item_payload_bytes it + Option.value ~default:0 (Hashtbl.find_opt tbl k)))
+    items;
+  List.filter_map (fun k -> Option.map (fun b -> (k, b)) (Hashtbl.find_opt tbl k)) Cost.all_kinds
+
+let gen_cost =
+  QCheck.Gen.(list_size (int_bound 6) (pair (oneofl Cost.all_kinds) (int_range (-1) 5)))
+
+let gen_sizing =
+  let open QCheck.Gen in
+  frequency
+    [
+      (1, return Wire.default_sizing);
+      ( 3,
+        let size = int_bound 70 in
+        let* ciphertext_bytes = size and* proof_bytes = size and* partial_bytes = size in
+        let+ key_bytes = size in
+        { Wire.ciphertext_bytes; proof_bytes; partial_bytes; key_bytes } );
+    ]
+
+let print_cost cost =
+  String.concat "; "
+    (List.map (fun (k, n) -> Printf.sprintf "%s %d" (Cost.kind_to_string k) n) cost)
+
+let arb_post =
+  QCheck.make
+    ~print:(fun (m, cost, sz, seed) ->
+      Printf.sprintf "%d real items; cost [%s]; sizing %d/%d/%d/%d; rng %s"
+        (List.length m.Wire.items) (print_cost cost) sz.Wire.ciphertext_bytes sz.Wire.proof_bytes
+        sz.Wire.partial_bytes sz.Wire.key_bytes
+        (match seed with Some s -> string_of_int s | None -> "none (skeleton)"))
+    QCheck.Gen.(quad (QCheck.gen arb_message) gen_cost gen_sizing (opt int))
+
+(* a frame of 0xff bytes, encoded to leave the scratch buffer dirty *)
+let dirty = { Wire.step = ""; items = [ Wire.Ciphertexts [| String.make 20000 '\xff' |] ] }
+
+(* [Wire.with_frame] writes the synthesized weight in place: same bytes,
+   length and checksum as encoding the materialized items, the same
+   RNG draws, and the same payload tally.  It runs on a dirty scratch
+   buffer, so a skeleton byte it does not write shows. *)
+let in_place_equals_materialized (m, cost, sizing, seed) =
+  let rng () = Option.map Splitmix.of_int seed in
+  let old_rng = rng () and new_rng = rng () in
+  ignore (Wire.to_frame dirty);
+  let got =
+    Wire.with_frame ~sizing ?rng:new_rng ~synth:cost m (fun b len csum ->
+        (Bytes.sub_string b 0 len, len, csum))
+  in
+  let synthesized =
+    match old_rng with
+    | Some r -> Wire.items_of_cost sizing r cost
+    | None -> skeleton_items sizing cost
+  in
+  let full = { m with Wire.items = m.Wire.items @ synthesized } in
+  let frame, csum = Wire.to_frame_with_checksum full in
+  got = (frame, String.length frame, csum)
+  && String.equal frame (ref_frame full)
+  && csum = ref_checksum frame
+  && Wire.payload_tally sizing m.Wire.items cost = ref_tally full.Wire.items
+  &&
+  match (old_rng, new_rng) with
+  | Some a, Some b -> Splitmix.next a = Splitmix.next b
+  | _ -> true
+
 let qcheck_props =
   [
     QCheck.Test.make ~count:200 ~name:"message roundtrip" arb_message (fun m ->
@@ -273,6 +362,8 @@ let qcheck_props =
                | _ -> false
                | exception Wire.Decode_error _ -> true)
         | _ -> false);
+    QCheck.Test.make ~count:300 ~name:"in-place synthesis = materialized items" arb_post
+      in_place_equals_materialized;
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -303,7 +394,9 @@ let within_limits m =
 
 (* messages at the encoder's limits: sharings with degrees around their
    share count, item lists around 4096, and a frame cap a few bytes
-   either side of the payload length *)
+   either side of the payload length; plus items for [Wire.with_frame]
+   to synthesize — a few, which can tip the item count past 4096, or
+   one vector just over 2^24 elements *)
 let arb_edge =
   let open QCheck.Gen in
   let field = map F.of_int (int_bound (F.p - 1)) in
@@ -323,8 +416,18 @@ let arb_edge =
         (1, map (fun n -> List.init n (fun _ -> Wire.Field_elements [||])) (int_range 4094 4098));
       ]
   in
-  let print (m, slack) =
-    Printf.sprintf "%d items, degrees/shares [%s], cap slack %d" (List.length m.Wire.items)
+  let kind = oneofl Cost.all_kinds in
+  let synth =
+    frequency
+      [
+        (2, return []);
+        (3, list_size (int_bound 2) (pair kind (int_bound 3)));
+        (1, map (fun (k, d) -> [ (k, (1 lsl 24) + d) ]) (pair kind (int_range 1 2)));
+      ]
+  in
+  let print (m, synth, slack) =
+    Printf.sprintf "%d items, degrees/shares [%s], synth [%s], cap slack %d"
+      (List.length m.Wire.items)
       (String.concat "; "
          (List.filter_map
             (function
@@ -332,19 +435,38 @@ let arb_edge =
                 Some (Printf.sprintf "%d/%d" degree (Array.length shares))
               | _ -> None)
             m.Wire.items))
-      slack
+      (print_cost synth) slack
   in
   QCheck.make ~print
-    (pair (map (fun items -> { Wire.step = "edge"; items }) items) (int_range (-3) 3))
+    (triple (map (fun items -> { Wire.step = "edge"; items }) items) synth (int_range (-3) 3))
 
-let encoder_refuses_what_decoder_rejects (m, slack) =
-  let plen = if within_limits m then String.length (Wire.encode_message m) else 0 in
-  let cap = if within_limits m then max 0 (plen + slack) else !Wire.max_frame_len in
+let edge_sizing = { Wire.ciphertext_bytes = 9; proof_bytes = 0; partial_bytes = 3; key_bytes = 1 }
+
+(* [Wire.to_frame] on the message with the synthesized items
+   materialized, and [Wire.with_frame] synthesizing them in place:
+   each raises exactly when the decoder would reject the frame, and
+   otherwise emits a frame that decodes to that message.  A vector
+   over 2^24 is only ever given to [with_frame], which must refuse it
+   before building anything. *)
+let encoder_refuses_what_decoder_rejects (m, synth, slack) =
+  let counts_ok = List.for_all (fun (_, n) -> n <= 1 lsl 24) synth in
+  let full () =
+    { m with Wire.items = m.Wire.items @ Wire.items_of_cost edge_sizing (Splitmix.of_int 3) synth }
+  in
+  let ok = counts_ok && within_limits (full ()) in
+  let plen = if ok then String.length (Wire.encode_message (full ())) else 0 in
+  let cap = if ok then max 0 (plen + slack) else !Wire.max_frame_len in
   with_cap cap (fun () ->
-      let decodable = within_limits m && plen <= cap in
-      match Wire.to_frame m with
-      | exception Invalid_argument _ -> not decodable
-      | f -> decodable && message_equal m (Wire.of_frame f))
+      let decodable = ok && plen <= cap in
+      let accepts encode =
+        match encode () with
+        | exception Invalid_argument _ -> not decodable
+        | f -> decodable && message_equal (full ()) (Wire.of_frame f)
+      in
+      ((not counts_ok) || accepts (fun () -> Wire.to_frame (full ())))
+      && accepts (fun () ->
+             Wire.with_frame ~sizing:edge_sizing ~rng:(Splitmix.of_int 3) ~synth m
+               (fun b len _ -> Bytes.sub_string b 0 len)))
 
 (* vectors over 2^24 elements, one per encoding path: refused before a
    byte is written.  Each element type's array is 128 MiB, so one is
@@ -934,6 +1056,88 @@ let board_outcome_oracle =
           run (link ~owns:false ~local:false (`Summary (ref_checksum frame, String.length frame)));
         ])
 
+(* A link that owns every author and records what it sends. *)
+let recording_link sent =
+  {
+    Board.owns = (fun _ -> true);
+    local = (fun _ -> true);
+    send = (fun ~seq:_ ~phase:_ ~author:_ ~frame -> sent := frame :: !sent);
+    recv = (fun ~seq:_ ~phase:_ ~author:_ -> `Down);
+    stats = (fun () -> (0, 0));
+  }
+
+let prepare_post b i ~corrupt =
+  Board.prepare b ~author:(author i) ~phase:"p" ~step:"s" ~corrupt
+    ~items:[ Wire.Field_elements [| F.of_int i |] ]
+    ~cost:[ (Cost.Field_element, 2); (Cost.Ciphertext, 1 + (i mod 4)); (Cost.Proof, 1) ]
+    ~tag:i ()
+
+(* Frames are encoded in one reused scratch buffer per domain.  A frame
+   a link needs (or a corrupted one) is copied out in [prepare], so
+   preparing a second post before committing the first cannot change
+   the bytes the first one sends. *)
+let test_board_scratch_reuse () =
+  List.iter
+    (fun corrupt ->
+      let what = Printf.sprintf "corrupt=%b" corrupt in
+      let plain = Board.create () in
+      ignore (Board.commit plain (prepare_post plain 0 ~corrupt));
+      ignore (Board.commit plain (prepare_post plain 1 ~corrupt:false));
+      let alone =
+        let b = Board.create () and sent = ref [] in
+        Board.set_link b (Some (recording_link sent));
+        ignore (Board.commit b (prepare_post b 0 ~corrupt));
+        List.hd !sent
+      in
+      let b = Board.create () and sent = ref [] in
+      Board.set_link b (Some (recording_link sent));
+      let pa = prepare_post b 0 ~corrupt in
+      let pb = prepare_post b 1 ~corrupt:false in
+      ignore (Board.commit b pa);
+      ignore (Board.commit b pb);
+      match List.rev !sent with
+      | [ a; b_frame ] ->
+        Alcotest.(check string) (what ^ ": first frame = its frame on its own") alone a;
+        Alcotest.(check bool) (what ^ ": the two frames differ") false (String.equal a b_frame);
+        (match Wire.of_frame a with
+        | m ->
+          Alcotest.(check bool) (what ^ ": decodes unless corrupt") false corrupt;
+          Alcotest.(check int) "real item + three synthesized" 4 (List.length m.Wire.items)
+        | exception Wire.Decode_error _ ->
+          Alcotest.(check bool) (what ^ ": rejected iff corrupt") true corrupt);
+        Alcotest.(check bool) (what ^ ": transcript = link-less run") true
+          (Board.transcript b = Board.transcript plain)
+      | l -> Alcotest.failf "%s: expected 2 frames sent, got %d" what (List.length l))
+    [ false; true ]
+
+(* Phase A under a 2-domain pool: each domain encodes in its own
+   scratch, and the frames committed in index order chain to the same
+   transcript, and send the same bytes, as at 1 domain. *)
+let test_board_phase_a_domains () =
+  let run ~link domains =
+    let pool = Pool.create ~domains in
+    Fun.protect
+      ~finally:(fun () -> Pool.shutdown pool)
+      (fun () ->
+        let b = Board.create () and sent = ref [] in
+        if link then Board.set_link b (Some (recording_link sent));
+        let prepared = Pool.map pool 48 (fun i -> prepare_post b i ~corrupt:(i mod 7 = 3)) in
+        Array.iter (fun p -> ignore (Board.commit b p)) prepared;
+        (Board.transcript b, List.rev !sent))
+  in
+  let base = run ~link:false 1 in
+  List.iter
+    (fun link ->
+      let one = run ~link 1 and two = run ~link 2 in
+      Alcotest.(check bool) (Printf.sprintf "link=%b: 2 domains = 1 domain" link) true (one = two);
+      Alcotest.(check bool)
+        (Printf.sprintf "link=%b: transcript = link-less" link)
+        true
+        (fst one = fst base);
+      Alcotest.(check int) (Printf.sprintf "link=%b: frames sent" link) (if link then 48 else 0)
+        (List.length (snd two)))
+    [ false; true ]
+
 (* ------------------------------------------------------------------ *)
 (* Protocol integration                                                *)
 (* ------------------------------------------------------------------ *)
@@ -1188,6 +1392,9 @@ let () =
           Alcotest.test_case "speak once" `Quick test_board_speak_once;
           Alcotest.test_case "transcript replay" `Quick test_board_transcript_replay;
           QCheck_alcotest.to_alcotest ~long:false board_outcome_oracle;
+          Alcotest.test_case "scratch reuse cannot leak into a kept frame" `Quick
+            test_board_scratch_reuse;
+          Alcotest.test_case "phase A at 2 domains = 1 domain" `Quick test_board_phase_a_domains;
         ] );
       ( "protocol",
         [

@@ -132,6 +132,23 @@ let test_envelope_byte_at_a_time () =
     wire;
   Alcotest.(check int) "all decoded" (List.length sample_msgs) (List.length !got)
 
+(* The trailer is 8 bytes carrying a 62-bit checksum, so its top bit
+   is always 0.  Flipping it must fail the checksum; a compare through
+   a 63-bit [int] shifts bit 63 out and accepts the record. *)
+let test_envelope_trailer_bit63 () =
+  List.iteri
+    (fun i m ->
+      let e = Bytes.of_string (Envelope.encode m) in
+      let last = Bytes.length e - 1 in
+      Bytes.set e last (Char.chr (Char.code (Bytes.get e last) lxor 0x80));
+      let st = Envelope.stream () in
+      Envelope.feed st (Bytes.to_string e);
+      match Envelope.next st with
+      | exception Envelope.Envelope_error _ -> ()
+      | exception e -> Alcotest.failf "raised %s" (Printexc.to_string e)
+      | _ -> Alcotest.failf "message %d: trailer with bit 63 flipped must be rejected" i)
+    sample_msgs
+
 let test_envelope_rejections () =
   (* body over the stream's cap is rejected from the header alone *)
   let st = Envelope.stream ~max_body:16 () in
@@ -893,6 +910,7 @@ let () =
             test_envelope_split_every_boundary;
           Alcotest.test_case "byte at a time" `Quick test_envelope_byte_at_a_time;
           Alcotest.test_case "rejections" `Quick test_envelope_rejections;
+          Alcotest.test_case "trailer bit 63 flipped" `Quick test_envelope_trailer_bit63;
         ] );
       ( "sockio",
         [
