@@ -509,18 +509,18 @@ let time_bench () =
      not the kernel. *)
   let n2 = B.mul pk.P.n pk.P.n in
   let wide_n2 = P.Ctx.mont_n2 pctx in
-  let narrow_n2 = B.Mont.Narrow.create n2 in
+  let narrow_n2 = Oracles.Narrow.create n2 in
   let base = P.raw ct in
   let e_enc = pk.P.n in
   let e_tpdec = B.abs (B.mul B.two (B.mul tpk.T.delta shares.(0).T.value)) in
   let kshape name e =
     if not
-         (B.equal (B.Mont.powmod wide_n2 base e) (B.Mont.Narrow.powmod narrow_n2 base e))
+         (B.equal (B.Mont.powmod wide_n2 base e) (Oracles.Narrow.powmod narrow_n2 base e))
     then failwith ("bench time: wide and 30-bit kernels disagree on " ^ name);
     let s =
       ab_speedup
         (fun () -> ignore (B.Mont.powmod wide_n2 base e))
-        (fun () -> ignore (B.Mont.Narrow.powmod narrow_n2 base e))
+        (fun () -> ignore (Oracles.Narrow.powmod narrow_n2 base e))
     in
     Printf.printf "  kernel %-10s %4d-bit mod, %4d-bit exp:  62-bit vs 30-bit %5.2fx\n"
       name (B.bit_length n2) (B.bit_length e) s;
@@ -659,13 +659,13 @@ let par_bench () =
         let bse = B.random_below kst m in
         let e = B.random_bits kst kbits in
         let wide = B.Mont.create m in
-        let narrow = B.Mont.Narrow.create m in
-        if not (B.equal (B.Mont.powmod wide bse e) (B.Mont.Narrow.powmod narrow bse e))
+        let narrow = Oracles.Narrow.create m in
+        if not (B.equal (B.Mont.powmod wide bse e) (Oracles.Narrow.powmod narrow bse e))
         then failwith "bench par: wide and 30-bit kernels disagree";
         let s =
           ab_speedup
             (fun () -> ignore (B.Mont.powmod wide bse e))
-            (fun () -> ignore (B.Mont.Narrow.powmod narrow bse e))
+            (fun () -> ignore (Oracles.Narrow.powmod narrow bse e))
         in
         Printf.printf "    %4d-bit modulus: %5.2fx\n" kbits s;
         (kbits, s))

@@ -59,8 +59,8 @@ let demo_inputs kind size len client =
    process replaying the same seeded protocol; frames cross real
    sockets through the bulletin-board daemon.  The parent serves the
    board and prints the (unanimous) report. *)
-let run_transport ~deadline_ms ~topology ~params ~circuit ~inputs ~base_config ~json
-    ~extra n =
+let run_transport ~deadline_ms ?journal ?chaos ~topology ~params ~circuit ~inputs
+    ~base_config ~json ~extra n =
   let transport = base_config.Protocol.net.Protocol.transport in
   let endpoint =
     match transport with
@@ -68,13 +68,10 @@ let run_transport ~deadline_ms ~topology ~params ~circuit ~inputs ~base_config ~
     | "tcp" -> `Tcp
     | other -> failwith (Printf.sprintf "unknown transport %S (sim|unix|tcp)" other)
   in
-  (* the recovery sub-record is plumbing for us, not for [execute]:
-     the daemon owns the journal and the chaos schedule *)
-  let journal = base_config.Protocol.recovery.Protocol.journal in
+  (* the journal and the chaos schedule belong to the daemon, not to
+     [execute] *)
   let chaos =
-    match base_config.Protocol.recovery.Protocol.chaos with
-    | None -> None
-    | Some spec -> Some (Yoso_transport.Chaos.create (Yoso_transport.Chaos.parse spec))
+    Option.map (fun spec -> Yoso_transport.Chaos.create (Yoso_transport.Chaos.parse spec)) chaos
   in
   let child ~slot:_ ~link =
     let config =
@@ -219,13 +216,10 @@ let run_cmd protocol program kind size n t k eps malicious fail_stop seed fault_
     let plan = Faults.random ~seed:(Option.value ~default:seed fault_seed) in
     if transport <> "sim" then begin
       let topology = Yoso_transport.Topology.make ~shards ?quorum ~nslots:n () in
-      let base_config =
-        Protocol.config ~adversary ~plan ~seed ~board:net ~domains ~transport ?journal
-          ?chaos ()
-      in
+      let base_config = Protocol.config ~adversary ~plan ~seed ~board:net ~domains ~transport () in
       exit
-        (run_transport ~deadline_ms ~topology ~params ~circuit ~inputs ~base_config
-           ~json ~extra n)
+        (run_transport ~deadline_ms ?journal ?chaos ~topology ~params ~circuit ~inputs
+           ~base_config ~json ~extra n)
     end;
     if journal <> None || chaos <> None then
       failwith "--journal and --chaos need a socket transport (--transport unix|tcp)";

@@ -481,9 +481,9 @@ let mulmod a b m = erem (mul a b) m
    iterations, with a short carry-flush pass restoring headroom every
    6 outer pairs and one final pass canonicalizing the result.  That
    removes the serial carry chain that rate-limits a carry-per-step
-   kernel (the retired 30-bit one, kept below as {!Narrow}): the inner
-   loop is independent multiplies and adds that a superscalar core can
-   overlap freely.
+   kernel (the retired 30-bit one, now the test-side oracle
+   [Yoso_oracles.Narrow]): the inner loop is independent multiplies
+   and adds that a superscalar core can overlap freely.
 
    The 2-way blocking processes two columns of [b] (and their two mu
    reductions) per outer pass, so each inner-loop iteration touches
@@ -686,8 +686,6 @@ module Mont = struct
     canon ctx dst;
     of_kernel dst
 
-  let one_mont ctx = of_kernel ctx.one_m
-
   let mulmod ctx a b =
     if a.sign < 0 || b.sign < 0 || mag_cmp a.mag ctx.mm >= 0 || mag_cmp b.mag ctx.mm >= 0
     then invalid_arg "Bigint.Mont.mulmod: operands out of range";
@@ -845,167 +843,6 @@ module Mont = struct
       canon ctx dst;
       of_kernel dst
     end
-
-  (* The retired 30-bit CIOS kernel, kept verbatim (on a repacked
-     30-bit limb view) as the benchmark baseline and as a cross-check
-     oracle for the 62-bit kernel: [bench time] measures both on the
-     same inputs, and the backend-equality property tests compare
-     their powmods at 512/1024/2048 bits. *)
-  module Narrow = struct
-    let nbits = 30
-    let nbase = 1 lsl nbits
-    let nmask = nbase - 1
-
-    type nctx = {
-      n_big : t;
-      nmm : int array;
-      nl : int;
-      nm' : int;
-      nr2 : int array;
-      none_m : int array;
-      nunit : int array;
-    }
-
-    type ctx = nctx
-
-    let of30 a = make 1 (repack ~src_bits:nbits ~dst_bits:limb_bits a)
-
-    let create m =
-      if m.sign <= 0 || is_even m || (Array.length m.mag = 1 && m.mag.(0) < 3) then
-        invalid_arg "Bigint.Mont.Narrow.create: modulus must be odd and >= 3";
-      let nmm = repack ~src_bits:limb_bits ~dst_bits:nbits m.mag in
-      let nl = Array.length nmm in
-      let pad a =
-        if Array.length a = nl then a
-        else Array.append a (Array.make (nl - Array.length a) 0)
-      in
-      let m0 = nmm.(0) in
-      let x = ref 1 in
-      for _ = 1 to 5 do
-        x := (!x * (2 - (m0 * !x))) land nmask
-      done;
-      let nm' = (nbase - !x) land nmask in
-      let r = shift_left one (nl * nbits) in
-      let nr2 = pad (repack ~src_bits:limb_bits ~dst_bits:nbits (erem (mul r r) m).mag) in
-      let none_m = pad (repack ~src_bits:limb_bits ~dst_bits:nbits (erem r m).mag) in
-      let nunit = Array.make nl 0 in
-      nunit.(0) <- 1;
-      { n_big = m; nmm; nl; nm'; nr2; none_m; nunit }
-
-    let modulus ctx = ctx.n_big
-
-    let npad ctx a =
-      if Array.length a = ctx.nl then a
-      else Array.append a (Array.make (ctx.nl - Array.length a) 0)
-
-    let mont_mul_into ctx tbuf dst a b =
-      let l = ctx.nl and mm = ctx.nmm and m' = ctx.nm' in
-      Array.fill tbuf 0 (l + 2) 0;
-      for i = 0 to l - 1 do
-        let bi = Array.unsafe_get b i in
-        let t0 = Array.unsafe_get tbuf 0 + (Array.unsafe_get a 0 * bi) in
-        let mu = (t0 * m') land nmask in
-        let c = ref ((t0 + (mu * Array.unsafe_get mm 0)) lsr nbits) in
-        for j = 1 to l - 1 do
-          let p =
-            Array.unsafe_get tbuf j
-            + (Array.unsafe_get a j * bi)
-            + (mu * Array.unsafe_get mm j)
-          in
-          let p = p + !c in
-          Array.unsafe_set tbuf (j - 1) (p land nmask);
-          c := p lsr nbits
-        done;
-        let p = Array.unsafe_get tbuf l + !c in
-        Array.unsafe_set tbuf (l - 1) (p land nmask);
-        Array.unsafe_set tbuf l (Array.unsafe_get tbuf (l + 1) + (p lsr nbits));
-        Array.unsafe_set tbuf (l + 1) 0
-      done;
-      let ge =
-        tbuf.(l) > 0
-        ||
-        let rec go i =
-          if i < 0 then true
-          else if tbuf.(i) <> mm.(i) then tbuf.(i) > mm.(i)
-          else go (i - 1)
-        in
-        go (l - 1)
-      in
-      if ge then begin
-        let borrow = ref 0 in
-        for j = 0 to l - 1 do
-          let d = Array.unsafe_get tbuf j - Array.unsafe_get mm j - !borrow in
-          if d < 0 then begin
-            Array.unsafe_set dst j (d + nbase);
-            borrow := 1
-          end
-          else begin
-            Array.unsafe_set dst j d;
-            borrow := 0
-          end
-        done
-      end
-      else Array.blit tbuf 0 dst 0 l
-
-    let scratch ctx = Array.make (ctx.nl + 2) 0
-
-    (* 4-bit window of a 30-bit limb magnitude starting at bit 4j *)
-    let window30 mag j =
-      let pos = 4 * j in
-      let limb = pos / nbits and off = pos mod nbits in
-      let len = Array.length mag in
-      let v = if limb < len then mag.(limb) lsr off else 0 in
-      let v =
-        if off + 4 > nbits && limb + 1 < len then
-          v lor (mag.(limb + 1) lsl (nbits - off))
-        else v
-      in
-      v land 15
-
-    let mulmod ctx a b =
-      if a.sign < 0 || b.sign < 0 || compare a ctx.n_big >= 0 || compare b ctx.n_big >= 0
-      then invalid_arg "Bigint.Mont.Narrow.mulmod: operands out of range";
-      let dst = Array.make ctx.nl 0 in
-      mont_mul_into ctx (scratch ctx) dst
-        (npad ctx (repack ~src_bits:limb_bits ~dst_bits:nbits a.mag))
-        (npad ctx (repack ~src_bits:limb_bits ~dst_bits:nbits b.mag));
-      of30 dst
-
-    let powmod ctx b e =
-      if sign e < 0 then invalid_arg "Bigint.Mont.Narrow.powmod: negative exponent";
-      let b = erem b ctx.n_big in
-      let ebits = bit_length e in
-      if ebits = 0 then one
-      else begin
-        let l = ctx.nl in
-        let e30 = repack ~src_bits:limb_bits ~dst_bits:nbits e.mag in
-        let tbuf = scratch ctx in
-        let bm = Array.make l 0 in
-        mont_mul_into ctx tbuf bm
-          (npad ctx (repack ~src_bits:limb_bits ~dst_bits:nbits b.mag))
-          ctx.nr2;
-        let tbl = Array.make 16 ctx.none_m in
-        tbl.(1) <- bm;
-        for w = 2 to 15 do
-          let d = Array.make l 0 in
-          mont_mul_into ctx tbuf d tbl.(w - 1) bm;
-          tbl.(w) <- d
-        done;
-        let nw = (ebits + 3) / 4 in
-        let acc = Array.make l 0 in
-        Array.blit tbl.(window30 e30 (nw - 1)) 0 acc 0 l;
-        for j = nw - 2 downto 0 do
-          for _ = 1 to 4 do
-            mont_mul_into ctx tbuf acc acc acc
-          done;
-          let w = window30 e30 j in
-          if w <> 0 then mont_mul_into ctx tbuf acc acc tbl.(w)
-        done;
-        let dst = Array.make l 0 in
-        mont_mul_into ctx tbuf dst acc ctx.nunit;
-        of30 dst
-      end
-  end
 end
 
 let powmod_naive b e m =
@@ -1116,15 +953,6 @@ module Multiexp = struct
     Mont.mont_mul_into ctx (Mont.scratch ctx) dst acc ctx.Mont.unit_arr;
     Mont.canon ctx dst;
     Mont.of_kernel dst
-
-  (* reference: independent powmods folded into one product *)
-  let naive ctx pairs =
-    let m = ctx.Mont.m_big in
-    Array.fold_left
-      (fun acc (b, e) ->
-        let b, e = if sign e < 0 then (invmod b m, neg e) else (b, e) in
-        mulmod acc (Mont.powmod ctx b e) m)
-      one pairs
 
   (* Straus interleaving: per-base window tables, one shared squaring
      chain.  Window width adapts to the exponent size — short
@@ -1430,14 +1258,6 @@ let random_prime st ~bits =
     in
     if bit_length candidate = bits && is_probable_prime st candidate then candidate
     else go ()
-  in
-  go ()
-
-let random_safe_prime st ~bits =
-  let rec go () =
-    let q = random_prime st ~bits:(bits - 1) in
-    let p = add (shift_left q 1) one in
-    if bit_length p = bits && is_probable_prime st p then p else go ()
   in
   go ()
 

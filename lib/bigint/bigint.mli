@@ -142,9 +142,6 @@ module Mont : sig
   (** Inverse of {!to_mont}.
       @raise Invalid_argument if the value is not in [\[0, m)]. *)
 
-  val one_mont : ctx -> t
-  (** Montgomery form of [1], i.e. [R mod m]. *)
-
   val mulmod : ctx -> t -> t -> t
   (** Product of two values {e in Montgomery form}, result in
       Montgomery form.
@@ -171,33 +168,6 @@ module Mont : sig
       which is a write — call [preload] before sharing a fixed base
       across domains so that parallel readers never race the growth.
       @raise Invalid_argument on negative [bits]. *)
-
-  (** The retired 30-bit-limb CIOS kernel, kept verbatim on a repacked
-      30-bit view of the 62-bit representation.  It exists for two
-      jobs: [bench time] measures it against the wide kernel on the
-      exact Paillier encrypt/tpdec shapes (the wide kernel must stay
-      ahead; see EXPERIMENTS.md E14 for the measured margins and why
-      the bench's 509-bit modulus caps the ratio near 1.25x), and the
-      backend-equality property tests use it as an independent oracle
-      at 512/1024/2048 bits.  Not for production use. *)
-  module Narrow : sig
-    type ctx
-
-    val create : t -> ctx
-    (** @raise Invalid_argument if the modulus is even or [< 3]. *)
-
-    val modulus : ctx -> t
-
-    val mulmod : ctx -> t -> t -> t
-    (** Montgomery product [a * b * R30^-1 mod m] of two values in
-        (30-bit) Montgomery form.
-        @raise Invalid_argument if an operand is not in [\[0, m)]. *)
-
-    val powmod : ctx -> t -> t -> t
-    (** Same contract as {!Mont.powmod}: ordinary-domain base and
-        result, 4-bit windowed ladder on 30-bit limbs.
-        @raise Invalid_argument if [e < 0]. *)
-  end
 end
 
 val gcd : t -> t -> t
@@ -232,10 +202,6 @@ module Multiexp : sig
   (** Digit bucketing with suffix-product aggregation; window width
       chosen from batch size and exponent length.  Best for many
       bases (batched verification). *)
-
-  val naive : Mont.ctx -> (t * t) array -> t
-  (** Reference product of independent exponentiations, for tests and
-      benchmark baselines. *)
 end
 
 (** {1 Randomness and primality} *)
@@ -253,9 +219,5 @@ val is_probable_prime : ?rounds:int -> Random.State.t -> t -> bool
 
 val random_prime : Random.State.t -> bits:int -> t
 (** Random prime with exactly [bits] bits (top bit set). [bits >= 2]. *)
-
-val random_safe_prime : Random.State.t -> bits:int -> t
-(** Random safe prime [p = 2q + 1] with [q] prime. Slow for large
-    [bits]; intended for test-sized parameters. *)
 
 val pp : Format.formatter -> t -> unit

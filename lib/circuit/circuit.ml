@@ -94,9 +94,6 @@ let clients c =
 let input_wires_of_client c client =
   List.filter_map (fun (cl, w) -> if cl = client then Some w else None) c.input_wires
 
-let output_wires_of_client c client =
-  List.filter_map (fun (cl, w) -> if cl = client then Some w else None) c.output_wires
-
 let pp_stats ppf c =
   Format.fprintf ppf
     "gates=%d inputs=%d add=%d mul=%d outputs=%d depth=%d width=%d clients=%d"

@@ -46,7 +46,6 @@ val clients : t -> int list
     outputs. *)
 
 val input_wires_of_client : t -> int -> wire list
-val output_wires_of_client : t -> int -> wire list
 
 val pp_stats : Format.formatter -> t -> unit
 
@@ -59,7 +58,4 @@ module Eval (F : Yoso_field.Field.S) : sig
       order.  Returns [(client, value)] per output gate, in gate
       order.  @raise Invalid_argument if an input vector is too
       short. *)
-
-  val wire_values : t -> inputs:(int -> F.t array) -> F.t array
-  (** All wire values (index = wire id). *)
 end

@@ -185,8 +185,6 @@ let contributions ?tamper ?wire ?(required = 1) ctx committee ~phase ~step ~cost
 
 type holder = { committee : Committee.t; shares : Te.share option array; prefix : string }
 
-let holder_committee h = h.committee
-
 let initial_holder ctx _te ~name shares =
   let committee = fresh_committee ctx name in
   if Array.length shares <> ctx.params.Params.n then
@@ -247,8 +245,6 @@ let decrypt_batch ctx te holder ~phase ~step cts =
   (values, next)
 
 type 'a reenc = { senders : int list; target : Pke.pk; guarded : 'a Pke.enc }
-
-let reenc_target r = r.target
 
 let open_reenc te sk r =
   let distinct = List.sort_uniq compare r.senders in

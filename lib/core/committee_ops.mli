@@ -109,7 +109,6 @@ type holder
 (** A committee currently holding the shares of [tsk]. *)
 
 val initial_holder : ctx -> Te.tpk -> name:string -> Te.share array -> holder
-val holder_committee : holder -> Committee.t
 
 val decrypt_batch :
   ctx -> Te.tpk -> holder -> phase:string -> step:string -> F.t Te.ct array ->
@@ -127,8 +126,6 @@ val decrypt_batch :
 type 'a reenc
 (** A value re-encrypted towards one recipient: the on-board partial
     encryptions, openable only with the matching secret key. *)
-
-val reenc_target : 'a reenc -> Pke.pk
 
 val reencrypt_batch :
   ctx -> Te.tpk -> holder -> phase:string -> step:string ->

@@ -16,8 +16,6 @@ let gen rng =
   let id = Atomic.fetch_and_add counter 1 + 1 in
   (id, { id })
 
-let pk_of sk = sk.id
-let pk_id pk = pk
 
 type 'a enc = { key : int; payload : 'a }
 

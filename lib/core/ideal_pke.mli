@@ -17,9 +17,6 @@ type pk
 type sk
 
 val gen : Yoso_hash.Splitmix.t -> pk * sk
-val pk_of : sk -> pk
-val pk_id : pk -> int
-(** Stable identifier (for transcripts / debugging). *)
 
 type 'a enc
 

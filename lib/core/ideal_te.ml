@@ -58,8 +58,6 @@ let partial_decrypt tpk s c =
   if s.key <> tpk.id then invalid_arg "Ideal_te.partial_decrypt: share of another key";
   { p_key = tpk.id; p_index = s.index; p_epoch = s.epoch; p_value = c.value }
 
-let partial_index p = p.p_index
-
 let combine tpk parts =
   let seen = Hashtbl.create 8 in
   let parts =
@@ -93,8 +91,6 @@ let reshare tpk s =
   if s.key <> tpk.id then invalid_arg "Ideal_te.reshare: share of another key";
   Array.init tpk.n (fun j ->
       { s_key = tpk.id; sender = s.index; dest = j + 1; s_epoch = s.epoch })
-
-let subshare_sender ss = ss.sender
 
 let recombine tpk ~index subs =
   let seen = Hashtbl.create 8 in

@@ -56,8 +56,6 @@ val partial_decrypt : tpk -> share -> 'a ct -> 'a partial
 (** [TPDec].  @raise Invalid_argument on a foreign ciphertext or a
     share of a different key. *)
 
-val partial_index : 'a partial -> int
-
 val combine : tpk -> 'a partial list -> 'a
 (** [TDec].  @raise Invalid_argument with fewer than [t + 1] distinct
     same-epoch partials, or on inconsistent partials (which cannot
@@ -69,8 +67,6 @@ type subshare
 val reshare : tpk -> share -> subshare array
 (** [TKRes]: slot [j] (0-based) is destined for party [j + 1] of the
     next committee. *)
-
-val subshare_sender : subshare -> int
 
 val recombine : tpk -> index:int -> subshare list -> share
 (** [TKRec]: needs sub-shares addressed to [index] from [>= t + 1]

@@ -61,24 +61,17 @@ type net_config = {
   link : Board.link option;
 }
 
-type recovery_config = {
-  journal : string option;
-  chaos : string option;
-}
-
 type config = {
   exec : exec_config;
   net : net_config;
-  recovery : recovery_config;
 }
 
 let config ?(adversary = Params.no_adversary) ?plan ?(validate = true) ?(seed = 0xC0FFEE)
     ?(domains = 1) ?(offline = Offline.default_opts) ?(board = Board.default_config)
-    ?(transport = "sim") ?link ?journal ?chaos () =
+    ?(transport = "sim") ?link () =
   {
     exec = { adversary; plan; validate; seed; domains; offline };
     net = { board; transport; link };
-    recovery = { journal; chaos };
   }
 
 let default_config = config ()

@@ -90,22 +90,9 @@ type net_config = {
 (** How frames travel: the simulated-network model and, optionally,
     the physical transport link behind the board façade. *)
 
-type recovery_config = {
-  journal : string option;
-      (** write-ahead journal path for the transport daemon; [None]
-          disables crash recovery *)
-  chaos : string option;
-      (** socket-fault spec in {!Yoso_transport.Chaos.parse} syntax *)
-}
-(** Crash-recovery plumbing.  [execute] itself ignores this record —
-    it configures the transport daemon, which lives a process above —
-    but carrying it in the one config keeps CLI/bench call sites to a
-    single value. *)
-
 type config = {
   exec : exec_config;
   net : net_config;
-  recovery : recovery_config;
 }
 
 val config :
@@ -118,8 +105,6 @@ val config :
   ?board:Yoso_net.Board.config ->
   ?transport:string ->
   ?link:Yoso_net.Board.link ->
-  ?journal:string ->
-  ?chaos:string ->
   unit ->
   config
 (** Smart constructor; every omitted knob takes the
@@ -128,7 +113,7 @@ val config :
 val default_config : config
 (** No adversary, random fault plan from the seed, validation on,
     seed [0xC0FFEE], ideal network, 1 domain, sim transport, no
-    link, no journal, no chaos. *)
+    link. *)
 
 (** {1 Produce/consume session halves}
 

@@ -148,14 +148,3 @@ let hex raw =
   let b = Buffer.create (2 * String.length raw) in
   String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) raw;
   Buffer.contents b
-
-let hmac ~key msg =
-  let block = 64 in
-  let key = if String.length key > block then digest_string key else key in
-  let key_padded = Bytes.make block '\000' in
-  Bytes.blit_string key 0 key_padded 0 (String.length key);
-  let xor_with c =
-    String.init block (fun i -> Char.chr (Char.code (Bytes.get key_padded i) lxor c))
-  in
-  let inner = digest_string (xor_with 0x36 ^ msg) in
-  digest_string (xor_with 0x5c ^ inner)

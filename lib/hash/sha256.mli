@@ -1,9 +1,8 @@
 (** SHA-256 (FIPS 180-4), implemented from scratch.
 
     Used as the random oracle of the Fiat-Shamir transform in
-    {!Yoso_nizk} and as the extractor of the hash-based DRBG in
-    {!Prg}.  Verified against the NIST short-message test vectors in
-    the test suite. *)
+    {!Yoso_nizk}.  Verified against the NIST short-message test vectors
+    in the test suite. *)
 
 type ctx
 (** Streaming hash context (mutable). *)
@@ -18,10 +17,5 @@ val finalize : ctx -> string
 val digest_string : string -> string
 (** One-shot: 32-byte (raw) digest of the input. *)
 
-val digest_bytes : bytes -> string
-
 val hex : string -> string
 (** Lowercase hex encoding of a raw digest (or any string). *)
-
-val hmac : key:string -> string -> string
-(** HMAC-SHA256 (RFC 2104), 32-byte raw output. *)

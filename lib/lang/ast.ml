@@ -161,74 +161,6 @@ let clients p =
     (List.map (fun d -> d.d_client) p.p_decls @ List.map fst p.p_outputs)
 
 (* ------------------------------------------------------------------ *)
-(* range analysis                                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* integer bounds of an expression before any mod-p reduction, with
-   saturation: once a bound leaves [-2^30, 2^30] the value may wrap in
-   the field and the range degenerates to Full (any field element).
-   This is the keelung-style bounds calculation that justifies the
-   bit-decomposition width of comparisons and the stats report. *)
-
-type range = Range of int * int | Full
-
-let sat_bound = 1 lsl max_width
-
-let norm lo hi = if lo < -sat_bound || hi > sat_bound then Full else Range (lo, hi)
-
-let range_add r1 r2 =
-  match (r1, r2) with
-  | Range (a, b), Range (c, d) -> norm (a + c) (b + d)
-  | _ -> Full
-
-let range_sub r1 r2 =
-  match (r1, r2) with
-  | Range (a, b), Range (c, d) -> norm (a - d) (b - c)
-  | _ -> Full
-
-let range_mul r1 r2 =
-  match (r1, r2) with
-  | Range (a, b), Range (c, d) ->
-    (* |bounds| <= 2^30 so every product fits in a native int *)
-    let p1 = a * c and p2 = a * d and p3 = b * c and p4 = b * d in
-    norm (min (min p1 p2) (min p3 p4)) (max (max p1 p2) (max p3 p4))
-  | _ -> Full
-
-let range_union r1 r2 =
-  match (r1, r2) with
-  | Range (a, b), Range (c, d) -> Range (min a c, max b d)
-  | _ -> Full
-
-let range e =
-  let memo = Hashtbl.create 64 in
-  let rec go e =
-    match Hashtbl.find_opt memo e.id with
-    | Some r -> r
-    | None ->
-      let r =
-        match e.node with
-        | Input { d_width = Some w; _ } -> Range (0, (1 lsl w) - 1)
-        | Input { d_width = None; _ } -> Full
-        | Const v -> norm v v
-        | Add (a, b) -> range_add (go a) (go b)
-        | Sub (a, b) -> range_sub (go a) (go b)
-        | Mul (a, b) -> range_mul (go a) (go b)
-        | Neg a -> range_sub (Range (0, 0)) (go a)
-        | Sum es -> List.fold_left (fun acc e -> range_add acc (go e)) (Range (0, 0)) es
-        | Prod es -> List.fold_left (fun acc e -> range_mul acc (go e)) (Range (1, 1)) es
-        | Cmp _ | Is_zero _ -> Range (0, 1)
-        | Mux (_, a, b) -> range_union (go a) (go b)
-      in
-      Hashtbl.add memo e.id r;
-      r
-  in
-  go e
-
-let pp_range ppf = function
-  | Full -> Format.fprintf ppf "full"
-  | Range (lo, hi) -> Format.fprintf ppf "[%d, %d]" lo hi
-
-(* ------------------------------------------------------------------ *)
 (* traversal helpers                                                   *)
 (* ------------------------------------------------------------------ *)
 

@@ -115,16 +115,6 @@ val clients : program -> int list
 val size : program -> int
 (** Number of distinct expression nodes reachable from the outputs. *)
 
-(** {1 Range analysis} *)
-
-type range = Range of int * int | Full
-
-val range : expr -> range
-(** Integer bounds of the expression before any mod-p reduction,
-    saturating to [Full] once a bound may wrap the field. *)
-
-val pp_range : Format.formatter -> range -> unit
-
 val bit_source_width : expr -> int option
 (** Width of the bit decomposition available for a comparison operand
     ([Some] for width-annotated inputs and small nonnegative

@@ -4,7 +4,7 @@
     The pipeline elaborates the AST into the flat IR (comparisons
     become bit prefix circuits, [is_zero] becomes Fermat
     exponentiation, [Sub]/[Neg] multiply by the [-1] constant), runs
-    {!default_passes}, then lowers to a circuit through
+    the default passes, then lowers to a circuit through
     {!Yoso_circuit.Builder}.  Constants materialize as inputs of a
     designated constants client ({!field:compiled.const_client}, one
     id above the program's real clients); {!protocol_inputs} supplies
@@ -31,13 +31,11 @@ type compiled = {
   pass_stats : (string * Ir.stats) list;  (** stats after each pass *)
 }
 
-val default_passes : (string * (Ir.t -> Ir.t)) list
-(** [fold; rewrite; cse; reassoc; fold2; cse2] — a second fold/cse
-    round picks up opportunities the reassociation exposes. *)
-
 val compile : ?passes:(string * (Ir.t -> Ir.t)) list -> Ast.program -> compiled
-(** Compile with the given pass list (default {!default_passes};
-    [~passes:[]] gives the naive lowering). *)
+(** Compile with the given pass list (default [fold; rewrite; cse;
+    reassoc; fold2; cse2] — a second fold/cse round picks up
+    opportunities the reassociation exposes; [~passes:[]] gives the
+    naive lowering). *)
 
 val protocol_inputs :
   compiled -> inputs:(int -> int array) -> int -> F.t array

@@ -44,6 +44,9 @@ let outcome_to_string = function
 
 type transcript = { frames : int; frame_bytes : int; digest : int }
 
+let digest_seed = 0x9e3779b9
+let chain_digest d csum = ((d * 1000003) + csum) land max_int
+
 type t = {
   bulletin : string Bulletin.t;
   sim : Sim.t;
@@ -64,7 +67,7 @@ let create ?(config = default_config) () =
     config;
     frames = 0;
     frame_bytes = 0;
-    digest = 0x9e3779b9;
+    digest = digest_seed;
     round_posts = 0;
     link = None;
   }
@@ -239,7 +242,7 @@ let commit t p =
     | `Frame f -> (Wire.checksum f, (not p_local) && String.length f = frame_bytes)
     | `Summary (csum, len) -> (csum, len = frame_bytes)
   in
-  t.digest <- ((t.digest * 1000003) + csum) land max_int;
+  t.digest <- chain_digest t.digest csum;
   match exchange with
   | `Down ->
     (* the owning process vanished mid-round: nothing ever reached the

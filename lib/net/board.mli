@@ -94,6 +94,15 @@ type transcript = { frames : int; frame_bytes : int; digest : int }
     dropped and garbled ones); two runs with equal seeds produce equal
     transcripts byte for byte. *)
 
+val digest_seed : int
+(** The transcript digest before any frame. *)
+
+val chain_digest : int -> int -> int
+(** [chain_digest d csum] folds one frame's {!Wire.checksum} into the
+    digest [d].  Every transcript digest, the board's and the socket
+    daemon's, is [digest_seed] chained over the frames in commit
+    order. *)
+
 type t
 
 val create : ?config:config -> unit -> t

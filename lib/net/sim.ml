@@ -105,7 +105,6 @@ let create ?(model = ideal) ?(round_ms = 100.) ~seed () =
     max_in_flight = 0;
   }
 
-let now_ms t = t.now
 let deadline_ms t = t.now +. t.round_ms
 
 (* draws are gated on the parameter being active, so the ideal model

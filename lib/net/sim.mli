@@ -45,7 +45,6 @@ val next_round : t -> unit
 (** Advance the clock to the next round boundary and drain every
     in-flight message that has arrived by then. *)
 
-val now_ms : t -> float
 val deadline_ms : t -> float
 val in_flight : t -> int
 

@@ -381,6 +381,16 @@ let put_checksum buf h =
     put_u8 buf ((h lsr (8 * i)) land 0xff)
   done
 
+(* all 64 bits: a value outside [checksum]'s range is rejected, never
+   folded into a 63-bit [int] that would drop bit 63 *)
+let get_checksum d =
+  if remaining d < 8 then fail "truncated (checksum)";
+  let v = String.get_int64_le d.src d.pos in
+  if Int64.compare v 0L < 0 || Int64.compare v (Int64.of_int max_int) > 0 then
+    fail "checksum %Lx out of range" v;
+  d.pos <- d.pos + 8;
+  Int64.to_int v
+
 let magic0 = 'Y'
 let magic1 = 'W'
 let version = 1

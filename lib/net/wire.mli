@@ -46,8 +46,12 @@ type dec = { src : string; mutable pos : int }
 
 val get_varint : dec -> int
 val get_u8 : dec -> int
-val get_fixed32 : dec -> int
 val get_bytes : dec -> string
+
+val get_checksum : dec -> int
+(** The 8 bytes {!put_checksum} writes.  Raises [Decode_error] unless
+    the value is in [\[0, max_int\]], the range of {!checksum}. *)
+
 val get_field : dec -> F.t
 val get_bigint : dec -> B.t
 

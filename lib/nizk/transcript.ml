@@ -17,7 +17,6 @@ let absorb t ~label data =
   t.state <- Sha256.digest_string (t.state ^ frame label data)
 
 let absorb_bigint t ~label v = absorb t ~label (B.to_bytes_be v ^ if B.sign v < 0 then "-" else "+")
-let absorb_int t ~label v = absorb_bigint t ~label (B.of_int v)
 
 let challenge_bytes t ~label n =
   let out = Buffer.create n in

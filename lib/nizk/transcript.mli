@@ -11,7 +11,6 @@ type t
 val create : label:string -> t
 val absorb : t -> label:string -> string -> unit
 val absorb_bigint : t -> label:string -> Yoso_bigint.Bigint.t -> unit
-val absorb_int : t -> label:string -> int -> unit
 
 val challenge_bytes : t -> label:string -> int -> string
 (** Squeeze [n] challenge bytes; the transcript state advances, so

@@ -2,12 +2,6 @@ module Splitmix = Yoso_hash.Splitmix
 
 type status = Honest | Passive | Malicious | Fail_stop
 
-let status_to_string = function
-  | Honest -> "honest"
-  | Passive -> "passive"
-  | Malicious -> "malicious"
-  | Fail_stop -> "fail-stop"
-
 type t = { name : string; size : int; statuses : status array }
 
 let create ~name ~statuses =
@@ -43,7 +37,6 @@ let sample ~name ~n ~malicious ?(passive = 0) ?(fail_stop = 0) rng =
 let status t i = t.statuses.(i)
 let role t i = Role.id ~committee:t.name ~index:i
 let is_malicious t i = t.statuses.(i) = Malicious
-let is_fail_stop t i = t.statuses.(i) = Fail_stop
 let participates t i = t.statuses.(i) <> Fail_stop
 
 let indices_where pred t =

@@ -8,8 +8,6 @@
 
 type status = Honest | Passive | Malicious | Fail_stop
 
-val status_to_string : status -> string
-
 type t = private { name : string; size : int; statuses : status array }
 
 val create : name:string -> statuses:status array -> t
@@ -30,7 +28,6 @@ val sample :
 val status : t -> int -> status
 val role : t -> int -> Role.id
 val is_malicious : t -> int -> bool
-val is_fail_stop : t -> int -> bool
 
 val participates : t -> int -> bool
 (** Everyone but fail-stop roles (malicious roles do participate —

@@ -16,8 +16,6 @@ let kind_to_string = function
   | Silent -> "silent"
   | Delayed -> "delayed"
 
-let pp_kind ppf k = Format.pp_print_string ppf (kind_to_string k)
-
 let active_kinds = [ Tamper_share; Bad_proof; Wrong_degree; Garbage_ciphertext ]
 let is_active = function Silent | Delayed -> false | _ -> true
 
@@ -51,10 +49,6 @@ let fail_stop_kind plan ~committee ~index =
   | Random seed -> if draw seed ~committee ~index ~salt:"fs" 3 = 0 then Delayed else Silent
 
 type blame = { role : Role.id; kind : kind; phase : string; step : string }
-
-let pp_blame ppf b =
-  Format.fprintf ppf "%s: %s during %s/%s" (Role.to_string b.role) (kind_to_string b.kind)
-    b.phase b.step
 
 type log = { mutable entries : blame list (* reversed *); mutable rejected : int }
 

@@ -25,7 +25,6 @@ type kind =
   | Delayed  (** post after the round deadline; verifiers ignore it *)
 
 val kind_to_string : kind -> string
-val pp_kind : Format.formatter -> kind -> unit
 
 val active_kinds : kind list
 (** The four tampering kinds — faults where the role actually posts
@@ -61,8 +60,6 @@ type blame = {
   phase : string;
   step : string;  (** which protocol step detected it *)
 }
-
-val pp_blame : Format.formatter -> blame -> unit
 
 type log
 

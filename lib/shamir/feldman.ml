@@ -244,10 +244,6 @@ module Product = struct
     List.rev !bad
 end
 
-let secret_commitment c =
-  if Array.length c = 0 then invalid_arg "Feldman: empty commitment";
-  c.(0)
-
 let mul_commitments a b =
   let g = Lazy.force group in
   B.mulmod a b g.modulus

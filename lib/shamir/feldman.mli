@@ -111,11 +111,8 @@ module Product : sig
       after {!verify_batch} returns [false]. *)
 end
 
-val secret_commitment : commitment -> B.t
-(** [h^secret = C_0]; contributions aggregate by multiplying these. *)
-
 val mul_commitments : B.t -> B.t -> B.t
-(** Group operation, for aggregating {!secret_commitment}s. *)
+(** Group operation, for aggregating commitment elements. *)
 
 val reconstruct : t:int -> (int * F.t) list -> F.t
 (** Lagrange reconstruction from [t + 1] verified [(index, share)]

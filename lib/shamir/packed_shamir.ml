@@ -24,7 +24,6 @@ module Make (F : Yoso_field.Field.S) = struct
 
   let n p = p.n
   let k p = p.k
-  let secret_slot p j = p.secret_slots.(j)
   let share_point p i = p.share_points.(i)
 
   type sharing = { degree : int; shares : F.t array }
@@ -152,11 +151,6 @@ module Make (F : Yoso_field.Field.S) = struct
     in
     if inconsistent <> [] then Error inconsistent
     else Ok (Array.map (Bary.eval base ~values) p.secret_slots)
-
-  let reconstruct_sharing p s =
-    check_same_n p s;
-    reconstruct p ~degree:s.degree
-      (Array.to_list (Array.mapi (fun i v -> (i, v)) s.shares))
 
   let check_degree p s =
     check_same_n p s;

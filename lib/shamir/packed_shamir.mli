@@ -24,10 +24,6 @@ module Make (F : Yoso_field.Field.S) : sig
   val n : params -> int
   val k : params -> int
 
-  val secret_slot : params -> int -> F.t
-  (** [secret_slot p j] is the evaluation point of secret [j]
-      (0-based): the field element [-(j)]. *)
-
   val share_point : params -> int -> F.t
   (** [share_point p i] is party [i]'s point (0-based party index,
       point [i + 1]). *)
@@ -87,9 +83,6 @@ module Make (F : Yoso_field.Field.S) : sig
       during online reconstruction.
       @raise Invalid_argument with fewer than [degree + 1] distinct
       pairs. *)
-
-  val reconstruct_sharing : params -> sharing -> F.t array
-  (** Reconstruct from a complete sharing (all [n] shares). *)
 
   val check_degree : params -> sharing -> bool
   (** Whether all [n] shares lie on a polynomial of the claimed

@@ -68,8 +68,3 @@ let improvement_claims ?(security = default_security) () =
     ("f=5%, C=1000 (28x, ~900 -> ~1000)", get 1000 0.05);
     ("f=20%, C=20000 (>1000x, ~18k -> ~20k)", get 20000 0.2);
   ]
-
-let pp_row ppf = function
-  | None -> Format.fprintf ppf "⊥"
-  | Some r ->
-    Format.fprintf ppf "t=%d c=%d c'=%d eps=%.2f k=%d" r.t r.c r.c' r.eps r.k

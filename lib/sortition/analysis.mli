@@ -56,5 +56,3 @@ val improvement_claims :
 (** The two headline claims of Section 1.1.2: [f = 0.05] at [C = 1000]
     (28x, committees ~900 -> ~1000) and [f = 0.2] at [C = 20000]
     (>1000x, ~18k -> ~20k). *)
-
-val pp_row : Format.formatter -> row option -> unit

@@ -109,8 +109,8 @@ let serve ?(config = default_config) ?meter ?journal:journal_path ?chaos ?topolo
      in sequence order (across all shards — the stitch), same chain as
      Board, so a fault-free run can be checked against the sim
      digest without any client's help *)
-  let digest = ref 0x9e3779b9 in
-  let chain csum = digest := ((!digest * 1000003) + csum) land max_int in
+  let digest = ref Yoso_net.Board.digest_seed in
+  let chain csum = digest := Yoso_net.Board.chain_digest !digest csum in
   let scratch = Bytes.create 65536 in
   let t0 = Sockio.now () in
 

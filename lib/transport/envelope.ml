@@ -96,12 +96,8 @@ let get_record d =
     let seq = Wire.get_varint d in
     let slot = Wire.get_varint d in
     let len = Wire.get_varint d in
-    let bytes = Array.init 8 (fun _ -> Wire.get_u8 d) in
-    let csum = ref 0 in
-    for i = 7 downto 0 do
-      csum := (!csum lsl 8) lor bytes.(i)
-    done;
-    Digest { seq; slot; csum = !csum; len }
+    let csum = Wire.get_checksum d in
+    Digest { seq; slot; csum; len }
   | k -> fail "deliver-batch: unknown record kind %d" k
 
 let encode_body buf = function

@@ -14,6 +14,12 @@ type result = {
   children : (int * Unix.process_status) list;
 }
 
+(* The link a child plugs into its board: [owns] maps role index
+   [mod nslots] onto this client's slot; [local] is [Topology.local];
+   [send] posts owned frames; [recv] blocks on the daemon's delivery.
+   [crash_after m] makes the process die ([Unix._exit 13]) when it is
+   about to post its [m+1]-th own frame — the deterministic mid-round
+   crash drill. *)
 let link_of_client ?crash_after ~topology client =
   let me = Client.slot client in
   let owner (r : Role.id) = Topology.owner_slot topology ~index:r.Role.index in

@@ -45,7 +45,3 @@ let backoff_ms r ~seed ~attempt =
   else
     let rng = Splitmix.of_int (Splitmix.mix (Splitmix.mix seed 0xB0FF) attempt) in
     Splitmix.float rng *. capped
-
-let pp_retry ppf r =
-  Format.fprintf ppf "{attempts=%d;base=%.0fms;cap=%.0fms;elapsed<=%.0fms;jitter=%b}"
-    r.attempts r.base_ms r.cap_ms r.max_elapsed_ms r.jitter

@@ -48,5 +48,3 @@ val backoff_ms : retry -> seed:int -> attempt:int -> float
     uniform in [\[0, min(cap_ms, base_ms * 2^(attempt-1)))]; without,
     the capped exponential itself.
     @raise Invalid_argument if [attempt < 1]. *)
-
-val pp_retry : Format.formatter -> retry -> unit

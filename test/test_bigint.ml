@@ -1,4 +1,5 @@
 module B = Yoso_bigint.Bigint
+module Oracles = Yoso_oracles
 
 let st = Random.State.make [| 0xB16 |]
 
@@ -309,12 +310,6 @@ let test_random_prime () =
       Alcotest.(check bool) "is prime" true (B.is_probable_prime st p))
     [ 16; 32; 64; 128 ]
 
-let test_random_safe_prime () =
-  let p = B.random_safe_prime st ~bits:24 in
-  let q = B.shift_right (B.sub p B.one) 1 in
-  Alcotest.(check bool) "p prime" true (B.is_probable_prime st p);
-  Alcotest.(check bool) "q prime" true (B.is_probable_prime st q)
-
 let test_random_below () =
   let bound = B.of_int 1000 in
   for _ = 1 to 200 do
@@ -395,7 +390,7 @@ let test_mont_edge_cases () =
 
 let test_mont_backend_equality () =
   (* the 62-bit wide kernel, the retired 30-bit kernel kept as an
-     oracle (Mont.Narrow) and the naive square-and-multiply loop must
+     oracle (Oracles.Narrow) and the naive square-and-multiply loop must
      agree bit-for-bit; 2048 bits covers moduli well past every bench
      shape.  Full-width exponents drive the sliding-window ladder
      through long windows and zero runs. *)
@@ -403,14 +398,14 @@ let test_mont_backend_equality () =
     (fun bits ->
       let m = random_odd_modulus bits in
       let wide = B.Mont.create m in
-      let narrow = B.Mont.Narrow.create m in
+      let narrow = Oracles.Narrow.create m in
       let iters = if bits >= 2048 then 3 else 8 in
       for _ = 1 to iters do
         let b = B.random_bits st (bits + 11) in
         let e = B.random_bits st bits in
         let expect = B.powmod_naive b e m in
         check_b "wide = naive" expect (B.Mont.powmod wide b e);
-        check_b "narrow = naive" expect (B.Mont.Narrow.powmod narrow b e)
+        check_b "narrow = naive" expect (Oracles.Narrow.powmod narrow b e)
       done;
       (* structured exponents stress the ladder's first-window fill and
          trailing-zero handling: all-ones spans, exact powers of two,
@@ -419,7 +414,7 @@ let test_mont_backend_equality () =
         (fun e ->
           let b = B.random_bits st bits in
           check_b "structured exponent"
-            (B.Mont.Narrow.powmod narrow b e)
+            (Oracles.Narrow.powmod narrow b e)
             (B.Mont.powmod wide b e))
         [
           B.zero; B.one; B.two; B.of_int 31; B.of_int 32; B.of_int 33;
@@ -458,7 +453,7 @@ let test_multiexp_matches_naive () =
             Array.init npairs (fun _ ->
                 (B.random_bits st (bits + 13), B.random_bits st bits))
           in
-          let expect = B.Multiexp.naive ctx pairs in
+          let expect = Oracles.multiexp_naive ctx pairs in
           check_b "straus = naive" expect (B.Multiexp.straus ctx pairs);
           check_b "pippenger = naive" expect (B.Multiexp.pippenger ctx pairs);
           check_b "run = naive" expect (B.Multiexp.run ctx pairs))
@@ -475,7 +470,7 @@ let test_multiexp_short_exponents () =
       let pairs =
         Array.init 24 (fun _ -> (B.random_bits st 512, B.random_bits st ebits))
       in
-      let expect = B.Multiexp.naive ctx pairs in
+      let expect = Oracles.multiexp_naive ctx pairs in
       check_b "straus short" expect (B.Multiexp.straus ctx pairs);
       check_b "pippenger short" expect (B.Multiexp.pippenger ctx pairs))
     [ 5; 31; 64 ]
@@ -499,7 +494,7 @@ let test_multiexp_edge_cases () =
   in
   check_b "negative exponent straus" expect (B.Multiexp.straus ctx pairs);
   check_b "negative exponent pippenger" expect (B.Multiexp.pippenger ctx pairs);
-  check_b "negative exponent naive" expect (B.Multiexp.naive ctx pairs)
+  check_b "negative exponent naive" expect (Oracles.multiexp_naive ctx pairs)
 
 let arb_big =
   QCheck.map
@@ -567,7 +562,7 @@ let qcheck_props =
         let e = B.random_bits vst (bits + 1) in
         B.equal
           (B.Mont.powmod (B.Mont.create m) b e)
-          (B.Mont.Narrow.powmod (B.Mont.Narrow.create m) b e));
+          (Oracles.Narrow.powmod (Oracles.Narrow.create m) b e));
   ]
 
 let () =
@@ -609,7 +604,6 @@ let () =
         [
           Alcotest.test_case "known values" `Quick test_primality_known;
           Alcotest.test_case "random prime" `Quick test_random_prime;
-          Alcotest.test_case "safe prime" `Quick test_random_safe_prime;
           Alcotest.test_case "random below" `Quick test_random_below;
         ] );
       ( "montgomery",

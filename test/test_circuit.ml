@@ -272,55 +272,6 @@ let test_layout_layers_respect_dependencies () =
            b.Layout.mult_gates))
     l.Layout.mult_layers
 
-(* ------------------------------------------------------------------ *)
-(* Serialization                                                       *)
-(* ------------------------------------------------------------------ *)
-
-module Serial = Yoso_circuit.Serial
-
-let test_serial_roundtrip () =
-  List.iter
-    (fun c ->
-      let c' = Serial.of_string (Serial.to_string c) in
-      Alcotest.(check int) "same size" (C.size c) (C.size c');
-      (* same function: evaluate both on the same inputs *)
-      let inputs cl = Array.init 64 (fun i -> F.of_int ((cl + 2) * (i + 1))) in
-      Alcotest.(check bool) "same outputs" true (Eval.run c ~inputs = Eval.run c' ~inputs))
-    [
-      Gen.dot_product ~len:5;
-      Gen.wide_mul ~width:4 ~depth:2 ~clients:2;
-      Gen.random_dag ~gates:40 ~clients:3 ~mul_fraction:0.5 ~seed:2;
-    ]
-
-let test_serial_comments_and_whitespace () =
-  let text = "# a comment\n\n  input 0 0  # trailing\ninput 1 1\n\tmul 0 1 2\noutput 0 2\n" in
-  let c = Serial.of_string text in
-  Alcotest.(check int) "gates" 4 (C.size c);
-  let inputs cl = [| F.of_int (cl + 3) |] in
-  Alcotest.(check (list (pair int felt))) "evaluates" [ (0, F.of_int 12) ] (Eval.run c ~inputs)
-
-let test_serial_errors () =
-  Alcotest.check_raises "bad op"
-    (Invalid_argument "Circuit.Serial: line 1: unknown or malformed gate \"xor\"")
-    (fun () -> ignore (Serial.of_string "xor 0 1 2"));
-  Alcotest.check_raises "bad int"
-    (Invalid_argument "Circuit.Serial: line 2: expected an integer, got \"x\"")
-    (fun () -> ignore (Serial.of_string "input 0 0\nadd x 0 1"));
-  (* semantic validation still applies *)
-  Alcotest.check_raises "use before define"
-    (Invalid_argument "Circuit: wire 5 used before definition") (fun () ->
-      ignore (Serial.of_string "input 0 0\nadd 0 5 1"))
-
-let test_serial_file_roundtrip () =
-  let c = Gen.poly_eval ~degree:4 in
-  let path = Filename.temp_file "yoso" ".circ" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Serial.to_file path c;
-      let c' = Serial.of_file path in
-      Alcotest.(check int) "same size" (C.size c) (C.size c'))
-
 let () =
   Alcotest.run "circuit"
     [
@@ -344,13 +295,6 @@ let () =
           Alcotest.test_case "matrix-vector" `Quick test_matrix_vector;
           Alcotest.test_case "random dag deterministic" `Quick test_random_dag_deterministic;
           Alcotest.test_case "mul fraction" `Quick test_random_dag_mul_fraction;
-        ] );
-      ( "serial",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_serial_roundtrip;
-          Alcotest.test_case "comments" `Quick test_serial_comments_and_whitespace;
-          Alcotest.test_case "errors" `Quick test_serial_errors;
-          Alcotest.test_case "file roundtrip" `Quick test_serial_file_roundtrip;
         ] );
       ( "layout",
         [

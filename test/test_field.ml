@@ -1,5 +1,5 @@
 module F = Yoso_field.Field.Fp
-module Poly = Yoso_field.Poly.Make (F)
+module Poly = Yoso_oracles.Poly (F)
 module Lagrange = Yoso_field.Lagrange.Make (F)
 
 let st = Random.State.make [| 0xF1E1D |]
@@ -79,72 +79,6 @@ let test_is_probable_prime () =
     (Yoso_field.Field.is_probable_prime 104729)
 
 (* ------------------------------------------------------------------ *)
-(* Polynomials                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let test_poly_basic () =
-  let p = Poly.of_coeffs (Array.map F.of_int [| 1; 2; 3 |]) in
-  Alcotest.(check int) "degree" 2 (Poly.degree p);
-  check_f "eval at 0" F.one (Poly.eval p F.zero);
-  check_f "eval at 1" (F.of_int 6) (Poly.eval p F.one);
-  check_f "eval at 2" (F.of_int 17) (Poly.eval p F.two);
-  Alcotest.(check int) "zero degree" (-1) (Poly.degree Poly.zero);
-  Alcotest.(check bool) "trailing zeros trimmed" true
-    (Poly.equal p (Poly.of_coeffs (Array.map F.of_int [| 1; 2; 3; 0; 0 |])))
-
-let test_poly_ring_ops () =
-  for _ = 1 to 50 do
-    let p = Poly.random ~degree:(Random.State.int st 8) st in
-    let q = Poly.random ~degree:(Random.State.int st 8) st in
-    let x = F.random st in
-    check_f "add hom" (F.add (Poly.eval p x) (Poly.eval q x)) (Poly.eval (Poly.add p q) x);
-    check_f "sub hom" (F.sub (Poly.eval p x) (Poly.eval q x)) (Poly.eval (Poly.sub p q) x);
-    check_f "mul hom" (F.mul (Poly.eval p x) (Poly.eval q x)) (Poly.eval (Poly.mul p q) x)
-  done
-
-let test_poly_divmod () =
-  for _ = 1 to 50 do
-    let a = Poly.random ~degree:(2 + Random.State.int st 8) st in
-    let b = Poly.random ~degree:(Random.State.int st 4) st in
-    if not (Poly.is_zero b) then begin
-      let q, r = Poly.divmod a b in
-      Alcotest.(check bool) "deg r < deg b" true (Poly.degree r < Stdlib.max 0 (Poly.degree b));
-      Alcotest.(check bool) "a = bq + r" true (Poly.equal a (Poly.add (Poly.mul b q) r))
-    end
-  done
-
-let test_interpolate () =
-  for _ = 1 to 30 do
-    let d = 1 + Random.State.int st 8 in
-    let p = Poly.random ~degree:d st in
-    let pts = List.init (d + 1) (fun i -> (F.of_int (i + 1), Poly.eval p (F.of_int (i + 1)))) in
-    let q = Poly.interpolate pts in
-    (* q agrees with p on d+1 points and has degree <= d, so q = p *)
-    Alcotest.(check bool) "interpolation recovers evals" true
-      (List.for_all (fun (x, y) -> F.equal (Poly.eval q x) y) pts);
-    Alcotest.(check bool) "degree bound" true (Poly.degree q <= d)
-  done;
-  Alcotest.check_raises "duplicate points"
-    (Invalid_argument "Poly: duplicate x-coordinates") (fun () ->
-      ignore (Poly.interpolate [ (F.one, F.one); (F.one, F.two) ]))
-
-let test_random_with_values () =
-  for _ = 1 to 30 do
-    let pts = [ (F.of_int 100, F.random st); (F.of_int 200, F.random st) ] in
-    let d = 5 in
-    let p = Poly.random_with_values pts ~degree:d st in
-    Alcotest.(check bool) "degree bound" true (Poly.degree p <= d);
-    List.iter (fun (x, y) -> check_f "constraint satisfied" y (Poly.eval p x)) pts
-  done;
-  Alcotest.check_raises "degree too small"
-    (Invalid_argument "Poly.random_with_values: degree too small for constraints")
-    (fun () ->
-      ignore
-        (Poly.random_with_values
-           [ (F.one, F.one); (F.two, F.two) ]
-           ~degree:0 st))
-
-(* ------------------------------------------------------------------ *)
 (* Lagrange                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -213,14 +147,6 @@ let () =
           Alcotest.test_case "dot" `Quick test_dot;
           Alcotest.test_case "small prime functor" `Quick test_small_prime_field;
           Alcotest.test_case "is_probable_prime" `Quick test_is_probable_prime;
-        ] );
-      ( "poly",
-        [
-          Alcotest.test_case "basic" `Quick test_poly_basic;
-          Alcotest.test_case "ring ops" `Quick test_poly_ring_ops;
-          Alcotest.test_case "divmod" `Quick test_poly_divmod;
-          Alcotest.test_case "interpolate" `Quick test_interpolate;
-          Alcotest.test_case "random_with_values" `Quick test_random_with_values;
         ] );
       ( "lagrange",
         [

@@ -1,5 +1,4 @@
 module Sha256 = Yoso_hash.Sha256
-module Prg = Yoso_hash.Prg
 module Splitmix = Yoso_hash.Splitmix
 
 (* ------------------------------------------------------------------ *)
@@ -58,69 +57,6 @@ let test_finalize_twice () =
     (Invalid_argument "Sha256: context already finalized") (fun () ->
       ignore (Sha256.finalize ctx))
 
-let test_hmac_rfc4231 () =
-  (* RFC 4231 test case 1 *)
-  let key = String.make 20 '\x0b' in
-  Alcotest.(check string) "rfc4231 tc1"
-    "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-    (Sha256.hex (Sha256.hmac ~key "Hi There"));
-  (* test case 2 *)
-  Alcotest.(check string) "rfc4231 tc2"
-    "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-    (Sha256.hex (Sha256.hmac ~key:"Jefe" "what do ya want for nothing?"));
-  (* test case 3: 20 x 0xaa key, 50 x 0xdd data *)
-  Alcotest.(check string) "rfc4231 tc3"
-    "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
-    (Sha256.hex (Sha256.hmac ~key:(String.make 20 '\xaa') (String.make 50 '\xdd')))
-
-(* ------------------------------------------------------------------ *)
-(* PRG                                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let test_prg_deterministic () =
-  let a = Prg.create ~seed:"seed" and b = Prg.create ~seed:"seed" in
-  Alcotest.(check string) "same stream" (Prg.bytes a 100) (Prg.bytes b 100);
-  let c = Prg.create ~seed:"other" in
-  Alcotest.(check bool) "different seed differs" true (Prg.bytes c 100 <> Prg.bytes b 100)
-
-let test_prg_chunking () =
-  let a = Prg.create ~seed:"s" and b = Prg.create ~seed:"s" in
-  let big = Prg.bytes a 100 in
-  (* bind sequentially: list literals do not guarantee evaluation order *)
-  let p1 = Prg.bytes b 1 in
-  let p2 = Prg.bytes b 31 in
-  let p3 = Prg.bytes b 32 in
-  let p4 = Prg.bytes b 36 in
-  let pieces = String.concat "" [ p1; p2; p3; p4 ] in
-  Alcotest.(check string) "chunked = contiguous" big pieces
-
-let test_prg_int_below () =
-  let t = Prg.create ~seed:"bounds" in
-  for _ = 1 to 1000 do
-    let v = Prg.int_below t 17 in
-    Alcotest.(check bool) "range" true (v >= 0 && v < 17)
-  done;
-  Alcotest.check_raises "bad bound"
-    (Invalid_argument "Prg.int_below: bound must be positive") (fun () ->
-      ignore (Prg.int_below t 0))
-
-let test_prg_field_elt_uniformish () =
-  let t = Prg.create ~seed:"field" in
-  let p = 97 in
-  let counts = Array.make p 0 in
-  let n = 20_000 in
-  for _ = 1 to n do
-    let v = Prg.field_elt t ~p in
-    counts.(v) <- counts.(v) + 1
-  done;
-  (* chi-square-ish sanity: every bucket within 3x of expectation *)
-  let expected = float_of_int n /. float_of_int p in
-  Array.iter
-    (fun c ->
-      Alcotest.(check bool) "roughly uniform" true
-        (float_of_int c > expected /. 3. && float_of_int c < expected *. 3.))
-    counts
-
 (* ------------------------------------------------------------------ *)
 (* SplitMix                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -167,14 +103,6 @@ let () =
           Alcotest.test_case "million a" `Quick test_million_a;
           Alcotest.test_case "streaming" `Quick test_streaming_matches_oneshot;
           Alcotest.test_case "double finalize" `Quick test_finalize_twice;
-          Alcotest.test_case "hmac rfc4231" `Quick test_hmac_rfc4231;
-        ] );
-      ( "prg",
-        [
-          Alcotest.test_case "deterministic" `Quick test_prg_deterministic;
-          Alcotest.test_case "chunking" `Quick test_prg_chunking;
-          Alcotest.test_case "int_below" `Quick test_prg_int_below;
-          Alcotest.test_case "uniformity" `Quick test_prg_field_elt_uniformish;
         ] );
       ( "splitmix",
         [

@@ -1,6 +1,7 @@
 (* Write-ahead journal: append/replay round-trip, torn-tail recovery
-   at every truncation boundary, corruption detection, and the
-   reopen-after-crash truncation that keeps appends reachable. *)
+   at every truncation boundary, corruption detection, the
+   reopen-after-crash truncation that keeps appends reachable, and a
+   replay fuzzer over mutated tails. *)
 
 module Journal = Yoso_transport.Journal
 
@@ -132,6 +133,72 @@ let test_reopen_truncates_torn_tail () =
       Alcotest.(check (list record)) "tail cut, append reachable" (keep @ [ extra ])
         (Journal.replay path))
 
+(* ------------------------------------------------------------------ *)
+(* Replay fuzzing                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* varints the decoder accepts: up to 56 bits *)
+let gen_nat =
+  QCheck.Gen.(oneof [ int_bound 300; (fun st -> Random.State.full_int st (1 lsl 56)) ])
+
+let gen_record =
+  let open QCheck.Gen in
+  let blob = string_size (int_bound 40) in
+  oneof
+    [
+      map (fun nslots -> Journal.Started { nslots }) gen_nat;
+      (let* seq = gen_nat in
+       let* slot = gen_nat in
+       let+ frame = blob in
+       Journal.Posted { seq; slot; frame });
+      (let* slot = gen_nat in
+       let+ json = blob in
+       Journal.Reported { slot; json });
+    ]
+
+(* one record's bytes, damaged so they can no longer parse: a flipped
+   byte, a torn end, junk inserted before the last byte, or bytes cut
+   out.  Each edit changes the length header, the body or the trailer,
+   which the length and checksum checks catch -- except junk that
+   repeats the bytes it displaces, which leaves the whole record in
+   front: that case is torn instead. *)
+let gen_damaged r =
+  let open QCheck.Gen in
+  let s = Journal.encode_record r in
+  let n = String.length s in
+  map
+    (fun t -> if String.length t >= n && String.sub t 0 n = s then String.sub s 0 (n - 1) else t)
+  @@ oneof
+    [
+      (let* i = int_bound (n - 1) in
+       let+ x = int_range 1 255 in
+       String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor x) else c) s);
+      map (fun k -> String.sub s 0 k) (int_bound (n - 1));
+      (let* i = int_bound (n - 1) in
+       let+ junk = string_size ~gen:char (int_range 1 12) in
+       String.sub s 0 i ^ junk ^ String.sub s i (n - i));
+      (let* i = int_bound (n - 1) in
+       let+ k = int_range 1 (n - i) in
+       String.sub s 0 i ^ String.sub s (i + k) (n - i - k));
+    ]
+
+let arb_damaged_tail =
+  QCheck.make
+    ~print:(fun (rs, tail) ->
+      Printf.sprintf "%d intact records, tail %S" (List.length rs) tail)
+    QCheck.Gen.(pair (list_size (int_bound 5) gen_record) (gen_record >>= gen_damaged))
+
+let journal_fuzz_props =
+  [
+    QCheck.Test.make ~count:300 ~long_factor:50
+      ~name:"intact records + damaged tail replay exactly the intact prefix" arb_damaged_tail
+      (fun (rs, tail) ->
+        with_temp (fun path ->
+            let intact = String.concat "" (List.map Journal.encode_record rs) in
+            write_raw path (intact ^ tail);
+            Journal.replay path = rs && Journal.intact_bytes path = String.length intact));
+  ]
+
 let () =
   Alcotest.run "journal"
     [
@@ -145,4 +212,5 @@ let () =
           Alcotest.test_case "reopen truncates torn tail" `Quick
             test_reopen_truncates_torn_tail;
         ] );
+      ("journal-fuzz", List.map QCheck_alcotest.to_alcotest journal_fuzz_props);
     ]

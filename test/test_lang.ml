@@ -91,27 +91,6 @@ let test_interp_pins () =
   in
   Alcotest.(check (list felt)) "pinned values" expected outs
 
-let test_range_analysis () =
-  let b = A.B.create () in
-  let x = A.B.input b ~client:0 ~width:4 "x" in
-  let u = A.B.input b ~client:0 "u" in
-  (match A.range (A.add (A.mul x x) (A.const 10)) with
-  | A.Range (lo, hi) ->
-    Alcotest.(check int) "lo" 10 lo;
-    Alcotest.(check int) "hi" (225 + 10) hi
-  | A.Full -> Alcotest.fail "expected a finite range");
-  (match A.range (A.sub x (A.const 20)) with
-  | A.Range (lo, hi) ->
-    Alcotest.(check int) "sub lo" (-20) lo;
-    Alcotest.(check int) "sub hi" (-5) hi
-  | A.Full -> Alcotest.fail "expected a finite range");
-  (match A.range u with
-  | A.Full -> ()
-  | A.Range _ -> Alcotest.fail "unannotated input must be Full");
-  match A.range (A.lt x x) with
-  | A.Range (0, 1) -> ()
-  | r -> Alcotest.failf "comparison range should be [0,1], got %a" A.pp_range r
-
 (* ------------------------------------------------------------------ *)
 (* compiled circuit == interpreter                                     *)
 (* ------------------------------------------------------------------ *)
@@ -310,7 +289,6 @@ let () =
         [
           Alcotest.test_case "typing errors" `Quick test_typing_errors;
           Alcotest.test_case "width validation" `Quick test_width_validation;
-          Alcotest.test_case "range analysis" `Quick test_range_analysis;
         ] );
       ( "interp",
         [

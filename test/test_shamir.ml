@@ -1,7 +1,7 @@
 module F = Yoso_field.Field.Fp
 module PS = Yoso_shamir.Packed_shamir.Make (F)
 module Bary = Yoso_field.Barycentric.Make (F)
-module Poly = Yoso_field.Poly.Make (F)
+module Poly = Yoso_oracles.Poly (F)
 
 let st = Random.State.make [| 0x5A |]
 

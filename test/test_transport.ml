@@ -132,6 +132,39 @@ let test_envelope_byte_at_a_time () =
     wire;
   Alcotest.(check int) "all decoded" (List.length sample_msgs) (List.length !got)
 
+(* [body] framed as an envelope of type [tag] with a valid header and
+   trailer, whatever the body holds *)
+let envelope_of_body ~tag body =
+  let le n k = String.init n (fun i -> Char.chr ((k lsr (8 * i)) land 0xff)) in
+  "YT\001" ^ String.make 1 (Char.chr tag) ^ le 4 (String.length body) ^ body
+  ^ le 8 (Wire.checksum body)
+
+(* A digest record's checksum is 8 bytes carrying a 62-bit value, like
+   the trailer.  Bits 62 and 63 set, behind a trailer that matches the
+   altered body, must be rejected: a decode through a 63-bit [int]
+   drops bit 63 and yields a message whose encoding is not the input. *)
+let test_envelope_digest_checksum_range () =
+  let m =
+    Envelope.Deliver_batch
+      [ Envelope.Digest { seq = 4; slot = 1; csum = 0x1234_5678_9abc; len = 77 } ]
+  in
+  let e = Envelope.encode m in
+  let body = String.sub e Envelope.header_len
+      (String.length e - Envelope.header_len - Envelope.trailer_len) in
+  (* the record's checksum is the last 8 body bytes; its top byte last *)
+  let top = String.length body - 1 in
+  List.iter
+    (fun (what, bits) ->
+      let b = Bytes.of_string body in
+      Bytes.set b top (Char.chr (Char.code (Bytes.get b top) lor bits));
+      let st = Envelope.stream () in
+      Envelope.feed st (envelope_of_body ~tag:(Char.code e.[3]) (Bytes.to_string b));
+      match Envelope.next st with
+      | exception Envelope.Envelope_error _ -> ()
+      | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+      | _ -> Alcotest.failf "%s: digest checksum out of range must be rejected" what)
+    [ ("bit 63", 0x80); ("bit 62", 0x40); ("bits 62 and 63", 0xc0) ]
+
 (* The trailer is 8 bytes carrying a 62-bit checksum, so its top bit
    is always 0.  Flipping it must fail the checksum; a compare through
    a 63-bit [int] shifts bit 63 out and accepts the record. *)
@@ -177,11 +210,6 @@ let test_envelope_rejections () =
      in their old encodings, unknown tags, and known tags whose body
      is truncated or carries trailing bytes.  Each is rejected with
      [Envelope_error] and nothing else. *)
-  let raw ~tag body =
-    let le n k = String.init n (fun i -> Char.chr ((k lsr (8 * i)) land 0xff)) in
-    "YT\001" ^ String.make 1 (Char.chr tag) ^ le 4 (String.length body) ^ body
-    ^ le 8 (Wire.checksum body)
-  in
   let varints l =
     let buf = Buffer.create 16 in
     List.iter (Wire.put_varint buf) l;
@@ -197,7 +225,7 @@ let test_envelope_rejections () =
   List.iter
     (fun (what, tag, body) ->
       let st = Envelope.stream () in
-      Envelope.feed st (raw ~tag body);
+      Envelope.feed st (envelope_of_body ~tag body);
       match Envelope.next st with
       | exception Envelope.Envelope_error _ -> ()
       | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
@@ -216,6 +244,214 @@ let test_envelope_rejections () =
       ("batch record kind 2", 11, varints [ 1; 2 ]);
       ("batch claims more records than it has", 11, varints [ 3 ]);
     ]
+
+(* ------------------------------------------------------------------ *)
+(* Envelope stream fuzzing                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Structure-aware generators for every message, then byte mutations,
+   fed to one stream in random chunk sizes.  The decoder's contract on
+   any bytes: each message [next] yields re-encodes to exactly the
+   bytes it consumed, and the only exception is [Envelope_error]. *)
+
+(* varints the decoder accepts: up to 56 bits *)
+let gen_nat =
+  QCheck.Gen.(oneof [ int_bound 300; (fun st -> Random.State.full_int st (1 lsl 56)) ])
+
+let gen_csum =
+  QCheck.Gen.(oneof [ return 0; return max_int; (fun st -> Random.State.full_int st max_int) ])
+
+let gen_blob = QCheck.Gen.(string_size (int_bound 40))
+
+let gen_record =
+  let open QCheck.Gen in
+  oneof
+    [
+      (let* seq = gen_nat in
+       let* slot = gen_nat in
+       let+ frame = gen_blob in
+       Envelope.Full { seq; slot; frame });
+      (let* seq = gen_nat in
+       let* slot = gen_nat in
+       let* len = gen_nat in
+       let+ csum = gen_csum in
+       Envelope.Digest { seq; slot; csum; len });
+    ]
+
+let gen_envelope_msg =
+  let open QCheck.Gen in
+  oneof
+    [
+      (let* slot = gen_nat in
+       let* nslots = gen_nat in
+       let+ seed = gen_nat in
+       Envelope.Hello { slot; nslots; seed });
+      return Envelope.Start;
+      (let* seq = gen_nat in
+       let* slot = gen_nat in
+       let+ frame = gen_blob in
+       Envelope.Post { seq; slot; frame });
+      map (fun slot -> Envelope.Peer_down { slot }) gen_nat;
+      (let* slot = gen_nat in
+       let+ json = gen_blob in
+       Envelope.Report { slot; json });
+      return Envelope.Shutdown;
+      (let* slot = gen_nat in
+       let* nslots = gen_nat in
+       let* seed = gen_nat in
+       let+ next_seq = gen_nat in
+       Envelope.Recover { slot; nslots; seed; next_seq });
+      (let* next_seq = gen_nat in
+       let+ started = bool in
+       Envelope.Recovered { next_seq; started });
+      map (fun rs -> Envelope.Deliver_batch rs) (list_size (int_bound 5) gen_record);
+    ]
+
+(* a batch body whose digest records carry 8 arbitrary checksum bytes,
+   in the record layout [Envelope.encode] writes *)
+let gen_raw_batch_body =
+  let open QCheck.Gen in
+  let+ records =
+    list_size (int_range 1 4)
+      (pair gen_record (string_size ~gen:char (return 8)))
+  in
+  let buf = Buffer.create 64 in
+  Wire.put_varint buf (List.length records);
+  List.iter
+    (fun (r, csum_bytes) ->
+      match r with
+      | Envelope.Full { seq; slot; frame } ->
+        Wire.put_u8 buf 0;
+        Wire.put_varint buf seq;
+        Wire.put_varint buf slot;
+        Wire.put_bytes buf frame
+      | Envelope.Digest { seq; slot; len; csum = _ } ->
+        Wire.put_u8 buf 1;
+        Wire.put_varint buf seq;
+        Wire.put_varint buf slot;
+        Wire.put_varint buf len;
+        Buffer.add_string buf csum_bytes)
+    records;
+  Buffer.contents buf
+
+(* one envelope as (tag, body): a well-formed message, or a batch with
+   arbitrary digest checksum bytes *)
+let gen_tagged_body =
+  let open QCheck.Gen in
+  oneof
+    [
+      map
+        (fun m ->
+          let e = Envelope.encode m in
+          ( Char.code e.[3],
+            String.sub e Envelope.header_len
+              (String.length e - Envelope.header_len - Envelope.trailer_len) ))
+        gen_envelope_msg;
+      map (fun body -> (11, body)) gen_raw_batch_body;
+    ]
+
+(* [s] with one edit: flip, truncate, insert or delete bytes *)
+let gen_edit s =
+  let open QCheck.Gen in
+  let n = String.length s in
+  let flip =
+    if n = 0 then return s
+    else
+      let* i = int_bound (n - 1) in
+      let+ x = int_range 1 255 in
+      String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor x) else c) s
+  in
+  let truncate = map (fun k -> String.sub s 0 k) (int_bound n) in
+  let insert =
+    let* i = int_bound n in
+    let+ junk = string_size ~gen:char (int_range 1 12) in
+    String.sub s 0 i ^ junk ^ String.sub s i (n - i)
+  in
+  let delete =
+    let* i = int_bound n in
+    let+ k = int_bound (n - i) in
+    String.sub s 0 i ^ String.sub s (i + k) (n - i - k)
+  in
+  oneof [ flip; truncate; insert; delete ]
+
+(* chunk sizes the stream is fed in *)
+let gen_chunks = QCheck.Gen.(list_size (int_range 1 8) (int_range 1 64))
+
+(* a stream of 1-4 envelopes and one mutation: none, a body edit
+   behind a re-computed trailer (the parser runs past the checksum), a
+   random type byte, or a raw edit of the stream bytes *)
+let gen_hostile_stream =
+  let open QCheck.Gen in
+  let* parts = list_size (int_range 1 4) gen_tagged_body in
+  let* victim = int_bound (List.length parts - 1) in
+  let* how = int_bound 3 in
+  let* parts =
+    match how with
+    | 1 ->
+      let tag, body = List.nth parts victim in
+      let+ body = gen_edit body in
+      List.mapi (fun i p -> if i = victim then (tag, body) else p) parts
+    | 2 ->
+      let+ tag = int_bound 255 in
+      List.mapi (fun i (t, b) -> if i = victim then (tag, b) else (t, b)) parts
+    | _ -> return parts
+  in
+  let bytes = String.concat "" (List.map (fun (tag, body) -> envelope_of_body ~tag body) parts) in
+  let* bytes = if how = 3 then gen_edit bytes else return bytes in
+  let+ chunks = gen_chunks in
+  (bytes, chunks)
+
+let arb_hostile_stream =
+  QCheck.make
+    ~print:(fun (s, chunks) ->
+      Printf.sprintf "%S in chunks %s" s (String.concat "," (List.map string_of_int chunks)))
+    gen_hostile_stream
+
+(* feed [input] in [chunks] sizes (the rest in one piece), draining
+   after every feed: the messages decoded and the bytes left buffered.
+   A message that does not re-encode to exactly the bytes it consumed
+   fails; [Envelope_error] propagates. *)
+let decode_stream input chunks =
+  let st = Envelope.stream () in
+  let fed = ref 0 and consumed = ref 0 and got = ref [] in
+  let rec drain () =
+    ignore (Envelope.needed st);
+    match Envelope.next st with
+    | None -> ()
+    | Some m ->
+      let upto = !fed - Envelope.buffered st in
+      if upto <= !consumed then failwith "a message consumed no bytes";
+      if not (String.equal (Envelope.encode m) (String.sub input !consumed (upto - !consumed)))
+      then failwith (Format.asprintf "%a does not re-encode to its bytes" Envelope.pp_msg m);
+      consumed := upto;
+      got := m :: !got;
+      drain ()
+  in
+  let feed k =
+    Envelope.feed st (String.sub input !fed k);
+    fed := !fed + k;
+    drain ()
+  in
+  List.iter (fun k -> feed (min k (String.length input - !fed))) chunks;
+  feed (String.length input - !fed);
+  (List.rev !got, Envelope.buffered st)
+
+let envelope_fuzz_props =
+  [
+    (* the hostile property alone holds for a decoder that rejects
+       everything: well-formed streams must decode, message for message *)
+    QCheck.Test.make ~count:500 ~long_factor:50
+      ~name:"well-formed streams decode message for message"
+      (QCheck.make QCheck.Gen.(pair (list_size (int_range 1 4) gen_envelope_msg) gen_chunks))
+      (fun (msgs, chunks) ->
+        decode_stream (String.concat "" (List.map Envelope.encode msgs)) chunks = (msgs, 0));
+    QCheck.Test.make ~count:2000 ~long_factor:50
+      ~name:"mutated streams decode to themselves or raise Envelope_error" arb_hostile_stream
+      (fun (input, chunks) ->
+        match decode_stream input chunks with
+        | _ -> true
+        | exception Envelope.Envelope_error _ -> true);
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Sockio: chunked delivery, deadlines, closed peers                   *)
@@ -911,7 +1147,11 @@ let () =
           Alcotest.test_case "byte at a time" `Quick test_envelope_byte_at_a_time;
           Alcotest.test_case "rejections" `Quick test_envelope_rejections;
           Alcotest.test_case "trailer bit 63 flipped" `Quick test_envelope_trailer_bit63;
+          Alcotest.test_case "digest checksum outside 62 bits" `Quick
+            test_envelope_digest_checksum_range;
         ] );
+      ( "env-fuzz",
+        List.map QCheck_alcotest.to_alcotest envelope_fuzz_props );
       ( "sockio",
         [
           Alcotest.test_case "random chunking" `Quick test_sockio_random_chunks;
