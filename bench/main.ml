@@ -1,12 +1,12 @@
 (* Benchmark harness: regenerates every quantitative artifact of the
-   paper (see DESIGN.md's experiment index) and runs Bechamel
-   micro-benchmarks of the primitives.
+   paper (see DESIGN.md's experiment index).
 
    Usage:
      dune exec bench/main.exe                 -- everything
      dune exec bench/main.exe -- table1       -- one experiment
-   Experiments: table1 improvements online-comm offline-comm failstop
-                sortition-mc micro time par transport chaos compile *)
+   Experiments: table1 improvements online-comm bgw offline-comm net
+                ablation-eps ablation-amortization failstop sortition-mc
+                time par transport chaos compile factory *)
 
 module F = Yoso_field.Field.Fp
 module B = Yoso_bigint.Bigint
@@ -16,10 +16,8 @@ module Splitmix = Yoso_hash.Splitmix
 module Params = Yoso_mpc.Params
 module Protocol = Yoso_mpc.Protocol
 module Cdn = Yoso_mpc.Cdn_baseline
-module CP = Yoso_mpc.Cdn_paillier
 module Bgw = Yoso_mpc.Bgw_baseline
 module Gen = Yoso_circuit.Generators
-module PS = Yoso_shamir.Packed_shamir.Make (F)
 module Json = Yoso_runtime.Json
 
 let header title =
@@ -177,9 +175,26 @@ let ablation_amortization () =
    corruption ratio t = k = n/4, so n/k is constant and the online
    *data* bytes per gate — the paper's O(1) claim, now measured on the
    wire rather than counted — must come out flat across n.  Totals
-   (which include the per-member proof overhead and the offline O(n)
-   material) are reported alongside and do grow. *)
+   are reported alongside and do grow: offline by its O(n) material,
+   online by future key distribution's O(layers·n²) re-encryption
+   partials (the per-step split below). *)
 let net_sweep = [ 16; 32; 64; 128 ]
+
+(* online bytes by step family, with the step prefixes of the
+   benchmark's byte ledger; the families cover every online step *)
+let online_split r =
+  let steps = Yoso_net.Meter.steps r.Protocol.meter ~phase:"online" in
+  let split =
+    List.map
+      (fun (family, prefix) ->
+        let claimed (label, _) = String.starts_with ~prefix label in
+        (family, List.fold_left ( + ) 0 (List.map snd (List.filter claimed steps))))
+      [ ("fkd", "future key distribution"); ("mult", "multiplication:");
+        ("input", "input:"); ("output", "output:") ]
+  in
+  if List.fold_left (fun acc (_, b) -> acc + b) 0 split <> r.Protocol.online_bytes then
+    failwith "net sweep: online step families do not sum to online_bytes";
+  split
 
 let net_bytes () =
   header "E7. Measured communication (bytes on the simulated wire), fixed circuit";
@@ -212,6 +227,12 @@ let net_bytes () =
         r.Protocol.transcript.Yoso_net.Board.frames
         r.Protocol.transcript.Yoso_net.Board.frame_bytes)
     rows;
+  List.iter
+    (fun (n, _, r) ->
+      Printf.printf "%5d | online bytes by step: %s\n" n
+        (String.concat ", "
+           (List.map (fun (family, b) -> Printf.sprintf "%s %d" family b) (online_split r))))
+    rows;
   let data_per_gate = List.map (fun (_, _, r) -> Protocol.online_field_bytes_per_gate r) rows in
   let dmin = List.fold_left min (List.hd data_per_gate) data_per_gate in
   let dmax = List.fold_left max (List.hd data_per_gate) data_per_gate in
@@ -236,18 +257,22 @@ let net_bytes () =
                  (fun (n, params, r) ->
                    let t = r.Protocol.transcript and per_gate f = Float (2, f r) in
                    Obj
-                     [ ("n", Int n); ("t", Int params.Params.t); ("k", Int params.Params.k);
+                     ([ ("n", Int n); ("t", Int params.Params.t); ("k", Int params.Params.k);
                        ("mult_gates", Int r.Protocol.num_mult);
                        ("online_field_bytes", Int r.Protocol.online_field_bytes);
                        ("online_field_bytes_per_gate", per_gate Protocol.online_field_bytes_per_gate);
                        ("online_bytes", Int r.Protocol.online_bytes);
-                       ("online_bytes_per_gate", per_gate Protocol.online_bytes_per_gate);
+                       ("online_bytes_per_gate", per_gate Protocol.online_bytes_per_gate) ]
+                     @ List.map
+                         (fun (family, b) -> ("online_" ^ family ^ "_bytes", Int b))
+                         (online_split r)
+                     @ [
                        ("offline_bytes", Int r.Protocol.offline_bytes);
                        ("offline_bytes_per_gate", per_gate Protocol.offline_bytes_per_gate);
                        ("setup_bytes", Int r.Protocol.setup_bytes); ("posts", Int r.Protocol.posts);
                        ("frames", Int t.Yoso_net.Board.frames);
                        ("frame_bytes", Int t.Yoso_net.Board.frame_bytes);
-                       ("transcript_digest", Int t.Yoso_net.Board.digest) ])
+                       ("transcript_digest", Int t.Yoso_net.Board.digest) ]))
                  rows) );
           ("online_data_bytes_per_gate_spread", Float (6, spread));
           ("flat_within_5pct", Bool (spread < 0.05));
@@ -309,71 +334,6 @@ let sortition_mc () =
           stats.Sampler.corruption_bound_violations stats.Sampler.gap_violations)
     [ (1000, 0.05); (5000, 0.10); (5000, 0.15); (10000, 0.20) ];
   Printf.printf "(with k2 = k3 = 128 the failure probability is ~2^-128: zero violations)\n"
-
-let randgen () =
-  header "E6. YOSO distributed randomness generation (related work [39,38,37])";
-  Printf.printf "%5s %4s | %10s %10s %12s %10s\n" "n" "t" "rej.deal" "rej.rev" "elements" "elems/role";
-  List.iter
-    (fun (n, t, bad_deal, bad_rev) ->
-      let o =
-        Yoso_mpc.Randgen.run ~n ~t ~malicious_dealers:bad_deal
-          ~malicious_revealers:bad_rev ~seed:0x600D ()
-      in
-      Printf.printf "%5d %4d | %10d %10d %12d %10.1f\n" n t o.Yoso_mpc.Randgen.rejected_dealers
-        o.Yoso_mpc.Randgen.rejected_reveals o.Yoso_mpc.Randgen.elements
-        (float_of_int o.Yoso_mpc.Randgen.elements /. float_of_int (2 * n)))
-    [ (16, 5, [], []); (16, 5, [ 1; 2 ], [ 0 ]); (64, 21, [], []); (64, 21, [ 3; 9; 11 ], [ 5; 6 ]) ];
-  Printf.printf
-    "(Feldman-verified beacon: cheating dealers/revealers are caught by group\n arithmetic; O(n) elements per role as in the PVSS-based YOSO beacons)\n"
-
-(* ------------------------------------------------------------------ *)
-(* Micro-benchmarks (Bechamel)                                         *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  header "B1. Primitive micro-benchmarks (Bechamel, ns/run)";
-  let open Bechamel in
-  let st = Random.State.make [| 0xBE |] in
-  let sha_input = String.init 1024 (fun i -> Char.chr (i land 0xFF)) in
-  let big_base = B.random_bits st 256 and big_exp = B.random_bits st 256 in
-  let big_mod = B.add (B.random_bits st 256) B.one in
-  let pk, _sk = Yoso_paillier.Paillier.keygen ~bits:128 ~rng:st () in
-  let msg = B.random_below st pk.Yoso_paillier.Paillier.n in
-  let pctx = Yoso_paillier.Paillier.Ctx.create pk in
-  let ps = PS.make_params ~n:64 ~k:8 in
-  let secrets = Array.init 8 (fun _ -> F.random st) in
-  let sharing = PS.share ps ~degree:39 ~secrets ~rng:st in
-  let pairs = Array.to_list (Array.mapi (fun i v -> (i, v)) sharing.PS.shares) in
-  let small_protocol () =
-    let params = Params.create ~n:8 ~t:2 ~k:2 () in
-    let circuit = Gen.dot_product ~len:4 in
-    let inputs c = Array.init 4 (fun i -> F.of_int (c + i + 1)) in
-    ignore (Protocol.execute ~params ~circuit ~inputs ())
-  in
-  let tests =
-    Test.make_grouped ~name:"primitives"
-      [
-        Test.make ~name:"sha256-1KiB" (Staged.stage (fun () -> ignore (Yoso_hash.Sha256.digest_string sha_input)));
-        Test.make ~name:"bigint-modpow-256b" (Staged.stage (fun () -> ignore (B.powmod big_base big_exp big_mod)));
-        Test.make ~name:"paillier-encrypt-128b" (Staged.stage (fun () -> ignore (Yoso_paillier.Paillier.Ctx.encrypt pctx ~rng:st msg)));
-        Test.make ~name:"packed-share-n64-k8" (Staged.stage (fun () -> ignore (PS.share ps ~degree:39 ~secrets ~rng:st)));
-        Test.make ~name:"packed-reconstruct-n64-k8" (Staged.stage (fun () -> ignore (PS.reconstruct ps ~degree:39 pairs)));
-        Test.make ~name:"e2e-protocol-n8-dot4" (Staged.stage small_protocol);
-      ]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some (est :: _) -> Printf.printf "  %-28s %12.0f ns/run\n" name est
-      | _ -> Printf.printf "  %-28s (no estimate)\n" name)
-    results
 
 (* ------------------------------------------------------------------ *)
 (* E8: wall-clock timing, naive vs Montgomery arithmetic backends      *)
@@ -1425,8 +1385,6 @@ let experiments =
     ("ablation-amortization", ablation_amortization);
     ("failstop", failstop);
     ("sortition-mc", sortition_mc);
-    ("randgen", randgen);
-    ("micro", micro);
     ("time", time_bench);
     ("par", par_bench);
     ("transport", transport_bench);

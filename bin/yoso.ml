@@ -366,14 +366,6 @@ let sortition_cmd c_param f pool trials seed =
     then 0
     else 1
 
-let randgen_cmd n t seed =
-  let o = Yoso_mpc.Randgen.run ~n ~t ~seed () in
-  Format.printf "random value: %a@." F.pp o.Yoso_mpc.Randgen.value;
-  Format.printf "qualified dealers: %d, broadcast elements: %d, posts: %d@."
-    o.Yoso_mpc.Randgen.qualified_dealers o.Yoso_mpc.Randgen.elements
-    o.Yoso_mpc.Randgen.posts;
-  0
-
 (* ------------------------------------------------------------------ *)
 (* cmdliner plumbing                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -575,15 +567,10 @@ let sortition_t =
     (Cmd.info "sortition" ~doc:"Monte-Carlo validation of the committee bounds")
     Term.(const sortition_cmd $ c_param $ f $ pool $ trials $ seed_arg)
 
-let randgen_t =
-  Cmd.v
-    (Cmd.info "randgen" ~doc:"Two-committee Feldman-verified randomness beacon")
-    Term.(const randgen_cmd $ n_arg $ t_arg $ seed_arg)
-
 let main =
   Cmd.group
     (Cmd.info "yoso" ~version:"1.0.0"
        ~doc:"Scalable YOSO MPC via packed secret-sharing (PODC 2025 reproduction)")
-    [ run_t; analyze_t; sortition_t; randgen_t ]
+    [ run_t; analyze_t; sortition_t ]
 
 let () = exit (Cmd.eval' main)

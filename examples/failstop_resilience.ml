@@ -28,6 +28,10 @@ let eps = 0.2
 let circuit = Gen.dot_product ~len:6
 let inputs c = Array.init 6 (fun i -> F.of_int ((c + 2) * (i + 1)))
 
+(* set by a wrong output anywhere, or by a run within the bound that
+   does not deliver; the example then exits 1 *)
+let failed = ref false
+
 let attempt ?(validate = true) params ~malicious ~dropped =
   let adversary = { Params.malicious; passive = 0; fail_stop = dropped } in
   let run () =
@@ -40,13 +44,15 @@ let attempt ?(validate = true) params ~malicious ~dropped =
     if Protocol.check report circuit ~inputs then `Delivered report.Protocol.faults_detected
     else `Wrong
   in
-  if not validate then match run () with
-    | r -> r
-    | exception Faults.Protocol_failure f -> `Aborted f
-  else
-    match Params.validate_adversary params adversary with
-    | () -> run ()
-    | exception Invalid_argument _ -> `Infeasible
+  match if validate then Params.validate_adversary params adversary with
+  | exception Invalid_argument _ -> `Infeasible
+  | () ->
+    let r = match run () with r -> r | exception Faults.Protocol_failure f -> `Aborted f in
+    (match r with
+    | `Wrong -> failed := true
+    | `Aborted _ when validate -> failed := true
+    | _ -> ());
+    r
 
 let describe = function
   | `Delivered faults ->
@@ -96,4 +102,5 @@ let () =
   in
   Format.printf "@.Beyond the bound (forced execution, %d crashes):@." beyond;
   Format.printf "  %s@."
-    (describe (attempt ~validate:false failstop ~malicious:t ~dropped:beyond))
+    (describe (attempt ~validate:false failstop ~malicious:t ~dropped:beyond));
+  if !failed then exit 1

@@ -66,6 +66,7 @@ let () =
       (float_of_int v /. float_of_int (parties * parties))
       mean
   | [] -> Format.printf "  no outputs?!@.");
-  Format.printf "  every hospital receives the same output: %b@."
-    (Protocol.check report circuit ~inputs);
-  Format.printf "  online elements/gate: %.1f@." (Protocol.online_per_gate report)
+  let ok = Protocol.check report circuit ~inputs in
+  Format.printf "  every hospital receives the same output: %b@." ok;
+  Format.printf "  online elements/gate: %.1f@." (Protocol.online_per_gate report);
+  if not ok then exit 1

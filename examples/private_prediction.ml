@@ -37,7 +37,8 @@ let () =
       let signed = if v > F.p / 2 then v - F.p else v in
       Format.printf "  score[%d] = %.2f@." r (float_of_int signed /. 100.0))
     report.Protocol.outputs;
-  Format.printf "  verified against cleartext model: %b@."
-    (Protocol.check report circuit ~inputs);
+  let ok = Protocol.check report circuit ~inputs in
+  Format.printf "  verified against cleartext model: %b@." ok;
   Format.printf "  committees consumed: %d, total posts: %d@." report.Protocol.committees
-    report.Protocol.posts
+    report.Protocol.posts;
+  if not ok then exit 1

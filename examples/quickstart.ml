@@ -37,8 +37,10 @@ let () =
       Format.printf "  client %d learns <x, y> = %a@." o.Yoso_mpc.Online.client F.pp
         o.Yoso_mpc.Online.value)
     report.Protocol.outputs;
-  Format.printf "  matches plain evaluation: %b@." (Protocol.check report circuit ~inputs);
+  let ok = Protocol.check report circuit ~inputs in
+  Format.printf "  matches plain evaluation: %b@." ok;
   Format.printf "  broadcast posts: %d over %d committees@." report.Protocol.posts
     report.Protocol.committees;
   Format.printf "  offline elements/gate: %.1f   online elements/gate: %.1f@."
-    (Protocol.offline_per_gate report) (Protocol.online_per_gate report)
+    (Protocol.offline_per_gate report) (Protocol.online_per_gate report);
+  if not ok then exit 1

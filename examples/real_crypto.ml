@@ -22,11 +22,13 @@ let () =
   (match honest.CP.outputs with
   | (_, _, v) :: _ -> Format.printf "  honest run: <x, y> = %s@." (B.to_string v)
   | [] -> ());
-  Format.printf "  correct: %b, rejected contributions: %d@."
-    (CP.check honest circuit ~inputs)
+  let honest_ok = CP.check honest circuit ~inputs in
+  Format.printf "  correct: %b, rejected contributions: %d@." honest_ok
     honest.CP.rejected_contributions;
 
   let attacked = CP.execute ~n:5 ~t:2 ~malicious:[ 1; 3 ] ~circuit ~inputs () in
   Format.printf "  attacked run (members 1 and 3 cheat in Beaver generation):@.";
   Format.printf "    sigma proofs rejected: %d@." attacked.CP.rejected_contributions;
-  Format.printf "    output still correct: %b@." (CP.check attacked circuit ~inputs)
+  let attacked_ok = CP.check attacked circuit ~inputs in
+  Format.printf "    output still correct: %b@." attacked_ok;
+  if not (honest_ok && attacked_ok) then exit 1

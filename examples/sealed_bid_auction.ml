@@ -46,7 +46,8 @@ let () =
     Format.printf "  winning bid: %a, winner: bidder %a@." F.pp
       max_o.Yoso_mpc.Online.value F.pp win_o.Yoso_mpc.Online.value
   | _ -> Format.printf "  unexpected outputs?!@.");
-  Format.printf "  protocol output matches plain evaluation: %b@."
-    (Protocol.check report circuit ~inputs);
+  let ok = Protocol.check report circuit ~inputs in
+  Format.printf "  protocol output matches plain evaluation: %b@." ok;
   Format.printf "  online elements/gate: %.1f over %d committees@."
-    (Protocol.online_per_gate report) report.Protocol.committees
+    (Protocol.online_per_gate report) report.Protocol.committees;
+  if not ok then exit 1

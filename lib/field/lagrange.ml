@@ -26,10 +26,4 @@ module Make (F : Field.S) = struct
 
   let basis_matrix ~sources ~targets =
     Array.map (fun target -> coeffs_at ~points:sources ~target) targets
-
-  let eval_from ~points ~values v =
-    if Array.length points <> Array.length values then
-      invalid_arg "Lagrange.eval_from: length mismatch";
-    let w = coeffs_at ~points ~target:v in
-    F.dot w values
 end

@@ -17,8 +17,4 @@ module Make (F : Field.S) : sig
   (** [basis_matrix ~sources ~targets] has one row per target:
       [row.(j) = l_j(target)] where [l_j] is the [j]-th Lagrange basis
       polynomial over [sources]. *)
-
-  val eval_from : points:F.t array -> values:F.t array -> F.t -> F.t
-  (** One-shot interpolation-evaluation: value at the given abscissa of
-      the unique degree [< n] polynomial through [(points, values)]. *)
 end

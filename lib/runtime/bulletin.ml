@@ -50,8 +50,4 @@ let posts t =
 let posts_in_round t r = List.filter (fun p -> p.round = r) (posts t)
 let posts_by t author = List.filter (fun p -> Role.compare p.author author = 0) (posts t)
 
-let find_map t f =
-  let rec go = function [] -> None | p :: rest -> (match f p with Some _ as r -> r | None -> go rest) in
-  go (posts t)
-
 let length t = t.count

@@ -34,5 +34,4 @@ val posts : 'msg t -> 'msg post list
 
 val posts_in_round : 'msg t -> int -> 'msg post list
 val posts_by : 'msg t -> Role.id -> 'msg post list
-val find_map : 'msg t -> ('msg post -> 'a option) -> 'a option
 val length : 'msg t -> int

@@ -1,6 +1,5 @@
 module F = Yoso_field.Field.Fp
 module B = Yoso_bigint.Bigint
-module Lagrange = Yoso_field.Lagrange.Make (F)
 
 type group = { modulus : B.t; order : B.t; h : B.t }
 
@@ -20,17 +19,13 @@ let group =
      in
      { modulus; order = q; h = find_generator 2 })
 
-(* h is the one base every dealing and verification exponentiates, so
-   it gets a Montgomery fixed-base table; commitments (varying bases)
-   go through the group's shared Montgomery context. *)
+(* h is the one base every commitment and verification exponentiates,
+   so it gets a Montgomery fixed-base table; varying bases go through
+   the group's shared Montgomery context. *)
 let mont = lazy (B.Mont.create (Lazy.force group).modulus)
 let fb_h = lazy (B.Mont.fixed_base (Lazy.force mont) (Lazy.force group).h)
 
-type commitment = B.t array
-
-type dealing = { commitment : commitment; shares : F.t array }
-
-let pow_h _g e = B.Mont.fixed_powmod (Lazy.force fb_h) (B.of_int e)
+let pow_h e = B.Mont.fixed_powmod (Lazy.force fb_h) (B.of_int e)
 
 (* force the lazy group/Montgomery state and grow the h table to cover
    full-width (31-bit) exponents; afterwards verification is read-only
@@ -40,80 +35,6 @@ let prepare () =
   ignore (Lazy.force mont);
   B.Mont.preload (Lazy.force fb_h) ~bits:31
 
-let deal ~t ~n ~secret ~rng =
-  if t < 0 || n < 1 || t >= n then invalid_arg "Feldman.deal: need 0 <= t < n";
-  let g = Lazy.force group in
-  let coeffs = Array.init (t + 1) (fun j -> if j = 0 then secret else F.random rng) in
-  let commitment = Array.map (fun a -> pow_h g (F.to_int a)) coeffs in
-  let eval x =
-    let acc = ref F.zero in
-    for j = t downto 0 do
-      acc := F.add (F.mul !acc x) coeffs.(j)
-    done;
-    !acc
-  in
-  let shares = Array.init n (fun i -> eval (F.of_int (i + 1))) in
-  { commitment; shares }
-
-let verify_share commitment ~index ~share =
-  let g = Lazy.force group in
-  let mctx = Lazy.force mont in
-  (* h^share =? prod_j C_j^((index+1)^j); exponents live mod q = F.p.
-     The right-hand side is one Straus multi-exponentiation over the
-     t+1 commitment coefficients instead of t+1 independent powmods. *)
-  let x = F.of_int (index + 1) in
-  let x_pow = ref F.one in
-  let pairs =
-    Array.map
-      (fun c ->
-        let e = B.of_int (F.to_int !x_pow) in
-        x_pow := F.mul !x_pow x;
-        (c, e))
-      commitment
-  in
-  B.equal (pow_h g (F.to_int share)) (B.Multiexp.run mctx pairs)
-
-(* random-linear-combination batch check:
-   h^(sum_i r_i s_i) =? prod_j C_j^(sum_i r_i (i+1)^j), all exponents
-   mod q.  A dealing whose shares all verify passes identically; a bad
-   dealing survives with probability 1/q over the r_i.  Without [rng]
-   the coefficients are derived Fiat-Shamir-style from the dealing
-   itself — heuristic, but so is the 31-bit group. *)
-let verify_dealing ?rng ~n d =
-  Array.length d.shares = n
-  && Array.length d.commitment > 0
-  &&
-  let g = Lazy.force group in
-  let mctx = Lazy.force mont in
-  let rng =
-    match rng with
-    | Some st -> st
-    | None ->
-      let mix = Hashtbl.hash (Array.map B.to_string d.commitment, d.shares) in
-      Random.State.make [| 0xF31D; mix |]
-  in
-  (* r_i in [1, q): a zero coefficient would blind share i entirely *)
-  let rec nonzero () =
-    let v = F.random rng in
-    if F.equal v F.zero then nonzero () else v
-  in
-  let r = Array.init n (fun _ -> nonzero ()) in
-  let lhs_exp = ref F.zero in
-  Array.iteri (fun i s -> lhs_exp := F.add !lhs_exp (F.mul r.(i) s)) d.shares;
-  let x_pow = Array.make n F.one in
-  let pairs =
-    Array.map
-      (fun c ->
-        let e = ref F.zero in
-        for i = 0 to n - 1 do
-          e := F.add !e (F.mul r.(i) x_pow.(i));
-          x_pow.(i) <- F.mul x_pow.(i) (F.of_int (i + 1))
-        done;
-        (c, B.of_int (F.to_int !e)))
-      d.commitment
-  in
-  B.equal (pow_h g (F.to_int !lhs_exp)) (B.Multiexp.run mctx pairs)
-
 (* ------------------------------------------------------------------ *)
 (* Chaum-Pedersen product proofs over the same group                    *)
 (* ------------------------------------------------------------------ *)
@@ -122,12 +43,12 @@ module Product = struct
   type statement = { cx : B.t; cy : B.t; cz : B.t }
   type proof = { a1 : B.t; a2 : B.t; s : F.t }
 
-  let commit v = pow_h (Lazy.force group) (F.to_int v)
+  let commit v = pow_h (F.to_int v)
 
   (* Fiat-Shamir challenge in [1, q): both prover and verifier derive
-     it from the full transcript prefix.  Hashtbl.hash matches the
-     heuristic already used by [verify_dealing] (and the toy-sized
-     group). *)
+     it from the full transcript prefix.  Hashtbl.hash is the same
+     heuristic [verify_batch] derives its weights with (and matches
+     the toy-sized group). *)
   let challenge st p =
     let mix =
       Hashtbl.hash
@@ -148,7 +69,7 @@ module Product = struct
     let g = Lazy.force group in
     let st = { cx = commit x; cy = commit y; cz = commit z } in
     let w = F.random rng in
-    let a1 = pow_h g (F.to_int w) in
+    let a1 = pow_h (F.to_int w) in
     let a2 = B.powmod st.cx (B.of_int (F.to_int w)) g.modulus in
     let e = challenge st { a1; a2; s = F.zero } in
     (st, { a1; a2; s = F.add w (F.mul e y) })
@@ -163,7 +84,7 @@ module Product = struct
     let e = B.of_int (F.to_int (challenge st p)) in
     (* h^s =? A1 * Cy^e  and  Cx^s =? A2 * Cz^e *)
     let s = B.of_int (F.to_int p.s) in
-    B.equal (pow_h g (F.to_int p.s)) (B.Multiexp.run mctx [| (p.a1, B.one); (st.cy, e) |])
+    B.equal (pow_h (F.to_int p.s)) (B.Multiexp.run mctx [| (p.a1, B.one); (st.cy, e) |])
     && B.equal
          (B.powmod st.cx s g.modulus)
          (B.Multiexp.run mctx [| (p.a2, B.one); (st.cz, e) |])
@@ -182,7 +103,6 @@ module Product = struct
     let b = Array.length batch in
     if b = 0 then true
     else begin
-      let g = Lazy.force group in
       let mctx = Lazy.force mont in
       let rng =
         match rng with
@@ -231,7 +151,7 @@ module Product = struct
                   |])
                 batch))
       in
-      B.equal (pow_h g (F.to_int !lhs1)) (B.Multiexp.run mctx rhs1)
+      B.equal (pow_h (F.to_int !lhs1)) (B.Multiexp.run mctx rhs1)
       && B.equal (B.Multiexp.run mctx lhs2) (B.Multiexp.run mctx rhs2)
     end
 
@@ -243,25 +163,3 @@ module Product = struct
     Array.iteri (fun i (st, p) -> if not (verify st p) then bad := i :: !bad) batch;
     List.rev !bad
 end
-
-let mul_commitments a b =
-  let g = Lazy.force group in
-  B.mulmod a b g.modulus
-
-let reconstruct ~t pairs =
-  let seen = Hashtbl.create 8 in
-  let pairs =
-    List.filter
-      (fun (i, _) ->
-        if Hashtbl.mem seen i then false
-        else begin
-          Hashtbl.add seen i ();
-          true
-        end)
-      pairs
-  in
-  if List.length pairs < t + 1 then invalid_arg "Feldman.reconstruct: not enough shares";
-  let chosen = List.filteri (fun idx _ -> idx < t + 1) pairs in
-  let points = Array.of_list (List.map (fun (i, _) -> F.of_int (i + 1)) chosen) in
-  let values = Array.of_list (List.map snd chosen) in
-  Lagrange.eval_from ~points ~values F.zero

@@ -1,20 +1,14 @@
-(** Feldman verifiable secret sharing.
+(** The order-[q] commitment group and the Chaum-Pedersen product
+    proofs of the offline phase's Beaver-triple audits.
 
-    An extension substrate: the YOSO literature the paper builds on
-    uses publicly verifiable sharing both for role assignment [6, 15]
-    and for distributed randomness generation [39, 38, 37].  Feldman's
-    scheme makes a Shamir dealing *verifiable*: the dealer publishes
-    commitments [C_j = h^(a_j)] to the polynomial coefficients, and
-    anyone checks a share [s_i] against
-    [h^(s_i) = prod_j C_j^((i+1)^j)].
-
-    For the exponent arithmetic to be sound, the commitment group must
-    have prime order equal to the share field's modulus: we use the
-    order-[q] subgroup of [F_p'^*] where [q = 2^31 - 1] (the MPC
-    field's prime) and [p' = kq + 1] is the smallest such prime, with
-    group arithmetic over {!Yoso_bigint}.  A 31-bit group is toy-sized
-    (a deployment would use a curve of ~256-bit order); the algebra
-    and the verification logic are the real scheme's. *)
+    A value [v] is committed as [h^v] (a Feldman commitment).  For the
+    exponent arithmetic to be sound, the group must have prime order
+    equal to the share field's modulus: we use the order-[q] subgroup
+    of [F_p'^*] where [q = 2^31 - 1] (the MPC field's prime) and
+    [p' = kq + 1] is the smallest such prime, with group arithmetic
+    over {!Yoso_bigint}.  A 31-bit group is toy-sized (a deployment
+    would use a curve of ~256-bit order); the algebra and the
+    verification logic are the real scheme's. *)
 
 module F = Yoso_field.Field.Fp
 module B = Yoso_bigint.Bigint
@@ -29,39 +23,11 @@ val group : group Lazy.t
 (** Deterministically derived once (smallest [k], fixed generator
     search). *)
 
-type commitment = B.t array
-(** [h^(a_0), ..., h^(a_t)] — one group element per coefficient. *)
-
-type dealing = {
-  commitment : commitment;
-  shares : F.t array;  (** share of party [i] (0-based) at point [i + 1] *)
-}
-
-val deal : t:int -> n:int -> secret:F.t -> rng:Random.State.t -> dealing
-(** Degree-[t] verifiable dealing of [secret] to [n] parties.
-    Commitment exponentiations use a lazily built Montgomery
-    fixed-base table for [h].
-    @raise Invalid_argument unless [0 <= t < n]. *)
-
 val prepare : unit -> unit
 (** Forces the lazy group, Montgomery context and fixed-base table for
     [h] (grown to full 31-bit exponent coverage).  Call once before
     fanning verification out across domains — afterwards all
     verification state is read-only. *)
-
-val verify_share : commitment -> index:int -> share:F.t -> bool
-(** [h^share =? prod_j C_j^((index+1)^j)], the product computed as one
-    Straus multi-exponentiation over the [t + 1] coefficients. *)
-
-val verify_dealing : ?rng:Random.State.t -> n:int -> dealing -> bool
-(** Random-linear-combination batch verification:
-    [h^(sum_i r_i s_i) =? prod_j C_j^(sum_i r_i (i+1)^j)] with random
-    [r_i] in [\[1, q)] — one multi-exponentiation for the whole dealing
-    instead of [n] share checks.  Accepts every dealing
-    {!verify_share} accepts; a bad dealing slips through with
-    probability [1/q] over the [r_i].  Without [rng] the coefficients
-    are derived deterministically from the dealing (Fiat-Shamir
-    heuristic, matching the toy-sized group). *)
 
 (** {1 Product (Beaver-triple) proofs}
 
@@ -70,9 +36,7 @@ val verify_dealing : ?rng:Random.State.t -> n:int -> dealing -> bool
     [Cz = h^z], the prover shows knowledge of [y] with [Cy = h^y] and
     [Cz = Cx^y] — which forces [z = x y].  These are the batch audit
     proofs of the offline factory: one statement per Beaver triple,
-    verified per batch with random-linear-combination aggregation
-    (same trick as {!verify_dealing}, extended across {e many}
-    statements rather than the shares of one dealing). *)
+    verified per batch with random-linear-combination aggregation. *)
 module Product : sig
   type statement = {
     cx : B.t;  (** [h^x] *)
@@ -110,10 +74,3 @@ module Product : sig
   (** Indices whose proofs fail per-proof verification — exact blame
       after {!verify_batch} returns [false]. *)
 end
-
-val mul_commitments : B.t -> B.t -> B.t
-(** Group operation, for aggregating commitment elements. *)
-
-val reconstruct : t:int -> (int * F.t) list -> F.t
-(** Lagrange reconstruction from [t + 1] verified [(index, share)]
-    pairs.  @raise Invalid_argument with fewer. *)

@@ -202,37 +202,50 @@ let encode msg =
 (* Streaming reassembly                                                *)
 (* ------------------------------------------------------------------ *)
 
-type stream = { mutable acc : string; mutable pos : int; max_body : int }
+(* [buf.[pos .. len)] holds the bytes not yet consumed.  Appends blit
+   into spare capacity.  When a chunk does not fit, the live bytes
+   slide to the front if the consumed prefix is at least as long (so a
+   slide is paid for by bytes already consumed), and otherwise move to
+   a buffer of twice the capacity: time and allocation stay linear in
+   the bytes fed. *)
+type stream = { mutable buf : bytes; mutable pos : int; mutable len : int; max_body : int }
 
-let stream ?(max_body = default_max_body) () = { acc = ""; pos = 0; max_body }
+let stream ?(max_body = default_max_body) () =
+  { buf = Bytes.empty; pos = 0; len = 0; max_body }
 
-let buffered st = String.length st.acc - st.pos
+let buffered st = st.len - st.pos
 
-let compact st =
-  (* drop consumed prefix once it dominates the buffer *)
-  if st.pos > 4096 && st.pos * 2 > String.length st.acc then begin
-    st.acc <- String.sub st.acc st.pos (String.length st.acc - st.pos);
-    st.pos <- 0
+(* a buffer grown for one large envelope is released once drained *)
+let retain_cap = 1 lsl 18
+
+(* room for [n] more bytes at [len] *)
+let reserve st n =
+  let live = buffered st in
+  if st.len + n > Bytes.length st.buf then begin
+    let cap = Bytes.length st.buf in
+    let dst =
+      if live + n <= cap && live <= st.pos then st.buf
+      else Bytes.create (max (live + n) (max 4096 (2 * cap)))
+    in
+    Bytes.blit st.buf st.pos dst 0 live;
+    st.buf <- dst;
+    st.pos <- 0;
+    st.len <- live
   end
 
-let feed st chunk =
-  if chunk <> "" then begin
-    compact st;
-    if st.pos = String.length st.acc then begin
-      st.acc <- chunk;
-      st.pos <- 0
-    end
-    else st.acc <- st.acc ^ chunk
-  end
+let feed_bytes st src n =
+  reserve st n;
+  Bytes.blit src 0 st.buf st.len n;
+  st.len <- st.len + n
 
-let feed_bytes st buf len = feed st (Bytes.sub_string buf 0 len)
+let feed st chunk = feed_bytes st (Bytes.unsafe_of_string chunk) (String.length chunk)
 
-let byte st i = Char.code st.acc.[st.pos + i]
+let byte st i = Char.code (Bytes.get st.buf (st.pos + i))
 
 (* header fields of the envelope currently at the front of the buffer;
    validates everything the header alone can prove wrong *)
 let peek_header st =
-  if st.acc.[st.pos] <> magic0 || st.acc.[st.pos + 1] <> magic1 then
+  if Bytes.get st.buf st.pos <> magic0 || Bytes.get st.buf (st.pos + 1) <> magic1 then
     fail "bad envelope magic";
   if byte st 2 <> version then fail "unsupported envelope version %d" (byte st 2);
   let t = byte st 3 in
@@ -254,14 +267,18 @@ let next st =
     let t, blen = peek_header st in
     if buffered st < header_len + blen + trailer_len then None
     else begin
-      let body = String.sub st.acc (st.pos + header_len) blen in
+      let body = Bytes.sub_string st.buf (st.pos + header_len) blen in
       (* compared as all 64 bits, as [Wire.of_frame] does: a 63-bit
          [int] would drop bit 63 and accept two trailers for one body *)
-      if String.get_int64_le st.acc (st.pos + header_len + blen)
+      if Bytes.get_int64_le st.buf (st.pos + header_len + blen)
          <> Int64.of_int (Wire.checksum body)
       then fail "envelope checksum mismatch";
       st.pos <- st.pos + header_len + blen + trailer_len;
-      compact st;
+      if st.pos = st.len then begin
+        st.pos <- 0;
+        st.len <- 0;
+        if Bytes.length st.buf > retain_cap then st.buf <- Bytes.empty
+      end;
       Some (decode_body ~tag:t body)
     end
   end

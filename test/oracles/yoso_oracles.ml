@@ -5,7 +5,7 @@
    - [Narrow] and [multiexp_naive]: the retired 30-bit Montgomery
      kernel and the product of independent powmods, the baselines and
      oracles for [Bigint.Mont] and [Bigint.Multiexp].
-   - [Paillier], [Threshold], [Sigma], [Feldman]: each function is
+   - [Paillier], [Threshold], [Sigma]: each function is
      written from the scheme's defining formula on
      [Bigint.powmod_naive] and recomputes every derived constant
      (Delta, the Lagrange weights, theta_e) itself: it shares the key
@@ -315,26 +315,4 @@ module Sigma = struct
          (B.mulmod (Paillier.g_pow pk pf.z) (pow pf.z_r pk.n) pk.n2)
          (B.mulmod pf.a1 (pow c_b e) pk.n2)
     && B.equal (pow c_a pf.z) (B.mulmod pf.a2 (pow c_c e) pk.n2)
-end
-
-module Feldman = struct
-  module Fe = Yoso_shamir.Feldman
-  module F = Yoso_field.Field.Fp
-
-  (* per share: h^(s_i) = prod_j C_j^((i+1)^j) mod p', exponents mod q *)
-  let verify_dealing_each ~n (d : Fe.dealing) =
-    let g = Lazy.force Fe.group in
-    let pow b e = B.powmod_naive b e g.modulus in
-    Array.length d.shares = n
-    && List.for_all
-         (fun i ->
-           let x = B.of_int (i + 1) in
-           let rhs, _ =
-             Array.fold_left
-               (fun (acc, j) c ->
-                 (B.mulmod acc (pow c (B.powmod_naive x (B.of_int j) g.order)) g.modulus, j + 1))
-               (B.one, 0) d.commitment
-           in
-           B.equal (pow g.h (B.of_int (F.to_int d.shares.(i)))) rhs)
-         (List.init n Fun.id)
 end

@@ -1,10 +1,6 @@
 module F = Yoso_field.Field.Fp
 module B = Yoso_bigint.Bigint
 module Feldman = Yoso_shamir.Feldman
-module Randgen = Yoso_mpc.Randgen
-
-let st = Random.State.make [| 0xFE |]
-let felt = Alcotest.testable F.pp F.equal
 
 (* ------------------------------------------------------------------ *)
 (* Group structure                                                     *)
@@ -21,112 +17,6 @@ let test_group_parameters () =
   Alcotest.(check bool) "h <> 1" false (B.is_one g.Feldman.h);
   Alcotest.(check bool) "h^q = 1" true
     (B.is_one (B.powmod g.Feldman.h g.Feldman.order g.Feldman.modulus))
-
-(* ------------------------------------------------------------------ *)
-(* Dealings                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let test_deal_verify_reconstruct () =
-  for _ = 1 to 10 do
-    let secret = F.random st in
-    let d = Feldman.deal ~t:3 ~n:9 ~secret ~rng:st in
-    Alcotest.(check bool) "dealing verifies" true (Feldman.verify_dealing ~n:9 d);
-    let pairs = [ (8, d.Feldman.shares.(8)); (2, d.Feldman.shares.(2));
-                  (5, d.Feldman.shares.(5)); (0, d.Feldman.shares.(0)) ] in
-    Alcotest.check felt "reconstructs" secret (Feldman.reconstruct ~t:3 pairs)
-  done
-
-let test_corrupted_share_detected () =
-  let d = Feldman.deal ~t:2 ~n:6 ~secret:(F.of_int 77) ~rng:st in
-  Alcotest.(check bool) "good share ok" true
-    (Feldman.verify_share d.Feldman.commitment ~index:4 ~share:d.Feldman.shares.(4));
-  Alcotest.(check bool) "bad share caught" false
-    (Feldman.verify_share d.Feldman.commitment ~index:4
-       ~share:(F.add d.Feldman.shares.(4) F.one));
-  (* wrong index for a valid share is also caught *)
-  Alcotest.(check bool) "misindexed share caught" false
-    (Feldman.verify_share d.Feldman.commitment ~index:3 ~share:d.Feldman.shares.(4))
-
-let test_corrupted_dealing_detected () =
-  let d = Feldman.deal ~t:2 ~n:6 ~secret:(F.of_int 1) ~rng:st in
-  let shares = Array.copy d.Feldman.shares in
-  shares.(2) <- F.add shares.(2) F.one;
-  Alcotest.(check bool) "corrupted dealing rejected" false
-    (Feldman.verify_dealing ~n:6 { d with Feldman.shares })
-
-let test_commitment_homomorphism () =
-  let s1 = F.random st and s2 = F.random st in
-  let d1 = Feldman.deal ~t:2 ~n:5 ~secret:s1 ~rng:st in
-  let d2 = Feldman.deal ~t:2 ~n:5 ~secret:s2 ~rng:st in
-  (* C_0 * C_0' commits to s1 + s2: the summed shares verify against
-     the coefficient-wise product of commitments *)
-  let agg =
-    Array.init 3 (fun j ->
-        Feldman.mul_commitments d1.Feldman.commitment.(j) d2.Feldman.commitment.(j))
-  in
-  for i = 0 to 4 do
-    let sum_share = F.add d1.Feldman.shares.(i) d2.Feldman.shares.(i) in
-    Alcotest.(check bool) "summed share verifies" true
-      (Feldman.verify_share agg ~index:i ~share:sum_share)
-  done;
-  let pairs = List.init 3 (fun i -> (i, F.add d1.Feldman.shares.(i) d2.Feldman.shares.(i))) in
-  Alcotest.check felt "sum reconstructs" (F.add s1 s2) (Feldman.reconstruct ~t:2 pairs)
-
-let test_deal_validation () =
-  Alcotest.check_raises "t >= n" (Invalid_argument "Feldman.deal: need 0 <= t < n")
-    (fun () -> ignore (Feldman.deal ~t:5 ~n:5 ~secret:F.one ~rng:st));
-  Alcotest.check_raises "too few shares"
-    (Invalid_argument "Feldman.reconstruct: not enough shares") (fun () ->
-      ignore (Feldman.reconstruct ~t:2 [ (0, F.one); (0, F.one); (1, F.two) ]))
-
-(* ------------------------------------------------------------------ *)
-(* Randomness beacon                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let test_randgen_honest () =
-  let o = Randgen.run ~n:7 ~t:2 ~seed:99 () in
-  Alcotest.(check int) "all qualified" 7 o.Randgen.qualified_dealers;
-  Alcotest.(check int) "no rejections" 0 (o.Randgen.rejected_dealers + o.Randgen.rejected_reveals);
-  Alcotest.(check int) "posts = 2n" 14 o.Randgen.posts;
-  (* deterministic in the seed *)
-  Alcotest.check felt "deterministic" o.Randgen.value (Randgen.honest_reference ~n:7 ~t:2 ~seed:99 ())
-
-let test_randgen_different_seeds_differ () =
-  let a = Randgen.honest_reference ~n:7 ~t:2 ~seed:1 () in
-  let b = Randgen.honest_reference ~n:7 ~t:2 ~seed:2 () in
-  Alcotest.(check bool) "values differ" false (F.equal a b)
-
-let test_randgen_malicious_dealers_excluded () =
-  let o = Randgen.run ~n:7 ~t:2 ~malicious_dealers:[ 1; 4 ] ~seed:5 () in
-  Alcotest.(check int) "two rejected" 2 o.Randgen.rejected_dealers;
-  Alcotest.(check int) "five qualified" 5 o.Randgen.qualified_dealers
-
-let test_randgen_malicious_revealers_caught_and_harmless () =
-  let honest = Randgen.run ~n:7 ~t:2 ~seed:7 () in
-  let attacked = Randgen.run ~n:7 ~t:2 ~malicious_revealers:[ 0; 3 ] ~seed:7 () in
-  Alcotest.(check int) "reveals rejected" 2 attacked.Randgen.rejected_reveals;
-  Alcotest.check felt "output unchanged" honest.Randgen.value attacked.Randgen.value
-
-let test_randgen_dealer_removal_only_removes_contribution () =
-  (* honest contributions are fixed by (seed, dealer): excluding dealer
-     2 changes the output exactly by dealer 2's contribution, which an
-     adaptive adversary cannot exploit without predicting it *)
-  let all = Randgen.run ~n:5 ~t:1 ~seed:11 () in
-  let without2 = Randgen.run ~n:5 ~t:1 ~malicious_dealers:[ 2 ] ~seed:11 () in
-  let contribution2 =
-    let st = Random.State.make [| 11; 2 |] in
-    F.random st
-  in
-  Alcotest.check felt "difference = dealer 2's contribution"
-    (F.sub all.Randgen.value without2.Randgen.value)
-    contribution2
-
-let test_randgen_validation () =
-  Alcotest.check_raises "too many malicious"
-    (Invalid_argument "Randgen.run: too many malicious roles") (fun () ->
-      ignore (Randgen.run ~n:5 ~t:2 ~malicious_dealers:[ 0; 1; 2 ] ()));
-  Alcotest.check_raises "bad threshold" (Invalid_argument "Randgen.run: need 0 <= t < n")
-    (fun () -> ignore (Randgen.run ~n:4 ~t:4 ()))
 
 (* ------------------------------------------------------------------ *)
 (* Chaum-Pedersen product proofs (triple audits)                       *)
@@ -184,28 +74,11 @@ let () =
     [
       ( "group",
         [ Alcotest.test_case "parameters" `Quick test_group_parameters ] );
-      ( "vss",
-        [
-          Alcotest.test_case "deal/verify/reconstruct" `Quick test_deal_verify_reconstruct;
-          Alcotest.test_case "corrupted share" `Quick test_corrupted_share_detected;
-          Alcotest.test_case "corrupted dealing" `Quick test_corrupted_dealing_detected;
-          Alcotest.test_case "homomorphism" `Quick test_commitment_homomorphism;
-          Alcotest.test_case "validation" `Quick test_deal_validation;
-        ] );
       ( "product",
         [
           Alcotest.test_case "completeness" `Quick test_product_completeness;
           Alcotest.test_case "soundness" `Quick test_product_soundness;
           Alcotest.test_case "batch matches each" `Quick test_product_batch_matches_each;
           Alcotest.test_case "attribution" `Quick test_product_batch_attribution;
-        ] );
-      ( "randgen",
-        [
-          Alcotest.test_case "honest" `Quick test_randgen_honest;
-          Alcotest.test_case "seeds differ" `Quick test_randgen_different_seeds_differ;
-          Alcotest.test_case "malicious dealers" `Quick test_randgen_malicious_dealers_excluded;
-          Alcotest.test_case "malicious revealers" `Quick test_randgen_malicious_revealers_caught_and_harmless;
-          Alcotest.test_case "removal semantics" `Quick test_randgen_dealer_removal_only_removes_contribution;
-          Alcotest.test_case "validation" `Quick test_randgen_validation;
         ] );
     ]

@@ -373,10 +373,6 @@ let qcheck_props =
 let hex s =
   String.concat "" (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
 
-let of_hex h =
-  String.init (String.length h / 2) (fun i ->
-      Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
-
 let with_cap cap f =
   let saved = !Wire.max_frame_len in
   Wire.max_frame_len := cap;
@@ -703,20 +699,17 @@ let arb_hostile =
     ~print:(fun (name, f) -> Printf.sprintf "%s: %s" name (hex f))
     QCheck.Gen.(gen_wire_message >>= mutate)
 
-(* words allocated so far, minor and direct-major; [Gc.allocated_bytes]
-   reads a minor count that is only refreshed by minor collections *)
-let words_allocated () =
-  let q = Gc.quick_stat () in
-  Gc.minor_words () +. q.Gc.major_words -. q.Gc.promoted_words
-
 (* The decoder's contract on any input: decode to a message whose
    frame is the input itself, or raise [Decode_error] — any other
    exception escapes and fails the caller.  Allocation is bounded by
    the input's length, so a short frame cannot make the decoder
    materialize a count it does not carry. *)
 let decodes_to_itself_or_rejects f =
-  let before = words_allocated () in
-  let bounded () = words_allocated () -. before <= float_of_int ((8 * String.length f) + 8192) in
+  Gc.minor ();
+  let before = Hostile.words_allocated () in
+  let bounded () =
+    Hostile.words_allocated () -. before <= Hostile.allocation_bound (String.length f)
+  in
   match Wire.of_frame f with
   | exception Wire.Decode_error _ -> bounded ()
   | m -> bounded () && String.equal (Wire.to_frame m) f
@@ -724,17 +717,12 @@ let decodes_to_itself_or_rejects f =
 let test_wire_corpus () =
   List.iter
     (fun (name, h, expected) ->
-      match Wire.of_frame (of_hex h) with
+      match Wire.of_frame (Hostile.of_hex h) with
       | exception Wire.Decode_error e ->
-        let has_sub s sub =
-          let n = String.length sub in
-          let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-          go 0
-        in
-        if not (has_sub e expected) then
+        if not (Hostile.contains e expected) then
           Alcotest.failf "%s: rejected with %S, expected %S" name e expected;
         Alcotest.(check bool) (name ^ ": bounded allocation") true
-          (decodes_to_itself_or_rejects (of_hex h))
+          (decodes_to_itself_or_rejects (Hostile.of_hex h))
       | _ -> Alcotest.failf "%s: must be rejected" name)
     Wire_corpus.frames
 

@@ -9,10 +9,8 @@ module Pool = Yoso_parallel.Pool
 module B = Yoso_bigint.Bigint
 module Params = Yoso_mpc.Params
 module Protocol = Yoso_mpc.Protocol
-module Randgen = Yoso_mpc.Randgen
 module Gen = Yoso_circuit.Generators
 module Faults = Yoso_runtime.Faults
-module Feldman = Yoso_shamir.Feldman
 module Paillier = Yoso_paillier.Paillier
 module Threshold = Yoso_paillier.Threshold
 module Oracles = Yoso_oracles
@@ -325,23 +323,6 @@ let test_protocol_identical_across_domains () =
         r.Protocol.transcript.Yoso_net.Board.digest)
     [ 2; 4 ]
 
-let test_randgen_identical_across_pools () =
-  let base = Randgen.run ~n:10 ~t:3 ~malicious_dealers:[ 2 ] ~seed:77 () in
-  List.iter
-    (fun domains ->
-      let o =
-        with_pool ~domains (fun pool ->
-            Randgen.run ~n:10 ~t:3 ~malicious_dealers:[ 2 ] ~seed:77 ~pool ())
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "randgen value domains=%d" domains)
-        true
-        (F.equal base.Randgen.value o.Randgen.value);
-      Alcotest.(check int)
-        (Printf.sprintf "qualified dealers domains=%d" domains)
-        base.Randgen.qualified_dealers o.Randgen.qualified_dealers)
-    [ 2; 4 ]
-
 (* ------------------------------------------------------------------ *)
 (* multiexp-backed combine and batch verification                      *)
 (* ------------------------------------------------------------------ *)
@@ -395,33 +376,6 @@ let prop_combine_after_reshare =
   QCheck.Test.make ~count:10 ~name:"combine after reshare" QCheck.(make Gen.nat)
     (combine_agrees tpk [| shares; s1; s2 |] ~epochs:[ 1; 2 ])
 
-let test_feldman_batch_verify () =
-  let rng = Random.State.make [| 0xFE1D7 |] in
-  for trial = 0 to 9 do
-    let n = 6 + (trial mod 5) and t = 2 + (trial mod 3) in
-    let d = Feldman.deal ~t ~n ~secret:(F.random rng) ~rng in
-    Alcotest.(check bool) "good dealing: batch accepts" true (Feldman.verify_dealing ~n d);
-    Alcotest.(check bool) "good dealing: per-share accepts" true
-      (Oracles.Feldman.verify_dealing_each ~n d);
-    Alcotest.(check bool) "good dealing: explicit rng accepts" true
-      (Feldman.verify_dealing ~rng ~n d);
-    (* corrupt one share: both paths must reject *)
-    let bad_shares = Array.copy d.Feldman.shares in
-    let victim = trial mod n in
-    bad_shares.(victim) <- F.add bad_shares.(victim) F.one;
-    let bad = { d with Feldman.shares = bad_shares } in
-    Alcotest.(check bool) "bad dealing: batch rejects" false (Feldman.verify_dealing ~n bad);
-    Alcotest.(check bool) "bad dealing: per-share rejects" false
-      (Oracles.Feldman.verify_dealing_each ~n bad);
-    Alcotest.(check bool) "bad dealing: explicit rng rejects" false
-      (Feldman.verify_dealing ~rng ~n bad)
-  done;
-  (* wrong share count and empty commitment are structural rejects *)
-  let d = Feldman.deal ~t:2 ~n:5 ~secret:F.one ~rng in
-  Alcotest.(check bool) "wrong n" false (Feldman.verify_dealing ~n:6 d);
-  Alcotest.(check bool) "empty commitment" false
-    (Feldman.verify_dealing ~n:5 { d with Feldman.commitment = [||] })
-
 let () =
   Alcotest.run "parallel"
     [
@@ -447,13 +401,10 @@ let () =
         [
           Alcotest.test_case "protocol identical across domains" `Slow
             test_protocol_identical_across_domains;
-          Alcotest.test_case "randgen identical across pools" `Quick
-            test_randgen_identical_across_pools;
         ] );
       ( "multiexp paths",
         [
           QCheck_alcotest.to_alcotest prop_combine_backends_agree;
           QCheck_alcotest.to_alcotest prop_combine_after_reshare;
-          Alcotest.test_case "feldman batch verify" `Quick test_feldman_batch_verify;
         ] );
     ]

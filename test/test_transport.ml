@@ -182,68 +182,68 @@ let test_envelope_trailer_bit63 () =
       | _ -> Alcotest.failf "message %d: trailer with bit 63 flipped must be rejected" i)
     sample_msgs
 
+(* [f ()], adding the words it allocates to [spent], raise or return *)
+let metered spent f =
+  let before = Hostile.words_allocated () in
+  let charge () = spent := !spent +. (Hostile.words_allocated () -. before) in
+  match f () with
+  | r ->
+    charge ();
+    r
+  | exception e ->
+    charge ();
+    raise e
+
+(* Every corpus envelope is rejected with its pinned message, having
+   allocated within [Hostile.allocation_bound] of its length. *)
 let test_envelope_rejections () =
-  (* body over the stream's cap is rejected from the header alone *)
+  (* a stream's own cap below the default fires from the header alone *)
   let st = Envelope.stream ~max_body:16 () in
   let big = Envelope.encode (Envelope.Report { slot = 0; json = String.make 64 'j' }) in
   Envelope.feed st (String.sub big 0 Envelope.header_len);
   (match Envelope.next st with
   | exception Envelope.Envelope_error _ -> ()
   | _ -> Alcotest.fail "oversized body must be rejected at the header");
-  (* corrupted checksum *)
-  let st = Envelope.stream () in
-  let e = Bytes.of_string (Envelope.encode Envelope.Start) in
-  let last = Bytes.length e - 1 in
-  Bytes.set e last (Char.chr (Char.code (Bytes.get e last) lxor 1));
-  Envelope.feed st (Bytes.to_string e);
-  (match Envelope.next st with
-  | exception Envelope.Envelope_error _ -> ()
-  | _ -> Alcotest.fail "checksum corruption must be detected");
-  (* bad magic *)
-  let st = Envelope.stream () in
-  Envelope.feed st "XXXXXXXX";
-  (match Envelope.next st with
-  | exception Envelope.Envelope_error _ -> ()
-  | _ -> Alcotest.fail "bad magic must be rejected");
-  (* hostile bodies behind a valid header and checksum: the retired
-     full-frame delivery (tag 4) and interest registration (tag 10)
-     in their old encodings, unknown tags, and known tags whose body
-     is truncated or carries trailing bytes.  Each is rejected with
-     [Envelope_error] and nothing else. *)
-  let varints l =
-    let buf = Buffer.create 16 in
-    List.iter (Wire.put_varint buf) l;
-    Buffer.contents buf
-  in
-  let old_deliver =
-    let buf = Buffer.create 16 in
-    Wire.put_varint buf 0;
-    Wire.put_varint buf 3;
-    Wire.put_bytes buf "frame-zero";
-    Buffer.contents buf
-  in
   List.iter
-    (fun (what, tag, body) ->
+    (fun (name, h, expected) ->
+      let input = Hostile.of_hex h in
       let st = Envelope.stream () in
-      Envelope.feed st (envelope_of_body ~tag body);
-      match Envelope.next st with
-      | exception Envelope.Envelope_error _ -> ()
-      | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
-      | _ -> Alcotest.failf "%s must be rejected" what)
-    [
-      ("retired deliver", 4, old_deliver);
-      ("retired deliver, empty body", 4, "");
-      ("retired subscribe", 10, varints [ 2; 3; 3; 4; 7 ]);
-      ("retired subscribe, empty body", 10, "");
-      ("unknown tag", 0, "");
-      ("unknown tag 12", 12, "");
-      ("truncated post", 3, String.sub old_deliver 0 5);
-      ("truncated hello", 1, varints [ 3 ]);
-      ("overlong varint", 5, String.make 12 '\xff');
-      ("post with trailing bytes", 3, old_deliver ^ "x");
-      ("batch record kind 2", 11, varints [ 1; 2 ]);
-      ("batch claims more records than it has", 11, varints [ 3 ]);
-    ]
+      let spent = ref 0. in
+      Gc.minor ();
+      match
+        metered spent (fun () ->
+            Envelope.feed st input;
+            Envelope.next st)
+      with
+      | exception Envelope.Envelope_error e ->
+        if not (Hostile.contains e expected) then
+          Alcotest.failf "%s: rejected with %S, expected %S" name e expected;
+        Alcotest.(check bool) (name ^ ": bounded allocation") true
+          (!spent <= Hostile.allocation_bound (String.length input))
+      | _ -> Alcotest.failf "%s: must be rejected" name)
+    Envelope_corpus.envelopes
+
+(* A 4 MiB [Post] reassembled from 64 KiB reads, fed the way the
+   daemon feeds its socket reads, allocates at most 2 words per wire
+   byte: a stream that copied its buffered prefix on every read would
+   allocate quadratically in the body size. *)
+let test_envelope_large_post_linear () =
+  let frame = String.init (4 lsl 20) (fun i -> Char.chr (i land 0xff)) in
+  let wire = Envelope.encode (Envelope.Post { seq = 1; slot = 2; frame }) in
+  let len = String.length wire and scratch = Bytes.create 65536 in
+  let st = Envelope.stream () and got = ref [] in
+  let before = Hostile.words_allocated () in
+  for i = 0 to (len - 1) / 65536 do
+    let k = min 65536 (len - (i * 65536)) in
+    Bytes.blit_string wire (i * 65536) scratch 0 k;
+    Envelope.feed_bytes st scratch k;
+    Option.iter (fun m -> got := m :: !got) (Envelope.next st)
+  done;
+  let spent = Hostile.words_allocated () -. before in
+  Alcotest.(check bool) "the one post, intact" true
+    (!got = [ Envelope.Post { seq = 1; slot = 2; frame } ] && Envelope.buffered st = 0);
+  if spent > float_of_int ((2 * len) + 8192) then
+    Alcotest.failf "%.2f words allocated per wire byte (bound 2)" (spent /. float_of_int len)
 
 (* ------------------------------------------------------------------ *)
 (* Envelope stream fuzzing                                             *)
@@ -411,12 +411,13 @@ let arb_hostile_stream =
    after every feed: the messages decoded and the bytes left buffered.
    A message that does not re-encode to exactly the bytes it consumed
    fails; [Envelope_error] propagates. *)
-let decode_stream input chunks =
+let decode_stream ?(spent = ref 0.) input chunks =
+  Gc.minor ();
   let st = Envelope.stream () in
   let fed = ref 0 and consumed = ref 0 and got = ref [] in
   let rec drain () =
-    ignore (Envelope.needed st);
-    match Envelope.next st with
+    metered spent (fun () -> ignore (Envelope.needed st));
+    match metered spent (fun () -> Envelope.next st) with
     | None -> ()
     | Some m ->
       let upto = !fed - Envelope.buffered st in
@@ -428,7 +429,8 @@ let decode_stream input chunks =
       drain ()
   in
   let feed k =
-    Envelope.feed st (String.sub input !fed k);
+    let chunk = String.sub input !fed k in
+    metered spent (fun () -> Envelope.feed st chunk);
     fed := !fed + k;
     drain ()
   in
@@ -436,6 +438,8 @@ let decode_stream input chunks =
   feed (String.length input - !fed);
   (List.rev !got, Envelope.buffered st)
 
+(* the stream's own calls allocate within [Hostile.allocation_bound]
+   of the bytes fed, whatever the headers declare *)
 let envelope_fuzz_props =
   [
     (* the hostile property alone holds for a decoder that rejects
@@ -444,13 +448,18 @@ let envelope_fuzz_props =
       ~name:"well-formed streams decode message for message"
       (QCheck.make QCheck.Gen.(pair (list_size (int_range 1 4) gen_envelope_msg) gen_chunks))
       (fun (msgs, chunks) ->
-        decode_stream (String.concat "" (List.map Envelope.encode msgs)) chunks = (msgs, 0));
+        let input = String.concat "" (List.map Envelope.encode msgs) in
+        let spent = ref 0. in
+        decode_stream ~spent input chunks = (msgs, 0)
+        && !spent <= Hostile.allocation_bound (String.length input));
     QCheck.Test.make ~count:2000 ~long_factor:50
       ~name:"mutated streams decode to themselves or raise Envelope_error" arb_hostile_stream
       (fun (input, chunks) ->
-        match decode_stream input chunks with
-        | _ -> true
-        | exception Envelope.Envelope_error _ -> true);
+        let spent = ref 0. in
+        (match decode_stream ~spent input chunks with
+        | _ -> ()
+        | exception Envelope.Envelope_error _ -> ());
+        !spent <= Hostile.allocation_bound (String.length input));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1149,6 +1158,8 @@ let () =
           Alcotest.test_case "trailer bit 63 flipped" `Quick test_envelope_trailer_bit63;
           Alcotest.test_case "digest checksum outside 62 bits" `Quick
             test_envelope_digest_checksum_range;
+          Alcotest.test_case "large post allocates linearly" `Quick
+            test_envelope_large_post_linear;
         ] );
       ( "env-fuzz",
         List.map QCheck_alcotest.to_alcotest envelope_fuzz_props );
