@@ -4,9 +4,13 @@
    Usage:
      dune exec bench/main.exe                 -- everything
      dune exec bench/main.exe -- table1       -- one experiment
-   Experiments: table1 improvements online-comm bgw offline-comm net
-                ablation-eps ablation-amortization failstop sortition-mc
-                time par transport chaos compile factory *)
+   Experiments: table1 improvements comm bgw net ablation-eps
+                ablation-amortization failstop sortition-mc time par
+                transport chaos compile factory
+   Every protocol run in comm, bgw, the ablations and failstop is
+   checked against the in-the-clear evaluation, and sortition-mc
+   against the sortition bounds: a wrong answer raises, so the run
+   exits non-zero. *)
 
 module F = Yoso_field.Field.Fp
 module B = Yoso_bigint.Bigint
@@ -82,28 +86,26 @@ let comm_row n =
   assert (Cdn.check cdn circuit ~inputs);
   (n, k, ours.Protocol.num_mult, ours, cdn)
 
-let online_comm () =
+(* one sweep of protocol runs feeds both tables *)
+let comm () =
+  let rows = List.map comm_row comm_sweep in
   header "E2. Online communication per gate: packed YOSO (ours) vs CDN [29]";
   Printf.printf "(wide circuits, width = n*k/4, depth 2; elements broadcast / mult gate)\n";
   Printf.printf "%5s %4s %7s | %12s %12s %8s\n" "n" "k" "gates" "ours" "CDN [29]" "CDN/ours";
   List.iter
-    (fun n ->
-      let n, k, gates, ours, cdn = comm_row n in
+    (fun (n, k, gates, ours, cdn) ->
       let o = Protocol.online_per_gate ours and c = Cdn.online_per_gate cdn in
       Printf.printf "%5d %4d %7d | %12.1f %12.1f %8.2f\n" n k gates o c (c /. o))
-    comm_sweep;
+    rows;
   Printf.printf
-    "(expected shape: ours ~constant in n, CDN ~linear in n; crossover at small n)\n"
-
-let offline_comm () =
+    "(expected shape: ours ~constant in n, CDN ~linear in n; crossover at small n)\n";
   header "E3. Offline communication per gate (O(n), Theorem 1)";
   Printf.printf "%5s %4s %7s | %14s %14s\n" "n" "k" "gates" "offline/gate" "offline/(n*gate)";
   List.iter
-    (fun n ->
-      let n, k, gates, ours, _ = comm_row n in
+    (fun (n, k, gates, ours, _) ->
       let o = Protocol.offline_per_gate ours in
       Printf.printf "%5d %4d %7d | %14.1f %14.2f\n" n k gates o (o /. float_of_int n))
-    comm_sweep;
+    rows;
   Printf.printf "(offline/(n*gate) ~constant confirms the O(n)-per-gate bound)\n"
 
 let bgw_comparison () =
@@ -291,6 +293,7 @@ let failstop () =
   let fsmode = Params.of_gap ~n ~eps ~fail_stop_mode:true () in
   let circuit = Gen.dot_product ~len:6 in
   let inputs c = Array.init 6 (fun i -> F.of_int ((c + 2) * (i + 1))) in
+  let wrong = ref 0 in
   let attempt params dropped =
     let adversary =
       { Params.malicious = params.Params.t; passive = 0; fail_stop = dropped }
@@ -302,7 +305,11 @@ let failstop () =
           ~config:(Protocol.config ~adversary ())
           ~circuit ~inputs ()
       in
-      if Protocol.check r circuit ~inputs then "delivered" else "WRONG"
+      if Protocol.check r circuit ~inputs then "delivered"
+      else begin
+        incr wrong;
+        "WRONG"
+      end
     | exception Invalid_argument _ -> "infeasible"
   in
   Printf.printf "n = %d, eps = %.2f, t = %d malicious in every committee\n" n eps
@@ -312,7 +319,8 @@ let failstop () =
     (fun d ->
       Printf.printf "%8d | %-22s %-22s\n" d (attempt standard d) (attempt fsmode d))
     [ 0; 1; 2; 4; 6; 8; 9; 10 ];
-  Printf.printf "(paper: halving the packing gain buys tolerance of ~n*eps crashes)\n"
+  Printf.printf "(paper: halving the packing gain buys tolerance of ~n*eps crashes)\n";
+  if !wrong > 0 then failwith (Printf.sprintf "failstop: %d cells delivered a wrong output" !wrong)
 
 (* ------------------------------------------------------------------ *)
 (* E5: Monte-Carlo validation of the sortition bounds                  *)
@@ -321,6 +329,7 @@ let failstop () =
 let sortition_mc () =
   header "E5. Monte-Carlo sortition: do sampled committees satisfy the bounds?";
   let rng = Splitmix.of_int 0x50F7 in
+  let violations = ref 0 in
   List.iter
     (fun (c_param, f) ->
       match Analysis.solve ~f c_param with
@@ -331,9 +340,13 @@ let sortition_mc () =
         Printf.printf
           "  C=%5d f=%.2f pool=%7d | size mean %.0f, corrupt max %d (t=%d), viol phi>=t: %d, viol gap: %d\n"
           c_param f pool stats.Sampler.mean_size stats.Sampler.max_corrupt row.Analysis.t
-          stats.Sampler.corruption_bound_violations stats.Sampler.gap_violations)
+          stats.Sampler.corruption_bound_violations stats.Sampler.gap_violations;
+        violations :=
+          !violations + stats.Sampler.corruption_bound_violations + stats.Sampler.gap_violations)
     [ (1000, 0.05); (5000, 0.10); (5000, 0.15); (10000, 0.20) ];
-  Printf.printf "(with k2 = k3 = 128 the failure probability is ~2^-128: zero violations)\n"
+  Printf.printf "(with k2 = k3 = 128 the failure probability is ~2^-128: zero violations)\n";
+  if !violations > 0 then
+    failwith (Printf.sprintf "sortition-mc: %d sampled committees violate the bounds" !violations)
 
 (* ------------------------------------------------------------------ *)
 (* E8: wall-clock timing, naive vs Montgomery arithmetic backends      *)
@@ -1377,9 +1390,8 @@ let experiments =
   [
     ("table1", table1);
     ("improvements", improvements);
-    ("online-comm", online_comm);
+    ("comm", comm);
     ("bgw", bgw_comparison);
-    ("offline-comm", offline_comm);
     ("net", net_bytes);
     ("ablation-eps", ablation_eps);
     ("ablation-amortization", ablation_amortization);

@@ -34,7 +34,7 @@ let wire_depths (c : Circuit.t) =
 let execute ~n ~t ?(seed = 0xB6) ~circuit ~inputs () =
   if t < 0 || 2 * t + 1 > n then
     invalid_arg "Bgw_baseline: need 0 <= t < n/2";
-  let board : string Bulletin.t = Bulletin.create () in
+  let board = Bulletin.create () in
   let st = Random.State.make [| seed |] in
   let ps = PS.make_params ~n ~k:1 in
   let depths = wire_depths circuit in
@@ -85,8 +85,7 @@ let execute ~n ~t ?(seed = 0xB6) ~circuit ~inputs () =
         Bulletin.post board
           ~author:(Role.id ~committee:(Printf.sprintf "BgwClient%d" client) ~index:0)
           ~phase:"input"
-          ~cost:[ (Cost.Ciphertext, n * List.length wires) ]
-          "bgw input sharing")
+          ~cost:[ (Cost.Ciphertext, n * List.length wires) ])
     (Circuit.clients circuit);
 
   (* resharing weights: t+1 senders for carried wires, 2t+1 for
@@ -118,7 +117,6 @@ let execute ~n ~t ?(seed = 0xB6) ~circuit ~inputs () =
     for i = 0 to n - 1 do
       Bulletin.post board ~author:(Committee.role committee i) ~phase:"online"
         ~cost:[ (Cost.Ciphertext, n * List.length payload) ]
-        "bgw reshare"
     done;
     List.iter
       (fun (w, _, senders) ->
@@ -181,7 +179,6 @@ let execute ~n ~t ?(seed = 0xB6) ~circuit ~inputs () =
     for i = 0 to n - 1 do
       Bulletin.post board ~author:(Committee.role committee i) ~phase:"online"
         ~cost:[ (Cost.Field_element, Array.length output_gates) ]
-        "bgw output shares"
     done
   end;
   let outputs =

@@ -183,18 +183,13 @@ let contributions ?tamper ?wire ?(required = 1) ctx committee ~phase ~step ~cost
 (* tsk chain                                                            *)
 (* ------------------------------------------------------------------ *)
 
-type holder = { committee : Committee.t; shares : Te.share option array; prefix : string }
+type holder = { committee : Committee.t; shares : Te.share array; prefix : string }
 
 let initial_holder ctx _te ~name shares =
   let committee = fresh_committee ctx name in
   if Array.length shares <> ctx.params.Params.n then
     invalid_arg "Committee_ops.initial_holder: share count <> n";
-  { committee; shares = Array.map Option.some shares; prefix = name }
-
-let member_share holder i =
-  match holder.shares.(i) with
-  | Some s -> s
-  | None -> failwith "Committee_ops: holder member without a tsk share"
+  { committee; shares; prefix = name }
 
 (* hand the re-randomized key to a fresh committee *)
 let pass_key ctx te next_prefix verified =
@@ -202,7 +197,7 @@ let pass_key ctx te next_prefix verified =
   let shares =
     Array.init ctx.params.Params.n (fun j ->
         let subs = List.map (fun (_, reshares) -> reshares.(j)) verified in
-        Some (Te.recombine te ~index:(j + 1) subs))
+        Te.recombine te ~index:(j + 1) subs)
   in
   { committee = next; shares; prefix = next_prefix }
 
@@ -210,7 +205,7 @@ let pass_key ctx te next_prefix verified =
    valid, wrong values — exactly what combine would choke on if the
    forged proof were not caught first *)
 let tampered_partials te holder cts rng i =
-  let share = member_share holder i in
+  let share = holder.shares.(i) in
   let epoch = Te.share_epoch share in
   Array.map (fun _ -> Te.junk_partial te ~index:(i + 1) ~epoch (F.random rng)) cts
 
@@ -223,14 +218,14 @@ let decrypt_batch ctx te holder ~phase ~step cts =
     | _ ->
       (* corrupted partials; reshares kept honest so the tampering is
          only caught by transcript verification, not by accident *)
-      Some (tampered_partials te holder cts rng i, Te.reshare te (member_share holder i))
+      Some (tampered_partials te holder cts rng i, Te.reshare te holder.shares.(i))
   in
   let verified =
     contributions ~tamper
       ~required:(Te.threshold te + 1)
       ctx holder.committee ~phase ~step ~cost
       (fun _rng i ->
-        let share = member_share holder i in
+        let share = holder.shares.(i) in
         let partials = Array.map (Te.partial_decrypt te share) cts in
         let reshares = Te.reshare te share in
         (partials, reshares))
@@ -270,7 +265,7 @@ let reencrypt_generic ?cost ctx te holder ~phase ~step ~reshare values =
          the partials across the batch (each slot carries the partial
          of a *different* ciphertext), or desynchronize the epoch when
          the batch has a single value *)
-      let share = member_share holder i in
+      let share = holder.shares.(i) in
       let honest = Array.map (fun (_, ct) -> Te.partial_decrypt te share ct) values in
       let len = Array.length honest in
       let partials =
@@ -284,7 +279,7 @@ let reencrypt_generic ?cost ctx te holder ~phase ~step ~reshare values =
       ~required:(Te.threshold te + 1)
       ctx holder.committee ~phase ~step ~cost
       (fun _rng i ->
-        let share = member_share holder i in
+        let share = holder.shares.(i) in
         let partials = Array.map (fun (_, ct) -> Te.partial_decrypt te share ct) values in
         let reshares = if reshare then Some (Te.reshare te share) else None in
         (partials, reshares))

@@ -3,15 +3,9 @@ module Cost = Yoso_runtime.Cost
 module Role = Yoso_runtime.Role
 module Splitmix = Yoso_hash.Splitmix
 
-type config = {
-  model : Sim.model;
-  round_ms : float;
-  net_seed : int;
-  sizing : Wire.sizing;
-}
+type config = { model : Sim.model; round_ms : float; net_seed : int }
 
-let default_config =
-  { model = Sim.ideal; round_ms = 100.; net_seed = 1; sizing = Wire.default_sizing }
+let default_config = { model = Sim.ideal; round_ms = 100.; net_seed = 1 }
 
 type outcome = Delivered | Late | Dropped | Garbled
 
@@ -48,7 +42,7 @@ let digest_seed = 0x9e3779b9
 let chain_digest d csum = ((d * 1000003) + csum) land max_int
 
 type t = {
-  bulletin : string Bulletin.t;
+  bulletin : Bulletin.t;
   sim : Sim.t;
   meter : Meter.t;
   config : config;
@@ -74,7 +68,6 @@ let create ?(config = default_config) () =
 
 let set_link t link = t.link <- link
 
-let bulletin t = t.bulletin
 let sim t = t.sim
 let meter t = t.meter
 let config t = t.config
@@ -89,21 +82,6 @@ let next_round t =
   Bulletin.next_round t.bulletin;
   Sim.next_round t.sim;
   t.round_posts <- 0
-
-let item_count items kind =
-  List.fold_left
-    (fun acc it ->
-      if Wire.item_kind it <> kind then acc
-      else
-        acc
-        +
-        match it with
-        | Wire.Field_elements v -> Array.length v
-        | Wire.Packed_sharing { shares; _ } -> Array.length shares
-        | Wire.Ciphertexts a | Wire.Proofs a | Wire.Partial_decs a | Wire.Public_keys a ->
-          Array.length a
-        | Wire.Bigints a -> Array.length a)
-    0 items
 
 (* flip one byte of the frame in flight; any single flip is caught by
    the magic / length / checksum checks in [Wire.of_frame] *)
@@ -140,10 +118,11 @@ type prepared = {
    and payload tally are all Phase B needs. *)
 let prepare t ~author ~phase ~step ?(items = []) ?(corrupt = false) ?(force_late = false)
     ~cost ~tag () =
+  let carried = Wire.summary { Wire.step; items } in
   let missing =
     List.filter_map
       (fun (kind, n) ->
-        let m = n - item_count items kind in
+        let m = n - Option.value ~default:0 (List.assoc_opt kind carried) in
         if m > 0 then Some (kind, m) else None)
       cost
   in
@@ -160,9 +139,8 @@ let prepare t ~author ~phase ~step ?(items = []) ?(corrupt = false) ?(force_late
     if local then Some (Splitmix.of_int (Splitmix.mix (t.config.net_seed lxor 0x0b10b5) tag))
     else None
   in
-  let sizing = t.config.sizing in
   let frame, len, csum =
-    Wire.with_frame ~sizing ?rng ~synth:missing { Wire.step; items } (fun b len csum ->
+    Wire.with_frame ?rng ~synth:missing { Wire.step; items } (fun b len csum ->
         if corrupt then
           let bad = corrupt_frame (Bytes.sub_string b 0 len) in
           ((if keep then Some bad else None), len, Wire.checksum bad)
@@ -172,7 +150,7 @@ let prepare t ~author ~phase ~step ?(items = []) ?(corrupt = false) ?(force_late
     p_author = author;
     p_phase = phase;
     p_step = step;
-    p_payload = Wire.payload_tally sizing items missing;
+    p_payload = Wire.payload_tally Wire.default_sizing items missing;
     p_frame = frame;
     p_len = len;
     p_csum = csum;
@@ -196,8 +174,7 @@ let commit t p =
   t.frames <- t.frames + 1;
   t.frame_bytes <- t.frame_bytes + frame_bytes;
   let tally = Bulletin.cost t.bulletin in
-  List.iter (fun (kind, b) -> Cost.charge_bytes tally ~phase kind b) payload;
-  Meter.record t.meter ~phase ~step ~role:(Role.to_string author) ~frame_bytes ~payload;
+  Meter.record t.meter ~phase ~step ~frame_bytes ~payload;
   let extra_delay_ms = if force_late then 2. *. t.config.round_ms else 0. in
   let verdict, _arrival = Sim.transmit t.sim ~extra_delay_ms ~bytes:frame_bytes () in
   (* Transport exchange: under a link the frame crosses a real process
@@ -260,7 +237,7 @@ let commit t p =
       List.iter (fun (kind, n) -> Cost.charge tally ~phase kind n) cost;
       Dropped
     | Sim.Late ->
-      Bulletin.post t.bulletin ~author ~phase ~cost (step ^ " [past round deadline]");
+      Bulletin.post t.bulletin ~author ~phase ~cost;
       Late
     | Sim.Delivered ->
       (* a frame that fails its integrity check occupies its slot on
@@ -269,7 +246,7 @@ let commit t p =
          encoder emits only frames [Wire.of_frame] accepts, and the
          single flipped byte of a corrupted one always fails the
          checksum. *)
-      Bulletin.post t.bulletin ~author ~phase ~cost step;
+      Bulletin.post t.bulletin ~author ~phase ~cost;
       if consistent && not p_corrupt then Delivered else Garbled)
 
 (* post = prepare + commit with a tag drawn from the per-round post

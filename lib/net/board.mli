@@ -29,19 +29,14 @@
     verdicts, element tallies — is identical to the unsimulated board;
     the network layer only *adds* the byte measurements. *)
 
-module Bulletin = Yoso_runtime.Bulletin
 module Cost = Yoso_runtime.Cost
 module Role = Yoso_runtime.Role
 
-type config = {
-  model : Sim.model;
-  round_ms : float;
-  net_seed : int;
-  sizing : Wire.sizing;
-}
+type config = { model : Sim.model; round_ms : float; net_seed : int }
 
 val default_config : config
-(** {!Sim.ideal}, 100 ms rounds, seed 1, {!Wire.default_sizing}. *)
+(** {!Sim.ideal}, 100 ms rounds, seed 1.  Synthesized wire weight is
+    always sized by {!Wire.default_sizing}. *)
 
 type outcome = Delivered | Late | Dropped | Garbled
 
@@ -125,14 +120,13 @@ val post :
   outcome
 (** Encode, transmit, deliver.  [items] carry real element data
     (e.g. the online field payloads); any part of [cost] they do not
-    cover is synthesized at the configured {!Wire.sizing} so the
-    frame has the full wire weight of the post.  [corrupt] flips a
-    byte in flight: the flipped frame is transmitted and chained into
-    the transcript, and the post is [Garbled] unless it is dropped or
+    cover is synthesized at {!Wire.default_sizing} so the frame has
+    the full wire weight of the post.  [corrupt] flips a byte in
+    flight: the flipped frame is transmitted and chained into the
+    transcript, and the post is [Garbled] unless it is dropped or
     late.  [force_late] stalls the sender past the round deadline.
-    Element counts are charged to the bulletin's {!Cost.t} exactly as
-    before; measured bytes are charged alongside and broken down in
-    the {!Meter}.
+    Element counts are charged to the bulletin's {!Cost.t}; measured
+    bytes are charged to the {!Meter}, and nowhere else.
 
     Equivalent to {!prepare} (tagged by a per-round post counter)
     followed immediately by {!commit}. *)
@@ -171,7 +165,7 @@ val prepare :
     committee fan-out uses the member index. *)
 
 val commit : t -> prepared -> outcome
-(** Mutates the board: digest chain, meters, network transmission,
+(** Mutates the board: digest chain, meter, network transmission,
     bulletin slot.  Must be called from one domain, in the intended
     board order, under the link the frame was prepared with: raises
     [Invalid_argument] if a link now needs bytes {!prepare} did not
@@ -179,7 +173,6 @@ val commit : t -> prepared -> outcome
 
 val next_round : t -> unit
 
-val bulletin : t -> string Bulletin.t
 val sim : t -> Sim.t
 val meter : t -> Meter.t
 val config : t -> config

@@ -11,7 +11,6 @@ type side =
 type t = {
   by_kind : (string * Cost.kind, int) Hashtbl.t; (* payload bytes *)
   by_step : (string * string, int) Hashtbl.t; (* frame bytes per (phase, step) *)
-  by_role : (string, int) Hashtbl.t; (* frame bytes per role family *)
   framing : (string, int) Hashtbl.t; (* non-payload bytes per phase *)
   sides : (side * string, int) Hashtbl.t; (* side-counter bytes per (counter, label) *)
 }
@@ -20,26 +19,17 @@ let create () =
   {
     by_kind = Hashtbl.create 16;
     by_step = Hashtbl.create 16;
-    by_role = Hashtbl.create 16;
     framing = Hashtbl.create 8;
     sides = Hashtbl.create 16;
   }
 
 let add tbl key n = Hashtbl.replace tbl key (n + Option.value ~default:0 (Hashtbl.find_opt tbl key))
 
-(* committee names carry a uniqueness counter ("exec#3"); the family
-   prefix groups all epochs of the same role *)
-let role_family role =
-  match String.index_opt role '#' with
-  | Some i -> String.sub role 0 i
-  | None -> role
-
-let record t ~phase ~step ~role ~frame_bytes ~payload =
+let record t ~phase ~step ~frame_bytes ~payload =
   let data = List.fold_left (fun acc (_, b) -> acc + b) 0 payload in
   if data > frame_bytes then invalid_arg "Meter.record: payload exceeds frame";
   List.iter (fun (kind, b) -> add t.by_kind (phase, kind) b) payload;
   add t.by_step (phase, step) frame_bytes;
-  add t.by_role (role_family role) frame_bytes;
   add t.framing phase (frame_bytes - data)
 
 let kind_bytes t ~phase kind = Option.value ~default:0 (Hashtbl.find_opt t.by_kind (phase, kind))
@@ -57,8 +47,6 @@ let steps t ~phase =
   sorted_bindings t.by_step
   |> List.filter_map (fun ((p, s), b) -> if p = phase then Some (s, b) else None)
 
-let roles t = sorted_bindings t.by_role
-
 let phases t =
   let collect tbl key_phase acc =
     Hashtbl.fold
@@ -74,16 +62,8 @@ let grand_total t = Hashtbl.fold (fun _ v acc -> acc + v) t.by_step 0
 (* side counters attribute bytes that the phase tables already count,
    or that never enter them (socket envelopes), to a label: a
    connection, a subscription or a factory refill batch.  They never
-   feed the phase/kind/role totals, so those stay equal to an
+   feed the phase/kind/step totals, so those stay equal to an
    unsocketed one-shot run of the same seeds *)
-let side_name = function
-  | Conn_sent -> "conn.sent"
-  | Conn_received -> "conn.received"
-  | Route_full -> "route.full"
-  | Route_digest -> "route.digest"
-  | Route_suppressed -> "route.suppressed"
-  | Refill -> "refill"
-
 let record_side t side ~label n =
   if n < 0 then invalid_arg "Meter.record_side: negative count";
   add t.sides (side, label) n
@@ -111,23 +91,5 @@ let routing_ratio t =
 let merge_into ~dst src =
   Hashtbl.iter (fun (p, k) b -> add dst.by_kind (p, k) b) src.by_kind;
   Hashtbl.iter (fun (p, s) b -> add dst.by_step (p, s) b) src.by_step;
-  Hashtbl.iter (fun r b -> add dst.by_role r b) src.by_role;
   Hashtbl.iter (fun p b -> add dst.framing p b) src.framing;
   Hashtbl.iter (fun k n -> add dst.sides k n) src.sides
-
-let pp ppf t =
-  List.iter
-    (fun phase ->
-      Format.fprintf ppf "@[<h>%-10s" phase;
-      List.iter
-        (fun k ->
-          let b = kind_bytes t ~phase k in
-          if b > 0 then Format.fprintf ppf " %s=%dB" (Cost.kind_to_string k) b)
-        Cost.all_kinds;
-      Format.fprintf ppf " framing=%dB total=%dB@]@." (framing_bytes t ~phase)
-        (phase_total t ~phase))
-    (phases t);
-  List.iter
-    (fun ((side, label), n) ->
-      Format.fprintf ppf "@[<h>%-16s %-12s %dB@]@." (side_name side) label n)
-    (sorted_bindings t.sides)

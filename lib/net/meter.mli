@@ -3,11 +3,12 @@
     Where {!Yoso_runtime.Cost} counts abstract elements (the paper's
     metric), the meter records *measured wire bytes*, split three
     ways: per (phase, element kind) for the payload data itself, per
-    (phase, step) and per role family for whole frames, and per phase
-    for framing overhead (tags, length prefixes, checksums — bytes on
-    the wire that are not element data).  The headline scalability
-    claim is about payload data, so keeping overhead in its own bucket
-    lets the benchmark report both honestly. *)
+    (phase, step) for whole frames, and per phase for framing overhead
+    (tags, length prefixes, checksums — bytes on the wire that are not
+    element data).  It is the one byte ledger: nothing else counts
+    frame bytes.  The headline scalability claim is about payload
+    data, so keeping overhead in its own bucket lets the benchmark
+    report both honestly. *)
 
 module Cost = Yoso_runtime.Cost
 
@@ -19,15 +20,11 @@ val record :
   t ->
   phase:string ->
   step:string ->
-  role:string ->
   frame_bytes:int ->
   payload:(Cost.kind * int) list ->
   unit
 (** [payload] is the per-kind element-data byte tally of the frame;
     [frame_bytes - sum payload] is charged as framing overhead. *)
-
-val role_family : string -> string
-(** Strips the committee uniqueness counter: ["exec#3"] -> ["exec"]. *)
 
 val merge_into : dst:t -> t -> unit
 (** Adds every bucket of [src], side counters included, into [dst] —
@@ -39,17 +36,15 @@ val data_bytes : t -> phase:string -> int
 val framing_bytes : t -> phase:string -> int
 val phase_total : t -> phase:string -> int
 val steps : t -> phase:string -> (string * int) list
-val roles : t -> (string * int) list
 val phases : t -> string list
 val grand_total : t -> int
-val pp : Format.formatter -> t -> unit
 
 (** {1 Side counters}
 
     Labelled byte attributions kept apart from the phase tables: either
     bytes those tables never see (socket envelopes) or a re-attribution
     of frames they already count (routed deliveries, factory refills).
-    Side counts never feed the phase/kind/role totals, so those stay
+    Side counts never feed the phase/kind/step totals, so those stay
     equal to an unsocketed one-shot run of the same seeds. *)
 
 type side =

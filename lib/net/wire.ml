@@ -1,5 +1,4 @@
 module F = Yoso_field.Field.Fp
-module B = Yoso_bigint.Bigint
 module Cost = Yoso_runtime.Cost
 module Splitmix = Yoso_hash.Splitmix
 
@@ -36,13 +35,6 @@ let put_bytes buf s =
   Buffer.add_string buf s
 
 let put_field buf (x : F.t) = put_fixed32 buf (F.to_int x)
-
-(* sign byte: 0 zero, 1 positive, 2 negative; canonical big-endian
-   magnitude (no leading zero byte) *)
-let put_bigint buf b =
-  let s = B.sign b in
-  put_u8 buf (if s = 0 then 0 else if s > 0 then 1 else 2);
-  if s <> 0 then put_bytes buf (B.to_bytes_be b)
 
 (* ------------------------------------------------------------------ *)
 (* Primitive decoders (over a string with a cursor)                    *)
@@ -91,17 +83,6 @@ let get_field d =
   if v >= F.p then fail "field element %d out of range (p = %d)" v F.p;
   F.of_int v
 
-let get_bigint d =
-  match get_u8 d with
-  | 0 -> B.zero
-  | (1 | 2) as s ->
-    let mag = get_bytes d in
-    if String.length mag = 0 then fail "bigint: empty magnitude with nonzero sign";
-    if mag.[0] = '\000' then fail "bigint: non-canonical leading zero byte";
-    let v = B.of_bytes_be mag in
-    if s = 2 then B.neg v else v
-  | s -> fail "bigint: bad sign byte %d" s
-
 (* [min_bytes] is the shortest encoding of one element: a count the
    remaining bytes cannot hold is rejected before anything of that size
    is allocated *)
@@ -118,12 +99,10 @@ let get_count d ~what ~max ~min_bytes =
 
 type item =
   | Field_elements of F.t array
-  | Packed_sharing of { degree : int; shares : F.t array }
   | Ciphertexts of string array
   | Proofs of string array
   | Partial_decs of string array
   | Public_keys of string array
-  | Bigints of B.t array
 
 type message = { step : string; items : item list }
 
@@ -138,32 +117,31 @@ let put_count buf n =
   check_count n;
   put_varint buf n
 
-let item_tag = function
-  | Field_elements _ -> 1
-  | Packed_sharing _ -> 2
-  | Ciphertexts _ -> 3
-  | Proofs _ -> 4
-  | Partial_decs _ -> 5
-  | Public_keys _ -> 6
-  | Bigints _ -> 7
-
 let item_kind = function
-  | Field_elements _ | Packed_sharing _ -> Cost.Field_element
+  | Field_elements _ -> Cost.Field_element
   | Ciphertexts _ -> Cost.Ciphertext
   | Proofs _ -> Cost.Proof
   | Partial_decs _ -> Cost.Partial_decryption
   | Public_keys _ -> Cost.Key
-  | Bigints _ -> Cost.Ciphertext
+
+(* one item kind per element kind; tags 2 and 7 are unassigned *)
+let kind_tag = function
+  | Cost.Field_element -> 1
+  | Cost.Ciphertext -> 3
+  | Cost.Proof -> 4
+  | Cost.Partial_decryption -> 5
+  | Cost.Key -> 6
+
+let item_count = function
+  | Field_elements v -> Array.length v
+  | Ciphertexts a | Proofs a | Partial_decs a | Public_keys a -> Array.length a
 
 (* bytes of element *data* an item carries, excluding tags and length
    prefixes (those are accounted as framing overhead by the meter) *)
 let item_payload_bytes = function
   | Field_elements v -> 4 * Array.length v
-  | Packed_sharing { shares; _ } -> 4 * Array.length shares
   | Ciphertexts bs | Proofs bs | Partial_decs bs | Public_keys bs ->
     Array.fold_left (fun acc b -> acc + String.length b) 0 bs
-  | Bigints bs ->
-    Array.fold_left (fun acc b -> acc + String.length (B.to_bytes_be b)) 0 bs
 
 let put_blob_array buf bs =
   put_count buf (Array.length bs);
@@ -174,41 +152,22 @@ let get_blob_array d ~what =
   Array.init n (fun _ -> get_bytes d)
 
 let put_item buf it =
-  put_u8 buf (item_tag it);
+  put_u8 buf (kind_tag (item_kind it));
   match it with
   | Field_elements v ->
     put_count buf (Array.length v);
     Array.iter (put_field buf) v
-  | Packed_sharing { degree; shares } ->
-    if degree >= Array.length shares then
-      invalid_arg
-        (Printf.sprintf "Wire: sharing degree %d not determined by %d shares" degree
-           (Array.length shares));
-    put_varint buf degree;
-    put_count buf (Array.length shares);
-    Array.iter (put_field buf) shares
   | Ciphertexts bs | Proofs bs | Partial_decs bs | Public_keys bs -> put_blob_array buf bs
-  | Bigints bs ->
-    put_count buf (Array.length bs);
-    Array.iter (put_bigint buf) bs
 
 let get_item d =
   match get_u8 d with
   | 1 ->
     let n = get_count d ~what:"field vector" ~max:max_vec ~min_bytes:4 in
     Field_elements (Array.init n (fun _ -> get_field d))
-  | 2 ->
-    let degree = get_varint d in
-    let n = get_count d ~what:"sharing" ~max:max_vec ~min_bytes:4 in
-    if degree >= n then fail "sharing degree %d not determined by %d shares" degree n;
-    Packed_sharing { degree; shares = Array.init n (fun _ -> get_field d) }
   | 3 -> Ciphertexts (get_blob_array d ~what:"ciphertexts")
   | 4 -> Proofs (get_blob_array d ~what:"proofs")
   | 5 -> Partial_decs (get_blob_array d ~what:"partials")
   | 6 -> Public_keys (get_blob_array d ~what:"keys")
-  | 7 ->
-    let n = get_count d ~what:"bigints" ~max:max_vec ~min_bytes:1 in
-    Bigints (Array.init n (fun _ -> get_bigint d))
   | t -> fail "unknown item tag %d" t
 
 (* Message and frame encoding run under the Domain pool in Phase A
@@ -417,14 +376,7 @@ let rec set_varint b pos v =
     set_varint b (pos + 1) (v lsr 7)
   end
 
-(* the item [items_of_cost] makes for a kind: its tag and encoded length *)
-let synth_tag = function
-  | Cost.Field_element -> 1
-  | Cost.Ciphertext -> 3
-  | Cost.Proof -> 4
-  | Cost.Partial_decryption -> 5
-  | Cost.Key -> 6
-
+(* the encoded length of the item [items_of_cost] makes for a kind *)
 let synth_len sizing (kind, n) =
   check_count n;
   let size = element_bytes sizing kind in
@@ -436,7 +388,7 @@ let synth_len sizing (kind, n) =
    [pos], drawing from [rng] in the same order (zeros without one);
    returns the position after it. *)
 let write_synth sizing rng b pos (kind, n) =
-  Bytes.set b pos (Char.chr (synth_tag kind));
+  Bytes.set b pos (Char.chr (kind_tag kind));
   let pos = ref (set_varint b (pos + 1) n) in
   (match kind with
   | Cost.Field_element ->
@@ -530,19 +482,9 @@ let of_frame s =
   m
 
 let summary m =
-  let tally = Hashtbl.create 8 in
-  List.iter
-    (fun it ->
-      let k = item_kind it in
-      let count =
-        match it with
-        | Field_elements v -> Array.length v
-        | Packed_sharing { shares; _ } -> Array.length shares
-        | Ciphertexts a | Proofs a | Partial_decs a | Public_keys a -> Array.length a
-        | Bigints a -> Array.length a
-      in
-      Hashtbl.replace tally k (count + Option.value ~default:0 (Hashtbl.find_opt tally k)))
-    m.items;
-  Cost.(List.filter_map
-          (fun k -> Option.map (fun n -> (k, n)) (Hashtbl.find_opt tally k))
-          all_kinds)
+  List.filter_map
+    (fun k ->
+      match List.filter (fun it -> item_kind it = k) m.items with
+      | [] -> None
+      | l -> Some (k, List.fold_left (fun acc it -> acc + item_count it) 0 l))
+    Cost.all_kinds

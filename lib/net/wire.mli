@@ -1,20 +1,20 @@
 (** Canonical wire format for bulletin-board messages.
 
-    Every object a role posts — field elements, packed sharings,
-    ciphertexts, NIZK proofs, partial decryptions, public keys — has a
-    length-prefixed binary encoding here, so the simulated network can
-    charge *measured bytes* rather than abstract element counts.
+    Every object a role posts — field elements, ciphertexts, NIZK
+    proofs, partial decryptions, public keys — has a length-prefixed
+    binary encoding here, one item kind per {!Cost.kind}, so the
+    simulated network can charge *measured bytes* rather than abstract
+    element counts.
 
     The format is canonical: a given message has exactly one valid
     encoding, and decoders reject non-canonical input (varints with
-    redundant trailing bytes, field elements [>= p], bigint magnitudes
-    with leading zero bytes, trailing garbage).  Ideal-functionality
-    objects (ciphertexts, proofs, ...) have no concrete bit
-    representation in this codebase, so they travel as opaque blobs at
-    modeled sizes; see {!sizing}. *)
+    redundant trailing bytes, field elements [>= p], unknown item
+    tags, trailing garbage).  Ideal-functionality objects
+    (ciphertexts, proofs, ...) have no concrete bit representation in
+    this codebase, so they travel as opaque blobs at modeled sizes;
+    see {!sizing}. *)
 
 module F = Yoso_field.Field.Fp
-module B = Yoso_bigint.Bigint
 module Cost = Yoso_runtime.Cost
 module Splitmix = Yoso_hash.Splitmix
 
@@ -40,7 +40,6 @@ val put_bytes : Buffer.t -> string -> unit
 (** Varint length prefix followed by the raw bytes. *)
 
 val put_field : Buffer.t -> F.t -> unit
-val put_bigint : Buffer.t -> B.t -> unit
 
 type dec = { src : string; mutable pos : int }
 
@@ -53,18 +52,15 @@ val get_checksum : dec -> int
     the value is in [\[0, max_int\]], the range of {!checksum}. *)
 
 val get_field : dec -> F.t
-val get_bigint : dec -> B.t
 
 (** {1 Messages} *)
 
 type item =
-  | Field_elements of F.t array
-  | Packed_sharing of { degree : int; shares : F.t array }
-  | Ciphertexts of string array
-  | Proofs of string array
-  | Partial_decs of string array
-  | Public_keys of string array
-  | Bigints of B.t array
+  | Field_elements of F.t array  (** tag 1 *)
+  | Ciphertexts of string array  (** tag 3 *)
+  | Proofs of string array  (** tag 4 *)
+  | Partial_decs of string array  (** tag 5 *)
+  | Public_keys of string array  (** tag 6 *)
 
 type message = { step : string; items : item list }
 
@@ -76,9 +72,8 @@ val item_payload_bytes : item -> int
 
 val encode_message : message -> string
 (** Raises [Invalid_argument] on a message {!decode_message} would
-    reject: more than 4096 items, a vector of more than [2^24]
-    elements, or a [Packed_sharing] whose [degree] is not below its
-    share count. *)
+    reject: more than 4096 items or a vector of more than [2^24]
+    elements. *)
 
 val decode_message : string -> message
 (** The inverse of {!encode_message}.  Counts are checked against the

@@ -4,34 +4,24 @@
     All YOSO communication — point-to-point included — goes over the
     broadcast channel (Section 3.3: "broadcast has effectively the
     same cost as P2P"), so a single board carries the whole protocol.
-    Posting charges the given element costs to the {!Cost} tally and
-    marks the author as having spoken in the {!Role.Registry}. *)
+    Posting charges the given element costs to the {!Cost} tally,
+    marks the author as having spoken in the {!Role.Registry} and
+    takes the next slot.  The board keeps no archive of post contents:
+    a post's bytes are measured by the network layer ([Yoso_net]),
+    and what a post says reaches its readers directly. *)
 
-type 'msg post = private {
-  seq : int;
-  round : int;
-  author : Role.id;
-  phase : string;
-  msg : 'msg;
-}
+type t
 
-type 'msg t
+val create : unit -> t
 
-val create : unit -> 'msg t
+val registry : t -> Role.Registry.t
+val cost : t -> Cost.t
 
-val registry : 'msg t -> Role.Registry.t
-val cost : 'msg t -> Cost.t
+val round : t -> int
+val next_round : t -> unit
 
-val round : 'msg t -> int
-val next_round : 'msg t -> unit
-
-val post :
-  'msg t -> author:Role.id -> phase:string -> cost:(Cost.kind * int) list -> 'msg -> unit
+val post : t -> author:Role.id -> phase:string -> cost:(Cost.kind * int) list -> unit
 (** @raise Role.Already_spoke if the author already posted. *)
 
-val posts : 'msg t -> 'msg post list
-(** All posts, oldest first. *)
-
-val posts_in_round : 'msg t -> int -> 'msg post list
-val posts_by : 'msg t -> Role.id -> 'msg post list
-val length : 'msg t -> int
+val length : t -> int
+(** Posts on the board so far. *)

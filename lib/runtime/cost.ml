@@ -9,49 +9,29 @@ let kind_to_string = function
 
 let all_kinds = [ Field_element; Ciphertext; Proof; Partial_decryption; Key ]
 
-(* Two dimensions per (phase, kind): abstract element counts (the
-   paper's metric) and measured wire bytes (charged by the transport
-   layer when one is attached). *)
-type t = {
-  elems : (string * kind, int) Hashtbl.t;
-  byte : (string * kind, int) Hashtbl.t;
-}
+(* abstract element counts per (phase, kind): the paper's metric.
+   Measured wire bytes live in Yoso_net.Meter. *)
+type t = (string * kind, int) Hashtbl.t
 
-let create () : t = { elems = Hashtbl.create 16; byte = Hashtbl.create 16 }
-
-let add_to tbl key n = Hashtbl.replace tbl key (n + Option.value ~default:0 (Hashtbl.find_opt tbl key))
+let create () : t = Hashtbl.create 16
 
 let charge t ~phase kind n =
   if n < 0 then invalid_arg "Cost.charge: negative amount";
-  add_to t.elems (phase, kind) n
+  Hashtbl.replace t (phase, kind) (n + Option.value ~default:0 (Hashtbl.find_opt t (phase, kind)))
 
-let charge_bytes t ~phase kind n =
-  if n < 0 then invalid_arg "Cost.charge_bytes: negative amount";
-  add_to t.byte (phase, kind) n
-
-let count t ~phase kind = Option.value ~default:0 (Hashtbl.find_opt t.elems (phase, kind))
-let bytes t ~phase kind = Option.value ~default:0 (Hashtbl.find_opt t.byte (phase, kind))
+let count t ~phase kind = Option.value ~default:0 (Hashtbl.find_opt t (phase, kind))
 
 let elements t ~phase =
   List.fold_left (fun acc k -> acc + count t ~phase k) 0 all_kinds
 
-let phase_bytes t ~phase =
-  List.fold_left (fun acc k -> acc + bytes t ~phase k) 0 all_kinds
-
-let grand_total t = Hashtbl.fold (fun _ v acc -> acc + v) t.elems 0
-let total_bytes t = Hashtbl.fold (fun _ v acc -> acc + v) t.byte 0
+let grand_total t = Hashtbl.fold (fun _ v acc -> acc + v) t 0
 
 let phases t =
-  let collect tbl acc =
-    Hashtbl.fold (fun (p, _) _ acc -> if List.mem p acc then acc else p :: acc) tbl acc
-  in
-  collect t.elems (collect t.byte []) |> List.sort compare
+  Hashtbl.fold (fun (p, _) _ acc -> if List.mem p acc then acc else p :: acc) t []
+  |> List.sort compare
 
 let merge_into ?(map_phase = Fun.id) ~dst src =
-  Hashtbl.iter (fun (phase, kind) n -> charge dst ~phase:(map_phase phase) kind n) src.elems;
-  Hashtbl.iter
-    (fun (phase, kind) n -> charge_bytes dst ~phase:(map_phase phase) kind n)
-    src.byte
+  Hashtbl.iter (fun (phase, kind) n -> charge dst ~phase:(map_phase phase) kind n) src
 
 let pp ppf t =
   List.iter
@@ -62,8 +42,5 @@ let pp ppf t =
           let c = count t ~phase k in
           if c > 0 then Format.fprintf ppf " %s=%d" (kind_to_string k) c)
         all_kinds;
-      Format.fprintf ppf " total=%d" (elements t ~phase);
-      let b = phase_bytes t ~phase in
-      if b > 0 then Format.fprintf ppf " bytes=%d" b;
-      Format.fprintf ppf "@]@.")
+      Format.fprintf ppf " total=%d@]@." (elements t ~phase))
     (phases t)

@@ -5,7 +5,8 @@
     everything is a broadcast post).  Costs are tallied per phase
     ("setup" / "offline" / "online") and per element kind, so the
     benchmark harness can report exactly the quantities of Theorem 1:
-    offline elements per gate and online elements per gate. *)
+    offline elements per gate and online elements per gate.  Measured
+    wire bytes are not counted here but in [Yoso_net.Meter]. *)
 
 type kind =
   | Field_element     (** one plaintext ring element *)
@@ -22,28 +23,17 @@ type t
 val create : unit -> t
 val charge : t -> phase:string -> kind -> int -> unit
 
-val charge_bytes : t -> phase:string -> kind -> int -> unit
-(** Second accounting dimension: measured wire bytes.  Charged by the
-    [yoso_net] transport when the bulletin board runs over a simulated
-    network; element counts and byte counts live side by side so the
-    paper's metric and the wire-level metric can be compared. *)
-
 val count : t -> phase:string -> kind -> int
-val bytes : t -> phase:string -> kind -> int
 
 val elements : t -> phase:string -> int
 (** Total elements charged in a phase, all kinds summed — the paper's
     headline metric. *)
 
-val phase_bytes : t -> phase:string -> int
-(** Total wire bytes charged in a phase, all kinds summed. *)
-
 val grand_total : t -> int
-val total_bytes : t -> int
 val phases : t -> string list
 
 val merge_into : ?map_phase:(string -> string) -> dst:t -> t -> unit
-(** Adds both dimensions of [src] into [dst].  [map_phase] (default
+(** Adds every count of [src] into [dst].  [map_phase] (default
     identity) renames phases on the way in — the offline factory uses
     it to aggregate the per-circuit ["offline"] charges of background
     refill runs under the ["factory"] phase, keeping refill traffic

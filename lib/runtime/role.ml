@@ -12,32 +12,13 @@ let () =
     | _ -> None)
 
 module Registry = struct
-  type entry = { mutable spoken : bool; mutable hooks : (unit -> unit) list }
-  type t = (id, entry) Hashtbl.t
+  type t = (id, unit) Hashtbl.t
 
   let create () : t = Hashtbl.create 64
 
-  let entry t r =
-    match Hashtbl.find_opt t r with
-    | Some e -> e
-    | None ->
-      let e = { spoken = false; hooks = [] } in
-      Hashtbl.add t r e;
-      e
-
   let speak t r =
-    let e = entry t r in
-    if e.spoken then raise (Already_spoke r);
-    e.spoken <- true;
-    List.iter (fun hook -> hook ()) (List.rev e.hooks);
-    e.hooks <- []
+    if Hashtbl.mem t r then raise (Already_spoke r);
+    Hashtbl.add t r ()
 
-  let has_spoken t r =
-    match Hashtbl.find_opt t r with Some e -> e.spoken | None -> false
-
-  let on_erase t r hook =
-    let e = entry t r in
-    if e.spoken then hook () else e.hooks <- hook :: e.hooks
-
-  let spoken_count t = Hashtbl.fold (fun _ e acc -> if e.spoken then acc + 1 else acc) t 0
+  let has_spoken = Hashtbl.mem
 end

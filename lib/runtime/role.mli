@@ -3,9 +3,11 @@
     A role is an ephemeral identity [(committee, index)].  The
     {!Registry} is the runtime's enforcement of the YOSO wrapper
     [YoS(R)]: once a role has spoken (posted to the bulletin board) it
-    receives [Spoke], is killed, and any further attempt to speak
-    raises {!Already_spoke}.  Killing a role erases its private state
-    (modelled by {!Registry.erase_hook}). *)
+    receives [Spoke], and any further attempt to speak raises
+    {!Already_spoke}.  The registry holds no private state: a role's
+    secrets live with the protocol code that uses them (e.g. a tsk
+    holder's shares become unreachable once the key is handed to the
+    next committee). *)
 
 type id = { committee : string; index : int }
 
@@ -21,15 +23,8 @@ module Registry : sig
   val create : unit -> t
 
   val speak : t -> id -> unit
-  (** Marks the role as having spoken and runs its erase hooks.
+  (** Marks the role as having spoken.
       @raise Already_spoke on a second call for the same id. *)
 
   val has_spoken : t -> id -> bool
-
-  val on_erase : t -> id -> (unit -> unit) -> unit
-  (** Registers private-state erasure to run when the role is killed
-      (e.g. zeroising a key share).  Hooks registered after the role
-      spoke run immediately. *)
-
-  val spoken_count : t -> int
 end

@@ -12,7 +12,14 @@
    entries declaring 2^24 elements in a frame of about 24 bytes each
    allocated a 2^24-slot array (128 MiB) before counts were checked
    against the bytes that remain.  "trailer with bit 63 set" was
-   accepted while the trailer was compared as a 63-bit [int]. *)
+   accepted while the trailer was compared as a 63-bit [int].
+
+   The "retired tag" entries were built on item tags 2 (packed
+   sharing) and 7 (bigint array), which the format once decoded and no
+   code ever sent.  Both tags are now unassigned, so each is pinned to
+   the unknown-tag rejection; the checks they first pinned (counts
+   against the remaining bytes, non-canonical varints, field range)
+   stay covered by the tag-1 and tag-3 entries. *)
 
 let frames =
   [
@@ -22,15 +29,15 @@ let frames =
     ( "field vector declaring 2^24+1 elements",
       "5957010c017301018180800807000000b7fe8881b6a67605",
       "exceeds limit" );
-    ( "sharing declaring 2^24 shares",
+    ( "retired tag 2: sharing declaring 2^24 shares",
       "5957010d017301020380808008070000006c77087769e65d29",
-      "exceeds remaining" );
+      "unknown item tag 2" );
     ( "ciphertext array declaring 2^24 blobs",
       "5957010a0173010380808008017818de6e22bc66353d",
       "exceeds remaining" );
-    ( "bigint array declaring 2^24 values",
+    ( "retired tag 7: bigint array declaring 2^24 values",
       "59570109017301078080800800db504252ed76f901",
-      "exceeds remaining" );
+      "unknown item tag 7" );
     ( "4096 items declared, one present",
       "5957010e0173802001020100000002000000358ad7c139d87d2f",
       "exceeds remaining" );
@@ -67,36 +74,36 @@ let frames =
     ( "nine-byte item count varint",
       "5957010b01738180808080808080008ab8cf0633d77729",
       "varint too long" );
-    ( "sharing degree 0x80 0x00",
+    ( "retired tag 2: sharing degree 0x80 0x00",
       "5957010b0173010280000105000000245020e2c0707729",
-      "non-canonical varint" );
+      "unknown item tag 2" );
     ( "field element = p",
       "595701090173010101ffffff7f6a4a4341ed76f901",
       "out of range" );
     ( "field element = 2^32 - 1",
       "595701090173010101ffffffffea4a4341ed76f901",
       "out of range" );
-    ( "share = p + 1",
+    ( "retired tag 2: share = p + 1",
       "5957010a01730102000100000080b95ce40bbb66353d",
-      "out of range" );
-    ( "sharing degree = share count",
+      "unknown item tag 2" );
+    ( "retired tag 2: sharing degree = share count",
       "5957010e017301020202010000000200000095fe3272b4695e02",
-      "not determined" );
-    ( "sharing with no shares",
+      "unknown item tag 2" );
+    ( "retired tag 2: sharing with no shares",
       "59570106017301020000b86065f357040000",
-      "not determined" );
-    ( "bigint magnitude with a leading zero byte",
+      "unknown item tag 2" );
+    ( "retired tag 7: bigint magnitude with a leading zero byte",
       "59570109017301070101020005ca12094bed76f901",
-      "leading zero" );
-    ( "negative bigint with a leading zero byte",
+      "unknown item tag 7" );
+    ( "retired tag 7: negative bigint with a leading zero byte",
       "5957010a0173010701020300ff019df02716bc66353d",
-      "leading zero" );
-    ( "bigint sign 1, empty magnitude",
+      "unknown item tag 7" );
+    ( "retired tag 7: bigint sign 1, empty magnitude",
       "595701070173010701010003004979a6860000",
-      "empty magnitude" );
-    ( "bigint sign byte 3",
+      "unknown item tag 7" );
+    ( "retired tag 7: bigint sign byte 3",
       "5957010801730107010301050308d7af284e1000",
-      "bad sign byte" );
+      "unknown item tag 7" );
     ( "item tag 0",
       "5957010501730100000aa88fde23000000",
       "unknown item tag" );
