@@ -1,8 +1,20 @@
-type t = { mutable state : int64 }
+(* The 64-bit state, held unboxed in 8 bytes: a mutable [int64] field
+   would box a fresh value at every draw. *)
+type t = Bytes.t
+
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let[@inline] state t = get64u t 0
+let[@inline] set_state t s = set64u t 0 s
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = seed }
+let create seed =
+  let t = Bytes.create 8 in
+  set_state t seed;
+  t
+
 let of_int i = create (Int64.of_int i)
 
 let[@inline] mix64 z =
@@ -10,15 +22,16 @@ let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let next t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let[@inline] next t =
+  let s = Int64.add (state t) golden_gamma in
+  set_state t s;
+  mix64 s
 
 (* the state lives in a local and [mix64] is inlined, so the loop
-   allocates no Int64 per word *)
+   allocates no Int64 *)
 let fill_bytes t b off len =
   if off < 0 || len < 0 || off > Bytes.length b - len then invalid_arg "Splitmix.fill_bytes";
-  let s = ref t.state in
+  let s = ref (state t) in
   let pos = ref off and stop = off + len in
   while !pos < stop do
     s := Int64.add !s golden_gamma;
@@ -32,7 +45,58 @@ let fill_bytes t b off len =
       done;
     pos := !pos + 8
   done;
-  t.state <- !s
+  set_state t !s
+
+(* The polynomial fold behind [Wire.checksum]: Horner's rule in base
+   31, in native 63-bit arithmetic.  It lives here, beside the
+   generator, so that [fold_words] can run [mix64] and the fold in one
+   loop over unboxed [int64] locals: the libraries are compiled
+   [-opaque], so a call across modules is never inlined and an [int64]
+   passed through one is boxed. *)
+
+let p4 = 31 * 31 * 31 * 31
+let p8 = p4 * p4
+let even_bytes = 0x00ff00ff00ff00ffL
+
+(* [h * 31^8] plus the eight bytes of [w], least significant first,
+   folded by SWAR: the even and odd bytes sit in 16-bit lanes, so one
+   multiply folds every pair (each at most 255 * 32 < 2^16), one more
+   every pair of pairs in 32-bit lanes (at most 8160 * 962 < 2^32),
+   and one the two halves.  No lane carries into the next, so the sum
+   is exact, mod 2^63 like the byte-at-a-time recurrence. *)
+let[@inline] fold_word h w =
+  let e = Int64.to_int (Int64.logand w even_bytes) in
+  let o = Int64.to_int (Int64.logand (Int64.shift_right_logical w 8) even_bytes) in
+  let pairs = (e * 31) + o in
+  let quads = ((pairs land 0xffff0000ffff) * 961) + ((pairs lsr 16) land 0xffff0000ffff) in
+  (h * p8) + ((quads land 0xffffffff) * p4) + (quads lsr 32)
+
+external string_get64u : string -> int -> int64 = "%caml_string_get64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+let fold_string h s off len =
+  if off < 0 || len < 0 || off > String.length s - len then invalid_arg "Splitmix.fold_string";
+  let h = ref h and i = ref off in
+  let stop = off + len in
+  while !i <= stop - 8 do
+    let w = string_get64u s !i in
+    h := fold_word !h (if Sys.big_endian then swap64 w else w);
+    i := !i + 8
+  done;
+  while !i < stop do
+    h := (!h * 31) + Char.code (String.unsafe_get s !i);
+    incr i
+  done;
+  !h
+
+let fold_words t h n =
+  let s = ref (state t) and h = ref h in
+  for _ = 1 to n do
+    s := Int64.add !s golden_gamma;
+    h := fold_word !h (mix64 !s)
+  done;
+  set_state t !s;
+  !h
 
 let int t bound =
   if bound <= 0 then invalid_arg "Splitmix.int: bound must be positive";

@@ -20,6 +20,19 @@ val fill_bytes : t -> Bytes.t -> int -> int -> unit
     a multiple of 8.  Advances [t] exactly as that many {!next} calls
     would, without allocating per word. *)
 
+val fold_string : int -> string -> int -> int -> int
+(** [fold_string h s off len] folds the [len] bytes of [s] from [off]
+    into [h] by Horner's rule in base 31, mod 2^63:
+    [h * 31^len + sum_i s.[off + i] * 31^(len - 1 - i)].  Folds
+    compose, [fold_string (fold_string h a 0 |a|) b 0 |b|] being the
+    fold of [a ^ b].  The polynomial behind [Wire.checksum]; it takes
+    eight bytes per step. *)
+
+val fold_words : t -> int -> int -> int
+(** [fold_words t h n] is [fold_string h s 0 (8 * n)] for the [s] that
+    [fill_bytes t b 0 (8 * n)] would write, and advances [t] as that
+    call would — without writing a byte or allocating per word. *)
+
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. [bound > 0]. *)
 

@@ -105,20 +105,22 @@ type prepared = {
   p_local : bool;  (* true frame bytes; false = zero-filled skeleton *)
 }
 
-(* The pure half of a post: encode the frame with the missing wire
-   weight synthesized in place.  Blob bytes come from an RNG derived
-   statelessly from [(net_seed, tag)], so a frame's content depends
-   only on its tag — never on how many frames other domains have
-   prepared, which is what keeps the transcript digest identical at
-   any domain count.  The frame's digest checksum falls out of the
-   encoding pass (only a corrupted frame is hashed again).  The frame
-   is built in the encoder's scratch buffer and copied out only when
-   its bytes outlive this call: a link sends it or compares it with
-   what arrives, or it is corrupted.  Otherwise its length, checksum
-   and payload tally are all Phase B needs. *)
+(* The pure half of a post: the frame's length and checksum, with the
+   missing wire weight synthesized.  Blob bytes come from an RNG
+   derived statelessly from [(net_seed, tag)], so a frame's content
+   depends only on its tag — never on how many frames other domains
+   have prepared, which is what keeps the transcript digest identical
+   at any domain count.  A frame whose bytes outlive this call — a
+   link sends it or compares it with what arrives, or it is corrupted
+   — is encoded in the encoder's scratch buffer and copied out, its
+   checksum falling out of the encoding pass (only a corrupted frame
+   is hashed again).  Any other frame is never written: its checksum
+   is folded as its weight is drawn, and its length, checksum and
+   payload tally are all Phase B needs. *)
 let prepare t ~author ~phase ~step ?(items = []) ?(corrupt = false) ?(force_late = false)
     ~cost ~tag () =
-  let carried = Wire.summary { Wire.step; items } in
+  let msg = { Wire.step; items } in
+  let carried = Wire.summary msg in
   let missing =
     List.filter_map
       (fun (kind, n) ->
@@ -140,11 +142,15 @@ let prepare t ~author ~phase ~step ?(items = []) ?(corrupt = false) ?(force_late
     else None
   in
   let frame, len, csum =
-    Wire.with_frame ?rng ~synth:missing { Wire.step; items } (fun b len csum ->
-        if corrupt then
-          let bad = corrupt_frame (Bytes.sub_string b 0 len) in
-          ((if keep then Some bad else None), len, Wire.checksum bad)
-        else ((if keep then Some (Bytes.sub_string b 0 len) else None), len, csum))
+    if keep || corrupt then
+      Wire.with_frame ?rng ~synth:missing msg (fun b len csum ->
+          if corrupt then
+            let bad = corrupt_frame (Bytes.sub_string b 0 len) in
+            ((if keep then Some bad else None), len, Wire.checksum bad)
+          else (Some (Bytes.sub_string b 0 len), len, csum))
+    else
+      let len, csum = Wire.frame_checksum ?rng ~synth:missing msg in
+      (None, len, csum)
   in
   {
     p_author = author;

@@ -18,10 +18,12 @@
     fails the checksum, so a sender-side decode could only ever
     answer [not corrupt].
 
-    A frame is materialized only when a {!link} needs its bytes (its
-    owner sends them, a receiver compares them) or it is [corrupt]:
-    {!prepare} encodes into the encoder's per-domain scratch buffer
-    ({!Wire.with_frame}) and otherwise keeps only the frame's length,
+    A frame is written only when a {!link} needs its bytes (its owner
+    sends them, a receiver compares them) or it is [corrupt]: then
+    {!prepare} encodes it into the encoder's per-domain scratch buffer
+    ({!Wire.with_frame}) and copies it out.  Otherwise it writes no
+    byte: {!Wire.frame_checksum} folds the synthesized weight into the
+    checksum as it is drawn, and {!prepare} keeps the frame's length,
     checksum and payload tally, which is all {!commit} needs.
 
     Under {!default_config} (ideal network) every post is [Delivered]
@@ -55,10 +57,11 @@ val outcome_to_string : outcome -> string
 
     [local] is the role-local execution switch: when it returns
     [false] for an author, this process prepares that author's frames
-    as zero-filled {e skeletons} of identical wire weight ({!Wire.with_frame}
-    without an RNG) and keeps only their length — the content arrives
-    through [recv], either in full ([`Frame]) or as the daemon's
-    [`Summary (checksum, length)] digest record.  A frame this process
+    as zero-filled {e skeletons} of identical wire weight
+    ({!Wire.frame_checksum} without an RNG) and keeps only their
+    length — the content arrives through [recv], either in full
+    ([`Frame]) or as the daemon's [`Summary (checksum, length)] digest
+    record.  A frame this process
     owns or prepares [local]ly is copied out of the scratch buffer,
     since [send] or the byte comparison needs it.  Owners must always
     be [local]; a full-broadcast link returns [true] for everyone

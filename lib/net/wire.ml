@@ -288,24 +288,18 @@ let payload_tally sizing items synth =
 
      checksum s = (0x1505 * 31^L + sum_i s.[i] * 31^(L-1-i)) mod 2^62
 
-   [fold] evaluates it by Horner's rule eight bytes at a time, in
-   native 63-bit arithmetic: reducing mod 2^62 ([land max_int]) once at
-   the end equals reducing after every byte.  Unreduced folds compose
-   over concatenation,
+   [fold] ([Splitmix.fold_string]) evaluates it by Horner's rule a
+   word at a time, in native 63-bit arithmetic: reducing mod 2^62
+   ([land max_int]) once at the end equals reducing after every byte.
+   Unreduced folds compose over concatenation,
 
-     fold h (a ^ b) = fold h a * 31^|b| + fold 0 b
+     fold h (a ^ b) = fold (fold h a) b = fold h a * 31^|b| + fold 0 b
 
    which lets a sender derive the whole-frame checksum from its one
-   pass over the payload. *)
+   pass over the payload, and fold bytes it never writes. *)
 let checksum_seed = 0x1505
 
-let p2 = 31 * 31
-let p3 = p2 * 31
-let p4 = p3 * 31
-let p5 = p4 * 31
-let p6 = p5 * 31
-let p7 = p6 * 31
-let p8 = p7 * 31
+let fold = Splitmix.fold_string
 
 (* 31^k mod 2^63 *)
 let pow31 k =
@@ -314,24 +308,12 @@ let pow31 k =
   in
   go 1 31 k
 
-let fold h s off len =
-  let code j = Char.code (String.unsafe_get s j) in
-  if off < 0 || len < 0 || off > String.length s - len then invalid_arg "Wire.fold";
-  let h = ref h and i = ref off in
-  let stop = off + len in
-  while !i <= stop - 8 do
-    let j = !i in
-    h :=
-      (!h * p8) + (code j * p7) + (code (j + 1) * p6) + (code (j + 2) * p5)
-      + (code (j + 3) * p4) + (code (j + 4) * p3) + (code (j + 5) * p2)
-      + (code (j + 6) * 31) + code (j + 7);
-    i := j + 8
-  done;
-  while !i < stop do
-    h := (!h * 31) + code !i;
-    incr i
-  done;
-  !h
+(* the fold of [put_varint]'s bytes for [v] *)
+let rec fold_varint h v =
+  if v < 0x80 then (h * 31) + v else fold_varint ((h * 31) + (0x80 lor (v land 0x7f))) (v lsr 7)
+
+(* the fold of the [n] low bytes of [v], least significant first *)
+let rec fold_le h v n = if n = 0 then h else fold_le ((h * 31) + (v land 0xff)) (v lsr 8) (n - 1)
 
 let checksum s = fold checksum_seed s 0 (String.length s) land max_int
 
@@ -408,6 +390,63 @@ let write_synth sizing rng b pos (kind, n) =
     done);
   !pos
 
+(* The fold of [write_synth]'s bytes for [(kind, n)], drawing from
+   [rng] exactly as it does, without writing them.  A skeleton's zero
+   bytes fold in closed form: [fold h 0^k = h * 31^k]. *)
+let fold_synth sizing rng h (kind, n) =
+  let h = ref (fold_varint ((h * 31) + kind_tag kind) n) in
+  (match (kind, rng) with
+  | Cost.Field_element, None -> h := !h * pow31 (4 * n)
+  | Cost.Field_element, Some r ->
+    for _ = 1 to n do
+      h := fold_le !h (Splitmix.int r F.p) 4
+    done
+  | _, None ->
+    (* each element folds as [fold h p = h * 31^|p| + fold 0 p] *)
+    let size = element_bytes sizing kind in
+    let scale = pow31 (varint_len size + size) and p = fold_varint 0 size * pow31 size in
+    for _ = 1 to n do
+      h := (!h * scale) + p
+    done
+  | _, Some r ->
+    let size = element_bytes sizing kind in
+    for _ = 1 to n do
+      h := Splitmix.fold_words r (fold_varint !h size) (size / 8);
+      (* [fill_blob]'s tail: one draw per byte *)
+      for _ = 1 to size mod 8 do
+        h := (!h * 31) + Splitmix.int r 256
+      done
+    done);
+  !h
+
+(* The checks and the payload length every frame encoder shares: [k]
+   gets the scratch buffer holding the message's own items, the
+   synthesized entries left to append, and the payload length.  Raises
+   before [k] runs, so before anything is written or drawn. *)
+let with_payload sizing synth m k =
+  let synth = List.filter (fun (_, n) -> n > 0) synth in
+  let slen = List.fold_left (fun acc ks -> acc + synth_len sizing ks) 0 synth in
+  with_scratch (fun buf ->
+      put_message ~extra:(List.length synth) buf m;
+      let plen = Buffer.length buf + slen in
+      if plen > !max_frame_len then
+        invalid_arg
+          (Printf.sprintf "Wire: frame payload %d exceeds max_frame_len %d" plen !max_frame_len);
+      k buf synth plen)
+
+(* [(trailer, checksum)] of the frame around a [plen]-byte payload
+   whose fold from 0 is [body]: the header's and the trailer's bytes
+   are folded from their values, never read back *)
+let frame_sums plen body =
+  let scale = pow31 plen in
+  let trailer = ((checksum_seed * scale) + body) land max_int in
+  let header =
+    fold_varint
+      ((((((checksum_seed * 31) + Char.code magic0) * 31) + Char.code magic1) * 31) + version)
+      plen
+  in
+  (trailer, fold_le ((header * scale) + body) trailer 8 land max_int)
+
 (* Every frame is built in a domain-local scratch [Bytes], reused like
    the scratch buffer: a caller reads the frame inside [with_frame]'s
    continuation and copies it out only if it keeps the bytes.  An
@@ -421,15 +460,8 @@ let frame_key = Domain.DLS.new_key (fun () -> ref (Bytes.create 4096))
    One pass over the payload then yields both the trailer and, by the
    concatenation identity, the checksum of the whole frame. *)
 let with_frame ?(sizing = default_sizing) ?rng ?(synth = []) m k =
-  let synth = List.filter (fun (_, n) -> n > 0) synth in
-  let slen = List.fold_left (fun acc ks -> acc + synth_len sizing ks) 0 synth in
-  with_scratch (fun buf ->
-      put_message ~extra:(List.length synth) buf m;
+  with_payload sizing synth m (fun buf synth plen ->
       let rlen = Buffer.length buf in
-      let plen = rlen + slen in
-      if plen > !max_frame_len then
-        invalid_arg
-          (Printf.sprintf "Wire: frame payload %d exceeds max_frame_len %d" plen !max_frame_len);
       let hlen = 3 + varint_len plen in
       let flen = hlen + plen + 8 in
       let cell = Domain.DLS.get frame_key in
@@ -441,15 +473,34 @@ let with_frame ?(sizing = default_sizing) ?rng ?(synth = []) m k =
       ignore (set_varint b 3 plen);
       Buffer.blit buf 0 b hlen rlen;
       ignore (List.fold_left (write_synth sizing rng b) (hlen + rlen) synth);
-      let s = Bytes.unsafe_to_string b in
-      let body = fold 0 s hlen plen in
-      let scale = pow31 plen in
-      Bytes.set_int64_le b (hlen + plen)
-        (Int64.of_int (((checksum_seed * scale) + body) land max_int));
-      let whole = (fold checksum_seed s 0 hlen * scale) + body in
-      let csum = fold whole s (hlen + plen) 8 land max_int in
+      let trailer, csum = frame_sums plen (fold 0 (Bytes.unsafe_to_string b) hlen plen) in
+      Bytes.set_int64_le b (hlen + plen) (Int64.of_int trailer);
       Fun.protect (fun () -> k b flen csum) ~finally:(fun () ->
           if Bytes.length !cell > 1 lsl 20 then cell := Bytes.create 4096))
+
+(* [Buffer] shows no view of its bytes, so the real items are folded
+   through a small domain-local chunk *)
+let chunk_key = Domain.DLS.new_key (fun () -> Bytes.create 4096)
+
+let fold_buffer h buf =
+  let chunk = Domain.DLS.get chunk_key in
+  let rec go h pos =
+    let n = min (Bytes.length chunk) (Buffer.length buf - pos) in
+    if n = 0 then h
+    else begin
+      Buffer.blit buf pos chunk 0 n;
+      go (fold h (Bytes.unsafe_to_string chunk) 0 n) (pos + n)
+    end
+  in
+  go h 0
+
+(* [with_frame]'s length and checksum, folding the payload as it is
+   produced: the real items from the scratch buffer, the synthesized
+   ones straight from [rng] *)
+let frame_checksum ?(sizing = default_sizing) ?rng ?(synth = []) m =
+  with_payload sizing synth m (fun buf synth plen ->
+      let body = List.fold_left (fold_synth sizing rng) (fold_buffer 0 buf) synth in
+      (3 + varint_len plen + plen + 8, snd (frame_sums plen body)))
 
 let to_frame_with_checksum m = with_frame m (fun b len csum -> (Bytes.sub_string b 0 len, csum))
 

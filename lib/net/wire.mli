@@ -119,7 +119,8 @@ val checksum : string -> int
 (** Transport-integrity checksum (not a MAC — authenticity comes from
     the NIZK layer): the polynomial hash
     [(0x1505 * 31^L + sum_i s.[i] * 31^(L-1-i)) mod 2^62] of the [L]
-    bytes of [s], evaluated eight bytes at a time. *)
+    bytes of [s], evaluated a 64-bit word at a time
+    ({!Splitmix.fold_string}). *)
 
 val to_frame : message -> string
 (** [magic "YW"; version; length-prefixed payload; 8-byte checksum].
@@ -155,6 +156,15 @@ val with_frame :
     and must not encode another frame.  Raises [Invalid_argument] as
     {!to_frame} does, counting the synthesized items, or on a negative
     modeled size, before anything is written. *)
+
+val frame_checksum :
+  ?sizing:sizing -> ?rng:Splitmix.t -> ?synth:(Cost.kind * int) list -> message -> int * int
+(** [frame_checksum ~sizing ?rng ~synth m] is [(len, csum)] as
+    {!with_frame} passes them to its continuation, raising where it
+    raises and leaving [rng] where it leaves it — but it writes no
+    frame: the synthesized items are folded into the checksum as they
+    are drawn, and a skeleton's zeros in closed form.  For a caller
+    that needs only a frame's length and checksum. *)
 
 val of_frame : string -> message
 (** Verifies magic, version, framing and checksum before decoding.

@@ -164,17 +164,34 @@ let ref_checksum s =
   String.iter (fun c -> h := ((!h * 31) + Char.code c) land max_int) s;
   !h
 
+(* byte patterns that fill each SWAR lane of the word fold to its
+   largest sums, or carry a set top bit into every lane boundary *)
+let lane_patterns = [ "\xff"; "\xff\x00"; "\x00\xff"; "\x80"; "\x7f\xff\xff\x80" ]
+
 let test_checksum_reference () =
   let rng = Splitmix.of_int 0xC5 in
+  let long = Wire.random_blob rng 320 in
   for len = 0 to 300 do
-    let s = Wire.random_blob rng len in
-    Alcotest.(check int) (Printf.sprintf "random, length %d" len) (ref_checksum s) (Wire.checksum s);
-    let ff = String.make len '\xff' in
-    Alcotest.(check int) (Printf.sprintf "all 0xff, length %d" len) (ref_checksum ff)
-      (Wire.checksum ff)
+    for off = 0 to 7 do
+      let s = String.sub long off len in
+      Alcotest.(check int) (Printf.sprintf "random, offset %d, length %d" off len)
+        (ref_checksum s) (Wire.checksum s);
+      (* the fold itself at an unaligned start *)
+      Alcotest.(check int) (Printf.sprintf "fold in place, offset %d, length %d" off len)
+        (ref_checksum s)
+        (Splitmix.fold_string 0x1505 long off len land max_int)
+    done;
+    List.iter
+      (fun pat ->
+        let s = String.init len (fun i -> pat.[i mod String.length pat]) in
+        Alcotest.(check int) (Printf.sprintf "pattern %S, length %d" pat len) (ref_checksum s)
+          (Wire.checksum s))
+      lane_patterns
   done;
   let mib = Wire.random_blob rng (1 lsl 20) in
-  Alcotest.(check int) "1 MiB" (ref_checksum mib) (Wire.checksum mib)
+  Alcotest.(check int) "1 MiB" (ref_checksum mib) (Wire.checksum mib);
+  let ff = String.make (1 lsl 20) '\xff' in
+  Alcotest.(check int) "1 MiB of 0xff" (ref_checksum ff) (Wire.checksum ff)
 
 let test_splitmix_fill () =
   List.iter
@@ -196,6 +213,19 @@ let test_splitmix_fill () =
         (Splitmix.next a))
     [ 0; 1; 7; 8; 9; 15; 16; 17; 63; 64; 512; 1001 ]
 
+let test_splitmix_fold_words () =
+  List.iter
+    (fun n ->
+      let a = Splitmix.of_int n and b = Splitmix.of_int n in
+      let filled = Bytes.create (8 * n) in
+      Splitmix.fill_bytes b filled 0 (8 * n);
+      Alcotest.(check int) (Printf.sprintf "%d words" n)
+        (Splitmix.fold_string 77 (Bytes.to_string filled) 0 (8 * n))
+        (Splitmix.fold_words a 77 n);
+      Alcotest.(check int64) (Printf.sprintf "stream continues, %d words" n) (Splitmix.next b)
+        (Splitmix.next a))
+    [ 0; 1; 2; 7; 64; 1000 ]
+
 (* the frame layout built from its parts around a payload, with the
    reference checksum as its trailer *)
 let frame_of_payload payload =
@@ -207,6 +237,23 @@ let frame_of_payload payload =
   Buffer.contents buf
 
 let ref_frame m = frame_of_payload (Wire.encode_message m)
+
+(* a frame per payload-length varint width (1, 2 and 3 bytes), so the
+   payload starts at offsets 4, 5 and 6: each carries the reference
+   checksum as its trailer and decodes to its message *)
+let test_frame_header_widths () =
+  let rng = Splitmix.of_int 0x4d in
+  List.iter
+    (fun (width, blob) ->
+      let m = { Wire.step = "w"; items = [ Wire.Proofs [| Wire.random_blob rng blob |] ] } in
+      let f = Wire.to_frame m in
+      let plen = String.length f - 3 - width - 8 in
+      Alcotest.(check bool) (Printf.sprintf "%d-byte length varint" width) true
+        (plen >= 1 lsl (7 * (width - 1)) && plen < 1 lsl (7 * width));
+      Alcotest.(check string) (Printf.sprintf "layout, width %d" width) (ref_frame m) f;
+      Alcotest.(check bool) (Printf.sprintf "roundtrip, width %d" width) true
+        (message_equal m (Wire.of_frame f)))
+    [ (1, 50); (2, 300); (3, 20_000) ]
 
 (* The reference for [Wire.with_frame]: the synthesized items
    materialized ([Wire.items_of_cost], or zero-filled without an RNG)
@@ -293,6 +340,24 @@ let in_place_equals_materialized (m, cost, sizing, seed) =
   && Wire.payload_tally sizing m.Wire.items cost = ref_tally full.Wire.items
   &&
   match (old_rng, new_rng) with
+  | Some a, Some b -> Splitmix.next a = Splitmix.next b
+  | _ -> true
+
+(* [Wire.frame_checksum] against [Wire.with_frame]: the same length
+   and checksum, [Invalid_argument] on the same inputs, and the RNG
+   left at the same draw *)
+let checksum_only_equals_frame ~sizing (m, cost, seed) =
+  let rng () = Option.map Splitmix.of_int seed in
+  let frame_rng = rng () and sum_rng = rng () in
+  let outcome f = match f () with r -> Some r | exception Invalid_argument _ -> None in
+  let framed =
+    outcome (fun () ->
+        Wire.with_frame ~sizing ?rng:frame_rng ~synth:cost m (fun _ len csum -> (len, csum)))
+  in
+  let summed = outcome (fun () -> Wire.frame_checksum ~sizing ?rng:sum_rng ~synth:cost m) in
+  framed = summed
+  &&
+  match (frame_rng, sum_rng) with
   | Some a, Some b -> Splitmix.next a = Splitmix.next b
   | _ -> true
 
@@ -419,6 +484,52 @@ let encoder_refuses_what_decoder_rejects (m, synth, slack) =
       && accepts (fun () ->
              Wire.with_frame ~sizing:edge_sizing ~rng:(Splitmix.of_int 3) ~synth m
                (fun b len _ -> Bytes.sub_string b 0 len)))
+
+let checksum_props =
+  [
+    QCheck.Test.make ~count:500 ~long_factor:50 ~name:"checksum-only path = with_frame" arb_post
+      (fun (m, cost, sizing, seed) -> checksum_only_equals_frame ~sizing (m, cost, seed));
+    QCheck.Test.make ~count:300 ~long_factor:50
+      ~name:"checksum-only path = with_frame at the encoder's limits" arb_edge
+      (fun (m, synth, slack) ->
+        (* the cap just around the payload length, read from the header *)
+        let plen =
+          match
+            Wire.with_frame ~sizing:edge_sizing ~synth m (fun b _ _ ->
+                Wire.get_varint { Wire.src = Bytes.sub_string b 3 4; pos = 0 })
+          with
+          | plen -> plen
+          | exception Invalid_argument _ -> 0
+        in
+        with_cap (max 0 (plen + slack)) (fun () ->
+            checksum_only_equals_frame ~sizing:edge_sizing (m, synth, Some 3)));
+  ]
+
+(* 1,000 synthesized 512-byte ciphertexts folded without a byte
+   written: the words allocated do not grow with the weight, so no
+   [int64] is boxed per word *)
+let test_checksum_only_allocation () =
+  let m = { Wire.step = "reenc"; items = [ Wire.Proofs [| String.make 32 'p' |] ] } in
+  let words synth seed =
+    let rng = Option.map Splitmix.of_int seed in
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Wire.frame_checksum ?rng ~synth m));
+    Gc.minor_words () -. before
+  in
+  List.iter
+    (fun seed ->
+      let light = words [ (Cost.Ciphertext, 1) ] seed in
+      let heavy = words [ (Cost.Ciphertext, 1000) ] seed in
+      let what = if seed = None then "skeleton" else "drawn" in
+      if heavy > 2000. || heavy > light +. 100. then
+        Alcotest.failf "%s: 512 KB of weight allocated %.0f words (one ciphertext: %.0f)" what
+          heavy light)
+    [ Some 5; None ];
+  let mib = String.make (1 lsl 20) 'x' in
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Wire.checksum mib));
+  let w = Gc.minor_words () -. before in
+  if w > 100. then Alcotest.failf "checksum of 1 MiB allocated %.0f words" w
 
 (* vectors over 2^24 elements, one per encoding path: refused before a
    byte is written.  Each element type's array is 128 MiB, so one is
@@ -1286,10 +1397,16 @@ let () =
           Alcotest.test_case "checksum = byte-at-a-time reference" `Quick
             test_checksum_reference;
           Alcotest.test_case "splitmix fill = next stream" `Quick test_splitmix_fill;
+          Alcotest.test_case "splitmix fold_words = fold of fill" `Quick test_splitmix_fold_words;
+          Alcotest.test_case "frame per length-varint width" `Quick test_frame_header_widths;
           Alcotest.test_case "encoder refuses vectors over 2^24" `Quick
             test_encoder_refuses_long_vectors;
         ] );
       ("wire-properties", List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_props);
+      ( "wire-checksum",
+        Alcotest.test_case "checksum-only path allocates no word per byte" `Quick
+          test_checksum_only_allocation
+        :: List.map QCheck_alcotest.to_alcotest checksum_props );
       ( "wire-fuzz",
         Alcotest.test_case "hostile frame corpus" `Quick test_wire_corpus
         :: List.map QCheck_alcotest.to_alcotest wire_fuzz_props );
