@@ -1315,7 +1315,7 @@ let factory_bench () =
   Printf.printf "  streamed : %7.1f gates/s (%.1f ms total, %.2fx)\n" stream_gps
     streamed.Factory.wall_ms (stream_gps /. base_gps);
   Printf.printf
-    "  depot    : peak %d/%d units, %d puts, %d refills during online, producer \
+    "  depot    : peak %d/%d slots, %d puts, %d refills during online, producer \
      blocked %d, consumer blocked %d\n"
     d.Depot.max_occupancy d.Depot.puts d.Depot.puts streamed.Factory.refills_during_online
     d.Depot.producer_blocks d.Depot.consumer_blocks;

@@ -106,7 +106,7 @@ let run_transport ~deadline_ms ?journal ?chaos ~topology ~params ~circuit ~input
         [ ("frames_in", st.Daemon.frames_in); ("frames_out", st.Daemon.frames_out);
           ("digests_out", st.Daemon.digests_out); ("batches_out", st.Daemon.batches_out);
           ("suppressed_bytes", st.Daemon.suppressed_bytes);
-          ("garbled_frames", st.Daemon.garbled_frames); ("bytes_in", st.Daemon.bytes_in);
+          ("bytes_in", st.Daemon.bytes_in);
           ("bytes_out", st.Daemon.bytes_out); ("reconnects", st.Daemon.reconnects);
           ("replayed_frames", st.Daemon.replayed_frames);
           ("recovered_frames", st.Daemon.recovered_frames);
@@ -168,8 +168,7 @@ let run_transport ~deadline_ms ?journal ?chaos ~topology ~params ~circuit ~input
   if res.Runner.agree && res.Runner.down = [] then 0 else 2
 
 let run_cmd protocol program kind size n t k eps malicious fail_stop seed fault_seed json
-    net_seed latency drop domains transport deadline_ms journal chaos shards quorum stream
-    depot =
+    net_seed latency drop domains transport deadline_ms journal chaos shards quorum stream =
   let params =
     match eps with
     | Some eps -> Params.of_gap ~n ~eps ()
@@ -228,14 +227,14 @@ let run_cmd protocol program kind size n t k eps malicious fail_stop seed fault_
     let config = Protocol.config ~adversary ~plan ~seed ~board:net ~domains () in
     if stream > 1 then begin
       let jobs = Array.init stream (fun _ -> { Factory.circuit; inputs }) in
-      let r = Factory.stream ~params ~config ?capacity:depot ~jobs () in
+      let r = Factory.stream ~params ~config ~jobs () in
       if json then print_endline (Json.to_string (Factory.report_json r))
       else begin
         Format.printf "factory: %d circuits, %d mult gates, %.1f ms wall, %.1f gates/s@."
           r.Factory.circuits r.Factory.total_mult r.Factory.wall_ms r.Factory.gates_per_sec;
         let d = r.Factory.depot in
         Format.printf
-          "depot: %d puts / %d draws, peak %d units, producer blocked %d, consumer \
+          "depot: %d puts / %d draws, peak %d slots, producer blocked %d, consumer \
            blocked %d@."
           d.Depot.puts d.Depot.draws d.Depot.max_occupancy d.Depot.producer_blocks
           d.Depot.consumer_blocks;
@@ -526,27 +525,17 @@ let run_t =
             "Run $(docv) instances of the circuit through one long-lived offline \
              factory (packed protocol, sim transport): a background producer domain \
              preprocesses circuit $(b,j+1) while circuit $(b,j)'s online phase \
-             consumes from the depot.  Per-circuit seeds are derived from \
+             consumes from the depot, which holds at most two circuits.  \
+             Per-circuit seeds are derived from \
              $(b,--seed); each circuit's transcript is byte-identical to a one-shot \
              run at its derived seed.")
-  in
-  let depot =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "depot" ] ~docv:"UNITS"
-          ~doc:
-            "Depot capacity in gate-equivalent units for $(b,--stream) (default: \
-             twice the circuit's preprocessing footprint).  The producer pauses at \
-             circuit boundaries while the depot sits above this watermark and \
-             resumes once consumption drains it to half.")
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Execute YOSO MPC on a generated circuit")
     Term.(
       const run_cmd $ protocol $ program $ kind $ size $ n_arg $ t_arg $ k_arg $ eps $ malicious
       $ fail_stop $ seed_arg $ fault_seed $ json $ net_seed $ latency $ drop $ domains
-      $ transport $ deadline $ journal $ chaos $ shards $ quorum $ stream $ depot)
+      $ transport $ deadline $ journal $ chaos $ shards $ quorum $ stream)
 
 let analyze_t =
   let c_param = Arg.(value & opt int 1000 & info [ "big-c"; "C" ] ~doc:"Sortition parameter C.") in

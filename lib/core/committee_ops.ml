@@ -89,22 +89,9 @@ let contributions ?tamper ?wire ?(required = 1) ctx committee ~phase ~step ~cost
   (* one draw from the shared stream, before the fan-out; every member
      derives its own RNG from (step_seed, index) *)
   let step_seed = Random.State.bits ctx.frng in
-  (* Phase A: build every member's payload and frame in parallel.
-     The cost hint tells the pool where the crypto is: honest, passive
-     and most malicious members run the full payload builder plus
-     frame synthesis, fail-stop members only look up their fault kind
-     and (at most) synthesize a frame.  Weighted chunking keeps a
-     committee with clustered fail-stops from serializing the heavy
-     tail behind one domain.  The hint is pure (status and plan
-     lookups are hash-based), so chunk boundaries — and a fortiori the
-     transcript — are identical at every domain count. *)
-  let phase_a_cost i =
-    match Committee.status committee i with
-    | Committee.Honest | Committee.Passive | Committee.Malicious -> 8
-    | Committee.Fail_stop -> 1
-  in
+  (* Phase A: build every member's payload and frame in parallel *)
   let intents =
-    Pool.map ~cost:phase_a_cost ctx.pool committee.Committee.size (fun i ->
+    Pool.map ctx.pool committee.Committee.size (fun i ->
         let author = Committee.role committee i in
         let rng = Pool.derive_rng ~seed:step_seed i in
         let prep ?items ?corrupt ?force_late () =

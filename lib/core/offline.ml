@@ -52,14 +52,6 @@ let item_kind = function
   | Layer (li, _) -> Printf.sprintf "layer%d" li
   | Holder _ -> "holder"
 
-let item_units layout = function
-  | Lambdas a -> max 1 (Array.length a)
-  | Inputs preps ->
-    max 1 (List.fold_left (fun acc ip -> acc + Array.length ip.wires) 0 preps)
-  | Layer (_, preps) ->
-    max 1 (layout.Layout.k * List.length preps)
-  | Holder _ -> 1
-
 module Faults = Yoso_runtime.Faults
 
 let phase = "offline"

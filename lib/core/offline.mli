@@ -95,9 +95,6 @@ type item =
 val item_kind : item -> string
 (** Depot key: ["lambdas"], ["inputs"], ["layer<i>"], ["holder"]. *)
 
-val item_units : Layout.t -> item -> int
-(** Depot occupancy weight in gate-equivalents (at least 1). *)
-
 type stream_state
 
 val start : ?opts:opts -> Committee_ops.ctx -> Setup.t -> Layout.t -> stream_state

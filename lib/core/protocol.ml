@@ -101,6 +101,8 @@ type session = {
   mutable s_offline_ms : float;
 }
 
+let ms_since t0 = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-6
+
 let open_session ~params ?(config = default_config) ~circuit () =
   let { adversary; plan; validate; seed; domains; offline = _ } = config.exec in
   let { board = net; transport = _; link } = config.net in
@@ -110,12 +112,11 @@ let open_session ~params ?(config = default_config) ~circuit () =
   let ctx = Ops.create_ctx ?plan ~validate ~pool ~board ~params ~adversary ~seed () in
   let layout = Layout.make circuit ~k:params.Params.k in
   let layers = Array.length layout.Layout.mult_layers in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Monotonic_clock.now () in
   let setup =
     Setup.run ~board ~params ~layers ~clients:(Circuit.clients circuit)
       ~rng:(Splitmix.of_int (seed lxor 0x5E7))
   in
-  let t1 = Unix.gettimeofday () in
   {
     s_params = params;
     s_config = config;
@@ -125,7 +126,7 @@ let open_session ~params ?(config = default_config) ~circuit () =
     s_ctx = ctx;
     s_layout = layout;
     s_setup = setup;
-    s_setup_ms = (t1 -. t0) *. 1000.;
+    s_setup_ms = ms_since t0;
     s_offline_ms = 0.;
   }
 
@@ -135,9 +136,9 @@ let session_layout s = s.s_layout
 let record_offline_ms s ms = s.s_offline_ms <- s.s_offline_ms +. ms
 
 let produce s =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Monotonic_clock.now () in
   let prep = Offline.run ~opts:s.s_config.exec.offline s.s_ctx s.s_setup s.s_layout in
-  s.s_offline_ms <- s.s_offline_ms +. ((Unix.gettimeofday () -. t0) *. 1000.);
+  record_offline_ms s (ms_since t0);
   prep
 
 let start_stream s = Offline.start ~opts:s.s_config.exec.offline s.s_ctx s.s_setup s.s_layout
@@ -145,9 +146,9 @@ let start_stream s = Offline.start ~opts:s.s_config.exec.offline s.s_ctx s.s_set
 let consume s source ~inputs =
   let board = s.s_board and ctx = s.s_ctx and circuit = s.s_circuit in
   let link = s.s_config.net.link and transport = s.s_config.net.transport in
-  let t2 = Unix.gettimeofday () in
+  let t0 = Monotonic_clock.now () in
   let outputs = Online.run_from ctx s.s_setup source ~inputs in
-  let t3 = Unix.gettimeofday () in
+  let online_ms = ms_since t0 in
   let cost = Board.cost board in
   let meter = Board.meter board in
   {
@@ -176,7 +177,7 @@ let consume s source ~inputs =
       [
         ("setup", s.s_setup_ms);
         ("offline", s.s_offline_ms);
-        ("online", (t3 -. t2) *. 1000.);
+        ("online", online_ms);
       ];
   }
 

@@ -4,11 +4,9 @@ type 'a t = {
   mutex : Mutex.t;
   refill_ok : Condition.t;   (* producer waits here in [reserve] *)
   available : Condition.t;   (* consumer waits here in [draw] *)
-  slots : (int * string, (int * 'a) Queue.t) Hashtbl.t;
-  cap : int;
-  low_mark : int;
+  slots : (int * string, 'a Queue.t) Hashtbl.t;
+  held : (int, int) Hashtbl.t;  (* circuit -> slots held, absent at 0 *)
   mutable occupancy : int;
-  mutable gate_open : bool;
   mutable closed : bool;
   mutable poison : exn option;
   mutable puts : int;
@@ -19,20 +17,18 @@ type 'a t = {
   mutable draw_log_rev : (int * string) list;
 }
 
-let create ?low ~capacity () =
-  if capacity < 1 then invalid_arg "Depot.create: capacity must be >= 1";
-  let low_mark = match low with Some l -> l | None -> capacity / 2 in
-  if low_mark < 0 || low_mark >= capacity then
-    invalid_arg "Depot.create: need 0 <= low < capacity";
+(* the producer starts a circuit only while fewer than this many
+   circuits hold slots *)
+let max_circuits = 2
+
+let create () =
   {
     mutex = Mutex.create ();
     refill_ok = Condition.create ();
     available = Condition.create ();
     slots = Hashtbl.create 16;
-    cap = capacity;
-    low_mark;
+    held = Hashtbl.create 4;
     occupancy = 0;
-    gate_open = true;
     closed = false;
     poison = None;
     puts = 0;
@@ -43,9 +39,6 @@ let create ?low ~capacity () =
     draw_log_rev = [];
   }
 
-let capacity t = t.cap
-let low t = t.low_mark
-
 let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
@@ -53,17 +46,15 @@ let locked t f =
 let reserve t =
   locked t (fun () ->
       if t.closed then raise Closed;
-      if t.occupancy >= t.cap then t.gate_open <- false;
-      if not t.gate_open then begin
+      if Hashtbl.length t.held >= max_circuits then begin
         t.producer_blocks <- t.producer_blocks + 1;
-        while (not t.gate_open) && not t.closed do
+        while Hashtbl.length t.held >= max_circuits && not t.closed do
           Condition.wait t.refill_ok t.mutex
         done;
         if t.closed then raise Closed
       end)
 
-let put t ~circuit ~kind ~units slot =
-  if units < 0 then invalid_arg "Depot.put: negative units";
+let put t ~circuit ~kind slot =
   locked t (fun () ->
       if t.closed then raise Closed;
       let q =
@@ -74,8 +65,10 @@ let put t ~circuit ~kind ~units slot =
           Hashtbl.replace t.slots (circuit, kind) q;
           q
       in
-      Queue.push (units, slot) q;
-      t.occupancy <- t.occupancy + units;
+      Queue.push slot q;
+      Hashtbl.replace t.held circuit
+        (1 + Option.value ~default:0 (Hashtbl.find_opt t.held circuit));
+      t.occupancy <- t.occupancy + 1;
       if t.occupancy > t.max_occupancy then t.max_occupancy <- t.occupancy;
       t.puts <- t.puts + 1;
       Condition.broadcast t.available)
@@ -104,14 +97,15 @@ let draw t ~circuit ~kind =
           in
           wait ()
       in
-      let units, slot = Queue.pop q in
-      t.occupancy <- t.occupancy - units;
+      let slot = Queue.pop q in
+      t.occupancy <- t.occupancy - 1;
       t.draws <- t.draws + 1;
       t.draw_log_rev <- (circuit, kind) :: t.draw_log_rev;
-      if (not t.gate_open) && t.occupancy <= t.low_mark then begin
-        t.gate_open <- true;
+      (match Hashtbl.find t.held circuit with
+      | 1 ->
+        Hashtbl.remove t.held circuit;
         Condition.broadcast t.refill_ok
-      end;
+      | n -> Hashtbl.replace t.held circuit (n - 1));
       slot)
 
 let close t =
@@ -126,8 +120,6 @@ let fail t exn =
       t.closed <- true;
       Condition.broadcast t.available;
       Condition.broadcast t.refill_ok)
-
-let occupancy t = locked t (fun () -> t.occupancy)
 
 type stats = {
   puts : int;

@@ -1,20 +1,18 @@
 (** Bounded buffer of preprocessing material between the factory's
     producer domain and the consuming online phase.
 
-    The depot stores typed slots keyed by [(circuit, kind)], weighted
-    by gate-equivalent units, under one mutex.  Flow control is a
-    watermark with hysteresis, enforced at {e circuit granularity}:
+    The depot stores typed slots keyed by [(circuit, kind)] under one
+    mutex and bounds how many whole circuits it holds: a circuit is
+    {e held} while at least one of its slots is in the depot.
 
     - {!reserve} — called by the producer before starting a circuit —
-      blocks while the gate is shut: the gate shuts when occupancy has
-      reached [capacity] and reopens once draws bring it down to
-      [low].
+      blocks while two circuits are held, so the depot never holds
+      more than two circuits.
     - {!put} never blocks.  A circuit whose production has started is
-      always pushed to completion, so occupancy can overshoot
-      [capacity] by at most one circuit's worth of units.  This is
-      what makes the scheme deadlock-free: the consumer drains
-      circuits fully and in order, so the item the consumer blocks on
-      is always produced without the producer needing depot space.
+      always pushed to completion.  This is what makes the scheme
+      deadlock-free: the consumer drains circuits fully and in order,
+      so the item the consumer blocks on is always produced without
+      the producer needing depot space.
     - {!draw} blocks until the requested [(circuit, kind)] slot is
       available, or raises once the depot is closed (or re-raises the
       producer's failure if it was {!fail}ed).
@@ -29,20 +27,14 @@ exception Closed
 (** Raised by {!draw} when the depot is closed and the slot will never
     arrive, and by {!put}/{!reserve} after {!close}. *)
 
-val create : ?low:int -> capacity:int -> unit -> 'a t
-(** [capacity] is the high watermark in units (>= 1); [low] (default
-    [capacity / 2]) is the refill-resume threshold, [0 <= low <
-    capacity]. *)
-
-val capacity : 'a t -> int
-val low : 'a t -> int
+val create : unit -> 'a t
 
 val reserve : 'a t -> unit
 (** Producer-side gate, called once per circuit before producing it;
-    blocks while the depot is above the watermark (counted in
+    blocks while two circuits are held (counted in
     {!stats}[.producer_blocks]). *)
 
-val put : 'a t -> circuit:int -> kind:string -> units:int -> 'a -> unit
+val put : 'a t -> circuit:int -> kind:string -> 'a -> unit
 (** Deposits a slot; never blocks. *)
 
 val draw : 'a t -> circuit:int -> kind:string -> 'a
@@ -51,22 +43,21 @@ val draw : 'a t -> circuit:int -> kind:string -> 'a
     {!stats}[.consumer_blocks]). *)
 
 val close : 'a t -> unit
-(** No further puts; blocked draws for missing slots raise {!Closed}. *)
+(** No further puts; blocked draws for missing slots and a blocked
+    {!reserve} raise {!Closed}. *)
 
 val fail : 'a t -> exn -> unit
 (** Producer died: close and make every subsequent draw re-raise
     [exn] — the consumer surfaces the producer's exception instead of
     hanging. *)
 
-val occupancy : 'a t -> int
-
 type stats = {
   puts : int;
   draws : int;
   producer_blocks : int;  (** reserve calls that had to wait *)
   consumer_blocks : int;  (** draw calls that had to wait *)
-  max_occupancy : int;    (** peak units held *)
-  final_occupancy : int;
+  max_occupancy : int;    (** peak slots held *)
+  final_occupancy : int;  (** slots held when the snapshot was taken *)
   draw_log : (int * string) list;
       (** every draw as [(circuit, kind)], in draw order — the
           determinism witness *)

@@ -7,7 +7,6 @@ module Meter = Yoso_net.Meter
 module Board = Yoso_net.Board
 module Protocol = Yoso_mpc.Protocol
 module Offline = Yoso_mpc.Offline
-module Params = Yoso_mpc.Params
 
 type job = {
   circuit : Circuit.t;
@@ -38,17 +37,7 @@ type report = {
 
 let derived_seed base j = Splitmix.mix base j
 
-(* depot weight of one whole circuit, in the units [Offline.item_units]
-   charges: wire lambdas (one per gate), input-prep wires, k gate slots
-   per packed layer batch, the holder, and the session slot itself *)
-let units_of_job params job =
-  let layout = Layout.make job.circuit ~k:params.Params.k in
-  let layer_units =
-    Array.fold_left
-      (fun acc batches -> acc + (layout.Layout.k * List.length batches))
-      0 layout.Layout.mult_layers
-  in
-  Circuit.size job.circuit + Circuit.num_inputs job.circuit + layer_units + 2
+let ms_since t0 = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-6
 
 (* minor arena for sustained dual-domain operation, in words.  Every
    minor collection is a stop-the-world sync across domains; at the
@@ -60,20 +49,14 @@ let units_of_job params job =
    frequency ~16x; [stream] restores the caller's setting on exit. *)
 let stream_minor_words = 4 * 1024 * 1024
 
-let stream ~params ?(config = Protocol.default_config) ?capacity ?low ~jobs () =
+let stream ~params ?(config = Protocol.default_config) ~jobs () =
   if Array.length jobs = 0 then invalid_arg "Factory.stream: no jobs";
   let gc0 = Gc.get () in
   Gc.set
     { gc0 with Gc.minor_heap_size = max gc0.Gc.minor_heap_size stream_minor_words };
   Fun.protect ~finally:(fun () -> Gc.set gc0) @@ fun () ->
   let base_seed = config.Protocol.exec.Protocol.seed in
-  let capacity =
-    match capacity with
-    | Some c -> c
-    | None ->
-      2 * Array.fold_left (fun acc j -> max acc (units_of_job params j)) 1 jobs
-  in
-  let depot : slot Depot.t = Depot.create ?low ~capacity () in
+  let depot : slot Depot.t = Depot.create () in
   let refill_meter = Meter.create () in
   let online_active = Atomic.make false in
   let refills_during_online = Atomic.make 0 in
@@ -87,26 +70,24 @@ let stream ~params ?(config = Protocol.default_config) ?capacity ?low ~jobs () =
       }
     in
     let s = Protocol.open_session ~params ~config ~circuit:job.circuit () in
-    Depot.put depot ~circuit:j ~kind:"session" ~units:1 (Session s);
-    let layout = Protocol.session_layout s in
+    Depot.put depot ~circuit:j ~kind:"session" (Session s);
     let meter = Board.meter (Protocol.session_board s) in
     let st = Protocol.start_stream s in
     let before = ref (Meter.phase_total meter ~phase:"offline") in
     let rec refill () =
-      let t0 = Unix.gettimeofday () in
+      let t0 = Monotonic_clock.now () in
       match Offline.prepare_batch st with
       | None -> ()
       | Some item ->
         (* record timing and refill bytes before the put: the depot
            mutex then orders these writes before any consumer read *)
-        Protocol.record_offline_ms s ((Unix.gettimeofday () -. t0) *. 1000.);
+        Protocol.record_offline_ms s (ms_since t0);
         let after = Meter.phase_total meter ~phase:"offline" in
         Meter.record_side refill_meter Meter.Refill
           ~label:(Printf.sprintf "c%d/%s" j (Offline.item_kind item))
           (after - !before);
         before := after;
-        Depot.put depot ~circuit:j ~kind:(Offline.item_kind item)
-          ~units:(Offline.item_units layout item) (Item item);
+        Depot.put depot ~circuit:j ~kind:(Offline.item_kind item) (Item item);
         if Atomic.get online_active then Atomic.incr refills_during_online;
         refill ()
     in
@@ -167,7 +148,7 @@ let stream ~params ?(config = Protocol.default_config) ?capacity ?low ~jobs () =
     { index = j; seed = derived_seed base_seed j; report }
   in
 
-  let t_start = Unix.gettimeofday () in
+  let t_start = Monotonic_clock.now () in
   let prod = Domain.spawn producer in
   let results =
     match Array.to_list (Array.mapi consume_circuit jobs) with
@@ -181,7 +162,7 @@ let stream ~params ?(config = Protocol.default_config) ?capacity ?low ~jobs () =
       (try Domain.join prod with _ -> ());
       raise e
   in
-  let wall_ms = (Unix.gettimeofday () -. t_start) *. 1000. in
+  let wall_ms = ms_since t_start in
   Meter.merge_into ~dst:agg_meter refill_meter;
   let total_mult =
     List.fold_left (fun acc r -> acc + r.report.Protocol.num_mult) 0 results

@@ -5,8 +5,9 @@
     session per circuit (seed derived as [Splitmix.mix seed j]), runs
     the offline committees batch by batch
     ({!Yoso_mpc.Offline.prepare_batch}) and pushes the typed items
-    into a bounded {!Depot}.  The consumer (the calling domain) draws
-    each circuit's session and preprocessing from the depot and runs
+    into a {!Depot} that holds at most two circuits.  The consumer
+    (the calling domain) draws each circuit's session and
+    preprocessing from the depot and runs
     the online phase through a depot-backed
     {!Yoso_mpc.Offline.source}, so circuit [j]'s online phase overlaps
     circuit [j+1]'s preprocessing.
@@ -64,16 +65,14 @@ val derived_seed : int -> int -> int
 val stream :
   params:Yoso_mpc.Params.t ->
   ?config:Yoso_mpc.Protocol.config ->
-  ?capacity:int ->
-  ?low:int ->
   jobs:job array ->
   unit ->
   report
 (** Runs every job through one factory.  [config] (default
     {!Yoso_mpc.Protocol.default_config}) is the per-circuit template;
-    only its seed is rewritten per circuit.  [capacity]/[low] bound
-    the depot in gate-equivalent units (defaults: twice the largest
-    circuit's units, half of that).  Producer exceptions (including
+    only its seed is rewritten per circuit.  The depot holds at most
+    two circuits, so the producer starts circuit [j + 2] only once
+    circuit [j] has been drawn in full.  Producer exceptions (including
     {!Yoso_runtime.Faults.Protocol_failure} from an audit) propagate
     to the caller after the producer domain is joined. *)
 

@@ -83,14 +83,6 @@ let next_round t =
   Sim.next_round t.sim;
   t.round_posts <- 0
 
-(* flip one byte of the frame in flight; any single flip is caught by
-   the magic / length / checksum checks in [Wire.of_frame] *)
-let corrupt_frame frame =
-  let b = Bytes.of_string frame in
-  let i = Bytes.length b / 2 in
-  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0xff));
-  Bytes.unsafe_to_string b
-
 type prepared = {
   p_author : Role.id;
   p_phase : string;
@@ -110,13 +102,14 @@ type prepared = {
    derived statelessly from [(net_seed, tag)], so a frame's content
    depends only on its tag — never on how many frames other domains
    have prepared, which is what keeps the transcript digest identical
-   at any domain count.  A frame whose bytes outlive this call — a
-   link sends it or compares it with what arrives, or it is corrupted
-   — is encoded in the encoder's scratch buffer and copied out, its
-   checksum falling out of the encoding pass (only a corrupted frame
-   is hashed again).  Any other frame is never written: its checksum
-   is folded as its weight is drawn, and its length, checksum and
-   payload tally are all Phase B needs. *)
+   at any domain count.  A frame a link sends or compares with what
+   arrives, or a corrupted one, is encoded in the encoder's scratch
+   buffer, its checksum falling out of the encoding pass; a corrupted
+   frame's checksum is then moved by the one term of the fold its
+   flipped byte changes, and only a frame a link keeps is copied out.
+   Any other frame is never written: its checksum is folded as its
+   weight is drawn, and its length, checksum and payload tally are all
+   Phase B needs. *)
 let prepare t ~author ~phase ~step ?(items = []) ?(corrupt = false) ?(force_late = false)
     ~cost ~tag () =
   let msg = { Wire.step; items } in
@@ -144,10 +137,18 @@ let prepare t ~author ~phase ~step ?(items = []) ?(corrupt = false) ?(force_late
   let frame, len, csum =
     if keep || corrupt then
       Wire.with_frame ?rng ~synth:missing msg (fun b len csum ->
-          if corrupt then
-            let bad = corrupt_frame (Bytes.sub_string b 0 len) in
-            ((if keep then Some bad else None), len, Wire.checksum bad)
-          else (Some (Bytes.sub_string b 0 len), len, csum))
+          (* flip the middle byte in flight; any single flip is caught
+             by the magic / length / checksum checks in [Wire.of_frame] *)
+          let csum =
+            if corrupt then begin
+              let i = len / 2 in
+              let byte = Bytes.get_uint8 b i in
+              Bytes.set_uint8 b i (byte lxor 0xff);
+              Wire.checksum_after_flip csum ~len ~pos:i byte
+            end
+            else csum
+          in
+          ((if keep then Some (Bytes.sub_string b 0 len) else None), len, csum))
     else
       let len, csum = Wire.frame_checksum ?rng ~synth:missing msg in
       (None, len, csum)

@@ -317,6 +317,10 @@ let rec fold_le h v n = if n = 0 then h else fold_le ((h * 31) + (v land 0xff)) 
 
 let checksum s = fold checksum_seed s 0 (String.length s) land max_int
 
+(* byte [pos] enters the fold as one term, [b * 31^(len - 1 - pos)] *)
+let checksum_after_flip csum ~len ~pos b =
+  (csum + (((b lxor 0xff) - b) * pow31 (len - 1 - pos))) land max_int
+
 let put_checksum buf h =
   for i = 0 to 7 do
     put_u8 buf ((h lsr (8 * i)) land 0xff)

@@ -122,6 +122,12 @@ val checksum : string -> int
     bytes of [s], evaluated a 64-bit word at a time
     ({!Splitmix.fold_string}). *)
 
+val checksum_after_flip : int -> len:int -> pos:int -> int -> int
+(** [checksum_after_flip csum ~len ~pos b] is the {!checksum} of the
+    [len]-byte string whose checksum is [csum] once its byte at [pos],
+    of value [b], is replaced by [b lxor 0xff] — without reading the
+    string: [(csum + ((b lxor 0xff) - b) * 31^(len-1-pos)) mod 2^62]. *)
+
 val to_frame : message -> string
 (** [magic "YW"; version; length-prefixed payload; 8-byte checksum].
     The encoder refuses what the decoder rejects: it raises

@@ -1,7 +1,7 @@
 module Splitmix = Yoso_hash.Splitmix
 
 (* One batch of work: [chunks] are closures over disjoint index
-   ranges, claimed in batches under the pool lock.  Results land in
+   ranges, claimed one at a time under the pool lock.  Results land in
    arrays pre-sized by the caller, so nothing here depends on which
    domain runs which chunk. *)
 type job = {
@@ -31,7 +31,7 @@ type t = {
    [Protocol.execute] and shut down before the caller can ask them
    anything, so the bench's [--profile] flag needs a collection point
    that outlives the pool.  Cost when disabled is one bool load per
-   claimed batch. *)
+   claimed chunk. *)
 type sample = { s_domain : int; s_chunk : int; s_ms : float }
 
 let profiling = Atomic.make false
@@ -47,46 +47,31 @@ let drain_profile () =
   Mutex.unlock profile_lock;
   List.map (fun s -> (s.s_domain, s.s_chunk, s.s_ms)) s
 
-let record_samples local =
+let record_sample sample =
   Mutex.lock profile_lock;
-  profile_samples := List.rev_append local !profile_samples;
+  profile_samples := sample :: !profile_samples;
   Mutex.unlock profile_lock
 
-(* Claim and run chunks of [j] until none remain.  Called (and
-   returns) with [t.lock] held; the lock is released around the chunk
-   bodies.  Chunks are claimed in small batches — one lock round-trip
-   per batch instead of per chunk — sized so that late stragglers
-   still spread across whoever is free. *)
+let ms_since t0 = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-6
+
+(* Claim and run chunks of [j], one at a time, until none remain.
+   Called (and returns) with [t.lock] held; the lock is released
+   around each chunk body. *)
 let drain t wid j =
   let len = Array.length j.chunks in
   while j.next < len do
-    let remaining = len - j.next in
-    let take =
-      Stdlib.max 1 (Stdlib.min 4 (remaining / (2 * t.domains)))
-    in
-    let c0 = j.next in
-    let take = Stdlib.min take (len - c0) in
-    j.next <- c0 + take;
+    let c = j.next in
+    j.next <- c + 1;
     Mutex.unlock t.lock;
-    let error = ref None in
-    let samples = ref [] in
     let prof = Atomic.get profiling in
-    for c = c0 to c0 + take - 1 do
-      let t0 = if prof then Unix.gettimeofday () else 0.0 in
-      (match j.chunks.(c) () with
-      | () -> ()
-      | exception e -> if !error = None then error := Some e);
-      if prof then
-        samples :=
-          { s_domain = wid; s_chunk = c; s_ms = (Unix.gettimeofday () -. t0) *. 1000. }
-          :: !samples
-    done;
-    if prof && !samples <> [] then record_samples (List.rev !samples);
+    let t0 = if prof then Monotonic_clock.now () else 0L in
+    let error = match j.chunks.(c) () with () -> None | exception e -> Some e in
+    if prof then record_sample { s_domain = wid; s_chunk = c; s_ms = ms_since t0 };
     Mutex.lock t.lock;
-    (match !error with
+    (match error with
     | Some e when j.failed = None -> j.failed <- Some e
     | _ -> ());
-    j.completed <- j.completed + take;
+    j.completed <- j.completed + 1;
     if j.completed = len then Condition.broadcast t.work_done
   done
 
@@ -161,45 +146,12 @@ let run_job t chunks =
     match j.failed with Some e -> raise e | None -> ()
   end
 
-(* Chunking: contiguous index ranges whose boundaries depend only on
-   [n], the pool size and the (pure) cost hint — never on scheduling.
-   Without a hint: [min domains n] near-equal ranges, as before.  With
-   a hint: up to [4 * domains] ranges cut at near-equal *weight*, so a
-   front-loaded or skewed cost profile (e.g. honest members encrypt,
-   fail-stop members do nothing) cannot serialize the tail of a job
-   behind one overloaded domain.  The finer grain is what lets batched
-   claiming rebalance: cheap ranges drain fast and their domains move
-   on to the heavy ones. *)
-let chunk_bounds ?cost t n =
-  match cost with
-  | None ->
-    let nchunks = Stdlib.min t.domains n in
-    Array.init nchunks (fun c -> (c * n / nchunks, (((c + 1) * n) / nchunks) - 1))
-  | Some cost ->
-    let nchunks = Stdlib.min n (4 * t.domains) in
-    (* prefix sums of clamped per-index weights *)
-    let pre = Array.make (n + 1) 0 in
-    for i = 0 to n - 1 do
-      pre.(i + 1) <- pre.(i) + Stdlib.max 1 (cost i)
-    done;
-    let total = pre.(n) in
-    let bounds = Array.make nchunks (0, 0) in
-    let lo = ref 0 in
-    for c = 0 to nchunks - 1 do
-      let left = nchunks - c in
-      (* every later chunk must stay non-empty *)
-      let max_hi = n - left in
-      let target = pre.(!lo) + (((total - pre.(!lo)) + left - 1) / left) in
-      let hi = ref !lo in
-      while !hi < max_hi && pre.(!hi + 1) < target do
-        incr hi
-      done;
-      bounds.(c) <- (!lo, !hi);
-      lo := !hi + 1
-    done;
-    bounds
-
-let iter ?cost t n f =
+(* Chunking: [min n (4 * domains)] contiguous ranges of near-equal
+   count, whose boundaries depend only on [n] and the pool size —
+   never on scheduling.  Four chunks per domain let a domain that
+   drew cheap indices claim more, so a skewed job does not serialize
+   behind one overloaded domain. *)
+let iter t n f =
   if n < 0 then invalid_arg "Pool.iter: negative size";
   if n > 0 then
     if t.domains = 1 || n = 1 then
@@ -207,16 +159,14 @@ let iter ?cost t n f =
         f i
       done
     else
+      let nchunks = Stdlib.min n (4 * t.domains) in
       run_job t
-        (Array.map
-           (fun (lo, hi) ->
-             fun () ->
-              for i = lo to hi do
-                f i
-              done)
-           (chunk_bounds ?cost t n))
+        (Array.init nchunks (fun c () ->
+             for i = c * n / nchunks to ((c + 1) * n / nchunks) - 1 do
+               f i
+             done))
 
-let map ?cost t n f =
+let map t n f =
   if n < 0 then invalid_arg "Pool.map: negative size";
   if n = 0 then [||]
   else if t.domains = 1 || n = 1 then begin
@@ -229,18 +179,8 @@ let map ?cost t n f =
   end
   else begin
     let out = Array.make n None in
-    iter ?cost t n (fun i -> out.(i) <- Some (f i));
+    iter t n (fun i -> out.(i) <- Some (f i));
     Array.map (function Some v -> v | None -> assert false) out
   end
-
-let map_reduce ?cost t n ~map:f ~reduce ~init =
-  if t.domains = 1 || n <= 1 then begin
-    let acc = ref init in
-    for i = 0 to n - 1 do
-      acc := reduce !acc (f i)
-    done;
-    !acc
-  end
-  else Array.fold_left reduce init (map ?cost t n f)
 
 let derive_rng ~seed i = Random.State.make [| Splitmix.mix seed i |]

@@ -8,22 +8,19 @@
     1 domain or 8.  Three rules deliver that:
 
     - {b static chunking by index} — [map t n f] partitions [0..n-1]
-      into contiguous chunks whose boundaries depend only on [n], the
-      pool size and the (pure) cost hint; which domain runs a chunk is
-      scheduling-dependent, but {e what} each index computes is not;
+      into [min n (4 * domains)] contiguous chunks of near-equal count,
+      whose boundaries depend only on [n] and the pool size; which
+      domain runs a chunk is scheduling-dependent, but {e what} each
+      index computes is not;
     - {b pre-sized result arrays} — every [f i] writes its result into
       slot [i] of an array allocated up front, so output order never
       depends on completion order;
     - {b derived RNGs} — code running under the pool must never draw
       from a shared mutable stream; see {!derive_rng}.
 
-    Scheduling is cost-aware: the optional [?cost] hint on the
-    primitives declares relative per-index weight, and chunk
-    boundaries are cut at near-equal {e weight} (up to [4 * domains]
-    chunks) instead of near-equal count, so skewed workloads — e.g. a
-    committee where honest members encrypt and fail-stop members do
-    nothing — balance instead of serializing behind one domain.
-    Chunks are claimed in small batches to cut lock traffic.
+    Chunks are claimed one at a time, so with four chunks per domain a
+    domain that drew cheap indices claims more of them, and a skewed
+    job does not serialize behind one domain.
 
     The pool is {e not} re-entrant: calling [map] from inside a
     closure already running under the same pool deadlocks the caller's
@@ -46,40 +43,24 @@ val sequential : t
 (** A shared 1-domain pool: primitives run inline, no worker state.
     Useful as a default where no parallelism was requested. *)
 
-val map : ?cost:(int -> int) -> t -> int -> (int -> 'a) -> 'a array
+val map : t -> int -> (int -> 'a) -> 'a array
 (** [map t n f] is [[| f 0; f 1; ...; f (n-1) |]], with the [f i]
     evaluated concurrently across the pool's domains.  Each [f i] is
-    called exactly once.  If any [f i] raises, the first exception (in
-    claim order) is re-raised in the caller after all chunks settle.
+    called exactly once if none raises.  A raising [f i] ends its
+    chunk (the chunk's later indices are not run); every other chunk
+    still runs, and the first exception recorded is re-raised in the
+    caller after all chunks settle.
     [f] must not touch shared mutable state (that includes shared RNG
     streams) and must not call back into the same pool.
 
-    [?cost] declares the relative weight of index [i] (values are
-    clamped to [>= 1]); it must be pure.  The hint changes only how
-    indices group into chunks — results, and any transcript produced
-    under the pool, are identical with or without it.  [n = 0] returns
-    [[||]] without waking a single worker; [n = 1] (or a 1-domain
-    pool) runs inline. *)
+    Chunk [c] of the [m = min n (4 * domains)] chunks holds the indices
+    [c * n / m] to [(c + 1) * n / m - 1], run in ascending order.
+    [n = 0] returns [[||]] without waking a single worker; [n = 1] (or
+    a 1-domain pool) runs inline. *)
 
-val map_reduce :
-  ?cost:(int -> int) ->
-  t -> int -> map:(int -> 'a) -> reduce:('b -> 'a -> 'b) -> init:'b -> 'b
-(** [map_reduce t n ~map ~reduce ~init] computes
-    [reduce (... (reduce init (map 0)) ...) (map (n-1))]: the [map]s
-    run under the pool, the fold is sequential in index order — so the
-    result equals the purely sequential evaluation even when [reduce]
-    is not associative. *)
-
-val iter : ?cost:(int -> int) -> t -> int -> (int -> unit) -> unit
+val iter : t -> int -> (int -> unit) -> unit
 (** [iter t n f] runs [f 0 .. f (n-1)] under the pool, for effects
     into caller-allocated per-index slots. Same rules as {!map}. *)
-
-val chunk_bounds : ?cost:(int -> int) -> t -> int -> (int * int) array
-(** The inclusive [(lo, hi)] index ranges {!map}/{!iter} would use for
-    a job of size [n]: [min domains n] near-equal ranges without a
-    hint, up to [4 * domains] near-equal-weight ranges with one.
-    Deterministic in [(n, domains, cost)]; exposed for tests and for
-    callers that want to pre-stage per-chunk state. *)
 
 val shutdown : t -> unit
 (** Joins the worker domains.  Idempotent; the pool must not be used

@@ -25,7 +25,6 @@ type stats = {
   digests_out : int;
   batches_out : int;
   suppressed_bytes : int;
-  garbled_frames : int;
   bytes_in : int;
   bytes_out : int;
   peer_downs : int;
@@ -100,7 +99,6 @@ let serve ?(config = default_config) ?meter ?journal:journal_path ?chaos ?topolo
   let digests_out = ref 0 in
   let batches_out = ref 0 in
   let suppressed = ref 0 in
-  let garbled = ref 0 in
   let reconnects = ref 0 in
   let replayed = ref 0 in
   let recovered = ref 0 in
@@ -349,12 +347,8 @@ let serve ?(config = default_config) ?meter ?journal:journal_path ?chaos ?topolo
            is never posted and survivors continue past it *)
         next_seq := seq + 1;
         incr frames_in;
-        (* integrity check on ingest: the envelope checksum already
-           passed; now try the inner bulletin frame.  Garbled frames are
-           counted and still forwarded — exclusion is the verifiers' job *)
-        (match Wire.of_frame frame with
-        | (_ : Wire.message) -> ()
-        | exception Wire.Decode_error _ -> incr garbled);
+        (* a garbled inner frame is forwarded like any other:
+           members blame it, exclusion is the verifiers' job *)
         let csum = Wire.checksum frame in
         Hashtbl.replace board seq (slot, frame, csum);
         chain csum;
@@ -517,7 +511,6 @@ let serve ?(config = default_config) ?meter ?journal:journal_path ?chaos ?topolo
       digests_out = !digests_out;
       batches_out = !batches_out;
       suppressed_bytes = !suppressed;
-      garbled_frames = !garbled;
       bytes_in;
       bytes_out;
       peer_downs = List.length !down;

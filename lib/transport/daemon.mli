@@ -56,10 +56,8 @@
 
     Each connection has its own read-reassembly buffer and write
     queue; the daemon never blocks on any single peer.  Inner bulletin
-    frames are additionally run through [Wire.of_frame] on ingest so
-    the stats expose how many garbled frames crossed the wire (they
-    are still forwarded — a tampered frame must reach the board and be
-    excluded by verifiers, not vanish in transit). *)
+    frames are forwarded undecoded: a tampered frame must reach the
+    board and be excluded by verifiers, not vanish in transit. *)
 
 module Meter = Yoso_net.Meter
 
@@ -85,7 +83,6 @@ type stats = {
   suppressed_bytes : int;
       (** full-frame bytes live delivery avoided sending (frames
           summarized as [Digest] records instead) *)
-  garbled_frames : int;  (** inner frames failing [Wire.of_frame] on ingest *)
   bytes_in : int;
   bytes_out : int;
   peer_downs : int;

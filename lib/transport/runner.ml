@@ -79,7 +79,6 @@ let add_stats a b =
     digests_out = a.digests_out + b.digests_out;
     batches_out = a.batches_out + b.batches_out;
     suppressed_bytes = a.suppressed_bytes + b.suppressed_bytes;
-    garbled_frames = a.garbled_frames + b.garbled_frames;
     bytes_in = a.bytes_in + b.bytes_in;
     bytes_out = a.bytes_out + b.bytes_out;
     peer_downs = a.peer_downs + b.peer_downs;
@@ -110,7 +109,7 @@ let run ?(endpoint = `Unix_socket) ?config ?deadline_ms ?crash ?meter ?policy ?j
     invalid_arg "Runner.run: chaos kill points need a journal to restart from"
   | _ -> ());
   ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
-  let t0 = Unix.gettimeofday () in
+  let t0 = Sockio.now () in
   (* listen before forking: the backlog holds children that connect
      before the daemon's event loop starts accepting *)
   let listen, addr, unlink_path = make_listener endpoint in
@@ -174,7 +173,7 @@ let run ?(endpoint = `Unix_socket) ?config ?deadline_ms ?crash ?meter ?policy ?j
       reports = d.reports;
       down = d.down;
       agree;
-      wall_ms = (Unix.gettimeofday () -. t0) *. 1000.;
+      wall_ms = (Sockio.now () -. t0) *. 1000.;
       restarts = List.length crashed;
       stats = List.fold_left (fun acc s -> add_stats s acc) d.stats crashed;
       children;

@@ -130,69 +130,45 @@ let test_stream_matches_oneshot () =
   Alcotest.(check int) "offline phase empty after remap" 0
     (Cost.elements r.Factory.cost ~phase:"offline")
 
-(* the depot schedule (draw order and bytes) must not depend on the
-   worker-domain count or the depot capacity *)
+(* the depot schedule (draw order and bytes), the outputs and the
+   drain must not depend on the worker-domain count *)
 let test_stream_deterministic () =
-  let run ~domains ~capacity =
+  let run ~domains =
     let r =
       Factory.stream ~params:stream_params
         ~config:(Protocol.config ~seed:0xD07 ~domains ())
-        ?capacity ~jobs:(stream_jobs 3) ()
+        ~jobs:(stream_jobs 3) ()
     in
+    Alcotest.(check int)
+      (Printf.sprintf "everything drained at %d domains" domains)
+      0 r.Factory.depot.Depot.final_occupancy;
     ( List.map
-        (fun cr -> cr.Factory.report.Protocol.transcript.Board.digest)
+        (fun cr ->
+          ( cr.Factory.report.Protocol.transcript.Board.digest,
+            cr.Factory.report.Protocol.outputs ))
         r.Factory.results,
       r.Factory.depot.Depot.draw_log )
   in
-  let d1, log1 = run ~domains:1 ~capacity:None in
-  let d2, log2 = run ~domains:2 ~capacity:None in
-  let d3, log3 = run ~domains:1 ~capacity:(Some 40) in
-  Alcotest.(check bool) "digests at 2 domains" true (d1 = d2);
-  Alcotest.(check bool) "digests at tight depot" true (d1 = d3);
-  Alcotest.(check bool) "draw log at 2 domains" true (log1 = log2);
-  Alcotest.(check bool) "draw log at tight depot" true (log1 = log3)
-
-(* a depot smaller than one circuit forces the producer to pause at
-   the next circuit boundary; results must be unchanged.  Circuit 0's
-   input callback stalls its online phase, so the producer reliably
-   reaches [reserve] while circuit 0's material (far above a
-   12-unit watermark) still sits in the depot. *)
-let test_stream_backpressure () =
-  let jobs = stream_jobs 4 in
-  jobs.(0) <-
-    {
-      jobs.(0) with
-      Factory.inputs =
-        (fun c ->
-          Unix.sleepf 0.08;
-          jobs.(1).Factory.inputs c);
-    };
-  let r =
-    Factory.stream ~params:stream_params
-      ~config:(Protocol.config ~seed:0xBACC ())
-      ~capacity:12 ~low:2 ~jobs ()
-  in
-  Alcotest.(check bool) "producer throttled" true
-    (r.Factory.depot.Depot.producer_blocks > 0);
-  Alcotest.(check bool) "consumer waited on refills" true
-    (r.Factory.depot.Depot.consumer_blocks > 0);
-  Alcotest.(check int) "everything drained" 0 r.Factory.depot.Depot.final_occupancy;
+  let runs1, log1 = run ~domains:1 in
   List.iter
-    (fun cr ->
-      Alcotest.(check bool)
-        (Printf.sprintf "correct c%d" cr.Factory.index)
-        true
-        (Protocol.check cr.Factory.report jobs.(cr.Factory.index).Factory.circuit
-           ~inputs:jobs.(cr.Factory.index).Factory.inputs))
-    r.Factory.results
+    (fun domains ->
+      let runs, log = run ~domains in
+      Alcotest.(check bool) (Printf.sprintf "digests and outputs at %d domains" domains) true
+        (runs1 = runs);
+      Alcotest.(check bool) (Printf.sprintf "draw log at %d domains" domains) true (log1 = log))
+    [ 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Depot unit behavior                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let test_depot_producer_blocks () =
-  let d : int Depot.t = Depot.create ~capacity:4 ~low:1 () in
-  Depot.put d ~circuit:0 ~kind:"x" ~units:4 41;
+  let d : int Depot.t = Depot.create () in
+  Depot.reserve d;
+  Depot.put d ~circuit:0 ~kind:"x" 40;
+  Depot.put d ~circuit:0 ~kind:"y" 41;
+  Depot.reserve d;
+  Depot.put d ~circuit:1 ~kind:"x" 42;
   let passed = Atomic.make false in
   let prod =
     Domain.spawn (fun () ->
@@ -200,44 +176,94 @@ let test_depot_producer_blocks () =
         Atomic.set passed true)
   in
   Unix.sleepf 0.05;
-  Alcotest.(check bool) "reserve blocked at high watermark" false (Atomic.get passed);
-  Alcotest.(check int) "slot intact" 41 (Depot.draw d ~circuit:0 ~kind:"x");
+  Alcotest.(check bool) "third reserve blocked with two circuits held" false
+    (Atomic.get passed);
+  Alcotest.(check int) "first slot" 40 (Depot.draw d ~circuit:0 ~kind:"x");
+  Unix.sleepf 0.05;
+  Alcotest.(check bool) "still blocked while circuit 0 holds a slot" false
+    (Atomic.get passed);
+  Alcotest.(check int) "last slot" 41 (Depot.draw d ~circuit:0 ~kind:"y");
   Domain.join prod;
-  Alcotest.(check bool) "reserve resumed after drain to low" true (Atomic.get passed);
+  Alcotest.(check bool) "reserve resumed once circuit 0 was consumed" true
+    (Atomic.get passed);
   let s = Depot.stats d in
   Alcotest.(check int) "block counted" 1 s.Depot.producer_blocks
 
 let test_depot_consumer_blocks () =
-  let d : int Depot.t = Depot.create ~capacity:8 () in
+  let d : int Depot.t = Depot.create () in
   let got = Atomic.make 0 in
   let cons = Domain.spawn (fun () -> Atomic.set got (Depot.draw d ~circuit:2 ~kind:"y")) in
   Unix.sleepf 0.05;
   Alcotest.(check int) "draw blocked on empty slot" 0 (Atomic.get got);
-  Depot.put d ~circuit:2 ~kind:"y" ~units:1 7;
+  Depot.put d ~circuit:2 ~kind:"y" 7;
   Domain.join cons;
   Alcotest.(check int) "draw returned the slot" 7 (Atomic.get got);
   let s = Depot.stats d in
   Alcotest.(check int) "block counted" 1 s.Depot.consumer_blocks
 
+(* a producer blocked in [reserve] is released by [close] and [fail] *)
 let test_depot_close_and_poison () =
-  let d : int Depot.t = Depot.create ~capacity:4 () in
-  Depot.put d ~circuit:0 ~kind:"x" ~units:1 1;
+  let d : int Depot.t = Depot.create () in
+  Depot.put d ~circuit:0 ~kind:"x" 1;
   Depot.close d;
   Alcotest.(check int) "deposited slots still drain" 1 (Depot.draw d ~circuit:0 ~kind:"x");
   Alcotest.check_raises "missing slot raises after close" Depot.Closed (fun () ->
       ignore (Depot.draw d ~circuit:0 ~kind:"x"));
-  let p : int Depot.t = Depot.create ~capacity:4 () in
+  let p : int Depot.t = Depot.create () in
   Depot.fail p (Failure "producer died");
   Alcotest.check_raises "poison propagates" (Failure "producer died") (fun () ->
-      ignore (Depot.draw p ~circuit:0 ~kind:"x"))
+      ignore (Depot.draw p ~circuit:0 ~kind:"x"));
+  List.iter
+    (fun (name, stop) ->
+      let d : int Depot.t = Depot.create () in
+      Depot.put d ~circuit:0 ~kind:"x" 1;
+      Depot.put d ~circuit:1 ~kind:"x" 2;
+      let prod =
+        Domain.spawn (fun () ->
+            match Depot.reserve d with () -> false | exception Depot.Closed -> true)
+      in
+      Unix.sleepf 0.05;
+      stop d;
+      Alcotest.(check bool) (name ^ " releases a blocked reserve") true (Domain.join prod))
+    [ ("close", Depot.close); ("fail", fun d -> Depot.fail d (Failure "consumer died")) ]
 
-let test_depot_validation () =
-  Alcotest.check_raises "capacity >= 1"
-    (Invalid_argument "Depot.create: capacity must be >= 1") (fun () ->
-      ignore (Depot.create ~capacity:0 () : int Depot.t));
-  Alcotest.check_raises "low < capacity"
-    (Invalid_argument "Depot.create: need 0 <= low < capacity") (fun () ->
-      ignore (Depot.create ~low:4 ~capacity:4 () : int Depot.t))
+(* a producer running ahead is held at circuit boundaries and a
+   consumer running ahead waits on refills; every slot arrives once, in
+   put order, and the depot never holds more than two circuits.  The
+   consumer starts late, so the producer reliably reaches [reserve]
+   with two circuits held; circuit 3 is produced slowly, so the
+   consumer reliably waits on it. *)
+let test_depot_backpressure () =
+  let circuits = 6 and kinds = [ "a"; "b"; "c" ] in
+  let d : (int * string) Depot.t = Depot.create () in
+  let prod =
+    Domain.spawn (fun () ->
+        for j = 0 to circuits - 1 do
+          Depot.reserve d;
+          List.iter
+            (fun kind ->
+              Depot.put d ~circuit:j ~kind (j, kind);
+              if j = 3 then Unix.sleepf 0.03)
+            kinds
+        done;
+        Depot.close d)
+  in
+  Unix.sleepf 0.05;
+  for j = 0 to circuits - 1 do
+    List.iter
+      (fun kind ->
+        Alcotest.(check bool) (Printf.sprintf "slot c%d/%s" j kind) true
+          (Depot.draw d ~circuit:j ~kind = (j, kind)))
+      kinds
+  done;
+  Domain.join prod;
+  let s = Depot.stats d in
+  Alcotest.(check bool) "producer throttled" true (s.Depot.producer_blocks > 0);
+  Alcotest.(check bool) "consumer waited on refills" true (s.Depot.consumer_blocks > 0);
+  Alcotest.(check bool) "at most two circuits held" true
+    (s.Depot.max_occupancy <= 2 * List.length kinds);
+  Alcotest.(check int) "everything drained" 0 s.Depot.final_occupancy;
+  Alcotest.(check int) "every slot drawn" (circuits * List.length kinds) s.Depot.draws
 
 (* ------------------------------------------------------------------ *)
 (* Triple audits end to end                                            *)
@@ -276,14 +302,13 @@ let () =
         [
           Alcotest.test_case "matches one-shot" `Quick test_stream_matches_oneshot;
           Alcotest.test_case "deterministic" `Quick test_stream_deterministic;
-          Alcotest.test_case "backpressure" `Quick test_stream_backpressure;
         ] );
       ( "depot",
         [
           Alcotest.test_case "producer blocks" `Quick test_depot_producer_blocks;
           Alcotest.test_case "consumer blocks" `Quick test_depot_consumer_blocks;
           Alcotest.test_case "close and poison" `Quick test_depot_close_and_poison;
-          Alcotest.test_case "validation" `Quick test_depot_validation;
+          Alcotest.test_case "backpressure" `Quick test_depot_backpressure;
         ] );
       ( "audit",
         [

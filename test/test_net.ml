@@ -485,8 +485,27 @@ let encoder_refuses_what_decoder_rejects (m, synth, slack) =
              Wire.with_frame ~sizing:edge_sizing ~rng:(Splitmix.of_int 3) ~synth m
                (fun b len _ -> Bytes.sub_string b 0 len)))
 
+(* flipping byte [pos] moves the checksum by one term of the fold:
+   the closed form [Board.prepare] chains for a corrupted post equals
+   the checksum of the flipped frame, at the middle byte it flips and
+   at both ends *)
+let flip_equals_checksum (m, cost, sizing, seed) =
+  let rng = Option.map Splitmix.of_int seed in
+  Wire.with_frame ~sizing ?rng ~synth:cost m (fun b len csum ->
+      List.for_all
+        (fun pos ->
+          let byte = Bytes.get_uint8 b pos in
+          let flipped = Bytes.sub b 0 len in
+          Bytes.set_uint8 flipped pos (byte lxor 0xff);
+          Wire.checksum_after_flip csum ~len ~pos byte
+          = Wire.checksum (Bytes.unsafe_to_string flipped))
+        [ len / 2; 0; len - 1 ])
+
 let checksum_props =
   [
+    QCheck.Test.make ~count:500 ~long_factor:50
+      ~name:"flipped byte checksum in closed form = checksum of the flipped frame" arb_post
+      flip_equals_checksum;
     QCheck.Test.make ~count:500 ~long_factor:50 ~name:"checksum-only path = with_frame" arb_post
       (fun (m, cost, sizing, seed) -> checksum_only_equals_frame ~sizing (m, cost, seed));
     QCheck.Test.make ~count:300 ~long_factor:50
@@ -1079,22 +1098,34 @@ let prepare_post b i ~corrupt =
     ~tag:i ()
 
 (* Frames are encoded in one reused scratch buffer per domain.  A frame
-   a link needs (or a corrupted one) is copied out in [prepare], so
-   preparing a second post before committing the first cannot change
-   the bytes the first one sends. *)
+   a link needs is copied out in [prepare], so preparing a second post
+   before committing the first cannot change the bytes the first one
+   sends.  A corrupted frame is the clean one with its middle byte
+   flipped, and the transcript chains the checksums of the bytes
+   sent. *)
 let test_board_scratch_reuse () =
+  let sent_alone ~corrupt =
+    let b = Board.create () and sent = ref [] in
+    Board.set_link b (Some (recording_link sent));
+    ignore (Board.commit b (prepare_post b 0 ~corrupt));
+    List.hd !sent
+  in
   List.iter
     (fun corrupt ->
       let what = Printf.sprintf "corrupt=%b" corrupt in
       let plain = Board.create () in
       ignore (Board.commit plain (prepare_post plain 0 ~corrupt));
       ignore (Board.commit plain (prepare_post plain 1 ~corrupt:false));
-      let alone =
-        let b = Board.create () and sent = ref [] in
-        Board.set_link b (Some (recording_link sent));
-        ignore (Board.commit b (prepare_post b 0 ~corrupt));
-        List.hd !sent
-      in
+      let alone = sent_alone ~corrupt in
+      if corrupt then begin
+        let clean = sent_alone ~corrupt:false in
+        let mid = String.length clean / 2 in
+        Alcotest.(check string) "corrupt = clean with its middle byte flipped"
+          (String.mapi
+             (fun j c -> if j = mid then Char.chr (Char.code c lxor 0xff) else c)
+             clean)
+          alone
+      end;
       let b = Board.create () and sent = ref [] in
       Board.set_link b (Some (recording_link sent));
       let pa = prepare_post b 0 ~corrupt in
@@ -1112,7 +1143,12 @@ let test_board_scratch_reuse () =
         | exception Wire.Decode_error _ ->
           Alcotest.(check bool) (what ^ ": rejected iff corrupt") true corrupt);
         Alcotest.(check bool) (what ^ ": transcript = link-less run") true
-          (Board.transcript b = Board.transcript plain)
+          (Board.transcript b = Board.transcript plain);
+        Alcotest.(check int) (what ^ ": digest chains the sent frames' checksums")
+          (Board.chain_digest
+             (Board.chain_digest Board.digest_seed (Wire.checksum a))
+             (Wire.checksum b_frame))
+          (Board.transcript plain).Board.digest
       | l -> Alcotest.failf "%s: expected 2 frames sent, got %d" what (List.length l))
     [ false; true ]
 
