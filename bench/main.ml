@@ -655,44 +655,78 @@ let par_bench () =
     kernel_rows;
 
   (* --- protocol wall clock over an n x domains grid; the transcript
-     digest must be identical in every cell of a row ---------------- *)
+     digest must be identical in every run of a row.  Pools live for
+     the process, and an idle pool's workers still join every
+     stop-the-world minor collection: with the 4- and 8-domain pools
+     spawned, a 1-domain n=128 run took ~24% longer on 2 cores.  So
+     each domain count is timed before any larger pool exists: first
+     d=1 against d=2 as [rounds] alternating pairs per n (odd rounds
+     d=1 first), then each larger count in ascending order.  An
+     untimed warm-up run spawns each pool; a cell reports the median
+     of its runs ---------------------------------------------------- *)
   let circuit = Gen.dot_product ~len:8 in
   let inputs c = Array.init 8 (fun i -> F.of_int ((c + 2) * (i + 3))) in
   let domain_sweep = if !smoke then [ 1; 2 ] else [ 1; 2; 4; 8 ] in
   let n_sweep = if !smoke then [ 16 ] else [ 16; 32; 64; 128 ] in
+  let rounds = if !smoke then 1 else 5 in
+  let times = Hashtbl.create 16 and digests = Hashtbl.create 4 in
+  let add tbl k v =
+    Hashtbl.replace tbl k (v :: Option.value ~default:[] (Hashtbl.find_opt tbl k))
+  in
+  let run ~timed n domains =
+    let params = Params.create ~n ~t:(n / 4) ~k:(n / 4) () in
+    let config = Protocol.config ~seed:0x9A12 ~domains () in
+    let r = ref None in
+    let ms =
+      wall (fun () -> r := Some (Protocol.execute ~params ~config ~circuit ~inputs ())) *. 1000.
+    in
+    let r = Option.get !r in
+    assert (Protocol.check r circuit ~inputs);
+    add digests n r.Protocol.transcript.Yoso_net.Board.digest;
+    if timed then add times (n, domains) ms
+  in
+  let paired, larger = List.partition (fun d -> d <= 2) domain_sweep in
+  List.iter
+    (fun n ->
+      List.iter (run ~timed:false n) paired;
+      for round = 1 to rounds do
+        List.iter (run ~timed:true n) (if round mod 2 = 1 then paired else List.rev paired)
+      done)
+    n_sweep;
+  List.iter
+    (fun d ->
+      List.iter
+        (fun n ->
+          run ~timed:false n d;
+          for _ = 1 to rounds do
+            run ~timed:true n d
+          done)
+        n_sweep)
+    larger;
+  let median l =
+    let a = Array.of_list (List.sort compare l) in
+    let m = Array.length a in
+    if m mod 2 = 1 then a.(m / 2) else (a.((m / 2) - 1) +. a.(m / 2)) /. 2.
+  in
   Printf.printf "  %-6s" "n";
   List.iter (fun d -> Printf.printf " %9s" (Printf.sprintf "d=%d (ms)" d)) domain_sweep;
-  Printf.printf " %9s\n" "digest ok";
+  Printf.printf " %9s %9s\n" "d=2 wins" "digest ok";
   let grid =
     List.map
       (fun n ->
-        let params = Params.create ~n ~t:(n / 4) ~k:(n / 4) () in
-        let cells =
-          List.map
-            (fun domains ->
-              let config = Protocol.config ~seed:0x9A12 ~domains () in
-              let r = ref None in
-              let ms =
-                wall (fun () ->
-                    r := Some (Protocol.execute ~params ~config ~circuit ~inputs ()))
-                *. 1000.
-              in
-              let r = Option.get !r in
-              assert (Protocol.check r circuit ~inputs);
-              (domains, ms, r.Protocol.transcript.Yoso_net.Board.digest))
-            domain_sweep
-        in
-        let _, _, base_digest = List.hd cells in
-        let digests_equal =
-          List.for_all (fun (_, _, d) -> d = base_digest) cells
-        in
+        let runs d = List.rev (Hashtbl.find times (n, d)) in
+        let cells = List.map (fun d -> (d, median (runs d), runs d)) domain_sweep in
+        let d2_wins = List.length (List.filter Fun.id (List.map2 ( > ) (runs 1) (runs 2))) in
+        let row_digests = Hashtbl.find digests n in
+        let base_digest = List.hd row_digests in
+        let digests_equal = List.for_all (fun d -> d = base_digest) row_digests in
         if not digests_equal then
           failwith
             (Printf.sprintf "bench par: transcript digest varies with domains at n=%d" n);
         Printf.printf "  %-6d" n;
         List.iter (fun (_, ms, _) -> Printf.printf " %9.1f" ms) cells;
-        Printf.printf " %9b\n" digests_equal;
-        (n, params.Params.k, cells, base_digest))
+        Printf.printf " %6d/%-2d %9b\n" d2_wins rounds digests_equal;
+        (n, n / 4, cells, d2_wins, base_digest))
       n_sweep
   in
   (* speedup acceptance only means something on real multicore
@@ -700,7 +734,7 @@ let par_bench () =
      with n >= 64 must show at least 1.5x at 4 domains. *)
   if (not !smoke) && cores >= 4 then
     List.iter
-      (fun (n, _, cells, _) ->
+      (fun (n, _, cells, _, _) ->
         if n >= 64 then begin
           let ms_at d =
             match List.assoc_opt d (List.map (fun (d, ms, _) -> (d, ms)) cells) with
@@ -751,20 +785,24 @@ let par_bench () =
   end;
 
   if not !smoke then begin
-    let grid_row (n, k, cells, digest) =
+    let grid_row (n, k, cells, d2_wins, digest) =
       let ms1 =
         match cells with
         | (1, ms, _) :: _ -> ms
         | _ -> failwith "bench par: grid row missing the 1-domain cell"
       in
-      (* speedup is relative to this row's own 1-domain cell, so the
+      (* speedup is relative to this row's own 1-domain median, so the
          trajectory reads directly from the JSON *)
-      let cell (d, ms, _) =
-        Json.(Obj [ ("domains", Int d); ("ms", Float (1, ms)); ("speedup", Float (2, ms1 /. ms)) ])
+      let cell (d, ms, runs) =
+        Json.(
+          Obj
+            [ ("domains", Int d); ("ms", Float (1, ms)); ("speedup", Float (2, ms1 /. ms));
+              ("runs_ms", List (List.map (fun x -> Float (1, x)) runs)) ])
       in
       Json.(
         Obj
-          [ ("n", Int n); ("k", Int k); ("cells", List (List.map cell cells));
+          [ ("n", Int n); ("k", Int k); ("cores", Int cores); ("rounds", Int rounds);
+            ("cells", List (List.map cell cells)); ("d2_wins", Int d2_wins);
             ("transcript_digest", Int digest); ("digest_identical", Bool true) ])
     in
     write_json "BENCH_par.json"

@@ -167,13 +167,8 @@ let run_transport ~deadline_ms ?journal ?chaos ~topology ~params ~circuit ~input
     end);
   if res.Runner.agree && res.Runner.down = [] then 0 else 2
 
-let run_cmd protocol program kind size n t k eps malicious fail_stop seed fault_seed json
+let run_protocol params protocol program kind size n t malicious fail_stop seed fault_seed json
     net_seed latency drop domains transport deadline_ms journal chaos shards quorum stream =
-  let params =
-    match eps with
-    | Some eps -> Params.of_gap ~n ~eps ()
-    | None -> Params.create ~n ~t ~k ()
-  in
   let circuit, inputs, compiled =
     match program with
     | None ->
@@ -316,6 +311,29 @@ let run_cmd protocol program kind size n t k eps malicious fail_stop seed fault_
       r.Bgw.online_elements (Bgw.online_per_gate r)
   | other -> failwith (Printf.sprintf "unknown protocol %S (packed|cdn|bgw)" other));
   0
+
+(* Parameters the protocol cannot run with are usage errors, checked
+   before anything runs: cmdliner prints the message and exits 124. *)
+let run_cmd protocol program kind size n t k eps malicious fail_stop seed fault_seed json
+    net_seed latency drop domains transport deadline_ms journal chaos shards quorum stream =
+  let checked () =
+    let params =
+      match eps with
+      | Some eps -> Params.of_gap ~n ~eps ()
+      | None -> Params.create ~n ~t ~k ()
+    in
+    (* bgw runs no adversary *)
+    if protocol <> "bgw" then
+      Params.validate_adversary params { Params.malicious; passive = 0; fail_stop };
+    params
+  in
+  match checked () with
+  | exception Invalid_argument msg -> `Error (false, msg)
+  | params ->
+    `Ok
+      (run_protocol params protocol program kind size n t malicious fail_stop seed fault_seed
+         json net_seed latency drop domains transport deadline_ms journal chaos shards quorum
+         stream)
 
 (* ------------------------------------------------------------------ *)
 (* analyze                                                             *)
@@ -533,9 +551,10 @@ let run_t =
   Cmd.v
     (Cmd.info "run" ~doc:"Execute YOSO MPC on a generated circuit")
     Term.(
-      const run_cmd $ protocol $ program $ kind $ size $ n_arg $ t_arg $ k_arg $ eps $ malicious
-      $ fail_stop $ seed_arg $ fault_seed $ json $ net_seed $ latency $ drop $ domains
-      $ transport $ deadline $ journal $ chaos $ shards $ quorum $ stream)
+      ret
+        (const run_cmd $ protocol $ program $ kind $ size $ n_arg $ t_arg $ k_arg $ eps
+       $ malicious $ fail_stop $ seed_arg $ fault_seed $ json $ net_seed $ latency $ drop
+       $ domains $ transport $ deadline $ journal $ chaos $ shards $ quorum $ stream))
 
 let analyze_t =
   let c_param = Arg.(value & opt int 1000 & info [ "big-c"; "C" ] ~doc:"Sortition parameter C.") in

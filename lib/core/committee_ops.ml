@@ -178,23 +178,22 @@ let initial_holder ctx _te ~name shares =
     invalid_arg "Committee_ops.initial_holder: share count <> n";
   { committee; shares; prefix = name }
 
-(* hand the re-randomized key to a fresh committee *)
-let pass_key ctx te next_prefix verified =
+(* hand the re-randomized key to a fresh committee: one [TKRec] for
+   the whole committee, from the step's verified tokens *)
+let pass_key ctx te next_prefix tokens =
   let next = fresh_committee ctx next_prefix in
-  let shares =
-    Array.init ctx.params.Params.n (fun j ->
-        let subs = List.map (fun (_, reshares) -> reshares.(j)) verified in
-        Te.recombine te ~index:(j + 1) subs)
-  in
-  { committee = next; shares; prefix = next_prefix }
+  { committee = next; shares = Te.recombine_all te tokens; prefix = next_prefix }
+
+(* the step's quorum: its verified partial decryption rows, checked
+   once for every ciphertext of the batch *)
+let quorum_of te verified = Te.quorum te (List.map (fun (_, (row, _)) -> row) verified)
 
 (* junk partial decryptions under the holder's true epoch: syntactically
-   valid, wrong values — exactly what combine would choke on if the
+   valid, wrong values — exactly what combine_col would choke on if the
    forged proof were not caught first *)
 let tampered_partials te holder cts rng i =
-  let share = holder.shares.(i) in
-  let epoch = Te.share_epoch share in
-  Array.map (fun _ -> Te.junk_partial te ~index:(i + 1) ~epoch (F.random rng)) cts
+  let epoch = Te.share_epoch holder.shares.(i) in
+  Te.junk_partial te ~index:(i + 1) ~epoch (Array.map (fun _ -> F.random rng) cts)
 
 let decrypt_batch ctx te holder ~phase ~step cts =
   let n = ctx.params.Params.n in
@@ -213,36 +212,31 @@ let decrypt_batch ctx te holder ~phase ~step cts =
       ctx holder.committee ~phase ~step ~cost
       (fun _rng i ->
         let share = holder.shares.(i) in
-        let partials = Array.map (Te.partial_decrypt te share) cts in
-        let reshares = Te.reshare te share in
-        (partials, reshares))
+        (Te.partial_decrypt te share cts, Te.reshare te share))
   in
-  let varr = Array.of_list verified in
-  let values =
-    Pool.map ctx.pool (Array.length cts) (fun c ->
-        Te.combine te
-          (Array.to_list (Array.map (fun (_, (partials, _)) -> partials.(c)) varr)))
-  in
-  let next = pass_key ctx te holder.prefix (List.map (fun (i, (_, r)) -> (i, r)) verified) in
+  let q = quorum_of te verified in
+  let values = Pool.map ctx.pool (Array.length cts) (Te.combine_col q) in
+  let next = pass_key ctx te holder.prefix (List.map (fun (_, (_, tk)) -> tk) verified) in
   (values, next)
 
-type 'a reenc = { senders : int list; target : Pke.pk; guarded : 'a Pke.enc }
+(* [senders] is the step's count of distinct verified senders, taken
+   once per step and shared by every package the step opens *)
+type 'a reenc = { senders : int; target : Pke.pk; guarded : 'a Pke.enc }
 
 let open_reenc te sk r =
-  let distinct = List.sort_uniq compare r.senders in
-  if List.length distinct < Te.threshold te + 1 then
+  if r.senders < Te.threshold te + 1 then
     invalid_arg "Committee_ops.open_reenc: not enough partial encryptions";
   Pke.dec sk r.guarded
 
 let reencrypt_generic ?cost ctx te holder ~phase ~step ~reshare values =
   let n = ctx.params.Params.n in
+  let len = Array.length values in
   let cost =
     match cost with
     | Some c -> c
-    | None ->
-      if reshare then [ (Cost.Ciphertext, Array.length values + n) ]
-      else [ (Cost.Ciphertext, Array.length values) ]
+    | None -> if reshare then [ (Cost.Ciphertext, len + n) ] else [ (Cost.Ciphertext, len) ]
   in
+  let cts = Array.map snd values in
   let tamper _rng kind i =
     match kind with
     | Faults.Garbage_ciphertext -> None
@@ -253,11 +247,10 @@ let reencrypt_generic ?cost ctx te holder ~phase ~step ~reshare values =
          of a *different* ciphertext), or desynchronize the epoch when
          the batch has a single value *)
       let share = holder.shares.(i) in
-      let honest = Array.map (fun (_, ct) -> Te.partial_decrypt te share ct) values in
-      let len = Array.length honest in
       let partials =
-        if len > 1 then Array.init len (fun v -> honest.((v + 1) mod len))
-        else Array.map Te.corrupt_partial honest
+        if len > 1 then
+          Te.partial_decrypt te share (Array.init len (fun v -> cts.((v + 1) mod len)))
+        else Te.corrupt_partial (Te.partial_decrypt te share cts)
       in
       Some (partials, if reshare then Some (Te.reshare te share) else None)
   in
@@ -267,31 +260,25 @@ let reencrypt_generic ?cost ctx te holder ~phase ~step ~reshare values =
       ctx holder.committee ~phase ~step ~cost
       (fun _rng i ->
         let share = holder.shares.(i) in
-        let partials = Array.map (fun (_, ct) -> Te.partial_decrypt te share ct) values in
-        let reshares = if reshare then Some (Te.reshare te share) else None in
-        (partials, reshares))
+        (Te.partial_decrypt te share cts, if reshare then Some (Te.reshare te share) else None))
   in
-  let senders = List.map fst verified in
-  let varr = Array.of_list verified in
+  let senders = List.length (List.sort_uniq Int.compare (List.map fst verified)) in
+  let q = quorum_of te verified in
   let packages =
-    Pool.map ctx.pool (Array.length values) (fun v ->
+    Pool.map ctx.pool len (fun v ->
         let target, _ = values.(v) in
-        let value =
-          Te.combine te
-            (Array.to_list (Array.map (fun (_, (partials, _)) -> partials.(v)) varr))
-        in
-        { senders; target; guarded = Pke.enc target value })
+        { senders; target; guarded = Pke.enc target (Te.combine_col q v) })
   in
   (packages, verified)
 
-let reshares_of (i, (_, r)) =
-  match r with Some arr -> (i, arr) | None -> assert false
+let token_of (_, (_, r)) =
+  match r with Some tk -> tk | None -> assert false
 
 let reencrypt_batch ctx te holder ~phase ~step values =
   let packages, verified =
     reencrypt_generic ctx te holder ~phase ~step ~reshare:true values
   in
-  let next = pass_key ctx te holder.prefix (List.map reshares_of verified) in
+  let next = pass_key ctx te holder.prefix (List.map token_of verified) in
   (packages, next)
 
 (* ciphertext-level batching: every value destined for one recipient
@@ -308,7 +295,7 @@ let reencrypt_packed ctx te holder ~phase ~step values =
   let packages, verified =
     reencrypt_generic ~cost ctx te holder ~phase ~step ~reshare:true values
   in
-  let next = pass_key ctx te holder.prefix (List.map reshares_of verified) in
+  let next = pass_key ctx te holder.prefix (List.map token_of verified) in
   (packages, next)
 
 let reencrypt_final ctx te holder ~phase ~step values =

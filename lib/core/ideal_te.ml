@@ -4,7 +4,6 @@ module Splitmix = Yoso_hash.Splitmix
 type tpk = { id : int; n : int; t : int }
 type share = { key : int; index : int; epoch : int }
 type 'a ct = { ct_key : int; value : 'a }
-type 'a partial = { p_key : int; p_index : int; p_epoch : int; p_value : 'a }
 
 (* atomic for the same reason as {!Ideal_pke.counter}: key generation
    happens concurrently across factory domains; ids need uniqueness
@@ -53,75 +52,106 @@ let add_plain tpk a v =
   check_ct tpk a;
   { ct_key = tpk.id; value = F.add a.value v }
 
-let partial_decrypt tpk s c =
-  check_ct tpk c;
+(* ------------------------------------------------------------------ *)
+(* Decryption: one row per member, one quorum per step                 *)
+(* ------------------------------------------------------------------ *)
+
+type 'a partial = { p_key : int; p_index : int; p_epoch : int; p_values : 'a array }
+
+let partial_decrypt tpk s cts =
   if s.key <> tpk.id then invalid_arg "Ideal_te.partial_decrypt: share of another key";
-  { p_key = tpk.id; p_index = s.index; p_epoch = s.epoch; p_value = c.value }
-
-let combine tpk parts =
-  let seen = Hashtbl.create 8 in
-  let parts =
-    List.filter
-      (fun p ->
-        if p.p_key <> tpk.id then invalid_arg "Ideal_te.combine: foreign partial";
-        if Hashtbl.mem seen p.p_index then false
-        else begin
-          Hashtbl.add seen p.p_index ();
-          true
-        end)
-      parts
+  let values =
+    Array.map
+      (fun c ->
+        check_ct tpk c;
+        c.value)
+      cts
   in
-  let need = tpk.t + 1 in
-  if List.length parts < need then
-    invalid_arg
-      (Printf.sprintf "Ideal_te.combine: %d partials, need %d" (List.length parts) need);
-  let chosen = List.filteri (fun i _ -> i < need) parts in
-  match chosen with
-  | [] -> invalid_arg "Ideal_te.combine: empty"
-  | p0 :: rest ->
-    if List.exists (fun p -> p.p_epoch <> p0.p_epoch) rest then
-      invalid_arg "Ideal_te.combine: partials from different epochs";
-    if List.exists (fun p -> p.p_value <> p0.p_value) rest then
-      invalid_arg "Ideal_te.combine: inconsistent partials";
-    p0.p_value
+  { p_key = tpk.id; p_index = s.index; p_epoch = s.epoch; p_values = values }
 
-type subshare = { s_key : int; sender : int; dest : int; s_epoch : int }
+(* the value rows of the first t+1 distinct senders *)
+type 'a quorum = 'a array array
+
+(* Walks a step's items once, raising [foreign] on any item of another
+   key; [f d x] sees each sender's first item [x], the [d]-th distinct
+   sender, in order.  Returns the count of distinct senders.  Sender
+   indices are in [1, n] by construction (shares, and [junk_partial]'s
+   check), so a flag array replaces a hash set. *)
+let first_per_sender tpk ~foreign ~key_ok ~sender items f =
+  let seen = Array.make (tpk.n + 1) false in
+  let distinct = ref 0 in
+  List.iter
+    (fun x ->
+      if not (key_ok x) then invalid_arg foreign;
+      let s = sender x in
+      if not seen.(s) then begin
+        seen.(s) <- true;
+        f !distinct x;
+        incr distinct
+      end)
+    items;
+  !distinct
+
+let quorum tpk rows =
+  let need = tpk.t + 1 in
+  let chosen = ref [] in
+  let distinct =
+    first_per_sender tpk ~foreign:"Ideal_te.quorum: foreign partial"
+      ~key_ok:(fun r -> r.p_key = tpk.id)
+      ~sender:(fun r -> r.p_index)
+      rows
+      (fun d r -> if d < need then chosen := r :: !chosen)
+  in
+  if distinct < need then
+    invalid_arg (Printf.sprintf "Ideal_te.quorum: %d partials, need %d" distinct need);
+  let chosen = Array.of_list (List.rev !chosen) in
+  let e0 = chosen.(0).p_epoch in
+  if Array.exists (fun r -> r.p_epoch <> e0) chosen then
+    invalid_arg "Ideal_te.quorum: partials from different epochs";
+  Array.map (fun r -> r.p_values) chosen
+
+let combine_col q c =
+  let v0 = q.(0).(c) in
+  for r = 1 to Array.length q - 1 do
+    let v = q.(r).(c) in
+    (* physical equality first: honest rows share each ciphertext's
+       payload, so polymorphic equality runs only on a mismatch *)
+    if v != v0 && v <> v0 then invalid_arg "Ideal_te.combine_col: inconsistent partials"
+  done;
+  v0
+
+(* ------------------------------------------------------------------ *)
+(* Re-sharing                                                           *)
+(* ------------------------------------------------------------------ *)
+
+type token = { s_key : int; sender : int; s_epoch : int }
 
 let reshare tpk s =
   if s.key <> tpk.id then invalid_arg "Ideal_te.reshare: share of another key";
-  Array.init tpk.n (fun j ->
-      { s_key = tpk.id; sender = s.index; dest = j + 1; s_epoch = s.epoch })
+  { s_key = tpk.id; sender = s.index; s_epoch = s.epoch }
 
-let recombine tpk ~index subs =
-  let seen = Hashtbl.create 8 in
-  let subs =
-    List.filter
-      (fun ss ->
-        if ss.s_key <> tpk.id then invalid_arg "Ideal_te.recombine: foreign subshare";
-        if ss.dest <> index then invalid_arg "Ideal_te.recombine: misaddressed subshare";
-        if Hashtbl.mem seen ss.sender then false
-        else begin
-          Hashtbl.add seen ss.sender ();
-          true
-        end)
-      subs
-  in
+let recombine_all tpk tokens =
   let need = tpk.t + 1 in
-  if List.length subs < need then
-    invalid_arg
-      (Printf.sprintf "Ideal_te.recombine: %d subshares, need %d" (List.length subs) need);
-  match subs with
-  | [] -> assert false
-  | s0 :: rest ->
-    if List.exists (fun s -> s.s_epoch <> s0.s_epoch) rest then
-      invalid_arg "Ideal_te.recombine: subshares from different epochs";
-    { key = tpk.id; index; epoch = s0.s_epoch + 1 }
+  let epoch = ref 0 and mixed = ref false in
+  let distinct =
+    first_per_sender tpk ~foreign:"Ideal_te.recombine_all: foreign token"
+      ~key_ok:(fun tk -> tk.s_key = tpk.id)
+      ~sender:(fun tk -> tk.sender)
+      tokens
+      (fun d tk ->
+        if d = 0 then epoch := tk.s_epoch else if tk.s_epoch <> !epoch then mixed := true)
+  in
+  if distinct < need then
+    invalid_arg (Printf.sprintf "Ideal_te.recombine_all: %d tokens, need %d" distinct need);
+  if !mixed then invalid_arg "Ideal_te.recombine_all: tokens from different epochs";
+  Array.init tpk.n (fun j -> { key = tpk.id; index = j + 1; epoch = !epoch + 1 })
 
 let reveal tpk c =
   check_ct tpk c;
   c.value
 
-let junk_partial tpk ~index ~epoch v =
-  { p_key = tpk.id; p_index = index; p_epoch = epoch; p_value = v }
+let junk_partial tpk ~index ~epoch values =
+  if index < 1 || index > tpk.n then invalid_arg "Ideal_te.junk_partial: index out of range";
+  { p_key = tpk.id; p_index = index; p_epoch = epoch; p_values = values }
 
 let corrupt_partial p = { p with p_epoch = p.p_epoch + 1 }

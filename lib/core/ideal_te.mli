@@ -1,22 +1,30 @@
 (** Ideal linearly homomorphic key-rerandomizable threshold encryption
     over [F_p].
 
-    Interface-identical to the paper's TE abstraction (Section 4.1)
-    and to the real {!Yoso_paillier.Threshold} instantiation, but
-    cheap enough to execute committees of hundreds or thousands of
-    roles — all communication-complexity experiments run over this
-    module (DESIGN.md substitution table).
+    The paper's TE abstraction (Section 4.1) with the decryption and
+    re-sharing algorithms stated per committee step, as the protocol
+    uses them: every member of a holder committee posts one partial
+    decryption row over the step's batch and one re-sharing token, and
+    the step validates its verified sender set once.  Cheap enough to
+    execute committees of hundreds or thousands of roles — all
+    communication-complexity experiments run over this module
+    (DESIGN.md substitution table).
 
     Semantics enforced operationally:
-    - a ciphertext's plaintext is only released by {!combine} given
-      partial decryptions from [>= t + 1] *distinct* current-epoch key
-      shares;
+    - a ciphertext's plaintext is only released by {!combine_col} on a
+      {!quorum} of partial decryption rows from [>= t + 1] {e distinct}
+      current-epoch key shares;
     - key shares are unforgeable capabilities tied to the key pair;
-    - {!reshare}/{!recombine} implement [TKRes]/[TKRec]: sub-shares
-      from [t + 1] distinct senders of epoch [e] yield an epoch-[e+1]
-      share, and old-epoch partials no longer combine with new ones;
+    - {!reshare}/{!recombine_all} implement [TKRes]/[TKRec]: tokens
+      from [t + 1] distinct senders of epoch [e] yield the next
+      committee's epoch-[e+1] shares, and old-epoch partials no longer
+      combine with new ones;
     - {!eval} is the linear homomorphism [TEval] (field payloads
       only).
+
+    Every check costs O(n) per step, not per recipient or per
+    ciphertext: {!quorum} and {!recombine_all} read each sender once,
+    and {!combine_col} reads only the [t + 1] rows its quorum chose.
 
     Payloads are polymorphic for key transport (KFF secret keys travel
     under [tpk]); homomorphic evaluation is restricted to
@@ -27,7 +35,6 @@ module F = Yoso_field.Field.Fp
 type tpk
 type share
 type 'a ct
-type 'a partial
 
 val keygen : n:int -> t:int -> rng:Yoso_hash.Splitmix.t -> tpk * share array
 (** @raise Invalid_argument unless [0 <= t < n]. *)
@@ -52,28 +59,54 @@ val sub : tpk -> F.t ct -> F.t ct -> F.t ct
 val scale : tpk -> F.t -> F.t ct -> F.t ct
 val add_plain : tpk -> F.t ct -> F.t -> F.t ct
 
-val partial_decrypt : tpk -> share -> 'a ct -> 'a partial
-(** [TPDec].  @raise Invalid_argument on a foreign ciphertext or a
-    share of a different key. *)
+(** {1 Decryption} *)
 
-val combine : tpk -> 'a partial list -> 'a
-(** [TDec].  @raise Invalid_argument with fewer than [t + 1] distinct
-    same-epoch partials, or on inconsistent partials (which cannot
-    arise from honest {!partial_decrypt} outputs — malicious roles are
-    filtered by proof verification before this point). *)
+type 'a partial
+(** One member's partial decryption row: its [TPDec] of every
+    ciphertext of a batch, under one share. *)
 
-type subshare
+val partial_decrypt : tpk -> share -> 'a ct array -> 'a partial
+(** [TPDec] of each ciphertext, in order.
+    @raise Invalid_argument on a foreign ciphertext or a share of a
+    different key. *)
 
-val reshare : tpk -> share -> subshare array
-(** [TKRes]: slot [j] (0-based) is destined for party [j + 1] of the
-    next committee. *)
+type 'a quorum
+(** The [t + 1] rows a step decrypts with. *)
 
-val recombine : tpk -> index:int -> subshare list -> share
-(** [TKRec]: needs sub-shares addressed to [index] from [>= t + 1]
-    distinct senders, all of one epoch; produces the next-epoch
-    share.  As with the real scheme, all recipients must use the same
-    sender subset; passing identically ordered lists suffices.
-    @raise Invalid_argument otherwise. *)
+val quorum : tpk -> 'a partial list -> 'a quorum
+(** Validates a step's rows once: takes the first [t + 1] rows of
+    distinct senders (a repeated sender counts once) and checks that
+    they share one epoch.
+    @raise Invalid_argument ["Ideal_te.quorum: foreign partial"] on a
+    row of another key, ["Ideal_te.quorum: <d> partials, need <t+1>"]
+    with fewer than [t + 1] distinct senders, or
+    ["Ideal_te.quorum: partials from different epochs"]. *)
+
+val combine_col : 'a quorum -> int -> 'a
+(** [TDec] of ciphertext [c] of the batch from the quorum's [t + 1]
+    values in column [c].
+    @raise Invalid_argument ["Ideal_te.combine_col: inconsistent
+    partials"] when they disagree (which cannot arise from honest
+    {!partial_decrypt} rows — malicious roles are filtered by proof
+    verification before this point). *)
+
+(** {1 Re-sharing} *)
+
+type token
+(** One sender's [TKRes] output; it serves every member of the next
+    committee, so it carries no destination. *)
+
+val reshare : tpk -> share -> token
+(** @raise Invalid_argument on a share of a different key. *)
+
+val recombine_all : tpk -> token list -> share array
+(** [TKRec] for the whole next committee: needs tokens from
+    [>= t + 1] distinct senders (a repeated sender counts once), all
+    of one epoch; returns the [n] next-epoch shares, index [j + 1] at
+    slot [j].
+    @raise Invalid_argument ["Ideal_te.recombine_all: foreign token"],
+    ["Ideal_te.recombine_all: <d> tokens, need <t+1>"] or
+    ["Ideal_te.recombine_all: tokens from different epochs"]. *)
 
 val reveal : tpk -> 'a ct -> 'a
 (** Simulator-side extraction (the standard protocol-simulator
@@ -82,14 +115,15 @@ val reveal : tpk -> 'a ct -> 'a
     would jointly derive a public function of their plaintexts — e.g.
     the factory's triple-audit commitments — which the simulation
     computes directly instead of running another decrypt chain.  Never
-    a substitute for {!combine} on the protocol path.
+    a substitute for {!combine_col} on the protocol path.
     @raise Invalid_argument on a foreign ciphertext. *)
 
-val junk_partial : tpk -> index:int -> epoch:int -> 'a -> 'a partial
-(** Adversary/test constructor: a syntactically valid partial carrying
-    a wrong value. *)
+val junk_partial : tpk -> index:int -> epoch:int -> 'a array -> 'a partial
+(** Adversary/test constructor: a syntactically valid row carrying
+    wrong values.
+    @raise Invalid_argument unless [1 <= index <= n]. *)
 
 val corrupt_partial : 'a partial -> 'a partial
 (** Adversary/test constructor for polymorphic payloads: the honest
-    value under a desynchronized epoch — {!combine} rejects it when
-    mixed with current-epoch partials. *)
+    values under a desynchronized epoch — {!quorum} rejects the row
+    when it is chosen beside current-epoch rows. *)

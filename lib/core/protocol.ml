@@ -80,8 +80,28 @@ let default_config = config ()
 (* Produce/consume session halves                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* One pool per domain count for the whole process: spawned by the
+   first session that asks for it, shared by every later one (and by
+   the factory's producer and consumer domains at once; [Pool] runs
+   their jobs one after the other), never joined, so no circuit pays a
+   spawn or a join (which waits for the worker's share of the current
+   major GC cycle). *)
+let pools : (int, Yoso_parallel.Pool.t) Hashtbl.t = Hashtbl.create 2
+let pools_lock = Mutex.create ()
+
+let process_pool ~domains =
+  if domains = 1 then Yoso_parallel.Pool.sequential
+  else
+    Mutex.protect pools_lock (fun () ->
+        match Hashtbl.find_opt pools domains with
+        | Some p -> p
+        | None ->
+          let p = Yoso_parallel.Pool.create ~domains in
+          Hashtbl.add pools domains p;
+          p)
+
 (* A session is one circuit's run split open: [open_session] builds
-   the board, pool, committee ctx and setup (posting the setup frame);
+   the board, committee ctx and setup (posting the setup frame);
    the produce half ([produce], or [Offline.start] + [prepare_batch]
    driven by the factory's background producer) runs preprocessing on
    it; [consume] runs the online phase against an {!Offline.source}
@@ -93,7 +113,6 @@ type session = {
   s_config : config;
   s_circuit : Circuit.t;
   s_board : Board.t;
-  s_pool : Yoso_parallel.Pool.t;
   s_ctx : Ops.ctx;
   s_layout : Layout.t;
   s_setup : Setup.t;
@@ -108,7 +127,7 @@ let open_session ~params ?(config = default_config) ~circuit () =
   let { board = net; transport = _; link } = config.net in
   let board = Board.create ~config:net () in
   Board.set_link board link;
-  let pool = Yoso_parallel.Pool.create ~domains in
+  let pool = process_pool ~domains in
   let ctx = Ops.create_ctx ?plan ~validate ~pool ~board ~params ~adversary ~seed () in
   let layout = Layout.make circuit ~k:params.Params.k in
   let layers = Array.length layout.Layout.mult_layers in
@@ -122,7 +141,6 @@ let open_session ~params ?(config = default_config) ~circuit () =
     s_config = config;
     s_circuit = circuit;
     s_board = board;
-    s_pool = pool;
     s_ctx = ctx;
     s_layout = layout;
     s_setup = setup;
@@ -130,7 +148,7 @@ let open_session ~params ?(config = default_config) ~circuit () =
     s_offline_ms = 0.;
   }
 
-let close_session s = Yoso_parallel.Pool.shutdown s.s_pool
+let close_session (_ : session) = ()
 let session_board s = s.s_board
 let session_layout s = s.s_layout
 let record_offline_ms s ms = s.s_offline_ms <- s.s_offline_ms +. ms
@@ -183,11 +201,8 @@ let consume s source ~inputs =
 
 let execute ~params ?(config = default_config) ~circuit ~inputs () =
   let s = open_session ~params ~config ~circuit () in
-  Fun.protect
-    ~finally:(fun () -> close_session s)
-    (fun () ->
-      let prep = produce s in
-      consume s (Offline.source_of prep) ~inputs)
+  let prep = produce s in
+  consume s (Offline.source_of prep) ~inputs
 
 module Report = struct
   type options = {

@@ -64,7 +64,10 @@ type exec_config = {
   domains : int;
       (** worker domains for committee fan-out (see
           {!Yoso_parallel.Pool}); outputs, blames and the transcript
-          digest are identical at every value *)
+          digest are identical at every value.  Sessions draw their
+          pool from one per-process pool per domain count, spawned on
+          the first session that asks for it and never joined, so a
+          circuit pays no spawn or join *)
   offline : Offline.opts;
       (** amortization switches for the preprocessing half (triple
           audits, packed re-encryptions); default
@@ -131,9 +134,11 @@ type session
 
 val open_session :
   params:Params.t -> ?config:config -> circuit:Circuit.t -> unit -> session
-(** Builds the board, domain pool, committee ctx and layout, and runs
-    setup (posting its frame).  The caller must {!close_session} (or
-    finish with {!consume} and then close) to release the pool. *)
+(** Builds the board, committee ctx and layout, and runs setup
+    (posting its frame).  The ctx runs its fan-out on the process pool
+    for the config's [domains], spawning it if this is the first
+    session at that count.
+    @raise Invalid_argument if [domains] is outside [[1, 128]]. *)
 
 val produce : session -> Offline.t
 (** The one-shot produce half: full preprocessing under the session
@@ -148,8 +153,9 @@ val consume : session -> Offline.source -> inputs:(int -> F.t array) -> report
     assembles the report from the session's board. *)
 
 val close_session : session -> unit
-(** Shuts the session's domain pool down.  Idempotent-unsafe: call
-    exactly once, after the last session operation. *)
+(** Ends the session.  It holds nothing to release — the domain pool
+    belongs to the process — so this is a no-op, kept so callers can
+    mark where a session's use ends. *)
 
 val session_board : session -> Yoso_net.Board.t
 (** The session's bulletin board — the factory reads its meter between

@@ -1,16 +1,10 @@
-module Sha256 = Yoso_hash.Sha256
+type proof = { relation : string; statement : string; witness_ok : bool }
 
-type proof = { binding : string; witness_ok : bool }
-
-let bind ~relation ~statement =
-  Sha256.digest_string
-    (Printf.sprintf "%d:%s|%d:%s" (String.length relation) relation
-       (String.length statement) statement)
-
-let prove ~relation ~statement ~witness_ok = { binding = bind ~relation ~statement; witness_ok }
-let forge ~relation ~statement = { binding = bind ~relation ~statement; witness_ok = false }
+let prove ~relation ~statement ~witness_ok = { relation; statement; witness_ok }
+let forge ~relation ~statement = { relation; statement; witness_ok = false }
 
 let verify ~relation ~statement proof =
-  proof.witness_ok && String.equal proof.binding (bind ~relation ~statement)
+  proof.witness_ok && String.equal proof.relation relation
+  && String.equal proof.statement statement
 
 let size_bits = 256

@@ -16,6 +16,7 @@ type t = {
   lock : Mutex.t;
   has_work : Condition.t;
   work_done : Condition.t;
+  slot_free : Condition.t;  (* signalled when [job] goes back to [None] *)
   mutable job : job option;
   mutable stopping : bool;
   mutable workers : unit Domain.t array;
@@ -27,10 +28,10 @@ type t = {
 
 (* When enabled, every drained chunk appends a sample to a global,
    mutex-guarded list.  A global sink (rather than per-pool state) is
-   deliberate: the pools that matter are created inside
-   [Protocol.execute] and shut down before the caller can ask them
-   anything, so the bench's [--profile] flag needs a collection point
-   that outlives the pool.  Cost when disabled is one bool load per
+   deliberate: the pools that matter are held inside [Protocol], one
+   per domain count for the life of the process, where no caller can
+   reach them, so the bench's [--profile] flag needs a collection
+   point outside any pool.  Cost when disabled is one bool load per
    claimed chunk. *)
 type sample = { s_domain : int; s_chunk : int; s_ms : float }
 
@@ -99,6 +100,7 @@ let create ~domains =
       lock = Mutex.create ();
       has_work = Condition.create ();
       work_done = Condition.create ();
+      slot_free = Condition.create ();
       job = None;
       stopping = false;
       workers = [||];
@@ -122,8 +124,11 @@ let shutdown t =
     t.workers <- [||]
   end
 
-(* Submit [chunks], participate in draining them, wait for stragglers,
-   then re-raise the first failure if any.  Wake-ups are targeted:
+(* Wait for the job slot, submit [chunks], participate in draining
+   them, wait for stragglers, free the slot, then re-raise the first
+   failure if any.  A pool holds one job at a time, so a second
+   submitting domain (the factory's producer beside its consumer)
+   waits its turn instead of replacing the job.  Wake-ups are targeted:
    with fewer chunks than domains only [len - 1] workers are signalled
    (the caller takes a chunk itself), so surplus workers sleep through
    the whole job instead of waking to find nothing. *)
@@ -132,6 +137,9 @@ let run_job t chunks =
   if len > 0 then begin
     let j = { chunks; next = 0; completed = 0; failed = None } in
     Mutex.lock t.lock;
+    while Option.is_some t.job do
+      Condition.wait t.slot_free t.lock
+    done;
     t.job <- Some j;
     let wake = Stdlib.min (len - 1) (t.domains - 1) in
     for _ = 1 to wake do
@@ -142,6 +150,7 @@ let run_job t chunks =
       Condition.wait t.work_done t.lock
     done;
     t.job <- None;
+    Condition.signal t.slot_free;
     Mutex.unlock t.lock;
     match j.failed with Some e -> raise e | None -> ()
   end

@@ -46,85 +46,244 @@ let test_pke_nested_payload () =
 
 let te_fixture () = Te.keygen ~n:7 ~t:2 ~rng:(rng ())
 
-let partials te shares ct who = List.map (fun i -> Te.partial_decrypt te shares.(i) ct) who
+(* the partial decryption rows of members [who] over one batch *)
+let rows te shares cts who = List.map (fun i -> Te.partial_decrypt te shares.(i) cts) who
+
+(* a step's decryption of a one-ciphertext batch *)
+let decrypt te shares ct who = Te.combine_col (Te.quorum te (rows te shares [| ct |] who)) 0
 
 let test_te_roundtrip () =
   let te, shares = te_fixture () in
   let ct = Te.encrypt te (F.of_int 99) in
-  Alcotest.check felt "t+1 partials" (F.of_int 99) (Te.combine te (partials te shares ct [ 0; 3; 6 ]))
+  Alcotest.check felt "t+1 partials" (F.of_int 99) (decrypt te shares ct [ 0; 3; 6 ]);
+  (* one quorum serves every ciphertext of the batch *)
+  let cts = Array.map (fun v -> Te.encrypt te (F.of_int v)) [| 4; 5; 6 |] in
+  let q = Te.quorum te (rows te shares cts [ 6; 2; 4; 1 ]) in
+  Alcotest.(check (list int)) "every column" [ 4; 5; 6 ]
+    (List.init 3 (fun c -> F.to_int (Te.combine_col q c)))
 
 let test_te_too_few () =
   let te, shares = te_fixture () in
   let ct = Te.encrypt te F.one in
-  Alcotest.check_raises "2 partials" (Invalid_argument "Ideal_te.combine: 2 partials, need 3")
-    (fun () -> ignore (Te.combine te (partials te shares ct [ 0; 1 ])));
+  Alcotest.check_raises "2 partials" (Invalid_argument "Ideal_te.quorum: 2 partials, need 3")
+    (fun () -> ignore (decrypt te shares ct [ 0; 1 ]));
   (* duplicates do not count twice *)
-  Alcotest.check_raises "duplicated index" (Invalid_argument "Ideal_te.combine: 2 partials, need 3")
-    (fun () ->
-      ignore (Te.combine te (partials te shares ct [ 0; 0; 1 ])))
+  Alcotest.check_raises "duplicated index" (Invalid_argument "Ideal_te.quorum: 2 partials, need 3")
+    (fun () -> ignore (decrypt te shares ct [ 0; 0; 1 ]))
 
 let test_te_eval () =
   let te, shares = te_fixture () in
   let cts = Array.map (fun v -> Te.encrypt te (F.of_int v)) [| 2; 3; 5 |] in
   let combo = Te.eval te cts (Array.map F.of_int [| 10; 100; 1000 |]) in
-  Alcotest.check felt "linear combination" (F.of_int 5320)
-    (Te.combine te (partials te shares combo [ 1; 2; 3 ]));
+  Alcotest.check felt "linear combination" (F.of_int 5320) (decrypt te shares combo [ 1; 2; 3 ]);
   let s = Te.sub te cts.(2) cts.(0) in
-  Alcotest.check felt "sub" (F.of_int 3) (Te.combine te (partials te shares s [ 0; 1; 2 ]));
+  Alcotest.check felt "sub" (F.of_int 3) (decrypt te shares s [ 0; 1; 2 ]);
   let ap = Te.add_plain te cts.(0) (F.of_int 40) in
-  Alcotest.check felt "add_plain" (F.of_int 42) (Te.combine te (partials te shares ap [ 4; 5; 6 ]))
+  Alcotest.check felt "add_plain" (F.of_int 42) (decrypt te shares ap [ 4; 5; 6 ])
 
 let test_te_junk_partial_detected () =
   let te, shares = te_fixture () in
   let ct = Te.encrypt te (F.of_int 5) in
-  let junk = Te.junk_partial te ~index:6 ~epoch:0 (F.of_int 1234) in
-  Alcotest.check_raises "inconsistent" (Invalid_argument "Ideal_te.combine: inconsistent partials")
-    (fun () -> ignore (Te.combine te (junk :: partials te shares ct [ 0; 1 ])))
+  let junk = Te.junk_partial te ~index:6 ~epoch:0 [| F.of_int 1234 |] in
+  Alcotest.check_raises "inconsistent"
+    (Invalid_argument "Ideal_te.combine_col: inconsistent partials") (fun () ->
+      ignore (Te.combine_col (Te.quorum te (junk :: rows te shares [| ct |] [ 0; 1 ])) 0));
+  Alcotest.check_raises "junk sender out of range"
+    (Invalid_argument "Ideal_te.junk_partial: index out of range") (fun () ->
+      ignore (Te.junk_partial te ~index:8 ~epoch:0 [| F.one |]))
 
 let test_te_reshare_epochs () =
   let te, shares = te_fixture () in
   let ct = Te.encrypt te (F.of_int 11) in
-  (* everyone reshares; members recombine the same sender subset *)
-  let msgs = Array.map (Te.reshare te) shares in
-  let new_shares =
-    Array.init 7 (fun j ->
-        Te.recombine te ~index:(j + 1) (List.init 7 (fun i -> msgs.(i).(j))))
-  in
+  (* everyone reshares; one recombination serves the next committee *)
+  let tokens = Array.map (Te.reshare te) shares in
+  let new_shares = Te.recombine_all te (Array.to_list tokens) in
   Alcotest.(check int) "epoch bumped" 1 (Te.share_epoch new_shares.(0));
-  Alcotest.check felt "new shares decrypt" (F.of_int 11)
-    (Te.combine te (partials te new_shares ct [ 2; 4; 5 ]));
+  Alcotest.(check (list int)) "one share per member" [ 1; 2; 3; 4; 5; 6; 7 ]
+    (Array.to_list (Array.map Te.share_index new_shares));
+  Alcotest.check felt "new shares decrypt" (F.of_int 11) (decrypt te new_shares ct [ 2; 4; 5 ]);
   (* mixing epochs is rejected *)
-  let mixed =
-    Te.partial_decrypt te shares.(0) ct
-    :: partials te new_shares ct [ 1; 2 ]
-  in
+  let mixed = Te.partial_decrypt te shares.(0) [| ct |] :: rows te new_shares [| ct |] [ 1; 2 ] in
   Alcotest.check_raises "mixed epochs"
-    (Invalid_argument "Ideal_te.combine: partials from different epochs") (fun () ->
-      ignore (Te.combine te mixed))
+    (Invalid_argument "Ideal_te.quorum: partials from different epochs") (fun () ->
+      ignore (Te.quorum te mixed));
+  let mixed_tokens = tokens.(0) :: List.map (Te.reshare te) [ new_shares.(1); new_shares.(2) ] in
+  Alcotest.check_raises "mixed token epochs"
+    (Invalid_argument "Ideal_te.recombine_all: tokens from different epochs") (fun () ->
+      ignore (Te.recombine_all te mixed_tokens))
 
 let test_te_recombine_needs_quorum () =
   let te, shares = te_fixture () in
-  let msgs = Array.map (Te.reshare te) shares in
-  Alcotest.check_raises "2 senders" (Invalid_argument "Ideal_te.recombine: 2 subshares, need 3")
-    (fun () ->
-      ignore (Te.recombine te ~index:1 [ msgs.(0).(0); msgs.(1).(0) ]))
-
-let test_te_misaddressed_subshare () =
-  let te, shares = te_fixture () in
-  let msgs = Te.reshare te shares.(0) in
-  Alcotest.check_raises "misaddressed"
-    (Invalid_argument "Ideal_te.recombine: misaddressed subshare") (fun () ->
-      ignore (Te.recombine te ~index:2 [ msgs.(0) ]))
+  let tokens = Array.map (Te.reshare te) shares in
+  Alcotest.check_raises "2 senders" (Invalid_argument "Ideal_te.recombine_all: 2 tokens, need 3")
+    (fun () -> ignore (Te.recombine_all te [ tokens.(0); tokens.(1) ]));
+  Alcotest.check_raises "duplicated sender"
+    (Invalid_argument "Ideal_te.recombine_all: 2 tokens, need 3") (fun () ->
+      ignore (Te.recombine_all te [ tokens.(0); tokens.(1); tokens.(0) ]))
 
 let test_te_foreign_ciphertext () =
-  let te, _ = te_fixture () in
+  let te, shares = te_fixture () in
   let te2, shares2 = Te.keygen ~n:5 ~t:1 ~rng:(rng ()) in
   let ct = Te.encrypt te2 F.one in
   Alcotest.check_raises "foreign" (Invalid_argument "Ideal_te: foreign ciphertext")
     (fun () -> ignore (Te.add te ct ct));
+  Alcotest.check_raises "foreign in a batch" (Invalid_argument "Ideal_te: foreign ciphertext")
+    (fun () -> ignore (Te.partial_decrypt te shares.(0) [| Te.encrypt te F.one; ct |]));
   Alcotest.check_raises "share of other key"
     (Invalid_argument "Ideal_te.partial_decrypt: share of another key") (fun () ->
-      ignore (Te.partial_decrypt te shares2.(0) (Te.encrypt te F.one)))
+      ignore (Te.partial_decrypt te shares2.(0) [| Te.encrypt te F.one |]));
+  Alcotest.check_raises "reshare with a share of other key"
+    (Invalid_argument "Ideal_te.reshare: share of another key") (fun () ->
+      ignore (Te.reshare te shares2.(0)))
+
+let test_te_foreign_partial_and_token () =
+  let te, shares = te_fixture () in
+  let te2, shares2 = Te.keygen ~n:7 ~t:2 ~rng:(rng ()) in
+  let ct = Te.encrypt te F.one in
+  (* a foreign row is rejected wherever it sits, even past the quorum *)
+  Alcotest.check_raises "foreign partial" (Invalid_argument "Ideal_te.quorum: foreign partial")
+    (fun () ->
+      let foreign = rows te2 shares2 [| Te.encrypt te2 F.one |] [ 3 ] in
+      ignore (Te.quorum te (rows te shares [| ct |] [ 0; 1; 2 ] @ foreign)));
+  Alcotest.check_raises "foreign token" (Invalid_argument "Ideal_te.recombine_all: foreign token")
+    (fun () ->
+      ignore
+        (Te.recombine_all te
+           (Te.reshare te2 shares2.(3) :: List.map (Te.reshare te) (Array.to_list shares))))
+
+(* Committee-level operations against a plain per-recipient model:
+   the list semantics the simulator used before the step-level API —
+   per ciphertext, dedupe the partials by sender, take the first t+1,
+   check their epoch and values; per next-committee member, dedupe the
+   sub-shares by sender and check their count and epoch.  Every case
+   must give the same value, or raise the same message. *)
+type row_kind = Honest | Junk of int | Shifted | Foreign
+
+type model_row = { m_index : int; m_epoch : int; m_values : F.t array; m_foreign : bool }
+
+let model_decrypt ~t mrows c =
+  if List.exists (fun r -> r.m_foreign) mrows then Error "Ideal_te.quorum: foreign partial"
+  else begin
+    let seen = Hashtbl.create 8 in
+    let distinct =
+      List.filter
+        (fun r ->
+          if Hashtbl.mem seen r.m_index then false
+          else begin
+            Hashtbl.add seen r.m_index ();
+            true
+          end)
+        mrows
+    in
+    let need = t + 1 in
+    if List.length distinct < need then
+      Error (Printf.sprintf "Ideal_te.quorum: %d partials, need %d" (List.length distinct) need)
+    else
+      match List.filteri (fun i _ -> i < need) distinct with
+      | [] -> assert false
+      | r0 :: rest ->
+        if List.exists (fun r -> r.m_epoch <> r0.m_epoch) rest then
+          Error "Ideal_te.quorum: partials from different epochs"
+        else if List.exists (fun r -> not (F.equal r.m_values.(c) r0.m_values.(c))) rest then
+          Error "Ideal_te.combine_col: inconsistent partials"
+        else Ok r0.m_values.(c)
+  end
+
+let model_recombine ~n ~t mtokens =
+  let recipient _j =
+    if List.exists (fun (_, _, foreign) -> foreign) mtokens then
+      Error "Ideal_te.recombine_all: foreign token"
+    else begin
+      let seen = Hashtbl.create 8 in
+      let distinct =
+        List.filter
+          (fun (i, _, _) ->
+            if Hashtbl.mem seen i then false
+            else begin
+              Hashtbl.add seen i ();
+              true
+            end)
+          mtokens
+      in
+      let need = t + 1 in
+      if List.length distinct < need then
+        Error
+          (Printf.sprintf "Ideal_te.recombine_all: %d tokens, need %d" (List.length distinct) need)
+      else
+        match distinct with
+        | [] -> assert false
+        | (_, e0, _) :: rest ->
+          if List.exists (fun (_, e, _) -> e <> e0) rest then
+            Error "Ideal_te.recombine_all: tokens from different epochs"
+          else Ok (e0 + 1)
+    end
+  in
+  let per = List.init n recipient in
+  match List.find_opt Result.is_error per with
+  | Some (Error m) -> Error m
+  | _ -> Ok (List.mapi (fun j r -> (j + 1, Result.get_ok r)) per)
+
+let result_of f = match f () with v -> Ok v | exception Invalid_argument m -> Error m
+
+let prop_te_matches_model =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 32 >>= fun n ->
+      int_range 0 (n - 1) >>= fun t ->
+      int_range 1 3 >>= fun width ->
+      let kind =
+        frequency
+          [ (8, return Honest); (1, map (fun v -> Junk v) (int_bound 1000)); (1, return Shifted);
+            (1, return Foreign) ]
+      in
+      let sender = pair (int_range 1 n) kind in
+      pair (list_size (int_bound (2 * n)) sender) (list_size (int_bound (2 * n)) sender)
+      >>= fun (prows, ptokens) -> return (n, t, width, prows, ptokens))
+  in
+  let print (n, t, width, prows, ptokens) =
+    let k = function
+      | Honest -> "h" | Junk v -> Printf.sprintf "j%d" v | Shifted -> "s" | Foreign -> "f"
+    in
+    let l xs = String.concat " " (List.map (fun (i, x) -> Printf.sprintf "%d%s" i (k x)) xs) in
+    Printf.sprintf "n=%d t=%d width=%d rows=[%s] tokens=[%s]" n t width (l prows) (l ptokens)
+  in
+  QCheck.Test.make ~count:300 ~name:"committee-level = per-recipient model"
+    (QCheck.make ~print gen) (fun (n, t, width, prows, ptokens) ->
+      let te, shares = Te.keygen ~n ~t ~rng:(rng ()) in
+      let te2, shares2 = Te.keygen ~n ~t ~rng:(rng ()) in
+      let plain = Array.init width (fun c -> F.of_int (100 + c)) in
+      let cts = Array.map (Te.encrypt te) plain in
+      let cts2 = Array.map (Te.encrypt te2) plain in
+      let row (i, kind) =
+        let m = { m_index = i; m_epoch = 0; m_values = plain; m_foreign = false } in
+        match kind with
+        | Honest -> (Te.partial_decrypt te shares.(i - 1) cts, m)
+        | Junk v ->
+          let vs = Array.make width (F.of_int v) in
+          (Te.junk_partial te ~index:i ~epoch:0 vs, { m with m_values = vs })
+        | Shifted ->
+          (Te.corrupt_partial (Te.partial_decrypt te shares.(i - 1) cts), { m with m_epoch = 1 })
+        | Foreign -> (Te.partial_decrypt te2 shares2.(i - 1) cts2, { m with m_foreign = true })
+      in
+      let rs, mrows = List.split (List.map row prows) in
+      let got =
+        List.init width (fun c -> result_of (fun () -> Te.combine_col (Te.quorum te rs) c))
+      in
+      let want = List.init width (model_decrypt ~t mrows) in
+      let next = Te.recombine_all te (Array.to_list (Array.map (Te.reshare te) shares)) in
+      let token (i, kind) =
+        match kind with
+        | Honest | Junk _ -> (Te.reshare te shares.(i - 1), (i, 0, false))
+        | Shifted -> (Te.reshare te next.(i - 1), (i, 1, false))
+        | Foreign -> (Te.reshare te2 shares2.(i - 1), (i, 0, true))
+      in
+      let tks, mtokens = List.split (List.map token ptokens) in
+      let got_shares =
+        result_of (fun () ->
+            Array.to_list
+              (Array.map (fun s -> (Te.share_index s, Te.share_epoch s)) (Te.recombine_all te tks)))
+      in
+      got = want && got_shares = model_recombine ~n ~t mtokens)
 
 (* ------------------------------------------------------------------ *)
 (* Params                                                              *)
@@ -410,8 +569,9 @@ let () =
           Alcotest.test_case "junk partial" `Quick test_te_junk_partial_detected;
           Alcotest.test_case "reshare epochs" `Quick test_te_reshare_epochs;
           Alcotest.test_case "recombine quorum" `Quick test_te_recombine_needs_quorum;
-          Alcotest.test_case "misaddressed" `Quick test_te_misaddressed_subshare;
           Alcotest.test_case "foreign ciphertext" `Quick test_te_foreign_ciphertext;
+          Alcotest.test_case "foreign partial and token" `Quick test_te_foreign_partial_and_token;
+          QCheck_alcotest.to_alcotest prop_te_matches_model;
         ] );
       ( "params",
         [

@@ -252,6 +252,26 @@ let test_derive_rng_deterministic () =
   Alcotest.(check bool) "distinct index, distinct stream" false (draws a = draws c);
   Alcotest.(check bool) "distinct seed, distinct stream" false (draws b = draws d)
 
+(* two domains submit to one pool at once, as the factory's producer
+   and consumer do: each job must run whole, never replaced by the
+   other's *)
+let test_shared_pool_two_submitters () =
+  with_pool ~domains:2 (fun pool ->
+      let submit salt () =
+        let wrong = ref 0 in
+        for round = 1 to 1000 do
+          let n = 8 + (round mod 25) in
+          let f i = (salt * 1_000_000) + (round * 100) + i in
+          if Pool.map pool n f <> Array.init n f then incr wrong
+        done;
+        !wrong
+      in
+      let other = Domain.spawn (submit 2) in
+      let mine = submit 1 () in
+      let theirs = Domain.join other in
+      Alcotest.(check int) "calling domain: wrong results" 0 mine;
+      Alcotest.(check int) "second domain: wrong results" 0 theirs)
+
 (* ------------------------------------------------------------------ *)
 (* protocol determinism across domain counts                           *)
 (* ------------------------------------------------------------------ *)
@@ -290,6 +310,27 @@ let test_protocol_identical_across_domains () =
         base.Protocol.transcript.Yoso_net.Board.digest
         r.Protocol.transcript.Yoso_net.Board.digest)
     [ 2; 4 ]
+
+(* sessions share the process's 2-domain pool: run after run, with no
+   spawn or join between them, each transcript is the pinned one *)
+let pinned_repeat_digest = 693405735685865913
+
+let test_repeated_sessions_share_pool () =
+  let params = Params.create ~n:8 ~t:2 ~k:2 () in
+  let circuit = Gen.dot_product ~len:4 in
+  let inputs c = Array.init 4 (fun i -> F.of_int ((c + 1) * (i + 2))) in
+  let adversary = { Params.malicious = 1; passive = 0; fail_stop = 1 } in
+  let digest ~domains =
+    let config = Protocol.config ~adversary ~seed:0x5E55 ~domains () in
+    let r = Protocol.execute ~params ~config ~circuit ~inputs () in
+    if not (Protocol.check r circuit ~inputs) then Alcotest.fail "wrong output";
+    r.Protocol.transcript.Yoso_net.Board.digest
+  in
+  Alcotest.(check int) "domains=1" pinned_repeat_digest (digest ~domains:1);
+  for run = 1 to 200 do
+    Alcotest.(check int) (Printf.sprintf "domains=2 run %d" run) pinned_repeat_digest
+      (digest ~domains:2)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* multiexp-backed combine and batch verification                      *)
@@ -363,11 +404,15 @@ let () =
           Alcotest.test_case "chunk bounds properties" `Quick
             test_chunk_bounds_properties;
           Alcotest.test_case "profiling hook" `Quick test_profiling_hook;
+          Alcotest.test_case "two submitters share a pool" `Quick
+            test_shared_pool_two_submitters;
         ] );
       ( "determinism",
         [
           Alcotest.test_case "protocol identical across domains" `Slow
             test_protocol_identical_across_domains;
+          Alcotest.test_case "200 sessions on the process pool" `Slow
+            test_repeated_sessions_share_pool;
         ] );
       ( "multiexp paths",
         [
