@@ -655,14 +655,13 @@ let par_bench () =
     kernel_rows;
 
   (* --- protocol wall clock over an n x domains grid; the transcript
-     digest must be identical in every run of a row.  Pools live for
-     the process, and an idle pool's workers still join every
-     stop-the-world minor collection: with the 4- and 8-domain pools
-     spawned, a 1-domain n=128 run took ~24% longer on 2 cores.  So
-     each domain count is timed before any larger pool exists: first
-     d=1 against d=2 as [rounds] alternating pairs per n (odd rounds
-     d=1 first), then each larger count in ascending order.  An
-     untimed warm-up run spawns each pool; a cell reports the median
+     digest must be identical in every run of a row.  Each n runs
+     [rounds] rounds over the domain counts in order, d=1 and d=2
+     swapped in even rounds so they form alternating pairs.  The
+     process keeps one live pool, so moving to another count joins the
+     old pool and spawns the new one; an untimed run at the same count
+     before each timed run absorbs that, and the timed run sees only
+     its own pool, as a fresh process would.  A cell reports the median
      of its runs ---------------------------------------------------- *)
   let circuit = Gen.dot_product ~len:8 in
   let inputs c = Array.init 8 (fun i -> F.of_int ((c + 2) * (i + 3))) in
@@ -685,24 +684,21 @@ let par_bench () =
     add digests n r.Protocol.transcript.Yoso_net.Board.digest;
     if timed then add times (n, domains) ms
   in
-  let paired, larger = List.partition (fun d -> d <= 2) domain_sweep in
   List.iter
     (fun n ->
-      List.iter (run ~timed:false n) paired;
       for round = 1 to rounds do
-        List.iter (run ~timed:true n) (if round mod 2 = 1 then paired else List.rev paired)
+        let order =
+          if round mod 2 = 1 then domain_sweep
+          else
+            match domain_sweep with d1 :: d2 :: rest -> d2 :: d1 :: rest | l -> l
+        in
+        List.iter
+          (fun d ->
+            run ~timed:false n d;
+            run ~timed:true n d)
+          order
       done)
     n_sweep;
-  List.iter
-    (fun d ->
-      List.iter
-        (fun n ->
-          run ~timed:false n d;
-          for _ = 1 to rounds do
-            run ~timed:true n d
-          done)
-        n_sweep)
-    larger;
   let median l =
     let a = Array.of_list (List.sort compare l) in
     let m = Array.length a in

@@ -219,8 +219,8 @@ let decrypt_batch ctx te holder ~phase ~step cts =
   let next = pass_key ctx te holder.prefix (List.map (fun (_, (_, tk)) -> tk) verified) in
   (values, next)
 
-(* [senders] is the step's count of distinct verified senders, taken
-   once per step and shared by every package the step opens *)
+(* [senders] is the step's count of distinct verified senders, counted
+   once by its quorum and shared by every package the step opens *)
 type 'a reenc = { senders : int; target : Pke.pk; guarded : 'a Pke.enc }
 
 let open_reenc te sk r =
@@ -262,8 +262,8 @@ let reencrypt_generic ?cost ctx te holder ~phase ~step ~reshare values =
         let share = holder.shares.(i) in
         (Te.partial_decrypt te share cts, if reshare then Some (Te.reshare te share) else None))
   in
-  let senders = List.length (List.sort_uniq Int.compare (List.map fst verified)) in
   let q = quorum_of te verified in
+  let senders = Te.senders q in
   let packages =
     Pool.map ctx.pool len (fun v ->
         let target, _ = values.(v) in

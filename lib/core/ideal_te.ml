@@ -69,8 +69,9 @@ let partial_decrypt tpk s cts =
   in
   { p_key = tpk.id; p_index = s.index; p_epoch = s.epoch; p_values = values }
 
-(* the value rows of the first t+1 distinct senders *)
-type 'a quorum = 'a array array
+(* the value rows of the first t+1 distinct senders, and the count of
+   distinct senders the step offered *)
+type 'a quorum = { rows : 'a array array; senders : int }
 
 (* Walks a step's items once, raising [foreign] on any item of another
    key; [f d x] sees each sender's first item [x], the [d]-th distinct
@@ -108,12 +109,14 @@ let quorum tpk rows =
   let e0 = chosen.(0).p_epoch in
   if Array.exists (fun r -> r.p_epoch <> e0) chosen then
     invalid_arg "Ideal_te.quorum: partials from different epochs";
-  Array.map (fun r -> r.p_values) chosen
+  { rows = Array.map (fun r -> r.p_values) chosen; senders = distinct }
 
-let combine_col q c =
-  let v0 = q.(0).(c) in
-  for r = 1 to Array.length q - 1 do
-    let v = q.(r).(c) in
+let senders q = q.senders
+
+let combine_col { rows; _ } c =
+  let v0 = rows.(0).(c) in
+  for r = 1 to Array.length rows - 1 do
+    let v = rows.(r).(c) in
     (* physical equality first: honest rows share each ciphertext's
        payload, so polymorphic equality runs only on a mismatch *)
     if v != v0 && v <> v0 then invalid_arg "Ideal_te.combine_col: inconsistent partials"

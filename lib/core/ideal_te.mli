@@ -82,6 +82,10 @@ val quorum : tpk -> 'a partial list -> 'a quorum
     with fewer than [t + 1] distinct senders, or
     ["Ideal_te.quorum: partials from different epochs"]. *)
 
+val senders : 'a quorum -> int
+(** The count of distinct senders among the rows {!quorum} read
+    ([>= t + 1]). *)
+
 val combine_col : 'a quorum -> int -> 'a
 (** [TDec] of ciphertext [c] of the batch from the quorum's [t + 1]
     values in column [c].

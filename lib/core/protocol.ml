@@ -9,6 +9,7 @@ module Board = Yoso_net.Board
 module Meter = Yoso_net.Meter
 module Sim = Yoso_net.Sim
 module Ops = Committee_ops
+module Pool = Yoso_parallel.Pool
 
 type report = {
   outputs : Online.output list;
@@ -80,25 +81,40 @@ let default_config = config ()
 (* Produce/consume session halves                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* One pool per domain count for the whole process: spawned by the
-   first session that asks for it, shared by every later one (and by
-   the factory's producer and consumer domains at once; [Pool] runs
-   their jobs one after the other), never joined, so no circuit pays a
-   spawn or a join (which waits for the worker's share of the current
-   major GC cycle). *)
-let pools : (int, Yoso_parallel.Pool.t) Hashtbl.t = Hashtbl.create 2
-let pools_lock = Mutex.create ()
+(* One live pool for the whole process, shared by every session at
+   its domain count (the factory's producer and consumer domains use
+   it at once), so a run of circuits at one count pays one spawn and
+   no join.  [holders] counts the open sessions on it.  A session at
+   another count shuts an idle pool down first: idle workers still
+   join every stop-the-world minor collection, and OCaml caps the
+   live domains at 128.  If the live pool is held, a session at
+   another count gets a pool of its own, joined when it closes.
+   [acquire_pool] returns the pool and its release. *)
+type live = { pool : Pool.t; mutable holders : int }
 
-let process_pool ~domains =
-  if domains = 1 then Yoso_parallel.Pool.sequential
-  else
-    Mutex.protect pools_lock (fun () ->
-        match Hashtbl.find_opt pools domains with
-        | Some p -> p
-        | None ->
-          let p = Yoso_parallel.Pool.create ~domains in
-          Hashtbl.add pools domains p;
-          p)
+let live : live option ref = ref None
+let live_lock = Mutex.create ()
+let release l () = Mutex.protect live_lock (fun () -> l.holders <- l.holders - 1)
+
+let acquire_pool ~domains =
+  Mutex.protect live_lock @@ fun () ->
+  (match !live with
+  | Some l when l.holders = 0 && Pool.domains l.pool <> domains ->
+    Pool.shutdown l.pool;
+    live := None
+  | _ -> ());
+  match !live with
+  | _ when domains = 1 -> (Pool.sequential, ignore)
+  | Some l when Pool.domains l.pool = domains ->
+    l.holders <- l.holders + 1;
+    (l.pool, release l)
+  | Some _ ->
+    let p = Pool.create ~domains in
+    (p, fun () -> Pool.shutdown p)
+  | None ->
+    let l = { pool = Pool.create ~domains; holders = 1 } in
+    live := Some l;
+    (l.pool, release l)
 
 (* A session is one circuit's run split open: [open_session] builds
    the board, committee ctx and setup (posting the setup frame);
@@ -118,6 +134,7 @@ type session = {
   s_setup : Setup.t;
   s_setup_ms : float;
   mutable s_offline_ms : float;
+  mutable s_release : unit -> unit;
 }
 
 let ms_since t0 = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-6
@@ -127,28 +144,40 @@ let open_session ~params ?(config = default_config) ~circuit () =
   let { board = net; transport = _; link } = config.net in
   let board = Board.create ~config:net () in
   Board.set_link board link;
-  let pool = process_pool ~domains in
-  let ctx = Ops.create_ctx ?plan ~validate ~pool ~board ~params ~adversary ~seed () in
-  let layout = Layout.make circuit ~k:params.Params.k in
-  let layers = Array.length layout.Layout.mult_layers in
-  let t0 = Monotonic_clock.now () in
-  let setup =
-    Setup.run ~board ~params ~layers ~clients:(Circuit.clients circuit)
-      ~rng:(Splitmix.of_int (seed lxor 0x5E7))
-  in
-  {
-    s_params = params;
-    s_config = config;
-    s_circuit = circuit;
-    s_board = board;
-    s_ctx = ctx;
-    s_layout = layout;
-    s_setup = setup;
-    s_setup_ms = ms_since t0;
-    s_offline_ms = 0.;
-  }
+  let pool, release = acquire_pool ~domains in
+  match
+    let ctx = Ops.create_ctx ?plan ~validate ~pool ~board ~params ~adversary ~seed () in
+    let layout = Layout.make circuit ~k:params.Params.k in
+    let layers = Array.length layout.Layout.mult_layers in
+    let t0 = Monotonic_clock.now () in
+    let setup =
+      Setup.run ~board ~params ~layers ~clients:(Circuit.clients circuit)
+        ~rng:(Splitmix.of_int (seed lxor 0x5E7))
+    in
+    (ctx, layout, setup, ms_since t0)
+  with
+  | exception e ->
+    release ();
+    raise e
+  | ctx, layout, setup, setup_ms ->
+    {
+      s_params = params;
+      s_config = config;
+      s_circuit = circuit;
+      s_board = board;
+      s_ctx = ctx;
+      s_layout = layout;
+      s_setup = setup;
+      s_setup_ms = setup_ms;
+      s_offline_ms = 0.;
+      s_release = release;
+    }
 
-let close_session (_ : session) = ()
+let close_session s =
+  let release = s.s_release in
+  s.s_release <- ignore;
+  release ()
+
 let session_board s = s.s_board
 let session_layout s = s.s_layout
 let record_offline_ms s ms = s.s_offline_ms <- s.s_offline_ms +. ms
@@ -201,8 +230,11 @@ let consume s source ~inputs =
 
 let execute ~params ?(config = default_config) ~circuit ~inputs () =
   let s = open_session ~params ~config ~circuit () in
-  let prep = produce s in
-  consume s (Offline.source_of prep) ~inputs
+  Fun.protect
+    ~finally:(fun () -> close_session s)
+    (fun () ->
+      let prep = produce s in
+      consume s (Offline.source_of prep) ~inputs)
 
 module Report = struct
   type options = {

@@ -64,10 +64,12 @@ type exec_config = {
   domains : int;
       (** worker domains for committee fan-out (see
           {!Yoso_parallel.Pool}); outputs, blames and the transcript
-          digest are identical at every value.  Sessions draw their
-          pool from one per-process pool per domain count, spawned on
-          the first session that asks for it and never joined, so a
-          circuit pays no spawn or join *)
+          digest are identical at every value.  The process keeps one
+          live pool: sessions at its domain count share it, so a run
+          of circuits at one count pays one spawn and no join.  A
+          session at another count joins the idle pool first (while
+          the pool is held, it gets a pool of its own, joined when it
+          closes) *)
   offline : Offline.opts;
       (** amortization switches for the preprocessing half (triple
           audits, packed re-encryptions); default
@@ -135,9 +137,10 @@ type session
 val open_session :
   params:Params.t -> ?config:config -> circuit:Circuit.t -> unit -> session
 (** Builds the board, committee ctx and layout, and runs setup
-    (posting its frame).  The ctx runs its fan-out on the process pool
-    for the config's [domains], spawning it if this is the first
-    session at that count.
+    (posting its frame).  The ctx runs its fan-out on the process's
+    live pool when that has the config's [domains]; otherwise an idle
+    live pool is joined and one of [domains] is spawned.  The session
+    holds its pool until {!close_session}.
     @raise Invalid_argument if [domains] is outside [[1, 128]]. *)
 
 val produce : session -> Offline.t
@@ -153,9 +156,10 @@ val consume : session -> Offline.source -> inputs:(int -> F.t array) -> report
     assembles the report from the session's board. *)
 
 val close_session : session -> unit
-(** Ends the session.  It holds nothing to release — the domain pool
-    belongs to the process — so this is a no-op, kept so callers can
-    mark where a session's use ends. *)
+(** Ends the session and releases its hold on the pool, which stays
+    live for the next session at its domain count (a pool of the
+    session's own is joined here).  Idempotent.  {!execute} closes its
+    session itself. *)
 
 val session_board : session -> Yoso_net.Board.t
 (** The session's bulletin board — the factory reads its meter between

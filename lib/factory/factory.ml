@@ -144,6 +144,7 @@ let stream ~params ?(config = Protocol.default_config) ~jobs () =
     let board = Protocol.session_board s in
     Cost.merge_into ~map_phase:to_factory ~dst:agg_cost (Board.cost board);
     Meter.merge_into ~dst:agg_meter (Board.meter board);
+    Protocol.close_session s;
     { index = j; seed = derived_seed base_seed j; report }
   in
 

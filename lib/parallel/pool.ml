@@ -16,7 +16,6 @@ type t = {
   lock : Mutex.t;
   has_work : Condition.t;
   work_done : Condition.t;
-  slot_free : Condition.t;  (* signalled when [job] goes back to [None] *)
   mutable job : job option;
   mutable stopping : bool;
   mutable workers : unit Domain.t array;
@@ -28,10 +27,9 @@ type t = {
 
 (* When enabled, every drained chunk appends a sample to a global,
    mutex-guarded list.  A global sink (rather than per-pool state) is
-   deliberate: the pools that matter are held inside [Protocol], one
-   per domain count for the life of the process, where no caller can
-   reach them, so the bench's [--profile] flag needs a collection
-   point outside any pool.  Cost when disabled is one bool load per
+   deliberate: the pools that matter are held inside [Protocol],
+   where no caller can reach them, so the bench's [--profile] flag
+   needs a collection point outside any pool.  Cost when disabled is one bool load per
    claimed chunk. *)
 type sample = { s_domain : int; s_chunk : int; s_ms : float }
 
@@ -100,7 +98,6 @@ let create ~domains =
       lock = Mutex.create ();
       has_work = Condition.create ();
       work_done = Condition.create ();
-      slot_free = Condition.create ();
       job = None;
       stopping = false;
       workers = [||];
@@ -124,22 +121,22 @@ let shutdown t =
     t.workers <- [||]
   end
 
-(* Wait for the job slot, submit [chunks], participate in draining
-   them, wait for stragglers, free the slot, then re-raise the first
-   failure if any.  A pool holds one job at a time, so a second
-   submitting domain (the factory's producer beside its consumer)
-   waits its turn instead of replacing the job.  Wake-ups are targeted:
-   with fewer chunks than domains only [len - 1] workers are signalled
-   (the caller takes a chunk itself), so surplus workers sleep through
-   the whole job instead of waking to find nothing. *)
+(* Submit [chunks], participate in draining them, wait for
+   stragglers, then re-raise the first failure if any.  The pool
+   advertises one job at a time: a second submitting domain (the
+   factory's producer beside its consumer) replaces the advertised
+   job, and each submitter still drains its own job to the end, so
+   both run at once and workers help whichever job is current.  A
+   submitter clears the slot only while it still holds its own job.
+   Wake-ups are targeted: with fewer chunks than domains only
+   [len - 1] workers are signalled (the caller takes a chunk itself),
+   so surplus workers sleep through the whole job instead of waking
+   to find nothing. *)
 let run_job t chunks =
   let len = Array.length chunks in
   if len > 0 then begin
     let j = { chunks; next = 0; completed = 0; failed = None } in
     Mutex.lock t.lock;
-    while Option.is_some t.job do
-      Condition.wait t.slot_free t.lock
-    done;
     t.job <- Some j;
     let wake = Stdlib.min (len - 1) (t.domains - 1) in
     for _ = 1 to wake do
@@ -149,8 +146,7 @@ let run_job t chunks =
     while j.completed < len do
       Condition.wait t.work_done t.lock
     done;
-    t.job <- None;
-    Condition.signal t.slot_free;
+    (match t.job with Some j' when j' == j -> t.job <- None | _ -> ());
     Mutex.unlock t.lock;
     match j.failed with Some e -> raise e | None -> ()
   end

@@ -22,9 +22,9 @@
     domain that drew cheap indices claims more of them, and a skewed
     job does not serialize behind one domain.
 
-    Several domains may submit to one pool: it runs one job at a time,
-    and a submitter waits for the running job to finish before its own
-    starts.  The pool is {e not} re-entrant: calling [map] from inside
+    Several domains may submit to one pool at once: each submitter
+    drains its own job to the end, and the workers help the job
+    submitted last.  The pool is {e not} re-entrant: calling [map] from inside
     a closure already running under the same pool deadlocks the
     caller's chunk.  Protocol code parallelizes one layer at a time
     (the per-member fan-out), which never nests. *)

@@ -332,6 +332,36 @@ let test_repeated_sessions_share_pool () =
       (digest ~domains:2)
   done
 
+(* the process keeps one live pool: a session at a new count replaces
+   an idle pool, and a session at another count than a held pool runs
+   on a pool of its own.  Every order of counts gives the pinned
+   transcript, and closing a session twice is harmless. *)
+let test_sessions_switch_pool_counts () =
+  let params = Params.create ~n:8 ~t:2 ~k:2 () in
+  let circuit = Gen.dot_product ~len:4 in
+  let inputs c = Array.init 4 (fun i -> F.of_int ((c + 1) * (i + 2))) in
+  let adversary = { Params.malicious = 1; passive = 0; fail_stop = 1 } in
+  let config domains = Protocol.config ~adversary ~seed:0x5E55 ~domains () in
+  let finish s =
+    let r = Protocol.consume s (Yoso_mpc.Offline.source_of (Protocol.produce s)) ~inputs in
+    if not (Protocol.check r circuit ~inputs) then Alcotest.fail "wrong output";
+    r.Protocol.transcript.Yoso_net.Board.digest
+  in
+  let check what d = Alcotest.(check int) what pinned_repeat_digest d in
+  let held = Protocol.open_session ~params ~config:(config 2) ~circuit () in
+  let other = Protocol.open_session ~params ~config:(config 3) ~circuit () in
+  check "d=3 beside a held d=2 pool" (finish other);
+  check "held d=2 pool" (finish held);
+  Protocol.close_session other;
+  Protocol.close_session held;
+  Protocol.close_session held;
+  List.iter
+    (fun domains ->
+      let s = Protocol.open_session ~params ~config:(config domains) ~circuit () in
+      let d = Fun.protect ~finally:(fun () -> Protocol.close_session s) (fun () -> finish s) in
+      check (Printf.sprintf "domains=%d" domains) d)
+    [ 3; 2; 1; 2; 4; 2 ]
+
 (* ------------------------------------------------------------------ *)
 (* multiexp-backed combine and batch verification                      *)
 (* ------------------------------------------------------------------ *)
@@ -413,6 +443,8 @@ let () =
             test_protocol_identical_across_domains;
           Alcotest.test_case "200 sessions on the process pool" `Slow
             test_repeated_sessions_share_pool;
+          Alcotest.test_case "sessions switch pool counts" `Slow
+            test_sessions_switch_pool_counts;
         ] );
       ( "multiexp paths",
         [
