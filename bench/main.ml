@@ -2,1469 +2,57 @@
    paper (see DESIGN.md's experiment index).
 
    Usage:
-     dune exec bench/main.exe                 -- everything
-     dune exec bench/main.exe -- table1       -- one experiment
-   Experiments: table1 improvements comm bgw net ablation-eps
-                ablation-amortization failstop sortition-mc time par
-                transport chaos compile factory
+     dune exec bench/main.exe                   -- everything
+     dune exec bench/main.exe -- table1         -- one experiment
+     dune exec bench/main.exe -- par transport  -- several, in table order
+   Flags: --smoke (toy sizes, no speedup bars and no JSON, in every
+          experiment from time on), --profile (per-domain chunk times
+          in par).
+   Experiments, in the order they run: table1 improvements comm bgw net
+     ablation-eps ablation-amortization failstop sortition-mc time
+     transport chaos par compile factory
    Every protocol run in comm, bgw, the ablations and failstop is
    checked against the in-the-clear evaluation, and sortition-mc
    against the sortition bounds: a wrong answer raises, so the run
-   exits non-zero. *)
+   exits non-zero.  Each experiment lives in its own module; what they
+   share is in [Harness]. *)
 
-module F = Yoso_field.Field.Fp
-module B = Yoso_bigint.Bigint
-module Analysis = Yoso_sortition.Analysis
-module Sampler = Yoso_sortition.Sampler
-module Splitmix = Yoso_hash.Splitmix
-module Params = Yoso_mpc.Params
-module Protocol = Yoso_mpc.Protocol
-module Cdn = Yoso_mpc.Cdn_baseline
-module Bgw = Yoso_mpc.Bgw_baseline
-module Gen = Yoso_circuit.Generators
-module Json = Yoso_runtime.Json
-
-let header title =
-  Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
-
-(* every machine-readable artifact goes through here *)
-let write_json path v =
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc (Json.to_string v);
-      output_char oc '\n');
-  Printf.printf "  wrote %s\n" path
-
-(* ------------------------------------------------------------------ *)
-(* T1: Table 1 — sortition parameters with a gap                       *)
-(* ------------------------------------------------------------------ *)
-
-let table1 () =
-  header "T1. Table 1: committee sizes for gap eps > 0 (paper Section 6)";
-  Printf.printf "%7s %5s | %7s %7s %7s %6s %7s\n" "C" "f" "t" "c" "c'" "eps" "k";
-  List.iter
-    (fun (c_param, f, row) ->
-      match row with
-      | None -> Printf.printf "%7d %5.2f | %7s %7s %7s %6s %7s\n" c_param f "⊥" "⊥" "⊥" "⊥" "⊥"
-      | Some r ->
-        Printf.printf "%7d %5.2f | %7d %7d %7d %6.2f %7d\n" c_param f r.Analysis.t
-          r.Analysis.c r.Analysis.c' r.Analysis.eps r.Analysis.k)
-    (Analysis.table1 ());
-  Printf.printf
-    "(paper's Table 1 values reproduce within rounding: |t| <= 1, |c| <= 3, |k| <= 3)\n"
-
-(* ------------------------------------------------------------------ *)
-(* E1: headline improvement claims                                     *)
-(* ------------------------------------------------------------------ *)
-
-let improvements () =
-  header "E1. Claimed online-communication improvement factors (Section 1.1.2)";
-  List.iter
-    (fun (label, r) ->
-      Printf.printf
-        "  %s\n    committee %d (vs %d without gap, +%.1f%%), eps = %.3f -> improvement k = %d\n"
-        label r.Analysis.c r.Analysis.c'
-        (100.0 *. (float_of_int r.Analysis.c /. float_of_int r.Analysis.c' -. 1.0))
-        r.Analysis.eps r.Analysis.k)
-    (Analysis.improvement_claims ());
-  Printf.printf "  (paper claims: 28x at f=5%%, >1000x at f=20%%)\n"
-
-(* ------------------------------------------------------------------ *)
-(* E2/E3: measured communication, ours vs CDN baseline                 *)
-(* ------------------------------------------------------------------ *)
-
-let comm_sweep = [ 16; 24; 32; 48; 64; 96 ]
-
-let comm_row n =
-  let params = Params.of_gap ~n ~eps:0.125 () in
-  let k = params.Params.k in
-  let width = n * k / 4 in
-  let circuit = Gen.wide_mul_reduced ~width ~depth:2 ~clients:2 in
-  let inputs c = Array.init (2 * width) (fun i -> F.of_int ((c + 2) * (i + 3))) in
-  let ours = Protocol.execute ~params ~circuit ~inputs () in
-  let cdn = Cdn.execute ~params ~circuit ~inputs () in
-  assert (Protocol.check ours circuit ~inputs);
-  assert (Cdn.check cdn circuit ~inputs);
-  (n, k, ours.Protocol.num_mult, ours, cdn)
-
-(* one sweep of protocol runs feeds both tables *)
-let comm () =
-  let rows = List.map comm_row comm_sweep in
-  header "E2. Online communication per gate: packed YOSO (ours) vs CDN [29]";
-  Printf.printf "(wide circuits, width = n*k/4, depth 2; elements broadcast / mult gate)\n";
-  Printf.printf "%5s %4s %7s | %12s %12s %8s\n" "n" "k" "gates" "ours" "CDN [29]" "CDN/ours";
-  List.iter
-    (fun (n, k, gates, ours, cdn) ->
-      let o = Protocol.online_per_gate ours and c = Cdn.online_per_gate cdn in
-      Printf.printf "%5d %4d %7d | %12.1f %12.1f %8.2f\n" n k gates o c (c /. o))
-    rows;
-  Printf.printf
-    "(expected shape: ours ~constant in n, CDN ~linear in n; crossover at small n)\n";
-  header "E3. Offline communication per gate (O(n), Theorem 1)";
-  Printf.printf "%5s %4s %7s | %14s %14s\n" "n" "k" "gates" "offline/gate" "offline/(n*gate)";
-  List.iter
-    (fun (n, k, gates, ours, _) ->
-      let o = Protocol.offline_per_gate ours in
-      Printf.printf "%5d %4d %7d | %14.1f %14.2f\n" n k gates o (o /. float_of_int n))
-    rows;
-  Printf.printf "(offline/(n*gate) ~constant confirms the O(n)-per-gate bound)\n"
-
-let bgw_comparison () =
-  header "E2b. Information-theoretic baseline: semi-honest BGW (Section 1.2)";
-  Printf.printf "(fixed 8x2 wide circuit; online elements per mult gate)\n";
-  Printf.printf "%5s | %10s %10s %10s\n" "n" "ours" "CDN [29]" "BGW [5]";
-  List.iter
-    (fun n ->
-      let t = (n - 1) / 2 in
-      let params = Params.create ~n ~t:(max 0 (n / 3)) ~k:2 () in
-      let circuit = Gen.wide_mul_reduced ~width:8 ~depth:2 ~clients:2 in
-      let inputs c = Array.init 16 (fun i -> F.of_int ((c + 2) * (i + 3))) in
-      let ours = Protocol.execute ~params ~circuit ~inputs () in
-      let cdn = Cdn.execute ~params ~circuit ~inputs () in
-      let bgw = Bgw.execute ~n ~t ~circuit ~inputs () in
-      assert (Protocol.check ours circuit ~inputs);
-      assert (Cdn.check cdn circuit ~inputs);
-      assert (Bgw.check bgw circuit ~inputs);
-      Printf.printf "%5d | %10.1f %10.1f %10.1f\n" n (Protocol.online_per_gate ours)
-        (Cdn.online_per_gate cdn) (Bgw.online_per_gate bgw))
-    [ 9; 18; 36 ];
-  Printf.printf
-    "(BGW re-shares every live wire each round: the 'prohibitively high' IT cost)\n"
-
-(* ------------------------------------------------------------------ *)
-(* Ablations                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let ablation_eps () =
-  header "A1. Ablation: gap eps vs packing factor and communication (n = 64)";
-  Printf.printf "%6s %4s %4s | %12s %12s %14s\n" "eps" "t" "k" "online/gate" "offline/gate"
-    "recon thresh";
-  List.iter
-    (fun eps ->
-      let params = Params.of_gap ~n:64 ~eps () in
-      let width = 64 * params.Params.k / 4 in
-      let circuit = Gen.wide_mul_reduced ~width ~depth:2 ~clients:2 in
-      let inputs c = Array.init (2 * width) (fun i -> F.of_int ((c + 2) * (i + 3))) in
-      let r = Protocol.execute ~params ~circuit ~inputs () in
-      assert (Protocol.check r circuit ~inputs);
-      Printf.printf "%6.2f %4d %4d | %12.1f %12.1f %14d\n" eps params.Params.t
-        params.Params.k (Protocol.online_per_gate r) (Protocol.offline_per_gate r)
-        (Params.reconstruction_threshold params))
-    [ 0.05; 0.10; 0.15; 0.20; 0.25 ];
-  Printf.printf "(larger gap -> larger k -> cheaper online, at lower corruption tolerance)\n"
-
-let ablation_amortization () =
-  header "A2. Ablation: gates handled per committee (tsk re-share amortisation, n = 32)";
-  Printf.printf "%14s | %12s %14s %12s\n" "gates/cmte" "online/gate" "offline/gate"
-    "committees";
-  List.iter
-    (fun gpc ->
-      let params = Params.create ~gates_per_committee:gpc ~n:32 ~t:10 ~k:4 () in
-      let circuit = Gen.wide_mul_reduced ~width:64 ~depth:2 ~clients:2 in
-      let inputs c = Array.init 128 (fun i -> F.of_int ((c + 2) * (i + 3))) in
-      let r = Protocol.execute ~params ~circuit ~inputs () in
-      assert (Protocol.check r circuit ~inputs);
-      Printf.printf "%14d | %12.1f %14.1f %12d\n" gpc (Protocol.online_per_gate r)
-        (Protocol.offline_per_gate r) r.Protocol.committees)
-    [ 8; 16; 32; 64; 128; 256 ];
-  Printf.printf
-    "(a committee handling fewer values means more tsk hand-offs, each O(n^2): the\n paper's amortisation assumes committees process O(n) gates or more)\n"
-
-(* ------------------------------------------------------------------ *)
-(* E7: measured wire bytes over the simulated network                  *)
-(* ------------------------------------------------------------------ *)
-
-(* Fixed circuit (256 mult gates), growing committees with a constant
-   corruption ratio t = k = n/4, so n/k is constant and the online
-   *data* bytes per gate — the paper's O(1) claim, now measured on the
-   wire rather than counted — must come out flat across n.  Totals
-   are reported alongside and do grow: offline by its O(n) material,
-   online by future key distribution's O(layers·n²) re-encryption
-   partials (the per-step split below). *)
-let net_sweep = [ 16; 32; 64; 128 ]
-
-(* online bytes by step family, with the step prefixes of the
-   benchmark's byte ledger; the families cover every online step *)
-let online_split r =
-  let steps = Yoso_net.Meter.steps r.Protocol.meter ~phase:"online" in
-  let split =
-    List.map
-      (fun (family, prefix) ->
-        let claimed (label, _) = String.starts_with ~prefix label in
-        (family, List.fold_left ( + ) 0 (List.map snd (List.filter claimed steps))))
-      [ ("fkd", "future key distribution"); ("mult", "multiplication:");
-        ("input", "input:"); ("output", "output:") ]
-  in
-  if List.fold_left (fun acc (_, b) -> acc + b) 0 split <> r.Protocol.online_bytes then
-    failwith "net sweep: online step families do not sum to online_bytes";
-  split
-
-let net_bytes () =
-  header "E7. Measured communication (bytes on the simulated wire), fixed circuit";
-  let width = 128 and depth = 2 in
-  let circuit = Gen.wide_mul_reduced ~width ~depth ~clients:2 in
-  let inputs c = Array.init (2 * width) (fun i -> F.of_int ((c + 2) * (i + 3))) in
-  let row n =
-    let params = Params.create ~n ~t:(n / 4) ~k:(n / 4) () in
-    let config = Protocol.config ~seed:0xBE7 () in
-    let r = Protocol.execute ~params ~config ~circuit ~inputs () in
-    assert (Protocol.check r circuit ~inputs);
-    (n, params, r)
-  in
-  let rows = List.map row net_sweep in
-  (* byte-identical replay of the first configuration *)
-  let replay_ok =
-    let _, _, again = row (List.hd net_sweep) in
-    let _, _, first = List.hd rows in
-    again.Protocol.transcript = first.Protocol.transcript
-  in
-  Printf.printf "%5s %4s %7s | %14s %12s %14s %16s\n" "n" "k" "gates" "online data B/g"
-    "online B/g" "offline B/g" "frames (bytes)";
-  List.iter
-    (fun (n, params, r) ->
-      Printf.printf "%5d %4d %7d | %14.1f %12.1f %14.1f %7d (%d)\n" n params.Params.k
-        r.Protocol.num_mult
-        (Protocol.online_field_bytes_per_gate r)
-        (Protocol.online_bytes_per_gate r)
-        (Protocol.offline_bytes_per_gate r)
-        r.Protocol.transcript.Yoso_net.Board.frames
-        r.Protocol.transcript.Yoso_net.Board.frame_bytes)
-    rows;
-  List.iter
-    (fun (n, _, r) ->
-      Printf.printf "%5d | online bytes by step: %s\n" n
-        (String.concat ", "
-           (List.map (fun (family, b) -> Printf.sprintf "%s %d" family b) (online_split r))))
-    rows;
-  let data_per_gate = List.map (fun (_, _, r) -> Protocol.online_field_bytes_per_gate r) rows in
-  let dmin = List.fold_left min (List.hd data_per_gate) data_per_gate in
-  let dmax = List.fold_left max (List.hd data_per_gate) data_per_gate in
-  let spread = (dmax -. dmin) /. dmin in
-  Printf.printf
-    "online data bytes/gate spread across n: %.2f%% (claim: < 5%%); replay byte-identical: %b\n"
-    (100. *. spread) replay_ok;
-  write_json "BENCH_net.json"
-    Json.(
-      Obj
-        [
-          ("experiment", String "net");
-          ( "circuit",
-            Obj [ ("kind", String "wide_mul_reduced"); ("width", Int width); ("depth", Int depth) ] );
-          ( "sizing",
-            Obj
-              [ ("ciphertext_bytes", Int 512); ("proof_bytes", Int 32);
-                ("partial_bytes", Int 512); ("key_bytes", Int 256) ] );
-          ( "rows",
-            List
-              (List.map
-                 (fun (n, params, r) ->
-                   let t = r.Protocol.transcript and per_gate f = Float (2, f r) in
-                   Obj
-                     ([ ("n", Int n); ("t", Int params.Params.t); ("k", Int params.Params.k);
-                       ("mult_gates", Int r.Protocol.num_mult);
-                       ("online_field_bytes", Int r.Protocol.online_field_bytes);
-                       ("online_field_bytes_per_gate", per_gate Protocol.online_field_bytes_per_gate);
-                       ("online_bytes", Int r.Protocol.online_bytes);
-                       ("online_bytes_per_gate", per_gate Protocol.online_bytes_per_gate) ]
-                     @ List.map
-                         (fun (family, b) -> ("online_" ^ family ^ "_bytes", Int b))
-                         (online_split r)
-                     @ [
-                       ("offline_bytes", Int r.Protocol.offline_bytes);
-                       ("offline_bytes_per_gate", per_gate Protocol.offline_bytes_per_gate);
-                       ("setup_bytes", Int r.Protocol.setup_bytes); ("posts", Int r.Protocol.posts);
-                       ("frames", Int t.Yoso_net.Board.frames);
-                       ("frame_bytes", Int t.Yoso_net.Board.frame_bytes);
-                       ("transcript_digest", Int t.Yoso_net.Board.digest) ]))
-                 rows) );
-          ("online_data_bytes_per_gate_spread", Float (6, spread));
-          ("flat_within_5pct", Bool (spread < 0.05));
-          ("replay_byte_identical", Bool replay_ok);
-        ]);
-  if spread >= 0.05 then failwith "net sweep: online data bytes/gate not flat within 5%"
-
-(* ------------------------------------------------------------------ *)
-(* E4: fail-stop tolerance (Section 5.4)                               *)
-(* ------------------------------------------------------------------ *)
-
-let failstop () =
-  header "E4. Fail-stop tolerance: k ~ n*eps vs k ~ n*eps/2 (Section 5.4)";
-  let n = 40 and eps = 0.2 in
-  let standard = Params.of_gap ~n ~eps () in
-  let fsmode = Params.of_gap ~n ~eps ~fail_stop_mode:true () in
-  let circuit = Gen.dot_product ~len:6 in
-  let inputs c = Array.init 6 (fun i -> F.of_int ((c + 2) * (i + 1))) in
-  let wrong = ref 0 in
-  let attempt params dropped =
-    let adversary =
-      { Params.malicious = params.Params.t; passive = 0; fail_stop = dropped }
-    in
-    match Params.validate_adversary params adversary with
-    | () ->
-      let r =
-        Protocol.execute ~params
-          ~config:(Protocol.config ~adversary ())
-          ~circuit ~inputs ()
-      in
-      if Protocol.check r circuit ~inputs then "delivered"
-      else begin
-        incr wrong;
-        "WRONG"
-      end
-    | exception Invalid_argument _ -> "infeasible"
-  in
-  Printf.printf "n = %d, eps = %.2f, t = %d malicious in every committee\n" n eps
-    standard.Params.t;
-  Printf.printf "%8s | %-22s %-22s\n" "crashes" "standard k=9" "fail-stop-mode k=5";
-  List.iter
-    (fun d ->
-      Printf.printf "%8d | %-22s %-22s\n" d (attempt standard d) (attempt fsmode d))
-    [ 0; 1; 2; 4; 6; 8; 9; 10 ];
-  Printf.printf "(paper: halving the packing gain buys tolerance of ~n*eps crashes)\n";
-  if !wrong > 0 then failwith (Printf.sprintf "failstop: %d cells delivered a wrong output" !wrong)
-
-(* ------------------------------------------------------------------ *)
-(* E5: Monte-Carlo validation of the sortition bounds                  *)
-(* ------------------------------------------------------------------ *)
-
-let sortition_mc () =
-  header "E5. Monte-Carlo sortition: do sampled committees satisfy the bounds?";
-  let rng = Splitmix.of_int 0x50F7 in
-  let violations = ref 0 in
-  List.iter
-    (fun (c_param, f) ->
-      match Analysis.solve ~f c_param with
-      | None -> Printf.printf "  C=%d f=%.2f: infeasible cell, skipped\n" c_param f
-      | Some row ->
-        let pool = max (20 * c_param) 100_000 in
-        let stats = Sampler.run ~pool ~f ~row ~trials:2000 rng in
-        Printf.printf
-          "  C=%5d f=%.2f pool=%7d | size mean %.0f, corrupt max %d (t=%d), viol phi>=t: %d, viol gap: %d\n"
-          c_param f pool stats.Sampler.mean_size stats.Sampler.max_corrupt row.Analysis.t
-          stats.Sampler.corruption_bound_violations stats.Sampler.gap_violations;
-        violations :=
-          !violations + stats.Sampler.corruption_bound_violations + stats.Sampler.gap_violations)
-    [ (1000, 0.05); (5000, 0.10); (5000, 0.15); (10000, 0.20) ];
-  Printf.printf "(with k2 = k3 = 128 the failure probability is ~2^-128: zero violations)\n";
-  if !violations > 0 then
-    failwith (Printf.sprintf "sortition-mc: %d sampled committees violate the bounds" !violations)
-
-(* ------------------------------------------------------------------ *)
-(* E8: wall-clock timing, naive vs Montgomery arithmetic backends      *)
-(* ------------------------------------------------------------------ *)
-
-module P = Yoso_paillier.Paillier
-module T = Yoso_paillier.Threshold
-module Oracles = Yoso_oracles
-module Pool = Yoso_parallel.Pool
-
-let smoke = ref false
-let profile = ref false
-
-let wall f =
-  let t0 = Unix.gettimeofday () in
-  f ();
-  Unix.gettimeofday () -. t0
-
-(* Interleaved A/B timing for kernel comparisons.  The wall-clock
-   speed of a shared box drifts by large factors between runs, so
-   timing [fa] to completion and then [fb] measures the drift, not the
-   kernels.  Instead the two measurands alternate in small batches
-   within each epoch — drift hits both sides of an epoch equally — and
-   the reported speedup of [fa] over [fb] is the median of the
-   per-epoch ratios. *)
-let ab_speedup fa fb =
-  let epochs = if !smoke then 3 else 7 in
-  let batch_s = if !smoke then 0.004 else 0.03 in
-  let epoch reps =
-    let ta = ref 0.0 and tb = ref 0.0 in
-    for _ = 1 to 8 do
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to reps do
-        fa ()
-      done;
-      let t1 = Unix.gettimeofday () in
-      for _ = 1 to reps do
-        fb ()
-      done;
-      let t2 = Unix.gettimeofday () in
-      ta := !ta +. (t1 -. t0);
-      tb := !tb +. (t2 -. t1)
-    done;
-    !tb /. !ta
-  in
-  let t0 = Unix.gettimeofday () in
-  fa ();
-  fb ();
-  let per = Float.max 1e-7 (Unix.gettimeofday () -. t0) in
-  let reps = max 1 (int_of_float (batch_s /. per)) in
-  ignore (epoch reps) (* warm *);
-  let rs = List.sort compare (List.init epochs (fun _ -> epoch reps)) in
-  List.nth rs (epochs / 2)
-
-(* per-operation wall-clock ms: grow the iteration count until the
-   measured window is long enough to trust, then average *)
-let per_op_ms f =
-  let min_total = if !smoke then 0.02 else 0.25 in
-  ignore (f ());
-  let rec go iters =
-    let t = wall (fun () -> for _ = 1 to iters do ignore (f ()) done) in
-    if t >= min_total then t *. 1000. /. float_of_int iters else go (iters * 4)
-  in
-  go 1
-
-let time_sweep () = if !smoke then [ 16 ] else [ 16; 32; 64; 128 ]
-
-let time_bench () =
-  header "E8. Wall-clock timing: naive vs Montgomery backends";
-  let bits = if !smoke then 96 else 256 in
-  let st = Random.State.make [| 0x71AE |] in
-  let keygen_ms = per_op_ms (fun () -> P.keygen ~bits ~rng:st ()) in
-  let tpk, shares = T.keygen ~bits ~n:5 ~t:2 ~rng:st () in
-  let pk = tpk.T.pk in
-  let tctx = T.Ctx.create tpk in
-  let pctx = T.Ctx.paillier tctx in
-  let m = B.random_below st pk.P.n in
-  let r = P.sample_unit pk ~rng:st in
-  (* equal outputs first: the naive side is the independent oracle, and
-     both sides must agree bit for bit *)
-  let ct_mont = P.Ctx.encrypt_with pctx ~r m in
-  if not (B.equal (Oracles.Paillier.encrypt_with pk ~r m) (P.raw ct_mont)) then
-    failwith "bench time: naive and Montgomery encryptions differ";
-  let ct = ct_mont in
-  let subset = [ 1; 2; 3 ] in
-  let parts_naive =
-    List.map (fun i -> Oracles.Threshold.partial_decrypt tpk shares.(i - 1) (P.raw ct)) subset
-  in
-  let parts_mont = List.map (fun i -> T.Ctx.partial_decrypt tctx shares.(i - 1) ct) subset in
-  if parts_naive <> parts_mont then
-    failwith "bench time: naive and Montgomery partial decryptions differ";
-  let dec_naive = Oracles.Threshold.combine tpk parts_naive in
-  let dec_mont = T.Ctx.combine tctx parts_mont in
-  if not (B.equal dec_naive dec_mont && B.equal dec_naive m) then
-    failwith "bench time: combine results differ or decrypt wrong";
-  (* combine gets its own committee-sized configuration: at 3-of-5 the
-     Lagrange weights are a dozen bits and there is nothing for the
-     multiexp to amortize; 33-of-128 is the shape the protocol runs *)
-  let comb_n = if !smoke then 8 else 128 in
-  let comb_t = comb_n / 4 in
-  let tpk_c, shares_c = T.keygen ~bits ~n:comb_n ~t:comb_t ~rng:st () in
-  let tctx_c = T.Ctx.create tpk_c in
-  let m_c = B.random_below st tpk_c.T.pk.P.n in
-  let ct_c = T.Ctx.encrypt tctx_c ~rng:st m_c in
-  let parts_c =
-    List.init (comb_t + 1) (fun i -> T.Ctx.partial_decrypt tctx_c shares_c.(i) ct_c)
-  in
-  if not (B.equal (Oracles.Threshold.combine tpk_c parts_c) m_c)
-     || not (B.equal (T.Ctx.combine tctx_c parts_c) m_c)
-  then failwith "bench time: committee-sized combine results differ or decrypt wrong";
-  (* timings *)
-  let enc_naive = per_op_ms (fun () -> Oracles.Paillier.encrypt_with pk ~r m) in
-  let enc_mont = per_op_ms (fun () -> P.Ctx.encrypt_with pctx ~r m) in
-  let tpdec_naive =
-    per_op_ms (fun () -> Oracles.Threshold.partial_decrypt tpk shares.(0) (P.raw ct))
-  in
-  let tpdec_mont = per_op_ms (fun () -> T.Ctx.partial_decrypt tctx shares.(0) ct) in
-  let comb_naive = per_op_ms (fun () -> Oracles.Threshold.combine tpk_c parts_c) in
-  let comb_mont = per_op_ms (fun () -> T.Ctx.combine tctx_c parts_c) in
-  let row name naive mont =
-    Printf.printf "  %-16s %10.4f ms %10.4f ms %8.2fx\n" name naive mont (naive /. mont)
-  in
-  Printf.printf "  %-16s %13s %13s %8s\n" "op" "naive" "mont" "speedup";
-  Printf.printf "  %-16s %10.4f ms\n" "keygen" keygen_ms;
-  row "encrypt" enc_naive enc_mont;
-  row "partial-decrypt" tpdec_naive tpdec_mont;
-  row (Printf.sprintf "combine %d-of-%d" (comb_t + 1) comb_n) comb_naive comb_mont;
-  (* --- wide-limb kernel vs the retired 30-bit kernel, on the live
-     modexp shapes behind the encrypt and partial-decrypt rows.
-     Measured interleaved (see [ab_speedup]) and against an in-process
-     baseline: comparing against mont_ms numbers recorded in an older
-     BENCH_time.json would measure how much the box slowed down since,
-     not the kernel. *)
-  let n2 = B.mul pk.P.n pk.P.n in
-  let wide_n2 = P.Ctx.mont_n2 pctx in
-  let narrow_n2 = Oracles.Narrow.create n2 in
-  let base = P.raw ct in
-  let e_enc = pk.P.n in
-  let e_tpdec = B.abs (B.mul B.two (B.mul tpk.T.delta shares.(0).T.value)) in
-  let kshape name e =
-    if not
-         (B.equal (B.Mont.powmod wide_n2 base e) (Oracles.Narrow.powmod narrow_n2 base e))
-    then failwith ("bench time: wide and 30-bit kernels disagree on " ^ name);
-    let s =
-      ab_speedup
-        (fun () -> ignore (B.Mont.powmod wide_n2 base e))
-        (fun () -> ignore (Oracles.Narrow.powmod narrow_n2 base e))
-    in
-    Printf.printf "  kernel %-10s %4d-bit mod, %4d-bit exp:  62-bit vs 30-bit %5.2fx\n"
-      name (B.bit_length n2) (B.bit_length e) s;
-    s
-  in
-  let k_enc = kshape "encrypt" e_enc in
-  let k_tpdec = kshape "tpdec" e_tpdec in
-  (* full protocol wall clock over the sweep; equal seeds must give
-     byte-identical transcripts (arithmetic backend cannot leak into
-     the wire format) *)
-  let circuit = Gen.dot_product ~len:8 in
-  let inputs c = Array.init 8 (fun i -> F.of_int ((c + 2) * (i + 3))) in
-  let protocol_rows =
-    List.map
-      (fun n ->
-        let params = Params.create ~n ~t:(n / 4) ~k:(n / 4) () in
-        let run () =
-          Protocol.execute ~params
-            ~config:(Protocol.config ~seed:0x7E11 ())
-            ~circuit ~inputs ()
-        in
-        let r = ref None in
-        let ms = wall (fun () -> r := Some (run ())) *. 1000. in
-        let r = Option.get !r in
-        assert (Protocol.check r circuit ~inputs);
-        let identical = (run ()).Protocol.transcript = r.Protocol.transcript in
-        if not identical then failwith "bench time: transcript not reproducible";
-        Printf.printf "  protocol n=%-4d %10.1f ms  (transcript replay ok)\n" n ms;
-        (n, params.Params.k, ms))
-      (time_sweep ())
-  in
-  if not !smoke then begin
-    if enc_naive /. enc_mont < 3.0 then
-      failwith "bench time: encrypt speedup below 3x";
-    if tpdec_naive /. tpdec_mont < 3.0 then
-      failwith "bench time: partial-decrypt speedup below 3x";
-    if comb_naive /. comb_mont < 3.0 then
-      failwith "bench time: combine speedup below 3x";
-    (* The wide kernel must beat the retired 30-bit kernel on both
-       live shapes.  The bars are set from measured medians minus box
-       variance, not from the 1.4x design target: at this modulus the
-       30-bit baseline packs into 17 limbs while the 29-bit-radix wide
-       kernel needs 18, which caps the honest win near 1.25x — see
-       EXPERIMENTS.md E14 for the full account. *)
-    if k_tpdec < 1.15 then failwith "bench time: tpdec-shape kernel speedup below 1.15x";
-    if k_enc < 1.05 then failwith "bench time: encrypt-shape kernel speedup below 1.05x"
-  end;
-  if not !smoke then begin
-    let pair naive mont =
-      Json.(
-        Obj
-          [ ("naive_ms", Float (4, naive)); ("mont_ms", Float (4, mont));
-            ("speedup", Float (2, naive /. mont)) ])
-    in
-    write_json "BENCH_time.json"
-      Json.(
-        Obj
-          [
-            ("bits", Int bits); ("keygen_ms", Float (4, keygen_ms));
-            ("encrypt", pair enc_naive enc_mont);
-            ("partial_decrypt", pair tpdec_naive tpdec_mont);
-            ( "kernel",
-              Obj
-                [ ("modulus_bits", Int (B.bit_length n2));
-                  ("encrypt_shape_speedup", Float (2, k_enc));
-                  ("tpdec_shape_speedup", Float (2, k_tpdec)) ] );
-            ( "combine",
-              Obj
-                [ ("parties", Int comb_n); ("threshold", Int comb_t);
-                  ("naive_ms", Float (4, comb_naive)); ("multiexp_ms", Float (4, comb_mont));
-                  ("speedup", Float (2, comb_naive /. comb_mont)) ] );
-            ( "protocol",
-              List
-                (List.map
-                   (fun (n, k, ms) -> Obj [ ("n", Int n); ("k", Int k); ("ms", Float (1, ms)) ])
-                   protocol_rows) );
-            ("transcript_identical", Bool true);
-          ])
-  end
-
-(* ------------------------------------------------------------------ *)
-(* E9: multicore committee execution + multi-exponentiation kernels    *)
-(* ------------------------------------------------------------------ *)
-
-let par_bench () =
-  header "E9. Multicore committee execution: domains sweep + multiexp combine";
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf "  hardware: %d core(s) recommended by the runtime\n" cores;
-
-  (* --- combine: one Straus multiexp vs one powmod per partial,
-     33-of-128, the acceptance configuration ----------------------- *)
-  let bits = if !smoke then 96 else 256 in
-  let n_parties = if !smoke then 16 else 128 in
-  let t = (n_parties / 4) in
-  let st = Random.State.make [| 0x9A12 |] in
-  let tpk, shares = T.keygen ~bits ~n:n_parties ~t ~rng:st () in
-  let tctx = T.Ctx.create tpk in
-  let m = B.random_below st tpk.T.pk.P.n in
-  let ct = T.Ctx.encrypt tctx ~rng:st m in
-  let parts =
-    List.init (t + 1) (fun i -> T.Ctx.partial_decrypt tctx shares.(i) ct)
-  in
-  (* the baseline is the oracle's combine with one Montgomery powmod
-     per partial; equal outputs before any timing *)
-  let mont = P.Ctx.mont_n2 (T.Ctx.paillier tctx) in
-  let per_partial () =
-    Oracles.Threshold.combine ~pow:(fun b e _ -> B.Mont.powmod mont b e) tpk parts
-  in
-  let dec_multi = T.Ctx.combine tctx parts in
-  if not (B.equal dec_multi (per_partial ()) && B.equal dec_multi m) then
-    failwith "bench par: multiexp and per-partial combine disagree";
-  let comb_multi = per_op_ms (fun () -> T.Ctx.combine tctx parts) in
-  let comb_powmods = per_op_ms per_partial in
-  Printf.printf
-    "  combine %d-of-%d (%d-bit): powmods %.2f ms, multiexp %.2f ms, %.2fx\n"
-    (t + 1) n_parties bits comb_powmods comb_multi (comb_powmods /. comb_multi);
-  if (not !smoke) && comb_powmods /. comb_multi < 2.0 then
-    failwith "bench par: multiexp combine speedup below 2x";
-
-  (* --- kernel microbench: the 62-bit delayed-carry Montgomery kernel
-     against the retired 30-bit kernel at protocol modulus sizes.
-     Interleaved measurement (median of epoch ratios) because absolute
-     timings on a shared box drift; equality of results is asserted at
-     every size, the speedup floor only outside smoke mode where the
-     epochs are long enough to trust.  These are the asserts the CI
-     smoke run executes. *)
-  Printf.printf "  kernel 62-bit vs 30-bit Montgomery modexp (interleaved medians):\n";
-  let kernel_rows =
-    List.map
-      (fun kbits ->
-        let kst = Random.State.make [| 0xC0DE + kbits |] in
-        let m =
-          let m = B.add (B.shift_left B.one (kbits - 1)) (B.random_bits kst (kbits - 1)) in
-          if B.is_even m then B.add m B.one else m
-        in
-        let bse = B.random_below kst m in
-        let e = B.random_bits kst kbits in
-        let wide = B.Mont.create m in
-        let narrow = Oracles.Narrow.create m in
-        if not (B.equal (B.Mont.powmod wide bse e) (Oracles.Narrow.powmod narrow bse e))
-        then failwith "bench par: wide and 30-bit kernels disagree";
-        let s =
-          ab_speedup
-            (fun () -> ignore (B.Mont.powmod wide bse e))
-            (fun () -> ignore (Oracles.Narrow.powmod narrow bse e))
-        in
-        Printf.printf "    %4d-bit modulus: %5.2fx\n" kbits s;
-        (kbits, s))
-      (if !smoke then [ 512 ] else [ 512; 1024; 2048 ])
-  in
-  List.iter
-    (fun (kbits, s) ->
-      if (not !smoke) && s < 1.1 then
-        failwith (Printf.sprintf "bench par: kernel speedup below 1.1x at %d bits" kbits);
-      (* smoke epochs are short, so only guard against the wide kernel
-         actually losing *)
-      if !smoke && s < 0.9 then
-        failwith (Printf.sprintf "bench par: wide kernel loses to 30-bit at %d bits" kbits))
-    kernel_rows;
-
-  (* --- protocol wall clock over an n x domains grid; the transcript
-     digest must be identical in every run of a row.  Each n runs
-     [rounds] rounds over the domain counts in order, d=1 and d=2
-     swapped in even rounds so they form alternating pairs.  The
-     process keeps one live pool, so moving to another count joins the
-     old pool and spawns the new one; an untimed run at the same count
-     before each timed run absorbs that, and the timed run sees only
-     its own pool, as a fresh process would.  A cell reports the median
-     of its runs ---------------------------------------------------- *)
-  let circuit = Gen.dot_product ~len:8 in
-  let inputs c = Array.init 8 (fun i -> F.of_int ((c + 2) * (i + 3))) in
-  let domain_sweep = if !smoke then [ 1; 2 ] else [ 1; 2; 4; 8 ] in
-  let n_sweep = if !smoke then [ 16 ] else [ 16; 32; 64; 128 ] in
-  let rounds = if !smoke then 1 else 5 in
-  let times = Hashtbl.create 16 and digests = Hashtbl.create 4 in
-  let add tbl k v =
-    Hashtbl.replace tbl k (v :: Option.value ~default:[] (Hashtbl.find_opt tbl k))
-  in
-  let run ~timed n domains =
-    let params = Params.create ~n ~t:(n / 4) ~k:(n / 4) () in
-    let config = Protocol.config ~seed:0x9A12 ~domains () in
-    let r = ref None in
-    let ms =
-      wall (fun () -> r := Some (Protocol.execute ~params ~config ~circuit ~inputs ())) *. 1000.
-    in
-    let r = Option.get !r in
-    assert (Protocol.check r circuit ~inputs);
-    add digests n r.Protocol.transcript.Yoso_net.Board.digest;
-    if timed then add times (n, domains) ms
-  in
-  List.iter
-    (fun n ->
-      for round = 1 to rounds do
-        let order =
-          if round mod 2 = 1 then domain_sweep
-          else
-            match domain_sweep with d1 :: d2 :: rest -> d2 :: d1 :: rest | l -> l
-        in
-        List.iter
-          (fun d ->
-            run ~timed:false n d;
-            run ~timed:true n d)
-          order
-      done)
-    n_sweep;
-  let median l =
-    let a = Array.of_list (List.sort compare l) in
-    let m = Array.length a in
-    if m mod 2 = 1 then a.(m / 2) else (a.((m / 2) - 1) +. a.(m / 2)) /. 2.
-  in
-  Printf.printf "  %-6s" "n";
-  List.iter (fun d -> Printf.printf " %9s" (Printf.sprintf "d=%d (ms)" d)) domain_sweep;
-  Printf.printf " %9s %9s\n" "d=2 wins" "digest ok";
-  let grid =
-    List.map
-      (fun n ->
-        let runs d = List.rev (Hashtbl.find times (n, d)) in
-        let cells = List.map (fun d -> (d, median (runs d), runs d)) domain_sweep in
-        let d2_wins = List.length (List.filter Fun.id (List.map2 ( > ) (runs 1) (runs 2))) in
-        let row_digests = Hashtbl.find digests n in
-        let base_digest = List.hd row_digests in
-        let digests_equal = List.for_all (fun d -> d = base_digest) row_digests in
-        if not digests_equal then
-          failwith
-            (Printf.sprintf "bench par: transcript digest varies with domains at n=%d" n);
-        Printf.printf "  %-6d" n;
-        List.iter (fun (_, ms, _) -> Printf.printf " %9.1f" ms) cells;
-        Printf.printf " %6d/%-2d %9b\n" d2_wins rounds digests_equal;
-        (n, n / 4, cells, d2_wins, base_digest))
-      n_sweep
-  in
-  (* speedup acceptance only means something on real multicore
-     hardware; the determinism checks above always run.  Every row
-     with n >= 64 must show at least 1.5x at 4 domains. *)
-  if (not !smoke) && cores >= 4 then
-    List.iter
-      (fun (n, _, cells, _, _) ->
-        if n >= 64 then begin
-          let ms_at d =
-            match List.assoc_opt d (List.map (fun (d, ms, _) -> (d, ms)) cells) with
-            | Some ms -> ms
-            | None -> failwith "bench par: missing grid cell"
-          in
-          let speedup = ms_at 1 /. ms_at 4 in
-          Printf.printf "  n=%d speedup at 4 domains: %.2fx\n" n speedup;
-          if speedup < 1.5 then
-            failwith
-              (Printf.sprintf "bench par: n=%d speedup at 4 domains below 1.5x" n)
-        end)
-      grid
-  else
-    Printf.printf
-      "  (speedup assertion skipped: %s)\n"
-      (if !smoke then "smoke mode" else "fewer than 4 cores");
-
-  (* --- optional per-domain chunk-time breakdown ------------------- *)
-  if !profile then begin
-    let n = if !smoke then 16 else 64 in
-    let domains = if !smoke then 2 else 4 in
-    Printf.printf "  profile: n=%d at %d domains (per-domain chunk times)\n" n domains;
-    let params = Params.create ~n ~t:(n / 4) ~k:(n / 4) () in
-    Pool.set_profiling true;
-    ignore
-      (Protocol.execute ~params
-         ~config:(Protocol.config ~seed:0x9A12 ~domains ())
-         ~circuit ~inputs ());
-    Pool.set_profiling false;
-    let samples = Pool.drain_profile () in
-    let by_domain = Hashtbl.create 8 in
-    List.iter
-      (fun (d, _, ms) ->
-        let cnt, tot, mx =
-          Option.value ~default:(0, 0.0, 0.0) (Hashtbl.find_opt by_domain d)
-        in
-        Hashtbl.replace by_domain d (cnt + 1, tot +. ms, Float.max mx ms))
-      samples;
-    let doms = List.sort compare (Hashtbl.fold (fun d _ acc -> d :: acc) by_domain []) in
-    List.iter
-      (fun d ->
-        let cnt, tot, mx = Hashtbl.find by_domain d in
-        Printf.printf "    domain %d: %4d chunks, %8.1f ms total, %6.1f ms max chunk\n"
-          d cnt tot mx)
-      doms;
-    if doms = [] then Printf.printf "    (no pooled chunks ran — 1-domain pools inline)\n"
-  end;
-
-  if not !smoke then begin
-    let grid_row (n, k, cells, d2_wins, digest) =
-      let ms1 =
-        match cells with
-        | (1, ms, _) :: _ -> ms
-        | _ -> failwith "bench par: grid row missing the 1-domain cell"
-      in
-      (* speedup is relative to this row's own 1-domain median, so the
-         trajectory reads directly from the JSON *)
-      let cell (d, ms, runs) =
-        Json.(
-          Obj
-            [ ("domains", Int d); ("ms", Float (1, ms)); ("speedup", Float (2, ms1 /. ms));
-              ("runs_ms", List (List.map (fun x -> Float (1, x)) runs)) ])
-      in
-      Json.(
-        Obj
-          [ ("n", Int n); ("k", Int k); ("cores", Int cores); ("rounds", Int rounds);
-            ("cells", List (List.map cell cells)); ("d2_wins", Int d2_wins);
-            ("transcript_digest", Int digest); ("digest_identical", Bool true) ])
-    in
-    write_json "BENCH_par.json"
-      Json.(
-        Obj
-          [
-            ("experiment", String "par");
-            (* [cores.recommended] is what [Domain.recommended_domain_count]
-               reported; [cores.used] is the widest pool the grid actually
-               ran.  Keeping both makes a grid recorded on a small box
-               readable for what it is. *)
-            ( "cores",
-              Obj [ ("recommended", Int cores); ("used", Int (List.fold_left max 1 domain_sweep)) ] );
-            ( "combine",
-              Obj
-                [ ("parties", Int n_parties); ("threshold", Int t); ("bits", Int bits);
-                  ("powmods_ms", Float (4, comb_powmods)); ("multiexp_ms", Float (4, comb_multi));
-                  ("speedup", Float (2, comb_powmods /. comb_multi)) ] );
-            ( "kernel",
-              List
-                (List.map
-                   (fun (kbits, s) ->
-                     Obj [ ("bits", Int kbits); ("wide_vs_narrow_speedup", Float (2, s)) ])
-                   kernel_rows) );
-            ("grid", List (List.map grid_row grid));
-          ])
-  end
-
-(* ------------------------------------------------------------------ *)
-(* E10: multi-process socket transport vs in-process sim               *)
-(* ------------------------------------------------------------------ *)
-
-module Runner = Yoso_transport.Runner
-module Daemon = Yoso_transport.Daemon
-module Topology = Yoso_transport.Topology
-
-let transport_bench () =
-  header "E10. Socket transport: one OS process per committee member vs in-process sim";
-  let n_sweep = if !smoke then [ 16 ] else [ 16; 32 ] in
-  let circuit = Gen.dot_product ~len:8 in
-  let inputs c = Array.init 8 (fun i -> F.of_int ((c + 2) * (i + 3))) in
-  Printf.printf "  %-5s %-14s %10s %8s | %12s %8s %7s\n" "n" "geometry" "wall (ms)"
-    "agree" "egress (B)" "vs bcast" "ratio";
-  let rows =
-    List.concat_map
-      (fun n ->
-        let params = Params.create ~n ~t:(n / 4) ~k:(n / 4) () in
-        let seed = 0xE10 in
-        let r = ref None in
-        let sim_ms =
-          wall (fun () ->
-              r :=
-                Some
-                  (Protocol.execute ~params
-                     ~config:(Protocol.config ~seed ())
-                     ~circuit ~inputs ()))
-          *. 1000.
-        in
-        let sim_r = Option.get !r in
-        assert (Protocol.check sim_r circuit ~inputs);
-        let child ~slot:_ ~link =
-          let config =
-            Protocol.config ~seed ~transport:"unix" ~link ()
-          in
-          Json.to_string (Protocol.report_json (Protocol.execute ~params ~config ~circuit ~inputs ()))
-        in
-        (* three geometries over the same seeded run: full-quorum
-           broadcast, the n/8 quorum, and that quorum over a sharded
-           board *)
-        let quorum = Topology.default_quorum ~nslots:n in
-        let geometries =
-          [
-            ("broadcast", Topology.make ~nslots:n ());
-            ("routed", Topology.make ~quorum ~nslots:n ());
-            ("routed+sharded", Topology.make ~shards:4 ~quorum ~nslots:n ());
-          ]
-        in
-        let bcast_egress = ref 0 in
-        List.map
-          (fun (geometry, (topology : Topology.t)) ->
-            let routed = topology.Topology.quorum < n - 1 in
-            let meter = Yoso_net.Meter.create () in
-            let res = Runner.run ~meter ~topology ~nslots:n ~seed ~child () in
-            let report = match res.Runner.reports with (_, j) :: _ -> j | [] -> "{}" in
-            let field f = Runner.json_int_field report ~field:f in
-            let digest_equal =
-              field "digest" = Some sim_r.Protocol.transcript.Yoso_net.Board.digest
-              && field "frames" = Some sim_r.Protocol.transcript.Yoso_net.Board.frames
-              && field "frame_bytes"
-                 = Some sim_r.Protocol.transcript.Yoso_net.Board.frame_bytes
-            in
-            let egress = res.Runner.stats.Daemon.bytes_out in
-            if not routed then bcast_egress := egress;
-            let vs_bcast = float_of_int egress /. float_of_int (max 1 !bcast_egress) in
-            let ratio = Yoso_net.Meter.routing_ratio meter in
-            Printf.printf "  %-5d %-14s %10.1f %8b | %12d %7.0f%% %7.2f\n" n geometry
-              res.Runner.wall_ms res.Runner.agree egress (vs_bcast *. 100.) ratio;
-            if not (res.Runner.agree && digest_equal && res.Runner.down = []) then
-              failwith
-                (Printf.sprintf
-                   "bench transport: n=%d %s run diverged from sim (agree=%b equal=%b)"
-                   n geometry res.Runner.agree digest_equal);
-            (* the daemon's stitched digest chain equals the board
-               transcript every member (and the sim) reports *)
-            if res.Runner.stats.Daemon.digest <> sim_r.Protocol.transcript.Yoso_net.Board.digest
-            then
-              failwith
-                (Printf.sprintf "bench transport: n=%d %s daemon digest %d <> sim digest %d" n
-                   geometry res.Runner.stats.Daemon.digest
-                   sim_r.Protocol.transcript.Yoso_net.Board.digest);
-            if res.Runner.stats.Daemon.shards <> topology.Topology.shards then
-              failwith "bench transport: daemon shard count mismatch";
-            if routed then begin
-              (* routing must actually suppress traffic: the full-frame
-                 share of deliveries is quorum/n, far below 1 *)
-              if ratio >= 0.5 then
-                failwith
-                  (Printf.sprintf "bench transport: n=%d %s routing ratio %.2f >= 0.5" n
-                     geometry ratio);
-              (* the headline claim: routed egress is at most a fifth of
-                 the broadcast geometry's on the same run *)
-              if egress * 5 > !bcast_egress then
-                failwith
-                  (Printf.sprintf
-                     "bench transport: n=%d %s egress %d B > 1/5 of broadcast %d B" n
-                     geometry egress !bcast_egress)
-            end;
-            (n, geometry, topology, sim_ms, res, sim_r, ratio, vs_bcast))
-          geometries)
-      n_sweep
-  in
-  Printf.printf
-    "  (every report unanimous across all three geometries; routed members receive\n\
-    \   full frames only from their quorum sources plus digest records from the rest,\n\
-    \   yet the daemon's stitched digest chain still equals the in-process transcript)\n";
-  if not !smoke then begin
-    let row (n, geometry, (topology : Topology.t), sim_ms, res, sim_r, ratio, vs_bcast) =
-      let st = res.Runner.stats in
-      Json.(
-        Obj
-          [ ("n", Int n); ("geometry", String geometry);
-            ("routed", Bool (topology.Topology.quorum < n - 1));
-            ("shards", Int topology.Topology.shards); ("quorum", Int topology.Topology.quorum);
-            ("sim_ms", Float (1, sim_ms));
-            ("unix_ms", Float (1, res.Runner.wall_ms)); ("agree", Bool res.Runner.agree);
-            ("transcript_digest", Int sim_r.Protocol.transcript.Yoso_net.Board.digest);
-            ("digest_identical", Bool true); ("frames_in", Int st.Daemon.frames_in);
-            ("frames_out", Int st.Daemon.frames_out); ("digests_out", Int st.Daemon.digests_out);
-            ("batches_out", Int st.Daemon.batches_out);
-            ("suppressed_bytes", Int st.Daemon.suppressed_bytes);
-            ("daemon_bytes_in", Int st.Daemon.bytes_in);
-            ("daemon_bytes_out", Int st.Daemon.bytes_out);
-            ("egress_vs_broadcast", Float (4, vs_bcast)); ("routing_ratio", Float (4, ratio)) ])
-    in
-    write_json "BENCH_transport.json"
-      Json.(
-        Obj
-          [ ("experiment", String "transport"); ("endpoint", String "unix");
-            ("rows", List (List.map row rows)) ])
-  end
-
-(* ------------------------------------------------------------------ *)
-(* E11: chaos sweep — faults below the protocol, transcript unchanged  *)
-(* ------------------------------------------------------------------ *)
-
-module Chaos = Yoso_transport.Chaos
-
-let chaos_bench () =
-  header
-    "E11. Chaos harness: severs/delays/truncations/duplicates + daemon kill, \
-     digest byte-identical to fault-free sim";
-  let n = 8 in
-  let params = Params.create ~n ~t:2 ~k:2 () in
-  let circuit = Gen.dot_product ~len:8 in
-  let inputs c = Array.init 8 (fun i -> F.of_int ((c + 2) * (i + 3))) in
-  let seed = 0xE11 in
-  let sim_r =
-    Protocol.execute ~params ~config:(Protocol.config ~seed ()) ~circuit
-      ~inputs ()
-  in
-  assert (Protocol.check sim_r circuit ~inputs);
-  let frames = sim_r.Protocol.transcript.Yoso_net.Board.frames in
-  let digest = sim_r.Protocol.transcript.Yoso_net.Board.digest in
-  let child ~slot:_ ~link =
-    let config =
-      Protocol.config ~seed ~transport:"unix" ~link ()
-    in
-    Json.to_string (Protocol.report_json (Protocol.execute ~params ~config ~circuit ~inputs ()))
-  in
-  let with_journal f =
-    let path = Filename.temp_file "yoso-bench-chaos" ".wal" in
-    Fun.protect
-      ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-      (fun () ->
-        Sys.remove path;
-        f path)
-  in
-  let run_case ~label ~chaos_config =
-    with_journal (fun journal ->
-        let chaos = Chaos.create chaos_config in
-        let r = ref None in
-        let wall_ms =
-          wall (fun () ->
-              r := Some (Runner.run ~journal ~chaos ~nslots:n ~seed ~child ()))
-          *. 1000.
-        in
-        let res = Option.get !r in
-        let report = match res.Runner.reports with (_, j) :: _ -> j | [] -> "{}" in
-        let digest_equal = Runner.json_int_field report ~field:"digest" = Some digest in
-        let clean =
-          res.Runner.agree && res.Runner.down = [] && digest_equal
-          && Runner.json_int_field report ~field:"faults_detected" = Some 0
-          && List.length res.Runner.reports = n
-        in
-        if not clean then
-          failwith
-            (Printf.sprintf
-               "bench chaos: case %s diverged (agree=%b down=%d digest_equal=%b)"
-               label res.Runner.agree (List.length res.Runner.down) digest_equal);
-        (label, wall_ms, res, digest_equal))
-  in
-  (* the drill from the issue: daemon killed mid-round, one forced
-     disconnect per protocol phase (early/middle/late thirds) *)
-  let drill_config =
-    { Chaos.none with
-      Chaos.seed;
-      kill_at = [ frames / 2 ];
-      sever_at = [ (frames / 6, 1); ((frames / 2) + (frames / 8), 2); (5 * frames / 6, 3) ];
-    }
-  in
-  let rates = if !smoke then [ 0.05 ] else [ 0.0; 0.02; 0.05; 0.1 ] in
-  let rate_config r =
-    { Chaos.none with
-      Chaos.seed;
-      sever_rate = r;
-      trunc_rate = r /. 2.;
-      dup_rate = r /. 2.;
-      delay_rate = r;
-      delay_ms = 20.;
-    }
-  in
-  Printf.printf "  %-12s %9s %9s %11s %9s %13s %7s\n" "case" "wall(ms)" "restarts"
-    "reconnects" "replayed" "journal(B)" "digest";
-  let cases =
-    ("kill+sever", drill_config)
-    :: List.map (fun r -> (Printf.sprintf "rate=%.2f" r, rate_config r)) rates
-  in
-  let rows =
-    List.map
-      (fun (label, cfg) ->
-        let ((_, wall_ms, res, digest_equal) as row) = run_case ~label ~chaos_config:cfg in
-        let st = res.Runner.stats in
-        Printf.printf "  %-12s %9.1f %9d %11d %9d %13d %7b\n" label wall_ms
-          res.Runner.restarts st.Daemon.reconnects st.Daemon.replayed_frames
-          st.Daemon.journal_bytes digest_equal;
-        if label = "kill+sever" && res.Runner.restarts <> 1 then
-          failwith "bench chaos: kill point did not restart the daemon exactly once";
-        row)
-      cases
-  in
-  Printf.printf
-    "  (every case: unanimous reports, zero blames, transcript digest byte-identical\n\
-    \   to the fault-free sim — faults live below the protocol, recovery hides them)\n";
-  if not !smoke then begin
-    let row (label, wall_ms, res, digest_equal) =
-      let st = res.Runner.stats in
-      Json.(
-        Obj
-          [ ("case", String label); ("wall_ms", Float (1, wall_ms));
-            ("restarts", Int res.Runner.restarts); ("reconnects", Int st.Daemon.reconnects);
-            ("replayed", Int st.Daemon.replayed_frames);
-            ("recovered", Int st.Daemon.recovered_frames);
-            ("journal_bytes", Int st.Daemon.journal_bytes);
-            ("digest_identical", Bool digest_equal) ])
-    in
-    write_json "BENCH_chaos.json"
-      Json.(
-        Obj
-          [ ("experiment", String "chaos"); ("n", Int n); ("frames", Int frames);
-            ("transcript_digest", Int digest); ("rows", List (List.map row rows)) ])
-  end
-
-(* ------------------------------------------------------------------ *)
-(* E12: compiler front-end — pass-by-pass reductions + e2e cost        *)
-(* ------------------------------------------------------------------ *)
-
-module Lang = Yoso_lang.Compiler
-module LProg = Yoso_lang.Programs
-module Ir = Yoso_lang.Ir
-module LAst = Yoso_lang.Ast
-
-let compile_bench () =
-  header "E12. yoso_lang compiler: pass pipeline reductions + e2e protocol cost";
-
-  (* --- the four named programs: naive vs optimized, both checked
-     against the reference interpreter ------------------------------ *)
-  let named =
-    if !smoke then
-      [ ("auction", 3); ("variance", 4); ("tally", 5); ("linear_model", 4) ]
-    else [ ("auction", 5); ("variance", 8); ("tally", 9); ("linear_model", 16) ]
-  in
-  Printf.printf "  %-14s | %19s | %19s | %7s\n" "program" "naive (muls/depth)"
-    "optimized (muls/depth)" "checked";
-  let named_rows =
-    List.map
-      (fun (name, size) ->
-        let p = LProg.by_name name ~size in
-        let opt = Lang.compile p in
-        let naive = Lang.compile ~passes:[] p in
-        let inputs = LProg.demo_inputs p ~seed:0xE12 in
-        let ok = Lang.check opt ~inputs && Lang.check naive ~inputs in
-        if not ok then
-          failwith (Printf.sprintf "bench compile: %s disagrees with interpreter" name);
-        let ns = naive.Lang.naive_stats and os = Lang.final_stats opt in
-        Printf.printf "  %-14s | %10d / %-6d | %10d / %-6d | %7b\n" name ns.Ir.muls
-          ns.Ir.depth os.Ir.muls os.Ir.depth ok;
-        (name, size, opt, ns, os))
-      named
-  in
-  (* CSE must merge the auction's duplicated pairwise comparisons *)
-  (match List.find_opt (fun (n, _, _, _, _) -> n = "auction") named_rows with
-  | Some (_, _, _, ns, os) ->
-    if not (os.Ir.muls < ns.Ir.muls) then
-      failwith "bench compile: optimization did not reduce auction multiplications"
-  | None -> ());
-
-  (* --- reassociation: a left-nested product chain must come out
-     logarithmic ----------------------------------------------------- *)
-  let chain_len = 16 in
-  let chain =
-    let b = LAst.B.create ~name:"chain" () in
-    let xs =
-      List.init chain_len (fun i ->
-          LAst.B.input b ~client:0 (Printf.sprintf "x%d" i))
-    in
-    LAst.B.output b ~client:0 (LAst.prod xs);
-    LAst.B.build b
-  in
-  let chain_naive = Lang.compile ~passes:[] chain in
-  let chain_opt = Lang.compile chain in
-  let chain_inputs = LProg.demo_inputs chain ~seed:7 in
-  if not (Lang.check chain_opt ~inputs:chain_inputs && Lang.check chain_naive ~inputs:chain_inputs)
-  then failwith "bench compile: chain program disagrees with interpreter";
-  let cn = chain_naive.Lang.naive_stats and co = Lang.final_stats chain_opt in
-  Printf.printf "  product chain (%d leaves): depth %d -> %d\n" chain_len cn.Ir.depth
-    co.Ir.depth;
-  if not (co.Ir.depth < cn.Ir.depth) then
-    failwith "bench compile: reassociation did not reduce product-chain depth";
-
-  (* --- random-expression family: fold+CSE must strictly shrink every
-     seed (all nodes are live, so the shrink is never a DCE artifact) *)
-  let nseeds = if !smoke then 6 else 24 in
-  let random_rows =
-    List.init nseeds (fun seed ->
-        let p = LProg.random_program ~seed ~size:30 ~clients:3 in
-        let opt = Lang.compile p in
-        let inputs = LProg.demo_inputs p ~seed:(seed + 1) in
-        if not (Lang.check opt ~inputs) then
-          failwith (Printf.sprintf "bench compile: random seed %d disagrees" seed);
-        let ns = opt.Lang.naive_stats and os = Lang.final_stats opt in
-        if not (os.Ir.muls < ns.Ir.muls && os.Ir.nodes < ns.Ir.nodes) then
-          failwith
-            (Printf.sprintf
-               "bench compile: seed %d not strictly smaller (muls %d->%d, nodes %d->%d)"
-               seed ns.Ir.muls os.Ir.muls ns.Ir.nodes os.Ir.nodes);
-        (seed, ns, os))
-  in
-  let total f = List.fold_left (fun a (_, ns, os) -> (fst a + f ns, snd a + f os)) (0, 0) random_rows in
-  let muls_n, muls_o = total (fun s -> s.Ir.muls) in
-  let nodes_n, nodes_o = total (fun s -> s.Ir.nodes) in
-  let depth_n, depth_o = total (fun s -> s.Ir.depth) in
-  Printf.printf
-    "  random family (%d seeds): nodes %d -> %d (-%.1f%%), muls %d -> %d (-%.1f%%), \
-     total depth %d -> %d\n"
-    nseeds nodes_n nodes_o
-    (100. *. float_of_int (nodes_n - nodes_o) /. float_of_int nodes_n)
-    muls_n muls_o
-    (100. *. float_of_int (muls_n - muls_o) /. float_of_int muls_n)
-    depth_n depth_o;
-  if depth_o > depth_n then
-    failwith "bench compile: passes increased total depth over the random family";
-
-  (* --- e2e protocol cost: the same auction, naively lowered vs
-     optimized, through the full packed protocol --------------------- *)
-  let p = LProg.auction ~bidders:3 ~width:(if !smoke then 4 else 8) () in
-  let run compiled =
-    let params = Params.create ~n:16 ~t:5 ~k:3 () in
-    let inputs =
-      Lang.protocol_inputs compiled ~inputs:(LProg.demo_inputs p ~seed:0xE12)
-    in
-    let circuit = compiled.Lang.circuit in
-    let r = ref None in
-    let ms = wall (fun () -> r := Some (Protocol.execute ~params ~circuit ~inputs ())) *. 1000. in
-    let r = Option.get !r in
-    assert (Protocol.check r circuit ~inputs);
-    (r, ms)
-  in
-  let opt = Lang.compile p and naive = Lang.compile ~passes:[] p in
-  let r_opt, ms_opt = run opt and r_naive, ms_naive = run naive in
-  (* both executions must announce the same outputs as the interpreter *)
-  let interp_outs = Yoso_lang.Interp.run p ~inputs:(LProg.demo_inputs p ~seed:0xE12) in
-  let outs_of (r : Protocol.report) =
-    List.map (fun o -> (o.Yoso_mpc.Online.client, o.Yoso_mpc.Online.value)) r.Protocol.outputs
-  in
-  if outs_of r_opt <> interp_outs || outs_of r_naive <> interp_outs then
-    failwith "bench compile: protocol outputs differ from the interpreter";
-  Printf.printf
-    "  e2e auction: naive %d mult gates, %d online elements, %.0f ms\n\
-    \               optimized %d mult gates, %d online elements, %.0f ms\n"
-    r_naive.Protocol.num_mult r_naive.Protocol.online_elements ms_naive
-    r_opt.Protocol.num_mult r_opt.Protocol.online_elements ms_opt;
-  if not (r_opt.Protocol.online_elements < r_naive.Protocol.online_elements) then
-    failwith "bench compile: optimized circuit not cheaper online than naive lowering";
-  Printf.printf
-    "  (identical outputs through the protocol; the compiler only removes work)\n";
-
-  if not !smoke then begin
-    let e2e r =
-      Json.(
-        Obj
-          [ ("mult_gates", Int r.Protocol.num_mult);
-            ("online_elements", Int r.Protocol.online_elements);
-            ("offline_elements", Int r.Protocol.offline_elements);
-            ("posts", Int r.Protocol.posts) ])
-    in
-    let program (name, size, opt, ns, os) =
-      Json.(
-        Obj
-          [ ("name", String name); ("size", Int size); ("naive", Ir.stats_json ns);
-            ("final", Ir.stats_json os); ("passes", Lang.pass_stats_json opt.Lang.pass_stats) ])
-    in
-    write_json "BENCH_compile.json"
-      Json.(
-        Obj
-          [
-            ("experiment", String "compile");
-            ("programs", List (List.map program named_rows));
-            ( "chain",
-              Obj
-                [ ("leaves", Int chain_len); ("naive_depth", Int cn.Ir.depth);
-                  ("optimized_depth", Int co.Ir.depth) ] );
-            ( "random_family",
-              Obj
-                [ ("seeds", Int nseeds); ("nodes_naive", Int nodes_n);
-                  ("nodes_optimized", Int nodes_o); ("muls_naive", Int muls_n);
-                  ("muls_optimized", Int muls_o); ("depth_naive", Int depth_n);
-                  ("depth_optimized", Int depth_o); ("strictly_smaller_every_seed", Bool true) ] );
-            ( "e2e_auction",
-              Obj
-                [ ("naive", e2e r_naive); ("optimized", e2e r_opt);
-                  ("outputs_match_interpreter", Bool true) ] );
-          ])
-  end
-
-(* ------------------------------------------------------------------ *)
-(* F: factory — sustained streaming throughput over one depot          *)
-(* ------------------------------------------------------------------ *)
-
-module Factory = Yoso_factory.Factory
-module Depot = Yoso_factory.Depot
-module Offline = Yoso_mpc.Offline
-module Feldman = Yoso_shamir.Feldman
-module Meter = Yoso_net.Meter
-module Board = Yoso_net.Board
-module Circuit = Yoso_circuit.Circuit
-
-let outputs_equal a b =
-  List.length a = List.length b
-  && List.for_all2
-       (fun (x : Yoso_mpc.Online.output) (y : Yoso_mpc.Online.output) ->
-         x.Yoso_mpc.Online.client = y.Yoso_mpc.Online.client
-         && x.Yoso_mpc.Online.wire = y.Yoso_mpc.Online.wire
-         && F.equal x.Yoso_mpc.Online.value y.Yoso_mpc.Online.value)
-       a b
-
-let factory_bench () =
-  header "F. Offline factory: sustained gates/sec over a streamed circuit sequence";
-  let circuits = if !smoke then 4 else 8 in
-  let params =
-    if !smoke then Params.create ~n:8 ~t:2 ~k:2 () else Params.create ~n:16 ~t:4 ~k:4 ()
-  in
-  let circuit =
-    Gen.wide_mul_reduced
-      ~width:(if !smoke then 4 else 8)
-      ~depth:(if !smoke then 2 else 3)
-      ~clients:2
-  in
-  let inputs_of j c =
-    Array.init (2 * (if !smoke then 4 else 8)) (fun i -> F.of_int ((c + 2) * (i + 3) * (j + 5)))
-  in
-  let base_seed = 0xFAC709 in
-  (* both sides run the same opts (the transcript must match), so the
-     one-shot baseline and the stream verify their triple audits the
-     same way, by RLC aggregation *)
-  let opts =
-    { Offline.default_opts with Offline.audit_triples = true; packed_reenc = true }
-  in
-  Feldman.prepare ();
-
-  Printf.printf "  %d circuits (%d mult gates each), n=%d t=%d k=%d\n%!" circuits
-    (Circuit.num_mul circuit) params.Params.n params.Params.t params.Params.k;
-  let baseline = Array.make circuits None in
-  let base_s =
-    wall (fun () ->
-        for j = 0 to circuits - 1 do
-          baseline.(j) <-
-            Some
-              (Protocol.execute ~params
-                 ~config:
-                   (Protocol.config
-                      ~seed:(Factory.derived_seed base_seed j)
-                      ~offline:opts ())
-                 ~circuit ~inputs:(inputs_of j) ())
-        done)
-  in
-  let jobs =
-    Array.init circuits (fun j -> { Factory.circuit; inputs = inputs_of j })
-  in
-  let streamed =
-    Factory.stream ~params
-      ~config:(Protocol.config ~seed:base_seed ~offline:opts ())
-      ~jobs ()
-  in
-  let total_mult = streamed.Factory.total_mult in
-  let base_gps = float_of_int total_mult /. base_s in
-  let stream_gps = streamed.Factory.gates_per_sec in
-
-  (* streamed outputs and transcripts must equal the independent
-     one-shot runs — streaming changes the schedule, never the bytes *)
-  List.iter
-    (fun cr ->
-      let one = Option.get baseline.(cr.Factory.index) in
-      let sd = cr.Factory.report.Protocol.transcript.Board.digest in
-      let od = one.Protocol.transcript.Board.digest in
-      if sd <> od then
-        failwith
-          (Printf.sprintf "factory: circuit %d transcript diverged (%d vs %d)"
-             cr.Factory.index sd od);
-      if not (outputs_equal cr.Factory.report.Protocol.outputs one.Protocol.outputs) then
-        failwith (Printf.sprintf "factory: circuit %d outputs diverged" cr.Factory.index);
-      if not (Protocol.check cr.Factory.report circuit ~inputs:(inputs_of cr.Factory.index))
-      then failwith (Printf.sprintf "factory: circuit %d outputs wrong" cr.Factory.index))
-    streamed.Factory.results;
-  Printf.printf "  streamed outputs / digests == one-shot runs: true\n";
-
-  let d = streamed.Factory.depot in
-  Printf.printf "  one-shot : %7.1f gates/s (%.1f ms total)\n" base_gps (base_s *. 1000.);
-  Printf.printf "  streamed : %7.1f gates/s (%.1f ms total, %.2fx)\n" stream_gps
-    streamed.Factory.wall_ms (stream_gps /. base_gps);
-  Printf.printf
-    "  depot    : peak %d/%d slots, %d puts, %d refills during online, producer \
-     blocked %d, consumer blocked %d\n"
-    d.Depot.max_occupancy d.Depot.puts d.Depot.puts streamed.Factory.refills_during_online
-    d.Depot.producer_blocks d.Depot.consumer_blocks;
-  Printf.printf "  refills  : %d batches, %d B attributed\n"
-    (List.length (Meter.refills streamed.Factory.meter))
-    (Meter.side_total streamed.Factory.meter Meter.Refill);
-  if streamed.Factory.refills_during_online = 0 then
-    failwith "factory: no producer/consumer overlap observed";
-  (* the stream must sustain at least one-shot throughput: it overlaps
-     preprocessing with online execution.  The full bar only means
-     something with a core for each side of the pipeline — on one
-     core the two domains time-slice and every minor GC syncs them,
-     so there (and in smoke mode, where circuits are tiny) only a
-     pipeline-not-pathological floor applies. *)
-  let cores = Domain.recommended_domain_count () in
-  let floor, why =
-    if (not !smoke) && cores >= 2 then (1.0, "full bar")
-    else (0.4, if !smoke then "smoke mode" else "single core")
-  in
-  Printf.printf "  throughput bar: streamed >= %.2fx one-shot (%s)\n" floor why;
-  if stream_gps < floor *. base_gps then
-    failwith
-      (Printf.sprintf "factory: streamed %.1f gates/s < %.2fx one-shot %.1f gates/s"
-         stream_gps floor base_gps);
-
-  (* RLC audit verification vs per-proof checks, same proof set *)
-  let m = if !smoke then 48 else 256 in
-  let rng = Random.State.make [| 0xFACB; m |] in
-  let batch =
-    Array.init m (fun _ ->
-        let x = F.random rng and y = F.random rng in
-        Feldman.Product.prove ~rng ~x ~y ~z:(F.mul x y))
-  in
-  let reps = if !smoke then 20 else 50 in
-  let each_s =
-    wall (fun () ->
-        for _ = 1 to reps do
-          if not (Array.for_all (fun (st, p) -> Feldman.Product.verify st p) batch) then
-            failwith "factory: honest proof rejected"
-        done)
-  in
-  let rlc_s =
-    wall (fun () ->
-        for _ = 1 to reps do
-          if not (Feldman.Product.verify_batch batch) then
-            failwith "factory: honest batch rejected"
-        done)
-  in
-  let each_us = each_s *. 1e6 /. float_of_int (reps * m) in
-  let rlc_us = rlc_s *. 1e6 /. float_of_int (reps * m) in
-  Printf.printf "  audit    : per-proof %.2f us/triple, RLC %.2f us/triple (%.1fx)\n"
-    each_us rlc_us (each_us /. rlc_us);
-  if (not !smoke) && rlc_us >= each_us then
-    failwith "factory: RLC verification not cheaper than per-proof checks";
-
-  if not !smoke then begin
-    write_json "BENCH_factory.json"
-      Json.(
-        Obj
-          [ ("circuits", Int circuits); ("total_mult", Int total_mult);
-            ("oneshot_gates_per_sec", Float (2, base_gps));
-            ("streamed_gates_per_sec", Float (2, stream_gps));
-            ("speedup", Float (3, stream_gps /. base_gps));
-            ("audit_each_us_per_triple", Float (3, each_us));
-            ("audit_rlc_us_per_triple", Float (3, rlc_us));
-            ("stream", Factory.report_json streamed) ])
-  end
-
-(* ------------------------------------------------------------------ *)
-
+(* The fork-based experiments (transport, chaos) come before the first
+   one that spawns a domain (par, factory): OCaml refuses Unix.fork in
+   a process that has ever spawned one. *)
 let experiments =
   [
-    ("table1", table1);
-    ("improvements", improvements);
-    ("comm", comm);
-    ("bgw", bgw_comparison);
-    ("net", net_bytes);
-    ("ablation-eps", ablation_eps);
-    ("ablation-amortization", ablation_amortization);
-    ("failstop", failstop);
-    ("sortition-mc", sortition_mc);
-    ("time", time_bench);
-    ("par", par_bench);
-    ("transport", transport_bench);
-    ("chaos", chaos_bench);
-    ("compile", compile_bench);
-    ("factory", factory_bench);
+    ("table1", Table1.run);
+    ("improvements", Improvements.run);
+    ("comm", Comm.run);
+    ("bgw", Bgw.run);
+    ("net", Net.run);
+    ("ablation-eps", Ablation_eps.run);
+    ("ablation-amortization", Ablation_amortization.run);
+    ("failstop", Failstop.run);
+    ("sortition-mc", Sortition_mc.run);
+    ("time", Time.run);
+    ("transport", Transport.run);
+    ("chaos", Chaos.run);
+    ("par", Par.run);
+    ("compile", Compile.run);
+    ("factory", Factory.run);
   ]
 
 let () =
-  let args =
-    Array.to_list Sys.argv |> List.tl |> List.filter (fun a -> a <> "--")
-  in
-  let args =
-    List.filter
-      (fun a ->
-        match a with
-        | "--smoke" ->
-          smoke := true;
-          false
-        | "--profile" ->
-          profile := true;
-          false
-        | _ -> true)
-      args
-  in
-  match args with
-  | [] -> List.iter (fun (_, f) -> f ()) experiments
-  | names ->
-    List.iter
-      (fun name ->
-        match List.assoc_opt name experiments with
-        | Some f -> f ()
-        | None ->
-          Printf.eprintf "unknown experiment %s; available: %s\n" name
-            (String.concat ", " (List.map fst experiments));
-          exit 1)
-      names
+  let args = List.tl (Array.to_list Sys.argv) in
+  let flag f = List.mem f args in
+  Harness.smoke := flag "--smoke";
+  Harness.profile := flag "--profile";
+  let names = List.filter (fun a -> not (List.mem a [ "--"; "--smoke"; "--profile" ])) args in
+  List.iter
+    (fun name ->
+      if not (List.mem_assoc name experiments) then begin
+        Printf.eprintf "unknown experiment %s; available: %s\n" name
+          (String.concat ", " (List.map fst experiments));
+        exit 1
+      end)
+    names;
+  List.iter
+    (fun (name, run) -> if names = [] || List.mem name names then run ())
+    experiments

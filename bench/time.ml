@@ -1,0 +1,171 @@
+(* E8: the arithmetic layer — threshold Paillier on the Montgomery
+   backends against their baselines, and the modexp kernel against the
+   retired 30-bit one *)
+
+module P = Yoso_paillier.Paillier
+module T = Yoso_paillier.Threshold
+module Oracles = Yoso_oracles
+open Harness
+
+let run () =
+  header "E8. Arithmetic layer: Montgomery backends, multiexp combine, modexp kernels";
+  let bits = if !smoke then 96 else 256 in
+  let st = Random.State.make [| 0x71AE |] in
+  (* one committee-sized key: at 3-of-5 the Lagrange weights are a
+     dozen bits and there is nothing for the multiexp to amortize;
+     33-of-128 is the shape the protocol runs.  It is drawn before
+     keygen is timed, whose iteration count varies from run to run. *)
+  let parties = if !smoke then 16 else 128 in
+  let threshold = parties / 4 in
+  let tpk, shares = T.keygen ~bits ~n:parties ~t:threshold ~rng:st () in
+  let keygen_ms = per_op_ms (fun () -> P.keygen ~bits ~rng:st ()) in
+  let pk = tpk.T.pk in
+  let tctx = T.Ctx.create tpk in
+  let pctx = T.Ctx.paillier tctx in
+  let m = B.random_below st pk.P.n in
+  let r = P.sample_unit pk ~rng:st in
+  (* equal outputs first: the naive side is the independent oracle, and
+     both sides must agree bit for bit *)
+  let ct = P.Ctx.encrypt_with pctx ~r m in
+  if not (B.equal (Oracles.Paillier.encrypt_with pk ~r m) (P.raw ct)) then
+    failwith "bench time: naive and Montgomery encryptions differ";
+  let quorum = List.init (threshold + 1) (fun i -> shares.(i)) in
+  let parts = List.map (fun s -> T.Ctx.partial_decrypt tctx s ct) quorum in
+  if parts <> List.map (fun s -> Oracles.Threshold.partial_decrypt tpk s (P.raw ct)) quorum
+  then failwith "bench time: naive and Montgomery partial decryptions differ";
+  (* combine's two baselines: the oracle's naive arithmetic, and the
+     oracle's combine with one Montgomery powmod per partial *)
+  let mont = P.Ctx.mont_n2 pctx in
+  let multiexp () = T.Ctx.combine tctx parts in
+  let naive () = Oracles.Threshold.combine tpk parts in
+  let powmods () =
+    Oracles.Threshold.combine ~pow:(fun b e _ -> B.Mont.powmod mont b e) tpk parts
+  in
+  if not (List.for_all (fun f -> B.equal (f ()) m) [ multiexp; naive; powmods ]) then
+    failwith "bench time: combine results differ or decrypt wrong";
+  let enc_mont () = P.Ctx.encrypt_with pctx ~r m in
+  let tpdec_mont () = T.Ctx.partial_decrypt tctx shares.(0) ct in
+  (* one row per baseline: absolute per-op ms, and the interleaved ratio *)
+  let row name ~ours ~ours_ms ~baseline =
+    let base_ms = per_op_ms baseline and s = ab_speedup ours baseline in
+    Printf.printf "  %-28s %10.4f ms %10.4f ms %7.2fx\n" name base_ms ours_ms s;
+    (base_ms, ours_ms, s)
+  in
+  Printf.printf "  %-28s %13s %13s %8s\n" "op" "baseline" "ours" "speedup";
+  Printf.printf "  %-28s %13s %10.4f ms\n" "keygen" "" keygen_ms;
+  let enc =
+    row "encrypt vs naive" ~ours:enc_mont ~ours_ms:(per_op_ms enc_mont)
+      ~baseline:(fun () -> Oracles.Paillier.encrypt_with pk ~r m)
+  in
+  let tpdec =
+    row "partial-decrypt vs naive" ~ours:tpdec_mont ~ours_ms:(per_op_ms tpdec_mont)
+      ~baseline:(fun () -> Oracles.Threshold.partial_decrypt tpk shares.(0) (P.raw ct))
+  in
+  let comb = Printf.sprintf "combine %d-of-%d" (threshold + 1) parties in
+  let multiexp_ms = per_op_ms multiexp in
+  let naive_ms, _, naive_s =
+    row (comb ^ " vs naive") ~ours:multiexp ~ours_ms:multiexp_ms ~baseline:naive
+  in
+  let powmods_ms, _, powmods_s =
+    row (comb ^ " vs powmods") ~ours:multiexp ~ours_ms:multiexp_ms ~baseline:powmods
+  in
+  (* --- the wide-limb kernel vs the retired 30-bit kernel: on the live
+     modexp shapes behind the encrypt and partial-decrypt rows, and at
+     protocol modulus sizes.  Against an in-process baseline: comparing
+     against numbers recorded in an older BENCH_time.json would measure
+     how much the box slowed down since, not the kernel. *)
+  Printf.printf "  kernel 62-bit vs 30-bit Montgomery modexp (interleaved medians):\n";
+  let kernel name modulus base e =
+    let wide = B.Mont.create modulus and narrow = Oracles.Narrow.create modulus in
+    if not (B.equal (B.Mont.powmod wide base e) (Oracles.Narrow.powmod narrow base e)) then
+      failwith ("bench time: wide and 30-bit kernels disagree on " ^ name);
+    let s =
+      ab_speedup
+        (fun () -> B.Mont.powmod wide base e)
+        (fun () -> Oracles.Narrow.powmod narrow base e)
+    in
+    Printf.printf "    %-14s %4d-bit mod, %4d-bit exp: %5.2fx\n" name (B.bit_length modulus)
+      (B.bit_length e) s;
+    s
+  in
+  let n2 = B.mul pk.P.n pk.P.n in
+  let k_enc = kernel "encrypt shape" n2 (P.raw ct) pk.P.n in
+  let k_tpdec =
+    kernel "tpdec shape" n2 (P.raw ct)
+      (B.abs (B.mul B.two (B.mul tpk.T.delta shares.(0).T.value)))
+  in
+  let sizes =
+    List.map
+      (fun kbits ->
+        let kst = Random.State.make [| 0xC0DE + kbits |] in
+        let modulus =
+          let m = B.add (B.shift_left B.one (kbits - 1)) (B.random_bits kst (kbits - 1)) in
+          if B.is_even m then B.add m B.one else m
+        in
+        let base = B.random_below kst modulus in
+        (kbits, kernel (Printf.sprintf "%d-bit" kbits) modulus base (B.random_bits kst kbits)))
+      (if !smoke then [ 512 ] else [ 512; 1024; 2048 ])
+  in
+  let bar name s floor =
+    if s < floor then
+      failwith (Printf.sprintf "bench time: %s speedup %.2fx below %.2fx" name s floor)
+  in
+  let speedup (_, _, s) = s in
+  if not !smoke then begin
+    bar "encrypt" (speedup enc) 3.0;
+    bar "partial-decrypt" (speedup tpdec) 3.0;
+    bar "combine vs naive" naive_s 3.0;
+    bar "combine vs per-partial powmods" powmods_s 2.0;
+    (* The wide kernel must beat the retired 30-bit kernel on both
+       live shapes.  The bars are set from measured medians minus box
+       variance, not from the 1.4x design target: at this modulus the
+       30-bit baseline packs into 17 limbs while the 29-bit-radix wide
+       kernel needs 18, which caps the honest win near 1.25x — see
+       EXPERIMENTS.md E14 for the full account. *)
+    bar "tpdec-shape kernel" k_tpdec 1.15;
+    bar "encrypt-shape kernel" k_enc 1.05
+  end;
+  (* smoke epochs are short, so there the sizes only guard against the
+     wide kernel actually losing *)
+  List.iter
+    (fun (kbits, s) ->
+      bar (Printf.sprintf "%d-bit kernel" kbits) s (if !smoke then 0.9 else 1.1))
+    sizes;
+  if not !smoke then begin
+    let pair (naive, mont, s) =
+      Json.(
+        Obj
+          [ ("naive_ms", Float (4, naive)); ("mont_ms", Float (4, mont));
+            ("speedup", Float (2, s)) ])
+    in
+    write_json "BENCH_time.json"
+      Json.(
+        Obj
+          [
+            (* one domain throughout; [cores] and [epochs] say what the
+               interleaved ratios were measured on *)
+            ( "cores",
+              Obj [ ("recommended", Int (Domain.recommended_domain_count ())); ("used", Int 1) ] );
+            ("epochs", Int (epochs ()));
+            ("bits", Int bits); ("keygen_ms", Float (4, keygen_ms));
+            ("encrypt", pair enc); ("partial_decrypt", pair tpdec);
+            ( "combine",
+              Obj
+                [ ("parties", Int parties); ("threshold", Int threshold);
+                  ("multiexp_ms", Float (4, multiexp_ms));
+                  ("naive_ms", Float (4, naive_ms)); ("naive_speedup", Float (2, naive_s));
+                  ("powmods_ms", Float (4, powmods_ms));
+                  ("powmods_speedup", Float (2, powmods_s)) ] );
+            ( "kernel",
+              Obj
+                [ ("modulus_bits", Int (B.bit_length n2));
+                  ("encrypt_shape_speedup", Float (2, k_enc));
+                  ("tpdec_shape_speedup", Float (2, k_tpdec));
+                  ( "sizes",
+                    List
+                      (List.map
+                         (fun (kbits, s) ->
+                           Obj [ ("bits", Int kbits); ("wide_vs_narrow_speedup", Float (2, s)) ])
+                         sizes) ) ] );
+          ])
+  end

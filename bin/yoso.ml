@@ -62,12 +62,7 @@ let demo_inputs kind size len client =
 let run_transport ~deadline_ms ?journal ?chaos ~topology ~params ~circuit ~inputs
     ~base_config ~json ~extra n =
   let transport = base_config.Protocol.net.Protocol.transport in
-  let endpoint =
-    match transport with
-    | "unix" -> `Unix_socket
-    | "tcp" -> `Tcp
-    | other -> failwith (Printf.sprintf "unknown transport %S (sim|unix|tcp)" other)
-  in
+  let endpoint = if transport = "tcp" then `Tcp else `Unix_socket in
   (* the journal and the chaos schedule belong to the daemon, not to
      [execute] *)
   let chaos =
@@ -175,8 +170,6 @@ let run_protocol params protocol program kind size n t malicious fail_stop seed 
       let circuit, len = build_circuit kind size seed in
       (circuit, demo_inputs kind size len, None)
     | Some name ->
-      if protocol <> "packed" then
-        failwith "--program runs through the packed protocol only";
       let p = Programs.by_name name ~size in
       let c = Lang.compile p in
       ( c.Lang.circuit,
@@ -205,7 +198,7 @@ let run_protocol params protocol program kind size n t malicious fail_stop seed 
     Format.printf "params:  %a@." Params.pp params
   end;
   (match protocol with
-  | "packed" ->
+  | `Packed ->
     let adversary = { Params.malicious; passive = 0; fail_stop } in
     let plan = Faults.random ~seed:(Option.value ~default:seed fault_seed) in
     if transport <> "sim" then begin
@@ -215,10 +208,6 @@ let run_protocol params protocol program kind size n t malicious fail_stop seed 
         (run_transport ~deadline_ms ?journal ?chaos ~topology ~params ~circuit ~inputs
            ~base_config ~json ~extra n)
     end;
-    if journal <> None || chaos <> None then
-      failwith "--journal and --chaos need a socket transport (--transport unix|tcp)";
-    if quorum <> None || shards > 1 then
-      failwith "--quorum and --shards need a socket transport (--transport unix|tcp)";
     let config = Protocol.config ~adversary ~plan ~seed ~board:net ~domains () in
     if stream > 1 then begin
       let jobs = Array.init stream (fun _ -> { Factory.circuit; inputs }) in
@@ -292,7 +281,7 @@ let run_protocol params protocol program kind size n t malicious fail_stop seed 
           (Faults.blame_summary r.Protocol.blames)
       end
     end
-  | "cdn" ->
+  | `Cdn ->
     let adversary = { Params.malicious; passive = 0; fail_stop } in
     let r = Cdn.execute ~params ~adversary ~seed ~circuit ~inputs () in
     List.iter
@@ -301,19 +290,19 @@ let run_protocol params protocol program kind size n t malicious fail_stop seed 
     Format.printf "correct: %b@." (Cdn.check r circuit ~inputs);
     Format.printf "cost: offline=%d online=%d (%.1f online/gate)@." r.Cdn.offline_elements
       r.Cdn.online_elements (Cdn.online_per_gate r)
-  | "bgw" ->
+  | `Bgw ->
     let r = Bgw.execute ~n ~t:(min t ((n - 1) / 2)) ~seed ~circuit ~inputs () in
     List.iter
       (fun (c, w, v) -> Format.printf "output: client %d wire %d = %a@." c w F.pp v)
       r.Bgw.outputs;
     Format.printf "correct: %b@." (Bgw.check r circuit ~inputs);
     Format.printf "cost: input=%d online=%d (%.1f online/gate)@." r.Bgw.input_elements
-      r.Bgw.online_elements (Bgw.online_per_gate r)
-  | other -> failwith (Printf.sprintf "unknown protocol %S (packed|cdn|bgw)" other));
+      r.Bgw.online_elements (Bgw.online_per_gate r));
   0
 
-(* Parameters the protocol cannot run with are usage errors, checked
-   before anything runs: cmdliner prints the message and exits 124. *)
+(* Parameters the protocol cannot run with, and flags that do not go
+   together, are usage errors, checked before anything runs: cmdliner
+   prints the message and exits 124. *)
 let run_cmd protocol program kind size n t k eps malicious fail_stop seed fault_seed json
     net_seed latency drop domains transport deadline_ms journal chaos shards quorum stream =
   let checked () =
@@ -323,8 +312,16 @@ let run_cmd protocol program kind size n t k eps malicious fail_stop seed fault_
       | None -> Params.create ~n ~t ~k ()
     in
     (* bgw runs no adversary *)
-    if protocol <> "bgw" then
+    if protocol <> `Bgw then
       Params.validate_adversary params { Params.malicious; passive = 0; fail_stop };
+    if program <> None && protocol <> `Packed then
+      invalid_arg "--program runs through the packed protocol only";
+    if transport = "sim" then begin
+      if journal <> None || chaos <> None then
+        invalid_arg "--journal and --chaos need a socket transport (--transport unix|tcp)";
+      if quorum <> None || shards > 1 then
+        invalid_arg "--quorum and --shards need a socket transport (--transport unix|tcp)"
+    end;
     params
   in
   match checked () with
@@ -394,7 +391,10 @@ let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Deterministic seed
 
 let run_t =
   let protocol =
-    Arg.(value & opt string "packed" & info [ "protocol"; "p" ] ~doc:"packed, cdn or bgw.")
+    Arg.(
+      value
+      & opt (enum [ ("packed", `Packed); ("cdn", `Cdn); ("bgw", `Bgw) ]) `Packed
+      & info [ "protocol"; "p" ] ~doc:"packed, cdn or bgw.")
   in
   let program =
     Arg.(
@@ -476,7 +476,8 @@ let run_t =
   in
   let transport =
     Arg.(
-      value & opt string "sim"
+      value
+      & opt (enum (List.map (fun s -> (s, s)) [ "sim"; "unix"; "tcp" ])) "sim"
       & info [ "transport" ]
           ~doc:
             "How frames travel (packed protocol only).  $(b,sim) keeps everything \

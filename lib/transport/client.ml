@@ -7,7 +7,6 @@ type t = {
   nslots : int;
   seed : int;
   deadline_ms : float;
-  policy : Transport_policy.t;
   mutable stream : Envelope.stream;  (* reset on reconnect: torn bytes die with the socket *)
   pending : (int, [ `Frame of string | `Summary of int * int ]) Hashtbl.t;
       (* seq -> delivery, non-own *)
@@ -82,7 +81,7 @@ let absorb t msg =
    path. *)
 let recover t =
   if t.shutdown then raise Sockio.Closed;
-  let retry = t.policy.Transport_policy.reconnect in
+  let retry = Transport_policy.default.reconnect in
   let t0 = Sockio.now () in
   let handshakes = 3 in
   let rec go attempt =
@@ -124,13 +123,11 @@ let recover t =
   in
   go 1
 
-let connect ?deadline_ms ?(policy = Transport_policy.default) ~addr ~slot ~nslots ~seed () =
+let connect ?(deadline_ms = Transport_policy.default.round_deadline_ms) ~addr ~slot ~nslots
+    ~seed () =
   if slot < 0 || slot >= nslots then invalid_arg "Client.connect: slot out of range";
-  let deadline_ms =
-    match deadline_ms with Some d -> d | None -> policy.Transport_policy.round_deadline_ms
-  in
   let fd =
-    Sockio.connect_with_retry ~retry:policy.Transport_policy.connect
+    Sockio.connect_with_retry ~retry:Transport_policy.default.connect
       ~seed:(Splitmix.mix seed slot) addr
   in
   let t =
@@ -141,7 +138,6 @@ let connect ?deadline_ms ?(policy = Transport_policy.default) ~addr ~slot ~nslot
       nslots;
       seed;
       deadline_ms;
-      policy;
       stream = Envelope.stream ();
       pending = Hashtbl.create 64;
       unacked = Hashtbl.create 8;

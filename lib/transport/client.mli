@@ -35,7 +35,6 @@ exception Protocol_error of string
 
 val connect :
   ?deadline_ms:float ->
-  ?policy:Transport_policy.t ->
   addr:Unix.sockaddr ->
   slot:int ->
   nslots:int ->
@@ -46,7 +45,7 @@ val connect :
     [listen] is safe), sends [Hello] and blocks until [Start] — riding out a daemon
     restart in between via the recover path.  [deadline_ms] is the
     per-round receive deadline used by every subsequent blocking
-    wait; defaults to [policy]'s [round_deadline_ms]. *)
+    wait; defaults to {!Transport_policy.default}'s [round_deadline_ms]. *)
 
 val slot : t -> int
 val own_posts : t -> int

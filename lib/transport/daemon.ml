@@ -1,22 +1,8 @@
 module Wire = Yoso_net.Wire
 module Meter = Yoso_net.Meter
 
-type config = {
-  max_body : int;
-  total_timeout_s : float;
-  tick_s : float;
-  grace_s : float;
-  fsync_every : int;
-}
-
-let default_config =
-  {
-    max_body = Envelope.default_max_body;
-    total_timeout_s = Transport_policy.default.watchdog_s;
-    tick_s = 0.1;
-    grace_s = Transport_policy.default.grace_ms /. 1000.;
-    fsync_every = Transport_policy.default.fsync_every;
-  }
+(* select granularity *)
+let tick_s = 0.1
 
 type stats = {
   connections : int;
@@ -77,8 +63,8 @@ exception Crash_now
 
 let shard_journal_path base k = if k = 0 then base else Printf.sprintf "%s.shard%d" base k
 
-let serve ?(config = default_config) ?meter ?journal:journal_path ?chaos ?topology ~listen
-    ~nslots () =
+let serve ?(policy = Transport_policy.default) ?meter ?journal:journal_path ?chaos ?topology
+    ~listen ~nslots () =
   let topo = match topology with Some t -> t | None -> Topology.make ~nslots () in
   if topo.Topology.nslots <> nslots then invalid_arg "Daemon.serve: topology nslots mismatch";
   let shards = topo.Topology.shards in
@@ -148,7 +134,7 @@ let serve ?(config = default_config) ?meter ?journal:journal_path ?chaos ?topolo
     | None -> [||]
     | Some p ->
       Array.init shards (fun k ->
-          Journal.open_append ~fsync_every:config.fsync_every
+          Journal.open_append ~fsync_every:policy.Transport_policy.fsync_every
             ~path:(shard_journal_path p k) ())
   in
   (* shard bookkeeping is keyed by the posting slot: a committee
@@ -182,7 +168,7 @@ let serve ?(config = default_config) ?meter ?journal:journal_path ?chaos ?topolo
   in
   let append_record c r =
     let sz = Envelope.record_size r in
-    if c.batch_bytes + sz > config.max_body - 4096 then flush_batch c;
+    if c.batch_bytes + sz > Envelope.default_max_body - 4096 then flush_batch c;
     c.batch <- r :: c.batch;
     c.batch_bytes <- c.batch_bytes + sz
   in
@@ -198,7 +184,8 @@ let serve ?(config = default_config) ?meter ?journal:journal_path ?chaos ?topolo
              && (not (Hashtbl.mem reports s))
              && (not (List.mem s !down))
              && not (Hashtbl.mem pending_down s) ->
-        Hashtbl.replace pending_down s (Sockio.now () +. config.grace_s)
+        Hashtbl.replace pending_down s
+          (Sockio.now () +. (policy.Transport_policy.grace_ms /. 1000.))
       | _ -> ()
     end
   in
@@ -441,7 +428,7 @@ let serve ?(config = default_config) ?meter ?journal:journal_path ?chaos ?topolo
             {
               fd;
               id = !accepted;
-              stream = Envelope.stream ~max_body:config.max_body ();
+              stream = Envelope.stream ();
               outq = Queue.create ();
               out_off = 0;
               slot = None;
@@ -471,7 +458,7 @@ let serve ?(config = default_config) ?meter ?journal:journal_path ?chaos ?topolo
   in
   (* main event loop *)
   let rec loop () =
-    if Sockio.now () -. t0 > config.total_timeout_s then timed_out := true
+    if Sockio.now () -. t0 > policy.Transport_policy.watchdog_s then timed_out := true
     else if slots_settled () && not (pending_writes ()) then ()
     else begin
       let now = Sockio.now () in
@@ -484,7 +471,7 @@ let serve ?(config = default_config) ?meter ?journal:journal_path ?chaos ?topolo
             if Queue.is_empty c.outq || c.stall_until > now then None else Some c.fd)
           live
       in
-      (match Unix.select rds wrs [] config.tick_s with
+      (match Unix.select rds wrs [] tick_s with
       | rready, wready, _ ->
         if List.memq listen rready then accept_conn ();
         List.iter

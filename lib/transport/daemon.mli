@@ -61,19 +61,6 @@
 
 module Meter = Yoso_net.Meter
 
-type config = {
-  max_body : int;  (** envelope ingest cap, default {!Envelope.default_max_body} *)
-  total_timeout_s : float;  (** watchdog on the whole run *)
-  tick_s : float;  (** select granularity *)
-  grace_s : float;
-      (** reconnect window: how long a dead connection's slot may stay
-          silent before [Peer_down] is broadcast *)
-  fsync_every : int;  (** journal fsync batch size *)
-}
-
-val default_config : config
-(** Timing fields default to {!Transport_policy.default}. *)
-
 type stats = {
   connections : int;
   frames_in : int;  (** [Post] envelopes accepted (duplicates excluded) *)
@@ -111,7 +98,7 @@ exception Crashed of stats
     restarts [serve] on it with the same journal path to recover. *)
 
 val serve :
-  ?config:config ->
+  ?policy:Transport_policy.t ->
   ?meter:Meter.t ->
   ?journal:string ->
   ?chaos:Chaos.t ->
@@ -121,8 +108,10 @@ val serve :
   unit ->
   result
 (** Runs the event loop on an already-listening socket until the run
-    completes (or the watchdog fires, in which case [stats.timed_out]
-    is set and partial results are returned).  [journal] is the
+    completes (or [policy]'s watchdog fires, in which case
+    [stats.timed_out] is set and partial results are returned).
+    [policy] (default {!Transport_policy.default}) also sets the
+    reconnect grace window and the journal's fsync batch.  [journal] is the
     write-ahead journal path: replayed at startup (all shard files,
     stitched), appended per accepted frame to the posting slot's
     shard file.  [topology] (default {!Topology.make}: one shard, full

@@ -94,16 +94,10 @@ let add_stats a b =
     timed_out = a.timed_out || b.timed_out;
   }
 
-let run ?(endpoint = `Unix_socket) ?config ?deadline_ms ?crash ?meter ?policy ?journal
-    ?chaos ?topology ~nslots ~seed ~child () =
+let run ?(endpoint = `Unix_socket) ?deadline_ms ?crash ?meter ?journal ?chaos ?topology
+    ~nslots ~seed ~child () =
   let topology = match topology with Some t -> t | None -> Topology.make ~nslots () in
   if topology.Topology.nslots <> nslots then invalid_arg "Runner.run: topology nslots mismatch";
-  let policy = Option.value policy ~default:Transport_policy.default in
-  let deadline_ms =
-    match deadline_ms with
-    | Some d -> d
-    | None -> policy.Transport_policy.round_deadline_ms
-  in
   (match chaos with
   | Some ch when (Chaos.config ch).Chaos.kill_at <> [] && journal = None ->
     invalid_arg "Runner.run: chaos kill points need a journal to restart from"
@@ -121,7 +115,7 @@ let run ?(endpoint = `Unix_socket) ?config ?deadline_ms ?crash ?meter ?policy ?j
         try
           Unix.close listen;
           let client =
-            Client.connect ~deadline_ms ~policy ~addr ~slot ~nslots ~seed ()
+            Client.connect ?deadline_ms ~addr ~slot ~nslots ~seed ()
           in
           let crash_after =
             match crash with Some (s, m) when s = slot -> Some m | _ -> None
@@ -157,7 +151,7 @@ let run ?(endpoint = `Unix_socket) ?config ?deadline_ms ?crash ?meter ?policy ?j
      on the same listen fd (its backlog holds the reconnect storm) and
      recover the board from the journal *)
   let rec go crashed =
-    match Daemon.serve ?config ?meter ?journal ?chaos ~topology ~listen ~nslots () with
+    match Daemon.serve ?meter ?journal ?chaos ~topology ~listen ~nslots () with
     | d -> (d, crashed)
     | exception Daemon.Crashed st -> go (st :: crashed)
   in

@@ -37,11 +37,9 @@ type result = {
 
 val run :
   ?endpoint:endpoint ->
-  ?config:Daemon.config ->
   ?deadline_ms:float ->
   ?crash:int * int ->
   ?meter:Meter.t ->
-  ?policy:Transport_policy.t ->
   ?journal:string ->
   ?chaos:Chaos.t ->
   ?topology:Topology.t ->
@@ -54,9 +52,9 @@ val run :
     executed in each forked process and returns its report JSON;
     [crash = (slot, m)] arms the crash drill on one slot.  The parent
     never runs [child]; it serves the board and reaps the children.
-    Default endpoint is [`Unix_socket]; timing comes from [policy]
-    (default {!Transport_policy.default}), with [deadline_ms]
-    overriding the per-round receive deadline.
+    Default endpoint is [`Unix_socket]; timing comes from
+    {!Transport_policy.default}, with [deadline_ms] overriding the
+    per-round receive deadline.
 
     [journal] enables the daemon's write-ahead journal at that path;
     [chaos] injects seeded socket faults.  When a chaos kill point

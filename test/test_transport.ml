@@ -940,12 +940,12 @@ let test_report_then_close () =
     Unix.bind listen (Unix.ADDR_UNIX path);
     Unix.listen listen 8;
     let rd, wr = Unix.pipe ~cloexec:true () in
-    let config = { Daemon.default_config with Daemon.grace_s = 0.2 } in
+    let policy = { Policy.default with Policy.grace_ms = 200. } in
     match Unix.fork () with
     | 0 ->
       Unix.close rd;
       let status =
-        match Daemon.serve ~config ~listen ~nslots:2 () with
+        match Daemon.serve ~policy ~listen ~nslots:2 () with
         | r ->
           let ints l = String.concat "," (List.map string_of_int l) in
           Sockio.write_all wr
