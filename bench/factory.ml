@@ -85,7 +85,7 @@ let run () =
   Printf.printf "  streamed : %7.1f gates/s (%.1f ms total, %.2fx)\n" stream_gps
     streamed.Factory.wall_ms (stream_gps /. base_gps);
   Printf.printf
-    "  depot    : peak %d slots, %d puts, %d refills during online, producer \
+    "  depot    : peak %d circuits, %d puts, %d refills during online, producer \
      blocked %d, consumer blocked %d\n"
     d.Depot.max_occupancy d.Depot.puts streamed.Factory.refills_during_online
     d.Depot.producer_blocks d.Depot.consumer_blocks;
@@ -146,6 +146,8 @@ let run () =
       Json.(
         Obj
           [ ("circuits", Int circuits); ("total_mult", Int total_mult);
+            (* the timing cells are one run on a box with [cores] cores *)
+            ("cores", Int cores); ("runs", Int 1);
             ("oneshot_gates_per_sec", Float (2, base_gps));
             ("streamed_gates_per_sec", Float (2, stream_gps));
             ("speedup", Float (3, stream_gps /. base_gps));

@@ -11,9 +11,9 @@ module Json = Yoso_runtime.Json
 module Board = Yoso_net.Board
 module Runner = Yoso_transport.Runner
 
-(* [--smoke]: toy sizes, no speedup bars and no JSON, in every
-   experiment from [time] on.  [--profile]: per-domain chunk times in
-   [par]. *)
+(* [--smoke]: toy sizes, no speedup bars and no JSON, in [net] and
+   every experiment from [time] on.  [--profile]: per-domain chunk
+   times in [par]. *)
 let smoke = ref false
 let profile = ref false
 

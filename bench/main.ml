@@ -5,9 +5,9 @@
      dune exec bench/main.exe                   -- everything
      dune exec bench/main.exe -- table1         -- one experiment
      dune exec bench/main.exe -- par transport  -- several, in table order
-   Flags: --smoke (toy sizes, no speedup bars and no JSON, in every
-          experiment from time on), --profile (per-domain chunk times
-          in par).
+   Flags: --smoke (toy sizes, no speedup bars and no JSON, in net and
+          every experiment from time on), --profile (per-domain chunk
+          times in par).
    Experiments, in the order they run: table1 improvements comm bgw net
      ablation-eps ablation-amortization failstop sortition-mc time
      transport chaos par compile factory

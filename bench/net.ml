@@ -8,8 +8,9 @@ open Harness
    wire rather than counted — must come out flat across n.  Totals
    are reported alongside and do grow: offline by its O(n) material,
    online by future key distribution's O(layers·n²) re-encryption
-   partials (the per-step split below). *)
-let net_sweep = [ 16; 32; 64; 128 ]
+   partials (the per-step split below).  Smoke mode runs n = 16 alone
+   and writes no JSON. *)
+let net_sweep () = if !smoke then [ 16 ] else [ 16; 32; 64; 128 ]
 
 (* online bytes by step family, with the step prefixes of the
    benchmark's byte ledger; the families cover every online step *)
@@ -39,10 +40,10 @@ let run () =
     assert (Protocol.check r circuit ~inputs);
     (n, params, r)
   in
-  let rows = List.map row net_sweep in
+  let rows = List.map row (net_sweep ()) in
   (* byte-identical replay of the first configuration *)
   let replay_ok =
-    let _, _, again = row (List.hd net_sweep) in
+    let _, _, again = row (List.hd (net_sweep ())) in
     let _, _, first = List.hd rows in
     again.Protocol.transcript = first.Protocol.transcript
   in
@@ -71,42 +72,43 @@ let run () =
   Printf.printf
     "online data bytes/gate spread across n: %.2f%% (claim: < 5%%); replay byte-identical: %b\n"
     (100. *. spread) replay_ok;
-  write_json "BENCH_net.json"
-    Json.(
-      Obj
-        [
-          ("experiment", String "net");
-          ( "circuit",
-            Obj [ ("kind", String "wide_mul_reduced"); ("width", Int width); ("depth", Int depth) ] );
-          ( "sizing",
-            Obj
-              [ ("ciphertext_bytes", Int 512); ("proof_bytes", Int 32);
-                ("partial_bytes", Int 512); ("key_bytes", Int 256) ] );
-          ( "rows",
-            List
-              (List.map
-                 (fun (n, params, r) ->
-                   let t = r.Protocol.transcript and per_gate f = Float (2, f r) in
-                   Obj
-                     ([ ("n", Int n); ("t", Int params.Params.t); ("k", Int params.Params.k);
-                       ("mult_gates", Int r.Protocol.num_mult);
-                       ("online_field_bytes", Int r.Protocol.online_field_bytes);
-                       ("online_field_bytes_per_gate", per_gate Protocol.online_field_bytes_per_gate);
-                       ("online_bytes", Int r.Protocol.online_bytes);
-                       ("online_bytes_per_gate", per_gate Protocol.online_bytes_per_gate) ]
-                     @ List.map
-                         (fun (family, b) -> ("online_" ^ family ^ "_bytes", Int b))
-                         (online_split r)
-                     @ [
-                       ("offline_bytes", Int r.Protocol.offline_bytes);
-                       ("offline_bytes_per_gate", per_gate Protocol.offline_bytes_per_gate);
-                       ("setup_bytes", Int r.Protocol.setup_bytes); ("posts", Int r.Protocol.posts);
-                       ("frames", Int t.Board.frames);
-                       ("frame_bytes", Int t.Board.frame_bytes);
-                       ("transcript_digest", Int t.Board.digest) ]))
-                 rows) );
-          ("online_data_bytes_per_gate_spread", Float (6, spread));
-          ("flat_within_5pct", Bool (spread < 0.05));
-          ("replay_byte_identical", Bool replay_ok);
-        ]);
+  if not !smoke then
+    write_json "BENCH_net.json"
+      Json.(
+        Obj
+          [
+            ("experiment", String "net");
+            ( "circuit",
+              Obj [ ("kind", String "wide_mul_reduced"); ("width", Int width); ("depth", Int depth) ] );
+            ( "sizing",
+              Obj
+                [ ("ciphertext_bytes", Int 512); ("proof_bytes", Int 32);
+                  ("partial_bytes", Int 512); ("key_bytes", Int 256) ] );
+            ( "rows",
+              List
+                (List.map
+                   (fun (n, params, r) ->
+                     let t = r.Protocol.transcript and per_gate f = Float (2, f r) in
+                     Obj
+                       ([ ("n", Int n); ("t", Int params.Params.t); ("k", Int params.Params.k);
+                         ("mult_gates", Int r.Protocol.num_mult);
+                         ("online_field_bytes", Int r.Protocol.online_field_bytes);
+                         ("online_field_bytes_per_gate", per_gate Protocol.online_field_bytes_per_gate);
+                         ("online_bytes", Int r.Protocol.online_bytes);
+                         ("online_bytes_per_gate", per_gate Protocol.online_bytes_per_gate) ]
+                       @ List.map
+                           (fun (family, b) -> ("online_" ^ family ^ "_bytes", Int b))
+                           (online_split r)
+                       @ [
+                         ("offline_bytes", Int r.Protocol.offline_bytes);
+                         ("offline_bytes_per_gate", per_gate Protocol.offline_bytes_per_gate);
+                         ("setup_bytes", Int r.Protocol.setup_bytes); ("posts", Int r.Protocol.posts);
+                         ("frames", Int t.Board.frames);
+                         ("frame_bytes", Int t.Board.frame_bytes);
+                         ("transcript_digest", Int t.Board.digest) ]))
+                   rows) );
+            ("online_data_bytes_per_gate_spread", Float (6, spread));
+            ("flat_within_5pct", Bool (spread < 0.05));
+            ("replay_byte_identical", Bool replay_ok);
+          ]);
   if spread >= 0.05 then failwith "net sweep: online data bytes/gate not flat within 5%"

@@ -218,11 +218,11 @@ let run_protocol params protocol program kind size n t malicious fail_stop seed 
           r.Factory.circuits r.Factory.total_mult r.Factory.wall_ms r.Factory.gates_per_sec;
         let d = r.Factory.depot in
         Format.printf
-          "depot: %d puts / %d draws, peak %d slots, producer blocked %d, consumer \
+          "depot: %d puts / %d draws, peak %d circuits, producer blocked %d, consumer \
            blocked %d@."
           d.Depot.puts d.Depot.draws d.Depot.max_occupancy d.Depot.producer_blocks
           d.Depot.consumer_blocks;
-        Format.printf "refills: %d batches, %d B attributed, %d landed during online@."
+        Format.printf "refills: %d batches, %d B attributed, %d while the consumer waited or ran online@."
           (List.length (Meter.refills r.Factory.meter))
           (Meter.side_total r.Factory.meter Meter.Refill)
           r.Factory.refills_during_online;
@@ -543,11 +543,11 @@ let run_t =
           ~doc:
             "Run $(docv) instances of the circuit through one long-lived offline \
              factory (packed protocol, sim transport): a background producer domain \
-             preprocesses circuit $(b,j+1) while circuit $(b,j)'s online phase \
-             consumes from the depot, which holds at most two circuits.  \
-             Per-circuit seeds are derived from \
-             $(b,--seed); each circuit's transcript is byte-identical to a one-shot \
-             run at its derived seed.")
+             preprocesses circuit $(b,j+1) while circuit $(b,j) runs its online \
+             phase, and hands each finished circuit over a one-slot depot, so at \
+             most two circuits are alive.  Per-circuit seeds are derived from \
+             $(b,--seed); each circuit's transcript, blames and outputs are \
+             byte-identical to a one-shot run at its derived seed.")
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Execute YOSO MPC on a generated circuit")

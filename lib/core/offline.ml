@@ -93,8 +93,8 @@ let ranges size m =
    the final tsk holder — with exactly the board posts (same order,
    same costs) the one-shot [run] would make.  Draining every batch
    and [assemble]-ing is byte-identical to the pre-split path at equal
-   seeds; the factory instead pushes each batch into its depot as it
-   becomes ready. *)
+   seeds; the factory's producer steps it batch by batch to time and
+   meter each one, then assembles. *)
 type stream_state = {
   st_layout : Layout.t;
   mutable st_stages : (unit -> item list) list;

@@ -82,10 +82,11 @@ val default_opts : opts
 (** {1 Streaming producer interface}
 
     The offline protocol as an incremental stream of typed
-    preprocessing batches — what the factory's producer pushes into
-    its depot.  Items arrive in a fixed order (wire lambdas, input
-    preps, one item per mult layer, the final tsk holder), with
-    exactly the board posts of the one-shot path. *)
+    preprocessing batches — what the factory's producer steps through,
+    timing and metering each batch before it assembles them.  Items
+    arrive in a fixed order (wire lambdas, input preps, one item per
+    mult layer, the final tsk holder), with exactly the board posts of
+    the one-shot path. *)
 type item =
   | Lambdas of F.t Te.ct array
   | Inputs of input_prep list
@@ -93,7 +94,7 @@ type item =
   | Holder of Committee_ops.holder
 
 val item_kind : item -> string
-(** Depot key: ["lambdas"], ["inputs"], ["layer<i>"], ["holder"]. *)
+(** Batch label: ["lambdas"], ["inputs"], ["layer<i>"], ["holder"]. *)
 
 type stream_state
 
@@ -116,8 +117,9 @@ val run : ?opts:opts -> Committee_ops.ctx -> Setup.t -> Layout.t -> t
 (** {1 Consumption source}
 
     {!Online} draws material through a [source] — thunks rather than a
-    record of arrays — so a depot-backed stream (blocking draws) and a
-    fully materialized {!t} ({!source_of}) are interchangeable. *)
+    record of arrays — so a caller can observe each draw (the
+    benchmark times the online stages this way) by wrapping the
+    thunks of {!source_of}. *)
 type source = {
   src_layout : Layout.t;
   src_layers : int;

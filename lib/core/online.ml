@@ -34,8 +34,8 @@ let chunks size arr =
    needs that material — the final tsk holder first (future key
    distribution), then the input preps, then each mult layer's packed
    shares as its committee speaks, and the wire lambdas only at the
-   output step.  Against a depot-backed source the draws block until
-   the background producer has refilled the corresponding batch. *)
+   output step.  The holder comes from the last offline committee, so
+   the whole of a circuit's preprocessing precedes its online phase. *)
 let run_from (ctx : Ops.ctx) (setup : Setup.t) (source : Offline.source) ~inputs =
   let te = setup.Setup.te in
   let p = ctx.Ops.params in

@@ -36,9 +36,7 @@ val run_from :
 (** Draws preprocessing through the source's thunks exactly when the
     protocol needs each piece: final holder first (future key
     distribution), then input preps, then each layer's packed shares,
-    then the wire lambdas at the output step.  Against a depot-backed
-    source each draw blocks until the producer has refilled that
-    batch. *)
+    then the wire lambdas at the output step. *)
 
 val run :
   Committee_ops.ctx ->

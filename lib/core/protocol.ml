@@ -122,8 +122,8 @@ let acquire_pool ~domains =
    driven by the factory's background producer) runs preprocessing on
    it; [consume] runs the online phase against an {!Offline.source}
    and assembles the report.  [execute] is open + produce + consume in
-   one call; the factory hands sessions across domains between the
-   halves. *)
+   one call; the factory hands a session across domains once, between
+   the halves, after its preprocessing is complete. *)
 type session = {
   s_params : Params.t;
   s_config : config;

@@ -124,10 +124,12 @@ val default_config : config
 
     One circuit's run split open, so preprocessing and consumption can
     live on different domains: the offline factory's background
-    producer opens a session and drives {!start_stream} /
-    {!Offline.prepare_batch}, pushing batches into a depot; the
-    consumer later runs {!consume} on the same session against a
-    depot-backed {!Offline.source}.  {!execute} is
+    producer opens a session, drives {!start_stream} /
+    {!Offline.prepare_batch} to the end and hands the session with the
+    assembled preprocessing to the consumer, which runs {!consume} on
+    it.  A session is used by one domain at a time: its committee ctx
+    (rng, committee counter) decides who is sampled, so the handover
+    must be ordered (the factory's depot mutex does this).  {!execute} is
     open + produce + consume in one call — both paths commit the same
     frames in the same order, so their transcripts are
     byte-identical at equal seeds. *)

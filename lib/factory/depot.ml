@@ -2,11 +2,10 @@ exception Closed
 
 type 'a t = {
   mutex : Mutex.t;
-  refill_ok : Condition.t;   (* producer waits here in [reserve] *)
-  available : Condition.t;   (* consumer waits here in [draw] *)
-  slots : (int * string, 'a Queue.t) Hashtbl.t;
-  held : (int, int) Hashtbl.t;  (* circuit -> slots held, absent at 0 *)
-  mutable occupancy : int;
+  filled : Condition.t;  (* consumer waits here in [draw] *)
+  drawn : Condition.t;   (* producer waits here in [put] *)
+  mutable slot : 'a option;
+  mutable waiting : bool;  (* a consumer is blocked in [draw] *)
   mutable closed : bool;
   mutable poison : exn option;
   mutable puts : int;
@@ -14,21 +13,15 @@ type 'a t = {
   mutable producer_blocks : int;
   mutable consumer_blocks : int;
   mutable max_occupancy : int;
-  mutable draw_log_rev : (int * string) list;
 }
-
-(* the producer starts a circuit only while fewer than this many
-   circuits hold slots *)
-let max_circuits = 2
 
 let create () =
   {
     mutex = Mutex.create ();
-    refill_ok = Condition.create ();
-    available = Condition.create ();
-    slots = Hashtbl.create 16;
-    held = Hashtbl.create 4;
-    occupancy = 0;
+    filled = Condition.create ();
+    drawn = Condition.create ();
+    slot = None;
+    waiting = false;
     closed = false;
     poison = None;
     puts = 0;
@@ -36,90 +29,58 @@ let create () =
     producer_blocks = 0;
     consumer_blocks = 0;
     max_occupancy = 0;
-    draw_log_rev = [];
   }
 
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
+let locked t f = Mutex.protect t.mutex f
 
-let reserve t =
+(* one producer: the slot is empty on entry, and it empties again
+   only when the consumer draws this put's item *)
+let put t x =
   locked t (fun () ->
       if t.closed then raise Closed;
-      if Hashtbl.length t.held >= max_circuits then begin
-        t.producer_blocks <- t.producer_blocks + 1;
-        while Hashtbl.length t.held >= max_circuits && not t.closed do
-          Condition.wait t.refill_ok t.mutex
-        done;
-        if t.closed then raise Closed
+      t.slot <- Some x;
+      t.puts <- t.puts + 1;
+      t.max_occupancy <- 1;
+      if not t.waiting then t.producer_blocks <- t.producer_blocks + 1;
+      Condition.signal t.filled;
+      while Option.is_some t.slot && not t.closed do
+        Condition.wait t.drawn t.mutex
+      done;
+      if Option.is_some t.slot then begin
+        (* closed before the draw: the item stays the producer's *)
+        t.slot <- None;
+        raise Closed
       end)
 
-let put t ~circuit ~kind slot =
+let draw t =
   locked t (fun () ->
-      if t.closed then raise Closed;
-      let q =
-        match Hashtbl.find_opt t.slots (circuit, kind) with
-        | Some q -> q
-        | None ->
-          let q = Queue.create () in
-          Hashtbl.replace t.slots (circuit, kind) q;
-          q
-      in
-      Queue.push slot q;
-      Hashtbl.replace t.held circuit
-        (1 + Option.value ~default:0 (Hashtbl.find_opt t.held circuit));
-      t.occupancy <- t.occupancy + 1;
-      if t.occupancy > t.max_occupancy then t.max_occupancy <- t.occupancy;
-      t.puts <- t.puts + 1;
-      Condition.broadcast t.available)
+      if Option.is_none t.slot && not t.closed then begin
+        t.consumer_blocks <- t.consumer_blocks + 1;
+        t.waiting <- true;
+        while Option.is_none t.slot && not t.closed do
+          Condition.wait t.filled t.mutex
+        done;
+        t.waiting <- false
+      end;
+      match t.slot with
+      | Some x ->
+        t.slot <- None;
+        t.draws <- t.draws + 1;
+        Condition.signal t.drawn;
+        x
+      | None -> raise (Option.value t.poison ~default:Closed))
 
-let draw t ~circuit ~kind =
-  locked t (fun () ->
-      let ready () =
-        match Hashtbl.find_opt t.slots (circuit, kind) with
-        | Some q when not (Queue.is_empty q) -> Some q
-        | _ -> None
-      in
-      let fail_closed () =
-        match t.poison with Some e -> raise e | None -> raise Closed
-      in
-      let q =
-        match ready () with
-        | Some q -> q
-        | None ->
-          if t.closed then fail_closed ();
-          t.consumer_blocks <- t.consumer_blocks + 1;
-          let rec wait () =
-            Condition.wait t.available t.mutex;
-            match ready () with
-            | Some q -> q
-            | None -> if t.closed then fail_closed () else wait ()
-          in
-          wait ()
-      in
-      let slot = Queue.pop q in
-      t.occupancy <- t.occupancy - 1;
-      t.draws <- t.draws + 1;
-      t.draw_log_rev <- (circuit, kind) :: t.draw_log_rev;
-      (match Hashtbl.find t.held circuit with
-      | 1 ->
-        Hashtbl.remove t.held circuit;
-        Condition.broadcast t.refill_ok
-      | n -> Hashtbl.replace t.held circuit (n - 1));
-      slot)
+let stop t =
+  t.closed <- true;
+  Condition.broadcast t.filled;
+  Condition.broadcast t.drawn
 
-let close t =
-  locked t (fun () ->
-      t.closed <- true;
-      Condition.broadcast t.available;
-      Condition.broadcast t.refill_ok)
+let close t = locked t (fun () -> stop t)
 
 let fail t exn =
   locked t (fun () ->
       if t.poison = None then t.poison <- Some exn;
-      t.closed <- true;
-      Condition.broadcast t.available;
-      Condition.broadcast t.refill_ok)
+      stop t)
 
 type stats = {
   puts : int;
@@ -127,8 +88,6 @@ type stats = {
   producer_blocks : int;
   consumer_blocks : int;
   max_occupancy : int;
-  final_occupancy : int;
-  draw_log : (int * string) list;
 }
 
 let stats t =
@@ -139,6 +98,4 @@ let stats t =
         producer_blocks = t.producer_blocks;
         consumer_blocks = t.consumer_blocks;
         max_occupancy = t.max_occupancy;
-        final_occupancy = t.occupancy;
-        draw_log = List.rev t.draw_log_rev;
       })

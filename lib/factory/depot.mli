@@ -1,66 +1,47 @@
-(** Bounded buffer of preprocessing material between the factory's
-    producer domain and the consuming online phase.
+(** One-slot handoff between the factory's producer domain and the
+    consumer running online phases: each item is one whole circuit.
 
-    The depot stores typed slots keyed by [(circuit, kind)] under one
-    mutex and bounds how many whole circuits it holds: a circuit is
-    {e held} while at least one of its slots is in the depot.
-
-    - {!reserve} — called by the producer before starting a circuit —
-      blocks while two circuits are held, so the depot never holds
-      more than two circuits.
-    - {!put} never blocks.  A circuit whose production has started is
-      always pushed to completion.  This is what makes the scheme
-      deadlock-free: the consumer drains circuits fully and in order,
-      so the item the consumer blocks on is always produced without
-      the producer needing depot space.
-    - {!draw} blocks until the requested [(circuit, kind)] slot is
-      available, or raises once the depot is closed (or re-raises the
-      producer's failure if it was {!fail}ed).
-
-    Draw order is decided solely by the (single-threaded) consumer, so
-    {!stats}[.draw_log] is deterministic for a given job sequence no
-    matter how production and consumption interleave. *)
+    One producer {!put}s items and one consumer {!draw}s them, in put
+    order.  A put returns only once the consumer has drawn its item,
+    so the producer starts the next circuit only after the consumer
+    has taken the previous one: at most two circuits are alive, one in
+    its online phase and one being produced or waiting in the slot.
+    The depot mutex orders everything the producer wrote before a put
+    before everything the consumer reads after the matching draw. *)
 
 type 'a t
 
 exception Closed
-(** Raised by {!draw} when the depot is closed and the slot will never
-    arrive, and by {!put}/{!reserve} after {!close}. *)
+(** Raised by {!draw} once the depot is closed and empty, and by
+    {!put} once it is closed, including while the put waits for its
+    draw (the item then stays the producer's). *)
 
 val create : unit -> 'a t
 
-val reserve : 'a t -> unit
-(** Producer-side gate, called once per circuit before producing it;
-    blocks while two circuits are held (counted in
-    {!stats}[.producer_blocks]). *)
+val put : 'a t -> 'a -> unit
+(** Fills the slot and blocks until the consumer has drawn it (counted
+    in {!stats}[.producer_blocks] unless a consumer was already
+    waiting). *)
 
-val put : 'a t -> circuit:int -> kind:string -> 'a -> unit
-(** Deposits a slot; never blocks. *)
-
-val draw : 'a t -> circuit:int -> kind:string -> 'a
-(** Removes and returns the next slot of [(circuit, kind)] in put
-    order, blocking until one arrives (counted in
+val draw : 'a t -> 'a
+(** Empties the slot, blocking until the producer fills it (counted in
     {!stats}[.consumer_blocks]). *)
 
 val close : 'a t -> unit
-(** No further puts; blocked draws for missing slots and a blocked
-    {!reserve} raise {!Closed}. *)
+(** No further puts; a blocked draw and a waiting put raise
+    {!Closed}. *)
 
 val fail : 'a t -> exn -> unit
-(** Producer died: close and make every subsequent draw re-raise
-    [exn] — the consumer surfaces the producer's exception instead of
-    hanging. *)
+(** A side died: close, and make every later draw on the empty depot
+    re-raise [exn], so the consumer surfaces the producer's exception
+    instead of hanging.  The first failure wins. *)
 
 type stats = {
   puts : int;
   draws : int;
-  producer_blocks : int;  (** reserve calls that had to wait *)
-  consumer_blocks : int;  (** draw calls that had to wait *)
-  max_occupancy : int;    (** peak slots held *)
-  final_occupancy : int;  (** slots held when the snapshot was taken *)
-  draw_log : (int * string) list;
-      (** every draw as [(circuit, kind)], in draw order — the
-          determinism witness *)
+  producer_blocks : int;  (** puts that waited for the consumer *)
+  consumer_blocks : int;  (** draws that waited for the producer *)
+  max_occupancy : int;    (** peak circuits in the slot: 0 or 1 *)
 }
 
 val stats : 'a t -> stats

@@ -1,6 +1,5 @@
 module F = Yoso_field.Field.Fp
 module Circuit = Yoso_circuit.Circuit
-module Layout = Yoso_circuit.Layout
 module Splitmix = Yoso_hash.Splitmix
 module Cost = Yoso_runtime.Cost
 module Meter = Yoso_net.Meter
@@ -12,10 +11,6 @@ type job = {
   circuit : Circuit.t;
   inputs : int -> F.t array;
 }
-
-type slot =
-  | Session of Protocol.session
-  | Item of Offline.item
 
 type circuit_result = {
   index : int;
@@ -56,13 +51,17 @@ let stream ~params ?(config = Protocol.default_config) ~jobs () =
     { gc0 with Gc.minor_heap_size = max gc0.Gc.minor_heap_size stream_minor_words };
   Fun.protect ~finally:(fun () -> Gc.set gc0) @@ fun () ->
   let base_seed = config.Protocol.exec.Protocol.seed in
-  let depot : slot Depot.t = Depot.create () in
+  let depot = Depot.create () in
   let refill_meter = Meter.create () in
   let online_active = Atomic.make false in
   let refills_during_online = Atomic.make 0 in
 
+  (* the whole circuit, tsk holder included, is produced before the
+     handoff: the online phase starts with future key distribution,
+     which needs the holder the last offline committee hands on, so a
+     partial handoff would overlap nothing — and the session's ctx
+     (rng, committee counter) must stay on one domain at a time *)
   let produce_circuit j job =
-    Depot.reserve depot;
     let config =
       {
         config with
@@ -70,28 +69,32 @@ let stream ~params ?(config = Protocol.default_config) ~jobs () =
       }
     in
     let s = Protocol.open_session ~params ~config ~circuit:job.circuit () in
-    Depot.put depot ~circuit:j ~kind:"session" (Session s);
     let meter = Board.meter (Protocol.session_board s) in
     let st = Protocol.start_stream s in
     let before = ref (Meter.phase_total meter ~phase:"offline") in
-    let rec refill () =
+    let rec refill acc =
       let t0 = Monotonic_clock.now () in
       match Offline.prepare_batch st with
-      | None -> ()
+      | None -> List.rev acc
       | Some item ->
-        (* record timing and refill bytes before the put: the depot
-           mutex then orders these writes before any consumer read *)
         Protocol.record_offline_ms s (ms_since t0);
         let after = Meter.phase_total meter ~phase:"offline" in
         Meter.record_side refill_meter Meter.Refill
           ~label:(Printf.sprintf "c%d/%s" j (Offline.item_kind item))
           (after - !before);
         before := after;
-        Depot.put depot ~circuit:j ~kind:(Offline.item_kind item) (Item item);
         if Atomic.get online_active then Atomic.incr refills_during_online;
-        refill ()
+        refill (item :: acc)
     in
-    refill ()
+    match
+      let prep = Offline.assemble (Protocol.session_layout s) (refill []) in
+      Depot.put depot (s, prep)
+    with
+    | () -> ()
+    | exception e ->
+      (* never drawn: the session is still the producer's to close *)
+      Protocol.close_session s;
+      raise e
   in
   let producer () =
     try
@@ -104,47 +107,19 @@ let stream ~params ?(config = Protocol.default_config) ~jobs () =
   let agg_meter = Meter.create () in
   let to_factory phase = if String.equal phase "offline" then "factory" else phase in
   let consume_circuit j job =
-    let s =
-      match Depot.draw depot ~circuit:j ~kind:"session" with
-      | Session s -> s
-      | Item _ -> assert false
-    in
-    let layout = Protocol.session_layout s in
-    let draw_item kind =
-      match Depot.draw depot ~circuit:j ~kind with
-      | Item item -> item
-      | Session _ -> assert false
-    in
-    let source =
-      {
-        Offline.src_layout = layout;
-        src_layers = Array.length layout.Layout.mult_layers;
-        src_wire_lambda =
-          (fun () ->
-            match draw_item "lambdas" with Offline.Lambdas a -> a | _ -> assert false);
-        src_input_preps =
-          (fun () ->
-            match draw_item "inputs" with Offline.Inputs l -> l | _ -> assert false);
-        src_mult_preps =
-          (fun li ->
-            match draw_item (Printf.sprintf "layer%d" li) with
-            | Offline.Layer (_, preps) -> preps
-            | _ -> assert false);
-        src_final_holder =
-          (fun () ->
-            match draw_item "holder" with Offline.Holder h -> h | _ -> assert false);
-      }
-    in
+    (* the wait for the circuit counts as online here, as it did when
+       the consumer waited for each batch inside the online phase *)
     Atomic.set online_active true;
+    let s, prep = Depot.draw depot in
+    Fun.protect ~finally:(fun () -> Protocol.close_session s) @@ fun () ->
     let report =
       Fun.protect
         ~finally:(fun () -> Atomic.set online_active false)
-        (fun () -> Protocol.consume s source ~inputs:job.inputs)
+        (fun () -> Protocol.consume s (Offline.source_of prep) ~inputs:job.inputs)
     in
     let board = Protocol.session_board s in
     Cost.merge_into ~map_phase:to_factory ~dst:agg_cost (Board.cost board);
     Meter.merge_into ~dst:agg_meter (Board.meter board);
-    Protocol.close_session s;
     { index = j; seed = derived_seed base_seed j; report }
   in
 
@@ -156,7 +131,7 @@ let stream ~params ?(config = Protocol.default_config) ~jobs () =
       Domain.join prod;
       results
     | exception e ->
-      (* unblock a producer waiting in [reserve], then join so the
+      (* unblock a producer waiting in [put], then join so the
          domain never outlives the stream call *)
       Depot.fail depot e;
       (try Domain.join prod with _ -> ());

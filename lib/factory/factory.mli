@@ -3,20 +3,24 @@
 
     A background producer domain opens one {!Yoso_mpc.Protocol}
     session per circuit (seed derived as [Splitmix.mix seed j]), runs
-    the offline committees batch by batch
-    ({!Yoso_mpc.Offline.prepare_batch}) and pushes the typed items
-    into a {!Depot} that holds at most two circuits.  The consumer
-    (the calling domain) draws each circuit's session and
-    preprocessing from the depot and runs
-    the online phase through a depot-backed
-    {!Yoso_mpc.Offline.source}, so circuit [j]'s online phase overlaps
-    circuit [j+1]'s preprocessing.
+    its offline committees batch by batch
+    ({!Yoso_mpc.Offline.prepare_batch}, metering each batch), assembles
+    them and hands the session with its whole preprocessing to a
+    one-slot {!Depot}.  The consumer (the calling domain) draws each
+    circuit in job order and runs its online phase, so circuit [j]'s
+    online phase overlaps circuit [j+1]'s preprocessing.  The handoff
+    is a whole circuit because the online phase starts with future key
+    distribution, which consumes the tsk holder the last offline
+    committee hands on: no part of a circuit's online phase can
+    overlap its own preprocessing.
 
-    Every session is self-contained (own board, pool, rng streams),
-    so each circuit's transcript digest and outputs are byte-identical
-    to an independent one-shot {!Yoso_mpc.Protocol.execute} at the
-    same derived seed and offline opts — streaming changes wall-clock
-    schedule, never bytes. *)
+    Every session is self-contained (own board, committee ctx, rng
+    streams) and its ctx is used by one domain at a time, the depot
+    ordering the handover, so each circuit's transcript digest,
+    blames and outputs are byte-identical to an independent one-shot
+    {!Yoso_mpc.Protocol.execute} at the same derived seed and offline
+    opts, with or without an adversary: streaming changes the
+    wall-clock schedule, never bytes. *)
 
 module F = Yoso_field.Field.Fp
 module Circuit = Yoso_circuit.Circuit
@@ -25,12 +29,6 @@ type job = {
   circuit : Circuit.t;
   inputs : int -> F.t array;
 }
-
-(** One depot slot: the circuit's opened session, or one preprocessing
-    batch of it. *)
-type slot =
-  | Session of Yoso_mpc.Protocol.session
-  | Item of Yoso_mpc.Offline.item
 
 type circuit_result = {
   index : int;                         (** position in the job array *)
@@ -50,8 +48,9 @@ type report = {
           bytes that batch put on the wire *)
   depot : Depot.stats;
   refills_during_online : int;
-      (** batches the producer deposited while some circuit's online
-          phase was executing — the pipeline-overlap witness *)
+      (** batches the producer prepared while the consumer was
+          waiting for a circuit or running its online phase — the
+          pipeline-overlap witness *)
   circuits : int;
   total_mult : int;                    (** mult gates summed over the stream *)
   wall_ms : float;                     (** whole-stream wall clock *)
@@ -70,9 +69,11 @@ val stream :
   report
 (** Runs every job through one factory.  [config] (default
     {!Yoso_mpc.Protocol.default_config}) is the per-circuit template;
-    only its seed is rewritten per circuit.  The depot holds at most
-    two circuits, so the producer starts circuit [j + 2] only once
-    circuit [j] has been drawn in full.  Producer exceptions (including
+    only its seed is rewritten per circuit.  At most two circuits are
+    alive: the producer starts circuit [j + 2] only once the consumer
+    has drawn circuit [j + 1].  A circuit's [phase_ms] ["online"] is
+    its online phase alone, not the wait for its preprocessing.
+    Producer exceptions (including
     {!Yoso_runtime.Faults.Protocol_failure} from an audit) propagate
     to the caller after the producer domain is joined. *)
 

@@ -56,7 +56,7 @@ type side =
       (** full-frame bytes routing avoided for it: what a broadcast
           daemon would have shipped instead of each digest record *)
   | Refill
-      (** factory refill bytes of one depot batch (e.g. ["c3/layer2"]:
+      (** factory refill bytes of one preprocessing batch (e.g. ["c3/layer2"]:
           circuit 3, layer-2 packed shares) *)
 
 val record_side : t -> side -> label:string -> int -> unit
