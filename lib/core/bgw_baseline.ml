@@ -1,6 +1,6 @@
 module F = Yoso_field.Field.Fp
 module PS = Yoso_shamir.Packed_shamir.Make (F)
-module Lagrange = Yoso_field.Lagrange.Make (F)
+module Bary = Yoso_field.Barycentric.Make (F)
 module Circuit = Yoso_circuit.Circuit
 module Eval = Yoso_circuit.Circuit.Eval (Yoso_field.Field.Fp)
 module Bulletin = Yoso_runtime.Bulletin
@@ -91,8 +91,7 @@ let execute ~n ~t ?(seed = 0xB6) ~circuit ~inputs () =
   (* resharing weights: t+1 senders for carried wires, 2t+1 for
      degree-2t products (GRR reduction) *)
   let weights count =
-    let points = Array.init count (fun i -> PS.share_point ps i) in
-    Lagrange.coeffs_at ~points ~target:F.zero
+    Bary.row (Bary.create (Array.init count (PS.share_point ps))) F.zero
   in
   let w_carry = weights (t + 1) in
   let w_reduce = weights ((2 * t) + 1) in

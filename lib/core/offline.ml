@@ -1,6 +1,6 @@
 module F = Yoso_field.Field.Fp
 module Te = Ideal_te
-module Lagrange = Yoso_field.Lagrange.Make (F)
+module Bary = Yoso_field.Barycentric.Make (F)
 module Layout = Yoso_circuit.Layout
 module Circuit = Yoso_circuit.Circuit
 module Cost = Yoso_runtime.Cost
@@ -297,7 +297,7 @@ let start ?(opts = default_opts) (ctx : Ops.ctx) (setup : Setup.t) layout =
         (Array.init t (fun j -> F.of_int (j + 1)))
     in
     let targets = Array.init n (fun i -> F.of_int (i + 1)) in
-    let pack_matrix = Lagrange.basis_matrix ~sources ~targets in
+    let pack_matrix = Array.map (Bary.row (Bary.create sources)) targets in
     let all_batches =
       Array.of_list
         (List.concat (Array.to_list (Array.map (fun l -> l) layout.Layout.mult_layers)))

@@ -1,18 +1,31 @@
 module Make (F : Field.S) = struct
-  type t = { nodes : F.t array; weights : F.t array; index : (int, int) Hashtbl.t }
+  type t = { nodes : F.t array; weights : F.t array }
+
+  (* Montgomery's trick: the inverses of every entry for one F.inv *)
+  let batch_inv xs =
+    let m = Array.length xs in
+    let out = Array.make m F.one in
+    let acc = ref F.one in
+    for j = 0 to m - 1 do
+      out.(j) <- !acc;
+      acc := F.mul !acc xs.(j)
+    done;
+    let inv = ref (F.inv !acc) in
+    for j = m - 1 downto 0 do
+      out.(j) <- F.mul !inv out.(j);
+      inv := F.mul !inv xs.(j)
+    done;
+    out
 
   let create nodes =
     let m = Array.length nodes in
-    let index = Hashtbl.create m in
-    Array.iteri
-      (fun i x ->
-        let key = F.to_int x in
-        if Hashtbl.mem index key then
-          invalid_arg "Barycentric.create: duplicate nodes";
-        Hashtbl.add index key i)
+    let seen = Hashtbl.create m in
+    Array.iter
+      (fun x ->
+        if Hashtbl.mem seen x then invalid_arg "Barycentric.create: duplicate nodes";
+        Hashtbl.add seen x ())
       nodes;
-    (* w_j = 1 / prod_{m<>j} (x_j - x_m); computed with a single batch
-       inversion over the products *)
+    (* w_j = 1 / prod_{l<>j} (x_j - x_l) *)
     let prods =
       Array.init m (fun j ->
           let acc = ref F.one in
@@ -21,55 +34,26 @@ module Make (F : Field.S) = struct
           done;
           !acc)
     in
-    (* batch inversion (Montgomery's trick): one modpow total *)
-    let weights =
-      if m = 0 then [||]
-      else begin
-        let prefix = Array.make m F.one in
-        let acc = ref F.one in
-        for j = 0 to m - 1 do
-          prefix.(j) <- !acc;
-          acc := F.mul !acc prods.(j)
-        done;
-        let inv_all = ref (F.inv !acc) in
-        let out = Array.make m F.one in
-        for j = m - 1 downto 0 do
-          out.(j) <- F.mul !inv_all prefix.(j);
-          inv_all := F.mul !inv_all prods.(j)
-        done;
-        out
-      end
-    in
-    { nodes; weights; index }
+    { nodes; weights = batch_inv prods }
 
-  let nodes t = Array.copy t.nodes
-
-  let eval t ~values x =
+  (* l_j(x) = w_j * prod_{l<>j} (x - x_l), the product as a prefix
+     times a suffix: no inversion, and at a node x_j every other
+     entry takes the factor (x_j - x_j) = 0 while entry j is
+     w_j / w_j = 1 *)
+  let row t x =
     let m = Array.length t.nodes in
-    if Array.length values <> m then
-      invalid_arg "Barycentric.eval: values length mismatch";
-    match Hashtbl.find_opt t.index (F.to_int x) with
-    | Some j -> values.(j)
-    | None ->
-      (* f(x) = sum_j (w_j / (x - x_j)) y_j / sum_j (w_j / (x - x_j)).
-         Batch-invert the (x - x_j) differences: one modpow per eval. *)
-      let diffs = Array.init m (fun j -> F.sub x t.nodes.(j)) in
-      let prefix = Array.make m F.one in
-      let acc = ref F.one in
-      for j = 0 to m - 1 do
-        prefix.(j) <- !acc;
-        acc := F.mul !acc diffs.(j)
-      done;
-      let inv_all = ref (F.inv !acc) in
-      let num = ref F.zero and den = ref F.zero in
-      for j = m - 1 downto 0 do
-        let inv_diff = F.mul !inv_all prefix.(j) in
-        inv_all := F.mul !inv_all diffs.(j);
-        let term = F.mul t.weights.(j) inv_diff in
-        num := F.add !num (F.mul term values.(j));
-        den := F.add !den term
-      done;
-      F.div !num !den
+    let out = Array.make m F.zero in
+    let acc = ref F.one in
+    for j = 0 to m - 1 do
+      out.(j) <- F.mul t.weights.(j) !acc;
+      acc := F.mul !acc (F.sub x t.nodes.(j))
+    done;
+    let acc = ref F.one in
+    for j = m - 1 downto 0 do
+      out.(j) <- F.mul out.(j) !acc;
+      acc := F.mul !acc (F.sub x t.nodes.(j))
+    done;
+    out
 
-  let eval_many t ~values xs = Array.map (eval t ~values) xs
+  let eval t ~values x = F.dot (row t x) values
 end

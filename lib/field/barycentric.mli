@@ -1,10 +1,14 @@
-(** Barycentric Lagrange evaluation.
+(** Lagrange interpolation in barycentric form: the one interpolation
+    kernel.
 
-    Precomputes the barycentric weights of a fixed node set in
-    [O(m^2)]; each subsequent evaluation of an interpolant costs
-    [O(m)].  This is what makes sharing to committees of hundreds of
-    parties tractable: [n] share points evaluated against [d + 1]
-    anchor nodes costs [O(n d + d^2)] instead of [O(n d^2)]. *)
+    {!create} precomputes the barycentric weights of a fixed node set
+    of size [m] in [O(m^2)] with one field inversion; each {!row} or
+    {!eval} after that costs [O(m)] with none.  {!row} is the linear map
+    itself: the offline packing step (Protocol 4, Step 4) builds its
+    [n x (t + k)] pack matrix as one row per share point, BGW's
+    resharing takes its weights at zero, and packed Shamir sharing and
+    reconstruction evaluate through {!eval}.  [n] targets against [m]
+    nodes thus cost [O(n m + m^2)], not [O(n m^2)]. *)
 
 module Make (F : Field.S) : sig
   type t
@@ -12,12 +16,15 @@ module Make (F : Field.S) : sig
   val create : F.t array -> t
   (** @raise Invalid_argument on duplicate nodes. *)
 
-  val nodes : t -> F.t array
+  val row : t -> F.t -> F.t array
+  (** [row t x] is the Lagrange coefficient vector at [x]: entry [j] is
+      [l_j(x)], the [j]-th Lagrange basis polynomial over the nodes, so
+      [F.dot (row t x) values] is the interpolant through
+      [(nodes, values)] at [x].  At a node it is that node's unit
+      vector. *)
 
   val eval : t -> values:F.t array -> F.t -> F.t
-  (** [eval t ~values x] evaluates at [x] the unique polynomial of
-      degree [< m] through [(nodes, values)].  Exact (returns the
-      stored value) when [x] is a node. *)
-
-  val eval_many : t -> values:F.t array -> F.t array -> F.t array
+  (** [eval t ~values x = F.dot (row t x) values]: the unique
+      polynomial of degree [< m] through [(nodes, values)], at [x].
+      @raise Invalid_argument unless [values] has one entry per node. *)
 end

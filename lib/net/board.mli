@@ -8,15 +8,16 @@
     deadline, a corrupted payload is a frame that fails its checksum,
     and (under lossy models) an honest post can simply vanish.
 
-    Frame bytes are decoded only where they cross a process boundary.
-    Two checks run there: the board daemon decodes every posted frame
-    on ingest ({!Wire.of_frame}), and {!commit} compares what a
-    {!link} delivers with the local replay (bytes for a materialized
-    frame, length for a skeleton).  The sender never decodes its own
-    frame: {!Wire.to_frame} emits only frames {!Wire.of_frame}
-    accepts, and the one flipped byte of a [corrupt] frame always
-    fails the checksum, so a sender-side decode could only ever
-    answer [not corrupt].
+    No frame is decoded on the protocol's path.  Two checks run where
+    frame bytes cross a process boundary: the board daemon verifies
+    each [Post] envelope's checksum on ingest and forwards the inner
+    frame undecoded (it computes only its {!Wire.checksum}), and
+    {!commit} compares what a {!link} delivers with the local replay
+    (bytes for a materialized frame, length for a skeleton).  The
+    sender never decodes its own frame: {!Wire.to_frame} emits only
+    frames {!Wire.of_frame} accepts, and the one flipped byte of a
+    [corrupt] frame always fails the checksum, so a sender-side
+    decode could only ever answer [not corrupt].
 
     A frame is written only when a {!link} needs its bytes (its owner
     sends them, a receiver compares them) or it is [corrupt]: then

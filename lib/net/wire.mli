@@ -177,8 +177,11 @@ val of_frame : string -> message
     Frames whose declared payload length exceeds {!max_frame_len} are
     rejected before the payload is materialized.  Every input either
     decodes to a message whose {!to_frame} is the input itself, or
-    raises {!Decode_error}.  This is the check that runs where frame
-    bytes cross a process boundary (the board daemon's ingest). *)
+    raises {!Decode_error}.  Nothing on the protocol's path calls it:
+    the board daemon forwards frames undecoded and computes only their
+    {!checksum}.  It is the decoder the test suite's roundtrip
+    properties and hostile-frame fuzzers drive, and the one the
+    benchmark's frame micro-measurement times. *)
 
 val max_frame_len : int ref
 (** Configurable cap on a frame's declared payload length (default

@@ -118,65 +118,32 @@ module Make (F : Yoso_field.Field.S) = struct
         end)
       pairs
 
-  let reconstruct p ~degree pairs =
+  (* the first [degree + 1] distinct pairs fix the polynomial: the
+     interpolant through them, and the pairs left over to check *)
+  let interpolant ~caller p ~degree pairs =
     check_degree_range p degree;
     let pairs = dedup_pairs pairs in
-    if List.length pairs < degree + 1 then
+    let have = List.length pairs in
+    if have < degree + 1 then
       invalid_arg
-        (Printf.sprintf "Packed_shamir.reconstruct: %d shares, need %d"
-           (List.length pairs) (degree + 1));
-    let chosen = List.filteri (fun idx _ -> idx < degree + 1) pairs in
+        (Printf.sprintf "Packed_shamir.%s: %d shares, need %d" caller have (degree + 1));
+    let chosen = List.filteri (fun idx _ -> idx <= degree) pairs
+    and rest = List.filteri (fun idx _ -> idx > degree) pairs in
     let points = Array.of_list (List.map (fun (i, _) -> p.share_points.(i)) chosen) in
     let values = Array.of_list (List.map snd chosen) in
-    let base = Bary.create points in
-    Array.map (Bary.eval base ~values) p.secret_slots
+    (Bary.eval (Bary.create points) ~values, rest)
+
+  let reconstruct p ~degree pairs =
+    let f, _ = interpolant ~caller:"reconstruct" p ~degree pairs in
+    Array.map f p.secret_slots
 
   let reconstruct_checked p ~degree pairs =
-    check_degree_range p degree;
-    let pairs = dedup_pairs pairs in
-    if List.length pairs < degree + 1 then
-      invalid_arg
-        (Printf.sprintf "Packed_shamir.reconstruct_checked: %d shares, need %d"
-           (List.length pairs) (degree + 1));
-    let chosen, rest = (List.filteri (fun idx _ -> idx < degree + 1) pairs,
-                        List.filteri (fun idx _ -> idx >= degree + 1) pairs) in
-    let points = Array.of_list (List.map (fun (i, _) -> p.share_points.(i)) chosen) in
-    let values = Array.of_list (List.map snd chosen) in
-    let base = Bary.create points in
-    let inconsistent =
+    let f, rest = interpolant ~caller:"reconstruct_checked" p ~degree pairs in
+    match
       List.filter_map
-        (fun (i, v) ->
-          if F.equal v (Bary.eval base ~values p.share_points.(i)) then None else Some i)
+        (fun (i, v) -> if F.equal v (f p.share_points.(i)) then None else Some i)
         rest
-    in
-    if inconsistent <> [] then Error inconsistent
-    else Ok (Array.map (Bary.eval base ~values) p.secret_slots)
-
-  let check_degree p s =
-    check_same_n p s;
-    if s.degree >= p.n - 1 then true
-    else begin
-      (* interpolate from the first degree+1 shares, check the rest *)
-      let d = s.degree in
-      let points = Array.sub p.share_points 0 (d + 1) in
-      let values = Array.sub s.shares 0 (d + 1) in
-      let base = Bary.create points in
-      let ok = ref true in
-      for i = d + 1 to p.n - 1 do
-        if not (F.equal s.shares.(i) (Bary.eval base ~values p.share_points.(i))) then
-          ok := false
-      done;
-      !ok
-    end
-
-  let recover_missing p ~degree pairs target =
-    check_degree_range p degree;
-    let pairs = dedup_pairs pairs in
-    if List.length pairs < degree + 1 then
-      invalid_arg "Packed_shamir.recover_missing: not enough shares";
-    let chosen = List.filteri (fun idx _ -> idx < degree + 1) pairs in
-    let points = Array.of_list (List.map (fun (i, _) -> p.share_points.(i)) chosen) in
-    let values = Array.of_list (List.map snd chosen) in
-    let base = Bary.create points in
-    Bary.eval base ~values p.share_points.(target)
+    with
+    | [] -> Ok (Array.map f p.secret_slots)
+    | inconsistent -> Error inconsistent
 end

@@ -30,7 +30,8 @@ module Make (F : Yoso_field.Field.S) : sig
 
   type sharing = private { degree : int; shares : F.t array }
   (** [shares.(i)] is party [i]'s share.  The [degree] is the claimed
-      degree bound; see {!check_degree}. *)
+      degree bound; {!reconstruct_checked} is the check that the shares
+      lie on a polynomial of that degree. *)
 
   val make_sharing : degree:int -> shares:F.t array -> sharing
   (** Unchecked constructor — intended for tests and for adversary
@@ -83,13 +84,4 @@ module Make (F : Yoso_field.Field.S) : sig
       during online reconstruction.
       @raise Invalid_argument with fewer than [degree + 1] distinct
       pairs. *)
-
-  val check_degree : params -> sharing -> bool
-  (** Whether all [n] shares lie on a polynomial of the claimed
-      degree — the error-detection check honest parties run on
-      received sharings. *)
-
-  val recover_missing : params -> degree:int -> (int * F.t) list -> int -> F.t
-  (** Recompute the share of an absent party from [degree + 1] present
-      shares (used for fail-stop recovery demonstrations). *)
 end

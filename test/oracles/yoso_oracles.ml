@@ -1,7 +1,7 @@
 (* Independent oracles for the code in the libraries, kept out of
    them: nothing shipped links this library.
    - [Poly]: random polynomials under Horner's rule, the reference for
-     Barycentric and Lagrange interpolation.
+     Barycentric interpolation.
    - [Narrow] and [multiexp_naive]: the retired 30-bit Montgomery
      kernel and the product of independent powmods, the baselines and
      oracles for [Bigint.Mont] and [Bigint.Multiexp].
@@ -18,7 +18,7 @@ module P = Yoso_paillier.Paillier
 module T = Yoso_paillier.Threshold
 
 (* A random polynomial as its coefficient array (constant term first),
-   evaluated by Horner's rule: the reference Barycentric and Lagrange
+   evaluated by Horner's rule: the reference Barycentric
    interpolation must agree with. *)
 module Poly (F : Yoso_field.Field.S) = struct
   let random ~degree st = Array.init (degree + 1) (fun _ -> F.random st)

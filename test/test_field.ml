@@ -1,6 +1,6 @@
 module F = Yoso_field.Field.Fp
 module Poly = Yoso_oracles.Poly (F)
-module Lagrange = Yoso_field.Lagrange.Make (F)
+module Bary = Yoso_field.Barycentric.Make (F)
 
 let st = Random.State.make [| 0xF1E1D |]
 
@@ -79,7 +79,7 @@ let test_is_probable_prime () =
     (Yoso_field.Field.is_probable_prime 104729)
 
 (* ------------------------------------------------------------------ *)
-(* Lagrange                                                            *)
+(* Lagrange coefficients ([Barycentric.row])                          *)
 (* ------------------------------------------------------------------ *)
 
 let test_lagrange_coeffs () =
@@ -89,14 +89,14 @@ let test_lagrange_coeffs () =
     let points = Array.init (d + 1) (fun i -> F.of_int (i + 1)) in
     let values = Array.map (Poly.eval p) points in
     let target = F.of_int (Random.State.int st 1000 + 500) in
-    let w = Lagrange.coeffs_at ~points ~target in
+    let w = Bary.row (Bary.create points) target in
     check_f "weighted sum = eval" (Poly.eval p target) (F.dot w values)
   done
 
 let test_lagrange_matrix () =
   let sources = Array.map F.of_int [| 1; 2; 3 |] in
   let targets = Array.map F.of_int [| 5; 6 |] in
-  let m = Lagrange.basis_matrix ~sources ~targets in
+  let m = Array.map (Bary.row (Bary.create sources)) targets in
   Alcotest.(check int) "rows" 2 (Array.length m);
   let p = Poly.random ~degree:2 st in
   let values = Array.map (Poly.eval p) sources in
@@ -106,8 +106,40 @@ let test_lagrange_matrix () =
 
 let test_lagrange_duplicate () =
   Alcotest.check_raises "duplicates rejected"
-    (Invalid_argument "Lagrange: duplicate interpolation points") (fun () ->
-      ignore (Lagrange.coeffs_at ~points:[| F.one; F.one |] ~target:F.zero))
+    (Invalid_argument "Barycentric.create: duplicate nodes") (fun () ->
+      ignore (Bary.create [| F.one; F.one |]))
+
+(* Every row at [targets] dotted with the values of a random polynomial
+   of degree [< m] at [nodes] gives Horner's value at that target; a
+   target that is a node gets that node's unit vector. *)
+let check_rows st ~nodes ~targets =
+  let m = Array.length nodes in
+  let p = Poly.random ~degree:(m - 1) st in
+  let values = Array.map (Poly.eval p) nodes in
+  let b = Bary.create nodes in
+  Array.iter
+    (fun x ->
+      let row = Bary.row b x in
+      (match Array.find_index (F.equal x) nodes with
+      | Some j ->
+        let unit = Array.init m (fun l -> if l = j then F.one else F.zero) in
+        if not (Array.for_all2 F.equal row unit) then
+          Alcotest.failf "row at node %a is not its unit vector" F.pp x
+      | None -> ());
+      if not (F.equal (F.dot row values) (Poly.eval p x)) then
+        Alcotest.failf "row at %a disagrees with Horner" F.pp x)
+    targets
+
+(* the offline packing step's map: secret slots 0, -1, ..., -(k-1) and
+   helper anchors 1..t to the share points 1..n; the first t targets
+   are nodes *)
+let test_pack_geometry (n, t, k) () =
+  let nodes =
+    Array.append
+      (Array.init k (fun j -> F.of_int (-j)))
+      (Array.init t (fun j -> F.of_int (j + 1)))
+  in
+  check_rows st ~nodes ~targets:(Array.init n (fun i -> F.of_int (i + 1)))
 
 (* ------------------------------------------------------------------ *)
 (* QCheck properties                                                   *)
@@ -132,6 +164,27 @@ let qcheck_props =
         F.equal a (F.inv (F.inv a)));
   ]
 
+(* random node sets of 1..32 distinct points, one target that is a
+   node a quarter of the time *)
+let interpolation_props =
+  [
+    QCheck.Test.make ~count:300 ~long_factor:50 ~name:"row = Horner on random nodes"
+      QCheck.(pair (int_range 1 32) int)
+      (fun (m, seed) ->
+        let st = Random.State.make [| seed |] in
+        let seen = Hashtbl.create m in
+        let rec fresh () =
+          let x = F.random st in
+          if Hashtbl.mem seen x then fresh () else (Hashtbl.add seen x (); x)
+        in
+        let nodes = Array.init m (fun _ -> fresh ()) in
+        let x =
+          if Random.State.int st 4 = 0 then nodes.(Random.State.int st m) else F.random st
+        in
+        check_rows st ~nodes ~targets:[| x |];
+        true);
+  ]
+
 let () =
   Alcotest.run "field"
     [
@@ -153,5 +206,12 @@ let () =
           Alcotest.test_case "matrix" `Quick test_lagrange_matrix;
           Alcotest.test_case "duplicates" `Quick test_lagrange_duplicate;
         ] );
+      ( "interpolation",
+        List.map
+          (fun ((n, t, k) as g) ->
+            Alcotest.test_case (Printf.sprintf "pack geometry n=%d t=%d k=%d" n t k) `Quick
+              (test_pack_geometry g))
+          [ (16, 4, 4); (128, 32, 32); (949, 446, 28) ]
+        @ List.map QCheck_alcotest.to_alcotest interpolation_props );
       ("properties", List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_props);
     ]
