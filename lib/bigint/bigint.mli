@@ -27,8 +27,6 @@ val of_int : int -> t
 val to_int : t -> int
 (** @raise Failure if the value does not fit in a native [int]. *)
 
-val fits_int : t -> bool
-
 val of_string : string -> t
 (** Decimal, with optional leading ['-']. @raise Invalid_argument on
     malformed input. *)

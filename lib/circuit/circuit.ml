@@ -101,29 +101,44 @@ let pp_stats ppf c =
     (mult_width c)
     (List.length (clients c))
 
-module Eval (F : Yoso_field.Field.S) = struct
-  let wire_values c ~inputs =
-    let values = Array.make c.wire_count F.zero in
-    let cursor = Hashtbl.create 8 in
-    Array.iter
-      (fun g ->
-        match g with
-        | Input { client; wire } ->
-          let i = Option.value ~default:0 (Hashtbl.find_opt cursor client) in
-          let v = inputs client in
-          if i >= Array.length v then
-            invalid_arg
-              (Printf.sprintf "Circuit.Eval: client %d supplied %d inputs, need more"
-                 client (Array.length v));
-          values.(wire) <- v.(i);
-          Hashtbl.replace cursor client (i + 1)
-        | Add { a; b; out } -> values.(out) <- F.add values.(a) values.(b)
-        | Mul { a; b; out } -> values.(out) <- F.mul values.(a) values.(b)
-        | Output _ -> ())
-      c.gates;
-    values
+let assign_inputs c ~inputs =
+  let vectors = Hashtbl.create 8 in
+  let next client =
+    let v, i =
+      match Hashtbl.find_opt vectors client with
+      | Some s -> s
+      | None ->
+        let s = (inputs client, ref 0) in
+        Hashtbl.add vectors client s;
+        s
+    in
+    if !i >= Array.length v then
+      invalid_arg
+        (Printf.sprintf "Circuit.assign_inputs: client %d supplied %d inputs, needs %d"
+           client (Array.length v)
+           (List.length (input_wires_of_client c client)));
+    incr i;
+    v.(!i - 1)
+  in
+  List.map (fun (client, wire) -> (wire, next client)) c.input_wires
 
+module type RING = sig
+  type t
+
+  val zero : t
+  val add : t -> t -> t
+  val mul : t -> t -> t
+end
+
+module Eval (R : RING) = struct
   let run c ~inputs =
-    let values = wire_values c ~inputs in
+    let values = Array.make c.wire_count R.zero in
+    List.iter (fun (wire, v) -> values.(wire) <- v) (assign_inputs c ~inputs);
+    Array.iter
+      (function
+        | Add { a; b; out } -> values.(out) <- R.add values.(a) values.(b)
+        | Mul { a; b; out } -> values.(out) <- R.mul values.(a) values.(b)
+        | Input _ | Output _ -> ())
+      c.gates;
     List.map (fun (client, w) -> (client, values.(w))) c.output_wires
 end

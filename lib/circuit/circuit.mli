@@ -36,6 +36,11 @@ val size : t -> int
 val depth : t -> int
 (** Multiplicative depth (additions are free). *)
 
+val wire_depths : t -> int array
+(** Multiplicative depth of every wire: [0] on input wires, one more
+    than the deeper operand on a multiplication's output, the deeper
+    operand's on an addition's.  {!depth} is the maximum. *)
+
 val mult_width : t -> int
 (** Maximum number of multiplication gates in one multiplicative
     layer — the "circuit width" of the paper's O(n)-width
@@ -49,13 +54,37 @@ val input_wires_of_client : t -> int -> wire list
 
 val pp_stats : Format.formatter -> t -> unit
 
+(** {1 Client inputs} *)
+
+val assign_inputs : t -> inputs:(int -> 'a array) -> (wire * 'a) list
+(** [assign_inputs c ~inputs] puts each client's input vector on that
+    client's input wires: [inputs client] (called once per client) is
+    consumed in gate order, one value per input gate; extra values are
+    ignored.  Returns [(wire, value)] per input gate, in gate order.
+    Every protocol and {!Eval} read their inputs through this, so a
+    short vector fails the same way everywhere.
+    @raise Invalid_argument
+    ["Circuit.assign_inputs: client <c> supplied <m> inputs, needs <n>"]
+    if some client's vector is shorter than its count of input
+    gates. *)
+
 (** {1 Plain evaluation} *)
 
-module Eval (F : Yoso_field.Field.S) : sig
-  val run : t -> inputs:(int -> F.t array) -> (int * F.t) list
-  (** [run c ~inputs] evaluates the circuit in the clear.  [inputs
-      client] returns that client's input vector, consumed in gate
-      order.  Returns [(client, value)] per output gate, in gate
-      order.  @raise Invalid_argument if an input vector is too
-      short. *)
+module type RING = sig
+  type t
+
+  val zero : t
+  val add : t -> t -> t
+  val mul : t -> t -> t
+end
+(** What evaluation uses of the value ring; any {!Yoso_field.Field.S}
+    matches, and so does [Z_N] for a runtime modulus. *)
+
+module Eval (R : RING) : sig
+  val run : t -> inputs:(int -> R.t array) -> (int * R.t) list
+  (** [run c ~inputs] evaluates the circuit in the clear, inputs
+      assigned by {!assign_inputs}.  Returns [(client, value)] per
+      output gate, in gate order.
+      @raise Invalid_argument as {!assign_inputs} on a short input
+      vector. *)
 end

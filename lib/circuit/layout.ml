@@ -11,39 +11,17 @@ type t = {
   input_batches : (int * Circuit.wire array) list;
 }
 
-let chunk k arr =
+let chunk size arr =
+  if size < 1 then invalid_arg "Layout.chunk: size must be >= 1";
   let n = Array.length arr in
-  let rec go i acc =
-    if i >= n then List.rev acc
-    else begin
-      let len = min k (n - i) in
-      go (i + len) (Array.sub arr i len :: acc)
-    end
-  in
-  go 0 []
-
-(* recompute wire depths (same rule as Circuit.depth) *)
-let wire_depths (c : Circuit.t) =
-  let depths = Array.make c.Circuit.wire_count 0 in
-  Array.iter
-    (fun g ->
-      match g with
-      | Circuit.Input { wire; _ } -> depths.(wire) <- 0
-      | Circuit.Add { a; b; out } -> depths.(out) <- max depths.(a) depths.(b)
-      | Circuit.Mul { a; b; out } -> depths.(out) <- 1 + max depths.(a) depths.(b)
-      | Circuit.Output _ -> ())
-    c.Circuit.gates;
-  depths
+  List.init ((n + size - 1) / size) (fun c ->
+      let lo = c * size in
+      Array.sub arr lo (min size (n - lo)))
 
 let make circuit ~k =
   if k < 1 then invalid_arg "Layout.make: k must be >= 1";
-  let depths = wire_depths circuit in
-  let max_depth =
-    Array.fold_left
-      (fun acc g ->
-        match g with Circuit.Mul { out; _ } -> max acc depths.(out) | _ -> acc)
-      0 circuit.Circuit.gates
-  in
+  let depths = Circuit.wire_depths circuit in
+  let max_depth = Array.fold_left max 0 depths in
   (* gather mult gates per layer, in gate order *)
   let per_layer = Array.make (max_depth + 1) [] in
   Array.iter

@@ -31,5 +31,16 @@ val batches_of_layer : t -> int -> mult_batch list
 (** Batches whose outputs live at multiplicative depth [l] (1-based).
     Empty list above the circuit depth. *)
 
+val chunk : int -> 'a array -> 'a array list
+(** [chunk size xs] cuts [xs] into consecutive pieces of [size]
+    elements, the last one shorter if [size] does not divide the
+    length; [\[\]] for an empty [xs].  The one batching rule of the
+    protocols: gates into k-batches, ciphertexts into the chunks one
+    committee handles ([Committee_ops.chain]).
+    @raise Invalid_argument if [size < 1]. *)
+
 val pad_to_k : t -> 'a array -> 'a -> 'a array
-(** Right-pad a batch-indexed vector to length [k] with a dummy. *)
+(** [pad_to_k t batch dummy] right-pads a batch-indexed vector (one
+    entry per gate of a batch) to length [k] with [dummy], the shape
+    of one packed sharing's secrets.
+    @raise Invalid_argument if [batch] is longer than [k]. *)

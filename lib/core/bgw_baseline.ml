@@ -18,31 +18,14 @@ type report = {
 
 let online_per_gate r = float_of_int r.online_elements /. float_of_int (max 1 r.num_mult)
 
-(* wire depths, as in Layout *)
-let wire_depths (c : Circuit.t) =
-  let depths = Array.make c.Circuit.wire_count 0 in
-  Array.iter
-    (fun g ->
-      match g with
-      | Circuit.Input { wire; _ } -> depths.(wire) <- 0
-      | Circuit.Add { a; b; out } -> depths.(out) <- max depths.(a) depths.(b)
-      | Circuit.Mul { a; b; out } -> depths.(out) <- 1 + max depths.(a) depths.(b)
-      | Circuit.Output _ -> ())
-    c.Circuit.gates;
-  depths
-
 let execute ~n ~t ?(seed = 0xB6) ~circuit ~inputs () =
   if t < 0 || 2 * t + 1 > n then
     invalid_arg "Bgw_baseline: need 0 <= t < n/2";
   let board = Bulletin.create () in
   let st = Random.State.make [| seed |] in
   let ps = PS.make_params ~n ~k:1 in
-  let depths = wire_depths circuit in
-  let total_rounds =
-    Array.fold_left
-      (fun acc g -> match g with Circuit.Mul { out; _ } -> max acc depths.(out) | _ -> acc)
-      0 circuit.Circuit.gates
-  in
+  let depths = Circuit.wire_depths circuit in
+  let total_rounds = Array.fold_left max 0 depths in
   (* round at which each wire is last consumed (see mli) *)
   let last_use = Array.make circuit.Circuit.wire_count (-1) in
   let touch w r = if r > last_use.(w) then last_use.(w) <- r in
@@ -68,16 +51,9 @@ let execute ~n ~t ?(seed = 0xB6) ~circuit ~inputs () =
   in
 
   (* ---- input sharing ------------------------------------------------ *)
-  let cursor = Hashtbl.create 8 in
-  Array.iter
-    (fun g ->
-      match g with
-      | Circuit.Input { client; wire } ->
-        let i = Option.value ~default:0 (Hashtbl.find_opt cursor client) in
-        Hashtbl.replace cursor client (i + 1);
-        shares.(wire) <- Some (PS.share ps ~degree:t ~secrets:[| (inputs client).(i) |] ~rng:st)
-      | Circuit.Add _ | Circuit.Mul _ | Circuit.Output _ -> ())
-    circuit.Circuit.gates;
+  List.iter
+    (fun (wire, v) -> shares.(wire) <- Some (PS.share ps ~degree:t ~secrets:[| v |] ~rng:st))
+    (Circuit.assign_inputs circuit ~inputs);
   List.iter
     (fun client ->
       let wires = Circuit.input_wires_of_client circuit client in

@@ -19,15 +19,6 @@ type report = {
 let online_per_gate r = float_of_int r.online_elements /. float_of_int (max 1 r.num_mult)
 let offline_per_gate r = float_of_int r.offline_elements /. float_of_int (max 1 r.num_mult)
 
-let chunks size lst =
-  let rec go acc cur n = function
-    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-    | x :: rest ->
-      if n = size then go (List.rev cur :: acc) [ x ] 1 rest
-      else go acc (x :: cur) (n + 1) rest
-  in
-  go [] [] 0 lst
-
 let execute ~params ?(adversary = Params.no_adversary) ?(seed = 0xCD7) ~circuit ~inputs () =
   let board = Yoso_net.Board.create () in
   let ctx = Ops.create_ctx ~board ~params ~adversary ~seed () in
@@ -42,13 +33,7 @@ let execute ~params ?(adversary = Params.no_adversary) ?(seed = 0xCD7) ~circuit 
       ~cost:[ (Cost.Ciphertext, m) ]
       (fun rng _ -> Array.init m (fun _ -> Te.encrypt te (F.random rng)))
   in
-  let sum_col verified col =
-    match verified with
-    | [] -> failwith "Cdn_baseline: no verified contributions"
-    | (_, first) :: rest ->
-      List.fold_left (fun acc (_, cts) -> Te.add te acc (col cts)) (col first) rest
-  in
-  let c_a = Array.init m (fun g -> sum_col xs (fun cts -> cts.(g))) in
+  let c_a = Array.init m (fun g -> Ops.sum_contributions te xs (fun cts -> cts.(g))) in
   let b2 = Ops.fresh_committee ctx "Cdn-B2" in
   let yz =
     Ops.contributions ctx b2 ~phase:"offline" ~step:"beaver b, c"
@@ -58,13 +43,12 @@ let execute ~params ?(adversary = Params.no_adversary) ?(seed = 0xCD7) ~circuit 
             let y = F.random rng in
             (Te.encrypt te y, Te.scale te y c_a.(g))))
   in
-  let c_b = Array.init m (fun g -> sum_col yz (fun cts -> fst cts.(g))) in
-  let c_c = Array.init m (fun g -> sum_col yz (fun cts -> snd cts.(g))) in
+  let c_b = Array.init m (fun g -> Ops.sum_contributions te yz (fun cts -> fst cts.(g))) in
+  let c_c = Array.init m (fun g -> Ops.sum_contributions te yz (fun cts -> snd cts.(g))) in
 
   (* ---- online: gate-by-gate on ciphertexts ------------------------ *)
   (* inputs: each client broadcasts an encryption of each input value *)
   let wire_ct : F.t Te.ct option array = Array.make circuit.Circuit.wire_count None in
-  let cursor = Hashtbl.create 8 in
   List.iter
     (fun client ->
       let wires = Circuit.input_wires_of_client circuit client in
@@ -77,16 +61,9 @@ let execute ~params ?(adversary = Params.no_adversary) ?(seed = 0xCD7) ~circuit 
                [ (Cost.Ciphertext, List.length wires); (Cost.Proof, List.length wires) ]
              ()))
     (Circuit.clients circuit);
-  Array.iter
-    (function
-      | Circuit.Input { client; wire } ->
-        let i = Option.value ~default:0 (Hashtbl.find_opt cursor client) in
-        let vec = inputs client in
-        if i >= Array.length vec then invalid_arg "Cdn_baseline: input vector too short";
-        wire_ct.(wire) <- Some (Te.encrypt te vec.(i));
-        Hashtbl.replace cursor client (i + 1)
-      | Circuit.Add _ | Circuit.Mul _ | Circuit.Output _ -> ())
-    circuit.Circuit.gates;
+  List.iter
+    (fun (wire, v) -> wire_ct.(wire) <- Some (Te.encrypt te v))
+    (Circuit.assign_inputs circuit ~inputs);
   let get w =
     match wire_ct.(w) with
     | Some c -> c
@@ -100,28 +77,22 @@ let execute ~params ?(adversary = Params.no_adversary) ?(seed = 0xCD7) ~circuit 
   (* (triple index, out, c_alpha, c_beta) buffered until either the
      batch is full or a dependent gate needs the result *)
   let flush () =
-    List.iter
-      (fun batch ->
-        let masked =
-          Array.concat
-            (List.map
-               (fun (g, _, ca, cb) ->
-                 [| Te.add te ca c_a.(g); Te.add te cb c_b.(g) |])
-               batch)
-        in
-        let values, next =
-          Ops.decrypt_batch ctx te !holder ~phase:"online" ~step:"beaver opening" masked
-        in
-        holder := next;
-        List.iteri
-          (fun i (g, out, _, cb) ->
-            let eps = values.(2 * i) and delta = values.((2 * i) + 1) in
-            let c_out =
-              Te.eval te [| cb; c_a.(g); c_c.(g) |] [| eps; F.neg delta; F.one |]
-            in
-            wire_ct.(out) <- Some c_out)
-          batch)
-      (chunks gpc (List.rev !pending));
+    let batch = Array.of_list (List.rev !pending) in
+    let masked =
+      Array.init (2 * Array.length batch) (fun i ->
+          let g, _, ca, cb = batch.(i / 2) in
+          if i mod 2 = 0 then Te.add te ca c_a.(g) else Te.add te cb c_b.(g))
+    in
+    let values, next =
+      Ops.chain !holder ~size:(2 * gpc) masked (fun h cts ->
+          Ops.decrypt_batch ctx te h ~phase:"online" ~step:"beaver opening" cts)
+    in
+    holder := next;
+    Array.iteri
+      (fun i (g, out, _, cb) ->
+        let eps = values.(2 * i) and delta = values.((2 * i) + 1) in
+        wire_ct.(out) <- Some (Te.eval te [| cb; c_a.(g); c_c.(g) |] [| eps; F.neg delta; F.one |]))
+      batch;
     pending := []
   in
   let needs w = List.exists (fun (_, out, _, _) -> out = w) !pending in

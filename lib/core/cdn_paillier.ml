@@ -11,22 +11,19 @@ type report = {
   rejected_contributions : int;
 }
 
+(* inputs are reduced into [0, N) first, as [execute] encrypts them *)
+let reduced_inputs ~modulus inputs client = Array.map (fun v -> B.erem v modulus) (inputs client)
+
 let expected ~modulus circuit ~inputs =
-  let values = Array.make circuit.Circuit.wire_count B.zero in
-  let cursor = Hashtbl.create 8 in
-  let out = ref [] in
-  Array.iter
-    (fun g ->
-      match g with
-      | Circuit.Input { client; wire } ->
-        let i = Option.value ~default:0 (Hashtbl.find_opt cursor client) in
-        values.(wire) <- B.erem (inputs client).(i) modulus;
-        Hashtbl.replace cursor client (i + 1)
-      | Circuit.Add { a; b; out } -> values.(out) <- B.addmod values.(a) values.(b) modulus
-      | Circuit.Mul { a; b; out } -> values.(out) <- B.mulmod values.(a) values.(b) modulus
-      | Circuit.Output { client; wire } -> out := (client, values.(wire)) :: !out)
-    circuit.Circuit.gates;
-  List.rev !out
+  let module Zn = struct
+    type t = B.t
+
+    let zero = B.zero
+    let add a b = B.addmod a b modulus
+    let mul a b = B.mulmod a b modulus
+  end in
+  let module Eval = Circuit.Eval (Zn) in
+  Eval.run circuit ~inputs:(reduced_inputs ~modulus inputs)
 
 let execute ~n ~t ?(bits = 96) ?(malicious = []) ?(seed = 0xBEEF) ~circuit ~inputs () =
   let st = Random.State.make [| seed |] in
@@ -145,16 +142,17 @@ let execute ~n ~t ?(bits = 96) ?(malicious = []) ?(seed = 0xBEEF) ~circuit ~inpu
     | Some c -> c
     | None -> failwith "Cdn_paillier: wire not evaluated"
   in
-  let cursor = Hashtbl.create 8 in
+  let input_value =
+    Hashtbl.of_seq
+      (List.to_seq (Circuit.assign_inputs circuit ~inputs:(reduced_inputs ~modulus inputs)))
+  in
   let triple_cursor = ref 0 in
   let outputs = ref [] in
   Array.iter
     (fun g ->
       match g with
-      | Circuit.Input { client; wire } ->
-        let i = Option.value ~default:0 (Hashtbl.find_opt cursor client) in
-        let v = B.erem (inputs client).(i) modulus in
-        Hashtbl.replace cursor client (i + 1);
+      | Circuit.Input { wire; _ } ->
+        let v = Hashtbl.find input_value wire in
         let r = P.sample_unit pk ~rng:st in
         let c = P.Ctx.encrypt_with pctx ~r v in
         let proof = Sigma.Plaintext_knowledge.prove pctx ~rng:st ~m:v ~r ~c in

@@ -166,6 +166,12 @@ let contributions ?tamper ?wire ?(required = 1) ctx committee ~phase ~step ~cost
          { Faults.f_phase = phase; f_step = step; f_committee = name; surviving; required });
   out
 
+let sum_contributions te verified column =
+  match verified with
+  | [] -> invalid_arg "Committee_ops.sum_contributions: no contributions"
+  | (_, first) :: rest ->
+    List.fold_left (fun acc (_, p) -> Te.add te acc (column p)) (column first) rest
+
 (* ------------------------------------------------------------------ *)
 (* tsk chain                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -301,3 +307,14 @@ let reencrypt_packed ctx te holder ~phase ~step values =
 let reencrypt_final ctx te holder ~phase ~step values =
   let packages, _ = reencrypt_generic ctx te holder ~phase ~step ~reshare:false values in
   packages
+
+let chain holder ~size items step =
+  let last, outs =
+    List.fold_left_map
+      (fun h chunk ->
+        let out, next = step h chunk in
+        (next, out))
+      holder
+      (Yoso_circuit.Layout.chunk size items)
+  in
+  (Array.concat outs, last)

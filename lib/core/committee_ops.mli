@@ -103,6 +103,14 @@ val contributions :
     @raise Faults.Protocol_failure if fewer than [required] (default
     [1]) contributions survive verification. *)
 
+val sum_contributions :
+  Te.tpk -> (int * 'a) list -> ('a -> F.t Te.ct) -> F.t Te.ct
+(** [sum_contributions te verified column]: the homomorphic sum of
+    [column payload] over the verified [(index, payload)] list of
+    {!contributions}, in list order — one encrypted value that is
+    random as long as one contributor is honest.
+    @raise Invalid_argument on an empty list. *)
+
 (** {1 The tsk chain} *)
 
 type holder
@@ -157,6 +165,22 @@ val reencrypt_final :
   'a reenc array
 (** [Re-encrypt*] (online output step): same, but the holder does not
     re-share [tsk] — the chain ends. *)
+
+val chain :
+  holder -> size:int -> 'a array -> (holder -> 'a array -> 'b array * holder) ->
+  'b array * holder
+(** [chain h ~size items step] walks the tsk chain over [items]: it
+    cuts them into consecutive chunks of at most [size]
+    ({!Yoso_circuit.Layout.chunk}), one chunk per committee, and runs
+    [step] on each in order — the first chunk's step consumes [h],
+    every later one the holder its predecessor handed on.  Returns the
+    steps' results concatenated in chunk order, and the last holder
+    ([h] itself when [items] is empty: no committee speaks).  [step] is
+    one of the batched subprotocols above, e.g.
+    [fun h cts -> decrypt_batch ctx te h ~phase ~step cts]; a [size] of
+    at least [Array.length items] makes the whole array one committee
+    step.
+    @raise Invalid_argument if [size < 1]. *)
 
 val open_reenc : Te.tpk -> Pke.sk -> 'a reenc -> 'a
 (** Recipient side: decrypt the partial encryptions with the matching

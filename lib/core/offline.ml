@@ -62,31 +62,6 @@ let phase = "offline"
 let junk_cts te rng kind build =
   match kind with Faults.Garbage_ciphertext -> None | _ -> Some (build te rng)
 
-(* sum verified members' ciphertext contributions, column by column *)
-let sum_contributions te verified column =
-  match verified with
-  | [] -> failwith "Offline: no verified contributions"
-  | (_, first) :: rest ->
-    List.fold_left (fun acc (_, cts) -> Te.add te acc (column cts)) (column first) rest
-
-let chunks size arr =
-  let n = Array.length arr in
-  let rec go i acc =
-    if i >= n then List.rev acc
-    else begin
-      let len = min size (n - i) in
-      go (i + len) (Array.sub arr i len :: acc)
-    end
-  in
-  go 0 []
-
-(* gate-index ranges [(lo, len); ...] covering [0, m) in chunks *)
-let ranges size m =
-  let rec go lo acc =
-    if lo >= m then List.rev acc else go (lo + size) ((lo, min size (m - lo)) :: acc)
-  in
-  go 0 []
-
 (* The offline protocol as an incremental stream: [start] builds a
    stepper whose stages emit typed preprocessing items in a fixed
    order — wire lambdas, input preps, one item per mult layer, then
@@ -111,9 +86,9 @@ let audit_committee = "Off-Audit"
    into three multiexps; it is CPU-local and never touches the
    transcript. *)
 let audit_triples (ctx : Ops.ctx) te opts ~gpc ~c_x ~c_y ~c_z =
-  let m = Array.length c_x in
   List.iter
-    (fun (lo, len) ->
+    (fun gates ->
+      let lo = gates.(0) and len = Array.length gates in
       Board.next_round ctx.Ops.board;
       let prng = Pool.derive_rng ~seed:(Random.State.bits ctx.Ops.frng) lo in
       let step = "beaver: batch product-proof audit" in
@@ -155,7 +130,7 @@ let audit_triples (ctx : Ops.ctx) te opts ~gpc ~c_x ~c_y ~c_z =
                required = len;
              })
       end)
-    (ranges gpc m)
+    (Layout.chunk gpc (Array.init (Array.length c_x) Fun.id))
 
 let start ?(opts = default_opts) (ctx : Ops.ctx) (setup : Setup.t) layout =
   let te = setup.Setup.te in
@@ -201,7 +176,7 @@ let start ?(opts = default_opts) (ctx : Ops.ctx) (setup : Setup.t) layout =
               Array.init m (fun _ -> Te.encrypt te (F.random rng))))
         (fun rng _ -> Array.init m (fun _ -> Te.encrypt te (F.random rng)))
     in
-    c_x := Pool.map pool m (fun g -> sum_contributions te xs (fun cts -> cts.(g)));
+    c_x := Pool.map pool m (fun g -> Ops.sum_contributions te xs (fun cts -> cts.(g)));
     let cx = !c_x in
     let b2 = Ops.fresh_committee ctx "Off-B2" in
     let yzs =
@@ -218,8 +193,8 @@ let start ?(opts = default_opts) (ctx : Ops.ctx) (setup : Setup.t) layout =
               let y = F.random rng in
               (Te.encrypt te y, Te.scale te y cx.(g))))
     in
-    c_y := Pool.map pool m (fun g -> sum_contributions te yzs (fun cts -> fst cts.(g)));
-    c_z := Pool.map pool m (fun g -> sum_contributions te yzs (fun cts -> snd cts.(g)));
+    c_y := Pool.map pool m (fun g -> Ops.sum_contributions te yzs (fun cts -> fst cts.(g)));
+    c_z := Pool.map pool m (fun g -> Ops.sum_contributions te yzs (fun cts -> snd cts.(g)));
     if opts.audit_triples && m > 0 then
       audit_triples ctx te opts ~gpc ~c_x:!c_x ~c_y:!c_y ~c_z:!c_z;
 
@@ -244,7 +219,7 @@ let start ?(opts = default_opts) (ctx : Ops.ctx) (setup : Setup.t) layout =
     in
     Array.iteri
       (fun idx w ->
-        wire_lambda.(w) <- sum_contributions te lambda_contribs (fun cts -> cts.(idx)))
+        wire_lambda.(w) <- Ops.sum_contributions te lambda_contribs (fun cts -> cts.(idx)))
       random_wires;
     (* addition wires homomorphically, in topological order *)
     Array.iter
@@ -267,18 +242,12 @@ let start ?(opts = default_opts) (ctx : Ops.ctx) (setup : Setup.t) layout =
           if i mod 2 = 0 then Te.add te wire_lambda.(a) cx.(g)
           else Te.add te wire_lambda.(b) cy.(g))
     in
-    let h = ref (Ops.initial_holder ctx te ~name:"Off-D" setup.Setup.initial_tsk) in
-    let opened = Array.make (2 * m) F.zero in
-    let pos = ref 0 in
-    List.iter
-      (fun chunk ->
-        let values, next =
-          Ops.decrypt_batch ctx te !h ~phase ~step:"open masked beaver values" chunk
-        in
-        Array.blit values 0 opened !pos (Array.length values);
-        pos := !pos + Array.length values;
-        h := next)
-      (chunks (2 * gpc) masked);
+    let opened, h =
+      Ops.chain
+        (Ops.initial_holder ctx te ~name:"Off-D" setup.Setup.initial_tsk)
+        ~size:(2 * gpc) masked
+        (fun h cts -> Ops.decrypt_batch ctx te h ~phase ~step:"open masked beaver values" cts)
+    in
     (* Gamma_g = lambda_a * lambda_b - lambda_out, homomorphically *)
     gamma_ct :=
       Pool.map pool m (fun g ->
@@ -298,10 +267,7 @@ let start ?(opts = default_opts) (ctx : Ops.ctx) (setup : Setup.t) layout =
     in
     let targets = Array.init n (fun i -> F.of_int (i + 1)) in
     let pack_matrix = Array.map (Bary.row (Bary.create sources)) targets in
-    let all_batches =
-      Array.of_list
-        (List.concat (Array.to_list (Array.map (fun l -> l) layout.Layout.mult_layers)))
-    in
+    let all_batches = Array.of_list (List.concat (Array.to_list layout.Layout.mult_layers)) in
     (* helper randoms: 3 packed vectors per batch, t helpers each *)
     let helpers = Hashtbl.create 64 in
     let batches_per_committee = max 1 (gpc / max 1 k) in
@@ -330,21 +296,17 @@ let start ?(opts = default_opts) (ctx : Ops.ctx) (setup : Setup.t) layout =
             let help =
               Array.init 3 (fun v ->
                   Array.init t (fun j ->
-                      sum_contributions te contribs (fun cts -> cts.(bi).(v).(j))))
+                      Ops.sum_contributions te contribs (fun cts -> cts.(bi).(v).(j))))
             in
             Hashtbl.add helpers batch help)
           batch_chunk)
-      (chunks batches_per_committee all_batches);
+      (Layout.chunk batches_per_committee all_batches);
     (* homomorphic Lagrange evaluation: n encrypted packed shares per vector *)
     let pack cts help =
       let anchors = Array.append cts help in
       Pool.map pool n (fun i -> Te.eval te anchors pack_matrix.(i))
     in
-    let padded f batch =
-      let raw = Array.map f batch.Layout.mult_gates in
-      if Array.length raw > k then invalid_arg "Offline: batch longer than k";
-      Array.append raw (Array.make (k - Array.length raw) zero_ct)
-    in
+    let padded f batch = Layout.pad_to_k layout (Array.map f batch.Layout.mult_gates) zero_ct in
     (packed_of_batch :=
        fun batch ->
          let help = Hashtbl.find helpers batch in
@@ -357,50 +319,32 @@ let start ?(opts = default_opts) (ctx : Ops.ctx) (setup : Setup.t) layout =
          (alpha, beta, gamma));
 
     (* Step 5: re-encrypt input-wire lambdas to client KFFs *)
-    let input_batches = Array.of_list layout.Layout.input_batches in
+    let input_batches = layout.Layout.input_batches in
     let input_values =
       Array.concat
         (List.map
            (fun (client, wires) ->
              let entry = List.assoc client setup.Setup.kff_clients in
              Array.map (fun w -> (entry.Setup.kff_pk, wire_lambda.(w))) wires)
-           (Array.to_list input_batches))
+           input_batches)
     in
-    let input_reencs = Array.make (Array.length input_values) None in
-    let pos = ref 0 in
-    let reenc_chunks =
-      (* ciphertext-level batching bundles every value sharing a client
-         KFF into one ciphertext per speaking holder, so the whole
-         input step fits one committee round *)
-      if opts.packed_reenc then
-        if Array.length input_values = 0 then [] else [ input_values ]
-      else chunks gpc input_values
+    (* ciphertext-level batching bundles every value sharing a client
+       KFF into one ciphertext per speaking holder, so the whole input
+       step fits one committee round *)
+    let reenc = if opts.packed_reenc then Ops.reencrypt_packed else Ops.reencrypt_batch in
+    let input_reencs, h =
+      Ops.chain h
+        ~size:(if opts.packed_reenc then max 1 (Array.length input_values) else gpc)
+        input_values
+        (fun h chunk -> reenc ctx te h ~phase ~step:"re-encrypt input lambdas to KFF" chunk)
     in
-    List.iter
-      (fun chunk ->
-        let packages, next =
-          (if opts.packed_reenc then Ops.reencrypt_packed else Ops.reencrypt_batch)
-            ctx te !h ~phase ~step:"re-encrypt input lambdas to KFF" chunk
-        in
-        Array.iteri (fun i pkg -> input_reencs.(!pos + i) <- Some pkg) packages;
-        pos := !pos + Array.length packages;
-        h := next)
-      reenc_chunks;
-    holder := Some !h;
-    let input_preps =
-      let cursor = ref 0 in
-      List.map
-        (fun (client, wires) ->
-          let lambda_reencs =
-            Array.map
-              (fun _ ->
-                let r = Option.get input_reencs.(!cursor) in
-                incr cursor;
-                r)
-              wires
-          in
-          { client; wires; lambda_reencs })
-        (Array.to_list input_batches)
+    holder := Some h;
+    let _, input_preps =
+      List.fold_left_map
+        (fun pos (client, wires) ->
+          let len = Array.length wires in
+          (pos + len, { client; wires; lambda_reencs = Array.sub input_reencs pos len }))
+        0 input_batches
     in
     [ Inputs input_preps ]
   in
@@ -409,71 +353,51 @@ let start ?(opts = default_opts) (ctx : Ops.ctx) (setup : Setup.t) layout =
   let layer_stage li () =
     let batches = layout.Layout.mult_layers.(li) in
     let kffs = setup.Setup.kff_roles.(li) in
-    let h = ref (the_holder ()) in
-    let preps =
+    let values vec = Array.mapi (fun i ct -> (kffs.(i).Setup.kff_pk, ct)) vec in
+    let step = "re-encrypt packed shares to KFF" in
+    let h, preps =
       if opts.packed_reenc then begin
         (* one bundled committee round per layer: alpha/beta/gamma of
            every batch re-encrypted together, one ciphertext per role
            KFF on the wire *)
-        let packed = List.map !packed_of_batch batches in
-        let values vec = Array.mapi (fun i ct -> (kffs.(i).Setup.kff_pk, ct)) vec in
         let all =
           Array.concat
             (List.concat_map
-               (fun (alpha, beta, gamma) -> [ values alpha; values beta; values gamma ])
-               packed)
+               (fun batch ->
+                 let alpha, beta, gamma = !packed_of_batch batch in
+                 [ values alpha; values beta; values gamma ])
+               batches)
         in
-        let preps =
-          if Array.length all = 0 then []
-          else begin
-            let packages, next =
-              Ops.reencrypt_packed ctx te !h ~phase
-                ~step:"re-encrypt packed shares to KFF" all
-            in
-            h := next;
-            List.mapi
-              (fun bi batch ->
-                let slice v = Array.sub packages ((3 * bi * n) + (v * n)) n in
-                {
-                  batch;
-                  alpha_shares = slice 0;
-                  beta_shares = slice 1;
-                  gamma_shares = slice 2;
-                })
-              batches
-          end
+        let packages, h =
+          Ops.chain (the_holder ()) ~size:(max 1 (Array.length all)) all (fun h chunk ->
+              Ops.reencrypt_packed ctx te h ~phase ~step chunk)
         in
-        preps
+        let slice bi v = Array.sub packages ((3 * bi * n) + (v * n)) n in
+        ( h,
+          List.mapi
+            (fun bi batch ->
+              { batch; alpha_shares = slice bi 0; beta_shares = slice bi 1; gamma_shares = slice bi 2 })
+            batches )
       end
-      else
-        List.map
-          (fun batch ->
+      else begin
+        (* shares of one vector fit in one committee round when
+           n <= gates_per_committee; chunk otherwise *)
+        let reenc h vec =
+          Ops.chain h ~size:(max n gpc) (values vec) (fun h chunk ->
+              Ops.reencrypt_batch ctx te h ~phase ~step chunk)
+        in
+        List.fold_left_map
+          (fun h batch ->
             let alpha, beta, gamma = !packed_of_batch batch in
-            let values vec = Array.mapi (fun i ct -> (kffs.(i).Setup.kff_pk, ct)) vec in
-            let reenc vec =
-              let out = ref [||] in
-              (* shares of one vector fit in one committee round when
-                 n <= gates_per_committee; chunk otherwise *)
-              List.iter
-                (fun chunk ->
-                  let packages, next =
-                    Ops.reencrypt_batch ctx te !h ~phase
-                      ~step:"re-encrypt packed shares to KFF" chunk
-                  in
-                  out := Array.append !out packages;
-                  h := next)
-                (chunks (max n gpc) (values vec));
-              !out
-            in
-            {
-              batch;
-              alpha_shares = reenc alpha;
-              beta_shares = reenc beta;
-              gamma_shares = reenc gamma;
-            })
-          batches
+            (* the chain takes gamma first, then beta, then alpha *)
+            let gamma_shares, h = reenc h gamma in
+            let beta_shares, h = reenc h beta in
+            let alpha_shares, h = reenc h alpha in
+            (h, { batch; alpha_shares; beta_shares; gamma_shares }))
+          (the_holder ()) batches
+      end
     in
-    holder := Some !h;
+    holder := Some h;
     [ Layer (li, preps) ]
   in
 

@@ -18,17 +18,6 @@ type output = { client : int; wire : Circuit.wire; value : F.t }
 
 let phase = "online"
 
-let chunks size arr =
-  let n = Array.length arr in
-  let rec go i acc =
-    if i >= n then List.rev acc
-    else begin
-      let len = min size (n - i) in
-      go (i + len) (Array.sub arr i len :: acc)
-    end
-  in
-  go 0 []
-
 (* The online phase draws its preprocessing through an
    {!Offline.source}: each thunk is pulled exactly when the protocol
    needs that material — the final tsk holder first (future key
@@ -69,30 +58,22 @@ let run_from (ctx : Ops.ctx) (setup : Setup.t) (source : Offline.source) ~inputs
                (fst role_keys.(li).(i), setup.Setup.kff_roles.(li).(i).Setup.kff_sk_ct))))
   in
   let all_targets = Array.of_list (client_targets @ role_targets) in
-  let holder = ref (source.Offline.src_final_holder ()) in
-  let key_packages = Array.make (Array.length all_targets) None in
-  let pos = ref 0 in
-  List.iter
-    (fun chunk ->
-      let packages, next =
-        Ops.reencrypt_batch ctx te !holder ~phase ~step:"future key distribution" chunk
-      in
-      Array.iteri (fun i pkg -> key_packages.(!pos + i) <- Some pkg) packages;
-      pos := !pos + Array.length packages;
-      holder := next)
-    (chunks (max n gpc) all_targets);
+  let key_packages, holder =
+    Ops.chain (source.Offline.src_final_holder ()) ~size:(max n gpc) all_targets
+      (fun h chunk -> Ops.reencrypt_batch ctx te h ~phase ~step:"future key distribution" chunk)
+  in
   let num_clients = List.length client_targets in
   let client_kff_sk =
     List.mapi
       (fun idx (c, _) ->
         let _, sk = List.assoc c setup.Setup.client_keys in
-        (c, Ops.open_reenc te sk (Option.get key_packages.(idx))))
+        (c, Ops.open_reenc te sk key_packages.(idx)))
       setup.Setup.kff_clients
   in
   let role_kff_sk li i =
     let idx = num_clients + (li * n) + i in
     let _, sk = role_keys.(li).(i) in
-    Ops.open_reenc te sk (Option.get key_packages.(idx))
+    Ops.open_reenc te sk key_packages.(idx)
   in
 
   (* ---- mu bookkeeping --------------------------------------------- *)
@@ -114,22 +95,17 @@ let run_from (ctx : Ops.ctx) (setup : Setup.t) (source : Offline.source) ~inputs
   in
 
   (* ---- input step -------------------------------------------------- *)
-  let client_input_cursor = Hashtbl.create 8 in
+  let input_preps = source.Offline.src_input_preps () in
+  let input_value = Hashtbl.of_seq (List.to_seq (Circuit.assign_inputs circuit ~inputs)) in
   List.iter
     (fun ip ->
-      let c = ip.Offline.client in
-      let kff_sk = List.assoc c client_kff_sk in
-      let vec = inputs c in
+      let kff_sk = List.assoc ip.Offline.client client_kff_sk in
       Array.iteri
         (fun j w ->
-          let cursor = Option.value ~default:0 (Hashtbl.find_opt client_input_cursor c) in
-          if cursor >= Array.length vec then
-            invalid_arg (Printf.sprintf "Online: client %d input vector too short" c);
           let lambda = Ops.open_reenc te kff_sk ip.Offline.lambda_reencs.(j) in
-          mu.(w) <- Some (F.sub vec.(cursor) lambda);
-          Hashtbl.replace client_input_cursor c (cursor + 1))
+          mu.(w) <- Some (F.sub (Hashtbl.find input_value w) lambda))
         ip.Offline.wires)
-    (source.Offline.src_input_preps ());
+    input_preps;
   (* one broadcast per client input role, carrying all its mu values —
      the real field elements go over the wire *)
   Board.next_round ctx.Ops.board;
@@ -154,10 +130,7 @@ let run_from (ctx : Ops.ctx) (setup : Setup.t) (source : Offline.source) ~inputs
     let nbatches = Array.length preps in
     if nbatches > 0 then begin
       (* public: degree-(k-1) sharings of the mu vectors of each batch *)
-      let padded_mu f batch =
-        let raw = Array.map f batch.Layout.mult_gates in
-        Array.append raw (Array.make (k - Array.length raw) F.zero)
-      in
+      let padded_mu f batch = Layout.pad_to_k layout (Array.map f batch.Layout.mult_gates) F.zero in
       let pool = ctx.Ops.pool in
       let mu_alpha_sharing =
         Pool.map pool nbatches (fun bi ->
@@ -250,7 +223,7 @@ let run_from (ctx : Ops.ctx) (setup : Setup.t) (source : Offline.source) ~inputs
   in
   let packages =
     if Array.length output_values = 0 then [||]
-    else Ops.reencrypt_final ctx te !holder ~phase ~step:"output: re-encrypt lambdas to clients" output_values
+    else Ops.reencrypt_final ctx te holder ~phase ~step:"output: re-encrypt lambdas to clients" output_values
   in
   Array.to_list
     (Array.mapi

@@ -120,9 +120,6 @@ val bit_source_width : expr -> int option
     ([Some] for width-annotated inputs and small nonnegative
     constants), [None] otherwise. *)
 
-val iter_subexprs : program -> (expr -> unit) -> unit
-(** Visit every distinct node reachable from the outputs, once. *)
-
 val bit_demanded : program -> decl -> bool
 (** Whether the declaration is an operand of at least one comparison —
     i.e. whether its client must supply it in bits. *)

@@ -47,9 +47,6 @@ val stats_json : stats -> Yoso_runtime.Json.t
 val depths : t -> int array
 (** Per-def multiplicative depth. *)
 
-val use_counts : t -> int array
-(** Number of operand references per def; outputs count as one use. *)
-
 (** {1 Passes}
 
     Each pass is semantics-preserving: [eval (pass ir)] equals

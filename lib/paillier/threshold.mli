@@ -96,9 +96,6 @@ module Ctx : sig
   (** [(i, 2 * mu_i)] combining weights for a partial subset, cached
       per subset. *)
 
-  val theta_inv : t -> int -> B.t
-  (** [theta(epoch)^-1 mod N], cached per epoch. *)
-
   val preload : ?epochs:int list -> ?subsets:int list list -> t -> unit
   (** Force the context's lazy state now: the combining-weight cache
       for each of [subsets] and the theta-inverse cache for each of
@@ -128,12 +125,6 @@ val theta : tpk -> int -> B.t
 (** [theta_e = 4 Delta^2 (2 Delta^2)^e mod N]: the scalar a combined
     plaintext is implicitly multiplied by after epoch-[e]
     reconstruction (compensated inside {!Ctx.combine}). *)
-
-val mu_weight : B.t -> int list -> int -> B.t
-(** [mu_weight delta subset i]: integral Lagrange-at-zero weight
-    [Delta * l_i(0)].  @raise Failure if the weight is non-integral
-    (can only happen if [delta] is not a multiple of [subset]'s
-    denominators). *)
 
 val share_index : key_share -> int
 val share_epoch : key_share -> int

@@ -36,7 +36,6 @@ let sample ~name ~n ~malicious ?(passive = 0) ?(fail_stop = 0) rng =
 
 let status t i = t.statuses.(i)
 let role t i = Role.id ~committee:t.name ~index:i
-let is_malicious t i = t.statuses.(i) = Malicious
 let participates t i = t.statuses.(i) <> Fail_stop
 
 let indices_where pred t =

@@ -27,7 +27,6 @@ val sample :
 
 val status : t -> int -> status
 val role : t -> int -> Role.id
-val is_malicious : t -> int -> bool
 
 val participates : t -> int -> bool
 (** Everyone but fail-stop roles (malicious roles do participate —

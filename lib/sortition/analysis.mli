@@ -24,8 +24,6 @@
 
 type security = { k1 : int; k2 : int; k3 : int }
 
-val default_security : security
-
 type row = {
   c_param : int;   (** sortition parameter [C] *)
   f : float;       (** global corruption ratio *)
@@ -46,10 +44,8 @@ val solve : ?security:security -> f:float -> int -> row option
     corruption ratio [f] is infeasible for this [C] (the ⊥ cells of
     Table 1). *)
 
-val table1_grid : (int * float) list
-(** The [(C, f)] grid of Table 1. *)
-
 val table1 : ?security:security -> unit -> (int * float * row option) list
+(** Every cell of Table 1's [(C, f)] grid. *)
 
 val improvement_claims :
   ?security:security -> unit -> (string * row) list

@@ -46,9 +46,6 @@ val open_append : ?fsync_every:int -> path:string -> unit -> t
 val append : t -> record -> unit
 (** Appends one record; fsyncs when the batch counter fills. *)
 
-val sync : t -> unit
-(** Forces an fsync of any unsynced appends. *)
-
 val close : t -> unit
 (** Syncs and closes.  Idempotent. *)
 

@@ -4,6 +4,8 @@ module Protocol = Yoso_mpc.Protocol
 module Cdn = Yoso_mpc.Cdn_baseline
 module Bgw = Yoso_mpc.Bgw_baseline
 module Gen = Yoso_circuit.Generators
+module B = Yoso_bigint.Bigint
+module Cdn_paillier = Yoso_mpc.Cdn_paillier
 
 let inputs_of len c = Array.init len (fun i -> F.of_int ((c + 2) * (i + 1)))
 
@@ -82,6 +84,84 @@ let test_bgw_cost_quadratic_in_n () =
     true
     (c36 > 8.0 *. c9)
 
+(* ------------------------------------------------------------------ *)
+(* Pinned costs and outputs                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* exact numbers of the baselines' transcripts, so a rewrite of their
+   input or batching paths that moves a post or an element shows here
+   the way the packed protocol's digests do *)
+
+let wide = Gen.wide_mul_reduced ~width:8 ~depth:2 ~clients:2
+
+let cdn_costs ?gates_per_committee ~n ~t ~k circuit len =
+  let params = Params.create ?gates_per_committee ~n ~t ~k () in
+  let inputs = inputs_of len in
+  let r = Cdn.execute ~params ~circuit ~inputs () in
+  Alcotest.(check bool) "cdn correct" true (Cdn.check r circuit ~inputs);
+  (r.Cdn.offline_elements, r.Cdn.online_elements, r.Cdn.posts)
+
+let bgw_costs ~n circuit len =
+  let inputs = inputs_of len in
+  let r = Bgw.execute ~n ~t:((n - 1) / 2) ~circuit ~inputs () in
+  Alcotest.(check bool) "bgw correct" true (Bgw.check r circuit ~inputs);
+  (r.Bgw.input_elements, r.Bgw.online_elements, r.Bgw.posts)
+
+let triple = Alcotest.(triple int int int)
+
+let test_cdn_pinned () =
+  Alcotest.check triple "wide n=9" (450, 518, 47) (cdn_costs ~n:9 ~t:2 ~k:2 wide 16);
+  Alcotest.check triple "wide n=18" (900, 1328, 92) (cdn_costs ~n:18 ~t:4 ~k:4 wide 16);
+  Alcotest.check triple "wide n=9, 3 gates per committee" (450, 878, 83)
+    (cdn_costs ~gates_per_committee:3 ~n:9 ~t:2 ~k:2 wide 16);
+  Alcotest.check triple "dot n=9" (180, 249, 38)
+    (cdn_costs ~n:9 ~t:2 ~k:2 (Gen.dot_product ~len:6) 6)
+
+let test_bgw_pinned () =
+  Alcotest.check triple "wide n=9" (144, 1305, 29) (bgw_costs ~n:9 wide 16);
+  Alcotest.check triple "wide n=18" (288, 5202, 56) (bgw_costs ~n:18 wide 16);
+  Alcotest.check triple "dot n=9" (108, 504, 20) (bgw_costs ~n:9 (Gen.dot_product ~len:6) 6)
+
+let test_cdn_paillier_pinned () =
+  (* inputs past 2^64 wrap mod N, so the outputs pin the modulus too *)
+  let inputs c = Array.init 3 (fun i -> B.add (B.pow (B.of_int 2) 70) (B.of_int ((c * 3) + i))) in
+  let r =
+    Cdn_paillier.execute ~n:4 ~t:1 ~bits:64 ~malicious:[ 3 ] ~seed:7
+      ~circuit:(Gen.dot_product ~len:3) ~inputs ()
+  in
+  Alcotest.(check bool) "correct" true (Cdn_paillier.check r (Gen.dot_product ~len:3) ~inputs);
+  Alcotest.(check int) "rejected" 6 r.Cdn_paillier.rejected_contributions;
+  Alcotest.(check string) "modulus" "11512504159459289359" (B.to_string r.Cdn_paillier.modulus);
+  Alcotest.(check (list (triple int int string)))
+    "outputs"
+    [ (0, 10, "2322689242642368932"); (1, 10, "2322689242642368932") ]
+    (List.map (fun (c, w, v) -> (c, w, B.to_string v)) r.Cdn_paillier.outputs)
+
+(* ------------------------------------------------------------------ *)
+(* Short input vectors                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* every protocol reads its inputs through Circuit.assign_inputs, so a
+   client that supplies too few values fails the same way in each *)
+let test_short_inputs () =
+  let circuit = Gen.dot_product ~len:3 in
+  (* client 1 owns three input wires but supplies two values *)
+  let count c = if c = 1 then 2 else 3 in
+  let f_inputs c = Array.init (count c) (fun i -> F.of_int (i + 1)) in
+  let b_inputs c = Array.init (count c) (fun i -> B.of_int (i + 1)) in
+  let short = Invalid_argument "Circuit.assign_inputs: client 1 supplied 2 inputs, needs 3" in
+  let raises name f = Alcotest.check_raises name short (fun () -> ignore (f ())) in
+  let params = Params.create ~n:9 ~t:2 ~k:2 () in
+  let module Eval = Yoso_circuit.Circuit.Eval (F) in
+  raises "Circuit.Eval" (fun () -> Eval.run circuit ~inputs:f_inputs);
+  raises "Protocol.execute" (fun () -> Protocol.execute ~params ~circuit ~inputs:f_inputs ());
+  raises "Cdn_baseline" (fun () -> Cdn.execute ~params ~circuit ~inputs:f_inputs ());
+  raises "Bgw_baseline" (fun () -> Bgw.execute ~n:9 ~t:4 ~circuit ~inputs:f_inputs ());
+  raises "Cdn_paillier.execute" (fun () ->
+      Cdn_paillier.execute ~n:4 ~t:1 ~bits:64 ~circuit ~inputs:b_inputs ());
+  raises "Cdn_paillier.expected" (fun () ->
+      Cdn_paillier.expected ~modulus:(B.of_int 1_000_000_007) circuit ~inputs:b_inputs)
+
 let () =
   Alcotest.run "baselines"
     [
@@ -101,4 +181,11 @@ let () =
           Alcotest.test_case "three protocols agree" `Quick test_three_protocols_agree;
           Alcotest.test_case "bgw quadratic" `Slow test_bgw_cost_quadratic_in_n;
         ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "cdn costs" `Quick test_cdn_pinned;
+          Alcotest.test_case "bgw costs" `Quick test_bgw_pinned;
+          Alcotest.test_case "cdn_paillier outputs" `Quick test_cdn_paillier_pinned;
+        ] );
+      ("inputs", [ Alcotest.test_case "short vector" `Quick test_short_inputs ]);
     ]
