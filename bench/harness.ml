@@ -27,6 +27,34 @@ let write_json path v =
       output_char oc '\n');
   Printf.printf "  wrote %s\n" path
 
+(* The checked-out commit a timing snapshot was taken at, the first 12
+   hex digits, read from .git without running git; "nogit" outside a
+   checkout.  A run on an edited tree still records the commit it
+   started from. *)
+let git_commit () =
+  let read f =
+    try Some (String.trim (In_channel.with_open_bin f In_channel.input_all))
+    with Sys_error _ -> None
+  in
+  let resolve r =
+    match read (Filename.concat ".git" r) with
+    | Some sha -> Some sha
+    | None ->
+      Option.bind (read ".git/packed-refs") (fun packed ->
+          String.split_on_char '\n' packed
+          |> List.find_map (fun line ->
+                 match String.split_on_char ' ' line with
+                 | [ sha; name ] when name = r -> Some sha
+                 | _ -> None))
+  in
+  let sha =
+    match read ".git/HEAD" with
+    | Some head when String.starts_with ~prefix:"ref: " head ->
+      resolve (String.sub head 5 (String.length head - 5))
+    | head -> head
+  in
+  match sha with Some s when String.length s >= 12 -> String.sub s 0 12 | _ -> "nogit"
+
 (* ------------------------------------------------------------------ *)
 (* timing                                                              *)
 (* ------------------------------------------------------------------ *)

@@ -1,14 +1,37 @@
 (* E8: the arithmetic layer — threshold Paillier on the Montgomery
-   backends against their baselines, and the modexp kernel against the
-   retired 30-bit one *)
+   backends against their baselines, the modexp kernel against the
+   retired 30-bit one, and the frame-checksum fold kernel *)
 
 module P = Yoso_paillier.Paillier
 module T = Yoso_paillier.Threshold
+module Splitmix = Yoso_hash.Splitmix
+module Wire = Yoso_net.Wire
 module Oracles = Yoso_oracles
 open Harness
 
+(* MB/s of the checksum fold: [Splitmix.fold_words] over drawn weight
+   (the sim's synthesized ciphertexts) and [Wire.checksum] over a
+   string, each checked against the byte-at-a-time oracle first *)
+let fold_rates () =
+  let bytes = if !smoke then 1 lsl 16 else 1 lsl 22 in
+  let seed = 0xF01D and h = 0x1505 in
+  let drawn = Bytes.create bytes in
+  Splitmix.fill_bytes (Splitmix.of_int seed) drawn 0 bytes;
+  let drawn = Bytes.unsafe_to_string drawn in
+  if Splitmix.fold_words (Splitmix.of_int seed) h (bytes / 8) <> Oracles.Checksum.fold h drawn then
+    failwith "bench time: fold_words and the byte-at-a-time fold differ";
+  if Wire.checksum drawn <> Oracles.Checksum.checksum drawn then
+    failwith "bench time: Wire.checksum and the byte-at-a-time checksum differ";
+  let rng = Splitmix.of_int seed in
+  let mb_per_s f = float_of_int bytes /. per_op_ms f /. 1e3 in
+  let words = mb_per_s (fun () -> Splitmix.fold_words rng h (bytes / 8)) in
+  let checksum = mb_per_s (fun () -> Wire.checksum drawn) in
+  Printf.printf "  checksum fold over %d KiB: fold_words %.0f MB/s, Wire.checksum %.0f MB/s\n"
+    (bytes / 1024) words checksum;
+  (bytes, words, checksum)
+
 let run () =
-  header "E8. Arithmetic layer: Montgomery backends, multiexp combine, modexp kernels";
+  header "E8. Arithmetic layer: Montgomery backends, multiexp combine, modexp and fold kernels";
   let bits = if !smoke then 96 else 256 in
   let st = Random.State.make [| 0x71AE |] in
   (* one committee-sized key: at 3-of-5 the Lagrange weights are a
@@ -131,6 +154,7 @@ let run () =
     (fun (kbits, s) ->
       bar (Printf.sprintf "%d-bit kernel" kbits) s (if !smoke then 0.9 else 1.1))
     sizes;
+  let fold_bytes, fold_words_mb_s, checksum_mb_s = fold_rates () in
   if not !smoke then begin
     let pair (naive, mont, s) =
       Json.(
@@ -142,8 +166,9 @@ let run () =
       Json.(
         Obj
           [
-            (* one domain throughout; [cores] and [epochs] say what the
-               interleaved ratios were measured on *)
+            (* a timing snapshot of one run, on one domain throughout:
+               [commit], [cores] and [epochs] say what it was measured on *)
+            ("commit", String (git_commit ())); ("runs", Int 1);
             ( "cores",
               Obj [ ("recommended", Int (Domain.recommended_domain_count ())); ("used", Int 1) ] );
             ("epochs", Int (epochs ()));
@@ -167,5 +192,9 @@ let run () =
                          (fun (kbits, s) ->
                            Obj [ ("bits", Int kbits); ("wide_vs_narrow_speedup", Float (2, s)) ])
                          sizes) ) ] );
+            ( "fold",
+              Obj
+                [ ("bytes", Int fold_bytes); ("fold_words_mb_per_s", Float (1, fold_words_mb_s));
+                  ("checksum_mb_per_s", Float (1, checksum_mb_s)) ] );
           ])
   end

@@ -246,12 +246,15 @@ let run_protocol params protocol program kind size n t malicious fail_stop seed 
           f.Faults.required;
         exit 2
     in
-    if json then
+    if json then begin
+      (* the text report's "correct:" line, as a field *)
+      let extra = extra @ [ ("correct", Json.Bool (Protocol.check r circuit ~inputs)) ] in
       print_endline
         (Json.to_string
            (Protocol.report_json
               ~options:{ Protocol.Report.default with Protocol.Report.timings = true; extra }
               r))
+    end
     else begin
       List.iter
         (fun o ->

@@ -48,35 +48,49 @@ let fill_bytes t b off len =
   set_state t !s
 
 (* The polynomial fold behind [Wire.checksum]: Horner's rule in base
-   31, in native 63-bit arithmetic.  It lives here, beside the
-   generator, so that [fold_words] can run [mix64] and the fold in one
-   loop over unboxed [int64] locals: the libraries are compiled
-   [-opaque], so a call across modules is never inlined and an [int64]
-   passed through one is boxed. *)
+   31, mod 2^63.  It lives here, beside the generator, so that
+   [fold_words] can run [mix64] and the fold in one loop over unboxed
+   [int64] locals: the libraries are compiled [-opaque], so a call
+   across modules is never inlined and an [int64] passed through one is
+   boxed.
 
-let p4 = 31 * 31 * 31 * 31
-let p8 = p4 * p4
+   The fold runs in [int64] registers, not tagged [int]s: a tagged
+   multiply untags and retags around every product.  The accumulator
+   enters by [Int64.of_int] and leaves by [Int64.to_int].  Sums and
+   products mod 2^64 agree with the tagged ones mod 2^63 (the low 63
+   bits of a sum or product depend only on the low 63 bits of its
+   operands), and the two conversions keep those bits, so every
+   checksum is the one the 63-bit recurrence gives. *)
+
+let p4 = 923521L (* 31^4 *)
+let p8 = Int64.mul p4 p4
 let even_bytes = 0x00ff00ff00ff00ffL
+let odd_bytes = 0xff00ff00ff00ff00L
+let even_pairs = 0x0000ffff0000ffffL
+let odd_pairs = 0xffff0000ffff0000L
 
 (* [h * 31^8] plus the eight bytes of [w], least significant first,
-   folded by SWAR: the even and odd bytes sit in 16-bit lanes, so one
-   multiply folds every pair (each at most 255 * 32 < 2^16), one more
-   every pair of pairs in 32-bit lanes (at most 8160 * 962 < 2^32),
-   and one the two halves.  No lane carries into the next, so the sum
-   is exact, mod 2^63 like the byte-at-a-time recurrence. *)
+   folded by SWAR: the even and odd bytes are masked into 16-bit
+   lanes, so one multiply folds every pair (each at most 255 * 32 <
+   2^16), one more every pair of pairs in 32-bit lanes (at most
+   8160 * 962 < 2^32), and one the two halves.  Each lane is masked
+   before it is shifted down, and the shifts are logical: the last
+   byte of [w] may have its top bit set.  No lane carries into the
+   next, so the sum is exact. *)
 let[@inline] fold_word h w =
-  let e = Int64.to_int (Int64.logand w even_bytes) in
-  let o = Int64.to_int (Int64.logand (Int64.shift_right_logical w 8) even_bytes) in
-  let pairs = (e * 31) + o in
-  let quads = ((pairs land 0xffff0000ffff) * 961) + ((pairs lsr 16) land 0xffff0000ffff) in
-  (h * p8) + ((quads land 0xffffffff) * p4) + (quads lsr 32)
+  let open Int64 in
+  let pairs = add (mul (logand w even_bytes) 31L) (shift_right_logical (logand w odd_bytes) 8) in
+  let quads =
+    add (mul (logand pairs even_pairs) 961L) (shift_right_logical (logand pairs odd_pairs) 16)
+  in
+  add (mul h p8) (add (mul (logand quads 0xffffffffL) p4) (shift_right_logical quads 32))
 
 external string_get64u : string -> int -> int64 = "%caml_string_get64u"
 external swap64 : int64 -> int64 = "%bswap_int64"
 
 let fold_string h s off len =
   if off < 0 || len < 0 || off > String.length s - len then invalid_arg "Splitmix.fold_string";
-  let h = ref h and i = ref off in
+  let h = ref (Int64.of_int h) and i = ref off in
   let stop = off + len in
   while !i <= stop - 8 do
     let w = string_get64u s !i in
@@ -84,19 +98,19 @@ let fold_string h s off len =
     i := !i + 8
   done;
   while !i < stop do
-    h := (!h * 31) + Char.code (String.unsafe_get s !i);
+    h := Int64.add (Int64.mul !h 31L) (Int64.of_int (Char.code (String.unsafe_get s !i)));
     incr i
   done;
-  !h
+  Int64.to_int !h
 
 let fold_words t h n =
-  let s = ref (state t) and h = ref h in
+  let s = ref (state t) and h = ref (Int64.of_int h) in
   for _ = 1 to n do
     s := Int64.add !s golden_gamma;
     h := fold_word !h (mix64 !s)
   done;
   set_state t !s;
-  !h
+  Int64.to_int !h
 
 let int t bound =
   if bound <= 0 then invalid_arg "Splitmix.int: bound must be positive";

@@ -26,7 +26,10 @@ val fold_string : int -> string -> int -> int -> int
     [h * 31^len + sum_i s.[off + i] * 31^(len - 1 - i)].  Folds
     compose, [fold_string (fold_string h a 0 |a|) b 0 |b|] being the
     fold of [a ^ b].  The polynomial behind [Wire.checksum]; it takes
-    eight bytes per step. *)
+    eight bytes per step, in [int64] registers: the accumulator enters
+    by [Int64.of_int] and leaves by [Int64.to_int], and arithmetic mod
+    2^64 keeps the low 63 bits of the [int] recurrence, so the result
+    is exact for every [h] in the full [int] range. *)
 
 val fold_words : t -> int -> int -> int
 (** [fold_words t h n] is [fold_string h s 0 (8 * n)] for the [s] that

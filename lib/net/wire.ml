@@ -289,8 +289,9 @@ let payload_tally sizing items synth =
      checksum s = (0x1505 * 31^L + sum_i s.[i] * 31^(L-1-i)) mod 2^62
 
    [fold] ([Splitmix.fold_string]) evaluates it by Horner's rule a
-   word at a time, in native 63-bit arithmetic: reducing mod 2^62
-   ([land max_int]) once at the end equals reducing after every byte.
+   word at a time, mod 2^63, in [int64] registers (their low 63 bits
+   are the [int] recurrence's): reducing mod 2^62 ([land max_int]) once
+   at the end equals reducing after every byte.
    Unreduced folds compose over concatenation,
 
      fold h (a ^ b) = fold (fold h a) b = fold h a * 31^|b| + fold 0 b

@@ -2,6 +2,9 @@
    them: nothing shipped links this library.
    - [Poly]: random polynomials under Horner's rule, the reference for
      Barycentric interpolation.
+   - [Checksum]: the frame checksum's polynomial a byte at a time, the
+     reference for [Splitmix.fold_string], [Splitmix.fold_words] and
+     [Wire.checksum].
    - [Narrow] and [multiexp_naive]: the retired 30-bit Montgomery
      kernel and the product of independent powmods, the baselines and
      oracles for [Bigint.Mont] and [Bigint.Multiexp].
@@ -23,6 +26,17 @@ module T = Yoso_paillier.Threshold
 module Poly (F : Yoso_field.Field.S) = struct
   let random ~degree st = Array.init (degree + 1) (fun _ -> F.random st)
   let eval p x = Array.fold_right (fun c acc -> F.add (F.mul acc x) c) p F.zero
+end
+
+(* The polynomial behind the frame checksum, byte at a time by
+   Horner's rule in base 31: no words, no lanes, no [int64]. *)
+module Checksum = struct
+  (* [h * 31^|s| + sum_i s.[i] * 31^(|s| - 1 - i)], unreduced: mod
+     2^63 by the [int] wraparound, for any [h] *)
+  let fold h s = String.fold_left (fun h c -> (h * 31) + Char.code c) h s
+
+  (* [Wire.checksum]'s definition, reduced mod 2^62 after every byte *)
+  let checksum s = String.fold_left (fun h c -> ((h * 31) + Char.code c) land max_int) 0x1505 s
 end
 
 (* b^e mod m for either sign of e *)

@@ -10,6 +10,7 @@ module Params = Yoso_mpc.Params
 module Protocol = Yoso_mpc.Protocol
 module Gen = Yoso_circuit.Generators
 module Pool = Yoso_parallel.Pool
+module Oracle = Yoso_oracles.Checksum
 
 let rejects name f =
   match f () with
@@ -157,13 +158,6 @@ let arb_message =
       { Wire.step = Printf.sprintf "step-%d" (seed land 0xff); items = List.init nitems (fun _ -> item ()) })
     QCheck.(pair int (int_bound 6))
 
-(* byte-at-a-time reference for [Wire.checksum]: the per-byte Horner
-   recurrence, reduced mod 2^62 after every step *)
-let ref_checksum s =
-  let h = ref 0x1505 in
-  String.iter (fun c -> h := ((!h * 31) + Char.code c) land max_int) s;
-  !h
-
 (* byte patterns that fill each SWAR lane of the word fold to its
    largest sums, or carry a set top bit into every lane boundary *)
 let lane_patterns = [ "\xff"; "\xff\x00"; "\x00\xff"; "\x80"; "\x7f\xff\xff\x80" ]
@@ -175,23 +169,23 @@ let test_checksum_reference () =
     for off = 0 to 7 do
       let s = String.sub long off len in
       Alcotest.(check int) (Printf.sprintf "random, offset %d, length %d" off len)
-        (ref_checksum s) (Wire.checksum s);
+        (Oracle.checksum s) (Wire.checksum s);
       (* the fold itself at an unaligned start *)
       Alcotest.(check int) (Printf.sprintf "fold in place, offset %d, length %d" off len)
-        (ref_checksum s)
+        (Oracle.checksum s)
         (Splitmix.fold_string 0x1505 long off len land max_int)
     done;
     List.iter
       (fun pat ->
         let s = String.init len (fun i -> pat.[i mod String.length pat]) in
-        Alcotest.(check int) (Printf.sprintf "pattern %S, length %d" pat len) (ref_checksum s)
+        Alcotest.(check int) (Printf.sprintf "pattern %S, length %d" pat len) (Oracle.checksum s)
           (Wire.checksum s))
       lane_patterns
   done;
   let mib = Wire.random_blob rng (1 lsl 20) in
-  Alcotest.(check int) "1 MiB" (ref_checksum mib) (Wire.checksum mib);
+  Alcotest.(check int) "1 MiB" (Oracle.checksum mib) (Wire.checksum mib);
   let ff = String.make (1 lsl 20) '\xff' in
-  Alcotest.(check int) "1 MiB of 0xff" (ref_checksum ff) (Wire.checksum ff)
+  Alcotest.(check int) "1 MiB of 0xff" (Oracle.checksum ff) (Wire.checksum ff)
 
 let test_splitmix_fill () =
   List.iter
@@ -233,7 +227,7 @@ let frame_of_payload payload =
   Buffer.add_string buf "YW";
   Wire.put_u8 buf 1;
   Wire.put_bytes buf payload;
-  Wire.put_checksum buf (ref_checksum payload);
+  Wire.put_checksum buf (Oracle.checksum payload);
   Buffer.contents buf
 
 let ref_frame m = frame_of_payload (Wire.encode_message m)
@@ -336,7 +330,7 @@ let in_place_equals_materialized (m, cost, sizing, seed) =
   let frame, csum = Wire.to_frame_with_checksum full in
   got = (frame, String.length frame, csum)
   && String.equal frame (ref_frame full)
-  && csum = ref_checksum frame
+  && csum = Oracle.checksum frame
   && Wire.payload_tally sizing m.Wire.items cost = ref_tally full.Wire.items
   &&
   match (old_rng, new_rng) with
@@ -370,7 +364,7 @@ let qcheck_props =
     QCheck.Test.make ~count:200 ~name:"frame = reference layout, sender checksum = checksum"
       arb_message (fun m ->
         let f, h = Wire.to_frame_with_checksum m in
-        String.equal f (ref_frame m) && String.equal f (Wire.to_frame m) && h = ref_checksum f);
+        String.equal f (ref_frame m) && String.equal f (Wire.to_frame m) && h = Oracle.checksum f);
     QCheck.Test.make ~count:100 ~name:"digest chains the checksum of the frame sent"
       QCheck.(pair arb_message bool)
       (fun (m, corrupt) ->
@@ -395,7 +389,7 @@ let qcheck_props =
           (* the chain's first link, over the bytes that went out: a
              corrupted frame is hashed as flipped, and still rejected *)
           (Board.transcript b).Board.digest
-          = ((0x9e3779b9 * 1000003) + ref_checksum frame) land max_int
+          = ((0x9e3779b9 * 1000003) + Oracle.checksum frame) land max_int
           && corrupt
              = (match Wire.of_frame frame with
                | _ -> false
@@ -501,8 +495,58 @@ let flip_equals_checksum (m, cost, sizing, seed) =
           = Wire.checksum (Bytes.unsafe_to_string flipped))
         [ len / 2; 0; len - 1 ])
 
+(* The fold against the byte-at-a-time Horner oracle, unreduced, over
+   the accumulator's whole range: the ends of [int], where the fold's
+   [Int64.of_int] and [Int64.to_int] meet the sign bit, and anywhere
+   in between. *)
+let gen_h = QCheck.Gen.(frequency [ (1, oneofl [ min_int; -1; max_int; 0 ]); (1, int) ])
+
+(* bytes that fill each SWAR lane to its largest sum or set a word's
+   top bit, and any byte *)
+let gen_bytes =
+  QCheck.Gen.(
+    string_size (int_bound 80)
+      ~gen:
+        (frequency
+           [ (1, oneofl [ '\xff'; '\x80'; '\x7f'; '\x00' ]); (2, map Char.chr (int_bound 255)) ]))
+
+let print_bytes s = Printf.sprintf "%S" s
+
+let arb_fold_in_place =
+  QCheck.make
+    ~print:QCheck.Print.(quad int print_bytes int int)
+    QCheck.Gen.(
+      let* h = gen_h and* s = gen_bytes in
+      let* off = int_bound (String.length s) in
+      let+ len = int_bound (String.length s - off) in
+      (h, s, off, len))
+
+let arb_fold_words =
+  QCheck.make ~print:QCheck.Print.(triple int int int) QCheck.Gen.(triple gen_h int (int_bound 40))
+
+let arb_fold_concat =
+  QCheck.make ~print:QCheck.Print.(triple int print_bytes print_bytes)
+    QCheck.Gen.(triple gen_h gen_bytes gen_bytes)
+
+let fold_all h s = Splitmix.fold_string h s 0 (String.length s)
+
 let checksum_props =
   [
+    QCheck.Test.make ~count:1000 ~long_factor:50 ~name:"fold_string = byte-at-a-time Horner, any h"
+      arb_fold_in_place (fun (h, s, off, len) ->
+        Splitmix.fold_string h s off len = Oracle.fold h (String.sub s off len));
+    QCheck.Test.make ~count:500 ~long_factor:50
+      ~name:"fold_words = byte-at-a-time Horner of the drawn words, any h" arb_fold_words
+      (fun (h, seed, n) ->
+        let a = Splitmix.of_int seed and b = Splitmix.of_int seed in
+        let drawn = Bytes.create (8 * n) in
+        Splitmix.fill_bytes b drawn 0 (8 * n);
+        Splitmix.fold_words a h n = Oracle.fold h (Bytes.to_string drawn)
+        && Splitmix.next a = Splitmix.next b);
+    QCheck.Test.make ~count:1000 ~long_factor:50 ~name:"fold h (a ^ b) = fold (fold h a) b"
+      arb_fold_concat (fun (h, a, b) ->
+        let whole = fold_all h (a ^ b) in
+        whole = fold_all (fold_all h a) b && whole = Oracle.fold h (a ^ b));
     QCheck.Test.make ~count:500 ~long_factor:50
       ~name:"flipped byte checksum in closed form = checksum of the flipped frame" arb_post
       flip_equals_checksum;
@@ -700,7 +744,7 @@ let mutate m =
     Buffer.add_string buf "YW\001";
     Wire.put_varint buf len;
     Buffer.add_string buf payload;
-    Wire.put_checksum buf (ref_checksum payload);
+    Wire.put_checksum buf (Oracle.checksum payload);
     ("inflated frame length", Buffer.contents buf)
   in
   let noise =
@@ -1070,7 +1114,7 @@ let board_outcome_oracle =
       let frame = !sent in
       let expected =
         ( (if corrupt then Board.Garbled else Board.Delivered),
-          ((0x9e3779b9 * 1000003) + ref_checksum frame) land max_int )
+          ((0x9e3779b9 * 1000003) + Oracle.checksum frame) land max_int )
       in
       List.for_all (( = ) expected)
         [
@@ -1078,7 +1122,8 @@ let board_outcome_oracle =
           run None;
           run (link ~owns:false ~local:true (`Frame frame));
           run (link ~owns:false ~local:false (`Frame frame));
-          run (link ~owns:false ~local:false (`Summary (ref_checksum frame, String.length frame)));
+          run
+            (link ~owns:false ~local:false (`Summary (Oracle.checksum frame, String.length frame)));
         ])
 
 (* A link that owns every author and records what it sends. *)
