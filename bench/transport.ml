@@ -18,15 +18,12 @@ let run () =
         let seed = 0xE10 in
         let sim_r, sim_ms, child = sim_and_member ~params ~seed ~circuit ~inputs in
         let sim_digest = sim_r.Protocol.transcript.Board.digest in
-        (* three geometries over the same seeded run: full-quorum
-           broadcast, the n/8 quorum, and that quorum over a sharded
-           board *)
-        let quorum = Topology.default_quorum ~nslots:n in
+        (* two geometries over the same seeded run: full-quorum
+           broadcast and the n/8 quorum *)
         let geometries =
           [
             ("broadcast", Topology.make ~nslots:n ());
-            ("routed", Topology.make ~quorum ~nslots:n ());
-            ("routed+sharded", Topology.make ~shards:4 ~quorum ~nslots:n ());
+            ("routed", Topology.make ~quorum:(Topology.default_quorum ~nslots:n) ~nslots:n ());
           ]
         in
         let bcast_egress = ref 0 in
@@ -45,14 +42,12 @@ let run () =
               failwith
                 (Printf.sprintf "bench transport: n=%d %s run diverged from sim (agree=%b)" n
                    geometry res.Runner.agree);
-            (* the daemon's stitched digest chain equals the board
-               transcript every member (and the sim) reports *)
+            (* the daemon's digest chain equals the board transcript
+               every member (and the sim) reports *)
             if res.Runner.stats.Daemon.digest <> sim_digest then
               failwith
                 (Printf.sprintf "bench transport: n=%d %s daemon digest %d <> sim digest %d" n
                    geometry res.Runner.stats.Daemon.digest sim_digest);
-            if res.Runner.stats.Daemon.shards <> topology.Topology.shards then
-              failwith "bench transport: daemon shard count mismatch";
             if routed then begin
               (* routing must actually suppress traffic: the full-frame
                  share of deliveries is quorum/n, far below 1 *)
@@ -73,9 +68,9 @@ let run () =
       n_sweep
   in
   Printf.printf
-    "  (every report unanimous across all three geometries; routed members receive\n\
+    "  (every report unanimous across both geometries; routed members receive\n\
     \   full frames only from their quorum sources plus digest records from the rest,\n\
-    \   yet the daemon's stitched digest chain still equals the in-process transcript)\n";
+    \   yet the daemon's digest chain still equals the in-process transcript)\n";
   if not !smoke then begin
     let row (n, geometry, (topology : Topology.t), sim_ms, res, sim_digest, ratio, vs_bcast) =
       let st = res.Runner.stats in
@@ -83,7 +78,7 @@ let run () =
         Obj
           [ ("n", Int n); ("geometry", String geometry);
             ("routed", Bool (topology.Topology.quorum < n - 1));
-            ("shards", Int topology.Topology.shards); ("quorum", Int topology.Topology.quorum);
+            ("quorum", Int topology.Topology.quorum);
             ("sim_ms", Float (1, sim_ms));
             ("unix_ms", Float (1, res.Runner.wall_ms)); ("agree", Bool res.Runner.agree);
             ("transcript_digest", Int sim_digest);

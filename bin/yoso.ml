@@ -105,8 +105,7 @@ let run_transport ~deadline_ms ?journal ?chaos ~topology ~params ~circuit ~input
           ("bytes_out", st.Daemon.bytes_out); ("reconnects", st.Daemon.reconnects);
           ("replayed_frames", st.Daemon.replayed_frames);
           ("recovered_frames", st.Daemon.recovered_frames);
-          ("journal_bytes", st.Daemon.journal_bytes); ("shards", st.Daemon.shards);
-          ("digest", st.Daemon.digest) ]
+          ("journal_bytes", st.Daemon.journal_bytes); ("digest", st.Daemon.digest) ]
       in
       print_endline
         Json.(
@@ -163,7 +162,7 @@ let run_transport ~deadline_ms ?journal ?chaos ~topology ~params ~circuit ~input
   if res.Runner.agree && res.Runner.down = [] then 0 else 2
 
 let run_protocol params protocol program kind size n t malicious fail_stop seed fault_seed json
-    net_seed latency drop domains transport deadline_ms journal chaos shards quorum stream =
+    net_seed latency drop domains transport deadline_ms journal chaos quorum stream =
   let circuit, inputs, compiled =
     match program with
     | None ->
@@ -202,7 +201,7 @@ let run_protocol params protocol program kind size n t malicious fail_stop seed 
     let adversary = { Params.malicious; passive = 0; fail_stop } in
     let plan = Faults.random ~seed:(Option.value ~default:seed fault_seed) in
     if transport <> "sim" then begin
-      let topology = Yoso_transport.Topology.make ~shards ?quorum ~nslots:n () in
+      let topology = Yoso_transport.Topology.make ?quorum ~nslots:n () in
       let base_config = Protocol.config ~adversary ~plan ~seed ~board:net ~domains ~transport () in
       exit
         (run_transport ~deadline_ms ?journal ?chaos ~topology ~params ~circuit ~inputs
@@ -307,7 +306,7 @@ let run_protocol params protocol program kind size n t malicious fail_stop seed 
    together, are usage errors, checked before anything runs: cmdliner
    prints the message and exits 124. *)
 let run_cmd protocol program kind size n t k eps malicious fail_stop seed fault_seed json
-    net_seed latency drop domains transport deadline_ms journal chaos shards quorum stream =
+    net_seed latency drop domains transport deadline_ms journal chaos quorum stream =
   let checked () =
     let params =
       match eps with
@@ -322,8 +321,8 @@ let run_cmd protocol program kind size n t k eps malicious fail_stop seed fault_
     if transport = "sim" then begin
       if journal <> None || chaos <> None then
         invalid_arg "--journal and --chaos need a socket transport (--transport unix|tcp)";
-      if quorum <> None || shards > 1 then
-        invalid_arg "--quorum and --shards need a socket transport (--transport unix|tcp)"
+      if quorum <> None then
+        invalid_arg "--quorum needs a socket transport (--transport unix|tcp)"
     end;
     params
   in
@@ -332,8 +331,7 @@ let run_cmd protocol program kind size n t k eps malicious fail_stop seed fault_
   | params ->
     `Ok
       (run_protocol params protocol program kind size n t malicious fail_stop seed fault_seed
-         json net_seed latency drop domains transport deadline_ms journal chaos shards quorum
-         stream)
+         json net_seed latency drop domains transport deadline_ms journal chaos quorum stream)
 
 (* ------------------------------------------------------------------ *)
 (* analyze                                                             *)
@@ -518,16 +516,6 @@ let run_t =
              per-delivery sever/truncate/duplicate/delay rates plus scheduled \
              daemon kill points ($(b,kill) needs $(b,--journal)).")
   in
-  let shards =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"K"
-          ~doc:
-            "Partition the daemon's board bookkeeping and write-ahead journal into \
-             $(docv) shards keyed by posting slot (socket transports only).  The \
-             transcript digest chains across shards in global commit order, so the \
-             stitched board equals an unsharded run's.")
-  in
   let quorum =
     Arg.(
       value
@@ -558,7 +546,7 @@ let run_t =
       ret
         (const run_cmd $ protocol $ program $ kind $ size $ n_arg $ t_arg $ k_arg $ eps
        $ malicious $ fail_stop $ seed_arg $ fault_seed $ json $ net_seed $ latency $ drop
-       $ domains $ transport $ deadline $ journal $ chaos $ shards $ quorum $ stream))
+       $ domains $ transport $ deadline $ journal $ chaos $ quorum $ stream))
 
 let analyze_t =
   let c_param = Arg.(value & opt int 1000 & info [ "big-c"; "C" ] ~doc:"Sortition parameter C.") in

@@ -66,7 +66,7 @@ let absorb t msg =
     if slot < 0 || slot >= t.nslots then violate "peer-down for slot %d" slot;
     t.down.(slot) <- true
   | Envelope.Shutdown -> t.shutdown <- true
-  | Envelope.Start -> t.started <- true
+  | Envelope.Start _ -> t.started <- true
   | Envelope.Recovered _ -> violate "recovered outside a recover handshake"
   | Envelope.Hello _ | Envelope.Post _ | Envelope.Report _ | Envelope.Recover _ ->
     violate "daemon sent a client-only message"

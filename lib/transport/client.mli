@@ -19,7 +19,7 @@
 
     {b Reconnect.}  A connection that dies mid-run (daemon restart,
     injected fault) is re-established transparently: the client
-    redials under the {!Transport_policy.reconnect_retry} budget,
+    redials under {!Transport_policy.default}'s [reconnect] budget,
     sends [Recover] with the next delivery it has not seen, absorbs
     the daemon's ordered catch-up replay, and re-posts any own frames
     the daemon never acknowledged.  Duplicate deliveries (chaos

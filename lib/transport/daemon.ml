@@ -18,7 +18,6 @@ type stats = {
   replayed_frames : int;
   recovered_frames : int;
   journal_bytes : int;
-  shards : int;
   digest : int;
   chaos_events : (string * int) list;
   timed_out : bool;
@@ -61,13 +60,10 @@ let violate fmt = Printf.ksprintf (fun s -> raise (Protocol_violation s)) fmt
 (* internal: a chaos kill point fired; unwinds to the crash handler *)
 exception Crash_now
 
-let shard_journal_path base k = if k = 0 then base else Printf.sprintf "%s.shard%d" base k
-
 let serve ?(policy = Transport_policy.default) ?meter ?journal:journal_path ?chaos ?topology
     ~listen ~nslots () =
   let topo = match topology with Some t -> t | None -> Topology.make ~nslots () in
   if topo.Topology.nslots <> nslots then invalid_arg "Daemon.serve: topology nslots mismatch";
-  let shards = topo.Topology.shards in
   ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
   let conns = ref [] in
   let accepted = ref 0 in
@@ -90,59 +86,41 @@ let serve ?(policy = Transport_policy.default) ?meter ?journal:journal_path ?cha
   let recovered = ref 0 in
   let timed_out = ref false in
   (* the daemon's own transcript digest: chained over accepted posts
-     in sequence order (across all shards — the stitch), same chain as
-     Board, so a fault-free run can be checked against the sim
-     digest without any client's help *)
+     in sequence order, same chain as Board, so a fault-free run can
+     be checked against the sim digest without any client's help *)
   let digest = ref Yoso_net.Board.digest_seed in
   let chain csum = digest := Yoso_net.Board.chain_digest !digest csum in
   let scratch = Bytes.create 65536 in
   let t0 = Sockio.now () in
 
-  (* crash recovery: the journals are the only state that survives a
-     daemon death — stitch the per-shard files back together (merge
-     the posts by sequence number) and rebuild board, sequence
-     counter, digest chain, start flag and report table from their
-     intact prefixes before accepting traffic *)
-  (match journal_path with
-  | None -> ()
-  | Some p ->
-    let posted = ref [] in
-    List.iter
-      (fun k ->
+  (* crash recovery: the journal is the only state that survives a
+     daemon death — rebuild board, sequence counter, digest chain,
+     start flag and report table from its intact prefix before
+     accepting traffic.  Posts were journaled in sequence order *)
+  let journal =
+    Option.map
+      (fun path ->
         List.iter
           (function
-            | Journal.Started { nslots = n } ->
+            | Envelope.Start { nslots = n } ->
               if n <> nslots then
                 invalid_arg
                   (Printf.sprintf "Daemon.serve: journal is for %d slots, run has %d" n
                      nslots);
               started := true
-            | Journal.Posted { seq; slot; frame } -> posted := (seq, slot, frame) :: !posted
-            | Journal.Reported { slot; json } -> Hashtbl.replace reports slot json)
-          (Journal.replay (shard_journal_path p k)))
-      (List.init shards Fun.id);
-    List.iter
-      (fun (seq, slot, frame) ->
-        let csum = Wire.checksum frame in
-        Hashtbl.replace board seq (slot, frame, csum);
-        if seq >= !next_seq then next_seq := seq + 1;
-        chain csum;
-        incr recovered)
-      (List.sort compare !posted));
-  let journals =
-    match journal_path with
-    | None -> [||]
-    | Some p ->
-      Array.init shards (fun k ->
-          Journal.open_append ~fsync_every:policy.Transport_policy.fsync_every
-            ~path:(shard_journal_path p k) ())
+            | Envelope.Post { seq; slot; frame } ->
+              let csum = Wire.checksum frame in
+              Hashtbl.replace board seq (slot, frame, csum);
+              next_seq := seq + 1;
+              chain csum;
+              incr recovered
+            | Envelope.Report { slot; json } -> Hashtbl.replace reports slot json
+            | _ -> ())
+          (Journal.replay path);
+        Journal.open_append ~fsync_every:policy.Transport_policy.fsync_every ~path ())
+      journal_path
   in
-  (* shard bookkeeping is keyed by the posting slot: a committee
-     partition of the board *)
-  let jappend ~slot r =
-    if Array.length journals > 0 then
-      Journal.append journals.(Topology.shard_of_slot topo ~slot) r
-  in
+  let jappend msg = Option.iter (fun j -> Journal.append j msg) journal in
 
   let enqueue ?(delivery = false) c payload =
     if (not c.closed) && not c.sever_after_flush then Queue.add (payload, delivery) c.outq
@@ -278,8 +256,8 @@ let serve ?(policy = Transport_policy.default) ?meter ?journal:journal_path ?cha
   let maybe_start () =
     if (not !started) && hellos () = nslots then begin
       started := true;
-      jappend ~slot:0 (Journal.Started { nslots });
-      broadcast Envelope.Start
+      jappend (Envelope.Start { nslots });
+      broadcast (Envelope.Start { nslots })
     end
   in
   let handle c msg =
@@ -292,7 +270,8 @@ let serve ?(policy = Transport_policy.default) ?meter ?journal:journal_path ?cha
         violate "hello: slot %d already connected" slot;
       c.slot <- Some slot;
       Hashtbl.remove pending_down slot;
-      if !started then enqueue c (Envelope.encode Envelope.Start) else maybe_start ()
+      if !started then enqueue c (Envelope.encode (Envelope.Start { nslots }))
+      else maybe_start ()
     | Envelope.Recover { slot; nslots = peer_nslots; seed = _; next_seq = client_next } ->
       if peer_nslots <> nslots then
         violate "recover: peer expects %d slots, run has %d" peer_nslots nslots;
@@ -339,7 +318,7 @@ let serve ?(policy = Transport_policy.default) ?meter ?journal:journal_path ?cha
         let csum = Wire.checksum frame in
         Hashtbl.replace board seq (slot, frame, csum);
         chain csum;
-        jappend ~slot (Journal.Posted { seq; slot; frame });
+        jappend msg;
         (* accepted and journaled: a scheduled kill fires here, before
            the delivery, so the restarted daemon (whose recovered
            counter is already past [seq]) never re-crashes *)
@@ -351,9 +330,9 @@ let serve ?(policy = Transport_policy.default) ?meter ?journal:journal_path ?cha
     | Envelope.Report { slot; json } ->
       if c.slot <> Some slot then violate "report: slot %d on connection %s" slot (conn_name c);
       Hashtbl.replace reports slot json;
-      jappend ~slot (Journal.Reported { slot; json });
+      jappend msg;
       c.reported <- true
-    | Envelope.Start | Envelope.Deliver_batch _ | Envelope.Peer_down _ | Envelope.Shutdown
+    | Envelope.Start _ | Envelope.Deliver_batch _ | Envelope.Peer_down _ | Envelope.Shutdown
     | Envelope.Recovered _ ->
       violate "client sent a daemon-only message"
   in
@@ -504,8 +483,7 @@ let serve ?(policy = Transport_policy.default) ?meter ?journal:journal_path ?cha
       reconnects = !reconnects;
       replayed_frames = !replayed;
       recovered_frames = !recovered;
-      journal_bytes = Array.fold_left (fun a j -> a + Journal.bytes j) 0 journals;
-      shards;
+      journal_bytes = (match journal with Some j -> Journal.bytes j | None -> 0);
       digest = !digest;
       chaos_events = (match chaos with Some ch -> Chaos.events ch | None -> []);
       timed_out = !timed_out;
@@ -552,7 +530,7 @@ let serve ?(policy = Transport_policy.default) ?meter ?journal:journal_path ?cha
        picks up the reconnect storm. *)
     close_all ();
     record_meters ();
-    Array.iter Journal.close journals;
+    Option.iter Journal.close journal;
     raise (Crashed (mk_stats ())));
   (* orderly shutdown: tell everyone, best-effort flush, close *)
   if not !timed_out then begin
@@ -577,7 +555,7 @@ let serve ?(policy = Transport_policy.default) ?meter ?journal:journal_path ?cha
   end;
   record_meters ();
   close_all ();
-  Array.iter Journal.close journals;
+  Option.iter Journal.close journal;
   {
     reports =
       Hashtbl.fold (fun s j acc -> (s, j) :: acc) reports [] |> List.sort compare;

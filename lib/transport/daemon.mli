@@ -5,7 +5,7 @@
     Protocol, per run:
     + every committee-member process connects and sends [Hello];
     + once all [nslots] slots are present the daemon broadcasts
-      [Start];
+      [Start {nslots}];
     + the owner of board frame [seq] sends [Post {seq; ...}]; the
       daemon verifies the envelope checksum on ingest, checks [seq]
       against the global post counter (posts arrive in strictly
@@ -27,20 +27,14 @@
     + when every slot has either reported or gone down, the daemon
       flushes, sends [Shutdown] and returns.
 
-    {b Sharding.}  With a [?topology] declaring [shards > 1], board
-    bookkeeping is partitioned by posting slot ([slot mod shards] — a
-    committee partition): each shard appends to its own journal file
-    ([path] for shard 0, [path.shardK] for shard [k]).  The daemon's
-    transcript digest is chained across {e all} shards in global
-    sequence order, so the stitched transcript hashes exactly as an
-    unsharded one — the global digest oracle survives the partition.
-
-    {b Crash recovery.}  With [?journal] set, every accepted frame is
-    journaled {e before} delivery.  A daemon restarted on the same
-    journal path replays the intact prefix of every shard file,
-    merges the posts by sequence number and rebuilds its board,
-    sequence counter, digest chain, start flag and report table, then
-    resumes serving on the same listen socket; reconnecting clients
+    {b Crash recovery.}  With [?journal] set, the daemon appends the
+    [Start] it broadcasts and every [Post] and [Report] it accepts to
+    one {!Journal} file of envelopes, each frame {e before} its
+    delivery.  A daemon restarted on the same journal path replays the
+    file's intact prefix and rebuilds its board, sequence counter,
+    digest chain, start flag and report table (a journal [Start] for
+    another slot count is refused), then resumes serving on the same listen
+    socket; reconnecting clients
     send [Recover] with the next delivery they have not seen and get
     the gap replayed in order, as the very [Full]/[Digest] records
     live delivery would have sent them.  Re-posts of already-accepted
@@ -76,12 +70,11 @@ type stats = {
   reconnects : int;  (** [Recover] handshakes accepted *)
   replayed_frames : int;  (** catch-up records replayed to reconnectors *)
   recovered_frames : int;  (** board frames rebuilt from the journal at startup *)
-  journal_bytes : int;  (** total journal file size across shards (0 without) *)
-  shards : int;  (** board partitions (1 = unsharded) *)
+  journal_bytes : int;  (** journal file size (0 without) *)
   digest : int;
       (** the daemon's own transcript digest, chained over accepted
-          posts in sequence order across all shards — equal to the
-          sim board digest in a fault-free run with equal seeds *)
+          posts in sequence order — equal to the sim board digest in a
+          fault-free run with equal seeds *)
   chaos_events : (string * int) list;  (** injected faults by kind, sorted *)
   timed_out : bool;
 }
@@ -112,14 +105,15 @@ val serve :
     [stats.timed_out] is set and partial results are returned).
     [policy] (default {!Transport_policy.default}) also sets the
     reconnect grace window and the journal's fsync batch.  [journal] is the
-    write-ahead journal path: replayed at startup (all shard files,
-    stitched), appended per accepted frame to the posting slot's
-    shard file.  [topology] (default {!Topology.make}: one shard, full
-    quorum; its [nslots] must match) sets the shard count and every
-    slot's full-frame sources.  Bytes are recorded into [meter] via
+    write-ahead journal path: replayed at startup, appended per
+    accepted frame.  [topology] (default {!Topology.make}: full
+    quorum; its [nslots] must match) sets every slot's full-frame
+    sources.  Bytes are recorded into [meter] via
     {!Meter.record_side} under ["slotN"] labels: delivery records in
     the [Route_*] rows (catch-up replay under ["replay:slotN"]), the
     rest of the connection's traffic — control sent, posts and
     reports received — in the [Conn_*] rows.  The listen socket is left open; the
     caller owns it.
-    @raise Crashed when a chaos kill point fires. *)
+    @raise Crashed when a chaos kill point fires.
+    @raise Invalid_argument if the journal's [Start] is for another
+    slot count. *)

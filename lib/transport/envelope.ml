@@ -10,7 +10,7 @@ type record =
 
 type msg =
   | Hello of { slot : int; nslots : int; seed : int }
-  | Start
+  | Start of { nslots : int }
   | Post of { seq : int; slot : int; frame : string }
   | Peer_down of { slot : int }
   | Report of { slot : int; json : string }
@@ -22,7 +22,7 @@ type msg =
 let pp_msg ppf = function
   | Hello { slot; nslots; seed } ->
     Format.fprintf ppf "hello{slot=%d;nslots=%d;seed=%d}" slot nslots seed
-  | Start -> Format.fprintf ppf "start"
+  | Start { nslots } -> Format.fprintf ppf "start{nslots=%d}" nslots
   | Post { seq; slot; frame } ->
     Format.fprintf ppf "post{seq=%d;slot=%d;%dB}" seq slot (String.length frame)
   | Peer_down { slot } -> Format.fprintf ppf "peer-down{slot=%d}" slot
@@ -42,9 +42,10 @@ let pp_msg ppf = function
 
 let magic0 = 'Y'
 let magic1 = 'T'
-let version = 1
+(* version 2 folds the header into the checksum *)
+let version = 2
 let header_len = 8 (* magic(2) version(1) type(1) length(4, LE) *)
-let trailer_len = 8 (* Wire.checksum, 8 bytes LE *)
+let trailer_len = 8 (* Wire.checksum of header and body, 8 bytes LE *)
 
 (* envelopes carry whole bulletin frames plus a little framing of
    their own; cap accordingly *)
@@ -54,7 +55,7 @@ let default_max_body = !Wire.max_frame_len + 4096
    stray old-format envelope is rejected as an unknown type *)
 let tag = function
   | Hello _ -> 1
-  | Start -> 2
+  | Start _ -> 2
   | Post _ -> 3
   | Peer_down _ -> 5
   | Report _ -> 6
@@ -105,7 +106,8 @@ let encode_body buf = function
     Wire.put_varint buf slot;
     Wire.put_varint buf nslots;
     Wire.put_varint buf seed
-  | Start | Shutdown -> ()
+  | Shutdown -> ()
+  | Start { nslots } -> Wire.put_varint buf nslots
   | Post { seq; slot; frame } ->
     Wire.put_varint buf seq;
     Wire.put_varint buf slot;
@@ -126,10 +128,11 @@ let encode_body buf = function
     Wire.put_varint buf (List.length records);
     List.iter (put_record buf) records
 
-(* a body that passed its checksum can still be hostile: every
-   [Wire] decode failure inside it surfaces as [Envelope_error] *)
-let decode_body ~tag body =
-  let d = { Wire.src = body; pos = 0 } in
+(* [env] is one whole envelope less its trailer.  A body that passed
+   the checksum can still be hostile: every [Wire] decode failure
+   inside it surfaces as [Envelope_error] *)
+let decode_body ~tag env =
+  let d = { Wire.src = env; pos = header_len } in
   let msg =
     try
       match tag with
@@ -138,7 +141,7 @@ let decode_body ~tag body =
         let nslots = Wire.get_varint d in
         let seed = Wire.get_varint d in
         Hello { slot; nslots; seed }
-      | 2 -> Start
+      | 2 -> Start { nslots = Wire.get_varint d }
       | 3 ->
         let seq = Wire.get_varint d in
         let slot = Wire.get_varint d in
@@ -172,31 +175,27 @@ let decode_body ~tag body =
       | t -> fail "unknown envelope type %d" t
     with Wire.Decode_error e -> fail "envelope type %d: %s" tag e
   in
-  if d.Wire.pos <> String.length body then
-    fail "envelope body: %d trailing bytes" (String.length body - d.Wire.pos);
+  if d.Wire.pos <> String.length env then
+    fail "envelope body: %d trailing bytes" (String.length env - d.Wire.pos);
   msg
 
 let encode msg =
-  let body =
-    let buf = Buffer.create 64 in
-    encode_body buf msg;
-    Buffer.contents buf
-  in
-  let blen = String.length body in
-  let buf = Buffer.create (header_len + blen + trailer_len) in
-  Buffer.add_char buf magic0;
-  Buffer.add_char buf magic1;
-  Buffer.add_char buf (Char.chr version);
-  Buffer.add_char buf (Char.chr (tag msg));
-  for i = 0 to 3 do
-    Buffer.add_char buf (Char.chr ((blen lsr (8 * i)) land 0xff))
-  done;
-  Buffer.add_string buf body;
-  let h = Wire.checksum body in
-  for i = 0 to 7 do
-    Buffer.add_char buf (Char.chr ((h lsr (8 * i)) land 0xff))
-  done;
-  Buffer.contents buf
+  let buf = Buffer.create 64 in
+  Buffer.add_string buf (String.make header_len '\000');
+  encode_body buf msg;
+  let env = Buffer.to_bytes buf in
+  let blen = Bytes.length env - header_len in
+  Bytes.set env 0 magic0;
+  Bytes.set env 1 magic1;
+  Bytes.set_uint8 env 2 version;
+  Bytes.set_uint8 env 3 (tag msg);
+  Bytes.set_int32_le env 4 (Int32.of_int blen);
+  (* the checksum covers the header too: a type or length byte
+     changed in transit must not decode as another message *)
+  let h = Wire.checksum (Bytes.unsafe_to_string env) in
+  let out = Bytes.extend env 0 trailer_len in
+  Bytes.set_int64_le out (header_len + blen) (Int64.of_int h);
+  Bytes.unsafe_to_string out
 
 (* ------------------------------------------------------------------ *)
 (* Streaming reassembly                                                *)
@@ -267,11 +266,11 @@ let next st =
     let t, blen = peek_header st in
     if buffered st < header_len + blen + trailer_len then None
     else begin
-      let body = Bytes.sub_string st.buf (st.pos + header_len) blen in
+      let env = Bytes.sub_string st.buf st.pos (header_len + blen) in
       (* compared as all 64 bits, as [Wire.of_frame] does: a 63-bit
          [int] would drop bit 63 and accept two trailers for one body *)
       if Bytes.get_int64_le st.buf (st.pos + header_len + blen)
-         <> Int64.of_int (Wire.checksum body)
+         <> Int64.of_int (Wire.checksum env)
       then fail "envelope checksum mismatch";
       st.pos <- st.pos + header_len + blen + trailer_len;
       if st.pos = st.len then begin
@@ -279,6 +278,6 @@ let next st =
         st.len <- 0;
         if Bytes.length st.buf > retain_cap then st.buf <- Bytes.empty
       end;
-      Some (decode_body ~tag:t body)
+      Some (decode_body ~tag:t env)
     end
   end

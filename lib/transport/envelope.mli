@@ -2,14 +2,20 @@
 
     Everything that crosses a transport socket is one envelope:
 
-    {v magic "YT" | version | type | body length (4B LE) | body | checksum (8B LE) v}
+    {v magic "YT" | version 2 | type | body length (4B LE) | body | checksum (8B LE) v}
 
-    The checksum ({!Yoso_net.Wire.checksum} over the body) is verified
-    on ingest, so a corrupted envelope is rejected at the transport
-    layer; the bulletin frames carried {e inside} [Post] bodies and
-    [Full] records keep their own [Wire] checksums and are re-verified by the
-    receiving protocol code (a tampered frame must land on the board
-    and be excluded there, not vanish in transit).
+    The checksum ({!Yoso_net.Wire.checksum} over the eight header
+    bytes and the body) is verified on ingest, so a corrupted envelope
+    is rejected at the transport layer: a changed type or length byte
+    fails it as a changed body byte does.  The bulletin frames
+    carried {e inside} [Post] bodies and [Full] records keep their own
+    [Wire] checksums and are re-verified by the receiving protocol
+    code (a tampered frame must land on the board and be excluded
+    there, not vanish in transit).
+
+    The daemon's write-ahead {!Journal} is a file of the same
+    envelopes: the [Start], [Post] and [Report] messages it accepted,
+    in order.
 
     The declared body length is capped ({!default_max_body}, tied to
     {!Yoso_net.Wire.max_frame_len}): an oversized header is rejected
@@ -34,7 +40,8 @@ type record =
 type msg =
   | Hello of { slot : int; nslots : int; seed : int }
       (** client -> daemon, once per connection *)
-  | Start  (** daemon -> clients when all [nslots] slots said hello *)
+  | Start of { nslots : int }
+      (** daemon -> clients when all [nslots] slots said hello *)
   | Post of { seq : int; slot : int; frame : string }
       (** client -> daemon: the owner ships board frame [seq] *)
   | Peer_down of { slot : int }
@@ -67,7 +74,7 @@ val header_len : int
 (** Fixed envelope header size (magic + version + type + length). *)
 
 val trailer_len : int
-(** Checksum trailer size. *)
+(** Checksum trailer size.  The checksum covers header and body. *)
 
 val default_max_body : int
 (** Default cap on the declared body length. *)

@@ -7,31 +7,17 @@
     then resumes serving; reconnecting clients catch up on the gap via
     the [Recover] handshake.
 
-    Record layout:
-
-    {v | body length (4B LE) | body | checksum (8B LE) | v}
-
-    where [body] is a varint record kind followed by the kind's
-    fields, and the checksum is {!Yoso_net.Wire.checksum} over the
-    body.  {!replay} returns the longest intact prefix: a torn tail —
-    the expected state after a crash mid-append — is detected by the
-    length or checksum check and never yields a partial record.
+    The journal is one file of {!Envelope}s, the very [Start], [Post]
+    and [Report] messages the daemon speaks, in the order it accepted
+    them.  The envelope checksum covers header and body, so {!replay}
+    returns the longest intact prefix: a torn tail -- the expected
+    state after a crash mid-append -- is incomplete or fails the
+    checksum and never yields a partial record.
 
     Appends go straight to the fd ([Unix.write], no userland
     buffering) and are fsynced in batches of [fsync_every]: an
     in-process restart therefore never loses an accepted record, and
     the power-loss window is bounded by the batch size. *)
-
-type record =
-  | Started of { nslots : int }  (** the run's [Start] was broadcast *)
-  | Posted of { seq : int; slot : int; frame : string }
-      (** board frame [seq], accepted from [slot] *)
-  | Reported of { slot : int; json : string }  (** final report landed *)
-
-val pp_record : Format.formatter -> record -> unit
-
-val encode_record : record -> string
-(** Exact on-disk bytes of one record (exposed for tests). *)
 
 type t
 
@@ -43,13 +29,13 @@ val open_append : ?fsync_every:int -> path:string -> unit -> t
     {!Transport_policy.default}'s batch size.
     @raise Invalid_argument if [fsync_every < 1]. *)
 
-val append : t -> record -> unit
-(** Appends one record; fsyncs when the batch counter fills. *)
+val append : t -> Envelope.msg -> unit
+(** Appends one record, {!Envelope.encode}d; fsyncs when the batch
+    counter fills.  Only [Start], [Post] and [Report] replay: any
+    other message ends {!replay} where it was appended. *)
 
 val close : t -> unit
 (** Syncs and closes.  Idempotent. *)
-
-val path : t -> string
 
 val bytes : t -> int
 (** Total file size in bytes (restored prefix + appends). *)
@@ -57,12 +43,13 @@ val bytes : t -> int
 val appended : t -> int
 (** Records appended through this handle. *)
 
-val replay : string -> record list
-(** Parses the journal at [path] and returns the longest intact prefix
-    of records.  A missing file, a torn tail or a corrupted record
-    ends the replay at the last complete record — a partial or
-    checksum-failing record is never returned. *)
+val replay : string -> Envelope.msg list
+(** Feeds the journal at [path] through an {!Envelope.stream} and
+    returns the longest intact prefix of records.  Replay stops at the
+    first envelope that is incomplete or rejected, or that is not a
+    [Start], [Post] or [Report]; a missing file replays as empty. *)
 
 val intact_bytes : string -> int
 (** Byte length of the longest intact prefix at [path] (0 for a
-    missing file) — where {!replay} stopped parsing. *)
+    missing file): the file length less what the stream still held
+    where {!replay} stopped. *)

@@ -86,7 +86,6 @@ let add_stats a b =
     replayed_frames = a.replayed_frames + b.replayed_frames;
     recovered_frames = a.recovered_frames + b.recovered_frames;
     journal_bytes = b.journal_bytes;
-    shards = b.shards;
     (* the restarted daemon re-chains the whole journal, so the last
        life's digest already covers every accepted post *)
     digest = b.digest;

@@ -61,9 +61,8 @@ val run :
     fires the daemon is restarted in place on the same listen socket,
     recovering the board from the journal — [restarts] counts the
     lives lost; clients ride the restart out via their reconnect
-    path.  [topology] (default {!Topology.make}: one shard, full
-    quorum) sets the delivery quorum and shards the daemon's
-    bookkeeping and journal.
+    path.  [topology] (default {!Topology.make}: full quorum) sets the
+    delivery quorum.
     @raise Invalid_argument if [chaos] schedules kill points without
     a [journal]. *)
 

@@ -59,7 +59,7 @@ let write_all ?deadline fd s =
   in
   go 0
 
-let connect_with_retry ?(retry = Transport_policy.connect_retry) ?(seed = 0) addr =
+let connect_with_retry ?(retry = Transport_policy.default.connect) ?(seed = 0) addr =
   if retry.Transport_policy.attempts < 1 then
     invalid_arg "Sockio.connect_with_retry: attempts must be >= 1";
   (match Sys.signal Sys.sigpipe Sys.Signal_ignore with

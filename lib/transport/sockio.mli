@@ -31,10 +31,10 @@ val connect_with_retry :
   ?retry:Transport_policy.retry -> ?seed:int -> Unix.sockaddr -> Unix.file_descr
 (** Creates a stream socket for the address family and connects,
     retrying transient failures ([ECONNREFUSED], [ENOENT],
-    [EAGAIN], ...) under [retry] (default
-    {!Transport_policy.connect_retry}): full-jittered exponential
-    backoff seeded by [seed], bounded both by the attempt count and by
-    the total elapsed budget — the loop gives up rather than overshoot
+    [EAGAIN], ...) under [retry] (default {!Transport_policy.default}'s
+    [connect]): full-jittered exponential backoff seeded by [seed],
+    bounded both by the attempt count and by the total elapsed
+    budget — the loop gives up rather than overshoot
     [max_elapsed_ms].  Ignores [SIGPIPE] for the process as a side
     effect — transport code must see write failures as exceptions, not
     signals.

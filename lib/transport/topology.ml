@@ -1,12 +1,10 @@
-(* Shard and quorum geometry of the socket transport.  Pure data +
-   pure functions: the same value is consumed by the Runner (to decide
+(* Quorum geometry of the socket transport.  Pure data + pure
+   functions: the same value is consumed by the Runner (to decide
    which frames each member materialises), the Daemon (to route
-   deliveries and partition journals) and the bench/CLI (to label
-   rows). *)
+   deliveries) and the bench/CLI (to label rows). *)
 
 type t = {
   nslots : int;
-  shards : int;
   quorum : int;
 }
 
@@ -15,17 +13,14 @@ type t = {
    journal record), capped by the committee size *)
 let default_quorum ~nslots = min (max 1 (nslots - 1)) (max 2 (nslots / 8))
 
-let make ?(shards = 1) ?quorum ~nslots () =
+let make ?quorum ~nslots () =
   if nslots < 1 then invalid_arg "Topology: nslots must be >= 1";
   let quorum = match quorum with Some q -> q | None -> max 1 (nslots - 1) in
-  if shards < 1 || shards > nslots then invalid_arg "Topology: shards must be in [1, nslots]";
   if quorum < 1 || quorum > max 1 (nslots - 1) then
     invalid_arg "Topology: quorum must be in [1, nslots-1]";
-  { nslots; shards; quorum }
+  { nslots; quorum }
 
 let owner_slot t ~index = index mod t.nslots
-
-let shard_of_slot t ~slot = slot mod t.shards
 
 (* the quorum of slot [owner]'s frames: the next [quorum] slots in ring
    order.  Deterministic and rotation-balanced: every slot serves in
@@ -39,4 +34,4 @@ let local t ~me ~owner = owner = me || wants_full t ~me ~owner
 let full_sources t ~me =
   List.filter (fun owner -> wants_full t ~me ~owner) (List.init t.nslots Fun.id)
 
-let pp ppf t = Format.fprintf ppf "{nslots=%d;shards=%d;quorum=%d}" t.nslots t.shards t.quorum
+let pp ppf t = Format.fprintf ppf "{nslots=%d;quorum=%d}" t.nslots t.quorum

@@ -1,16 +1,9 @@
-(** Shard and quorum geometry of the socket transport.
+(** Quorum geometry of the socket transport.
 
-    One {!t} value describes how a run's board is laid out:
+    One {!t} value describes how a run's board is delivered:
 
     - [nslots] member processes, role index [mod nslots] mapping roles
       onto slots;
-    - [shards] board shards.  A shard is a partition of the board
-      keyed by the posting slot ([slot mod shards] — a committee
-      partition): each shard has its own write-ahead journal file and
-      the daemon's transcript digest chains {e across} shards in
-      global commit order, so stitching the per-shard journals back
-      together (merge by sequence number) reproduces the exact board
-      and digest of an unsharded run;
     - [quorum] full-frame fan-out: each posted frame is delivered in
       full to the [quorum] slots following its owner in ring order,
       and as a compact [(seq, slot, checksum, length)] digest record
@@ -19,20 +12,17 @@
       full.
 
     The same value is consumed by {!Runner} (which frames a member
-    materialises), {!Daemon} (routes deliveries, partitions journals)
-    and the CLI/bench. *)
+    materialises), {!Daemon} (routes deliveries) and the CLI/bench. *)
 
 type t = private {
   nslots : int;
-  shards : int;
   quorum : int;
 }
 
-val make : ?shards:int -> ?quorum:int -> nslots:int -> unit -> t
-(** [shards] defaults to 1; [quorum] defaults to [nslots - 1]
-    (broadcast).
-    @raise Invalid_argument on [nslots < 1], [shards] outside
-    [1, nslots] or [quorum] outside [1, nslots-1]. *)
+val make : ?quorum:int -> nslots:int -> unit -> t
+(** [quorum] defaults to [nslots - 1] (broadcast).
+    @raise Invalid_argument on [nslots < 1] or [quorum] outside
+    [1, nslots-1]. *)
 
 val default_quorum : nslots:int -> int
 (** The n/8 fan-out policy: [max 2 (nslots / 8)], capped at
@@ -40,9 +30,6 @@ val default_quorum : nslots:int -> int
 
 val owner_slot : t -> index:int -> int
 (** The slot owning a role with the given committee index. *)
-
-val shard_of_slot : t -> slot:int -> int
-(** Which board shard records frames posted by [slot]. *)
 
 val wants_full : t -> me:int -> owner:int -> bool
 (** Whether slot [me] receives [owner]'s frames in full: [me] is one

@@ -8,12 +8,6 @@ type retry = {
   jitter : bool;
 }
 
-let connect_retry =
-  { attempts = 10; base_ms = 20.; cap_ms = 500.; max_elapsed_ms = 5_000.; jitter = true }
-
-let reconnect_retry =
-  { attempts = 10; base_ms = 25.; cap_ms = 400.; max_elapsed_ms = 3_000.; jitter = true }
-
 type t = {
   connect : retry;
   reconnect : retry;
@@ -25,8 +19,10 @@ type t = {
 
 let default =
   {
-    connect = connect_retry;
-    reconnect = reconnect_retry;
+    connect =
+      { attempts = 10; base_ms = 20.; cap_ms = 500.; max_elapsed_ms = 5_000.; jitter = true };
+    reconnect =
+      { attempts = 10; base_ms = 25.; cap_ms = 400.; max_elapsed_ms = 3_000.; jitter = true };
     round_deadline_ms = 10_000.;
     grace_ms = 1_500.;
     watchdog_s = 120.;

@@ -22,17 +22,12 @@ type retry = {
   jitter : bool;  (** full jitter on each sleep (off = deterministic ladder) *)
 }
 
-val connect_retry : retry
-(** First connect: 10 tries, 20 ms base, 500 ms cap, 5 s budget. *)
-
-val reconnect_retry : retry
-(** Reconnect after a drop: 10 tries, 25 ms base, 400 ms cap, 3 s
-    budget — a peer that cannot re-reach the board inside this budget
-    gives up and takes the ordinary silent-fault path. *)
-
 type t = {
-  connect : retry;
+  connect : retry;  (** first connect *)
   reconnect : retry;
+      (** reconnect after a drop: a peer that cannot re-reach the
+          board inside this budget gives up and takes the ordinary
+          silent-fault path *)
   round_deadline_ms : float;  (** client blocking-receive deadline *)
   grace_ms : float;
       (** daemon: how long a dead connection's slot may stay silent
@@ -42,6 +37,10 @@ type t = {
 }
 
 val default : t
+(** [connect]: 10 tries, 20 ms base, 500 ms cap, 5 s budget.
+    [reconnect]: 10 tries, 25 ms base, 400 ms cap, 3 s budget.
+    10 s round deadline, 1.5 s grace, 120 s watchdog, fsync every 64
+    records. *)
 
 val backoff_ms : retry -> seed:int -> attempt:int -> float
 (** Sleep (ms) before try [attempt+1] ([attempt >= 1]).  With jitter,

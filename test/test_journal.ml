@@ -1,23 +1,24 @@
 (* Write-ahead journal: append/replay round-trip, torn-tail recovery
    at every truncation boundary, corruption detection, the
    reopen-after-crash truncation that keeps appends reachable, and a
-   replay fuzzer over mutated tails. *)
+   replay fuzzer over mutated tails.  Records are the daemon's own
+   [Start], [Post] and [Report] envelopes. *)
 
 module Journal = Yoso_transport.Journal
+module Envelope = Yoso_transport.Envelope
 
-let record : Journal.record Alcotest.testable =
-  Alcotest.testable Journal.pp_record ( = )
+let record : Envelope.msg Alcotest.testable = Alcotest.testable Envelope.pp_msg ( = )
 
 let sample_records =
   [
-    Journal.Started { nslots = 8 };
-    Journal.Posted { seq = 0; slot = 3; frame = "frame-zero" };
-    Journal.Posted { seq = 1; slot = 0; frame = "" };
-    Journal.Posted { seq = 2; slot = 7; frame = String.init 257 (fun i -> Char.chr (i land 0xff)) };
-    Journal.Posted { seq = 5; slot = 1; frame = String.make 1024 '\x00' };
-    Journal.Reported { slot = 4; json = "{\"digest\":42}" };
-    Journal.Posted { seq = 6; slot = 2; frame = "tail" };
-    Journal.Reported { slot = 0; json = "{}" };
+    Envelope.Start { nslots = 8 };
+    Envelope.Post { seq = 0; slot = 3; frame = "frame-zero" };
+    Envelope.Post { seq = 1; slot = 0; frame = "" };
+    Envelope.Post { seq = 2; slot = 7; frame = String.init 257 (fun i -> Char.chr (i land 0xff)) };
+    Envelope.Post { seq = 5; slot = 1; frame = String.make 1024 '\x00' };
+    Envelope.Report { slot = 4; json = "{\"digest\":42}" };
+    Envelope.Post { seq = 6; slot = 2; frame = "tail" };
+    Envelope.Report { slot = 0; json = "{}" };
   ]
 
 let with_temp f =
@@ -52,7 +53,7 @@ let test_roundtrip () =
    never a torn frame *)
 let test_truncate_every_boundary () =
   with_temp (fun path ->
-      let encoded = List.map Journal.encode_record sample_records in
+      let encoded = List.map Envelope.encode sample_records in
       let data = String.concat "" encoded in
       (* cumulative end offset of each record *)
       let ends =
@@ -82,7 +83,7 @@ let test_truncate_every_boundary () =
    record before the damage, even though intact bytes follow *)
 let test_corrupted_record () =
   with_temp (fun path ->
-      let encoded = List.map Journal.encode_record sample_records in
+      let encoded = List.map Envelope.encode sample_records in
       let damaged_index = 3 in
       let prefix_len =
         List.fold_left ( + ) 0
@@ -101,7 +102,7 @@ let test_corrupted_record () =
    record with it flipped is damage, and replay stops there *)
 let test_trailer_bit63 () =
   with_temp (fun path ->
-      let encoded = List.map Journal.encode_record sample_records in
+      let encoded = List.map Envelope.encode sample_records in
       let damaged_index = 2 in
       let upto i =
         List.fold_left ( + ) 0 (List.map String.length (List.filteri (fun j _ -> j < i) encoded))
@@ -122,16 +123,28 @@ let test_reopen_truncates_torn_tail () =
   with_temp (fun path ->
       let keep = [ List.nth sample_records 0; List.nth sample_records 1 ] in
       let torn =
-        let full = Journal.encode_record (List.nth sample_records 2) in
+        let full = Envelope.encode (List.nth sample_records 2) in
         String.sub full 0 (String.length full - 3)
       in
-      write_raw path (String.concat "" (List.map Journal.encode_record keep) ^ torn);
+      write_raw path (String.concat "" (List.map Envelope.encode keep) ^ torn);
       let j = Journal.open_append ~path () in
-      let extra = Journal.Posted { seq = 9; slot = 5; frame = "after-crash" } in
+      let extra = Envelope.Post { seq = 9; slot = 5; frame = "after-crash" } in
       Journal.append j extra;
       Journal.close j;
       Alcotest.(check (list record)) "tail cut, append reachable" (keep @ [ extra ])
         (Journal.replay path))
+
+(* the journal holds only [Start], [Post] and [Report]: any other
+   envelope ends replay as damage does *)
+let test_foreign_envelope () =
+  with_temp (fun path ->
+      let keep = [ List.nth sample_records 0; List.nth sample_records 1 ] in
+      let prefix = String.concat "" (List.map Envelope.encode keep) in
+      write_raw path
+        (prefix ^ Envelope.encode Envelope.Shutdown ^ Envelope.encode (List.nth sample_records 2));
+      Alcotest.(check (list record)) "stops at the foreign envelope" keep (Journal.replay path);
+      Alcotest.(check int) "intact prefix length" (String.length prefix)
+        (Journal.intact_bytes path))
 
 (* ------------------------------------------------------------------ *)
 (* Replay fuzzing                                                      *)
@@ -146,25 +159,25 @@ let gen_record =
   let blob = string_size (int_bound 40) in
   oneof
     [
-      map (fun nslots -> Journal.Started { nslots }) gen_nat;
+      map (fun nslots -> Envelope.Start { nslots }) gen_nat;
       (let* seq = gen_nat in
        let* slot = gen_nat in
        let+ frame = blob in
-       Journal.Posted { seq; slot; frame });
+       Envelope.Post { seq; slot; frame });
       (let* slot = gen_nat in
        let+ json = blob in
-       Journal.Reported { slot; json });
+       Envelope.Report { slot; json });
     ]
 
 (* one record's bytes, damaged so they can no longer parse: a flipped
    byte, a torn end, junk inserted before the last byte, or bytes cut
-   out.  Each edit changes the length header, the body or the trailer,
-   which the length and checksum checks catch -- except junk that
-   repeats the bytes it displaces, which leaves the whole record in
-   front: that case is torn instead. *)
+   out.  Each edit changes the header, the body or the trailer, which
+   the header and checksum checks catch -- except junk that repeats
+   the bytes it displaces, which leaves the whole record in front:
+   that case is torn instead. *)
 let gen_damaged r =
   let open QCheck.Gen in
-  let s = Journal.encode_record r in
+  let s = Envelope.encode r in
   let n = String.length s in
   map
     (fun t -> if String.length t >= n && String.sub t 0 n = s then String.sub s 0 (n - 1) else t)
@@ -194,7 +207,7 @@ let journal_fuzz_props =
       ~name:"intact records + damaged tail replay exactly the intact prefix" arb_damaged_tail
       (fun (rs, tail) ->
         with_temp (fun path ->
-            let intact = String.concat "" (List.map Journal.encode_record rs) in
+            let intact = String.concat "" (List.map Envelope.encode rs) in
             write_raw path (intact ^ tail);
             Journal.replay path = rs && Journal.intact_bytes path = String.length intact));
   ]
@@ -211,6 +224,7 @@ let () =
           Alcotest.test_case "trailer bit 63 flipped" `Quick test_trailer_bit63;
           Alcotest.test_case "reopen truncates torn tail" `Quick
             test_reopen_truncates_torn_tail;
+          Alcotest.test_case "foreign envelope ends replay" `Quick test_foreign_envelope;
         ] );
       ("journal-fuzz", List.map QCheck_alcotest.to_alcotest journal_fuzz_props);
     ]

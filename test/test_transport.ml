@@ -17,6 +17,7 @@ module Policy = Yoso_transport.Transport_policy
 module Chaos = Yoso_transport.Chaos
 module Topology = Yoso_transport.Topology
 module Daemon = Yoso_transport.Daemon
+module Journal = Yoso_transport.Journal
 module Board = Yoso_net.Board
 module Role = Yoso_runtime.Role
 
@@ -62,7 +63,7 @@ let test_frame_cap () =
 let sample_msgs =
   [
     Envelope.Hello { slot = 3; nslots = 16; seed = 0xC0FFEE };
-    Envelope.Start;
+    Envelope.Start { nslots = 16 };
     Envelope.Post { seq = 0; slot = 3; frame = "frame-zero" };
     Envelope.Post { seq = 12345; slot = 0; frame = String.make 600 '\x7f' };
     Envelope.Peer_down { slot = 7 };
@@ -136,8 +137,8 @@ let test_envelope_byte_at_a_time () =
    trailer, whatever the body holds *)
 let envelope_of_body ~tag body =
   let le n k = String.init n (fun i -> Char.chr ((k lsr (8 * i)) land 0xff)) in
-  "YT\001" ^ String.make 1 (Char.chr tag) ^ le 4 (String.length body) ^ body
-  ^ le 8 (Wire.checksum body)
+  let env = "YT\002" ^ String.make 1 (Char.chr tag) ^ le 4 (String.length body) ^ body in
+  env ^ le 8 (Wire.checksum env)
 
 (* A digest record's checksum is 8 bytes carrying a 62-bit value, like
    the trailer.  Bits 62 and 63 set, behind a trailer that matches the
@@ -278,34 +279,36 @@ let gen_record =
        Envelope.Digest { seq; slot; csum; len });
     ]
 
-let gen_envelope_msg =
+(* one generator per message type *)
+let gen_msgs_by_type =
   let open QCheck.Gen in
-  oneof
-    [
-      (let* slot = gen_nat in
-       let* nslots = gen_nat in
-       let+ seed = gen_nat in
-       Envelope.Hello { slot; nslots; seed });
-      return Envelope.Start;
-      (let* seq = gen_nat in
-       let* slot = gen_nat in
-       let+ frame = gen_blob in
-       Envelope.Post { seq; slot; frame });
-      map (fun slot -> Envelope.Peer_down { slot }) gen_nat;
-      (let* slot = gen_nat in
-       let+ json = gen_blob in
-       Envelope.Report { slot; json });
-      return Envelope.Shutdown;
-      (let* slot = gen_nat in
-       let* nslots = gen_nat in
-       let* seed = gen_nat in
-       let+ next_seq = gen_nat in
-       Envelope.Recover { slot; nslots; seed; next_seq });
-      (let* next_seq = gen_nat in
-       let+ started = bool in
-       Envelope.Recovered { next_seq; started });
-      map (fun rs -> Envelope.Deliver_batch rs) (list_size (int_bound 5) gen_record);
-    ]
+  [
+    (let* slot = gen_nat in
+     let* nslots = gen_nat in
+     let+ seed = gen_nat in
+     Envelope.Hello { slot; nslots; seed });
+    map (fun nslots -> Envelope.Start { nslots }) gen_nat;
+    (let* seq = gen_nat in
+     let* slot = gen_nat in
+     let+ frame = gen_blob in
+     Envelope.Post { seq; slot; frame });
+    map (fun slot -> Envelope.Peer_down { slot }) gen_nat;
+    (let* slot = gen_nat in
+     let+ json = gen_blob in
+     Envelope.Report { slot; json });
+    return Envelope.Shutdown;
+    (let* slot = gen_nat in
+     let* nslots = gen_nat in
+     let* seed = gen_nat in
+     let+ next_seq = gen_nat in
+     Envelope.Recover { slot; nslots; seed; next_seq });
+    (let* next_seq = gen_nat in
+     let+ started = bool in
+     Envelope.Recovered { next_seq; started });
+    map (fun rs -> Envelope.Deliver_batch rs) (list_size (int_bound 5) gen_record);
+  ]
+
+let gen_envelope_msg = QCheck.Gen.oneof gen_msgs_by_type
 
 (* a batch body whose digest records carry 8 arbitrary checksum bytes,
    in the record layout [Envelope.encode] writes *)
@@ -407,6 +410,31 @@ let arb_hostile_stream =
       Printf.sprintf "%S in chunks %s" s (String.concat "," (List.map string_of_int chunks)))
     gen_hostile_stream
 
+(* [e] with one byte set to another value.  Half the edits hit the
+   type byte and half write a valid type tag: a header outside the
+   checksum lets exactly those through, as another message. *)
+let gen_byte_change e =
+  let open QCheck.Gen in
+  let* i = oneof [ int_bound (String.length e - 1); return 3 ] in
+  let+ v = oneof [ int_bound 255; oneofl [ 1; 2; 3; 5; 6; 7; 8; 9; 11 ] ] in
+  let v = if v = Char.code e.[i] then v lxor 1 else v in
+  (i, String.mapi (fun j c -> if j = i then Char.chr v else c) e)
+
+(* an envelope of every message type, each with one byte changed *)
+let arb_byte_changes =
+  QCheck.make
+    ~print:(fun cases ->
+      String.concat "; "
+        (List.map (fun (m, (i, e)) -> Format.asprintf "%a, byte %d: %S" Envelope.pp_msg m i e) cases))
+    QCheck.Gen.(
+      flatten_l
+        (List.map
+           (fun g ->
+             let* m = g in
+             let+ change = gen_byte_change (Envelope.encode m) in
+             (m, change))
+           gen_msgs_by_type))
+
 (* feed [input] in [chunks] sizes (the rest in one piece), draining
    after every feed: the messages decoded and the bytes left buffered.
    A message that does not re-encode to exactly the bytes it consumed
@@ -460,6 +488,17 @@ let envelope_fuzz_props =
         | _ -> ()
         | exception Envelope.Envelope_error _ -> ());
         !spent <= Hostile.allocation_bound (String.length input));
+    (* the checksum covers the header: no single-byte change, type and
+       length bytes included, decodes -- it is rejected, or the
+       envelope is left incomplete *)
+    QCheck.Test.make ~count:500 ~long_factor:50
+      ~name:"a single-byte change never decodes" arb_byte_changes
+      (List.for_all (fun (_, (_, e)) ->
+           let st = Envelope.stream () in
+           Envelope.feed st e;
+           match Envelope.next st with
+           | None | (exception Envelope.Envelope_error _) -> true
+           | Some _ -> false));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -629,7 +668,6 @@ let equivalence_case ~topology ?plan ~name ~adversary ~seed () =
   Alcotest.(check bool) (name ^ ": bytes suppressed") true (st.Daemon.suppressed_bytes > 0);
   Alcotest.(check int) (name ^ ": daemon digest = sim digest")
     sim_r.Protocol.transcript.Board.digest st.Daemon.digest;
-  Alcotest.(check int) (name ^ ": shards recorded") topology.Topology.shards st.Daemon.shards;
   Alcotest.(check bool) (name ^ ": delivery bytes attributed per slot")
     true
     (List.for_all
@@ -637,8 +675,7 @@ let equivalence_case ~topology ?plan ~name ~adversary ~seed () =
        Meter.[ Route_full; Route_digest; Route_suppressed ]
     && Meter.routing_ratio meter < 1.0)
 
-(* the three geometries: full-quorum broadcast, the n/8 quorum, and
-   that quorum over a sharded board *)
+(* the two geometries: full-quorum broadcast and the n/8 quorum *)
 let full_quorum = Topology.make ~nslots:8 ()
 let default_quorum = Topology.make ~quorum:(Topology.default_quorum ~nslots:8) ~nslots:8 ()
 
@@ -663,11 +700,6 @@ let test_equivalence_routed_faulty () =
     ~name:"routed faulty" ~adversary
     ~plan:(Yoso_runtime.Faults.random ~seed:0xBAD)
     ~seed:0xE9 ()
-
-let test_equivalence_routed_sharded () =
-  equivalence_case
-    ~topology:(Topology.make ~shards:3 ~quorum:default_quorum.Topology.quorum ~nslots:8 ())
-    ~name:"routed+sharded" ~adversary:Params.no_adversary ~seed:0xEA ()
 
 (* ------------------------------------------------------------------ *)
 (* Crash drill: a member dies mid-round                                *)
@@ -711,7 +743,7 @@ let test_crash_mid_round () =
 (* ------------------------------------------------------------------ *)
 
 let test_backoff_bounds () =
-  let r = { Policy.connect_retry with base_ms = 10.; cap_ms = 80. } in
+  let r = { Policy.default.connect with base_ms = 10.; cap_ms = 80. } in
   for attempt = 1 to 12 do
     let cap = Float.min r.Policy.cap_ms (r.Policy.base_ms *. (2. ** float_of_int (attempt - 1))) in
     for seed = 0 to 20 do
@@ -771,12 +803,8 @@ let chaos_child ~seed ~slot:_ ~link =
 
 let with_journal f =
   let path = Filename.temp_file "yoso-drill" ".wal" in
-  let sweep () =
-    List.iter
-      (fun q -> try Sys.remove q with Sys_error _ -> ())
-      (path :: List.init 8 (fun k -> Printf.sprintf "%s.shard%d" path (k + 1)))
-  in
-  Fun.protect ~finally:sweep
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       Sys.remove path;
       f path)
@@ -842,36 +870,56 @@ let test_forced_disconnects () =
     check_against_sim ~name:"forced disconnects" ~seed res
   end
 
-(* kill+restart on the routed, sharded path: per-shard journals must
-   stitch back into the one board, and routed members must come out
-   with the same report as the fault-free sim run *)
-let test_sharded_kill_restart () =
+(* kill+restart under the n/8 quorum: the one journal file must
+   rebuild the board, and routed members must come out with the same
+   report as the fault-free sim run *)
+let test_routed_kill_restart () =
   if not Sys.unix then ()
   else begin
     let seed = 0xC4A6 in
-    let topology = Topology.make ~shards:2 ~quorum:default_quorum.Topology.quorum ~nslots:8 () in
     let frames = sim_frames ~seed in
     with_journal (fun journal ->
         let chaos = Chaos.create { Chaos.none with Chaos.kill_at = [ frames / 2 ] } in
         let res =
-          Runner.run ~journal ~chaos ~topology ~nslots:8 ~seed
+          Runner.run ~journal ~chaos ~topology:default_quorum ~nslots:8 ~seed
             ~child:(chaos_child ~seed) ()
         in
+        let st = res.Runner.stats in
         Alcotest.(check int) "daemon died exactly once" 1 res.Runner.restarts;
-        Alcotest.(check int) "two shards" 2 res.Runner.stats.Yoso_transport.Daemon.shards;
-        Alcotest.(check bool) "stitched journals recovered the board" true
-          (res.Runner.stats.Yoso_transport.Daemon.recovered_frames >= frames / 2);
-        Alcotest.(check bool) "shard 1 journal exists" true
-          (Sys.file_exists (journal ^ ".shard1"));
-        Alcotest.(check bool) "every client reconnected" true
-          (res.Runner.stats.Yoso_transport.Daemon.reconnects >= 8);
-        check_against_sim ~name:"sharded kill+restart" ~seed res;
+        Alcotest.(check bool) "journal recovered the board" true
+          (st.Daemon.recovered_frames >= frames / 2);
+        (* every accepted frame, across both daemon lives, is in the
+           one file, and all of it is intact *)
+        Alcotest.(check int) "one journal file holds every frame" frames
+          (List.length
+             (List.filter
+                (function Envelope.Post _ -> true | _ -> false)
+                (Journal.replay journal)));
+        Alcotest.(check int) "journal bytes = intact file" st.Daemon.journal_bytes
+          (Journal.intact_bytes journal);
+        Alcotest.(check bool) "every client reconnected" true (st.Daemon.reconnects >= 8);
+        check_against_sim ~name:"routed kill+restart" ~seed res;
         (* the restarted daemon's digest chain covers the whole run *)
         let report = match res.Runner.reports with (_, j) :: _ -> j | [] -> "{}" in
         Alcotest.(check (option int)) "daemon digest = member digest"
           (Some res.Runner.stats.Yoso_transport.Daemon.digest)
           (Runner.json_int_field report ~field:"digest"))
   end
+
+(* the journal's [Start] carries the run's slot count: a restart on
+   another run's journal is refused before any traffic is served *)
+let test_journal_slot_mismatch () =
+  with_journal (fun journal ->
+      let j = Journal.open_append ~path:journal () in
+      Journal.append j (Envelope.Start { nslots = 4 });
+      Journal.close j;
+      let listen = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close listen)
+        (fun () ->
+          match Daemon.serve ~journal ~listen ~nslots:8 () with
+          | _ -> Alcotest.fail "a journal for 4 slots must not serve a run of 8"
+          | exception Invalid_argument _ -> ()))
 
 (* forced disconnects under a small quorum: reconnect catch-up replays
    the very records live delivery would have sent — digest records for
@@ -966,7 +1014,7 @@ let test_report_then_close () =
         in
         let a, sa = connect 0 in
         let b, sb = connect 1 in
-        let started = function Envelope.Start -> true | _ -> false in
+        let started = function Envelope.Start _ -> true | _ -> false in
         await a sa started;
         await b sb started;
         let frame =
@@ -1179,8 +1227,6 @@ let () =
             test_equivalence_routed_fault_free;
           Alcotest.test_case "sim = routed loopback, faulty" `Quick
             test_equivalence_routed_faulty;
-          Alcotest.test_case "sim = routed + sharded loopback" `Quick
-            test_equivalence_routed_sharded;
         ] );
       ( "routing",
         [
@@ -1208,8 +1254,8 @@ let () =
             test_daemon_kill_restart;
           Alcotest.test_case "forced client disconnects" `Quick
             test_forced_disconnects;
-          Alcotest.test_case "sharded daemon kill+restart" `Quick
-            test_sharded_kill_restart;
+          Alcotest.test_case "routed daemon kill+restart" `Quick test_routed_kill_restart;
+          Alcotest.test_case "journal for another slot count" `Quick test_journal_slot_mismatch;
           Alcotest.test_case "routed forced disconnects" `Quick
             test_routed_forced_disconnects;
         ] );
