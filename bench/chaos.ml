@@ -11,7 +11,7 @@ let run () =
   let n = 8 in
   let params = Params.create ~n ~t:2 ~k:2 () in
   let seed = 0xE11 in
-  let sim_r, _, child =
+  let sim_r, sim_json, _, child =
     sim_and_member ~params ~seed ~circuit:(Gen.dot_product ~len:8) ~inputs:(fixture 8)
   in
   let frames = sim_r.Protocol.transcript.Board.frames in
@@ -28,7 +28,7 @@ let run () =
     with_journal (fun journal ->
         let chaos = Chaos.create chaos_config in
         let res, wall_ms = wall (fun () -> Runner.run ~journal ~chaos ~nslots:n ~seed ~child ()) in
-        let digest_equal = matches_sim sim_r res in
+        let digest_equal = matches_sim sim_json res in
         if not digest_equal then
           failwith
             (Printf.sprintf "bench chaos: case %s diverged (agree=%b down=%d)" label

@@ -91,7 +91,7 @@ let run () =
     d.Depot.producer_blocks d.Depot.consumer_blocks;
   Printf.printf "  refills  : %d batches, %d B attributed\n"
     (List.length (Meter.refills streamed.Factory.meter))
-    (Meter.side_total streamed.Factory.meter Meter.Refill);
+    (Meter.refill_total streamed.Factory.meter);
   if streamed.Factory.refills_during_online = 0 then
     failwith "factory: no producer/consumer overlap observed";
   (* the stream must sustain at least one-shot throughput: it overlaps

@@ -126,32 +126,25 @@ let per_op_ms f =
 (* client [c]'s [len] inputs *)
 let fixture len c = Array.init len (fun i -> F.of_int ((c + 2) * (i + 3)))
 
-(* The seeded protocol run in-process, its wall ms, and the child each
-   forked socket member runs: the same seeded protocol over its link,
-   reported as JSON. *)
+(* The seeded protocol run in-process, its report JSON, its wall ms,
+   and the child each forked socket member runs: the same seeded
+   protocol over its link, reported as JSON. *)
 let sim_and_member ~params ~seed ~circuit ~inputs =
   let sim, ms =
     wall (fun () ->
         Protocol.execute ~params ~config:(Protocol.config ~seed ()) ~circuit ~inputs ())
   in
   assert (Protocol.check sim circuit ~inputs);
+  let report r = Json.to_string (Protocol.report_json r) in
   let child ~slot:_ ~link =
-    let config = Protocol.config ~seed ~transport:"unix" ~link () in
-    Json.to_string (Protocol.report_json (Protocol.execute ~params ~config ~circuit ~inputs ()))
+    let config = Protocol.config ~seed ~link () in
+    report (Protocol.execute ~params ~config ~circuit ~inputs ())
   in
-  (sim, ms, child)
+  (sim, report sim, ms, child)
 
-(* every member reported, the reports agree, and they carry the sim
-   run's transcript (digest, frames, frame bytes) and no blame *)
-let matches_sim (sim : Protocol.report) (res : Runner.result) =
-  let t = sim.Protocol.transcript in
-  match res.Runner.reports with
-  | [] -> false
-  | (_, report) :: _ ->
-    let field f = Runner.json_int_field report ~field:f in
-    res.Runner.agree && res.Runner.down = []
-    && List.length res.Runner.reports = List.length res.Runner.children
-    && field "digest" = Some t.Board.digest
-    && field "frames" = Some t.Board.frames
-    && field "frame_bytes" = Some t.Board.frame_bytes
-    && field "faults_detected" = Some 0
+(* every member reported, and every report is the sim run's, byte
+   for byte *)
+let matches_sim sim_json (res : Runner.result) =
+  res.Runner.reports <> []
+  && List.length res.Runner.reports = List.length res.Runner.children
+  && List.for_all (fun (_, report) -> String.equal report sim_json) res.Runner.reports

@@ -16,7 +16,7 @@ let run () =
       (fun n ->
         let params = Params.create ~n ~t:(n / 4) ~k:(n / 4) () in
         let seed = 0xE10 in
-        let sim_r, sim_ms, child = sim_and_member ~params ~seed ~circuit ~inputs in
+        let sim_r, sim_json, sim_ms, child = sim_and_member ~params ~seed ~circuit ~inputs in
         let sim_digest = sim_r.Protocol.transcript.Board.digest in
         (* two geometries over the same seeded run: full-quorum
            broadcast and the n/8 quorum *)
@@ -30,24 +30,28 @@ let run () =
         List.map
           (fun (geometry, (topology : Topology.t)) ->
             let routed = topology.Topology.quorum < n - 1 in
-            let meter = Yoso_net.Meter.create () in
-            let res = Runner.run ~meter ~topology ~nslots:n ~seed ~child () in
-            let egress = res.Runner.stats.Daemon.bytes_out in
+            let res = Runner.run ~topology ~nslots:n ~seed ~child () in
+            let st = res.Runner.stats in
+            let egress = st.Daemon.bytes_out in
             if not routed then bcast_egress := egress;
             let vs_bcast = float_of_int egress /. float_of_int (max 1 !bcast_egress) in
-            let ratio = Yoso_net.Meter.routing_ratio meter in
+            (* full-frame deliveries over all deliveries *)
+            let ratio =
+              float_of_int st.Daemon.frames_out
+              /. float_of_int (max 1 (st.Daemon.frames_out + st.Daemon.digests_out))
+            in
             Printf.printf "  %-5d %-14s %10.1f %8b | %12d %7.0f%% %7.2f\n" n geometry
               res.Runner.wall_ms res.Runner.agree egress (vs_bcast *. 100.) ratio;
-            if not (matches_sim sim_r res) then
+            if not (matches_sim sim_json res) then
               failwith
                 (Printf.sprintf "bench transport: n=%d %s run diverged from sim (agree=%b)" n
                    geometry res.Runner.agree);
             (* the daemon's digest chain equals the board transcript
                every member (and the sim) reports *)
-            if res.Runner.stats.Daemon.digest <> sim_digest then
+            if st.Daemon.digest <> sim_digest then
               failwith
                 (Printf.sprintf "bench transport: n=%d %s daemon digest %d <> sim digest %d" n
-                   geometry res.Runner.stats.Daemon.digest sim_digest);
+                   geometry st.Daemon.digest sim_digest);
             if routed then begin
               (* routing must actually suppress traffic: the full-frame
                  share of deliveries is quorum/n, far below 1 *)

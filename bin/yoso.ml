@@ -59,9 +59,8 @@ let demo_inputs kind size len client =
    process replaying the same seeded protocol; frames cross real
    sockets through the bulletin-board daemon.  The parent serves the
    board and prints the (unanimous) report. *)
-let run_transport ~deadline_ms ?journal ?chaos ~topology ~params ~circuit ~inputs
-    ~base_config ~json ~extra n =
-  let transport = base_config.Protocol.net.Protocol.transport in
+let run_transport ~transport ~deadline_ms ?journal ?chaos ~topology ~params ~circuit
+    ~inputs ~base_config ~json ~extra n =
   let endpoint = if transport = "tcp" then `Tcp else `Unix_socket in
   (* the journal and the chaos schedule belong to the daemon, not to
      [execute] *)
@@ -84,10 +83,8 @@ let run_transport ~deadline_ms ?journal ?chaos ~topology ~params ~circuit ~input
       Json.(to_string (Obj [ ("protocol_failure", String failure) ]))
   in
   let seed = base_config.Protocol.exec.Protocol.seed in
-  let meter = Yoso_net.Meter.create () in
   let res =
-    Runner.run ~endpoint ~deadline_ms ~meter ?journal ?chaos ~topology ~nslots:n ~seed
-      ~child ()
+    Runner.run ~endpoint ~deadline_ms ?journal ?chaos ~topology ~nslots:n ~seed ~child ()
   in
   (match res.Runner.reports with
   | [] ->
@@ -181,9 +178,7 @@ let run_protocol params protocol program kind size n t malicious fail_stop seed 
     | None -> []
   in
   let net =
-    let model =
-      { Sim.ideal with Sim.latency_ms = latency; drop = max 0. (min 1. drop) }
-    in
+    let model = { Sim.latency_ms = latency; drop = max 0. (min 1. drop) } in
     { Board.default_config with Board.model; net_seed }
   in
   if not json then begin
@@ -202,10 +197,10 @@ let run_protocol params protocol program kind size n t malicious fail_stop seed 
     let plan = Faults.random ~seed:(Option.value ~default:seed fault_seed) in
     if transport <> "sim" then begin
       let topology = Yoso_transport.Topology.make ?quorum ~nslots:n () in
-      let base_config = Protocol.config ~adversary ~plan ~seed ~board:net ~domains ~transport () in
+      let base_config = Protocol.config ~adversary ~plan ~seed ~board:net ~domains () in
       exit
-        (run_transport ~deadline_ms ?journal ?chaos ~topology ~params ~circuit ~inputs
-           ~base_config ~json ~extra n)
+        (run_transport ~transport ~deadline_ms ?journal ?chaos ~topology ~params ~circuit
+           ~inputs ~base_config ~json ~extra n)
     end;
     let config = Protocol.config ~adversary ~plan ~seed ~board:net ~domains () in
     if stream > 1 then begin
@@ -223,7 +218,7 @@ let run_protocol params protocol program kind size n t malicious fail_stop seed 
           d.Depot.consumer_blocks;
         Format.printf "refills: %d batches, %d B attributed, %d while the consumer waited or ran online@."
           (List.length (Meter.refills r.Factory.meter))
-          (Meter.side_total r.Factory.meter Meter.Refill)
+          (Meter.refill_total r.Factory.meter)
           r.Factory.refills_during_online;
         List.iter
           (fun cr ->
@@ -251,7 +246,7 @@ let run_protocol params protocol program kind size n t malicious fail_stop seed 
       print_endline
         (Json.to_string
            (Protocol.report_json
-              ~options:{ Protocol.Report.default with Protocol.Report.timings = true; extra }
+              ~options:{ Protocol.Report.timings = true; extra }
               r))
     end
     else begin
@@ -449,7 +444,7 @@ let run_t =
       value & opt int 1
       & info [ "net-seed" ]
           ~doc:
-            "Seed of the simulated network (jitter, loss, synthesized frame bytes).  \
+            "Seed of the simulated network (loss, synthesized frame bytes).  \
              Equal seeds replay byte-identical transcripts.")
   in
   let latency =

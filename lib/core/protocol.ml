@@ -30,9 +30,6 @@ type report = {
   net : Sim.stats;
   transcript : Board.transcript;
   meter : Meter.t;
-  transport : string;
-  reconnects : int;
-  replays : int;
   phase_ms : (string * float) list;
 }
 
@@ -58,7 +55,6 @@ type exec_config = {
 
 type net_config = {
   board : Board.config;
-  transport : string;
   link : Board.link option;
 }
 
@@ -68,12 +64,9 @@ type config = {
 }
 
 let config ?(adversary = Params.no_adversary) ?plan ?(validate = true) ?(seed = 0xC0FFEE)
-    ?(domains = 1) ?(offline = Offline.default_opts) ?(board = Board.default_config)
-    ?(transport = "sim") ?link () =
-  {
-    exec = { adversary; plan; validate; seed; domains; offline };
-    net = { board; transport; link };
-  }
+    ?(domains = 1) ?(offline = Offline.default_opts) ?(board = Board.default_config) ?link
+    () =
+  { exec = { adversary; plan; validate; seed; domains; offline }; net = { board; link } }
 
 let default_config = config ()
 
@@ -141,7 +134,7 @@ let ms_since t0 = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-6
 
 let open_session ~params ?(config = default_config) ~circuit () =
   let { adversary; plan; validate; seed; domains; offline = _ } = config.exec in
-  let { board = net; transport = _; link } = config.net in
+  let { board = net; link } = config.net in
   let board = Board.create ~config:net () in
   Board.set_link board link;
   let pool, release = acquire_pool ~domains in
@@ -192,7 +185,6 @@ let start_stream s = Offline.start ~opts:s.s_config.exec.offline s.s_ctx s.s_set
 
 let consume s source ~inputs =
   let board = s.s_board and ctx = s.s_ctx and circuit = s.s_circuit in
-  let link = s.s_config.net.link and transport = s.s_config.net.transport in
   let t0 = Monotonic_clock.now () in
   let outputs = Online.run_from ctx s.s_setup source ~inputs in
   let online_ms = ms_since t0 in
@@ -217,9 +209,6 @@ let consume s source ~inputs =
     net = Board.sim_stats board;
     transcript = Board.transcript board;
     meter;
-    transport;
-    reconnects = (match link with Some l -> fst (l.Board.stats ()) | None -> 0);
-    replays = (match link with Some l -> snd (l.Board.stats ()) | None -> 0);
     phase_ms =
       [
         ("setup", s.s_setup_ms);
@@ -237,22 +226,16 @@ let execute ~params ?(config = default_config) ~circuit ~inputs () =
       consume s (Offline.source_of prep) ~inputs)
 
 module Report = struct
-  type options = {
-    timings : bool;
-    transport_stats : bool;
-    extra : (string * Yoso_runtime.Json.t) list;
-  }
+  type options = { timings : bool; extra : (string * Yoso_runtime.Json.t) list }
 
-  let default = { timings = false; transport_stats = false; extra = [] }
+  let default = { timings = false; extra = [] }
 end
 
 (* [timings] is opt-in because wall-clock fields would break the
    byte-equality oracles (cross-domain and cross-process reports must
-   be identical); [transport_stats] is opt-in for the same reason —
-   under chaos, different slots survive different reconnect counts,
-   and the agreement check must still compare equal. *)
+   be identical) *)
 let report_json ?(options = Report.default) (r : report) =
-  let { Report.timings; transport_stats; extra } = options in
+  let { Report.timings; extra } = options in
   let open Yoso_runtime.Json in
   let flt x = Float (4, x) and opt on fields = if on then fields else [] in
   let net = r.net and t = r.transcript in
@@ -277,18 +260,14 @@ let report_json ?(options = Report.default) (r : report) =
        ("offline_bytes_per_gate", flt (offline_bytes_per_gate r));
        ("online_bytes_per_gate", flt (online_bytes_per_gate r));
        ("online_field_bytes_per_gate", flt (online_field_bytes_per_gate r));
-       ("faults_detected", Int r.faults_detected); ("posts_rejected", Int r.posts_rejected);
-       ("transport", String r.transport) ]
-    @ opt transport_stats [ ("reconnects", Int r.reconnects); ("replays", Int r.replays) ]
+       ("faults_detected", Int r.faults_detected); ("posts_rejected", Int r.posts_rejected) ]
     @ opt timings [ ("phase_ms", Obj (List.map (fun (p, ms) -> (p, flt ms)) r.phase_ms)) ]
     @ [ ( "net",
           Obj
             [ ("rounds", Int net.Sim.rounds); ("sent", Int net.Sim.sent);
               ("delivered", Int net.Sim.delivered); ("late", Int net.Sim.late);
               ("dropped", Int net.Sim.dropped); ("bytes_sent", Int net.Sim.bytes_sent);
-              ("bytes_delivered", Int net.Sim.bytes_delivered);
-              ("elapsed_ms", flt net.Sim.elapsed_ms);
-              ("max_in_flight", Int net.Sim.max_in_flight) ] );
+              ("elapsed_ms", flt net.Sim.elapsed_ms) ] );
         ( "transcript",
           Obj
             [ ("frames", Int t.Board.frames); ("frame_bytes", Int t.Board.frame_bytes);

@@ -33,11 +33,6 @@ type report = {
       (** rolling digest of every frame on the wire; equal seeds give
           equal transcripts *)
   meter : Yoso_net.Meter.t;        (** full byte breakdown *)
-  transport : string;  (** which transport carried the frames: ["sim"], ["unix"], ["tcp"] *)
-  reconnects : int;
-      (** connection recoveries this member's transport link survived
-          (0 without a link, or for a link that cannot drop) *)
-  replays : int;  (** deliveries caught up through those recoveries *)
   phase_ms : (string * float) list;
       (** wall-clock per phase ([setup]/[offline]/[online]); excluded
           from {!report_json} unless [timings] is set, since wall time
@@ -82,9 +77,6 @@ type exec_config = {
 
 type net_config = {
   board : Yoso_net.Board.config;
-  transport : string;
-      (** label recorded in the report; the sim path uses ["sim"], the
-          socket runner sets ["unix"]/["tcp"] *)
   link : Yoso_net.Board.link option;
       (** [Some link] makes every committed frame cross a real process
           boundary (see {!Yoso_net.Board.link}); [None] keeps the
@@ -108,7 +100,6 @@ val config :
   ?domains:int ->
   ?offline:Offline.opts ->
   ?board:Yoso_net.Board.config ->
-  ?transport:string ->
   ?link:Yoso_net.Board.link ->
   unit ->
   config
@@ -117,8 +108,7 @@ val config :
 
 val default_config : config
 (** No adversary, random fault plan from the seed, validation on,
-    seed [0xC0FFEE], ideal network, 1 domain, sim transport, no
-    link. *)
+    seed [0xC0FFEE], ideal network, 1 domain, no link. *)
 
 (** {1 Produce/consume session halves}
 
@@ -197,7 +187,6 @@ val execute :
 module Report : sig
   type options = {
     timings : bool;  (** emit the per-phase wall-clock object ["phase_ms"] *)
-    transport_stats : bool;  (** emit ["reconnects"]/["replays"] *)
     extra : (string * Yoso_runtime.Json.t) list;
         (** caller-supplied fields appended to the object — used by the
             CLI to attach compiler pass statistics; callers on the
@@ -205,16 +194,16 @@ module Report : sig
   }
 
   val default : options
-  (** Everything off: equal-seed reports stay byte-identical — under
-      chaos, different slots survive different reconnect counts, and
-      the cross-process agreement oracle compares reports byte for
+  (** Everything off: equal-seed reports stay byte-identical, so a
+      socket member's report equals the in-process run's byte for
       byte. *)
 end
 
 val report_json : ?options:Report.options -> report -> Yoso_runtime.Json.t
 (** The report as a single JSON object (counts, per-gate metrics, byte
-    totals, network stats, transcript digest, outputs, blames,
-    transport kind).  [options] (default {!Report.default}) switches
+    totals, network stats, transcript digest, outputs, blames).  It
+    carries only what the protocol decided, never which transport
+    carried the board.  [options] (default {!Report.default}) switches
     on the non-deterministic extras.  {!Yoso_runtime.Json.to_string}
     gives the text members send across process boundaries. *)
 

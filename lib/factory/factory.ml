@@ -79,7 +79,7 @@ let stream ~params ?(config = Protocol.default_config) ~jobs () =
       | Some item ->
         Protocol.record_offline_ms s (ms_since t0);
         let after = Meter.phase_total meter ~phase:"offline" in
-        Meter.record_side refill_meter Meter.Refill
+        Meter.record_refill refill_meter
           ~label:(Printf.sprintf "c%d/%s" j (Offline.item_kind item))
           (after - !before);
         before := after;
@@ -169,7 +169,7 @@ let report_json r =
       ("wall_ms", Float (3, r.wall_ms)); ("gates_per_sec", Float (2, r.gates_per_sec));
       ("factory_elements", Int (Cost.elements r.cost ~phase:"factory"));
       ("online_elements", Int (Cost.elements r.cost ~phase:"online"));
-      ("refill_bytes", Int (Meter.side_total r.meter Meter.Refill));
+      ("refill_bytes", Int (Meter.refill_total r.meter));
       ("refill_batches", Int (List.length (Meter.refills r.meter)));
       ("refills_during_online", Int r.refills_during_online);
       ( "depot",

@@ -25,9 +25,6 @@ type link = {
   local : Role.id -> bool;
   send : seq:int -> phase:string -> author:Role.id -> frame:string -> unit;
   recv : seq:int -> phase:string -> author:Role.id -> delivery;
-  stats : unit -> int * int;
-      (* (reconnects, caught-up deliveries) survived so far; (0, 0)
-         for a transport that cannot drop connections *)
 }
 
 let outcome_to_string = function
@@ -183,7 +180,7 @@ let commit t p =
   let tally = Bulletin.cost t.bulletin in
   Meter.record t.meter ~phase ~step ~frame_bytes ~payload;
   let extra_delay_ms = if force_late then 2. *. t.config.round_ms else 0. in
-  let verdict, _arrival = Sim.transmit t.sim ~extra_delay_ms ~bytes:frame_bytes () in
+  let verdict = Sim.transmit t.sim ~extra_delay_ms ~bytes:frame_bytes () in
   (* Transport exchange: under a link the frame crosses a real process
      boundary.  The owning process physically sends it; every other
      process blocks until the board daemon routes it — in full for

@@ -82,10 +82,6 @@ type link = {
   local : Role.id -> bool;
   send : seq:int -> phase:string -> author:Role.id -> frame:string -> unit;
   recv : seq:int -> phase:string -> author:Role.id -> delivery;
-  stats : unit -> int * int;
-      (** [(reconnects, caught_up)]: connection recoveries this link's
-          transport survived and deliveries replayed through them;
-          [(0, 0)] for a transport that cannot drop connections *)
 }
 
 type transcript = { frames : int; frame_bytes : int; digest : int }

@@ -1,18 +1,10 @@
 module Cost = Yoso_runtime.Cost
 
-type side =
-  | Conn_sent
-  | Conn_received
-  | Route_full
-  | Route_digest
-  | Route_suppressed
-  | Refill
-
 type t = {
   by_kind : (string * Cost.kind, int) Hashtbl.t; (* payload bytes *)
   by_step : (string * string, int) Hashtbl.t; (* frame bytes per (phase, step) *)
   framing : (string, int) Hashtbl.t; (* non-payload bytes per phase *)
-  sides : (side * string, int) Hashtbl.t; (* side-counter bytes per (counter, label) *)
+  refill : (string, int) Hashtbl.t; (* refill bytes per batch label *)
 }
 
 let create () =
@@ -20,7 +12,7 @@ let create () =
     by_kind = Hashtbl.create 16;
     by_step = Hashtbl.create 16;
     framing = Hashtbl.create 8;
-    sides = Hashtbl.create 16;
+    refill = Hashtbl.create 16;
   }
 
 let add tbl key n = Hashtbl.replace tbl key (n + Option.value ~default:0 (Hashtbl.find_opt tbl key))
@@ -59,37 +51,20 @@ let phases t =
 
 let grand_total t = Hashtbl.fold (fun _ v acc -> acc + v) t.by_step 0
 
-(* side counters attribute bytes that the phase tables already count,
-   or that never enter them (socket envelopes), to a label: a
-   connection, a subscription or a factory refill batch.  They never
-   feed the phase/kind/step totals, so those stay equal to an
-   unsocketed one-shot run of the same seeds *)
-let record_side t side ~label n =
-  if n < 0 then invalid_arg "Meter.record_side: negative count";
-  add t.sides (side, label) n
+(* refills re-attribute frames the phase tables already count, so
+   they never feed the phase/kind/step totals *)
+let record_refill t ~label n =
+  if n < 0 then invalid_arg "Meter.record_refill: negative count";
+  add t.refill label n
 
-let side_counts t side =
-  sorted_bindings t.sides
-  |> List.filter_map (fun ((s, label), n) -> if s = side then Some (label, n) else None)
-
-let side_total t side =
-  Hashtbl.fold (fun (s, _) n acc -> if s = side then acc + n else acc) t.sides 0
-
-let refills t = side_counts t Refill
-
-(* fraction of the broadcast-equivalent full-frame volume that was
-   actually shipped in full; 1.0 when nothing was suppressed (legacy
-   broadcast, or no routed deliveries recorded at all) *)
-let routing_ratio t =
-  let full = side_total t Route_full and suppressed = side_total t Route_suppressed in
-  if full + suppressed = 0 then 1.0
-  else float_of_int full /. float_of_int (full + suppressed)
+let refills t = sorted_bindings t.refill
+let refill_total t = Hashtbl.fold (fun _ n acc -> acc + n) t.refill 0
 
 (* aggregate a per-circuit meter into a stream-level one: every table
-   merges additively, side counters keyed as given (the factory maps
-   refill phases via its own Cost accounting) *)
+   merges additively, refills keyed as given (the factory maps refill
+   phases via its own Cost accounting) *)
 let merge_into ~dst src =
   Hashtbl.iter (fun (p, k) b -> add dst.by_kind (p, k) b) src.by_kind;
   Hashtbl.iter (fun (p, s) b -> add dst.by_step (p, s) b) src.by_step;
   Hashtbl.iter (fun p b -> add dst.framing p b) src.framing;
-  Hashtbl.iter (fun k n -> add dst.sides k n) src.sides
+  Hashtbl.iter (fun k n -> add dst.refill k n) src.refill

@@ -27,7 +27,7 @@ val record :
     [frame_bytes - sum payload] is charged as framing overhead. *)
 
 val merge_into : dst:t -> t -> unit
-(** Adds every bucket of [src], side counters included, into [dst] —
+(** Adds every bucket of [src], refills included, into [dst] —
     the factory aggregates the per-circuit meters of a stream into one
     stream-level meter. *)
 
@@ -39,40 +39,19 @@ val steps : t -> phase:string -> (string * int) list
 val phases : t -> string list
 val grand_total : t -> int
 
-(** {1 Side counters}
+(** {1 Refill attribution}
 
-    Labelled byte attributions kept apart from the phase tables: either
-    bytes those tables never see (socket envelopes) or a re-attribution
-    of frames they already count (routed deliveries, factory refills).
-    Side counts never feed the phase/kind/step totals, so those stay
-    equal to an unsocketed one-shot run of the same seeds. *)
+    Factory refill bytes of each preprocessing batch, labelled (e.g.
+    ["c3/layer2"]: circuit 3, layer-2 packed shares).  They re-attribute
+    frames the phase tables already count, so they never feed the
+    phase/kind/step totals. *)
 
-type side =
-  | Conn_sent  (** envelope bytes the daemon sent on a connection *)
-  | Conn_received  (** envelope bytes the daemon received on it *)
-  | Route_full  (** full-frame bytes routed to a subscription *)
-  | Route_digest  (** compact checksum-record bytes routed to it *)
-  | Route_suppressed
-      (** full-frame bytes routing avoided for it: what a broadcast
-          daemon would have shipped instead of each digest record *)
-  | Refill
-      (** factory refill bytes of one preprocessing batch (e.g. ["c3/layer2"]:
-          circuit 3, layer-2 packed shares) *)
-
-val record_side : t -> side -> label:string -> int -> unit
-(** Adds bytes to one [(side, label)] counter.
+val record_refill : t -> label:string -> int -> unit
+(** Adds bytes to one batch's refill counter.
     @raise Invalid_argument on a negative count. *)
 
-val side_counts : t -> side -> (string * int) list
-(** Per-label bytes of one side counter, sorted by label. *)
-
-val side_total : t -> side -> int
-(** Summed bytes of one side counter over every label. *)
-
 val refills : t -> (string * int) list
-(** [side_counts t Refill]. *)
+(** Per-batch refill bytes, sorted by label. *)
 
-val routing_ratio : t -> float
-(** [full / (full + suppressed)] over all subscriptions — the fraction
-    of the broadcast-equivalent volume actually shipped in full.
-    [1.0] when nothing was suppressed. *)
+val refill_total : t -> int
+(** Summed refill bytes over every batch. *)

@@ -16,8 +16,6 @@ type t = {
   mutable own_posts : int;
   mutable started : bool;
   mutable shutdown : bool;
-  mutable reconnects : int;
-  mutable replayed : int;
 }
 
 exception Protocol_error of string
@@ -25,7 +23,6 @@ exception Protocol_error of string
 let violate fmt = Printf.ksprintf (fun s -> raise (Protocol_error s)) fmt
 let slot t = t.slot
 let own_posts t = t.own_posts
-let stats t = (t.reconnects, t.replayed)
 
 (* Pull one envelope off the socket, blocking at most until [deadline].
    [Envelope.needed] tells us exactly how many bytes complete the
@@ -102,7 +99,6 @@ let recover t =
       match recv t ~deadline with
       | Envelope.Recovered { next_seq; started } ->
         if started then t.started <- true;
-        t.replayed <- t.replayed + max 0 (next_seq - t.next_deliver);
         Hashtbl.fold
           (fun seq frame acc -> if seq >= next_seq then (seq, frame) :: acc else acc)
           t.unacked []
@@ -112,7 +108,7 @@ let recover t =
                  (Envelope.encode (Envelope.Post { seq; slot = t.slot; frame })))
       | m -> violate "expected recovered, got %s" (Format.asprintf "%a" Envelope.pp_msg m)
     with
-    | () -> t.reconnects <- t.reconnects + 1
+    | () -> ()
     | exception ((Sockio.Closed | Sockio.Timeout | Unix.Unix_error _) as e) ->
       let elapsed = (Sockio.now () -. t0) *. 1000. in
       if attempt >= handshakes || elapsed > retry.Transport_policy.max_elapsed_ms then
@@ -146,8 +142,6 @@ let connect ?(deadline_ms = Transport_policy.default.round_deadline_ms) ~addr ~s
       own_posts = 0;
       started = false;
       shutdown = false;
-      reconnects = 0;
-      replayed = 0;
     }
   in
   Sockio.write_all fd (Envelope.encode (Envelope.Hello { slot; nslots; seed }));

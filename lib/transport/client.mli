@@ -52,10 +52,6 @@ val own_posts : t -> int
 (** Number of frames this client has posted so far (drives the
     deterministic crash drill). *)
 
-val stats : t -> int * int
-(** [(reconnects, caught_up)]: successful [Recover] handshakes, and
-    deliveries caught up through them. *)
-
 val post : t -> seq:int -> frame:string -> unit
 (** Ship board frame [seq], owned by this slot, to the daemon.  The
     matching digest-record ack is consumed internally when it comes back;

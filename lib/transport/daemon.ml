@@ -1,11 +1,9 @@
 module Wire = Yoso_net.Wire
-module Meter = Yoso_net.Meter
 
 (* select granularity *)
 let tick_s = 0.1
 
 type stats = {
-  connections : int;
   frames_in : int;
   frames_out : int;
   digests_out : int;
@@ -13,7 +11,6 @@ type stats = {
   suppressed_bytes : int;
   bytes_in : int;
   bytes_out : int;
-  peer_downs : int;
   reconnects : int;
   replayed_frames : int;
   recovered_frames : int;
@@ -27,14 +24,11 @@ type result = { reports : (int * string) list; down : int list; stats : stats }
 
 exception Crashed of stats
 
-(* delivery-record bytes sent to one connection, per record kind *)
-type route_bytes = { mutable full : int; mutable digest : int; mutable supp : int }
-
 type conn = {
   fd : Unix.file_descr;
   id : int;  (* accept order, names pre-hello connections *)
   stream : Envelope.stream;
-  outq : (string * bool) Queue.t;  (* envelope bytes, is a delivery batch *)
+  outq : string Queue.t;  (* envelope bytes *)
   mutable out_off : int;  (* bytes of the queue head already written *)
   mutable slot : int option;
   mutable batch : Envelope.record list;  (* pending delivery records, reversed *)
@@ -45,9 +39,6 @@ type conn = {
   mutable sever_after_flush : bool;  (* chaos truncate: close once outq drains *)
   mutable sent_b : int;  (* daemon -> peer *)
   mutable recv_b : int;  (* peer -> daemon *)
-  mutable batch_b : int;  (* portion of sent_b that was [Deliver_batch] envelopes *)
-  live : route_bytes;  (* records of first-time deliveries *)
-  replay : route_bytes;  (* records of catch-up replay *)
 }
 
 let conn_name c =
@@ -60,7 +51,7 @@ let violate fmt = Printf.ksprintf (fun s -> raise (Protocol_violation s)) fmt
 (* internal: a chaos kill point fired; unwinds to the crash handler *)
 exception Crash_now
 
-let serve ?(policy = Transport_policy.default) ?meter ?journal:journal_path ?chaos ?topology
+let serve ?(policy = Transport_policy.default) ?journal:journal_path ?chaos ?topology
     ~listen ~nslots () =
   let topo = match topology with Some t -> t | None -> Topology.make ~nslots () in
   if topo.Topology.nslots <> nslots then invalid_arg "Daemon.serve: topology nslots mismatch";
@@ -100,6 +91,9 @@ let serve ?(policy = Transport_policy.default) ?meter ?journal:journal_path ?cha
   let journal =
     Option.map
       (fun path ->
+        let records, j =
+          Journal.open_append ~fsync_every:policy.Transport_policy.fsync_every ~path ()
+        in
         List.iter
           (function
             | Envelope.Start { nslots = n } ->
@@ -116,14 +110,14 @@ let serve ?(policy = Transport_policy.default) ?meter ?journal:journal_path ?cha
               incr recovered
             | Envelope.Report { slot; json } -> Hashtbl.replace reports slot json
             | _ -> ())
-          (Journal.replay path);
-        Journal.open_append ~fsync_every:policy.Transport_policy.fsync_every ~path ())
+          records;
+        j)
       journal_path
   in
   let jappend msg = Option.iter (fun j -> Journal.append j msg) journal in
 
-  let enqueue ?(delivery = false) c payload =
-    if (not c.closed) && not c.sever_after_flush then Queue.add (payload, delivery) c.outq
+  let enqueue c payload =
+    if (not c.closed) && not c.sever_after_flush then Queue.add payload c.outq
   in
   (* coalesce this connection's pending delivery records into one
      envelope.  Records were appended in seq order, so a flushed batch
@@ -136,7 +130,7 @@ let serve ?(policy = Transport_policy.default) ?meter ?journal:journal_path ?cha
       c.batch <- [];
       c.batch_bytes <- 0;
       incr batches_out;
-      enqueue ~delivery:true c payload
+      enqueue c payload
   in
   (* control traffic must not overtake batched records queued
      earlier: flush first *)
@@ -182,21 +176,15 @@ let serve ?(policy = Transport_policy.default) ?meter ?journal:journal_path ?cha
     if Topology.wants_full topo ~me ~owner then Envelope.Full { seq; slot = owner; frame }
     else Envelope.Digest { seq; slot = owner; csum; len = String.length frame }
   in
-  let append_delivery c ~replay ~frame record =
+  (* live delivery is counted here; catch-up replay appends its
+     records directly and is counted in [replayed] *)
+  let append_live c record =
     append_record c record;
-    let b = if replay then c.replay else c.live in
-    let sz = Envelope.record_size record in
     match record with
-    | Envelope.Full _ ->
-      b.full <- b.full + sz;
-      if not replay then incr frames_out
-    | Envelope.Digest _ ->
-      b.digest <- b.digest + sz;
-      b.supp <- b.supp + String.length frame;
-      if not replay then begin
-        incr digests_out;
-        suppressed := !suppressed + String.length frame
-      end
+    | Envelope.Full _ -> incr frames_out
+    | Envelope.Digest { len; _ } ->
+      incr digests_out;
+      suppressed := !suppressed + len
   in
   (* first-time delivery of one accepted post to one slot-bound
      connection, riding its per-connection batch.  Chaos is consulted
@@ -205,7 +193,7 @@ let serve ?(policy = Transport_policy.default) ?meter ?journal:journal_path ?cha
   let deliver c ~seq ~owner ~frame ~csum =
     let me = match c.slot with Some s -> s | None -> assert false in
     let record = record_for ~me ~seq ~owner ~frame ~csum in
-    let send () = append_delivery c ~replay:false ~frame record in
+    let send () = append_live c record in
     match chaos with
     | Some ch when not c.sever_after_flush -> (
       match Chaos.on_deliver ch ~seq ~slot:me with
@@ -225,7 +213,7 @@ let serve ?(policy = Transport_policy.default) ?meter ?journal:journal_path ?cha
         let payload = Envelope.encode (Envelope.Deliver_batch [ record ]) in
         let len = String.length payload in
         let k = max 1 (min (len - 1) (int_of_float (f *. float_of_int len))) in
-        enqueue ~delivery:true c (String.sub payload 0 k);
+        enqueue c (String.sub payload 0 k);
         c.sever_after_flush <- true)
     | _ -> send ()
   in
@@ -293,7 +281,7 @@ let serve ?(policy = Transport_policy.default) ?meter ?journal:journal_path ?cha
       for seq = client_next to !next_seq - 1 do
         match Hashtbl.find_opt board seq with
         | Some (owner, frame, csum) ->
-          append_delivery c ~replay:true ~frame (record_for ~me:slot ~seq ~owner ~frame ~csum);
+          append_record c (record_for ~me:slot ~seq ~owner ~frame ~csum);
           incr replayed
         | None -> ()
       done;
@@ -380,12 +368,11 @@ let serve ?(policy = Transport_policy.default) ?meter ?journal:journal_path ?cha
   in
   let write_conn c =
     if (not c.closed) && not (Queue.is_empty c.outq) then begin
-      let head, delivery = Queue.peek c.outq in
+      let head = Queue.peek c.outq in
       let len = String.length head - c.out_off in
       match Unix.single_write_substring c.fd head c.out_off len with
       | n ->
         c.sent_b <- c.sent_b + n;
-        if delivery then c.batch_b <- c.batch_b + n;
         if n = len then begin
           ignore (Queue.pop c.outq);
           c.out_off <- 0;
@@ -419,9 +406,6 @@ let serve ?(policy = Transport_policy.default) ?meter ?journal:journal_path ?cha
               sever_after_flush = false;
               sent_b = 0;
               recv_b = 0;
-              batch_b = 0;
-              live = { full = 0; digest = 0; supp = 0 };
-              replay = { full = 0; digest = 0; supp = 0 };
             };
           ]
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
@@ -471,7 +455,6 @@ let serve ?(policy = Transport_policy.default) ?meter ?journal:journal_path ?cha
     let bytes_in = List.fold_left (fun a c -> a + c.recv_b) 0 !conns in
     let bytes_out = List.fold_left (fun a c -> a + c.sent_b) 0 !conns in
     {
-      connections = !accepted;
       frames_in = !frames_in;
       frames_out = !frames_out;
       digests_out = !digests_out;
@@ -479,7 +462,6 @@ let serve ?(policy = Transport_policy.default) ?meter ?journal:journal_path ?cha
       suppressed_bytes = !suppressed;
       bytes_in;
       bytes_out;
-      peer_downs = List.length !down;
       reconnects = !reconnects;
       replayed_frames = !replayed;
       recovered_frames = !recovered;
@@ -488,29 +470,6 @@ let serve ?(policy = Transport_policy.default) ?meter ?journal:journal_path ?cha
       chaos_events = (match chaos with Some ch -> Chaos.events ch | None -> []);
       timed_out = !timed_out;
     }
-  in
-  let record_meters () =
-    match meter with
-    | None -> ()
-    | Some m ->
-      let routes label (b : route_bytes) =
-        Meter.record_side m Meter.Route_full ~label b.full;
-        Meter.record_side m Meter.Route_digest ~label b.digest;
-        Meter.record_side m Meter.Route_suppressed ~label b.supp
-      in
-      List.iter
-        (fun c ->
-          (* delivery records are attributed to the slot's route rows;
-             the conn row keeps only control traffic sent and post
-             traffic received *)
-          let label = conn_name c in
-          Meter.record_side m Meter.Conn_sent ~label (c.sent_b - c.batch_b);
-          Meter.record_side m Meter.Conn_received ~label c.recv_b;
-          routes label c.live;
-          (* catch-up replay gets its own rows so totals stay
-             comparable with a fault-free run *)
-          if c.replay.full + c.replay.digest > 0 then routes ("replay:" ^ label) c.replay)
-        !conns
   in
   let close_all () =
     List.iter
@@ -529,7 +488,6 @@ let serve ?(policy = Transport_policy.default) ?meter ?journal:journal_path ?cha
        open (the caller owns it), so a restarted serve on the same fd
        picks up the reconnect storm. *)
     close_all ();
-    record_meters ();
     Option.iter Journal.close journal;
     raise (Crashed (mk_stats ())));
   (* orderly shutdown: tell everyone, best-effort flush, close *)
@@ -553,7 +511,6 @@ let serve ?(policy = Transport_policy.default) ?meter ?journal:journal_path ?cha
     in
     flush ()
   end;
-  record_meters ();
   close_all ();
   Option.iter Journal.close journal;
   {

@@ -1,6 +1,8 @@
 (** The bulletin-board daemon: a single-threaded, nonblocking
     select/poll event loop serving {!Envelope} traffic over TCP or
-    Unix-domain sockets.
+    Unix-domain sockets.  Its {!stats} are the one ledger of what the
+    socket transport did: member reports carry only what the protocol
+    decided, so they equal the in-process run's byte for byte.
 
     Protocol, per run:
     + every committee-member process connects and sends [Hello];
@@ -30,8 +32,8 @@
     {b Crash recovery.}  With [?journal] set, the daemon appends the
     [Start] it broadcasts and every [Post] and [Report] it accepts to
     one {!Journal} file of envelopes, each frame {e before} its
-    delivery.  A daemon restarted on the same journal path replays the
-    file's intact prefix and rebuilds its board, sequence counter,
+    delivery.  A daemon restarted on the same journal path reads the
+    file once and rebuilds from its intact prefix its board, sequence counter,
     digest chain, start flag and report table (a journal [Start] for
     another slot count is refused), then resumes serving on the same listen
     socket; reconnecting clients
@@ -53,10 +55,7 @@
     frames are forwarded undecoded: a tampered frame must reach the
     board and be excluded by verifiers, not vanish in transit. *)
 
-module Meter = Yoso_net.Meter
-
 type stats = {
-  connections : int;
   frames_in : int;  (** [Post] envelopes accepted (duplicates excluded) *)
   frames_out : int;  (** live [Full] records enqueued (per recipient) *)
   digests_out : int;  (** live [Digest] records enqueued (per recipient, acks included) *)
@@ -66,7 +65,6 @@ type stats = {
           summarized as [Digest] records instead) *)
   bytes_in : int;
   bytes_out : int;
-  peer_downs : int;
   reconnects : int;  (** [Recover] handshakes accepted *)
   replayed_frames : int;  (** catch-up records replayed to reconnectors *)
   recovered_frames : int;  (** board frames rebuilt from the journal at startup *)
@@ -92,7 +90,6 @@ exception Crashed of stats
 
 val serve :
   ?policy:Transport_policy.t ->
-  ?meter:Meter.t ->
   ?journal:string ->
   ?chaos:Chaos.t ->
   ?topology:Topology.t ->
@@ -105,15 +102,10 @@ val serve :
     [stats.timed_out] is set and partial results are returned).
     [policy] (default {!Transport_policy.default}) also sets the
     reconnect grace window and the journal's fsync batch.  [journal] is the
-    write-ahead journal path: replayed at startup, appended per
+    write-ahead journal path: read once at startup, appended per
     accepted frame.  [topology] (default {!Topology.make}: full
     quorum; its [nslots] must match) sets every slot's full-frame
-    sources.  Bytes are recorded into [meter] via
-    {!Meter.record_side} under ["slotN"] labels: delivery records in
-    the [Route_*] rows (catch-up replay under ["replay:slotN"]), the
-    rest of the connection's traffic — control sent, posts and
-    reports received — in the [Conn_*] rows.  The listen socket is left open; the
-    caller owns it.
+    sources.  The listen socket is left open; the caller owns it.
     @raise Crashed when a chaos kill point fires.
     @raise Invalid_argument if the journal's [Start] is for another
     slot count. *)

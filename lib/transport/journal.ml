@@ -1,5 +1,5 @@
 (* ------------------------------------------------------------------ *)
-(* Replay                                                              *)
+(* Scan                                                                *)
 (* ------------------------------------------------------------------ *)
 
 let read_file path =
@@ -10,13 +10,12 @@ let read_file path =
       ~finally:(fun () -> close_in_noerr ic)
       (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Longest intact prefix: the file is one envelope stream, and parsing
-   stops at the first envelope that is incomplete, fails to decode or
-   is not a journal record -- a torn tail is expected after a crash and
-   never yields a partial record.  Returns the records and the byte
-   offset where parsing stopped. *)
-let scan path =
-  let data = read_file path in
+(* Longest intact prefix of a journal's bytes: the file is one
+   envelope stream, and parsing stops at the first envelope that is
+   incomplete, fails to decode or is not a journal record -- a torn
+   tail is expected after a crash and never yields a partial record.
+   Returns the records and the byte offset where parsing stopped. *)
+let scan data =
   let st = Envelope.stream () in
   Envelope.feed st data;
   let rec go acc =
@@ -26,9 +25,6 @@ let scan path =
     | Some _ | None | (exception Envelope.Envelope_error _) -> (List.rev acc, stop)
   in
   go []
-
-let replay path = fst (scan path)
-let intact_bytes path = snd (scan path)
 
 (* ------------------------------------------------------------------ *)
 (* Appender                                                            *)
@@ -45,17 +41,14 @@ type t = {
 
 let open_append ?(fsync_every = Transport_policy.default.fsync_every) ~path () =
   if fsync_every < 1 then invalid_arg "Journal.open_append: fsync_every must be >= 1";
+  let data = read_file path in
+  let records, intact = scan data in
   (* a torn tail left by a crash must be cut before appending: new
-     records written after garbage would be unreachable to replay,
+     records written after garbage would be unreachable to a scan,
      which stops at the first damaged record *)
-  (match Unix.stat path with
-  | { Unix.st_size; _ } ->
-    let intact = intact_bytes path in
-    if intact < st_size then Unix.truncate path intact
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ());
+  if intact < String.length data then Unix.truncate path intact;
   let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644 in
-  let bytes = (Unix.fstat fd).Unix.st_size in
-  { fd; fsync_every; unsynced = 0; bytes; appended = 0; closed = false }
+  (records, { fd; fsync_every; unsynced = 0; bytes = intact; appended = 0; closed = false })
 
 let bytes t = t.bytes
 let appended t = t.appended

@@ -1,5 +1,4 @@
 module Board = Yoso_net.Board
-module Meter = Yoso_net.Meter
 module Role = Yoso_runtime.Role
 
 type endpoint = [ `Unix_socket | `Tcp ]
@@ -41,7 +40,6 @@ let link_of_client ?crash_after ~topology client =
     recv =
       (fun ~seq ~phase:_ ~author ->
         (Client.fetch client ~seq ~owner:(owner author) :> Board.delivery));
-    stats = (fun () -> Client.stats client);
   }
 
 let sock_counter = ref 0
@@ -73,15 +71,13 @@ let make_listener endpoint =
    is shared between them) *)
 let add_stats a b =
   {
-    Daemon.connections = a.Daemon.connections + b.Daemon.connections;
-    frames_in = a.frames_in + b.frames_in;
+    Daemon.frames_in = a.Daemon.frames_in + b.Daemon.frames_in;
     frames_out = a.frames_out + b.frames_out;
     digests_out = a.digests_out + b.digests_out;
     batches_out = a.batches_out + b.batches_out;
     suppressed_bytes = a.suppressed_bytes + b.suppressed_bytes;
     bytes_in = a.bytes_in + b.bytes_in;
     bytes_out = a.bytes_out + b.bytes_out;
-    peer_downs = a.peer_downs + b.peer_downs;
     reconnects = a.reconnects + b.reconnects;
     replayed_frames = a.replayed_frames + b.replayed_frames;
     recovered_frames = a.recovered_frames + b.recovered_frames;
@@ -93,7 +89,7 @@ let add_stats a b =
     timed_out = a.timed_out || b.timed_out;
   }
 
-let run ?(endpoint = `Unix_socket) ?deadline_ms ?crash ?meter ?journal ?chaos ?topology
+let run ?(endpoint = `Unix_socket) ?deadline_ms ?crash ?journal ?chaos ?topology
     ~nslots ~seed ~child () =
   let topology = match topology with Some t -> t | None -> Topology.make ~nslots () in
   if topology.Topology.nslots <> nslots then invalid_arg "Runner.run: topology nslots mismatch";
@@ -150,7 +146,7 @@ let run ?(endpoint = `Unix_socket) ?deadline_ms ?crash ?meter ?journal ?chaos ?t
      on the same listen fd (its backlog holds the reconnect storm) and
      recover the board from the journal *)
   let rec go crashed =
-    match Daemon.serve ?meter ?journal ?chaos ~topology ~listen ~nslots () with
+    match Daemon.serve ?journal ?chaos ~topology ~listen ~nslots () with
     | d -> (d, crashed)
     | exception Daemon.Crashed st -> go (st :: crashed)
   in

@@ -15,11 +15,11 @@
     this is replicated execution.  The board digest chains the
     authoritative checksum of whatever crossed the wire, so all
     children produce byte-identical reports — [agree] is the cheap
-    agreement oracle — and the fault-free digest equals a plain
-    in-process run with the same seeds. *)
+    agreement oracle — and a fault-free member's report equals a plain
+    in-process run's with the same seeds.  What the transport did is
+    in [stats] only. *)
 
 module Board = Yoso_net.Board
-module Meter = Yoso_net.Meter
 
 type endpoint = [ `Unix_socket | `Tcp ]
 (** [`Unix_socket] binds a fresh socket under the temp dir;
@@ -39,7 +39,6 @@ val run :
   ?endpoint:endpoint ->
   ?deadline_ms:float ->
   ?crash:int * int ->
-  ?meter:Meter.t ->
   ?journal:string ->
   ?chaos:Chaos.t ->
   ?topology:Topology.t ->

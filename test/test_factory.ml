@@ -123,7 +123,7 @@ let test_stream_matches_oneshot () =
            ~inputs:jobs.(j).Factory.inputs))
     r.Factory.results;
   (* refill attribution covers every produced batch of every circuit *)
-  Alcotest.(check bool) "refill bytes attributed" true (Meter.side_total r.Factory.meter Meter.Refill > 0);
+  Alcotest.(check bool) "refill bytes attributed" true (Meter.refill_total r.Factory.meter > 0);
   (* offline traffic is remapped into the factory phase dimension *)
   Alcotest.(check bool) "factory phase populated" true
     (Cost.elements r.Factory.cost ~phase:"factory" > 0);

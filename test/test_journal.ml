@@ -1,8 +1,9 @@
-(* Write-ahead journal: append/replay round-trip, torn-tail recovery
+(* Write-ahead journal: append/scan round-trip, torn-tail recovery
    at every truncation boundary, corruption detection, the
    reopen-after-crash truncation that keeps appends reachable, and a
-   replay fuzzer over mutated tails.  Records are the daemon's own
-   [Start], [Post] and [Report] envelopes. *)
+   scan fuzzer over mutated tails.  Records are the daemon's own
+   [Start], [Post] and [Report] envelopes.  Only the round-trip and
+   reopen cases touch the disk; every other case scans bytes. *)
 
 module Journal = Yoso_transport.Journal
 module Envelope = Yoso_transport.Envelope
@@ -21,130 +22,108 @@ let sample_records =
     Envelope.Report { slot = 0; json = "{}" };
   ]
 
+let encoded = List.map Envelope.encode sample_records
+
+(* byte length of the first [i] encoded sample records *)
+let upto i =
+  List.fold_left ( + ) 0 (List.map String.length (List.filteri (fun j _ -> j < i) encoded))
+
 let with_temp f =
   let path = Filename.temp_file "yoso-journal" ".wal" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () -> f path)
 
-let write_raw path data =
-  let oc = open_out_bin path in
-  output_string oc data;
-  close_out oc
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let test_roundtrip () =
   with_temp (fun path ->
       Sys.remove path;
-      (* missing file: empty replay, not an error *)
-      Alcotest.(check (list record)) "missing file" [] (Journal.replay path);
-      let j = Journal.open_append ~fsync_every:3 ~path () in
+      (* missing file: no records, not an error *)
+      let records, j = Journal.open_append ~fsync_every:3 ~path () in
+      Alcotest.(check (list record)) "missing file" [] records;
       List.iter (Journal.append j) sample_records;
       Alcotest.(check int) "appended counter" (List.length sample_records)
         (Journal.appended j);
       Journal.close j;
       Journal.close j (* idempotent *);
-      Alcotest.(check (list record)) "replay returns every record" sample_records
-        (Journal.replay path);
+      Alcotest.(check (list record)) "scan returns every record" sample_records
+        (fst (Journal.scan (read_file path)));
       Alcotest.(check int) "bytes = file size" (Unix.stat path).Unix.st_size
         (Journal.bytes j))
 
-(* truncate the journal at every byte boundary: replay must return
-   exactly the records whose encoding fits entirely in the prefix —
-   never a torn frame *)
+(* cut the journal at every byte boundary: the scan must return
+   exactly the records whose encoding fits entirely in the prefix --
+   never a torn frame -- and their length *)
 let test_truncate_every_boundary () =
-  with_temp (fun path ->
-      let encoded = List.map Envelope.encode sample_records in
-      let data = String.concat "" encoded in
-      (* cumulative end offset of each record *)
-      let ends =
-        List.rev
-          (fst
-             (List.fold_left
-                (fun (acc, off) e ->
-                  let off = off + String.length e in
-                  (off :: acc, off))
-                ([], 0) encoded))
-      in
-      for cut = 0 to String.length data do
-        write_raw path (String.sub data 0 cut);
-        let expect = List.length (List.filter (fun e -> e <= cut) ends) in
-        let got = Journal.replay path in
-        Alcotest.(check int) (Printf.sprintf "cut at %d: record count" cut) expect
-          (List.length got);
-        List.iteri
-          (fun i r ->
-            Alcotest.(check record)
-              (Printf.sprintf "cut at %d: record %d intact" cut i)
-              (List.nth sample_records i) r)
-          got
-      done)
+  let data = String.concat "" encoded in
+  for cut = 0 to String.length data do
+    let expect = List.length (List.filter (fun i -> upto i <= cut) (List.init 8 succ)) in
+    let got, intact = Journal.scan (String.sub data 0 cut) in
+    Alcotest.(check int) (Printf.sprintf "cut at %d: record count" cut) expect
+      (List.length got);
+    Alcotest.(check int) (Printf.sprintf "cut at %d: intact length" cut) (upto expect) intact;
+    List.iteri
+      (fun i r ->
+        Alcotest.(check record)
+          (Printf.sprintf "cut at %d: record %d intact" cut i)
+          (List.nth sample_records i) r)
+      got
+  done
 
-(* flip one byte inside a middle record: recovery stops at the last
+(* flip one byte inside a middle record: the scan stops at the last
    record before the damage, even though intact bytes follow *)
 let test_corrupted_record () =
-  with_temp (fun path ->
-      let encoded = List.map Envelope.encode sample_records in
-      let damaged_index = 3 in
-      let prefix_len =
-        List.fold_left ( + ) 0
-          (List.map String.length (List.filteri (fun i _ -> i < damaged_index) encoded))
-      in
-      let data = Bytes.of_string (String.concat "" encoded) in
-      let victim = prefix_len + (String.length (List.nth encoded damaged_index) / 2) in
-      Bytes.set data victim (Char.chr (Char.code (Bytes.get data victim) lxor 0x40));
-      write_raw path (Bytes.to_string data);
-      let got = Journal.replay path in
-      Alcotest.(check int) "stops before the damaged record" damaged_index
-        (List.length got);
-      Alcotest.(check int) "intact prefix length" prefix_len (Journal.intact_bytes path))
+  let damaged_index = 3 in
+  let data = Bytes.of_string (String.concat "" encoded) in
+  let victim = upto damaged_index + (String.length (List.nth encoded damaged_index) / 2) in
+  Bytes.set data victim (Char.chr (Char.code (Bytes.get data victim) lxor 0x40));
+  let got, intact = Journal.scan (Bytes.to_string data) in
+  Alcotest.(check int) "stops before the damaged record" damaged_index (List.length got);
+  Alcotest.(check int) "intact prefix length" (upto damaged_index) intact
 
 (* the trailer carries a 62-bit checksum, so bit 63 is always 0: a
-   record with it flipped is damage, and replay stops there *)
+   record with it flipped is damage, and the scan stops there *)
 let test_trailer_bit63 () =
-  with_temp (fun path ->
-      let encoded = List.map Envelope.encode sample_records in
-      let damaged_index = 2 in
-      let upto i =
-        List.fold_left ( + ) 0 (List.map String.length (List.filteri (fun j _ -> j < i) encoded))
-      in
-      let data = Bytes.of_string (String.concat "" encoded) in
-      let top = upto (damaged_index + 1) - 1 in
-      Bytes.set data top (Char.chr (Char.code (Bytes.get data top) lxor 0x80));
-      write_raw path (Bytes.to_string data);
-      Alcotest.(check (list record)) "stops before the damaged record"
-        (List.filteri (fun i _ -> i < damaged_index) sample_records)
-        (Journal.replay path);
-      Alcotest.(check int) "intact prefix length" (upto damaged_index)
-        (Journal.intact_bytes path))
+  let damaged_index = 2 in
+  let data = Bytes.of_string (String.concat "" encoded) in
+  let top = upto (damaged_index + 1) - 1 in
+  Bytes.set data top (Char.chr (Char.code (Bytes.get data top) lxor 0x80));
+  let got, intact = Journal.scan (Bytes.to_string data) in
+  Alcotest.(check (list record)) "stops before the damaged record"
+    (List.filteri (fun i _ -> i < damaged_index) sample_records)
+    got;
+  Alcotest.(check int) "intact prefix length" (upto damaged_index) intact
 
 (* a journal with a torn tail must accept new appends *after* cutting
-   the tail, or the new records would be unreachable to replay *)
+   the tail, or the new records would be unreachable to a scan *)
 let test_reopen_truncates_torn_tail () =
   with_temp (fun path ->
       let keep = [ List.nth sample_records 0; List.nth sample_records 1 ] in
       let torn =
-        let full = Envelope.encode (List.nth sample_records 2) in
+        let full = List.nth encoded 2 in
         String.sub full 0 (String.length full - 3)
       in
-      write_raw path (String.concat "" (List.map Envelope.encode keep) ^ torn);
-      let j = Journal.open_append ~path () in
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc (String.concat "" (List.map Envelope.encode keep) ^ torn));
+      let records, j = Journal.open_append ~path () in
+      Alcotest.(check (list record)) "intact records returned" keep records;
       let extra = Envelope.Post { seq = 9; slot = 5; frame = "after-crash" } in
       Journal.append j extra;
       Journal.close j;
       Alcotest.(check (list record)) "tail cut, append reachable" (keep @ [ extra ])
-        (Journal.replay path))
+        (fst (Journal.scan (read_file path))))
 
 (* the journal holds only [Start], [Post] and [Report]: any other
-   envelope ends replay as damage does *)
+   envelope ends the scan as damage does *)
 let test_foreign_envelope () =
-  with_temp (fun path ->
-      let keep = [ List.nth sample_records 0; List.nth sample_records 1 ] in
-      let prefix = String.concat "" (List.map Envelope.encode keep) in
-      write_raw path
-        (prefix ^ Envelope.encode Envelope.Shutdown ^ Envelope.encode (List.nth sample_records 2));
-      Alcotest.(check (list record)) "stops at the foreign envelope" keep (Journal.replay path);
-      Alcotest.(check int) "intact prefix length" (String.length prefix)
-        (Journal.intact_bytes path))
+  let keep = [ List.nth sample_records 0; List.nth sample_records 1 ] in
+  let prefix = String.concat "" (List.map Envelope.encode keep) in
+  let got, intact =
+    Journal.scan (prefix ^ Envelope.encode Envelope.Shutdown ^ List.nth encoded 2)
+  in
+  Alcotest.(check (list record)) "stops at the foreign envelope" keep got;
+  Alcotest.(check int) "intact prefix length" (String.length prefix) intact
 
 (* ------------------------------------------------------------------ *)
 (* Replay fuzzing                                                      *)
@@ -206,10 +185,8 @@ let journal_fuzz_props =
     QCheck.Test.make ~count:300 ~long_factor:50
       ~name:"intact records + damaged tail replay exactly the intact prefix" arb_damaged_tail
       (fun (rs, tail) ->
-        with_temp (fun path ->
-            let intact = String.concat "" (List.map Envelope.encode rs) in
-            write_raw path (intact ^ tail);
-            Journal.replay path = rs && Journal.intact_bytes path = String.length intact));
+        let intact = String.concat "" (List.map Envelope.encode rs) in
+        Journal.scan (intact ^ tail) = (rs, String.length intact));
   ]
 
 let () =

@@ -377,7 +377,6 @@ let qcheck_props =
                local = (fun _ -> true);
                send = (fun ~seq:_ ~phase:_ ~author:_ ~frame -> sent := frame :: !sent);
                recv = (fun ~seq:_ ~phase:_ ~author:_ -> `Down);
-               stats = (fun () -> (0, 0));
              });
         ignore
           (Board.post b ~author:(Role.id ~committee:"Q#1" ~index:0) ~phase:"p"
@@ -837,60 +836,57 @@ let test_sim_ideal_delivers () =
   let sim = Sim.create ~seed:7 () in
   for _ = 1 to 50 do
     match Sim.transmit sim ~bytes:1000 () with
-    | Sim.Delivered, arrival -> Alcotest.(check (float 0.0)) "instant" 0.0 arrival
+    | Sim.Delivered -> ()
     | _ -> Alcotest.fail "ideal network must deliver"
   done;
   let s = Sim.stats sim in
   Alcotest.(check int) "all delivered" 50 s.Sim.delivered;
   Alcotest.(check int) "no loss" 0 s.Sim.dropped
 
-let test_sim_late_and_drain () =
+let test_sim_forced_late () =
   let sim = Sim.create ~round_ms:100. ~seed:7 () in
   (match Sim.transmit sim ~extra_delay_ms:150. ~bytes:64 () with
-  | Sim.Late, _ -> ()
+  | Sim.Late -> ()
   | _ -> Alcotest.fail "150ms past a 100ms deadline must be late");
-  Alcotest.(check int) "in flight" 1 (Sim.in_flight sim);
   Sim.next_round sim;
-  Alcotest.(check int) "still in flight" 1 (Sim.in_flight sim);
   Sim.next_round sim;
-  Alcotest.(check int) "drained" 0 (Sim.in_flight sim);
-  Alcotest.(check int) "bytes arrive late" 64 (Sim.stats sim).Sim.bytes_delivered
+  let s = Sim.stats sim in
+  Alcotest.(check int) "counted late" 1 s.Sim.late;
+  Alcotest.(check int) "rounds" 2 s.Sim.rounds;
+  Alcotest.(check (float 0.)) "clock at the round boundary" 200. s.Sim.elapsed_ms
 
 let test_sim_latency_beyond_round () =
-  let model = { Sim.ideal with Sim.latency_ms = 250. } in
+  let model = { Sim.latency_ms = 250.; drop = 0. } in
   let sim = Sim.create ~model ~round_ms:100. ~seed:1 () in
   match Sim.transmit sim ~bytes:8 () with
-  | Sim.Late, _ -> ()
+  | Sim.Late -> ()
   | _ -> Alcotest.fail "latency past the deadline must be late"
-
-let test_sim_bandwidth () =
-  (* 1 Mbit/s: a 125000-byte frame takes 1000 ms > 100 ms deadline *)
-  let model = { Sim.ideal with Sim.bandwidth_mbps = 1. } in
-  let sim = Sim.create ~model ~round_ms:100. ~seed:1 () in
-  (match Sim.transmit sim ~bytes:125_000 () with
-  | Sim.Late, arrival -> Alcotest.(check (float 1e-6)) "serialization" 1000.0 arrival
-  | _ -> Alcotest.fail "big frame on thin pipe must be late");
-  match Sim.transmit sim ~bytes:100 () with
-  | Sim.Delivered, _ -> ()
-  | _ -> Alcotest.fail "small frame fits the round"
 
 let test_sim_drop () =
   let model = { Sim.ideal with Sim.drop = 1.0 } in
   let sim = Sim.create ~model ~seed:3 () in
   (match Sim.transmit sim ~bytes:10 () with
-  | Sim.Dropped, _ -> ()
+  | Sim.Dropped -> ()
   | _ -> Alcotest.fail "drop = 1 must drop");
-  Alcotest.(check int) "nothing in flight" 0 (Sim.in_flight sim)
+  Alcotest.(check int) "counted dropped" 1 (Sim.stats sim).Sim.dropped
 
 let test_sim_deterministic () =
   let run () =
-    let sim = Sim.create ~model:Sim.wan ~round_ms:50. ~seed:0xD15C () in
-    List.init 300 (fun i ->
-        let v, a = Sim.transmit sim ~bytes:(100 + (i * 37 mod 5000)) () in
-        if i mod 10 = 0 then Sim.next_round sim;
-        (v, a))
+    let model = { Sim.latency_ms = 40.; drop = 0.1 } in
+    let sim = Sim.create ~model ~round_ms:50. ~seed:0xD15C () in
+    let verdicts =
+      List.init 300 (fun i ->
+          let v = Sim.transmit sim ~extra_delay_ms:(float_of_int (i mod 20)) ~bytes:100 () in
+          if i mod 10 = 0 then Sim.next_round sim;
+          v)
+    in
+    (verdicts, Sim.stats sim)
   in
-  Alcotest.(check bool) "replay identical" true (run () = run ())
+  let ((verdicts, s) as first) = run () in
+  Alcotest.(check bool) "replay identical" true (first = run ());
+  Alcotest.(check bool) "every verdict occurs" true
+    (List.for_all (fun v -> List.mem v verdicts) Sim.[ Delivered; Late; Dropped ]);
+  Alcotest.(check int) "verdicts add up" 300 (s.Sim.delivered + s.Sim.late + s.Sim.dropped)
 
 (* ------------------------------------------------------------------ *)
 (* Meter                                                               *)
@@ -916,72 +912,25 @@ let test_meter_roles_and_phases () =
       Meter.record m ~phase:"x" ~step:"s" ~frame_bytes:1
         ~payload:[ (Cost.Key, 2) ])
 
-let all_sides =
-  Meter.[ Conn_sent; Conn_received; Route_full; Route_digest; Route_suppressed; Refill ]
-
 let test_meter_refills () =
   let m = Meter.create () in
-  Meter.record_side m Meter.Refill ~label:"c0/lambdas" 100;
-  Meter.record_side m Meter.Refill ~label:"c0/lambdas" 20;
-  Meter.record_side m Meter.Refill ~label:"c1/holder" 5;
-  Alcotest.(check int) "per-batch accumulates" 120
-    (List.assoc "c0/lambdas" (Meter.refills m));
-  Alcotest.(check int) "refill total" 125 (Meter.side_total m Meter.Refill);
-  (* refills are a side-attribution, never phase traffic *)
+  Meter.record_refill m ~label:"c0/lambdas" 100;
+  Meter.record_refill m ~label:"c1/holder" 5;
+  Meter.record_refill m ~label:"c0/lambdas" 20;
+  Alcotest.(check (list (pair string int))) "per-batch, sorted, accumulated"
+    [ ("c0/lambdas", 120); ("c1/holder", 5) ]
+    (Meter.refills m);
+  Alcotest.(check int) "refill total" 125 (Meter.refill_total m);
+  (* refills are a re-attribution, never phase traffic *)
   Alcotest.(check int) "no phase traffic" 0 (Meter.grand_total m);
   let dst = Meter.create () in
-  Meter.record_side dst Meter.Refill ~label:"c1/holder" 1;
+  Meter.record_refill dst ~label:"c1/holder" 1;
   Meter.merge_into ~dst m;
   Alcotest.(check int) "merged batch" 6 (List.assoc "c1/holder" (Meter.refills dst));
-  Alcotest.(check int) "merged total" 126 (Meter.side_total dst Meter.Refill)
-
-let test_meter_side_counters () =
-  let m = Meter.create () in
-  (* counter [i] gets label "a" += i+1 twice and label "b" += 10 *)
-  List.iteri
-    (fun i side ->
-      Meter.record_side m side ~label:"a" (i + 1);
-      Meter.record_side m side ~label:"b" 10;
-      Meter.record_side m side ~label:"a" (i + 1))
-    all_sides;
-  List.iteri
-    (fun i side ->
-      Alcotest.(check (list (pair string int)))
-        "per-label, sorted, counters kept apart"
-        [ ("a", 2 * (i + 1)); ("b", 10) ]
-        (Meter.side_counts m side);
-      Alcotest.(check int) "total" ((2 * (i + 1)) + 10) (Meter.side_total m side))
-    all_sides;
-  Alcotest.(check int) "side counts are not phase traffic" 0 (Meter.grand_total m);
-  (* merge adds counter-by-counter and label-by-label *)
-  let dst = Meter.create () in
-  Meter.record_side dst Meter.Route_digest ~label:"c" 7;
-  Meter.merge_into ~dst m;
-  Meter.merge_into ~dst m;
-  List.iteri
-    (fun i side ->
-      let extra = if side = Meter.Route_digest then [ ("c", 7) ] else [] in
-      Alcotest.(check (list (pair string int)))
-        "merged twice"
-        ([ ("a", 4 * (i + 1)); ("b", 20) ] @ extra)
-        (Meter.side_counts dst side))
-    all_sides;
-  List.iter
-    (fun side ->
-      Alcotest.check_raises "negative rejected"
-        (Invalid_argument "Meter.record_side: negative count") (fun () ->
-          Meter.record_side m side ~label:"x" (-1)))
-    all_sides
-
-let test_meter_routing_ratio () =
-  let m = Meter.create () in
-  Alcotest.(check (float 0.)) "nothing routed" 1.0 (Meter.routing_ratio m);
-  Meter.record_side m Meter.Route_full ~label:"slot0" 30;
-  Meter.record_side m Meter.Route_digest ~label:"slot0" 1000;
-  Meter.record_side m Meter.Route_suppressed ~label:"slot0" 50;
-  Meter.record_side m Meter.Route_suppressed ~label:"slot1" 40;
-  (* digest records are not full-frame volume: 30 / (30 + 90) *)
-  Alcotest.(check (float 1e-12)) "full / (full + suppressed)" 0.25 (Meter.routing_ratio m)
+  Alcotest.(check int) "merged total" 126 (Meter.refill_total dst);
+  Alcotest.check_raises "negative rejected"
+    (Invalid_argument "Meter.record_refill: negative count") (fun () ->
+      Meter.record_refill m ~label:"x" (-1))
 
 (* ------------------------------------------------------------------ *)
 (* Board                                                               *)
@@ -1101,7 +1050,6 @@ let board_outcome_oracle =
             local = (fun _ -> local);
             send;
             recv = (fun ~seq:_ ~phase:_ ~author:_ -> delivery);
-            stats = (fun () -> (0, 0));
           }
       in
       let sent = ref "" in
@@ -1133,7 +1081,6 @@ let recording_link sent =
     local = (fun _ -> true);
     send = (fun ~seq:_ ~phase:_ ~author:_ ~frame -> sent := frame :: !sent);
     recv = (fun ~seq:_ ~phase:_ ~author:_ -> `Down);
-    stats = (fun () -> (0, 0));
   }
 
 let prepare_post b i ~corrupt =
@@ -1265,14 +1212,17 @@ let test_protocol_bytes_measured () =
     r.Protocol.transcript.Board.frame_bytes
 
 let test_protocol_over_lan () =
-  let net = { Board.default_config with Board.model = Sim.lan; Board.round_ms = 200. } in
+  (* a LAN's half-millisecond hop fits every post into its round *)
+  let model = { Sim.latency_ms = 0.5; drop = 0. } in
+  let net = { Board.default_config with Board.model; Board.round_ms = 200. } in
   let r =
     Protocol.execute ~params:params16
       ~config:(Protocol.config ~seed:11 ~board:net ())
       ~circuit ~inputs ()
   in
   Alcotest.(check bool) "correct over lan" true (Protocol.check r circuit ~inputs);
-  Alcotest.(check bool) "time passed" true (r.Protocol.net.Sim.elapsed_ms > 0.)
+  Alcotest.(check bool) "time passed" true (r.Protocol.net.Sim.elapsed_ms > 0.);
+  Alcotest.(check int) "nothing late" r.Protocol.net.Sim.sent r.Protocol.net.Sim.delivered
 
 let test_protocol_lossy_never_wrong () =
   (* under loss the protocol either completes correctly or aborts with
@@ -1355,10 +1305,10 @@ let pinned_report_default =
     \"setup_bytes\":14743,\"offline_bytes\":2334976,\"online_bytes\":433180,\
     \"online_field_bytes\":160,\"offline_bytes_per_gate\":583744.0000,\
     \"online_bytes_per_gate\":108295.0000,\"online_field_bytes_per_gate\":40.0000,\
-    \"faults_detected\":16,\"posts_rejected\":16,\"transport\":\"sim\",\
+    \"faults_detected\":16,\"posts_rejected\":16,\
     \"net\":{\"rounds\":17,\"sent\":259,\"delivered\":259,\"late\":0,\
-    \"dropped\":0,\"bytes_sent\":2782899,\"bytes_delivered\":2765027,\
-    \"elapsed_ms\":1700.0000,\"max_in_flight\":16},\"transcript\":{\"frames\":259,\
+    \"dropped\":0,\"bytes_sent\":2782899,\
+    \"elapsed_ms\":1700.0000},\"transcript\":{\"frames\":259,\
     \"frame_bytes\":2782899,\"digest\":782272987632467621},\
     \"outputs\":[{\"client\":0,\"wire\":14,\"value\":130},{\"client\":1,\
     \"wire\":14,\"value\":130}],\"blames\":[{\"role\":\"Off-B1#1[15]\",\
@@ -1395,17 +1345,17 @@ let pinned_report_default =
     {\"role\":\"Off-D#16[8]\",\"kind\":\"bad-proof\",\"phase\":\"online\",\
     \"step\":\"output: re-encrypt lambdas to clients\"}]}"
 
-let pinned_report_stats_extra =
+let pinned_report_extra =
   "{\"num_gates\":17,\"num_mult\":4,\"posts\":259,\"committees\":16,\
     \"setup_elements\":39,\"offline_elements\":4704,\"online_elements\":936,\
     \"offline_per_gate\":1176.0000,\"online_per_gate\":234.0000,\
     \"setup_bytes\":14743,\"offline_bytes\":2334976,\"online_bytes\":433180,\
     \"online_field_bytes\":160,\"offline_bytes_per_gate\":583744.0000,\
     \"online_bytes_per_gate\":108295.0000,\"online_field_bytes_per_gate\":40.0000,\
-    \"faults_detected\":16,\"posts_rejected\":16,\"transport\":\"sim\",\
-    \"reconnects\":0,\"replays\":0,\"net\":{\"rounds\":17,\"sent\":259,\
+    \"faults_detected\":16,\"posts_rejected\":16,\
+    \"net\":{\"rounds\":17,\"sent\":259,\
     \"delivered\":259,\"late\":0,\"dropped\":0,\"bytes_sent\":2782899,\
-    \"bytes_delivered\":2765027,\"elapsed_ms\":1700.0000,\"max_in_flight\":16},\
+    \"elapsed_ms\":1700.0000},\
     \"transcript\":{\"frames\":259,\"frame_bytes\":2782899,\
     \"digest\":782272987632467621},\"outputs\":[{\"client\":0,\"wire\":14,\
     \"value\":130},{\"client\":1,\"wire\":14,\"value\":130}],\
@@ -1454,11 +1404,8 @@ let test_report_json_pinned () =
   Alcotest.(check string) "default options" pinned_report_default
     (to_string (Protocol.report_json r));
   let extra = Yoso_runtime.Json.[ ("pin", Obj [ ("list", List [ Int 1; String "a" ]) ]) ] in
-  Alcotest.(check string) "transport_stats + extra" pinned_report_stats_extra
-    (to_string
-       (Protocol.report_json
-          ~options:{ Protocol.Report.default with transport_stats = true; extra }
-          r))
+  Alcotest.(check string) "extra" pinned_report_extra
+    (to_string (Protocol.report_json ~options:{ Protocol.Report.default with extra } r))
 
 let () =
   Alcotest.run "net"
@@ -1494,9 +1441,8 @@ let () =
       ( "sim",
         [
           Alcotest.test_case "ideal delivers" `Quick test_sim_ideal_delivers;
-          Alcotest.test_case "late and drain" `Quick test_sim_late_and_drain;
+          Alcotest.test_case "forced late" `Quick test_sim_forced_late;
           Alcotest.test_case "latency" `Quick test_sim_latency_beyond_round;
-          Alcotest.test_case "bandwidth" `Quick test_sim_bandwidth;
           Alcotest.test_case "drop" `Quick test_sim_drop;
           Alcotest.test_case "deterministic" `Quick test_sim_deterministic;
         ] );
@@ -1504,8 +1450,6 @@ let () =
         [
           Alcotest.test_case "roles and phases" `Quick test_meter_roles_and_phases;
           Alcotest.test_case "refill buckets" `Quick test_meter_refills;
-          Alcotest.test_case "side counters" `Quick test_meter_side_counters;
-          Alcotest.test_case "routing ratio" `Quick test_meter_routing_ratio;
         ] );
       ( "board",
         [

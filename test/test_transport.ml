@@ -6,7 +6,6 @@
 
 module F = Yoso_field.Field.Fp
 module Wire = Yoso_net.Wire
-module Meter = Yoso_net.Meter
 module Params = Yoso_mpc.Params
 module Protocol = Yoso_mpc.Protocol
 module Gen = Yoso_circuit.Generators
@@ -599,61 +598,31 @@ let params8 = Params.create ~n:8 ~t:2 ~k:2 ()
 let circuit = Gen.dot_product ~len:4
 let inputs c = Array.init 4 (fun i -> F.of_int ((c * 10) + i + 1))
 
-(* the one legitimate difference between the reports is the transport
-   label; normalize it away and demand byte equality on the rest *)
-let relabel ~from:a ~to_:b json =
-  let na = Printf.sprintf "\"transport\":%S" a in
-  let nb = Printf.sprintf "\"transport\":%S" b in
-  let rec find i =
-    if i + String.length na > String.length json then None
-    else if String.sub json i (String.length na) = na then Some i
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> json
-  | Some i ->
-    String.sub json 0 i ^ nb
-    ^ String.sub json (i + String.length na)
-        (String.length json - i - String.length na)
-
 let equivalence_case ~topology ?plan ~name ~adversary ~seed () =
   let sim_config = Protocol.config ~adversary ?plan ~seed () in
   let sim_r = Protocol.execute ~params:params8 ~config:sim_config ~circuit ~inputs () in
   let sim_json = report_json sim_r in
   let child ~slot:_ ~link =
-    let config = Protocol.config ~adversary ?plan ~seed ~transport:"unix" ~link () in
+    let config = Protocol.config ~adversary ?plan ~seed ~link () in
     report_json (Protocol.execute ~params:params8 ~config ~circuit ~inputs ())
   in
-  let meter = Meter.create () in
-  let res =
-    Runner.run ~meter ~deadline_ms:10_000. ~topology ~nslots:8 ~seed ~child ()
-  in
+  let res = Runner.run ~deadline_ms:10_000. ~topology ~nslots:8 ~seed ~child () in
   Alcotest.(check int) (name ^ ": all reported") 8 (List.length res.Runner.reports);
   Alcotest.(check bool) (name ^ ": unanimous") true res.Runner.agree;
   Alcotest.(check (list int)) (name ^ ": nobody down") [] res.Runner.down;
-  let loop_json = match res.Runner.reports with (_, j) :: _ -> j | [] -> "{}" in
-  (* full report equality modulo the transport label: same posts, same
-     meter totals, same blames, same transcript digest *)
-  Alcotest.(check string)
-    (name ^ ": report byte-identical to sim")
-    sim_json
-    (relabel ~from:"unix" ~to_:"sim" loop_json);
+  (* whole-report equality: same posts, same meter totals, same
+     blames, same transcript digest *)
+  List.iter
+    (fun (slot, json) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s: slot %d report byte-identical to sim" name slot)
+        sim_json json)
+    res.Runner.reports;
   (* daemon-side accounting saw every physically shipped frame *)
   Alcotest.(check int)
     (name ^ ": every frame crossed the wire")
     sim_r.Protocol.transcript.Yoso_net.Board.frames
     res.Runner.stats.Yoso_transport.Daemon.frames_in;
-  (* delivery records live in the route rows; the conn rows keep the
-     control traffic sent and the posts received *)
-  let sent = Meter.side_counts meter Meter.Conn_sent in
-  let received = Meter.side_counts meter Meter.Conn_received in
-  Alcotest.(check bool)
-    (name ^ ": per-connection bytes recorded")
-    true
-    (List.length sent = 8
-    && List.map fst sent = List.map fst received
-    && List.for_all (fun (_, r) -> r > 0) received
-    && List.for_all (fun (_, s) -> s > 0) sent);
   (* every geometry suppresses traffic — at full quorum through the
      owners' digest acks — and the daemon's stitched digest chain
      equals the board transcript every member reports *)
@@ -667,13 +636,7 @@ let equivalence_case ~topology ?plan ~name ~adversary ~seed () =
   Alcotest.(check bool) (name ^ ": deliveries batched") true (st.Daemon.batches_out > 0);
   Alcotest.(check bool) (name ^ ": bytes suppressed") true (st.Daemon.suppressed_bytes > 0);
   Alcotest.(check int) (name ^ ": daemon digest = sim digest")
-    sim_r.Protocol.transcript.Board.digest st.Daemon.digest;
-  Alcotest.(check bool) (name ^ ": delivery bytes attributed per slot")
-    true
-    (List.for_all
-       (fun side -> List.length (Meter.side_counts meter side) = 8)
-       Meter.[ Route_full; Route_digest; Route_suppressed ]
-    && Meter.routing_ratio meter < 1.0)
+    sim_r.Protocol.transcript.Board.digest st.Daemon.digest
 
 (* the two geometries: full-quorum broadcast and the n/8 quorum *)
 let full_quorum = Topology.make ~nslots:8 ()
@@ -708,7 +671,7 @@ let test_equivalence_routed_faulty () =
 let test_crash_mid_round () =
   let seed = 0xDEAD in
   let child ~slot:_ ~link =
-    let config = Protocol.config ~seed ~transport:"unix" ~link () in
+    let config = Protocol.config ~seed ~link () in
     match Protocol.execute ~params:params8 ~config ~circuit ~inputs () with
     | r -> report_json r
     | exception Yoso_runtime.Faults.Protocol_failure f ->
@@ -795,7 +758,7 @@ let test_connect_retry_elapsed_cap () =
 (* ------------------------------------------------------------------ *)
 
 let chaos_child ~seed ~slot:_ ~link =
-  let config = Protocol.config ~seed ~transport:"unix" ~link () in
+  let config = Protocol.config ~seed ~link () in
   match Protocol.execute ~params:params8 ~config ~circuit ~inputs () with
   | r -> report_json r
   | exception Yoso_runtime.Faults.Protocol_failure f ->
@@ -821,11 +784,13 @@ let check_against_sim ~name ~seed res =
   Alcotest.(check (list int)) (name ^ ": zero blames for reconnectors") [] res.Runner.down;
   Alcotest.(check bool) (name ^ ": daemon did not time out") false
     res.Runner.stats.Yoso_transport.Daemon.timed_out;
+  List.iter
+    (fun (slot, json) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s: slot %d report byte-identical to fault-free sim" name slot)
+        sim_json json)
+    res.Runner.reports;
   let report = match res.Runner.reports with (_, j) :: _ -> j | [] -> "{}" in
-  Alcotest.(check string)
-    (name ^ ": report byte-identical to fault-free sim")
-    sim_json
-    (relabel ~from:"unix" ~to_:"sim" report);
   Alcotest.(check (option int)) (name ^ ": no faults detected") (Some 0)
     (Runner.json_int_field report ~field:"faults_detected")
 
@@ -890,13 +855,12 @@ let test_routed_kill_restart () =
           (st.Daemon.recovered_frames >= frames / 2);
         (* every accepted frame, across both daemon lives, is in the
            one file, and all of it is intact *)
+        let data = In_channel.with_open_bin journal In_channel.input_all in
+        let records, intact = Journal.scan data in
         Alcotest.(check int) "one journal file holds every frame" frames
-          (List.length
-             (List.filter
-                (function Envelope.Post _ -> true | _ -> false)
-                (Journal.replay journal)));
-        Alcotest.(check int) "journal bytes = intact file" st.Daemon.journal_bytes
-          (Journal.intact_bytes journal);
+          (List.length (List.filter (function Envelope.Post _ -> true | _ -> false) records));
+        Alcotest.(check int) "journal bytes = intact file" st.Daemon.journal_bytes intact;
+        Alcotest.(check int) "no torn tail" (String.length data) intact;
         Alcotest.(check bool) "every client reconnected" true (st.Daemon.reconnects >= 8);
         check_against_sim ~name:"routed kill+restart" ~seed res;
         (* the restarted daemon's digest chain covers the whole run *)
@@ -910,7 +874,7 @@ let test_routed_kill_restart () =
    another run's journal is refused before any traffic is served *)
 let test_journal_slot_mismatch () =
   with_journal (fun journal ->
-      let j = Journal.open_append ~path:journal () in
+      let _, j = Journal.open_append ~path:journal () in
       Journal.append j (Envelope.Start { nslots = 4 });
       Journal.close j;
       let listen = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -922,8 +886,9 @@ let test_journal_slot_mismatch () =
           | exception Invalid_argument _ -> ()))
 
 (* forced disconnects under a small quorum: reconnect catch-up replays
-   the very records live delivery would have sent — digest records for
-   non-quorum sources — and must splice cleanly into the live stream *)
+   the very records live delivery would have sent and must splice
+   cleanly into the live stream (the records themselves are checked by
+   "catch-up replays live delivery's records") *)
 let test_routed_forced_disconnects () =
   if not Sys.unix then ()
   else begin
@@ -931,10 +896,8 @@ let test_routed_forced_disconnects () =
     let frames = sim_frames ~seed in
     let sever_at = [ (frames / 5, 2); (2 * frames / 3, 5) ] in
     let chaos = Chaos.create { Chaos.none with Chaos.sever_at } in
-    let meter = Meter.create () in
     let res =
-      Runner.run ~meter ~chaos ~topology:default_quorum ~nslots:8 ~seed
-        ~child:(chaos_child ~seed) ()
+      Runner.run ~chaos ~topology:default_quorum ~nslots:8 ~seed ~child:(chaos_child ~seed) ()
     in
     Alcotest.(check int) "daemon never died" 0 res.Runner.restarts;
     Alcotest.(check bool) "severed clients reconnected" true
@@ -943,13 +906,6 @@ let test_routed_forced_disconnects () =
       (res.Runner.stats.Yoso_transport.Daemon.replayed_frames > 0);
     Alcotest.(check bool) "digest records flowed" true
       (res.Runner.stats.Yoso_transport.Daemon.digests_out > 0);
-    let replay_rows side =
-      List.filter
-        (fun (label, b) -> String.starts_with ~prefix:"replay:" label && b > 0)
-        (Meter.side_counts meter side)
-    in
-    Alcotest.(check bool) "replay arrived as digest records" true
-      (replay_rows Meter.Route_digest <> []);
     check_against_sim ~name:"routed forced disconnects" ~seed res
   end
 
@@ -1069,6 +1025,121 @@ let test_report_then_close () =
       Alcotest.(check string) "report survives the failed write" "reported 0,1; down " out
   end
 
+(* Catch-up replay sends the records live delivery would have: a
+   routed slot that reconnects with [next_seq = 0] gets the whole board
+   in seq order, [Full] records for its quorum sources' frames and
+   [Digest] records for every other owner's, its own included.  Four
+   slots at quorum 1, so slot 0's one full-frame source is slot 3. *)
+let test_replay_records () =
+  if not Sys.unix then ()
+  else begin
+    ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
+    let nslots = 4 and me = 0 in
+    let topology = Topology.make ~quorum:1 ~nslots () in
+    let path =
+      Filename.concat (Filename.get_temp_dir_name ())
+        (Printf.sprintf "yoso-replay-%d.sock" (Unix.getpid ()))
+    in
+    (try Unix.unlink path with Unix.Unix_error _ -> ());
+    let listen = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.bind listen (Unix.ADDR_UNIX path);
+    Unix.listen listen 8;
+    match Unix.fork () with
+    | 0 ->
+      let status =
+        match Daemon.serve ~topology ~listen ~nslots () with _ -> 0 | exception _ -> 3
+      in
+      Unix._exit status
+    | pid ->
+      let dial msg =
+        let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.connect fd (Unix.ADDR_UNIX path);
+        Sockio.write_all fd (Envelope.encode msg);
+        (fd, Envelope.stream ())
+      in
+      let frames = 8 in
+      let owner seq = seq mod nslots in
+      let frame seq =
+        Wire.to_frame
+          {
+            Wire.step = Printf.sprintf "step%d" seq;
+            items = [ Wire.Field_elements [| F.of_int seq |] ];
+          }
+      in
+      let replayed () =
+        let conns =
+          Array.init nslots (fun slot -> dial (Envelope.Hello { slot; nslots; seed = 0 }))
+        in
+        Array.iter
+          (fun (fd, st) -> await fd st (function Envelope.Start _ -> true | _ -> false))
+          conns;
+        (* one post at a time, each acked before the next: the daemon
+           takes posts in strictly increasing seq *)
+        for seq = 0 to frames - 1 do
+          let fd, st = conns.(owner seq) in
+          Sockio.write_all fd
+            (Envelope.encode (Envelope.Post { seq; slot = owner seq; frame = frame seq }));
+          await fd st (function
+            | Envelope.Deliver_batch records ->
+              List.exists
+                (function Envelope.Digest { seq = s; _ } -> s = seq | Envelope.Full _ -> false)
+                records
+            | _ -> false)
+        done;
+        let fd, st = dial (Envelope.Recover { slot = me; nslots; seed = 0; next_seq = 0 }) in
+        (match recv_msg fd st with
+        | Envelope.Recovered { next_seq; started } ->
+          Alcotest.(check int) "board length" frames next_seq;
+          Alcotest.(check bool) "started" true started
+        | m -> Alcotest.failf "expected recovered, got %a" Envelope.pp_msg m);
+        let rec collect acc =
+          if List.length acc >= frames then List.rev acc
+          else
+            match recv_msg fd st with
+            | Envelope.Deliver_batch records -> collect (List.rev_append records acc)
+            | m -> Alcotest.failf "expected replay records, got %a" Envelope.pp_msg m
+        in
+        let got = collect [] in
+        (* the daemon retired slot 0's first connection on [Recover] *)
+        Unix.close (fst conns.(me));
+        conns.(me) <- (fd, st);
+        Array.iteri
+          (fun slot (fd, _) ->
+            Sockio.write_all fd (Envelope.encode (Envelope.Report { slot; json = "{}" })))
+          conns;
+        Array.iter (fun (fd, _) -> Unix.close fd) conns;
+        got
+      in
+      let got =
+        match replayed () with
+        | got -> got
+        | exception e ->
+          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+          raise e
+      in
+      let _, status = Unix.waitpid [] pid in
+      Unix.close listen;
+      Unix.unlink path;
+      Alcotest.(check bool) "daemon finished the run" true (status = Unix.WEXITED 0);
+      let expected =
+        List.init frames (fun seq ->
+            let f = frame seq in
+            if Topology.wants_full topology ~me ~owner:(owner seq) then
+              Envelope.Full { seq; slot = owner seq; frame = f }
+            else
+              Envelope.Digest
+                { seq; slot = owner seq; csum = Wire.checksum f; len = String.length f })
+      in
+      Alcotest.(check (list int)) "quorum sources" [ 3 ] (Topology.full_sources topology ~me);
+      Alcotest.(check int) "every frame replayed once" frames (List.length got);
+      List.iteri
+        (fun seq (e, g) ->
+          let kind = match e with Envelope.Full _ -> "full" | Envelope.Digest _ -> "digest" in
+          Alcotest.(check bool) (Printf.sprintf "seq %d replayed as a %s record" seq kind) true
+            (e = g))
+        (List.combine expected got)
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Routing property: delivery set = verifier interest set              *)
 (* ------------------------------------------------------------------ *)
@@ -1097,7 +1168,6 @@ let routing_property_at ?plan ~name ~adversary ~seed topo =
         (fun ~seq ~phase:_ ~author ~frame ->
           Hashtbl.replace recorded seq (author.Role.index mod nslots, frame));
       recv = (fun ~seq:_ ~phase:_ ~author:_ -> Alcotest.fail "record run never receives");
-      stats = (fun () -> (0, 0));
     }
   in
   let config link = Protocol.config ~adversary ?plan ~seed ~link () in
@@ -1134,7 +1204,6 @@ let routing_property_at ?plan ~name ~adversary ~seed topo =
                 incr summaries;
                 `Summary (Wire.checksum frame, String.length frame)
               end);
-        stats = (fun () -> (0, 0));
       }
     in
     let json =
@@ -1258,5 +1327,7 @@ let () =
           Alcotest.test_case "journal for another slot count" `Quick test_journal_slot_mismatch;
           Alcotest.test_case "routed forced disconnects" `Quick
             test_routed_forced_disconnects;
+          Alcotest.test_case "catch-up replays live delivery's records" `Quick
+            test_replay_records;
         ] );
     ]
