@@ -48,13 +48,17 @@ let fresh_committee ctx prefix =
 
 (* Every speaking role posts once; the post's content is verified
    before it contributes.  Honest (and passive) roles prove their
-   witness; malicious roles genuinely build a corrupted payload per
-   the ctx fault plan and post it under a forged transcript (the ideal
-   NIZK is sound, so a false statement can never carry a verifying
-   proof); fail-stop roles stay silent or post past the deadline.
-   Detected deviations are recorded in the blame log; if fewer than
-   [required] contributions survive exclusion, the step aborts with
-   the structured [Faults.Protocol_failure].
+   witness.  A malicious role's post is rejected: the ideal NIZK is
+   sound, so its forged proof never verifies and nothing reads what the
+   frame carries.  A rejected post is therefore exactly its frame: the
+   step's synthesized weight, flipped in flight for
+   garbage-ciphertext; only a step whose payload is wire data
+   ([wire]) builds what the role puts there — junk for tamper-share
+   and wrong-degree, the honest payload for bad-proof.  Fail-stop
+   roles stay silent or post past the deadline.  Detected deviations
+   are recorded in the blame log; if fewer than [required]
+   contributions survive exclusion, the step aborts with the
+   structured [Faults.Protocol_failure].
 
    Every post travels through the simulated network: [wire] maps a
    payload to its real wire items (online field data); everything the
@@ -74,17 +78,16 @@ let fresh_committee ctx prefix =
 
 (* what member [i] intends to put on the wire, computed in Phase A *)
 type 'a intent =
-  | Contribute of 'a * Board.prepared  (* honest/passive, or Bad_proof *)
-  | Tampered of Faults.kind * 'a option * Board.prepared
-  | Delayed_post of Faults.kind * Board.prepared  (* posts past the deadline *)
-  | Stays_silent of Faults.kind
+  | Contribute of 'a * Board.prepared  (* honest or passive *)
+  | Rejected of Faults.kind * Board.prepared  (* committed, then blamed *)
+  | Stays_silent
 
-let contributions ?tamper ?wire ?(required = 1) ctx committee ~phase ~step ~cost f =
+let contributions ?wire ?(required = 1) ctx committee ~phase ~step ~cost f =
   Board.next_round ctx.board;
   let proofed_cost = (Cost.Proof, 1) :: cost in
   let relation = "contribution:" ^ step in
   let name = committee.Committee.name in
-  let items_of payload = match wire with Some w -> w payload | None -> [] in
+  let items_of payload = match wire with Some (items, _) -> items payload | None -> [] in
   let round = Board.round ctx.board in
   (* one draw from the shared stream, before the fan-out; every member
      derives its own RNG from (step_seed, index) *)
@@ -98,31 +101,29 @@ let contributions ?tamper ?wire ?(required = 1) ctx committee ~phase ~step ~cost
           Board.prepare ctx.board ~author ~phase ~step ?items ?corrupt ?force_late
             ~cost:proofed_cost ~tag:(Splitmix.mix round i) ()
         in
+        let delayed () = Rejected (Faults.Delayed, prep ~force_late:true ()) in
         match Committee.status committee i with
         | Committee.Honest | Committee.Passive ->
           let payload = f rng i in
           Contribute (payload, prep ~items:(items_of payload) ())
         | Committee.Fail_stop -> (
           match Faults.fail_stop_kind ctx.plan ~committee:name ~index:i with
-          | Faults.Delayed -> Delayed_post (Faults.Delayed, prep ~force_late:true ())
-          | _ -> Stays_silent Faults.Silent)
+          | Faults.Delayed -> delayed ()
+          | _ -> Stays_silent)
         | Committee.Malicious -> (
-          match Faults.malicious_kind ctx.plan ~committee:name ~index:i with
-          | Faults.Silent -> Stays_silent Faults.Silent
-          | Faults.Delayed -> Delayed_post (Faults.Delayed, prep ~force_late:true ())
-          | Faults.Bad_proof ->
+          match (Faults.malicious_kind ctx.plan ~committee:name ~index:i, wire) with
+          | Faults.Silent, _ -> Stays_silent
+          | Faults.Delayed, _ -> delayed ()
+          | Faults.Garbage_ciphertext, _ ->
+            (* a frame corrupted in the sender's hand, caught by the
+               receiver's integrity check *)
+            Rejected (Faults.Garbage_ciphertext, prep ~corrupt:true ())
+          | kind, None -> Rejected (kind, prep ())
+          | Faults.Bad_proof, Some (items, _) ->
             (* correct data, equivocated proof *)
-            let payload = f rng i in
-            Tampered (Faults.Bad_proof, Some payload, prep ~items:(items_of payload) ())
-          | active -> (
-            (* build the corrupted payload the role actually posts *)
-            let payload = match tamper with Some t -> t rng active i | None -> None in
-            match payload with
-            | None ->
-              (* undecodable blob: a frame corrupted in the sender's
-                 hand, caught by the receiver's integrity check *)
-              Tampered (active, None, prep ~corrupt:true ())
-            | Some p -> Tampered (active, payload, prep ~items:(items_of p) ()))))
+            Rejected (Faults.Bad_proof, prep ~items:(items (f rng i)) ())
+          | kind, Some (items, junk) ->
+            Rejected (kind, prep ~items:(items (junk rng kind i)) ())))
   in
   (* Phase B: commit to the board and verify, in index order *)
   let out = ref [] in
@@ -143,20 +144,10 @@ let contributions ?tamper ?wire ?(required = 1) ctx committee ~phase ~step ~cost
         | Board.Late -> blame Faults.Delayed
         | Board.Dropped -> blame Faults.Silent
         | Board.Garbled -> blame Faults.Tamper_share (* unreachable: honest encode *))
-      | Stays_silent kind -> blame kind
-      | Delayed_post (kind, p) ->
+      | Stays_silent -> blame Faults.Silent
+      | Rejected (kind, p) ->
         ignore (Board.commit ctx.board p);
-        blame kind
-      | Tampered (kind, payload, p) ->
-        let outcome = Board.commit ctx.board p in
-        let proof = Nizk.forge ~relation ~statement in
-        let accepted =
-          match (payload, outcome) with
-          | None, _ -> false (* rejected at parse time *)
-          | Some _, (Board.Late | Board.Dropped | Board.Garbled) -> false
-          | Some _, Board.Delivered -> Nizk.verify ~relation ~statement proof
-        in
-        if accepted then out := (i, Option.get payload) :: !out else blame kind)
+        blame kind)
     intents;
   let out = List.rev !out in
   let surviving = List.length out in
@@ -186,44 +177,33 @@ let initial_holder ctx _te ~name shares =
 
 (* hand the re-randomized key to a fresh committee: one [TKRec] for
    the whole committee, from the step's verified tokens *)
-let pass_key ctx te next_prefix tokens =
-  let next = fresh_committee ctx next_prefix in
-  { committee = next; shares = Te.recombine_all te tokens; prefix = next_prefix }
+let pass_key ctx te holder tokens =
+  let next = fresh_committee ctx holder.prefix in
+  { committee = next; shares = Te.recombine_all te tokens; prefix = holder.prefix }
 
-(* the step's quorum: its verified partial decryption rows, checked
-   once for every ciphertext of the batch *)
-let quorum_of te verified = Te.quorum te (List.map (fun (_, (row, _)) -> row) verified)
-
-(* junk partial decryptions under the holder's true epoch: syntactically
-   valid, wrong values — exactly what combine_col would choke on if the
-   forged proof were not caught first *)
-let tampered_partials te holder cts rng i =
-  let epoch = Te.share_epoch holder.shares.(i) in
-  Te.junk_partial te ~index:(i + 1) ~epoch (Array.map (fun _ -> F.random rng) cts)
-
-let decrypt_batch ctx te holder ~phase ~step cts =
-  let n = ctx.params.Params.n in
-  let cost = [ (Cost.Partial_decryption, Array.length cts); (Cost.Ciphertext, n) ] in
-  let tamper rng kind i =
-    match kind with
-    | Faults.Garbage_ciphertext -> None
-    | _ ->
-      (* corrupted partials; reshares kept honest so the tampering is
-         only caught by transcript verification, not by accident *)
-      Some (tampered_partials te holder cts rng i, Te.reshare te holder.shares.(i))
-  in
+(* The one holder step of [Decrypt] and [Re-encrypt]: every speaking
+   holder posts its partial decryption row of [cts] and its re-sharing
+   token under [cost]; the verified rows make one quorum, [col q c]
+   maps column [c] of it.  Returns the mapped columns and the verified
+   tokens, for {!pass_key}. *)
+let holder_step ctx te holder ~phase ~step ~cost cts col =
   let verified =
-    contributions ~tamper
+    contributions
       ~required:(Te.threshold te + 1)
       ctx holder.committee ~phase ~step ~cost
       (fun _rng i ->
         let share = holder.shares.(i) in
         (Te.partial_decrypt te share cts, Te.reshare te share))
   in
-  let q = quorum_of te verified in
-  let values = Pool.map ctx.pool (Array.length cts) (Te.combine_col q) in
-  let next = pass_key ctx te holder.prefix (List.map (fun (_, (_, tk)) -> tk) verified) in
-  (values, next)
+  let q = Te.quorum te (List.map (fun (_, (row, _)) -> row) verified) in
+  (Pool.map ctx.pool (Array.length cts) (col q), List.map (fun (_, (_, tk)) -> tk) verified)
+
+let decrypt_batch ctx te holder ~phase ~step cts =
+  let cost =
+    [ (Cost.Partial_decryption, Array.length cts); (Cost.Ciphertext, ctx.params.Params.n) ]
+  in
+  let values, tokens = holder_step ctx te holder ~phase ~step ~cost cts Te.combine_col in
+  (values, pass_key ctx te holder tokens)
 
 (* [senders] is the step's count of distinct verified senders, counted
    once by its quorum and shared by every package the step opens *)
@@ -234,58 +214,18 @@ let open_reenc te sk r =
     invalid_arg "Committee_ops.open_reenc: not enough partial encryptions";
   Pke.dec sk r.guarded
 
-let reencrypt_generic ?cost ctx te holder ~phase ~step ~reshare values =
-  let n = ctx.params.Params.n in
-  let len = Array.length values in
-  let cost =
-    match cost with
-    | Some c -> c
-    | None -> if reshare then [ (Cost.Ciphertext, len + n) ] else [ (Cost.Ciphertext, len) ]
-  in
-  let cts = Array.map snd values in
-  let tamper _rng kind i =
-    match kind with
-    | Faults.Garbage_ciphertext -> None
-    | _ ->
-      (* payloads are polymorphic (KFF keys travel here), so junk field
-         elements cannot be fabricated; instead misreport by rotating
-         the partials across the batch (each slot carries the partial
-         of a *different* ciphertext), or desynchronize the epoch when
-         the batch has a single value *)
-      let share = holder.shares.(i) in
-      let partials =
-        if len > 1 then
-          Te.partial_decrypt te share (Array.init len (fun v -> cts.((v + 1) mod len)))
-        else Te.corrupt_partial (Te.partial_decrypt te share cts)
-      in
-      Some (partials, if reshare then Some (Te.reshare te share) else None)
-  in
-  let verified =
-    contributions ~tamper
-      ~required:(Te.threshold te + 1)
-      ctx holder.committee ~phase ~step ~cost
-      (fun _rng i ->
-        let share = holder.shares.(i) in
-        (Te.partial_decrypt te share cts, if reshare then Some (Te.reshare te share) else None))
-  in
-  let q = quorum_of te verified in
-  let senders = Te.senders q in
-  let packages =
-    Pool.map ctx.pool len (fun v ->
-        let target, _ = values.(v) in
-        { senders; target; guarded = Pke.enc target (Te.combine_col q v) })
-  in
-  (packages, verified)
-
-let token_of (_, (_, r)) =
-  match r with Some tk -> tk | None -> assert false
+(* a value's package: column [v] of the quorum, encrypted towards the
+   value's recipient *)
+let package values q v =
+  let target = fst values.(v) in
+  { senders = Te.senders q; target; guarded = Pke.enc target (Te.combine_col q v) }
 
 let reencrypt_batch ctx te holder ~phase ~step values =
-  let packages, verified =
-    reencrypt_generic ctx te holder ~phase ~step ~reshare:true values
+  let cost = [ (Cost.Ciphertext, Array.length values + ctx.params.Params.n) ] in
+  let packages, tokens =
+    holder_step ctx te holder ~phase ~step ~cost (Array.map snd values) (package values)
   in
-  let next = pass_key ctx te holder.prefix (List.map token_of verified) in
-  (packages, next)
+  (packages, pass_key ctx te holder tokens)
 
 (* ciphertext-level batching: every value destined for one recipient
    travels inside ONE bundled ciphertext per speaking holder (the
@@ -294,19 +234,19 @@ let reencrypt_batch ctx te holder ~phase ~step values =
    in-memory packages stay per-value — only the wire accounting (and
    hence bytes/gate) amortizes. *)
 let reencrypt_packed ctx te holder ~phase ~step values =
-  let n = ctx.params.Params.n in
   let targets = Hashtbl.create 16 in
   Array.iter (fun (pk, _) -> Hashtbl.replace targets pk ()) values;
-  let cost = [ (Cost.Ciphertext, Hashtbl.length targets + n) ] in
-  let packages, verified =
-    reencrypt_generic ~cost ctx te holder ~phase ~step ~reshare:true values
+  let cost = [ (Cost.Ciphertext, Hashtbl.length targets + ctx.params.Params.n) ] in
+  let packages, tokens =
+    holder_step ctx te holder ~phase ~step ~cost (Array.map snd values) (package values)
   in
-  let next = pass_key ctx te holder.prefix (List.map token_of verified) in
-  (packages, next)
+  (packages, pass_key ctx te holder tokens)
 
+(* the chain ends: the post carries no re-sharing (its cost charges
+   none) and no holder receives the tokens *)
 let reencrypt_final ctx te holder ~phase ~step values =
-  let packages, _ = reencrypt_generic ctx te holder ~phase ~step ~reshare:false values in
-  packages
+  let cost = [ (Cost.Ciphertext, Array.length values) ] in
+  fst (holder_step ctx te holder ~phase ~step ~cost (Array.map snd values) (package values))
 
 let chain holder ~size items step =
   let last, outs =

@@ -8,14 +8,17 @@
     the board is the audit trail, message contents are in-memory
     values (the standard protocol-simulator shortcut; see DESIGN.md).
 
-    Corruption is executed, not assumed: malicious roles build
-    genuinely corrupted payloads (junk partial decryptions, tampered
-    shares, undecodable blobs) per the ctx's {!Yoso_runtime.Faults}
-    plan and post them under forged NIZK transcripts; honest verifiers
-    run {!Yoso_nizk.Ideal.verify} on every post, exclude what fails,
-    record the blame, and abort with
-    {!Yoso_runtime.Faults.Protocol_failure} if a step retains fewer
-    verified contributions than its threshold.
+    Corruption is executed, not assumed: a malicious role posts onto
+    the board under a forged NIZK transcript, per the ctx's
+    {!Yoso_runtime.Faults} plan.  Honest verifiers check every post
+    ({!Yoso_nizk.Ideal.verify}), exclude what fails, record the blame,
+    and abort with {!Yoso_runtime.Faults.Protocol_failure} if a step
+    retains fewer verified contributions than its threshold.  Since a
+    forged proof never verifies, a rejected post is exactly its frame:
+    in most steps the step's synthesized weight, for
+    [garbage-ciphertext] a frame corrupted in flight, and junk field
+    shares only in the step whose payload is wire data (the online
+    multiplication step).
 
     The threshold secret key travels down a chain of committees: each
     [decrypt_batch]/[reencrypt_batch] consumes the current holder
@@ -65,8 +68,7 @@ val fresh_committee : ctx -> string -> Committee.t
     suffixed with a running counter. *)
 
 val contributions :
-  ?tamper:(Random.State.t -> Faults.kind -> int -> 'a option) ->
-  ?wire:('a -> Yoso_net.Wire.item list) ->
+  ?wire:('a -> Yoso_net.Wire.item list) * (Random.State.t -> Faults.kind -> int -> 'a) ->
   ?required:int ->
   ctx ->
   Committee.t ->
@@ -77,28 +79,31 @@ val contributions :
   (int * 'a) list
 (** [contributions ctx committee ~phase ~step ~cost f]: every speaking
     role posts once ([cost] plus one proof each).  Honest roles post
-    [f rng i] with a valid proof.  Malicious roles post real
-    corruption: [tamper rng kind i] builds the payload they put on the
-    board ([None] models an undecodable blob — on the wire, a frame
-    that fails its integrity check; without [tamper] every active
-    fault degrades to one), always under a forged proof — verification
-    rejects it and the blame log gains an entry.  Fail-stop roles stay
-    silent or post past the round deadline per the fault plan.
+    [f rng i] with a valid proof.  A malicious role's post is rejected
+    (its forged proof never verifies) and the blame log gains an
+    entry; what it puts on the wire is the step's frame, corrupted in
+    flight for [garbage-ciphertext].  Fail-stop roles stay silent or
+    post past the round deadline per the fault plan.
+
+    [wire = (items, junk)] marks a step whose payload is wire data:
+    [items] maps a payload to the wire items carrying its element
+    data, and a rejected post carries [items (junk rng kind i)] for
+    [tamper-share] and [wrong-degree], [items (f rng i)] for
+    [bad-proof].  Without [wire] no rejected payload is built.
 
     Member payloads are built concurrently on the ctx pool; the [rng]
-    handed to [f]/[tamper] is derived per index from one draw on the
+    handed to [f]/[junk] is derived per index from one draw on the
     shared stream, so payloads (and hence transcripts) are independent
-    of scheduling and domain count.  [f] and [tamper] must draw all
+    of scheduling and domain count.  [f] and [junk] must draw all
     their randomness from that [rng] and must not touch shared mutable
     state.
 
     Every post is a real transmission through the ctx's
-    {!Yoso_net.Board}: the step opens a fresh network round, [wire]
-    maps a payload to the wire items carrying its element data, and
-    the rest of [cost] is synthesized at modeled sizes so each frame
-    has the full byte weight of the post.  Under non-ideal network
-    models an honest post can arrive late or not at all; the role is
-    then excluded exactly like a fail-stop.
+    {!Yoso_net.Board}: the step opens a fresh network round, and the
+    part of [cost] the wire items do not carry is synthesized at
+    modeled sizes so each frame has the full byte weight of the post.
+    Under non-ideal network models an honest post can arrive late or
+    not at all; the role is then excluded exactly like a fail-stop.
     Returns the verified [(index, payload)] list.
     @raise Faults.Protocol_failure if fewer than [required] (default
     [1]) contributions survive verification. *)
@@ -124,9 +129,8 @@ val decrypt_batch :
 (** [Decrypt] (Protocol 2), batched: each speaking holder role posts
     one broadcast containing its partial decryption of every
     ciphertext, its [n] re-sharing messages for the next committee,
-    and one proof.  Malicious holders post junk partial decryptions
-    (correct epoch, wrong values) or garbage; verification excludes
-    them before [TDec].  Returns the decrypted values and the next
+    and one proof.  Verification excludes malicious holders' posts
+    before [TDec].  Returns the decrypted values and the next
     holder.
     @raise Faults.Protocol_failure with fewer than [t + 1] verified
     contributions. *)

@@ -24,5 +24,3 @@ let enc pk payload = { key = pk; payload }
 let dec sk c =
   if c.key <> sk.id then invalid_arg "Ideal_pke.dec: wrong key";
   c.payload
-
-let dec_opt sk c = if c.key <> sk.id then None else Some c.payload

@@ -24,5 +24,3 @@ val enc : pk -> 'a -> 'a enc
 
 val dec : sk -> 'a enc -> 'a
 (** @raise Invalid_argument if the key does not match. *)
-
-val dec_opt : sk -> 'a enc -> 'a option

@@ -39,18 +39,9 @@ let add tpk a b =
   check_ct tpk b;
   { ct_key = tpk.id; value = F.add a.value b.value }
 
-let sub tpk a b =
-  check_ct tpk a;
-  check_ct tpk b;
-  { ct_key = tpk.id; value = F.sub a.value b.value }
-
 let scale tpk c a =
   check_ct tpk a;
   { ct_key = tpk.id; value = F.mul c a.value }
-
-let add_plain tpk a v =
-  check_ct tpk a;
-  { ct_key = tpk.id; value = F.add a.value v }
 
 (* ------------------------------------------------------------------ *)
 (* Decryption: one row per member, one quorum per step                 *)
@@ -76,8 +67,8 @@ type 'a quorum = { rows : 'a array array; senders : int }
 (* Walks a step's items once, raising [foreign] on any item of another
    key; [f d x] sees each sender's first item [x], the [d]-th distinct
    sender, in order.  Returns the count of distinct senders.  Sender
-   indices are in [1, n] by construction (shares, and [junk_partial]'s
-   check), so a flag array replaces a hash set. *)
+   indices are in [1, n] by construction (shares carry them), so a
+   flag array replaces a hash set. *)
 let first_per_sender tpk ~foreign ~key_ok ~sender items f =
   let seen = Array.make (tpk.n + 1) false in
   let distinct = ref 0 in
@@ -152,9 +143,3 @@ let recombine_all tpk tokens =
 let reveal tpk c =
   check_ct tpk c;
   c.value
-
-let junk_partial tpk ~index ~epoch values =
-  if index < 1 || index > tpk.n then invalid_arg "Ideal_te.junk_partial: index out of range";
-  { p_key = tpk.id; p_index = index; p_epoch = epoch; p_values = values }
-
-let corrupt_partial p = { p with p_epoch = p.p_epoch + 1 }

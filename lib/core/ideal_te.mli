@@ -55,9 +55,7 @@ val eval : tpk -> F.t ct array -> F.t array -> F.t ct
     ciphertexts. *)
 
 val add : tpk -> F.t ct -> F.t ct -> F.t ct
-val sub : tpk -> F.t ct -> F.t ct -> F.t ct
 val scale : tpk -> F.t -> F.t ct -> F.t ct
-val add_plain : tpk -> F.t ct -> F.t -> F.t ct
 
 (** {1 Decryption} *)
 
@@ -121,13 +119,3 @@ val reveal : tpk -> 'a ct -> 'a
     computes directly instead of running another decrypt chain.  Never
     a substitute for {!combine_col} on the protocol path.
     @raise Invalid_argument on a foreign ciphertext. *)
-
-val junk_partial : tpk -> index:int -> epoch:int -> 'a array -> 'a partial
-(** Adversary/test constructor: a syntactically valid row carrying
-    wrong values.
-    @raise Invalid_argument unless [1 <= index <= n]. *)
-
-val corrupt_partial : 'a partial -> 'a partial
-(** Adversary/test constructor for polymorphic payloads: the honest
-    values under a desynchronized epoch — {!quorum} rejects the row
-    when it is chosen beside current-epoch rows. *)

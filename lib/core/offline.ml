@@ -56,12 +56,6 @@ module Faults = Yoso_runtime.Faults
 
 let phase = "offline"
 
-(* corrupted payload for additive-contribution steps: ciphertexts of
-   junk the role never proved knowledge of (Garbage_ciphertext posts
-   an undecodable blob instead) *)
-let junk_cts te rng kind build =
-  match kind with Faults.Garbage_ciphertext -> None | _ -> Some (build te rng)
-
 (* The offline protocol as an incremental stream: [start] builds a
    stepper whose stages emit typed preprocessing items in a fixed
    order — wire lambdas, input preps, one item per mult layer, then
@@ -171,9 +165,6 @@ let start ?(opts = default_opts) (ctx : Ops.ctx) (setup : Setup.t) layout =
     let xs =
       Ops.contributions ctx b1 ~phase ~step:"beaver: first-committee shares"
         ~cost:[ (Cost.Ciphertext, m) ]
-        ~tamper:(fun rng kind _ ->
-          junk_cts te rng kind (fun te rng ->
-              Array.init m (fun _ -> Te.encrypt te (F.random rng))))
         (fun rng _ -> Array.init m (fun _ -> Te.encrypt te (F.random rng)))
     in
     c_x := Pool.map pool m (fun g -> Ops.sum_contributions te xs (fun cts -> cts.(g)));
@@ -182,12 +173,6 @@ let start ?(opts = default_opts) (ctx : Ops.ctx) (setup : Setup.t) layout =
     let yzs =
       Ops.contributions ctx b2 ~phase ~step:"beaver: second-committee shares and products"
         ~cost:[ (Cost.Ciphertext, 2 * m) ]
-        ~tamper:(fun rng kind _ ->
-          (* inconsistent product: z contribution uses a different y than
-             the posted encryption — accepting it would break the triple *)
-          junk_cts te rng kind (fun te rng ->
-              Array.init m (fun g ->
-                  (Te.encrypt te (F.random rng), Te.scale te (F.random rng) cx.(g)))))
         (fun rng _ ->
           Array.init m (fun g ->
               let y = F.random rng in
@@ -212,9 +197,6 @@ let start ?(opts = default_opts) (ctx : Ops.ctx) (setup : Setup.t) layout =
     let lambda_contribs =
       Ops.contributions ctx r_committee ~phase ~step:"random wire values"
         ~cost:[ (Cost.Ciphertext, Array.length random_wires) ]
-        ~tamper:(fun rng kind _ ->
-          junk_cts te rng kind (fun te rng ->
-              Array.map (fun _ -> Te.encrypt te (F.random rng)) random_wires))
         (fun rng _ -> Array.map (fun _ -> Te.encrypt te (F.random rng)) random_wires)
     in
     Array.iteri
@@ -277,13 +259,6 @@ let start ?(opts = default_opts) (ctx : Ops.ctx) (setup : Setup.t) layout =
         let contribs =
           Ops.contributions ctx committee ~phase ~step:"packing helper randoms"
             ~cost:[ (Cost.Ciphertext, 3 * t * Array.length batch_chunk) ]
-            ~tamper:(fun rng kind _ ->
-              junk_cts te rng kind (fun te rng ->
-                  Array.map
-                    (fun _ ->
-                      Array.init 3 (fun _ ->
-                          Array.init t (fun _ -> Te.encrypt te (F.random rng))))
-                    batch_chunk))
             (fun rng _ ->
               Array.map
                 (fun _ ->

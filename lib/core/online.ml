@@ -144,22 +144,21 @@ let run_from (ctx : Ops.ctx) (setup : Setup.t) (source : Offline.source) ~inputs
       let verified =
         Ops.contributions ctx committee ~phase ~step
           ~cost:[ (Cost.Field_element, nbatches) ]
-          ~wire:(fun shares -> [ Wire.Field_elements shares ])
+          ~wire:
+            ( (fun shares -> [ Wire.Field_elements shares ]),
+              fun rng kind i ->
+                match kind with
+                | Faults.Wrong_degree ->
+                  (* shares drawn off a maximal-degree junk polynomial: the
+                     redundancy check over the surviving set would flag
+                     exactly these if the forged proof slipped through *)
+                  Array.map
+                    (fun _ ->
+                      let secrets = Array.init k (fun _ -> F.random rng) in
+                      (PS.share ps ~degree:(n - 1) ~secrets ~rng).PS.shares.(i))
+                    preps
+                | _ -> Array.map (fun _ -> F.random rng) preps )
           ~required:(Params.reconstruction_threshold p)
-          ~tamper:(fun rng kind i ->
-            match kind with
-            | Faults.Garbage_ciphertext -> None
-            | Faults.Wrong_degree ->
-              (* shares drawn off a maximal-degree junk polynomial: the
-                 redundancy check over the surviving set would flag
-                 exactly these if the forged proof slipped through *)
-              Some
-                (Array.map
-                   (fun _ ->
-                     let secrets = Array.init k (fun _ -> F.random rng) in
-                     (PS.share ps ~degree:(n - 1) ~secrets ~rng).PS.shares.(i))
-                   preps)
-            | _ -> Some (Array.map (fun _ -> F.random rng) preps))
           (fun _rng i ->
             let kff_sk = role_kff_sk li i in
             Array.mapi

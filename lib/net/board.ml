@@ -65,7 +65,6 @@ let create ?(config = default_config) () =
 
 let set_link t link = t.link <- link
 
-let sim t = t.sim
 let meter t = t.meter
 let config t = t.config
 let cost t = Bulletin.cost t.bulletin

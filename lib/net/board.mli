@@ -173,7 +173,6 @@ val commit : t -> prepared -> outcome
 
 val next_round : t -> unit
 
-val sim : t -> Sim.t
 val meter : t -> Meter.t
 val config : t -> config
 val cost : t -> Cost.t

@@ -27,8 +27,8 @@ type kind =
 val kind_to_string : kind -> string
 
 val active_kinds : kind list
-(** The four tampering kinds — faults where the role actually posts
-    corrupted content onto the bulletin board. *)
+(** The four tampering kinds — faults where the role posts onto the
+    bulletin board under a forged proof, and verifiers reject it. *)
 
 val is_active : kind -> bool
 (** [true] for tampering kinds, [false] for [Silent]/[Delayed]. *)

@@ -20,16 +20,14 @@ let felt = Alcotest.testable F.pp F.equal
 
 let test_pke_roundtrip () =
   let pk, sk = Pke.gen (rng ()) in
-  Alcotest.(check int) "roundtrip" 42 (Pke.dec sk (Pke.enc pk 42));
-  Alcotest.(check (option string)) "dec_opt" (Some "x") (Pke.dec_opt sk (Pke.enc pk "x"))
+  Alcotest.(check int) "roundtrip" 42 (Pke.dec sk (Pke.enc pk 42))
 
 let test_pke_wrong_key () =
   let r = rng () in
   let pk, _ = Pke.gen r in
   let _, sk2 = Pke.gen r in
   Alcotest.check_raises "wrong key" (Invalid_argument "Ideal_pke.dec: wrong key")
-    (fun () -> ignore (Pke.dec sk2 (Pke.enc pk 1)));
-  Alcotest.(check (option int)) "dec_opt none" None (Pke.dec_opt sk2 (Pke.enc pk 1))
+    (fun () -> ignore (Pke.dec sk2 (Pke.enc pk 1)))
 
 let test_pke_nested_payload () =
   (* the KFF pattern: a secret key travelling inside a ciphertext *)
@@ -75,22 +73,16 @@ let test_te_eval () =
   let te, shares = te_fixture () in
   let cts = Array.map (fun v -> Te.encrypt te (F.of_int v)) [| 2; 3; 5 |] in
   let combo = Te.eval te cts (Array.map F.of_int [| 10; 100; 1000 |]) in
-  Alcotest.check felt "linear combination" (F.of_int 5320) (decrypt te shares combo [ 1; 2; 3 ]);
-  let s = Te.sub te cts.(2) cts.(0) in
-  Alcotest.check felt "sub" (F.of_int 3) (decrypt te shares s [ 0; 1; 2 ]);
-  let ap = Te.add_plain te cts.(0) (F.of_int 40) in
-  Alcotest.check felt "add_plain" (F.of_int 42) (decrypt te shares ap [ 4; 5; 6 ])
+  Alcotest.check felt "linear combination" (F.of_int 5320) (decrypt te shares combo [ 1; 2; 3 ])
 
 let test_te_junk_partial_detected () =
   let te, shares = te_fixture () in
   let ct = Te.encrypt te (F.of_int 5) in
-  let junk = Te.junk_partial te ~index:6 ~epoch:0 [| F.of_int 1234 |] in
+  (* a current-epoch row of sender 6 over a ciphertext of a wrong value *)
+  let junk = Te.partial_decrypt te shares.(5) [| Te.encrypt te (F.of_int 1234) |] in
   Alcotest.check_raises "inconsistent"
     (Invalid_argument "Ideal_te.combine_col: inconsistent partials") (fun () ->
-      ignore (Te.combine_col (Te.quorum te (junk :: rows te shares [| ct |] [ 0; 1 ])) 0));
-  Alcotest.check_raises "junk sender out of range"
-    (Invalid_argument "Ideal_te.junk_partial: index out of range") (fun () ->
-      ignore (Te.junk_partial te ~index:8 ~epoch:0 [| F.one |]))
+      ignore (Te.combine_col (Te.quorum te (junk :: rows te shares [| ct |] [ 0; 1 ])) 0))
 
 let test_te_reshare_epochs () =
   let te, shares = te_fixture () in
@@ -254,15 +246,16 @@ let prop_te_matches_model =
       let plain = Array.init width (fun c -> F.of_int (100 + c)) in
       let cts = Array.map (Te.encrypt te) plain in
       let cts2 = Array.map (Te.encrypt te2) plain in
+      let next = Te.recombine_all te (Array.to_list (Array.map (Te.reshare te) shares)) in
       let row (i, kind) =
         let m = { m_index = i; m_epoch = 0; m_values = plain; m_foreign = false } in
         match kind with
         | Honest -> (Te.partial_decrypt te shares.(i - 1) cts, m)
         | Junk v ->
           let vs = Array.make width (F.of_int v) in
-          (Te.junk_partial te ~index:i ~epoch:0 vs, { m with m_values = vs })
-        | Shifted ->
-          (Te.corrupt_partial (Te.partial_decrypt te shares.(i - 1) cts), { m with m_epoch = 1 })
+          let junk = Array.map (Te.encrypt te) vs in
+          (Te.partial_decrypt te shares.(i - 1) junk, { m with m_values = vs })
+        | Shifted -> (Te.partial_decrypt te next.(i - 1) cts, { m with m_epoch = 1 })
         | Foreign -> (Te.partial_decrypt te2 shares2.(i - 1) cts2, { m with m_foreign = true })
       in
       let rs, mrows = List.split (List.map row prows) in
@@ -270,7 +263,6 @@ let prop_te_matches_model =
         List.init width (fun c -> result_of (fun () -> Te.combine_col (Te.quorum te rs) c))
       in
       let want = List.init width (model_decrypt ~t mrows) in
-      let next = Te.recombine_all te (Array.to_list (Array.map (Te.reshare te) shares)) in
       let token (i, kind) =
         match kind with
         | Honest | Junk _ -> (Te.reshare te shares.(i - 1), (i, 0, false))

@@ -56,7 +56,29 @@ let test_each_active_kind_detected () =
           Alcotest.(check string) (name ^ ": blame kind") name
             (Faults.kind_to_string b.Faults.kind))
         r.Protocol.blames)
-    Faults.active_kinds
+    Faults.active_kinds;
+  (* each plan's transcript, pinned: what a rejected post puts on the
+     wire differs by kind (a corrupted frame for garbage-ciphertext,
+     junk shares in the multiplication step, a late frame, nothing),
+     and a random mix of kinds cannot tell which kind changed *)
+  let params = Params.create ~n:16 ~t:4 ~k:4 () in
+  List.iter
+    (fun (name, plan, frames, digest) ->
+      let r =
+        check_delivered name (run ~plan ~seed:7 ~params (adv ~malicious:4 ~fail_stop:1))
+      in
+      let tr = r.Protocol.transcript in
+      Alcotest.(check (pair int int))
+        (name ^ ": frames, digest") (frames, digest)
+        (tr.Yoso_net.Board.frames, tr.Yoso_net.Board.digest))
+    [
+      ("tamper-share", Faults.always Faults.Tamper_share, 243, 2602716956113897523);
+      ("bad-proof", Faults.always Faults.Bad_proof, 243, 4226075644656688131);
+      ("wrong-degree", Faults.always Faults.Wrong_degree, 243, 2340563648543515231);
+      ("garbage-ciphertext", Faults.always Faults.Garbage_ciphertext, 243, 3712688547883112517);
+      ("delayed", Faults.always Faults.Delayed, 259, 3642702736986583908);
+      ("silent", Faults.silent, 179, 4113177038625028983);
+    ]
 
 let test_silent_and_delayed_malicious () =
   (* a malicious role may also just crash (or post too late); nothing
