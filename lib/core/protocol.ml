@@ -75,14 +75,15 @@ let default_config = config ()
 (* ------------------------------------------------------------------ *)
 
 (* One live pool for the whole process, shared by every session at
-   its domain count (the factory's producer and consumer domains use
-   it at once), so a run of circuits at one count pays one spawn and
-   no join.  [holders] counts the open sessions on it.  A session at
-   another count shuts an idle pool down first: idle workers still
-   join every stop-the-world minor collection, and OCaml caps the
-   live domains at 128.  If the live pool is held, a session at
-   another count gets a pool of its own, joined when it closes.
-   [acquire_pool] returns the pool and its release. *)
+   its domain count that brings no pool of its own (the factory's
+   sessions run on the stream's pool), so a run of circuits at one
+   count pays one spawn and no join.  [holders] counts the open
+   sessions on it.  A session at another count shuts an idle pool
+   down first: idle workers still join every stop-the-world minor
+   collection, and OCaml caps the live domains at 128.  If the live
+   pool is held, a session at another count gets a pool of its own,
+   joined when it closes.  [acquire_pool] returns the pool and its
+   release. *)
 type live = { pool : Pool.t; mutable holders : int }
 
 let live : live option ref = ref None
@@ -132,12 +133,14 @@ type session = {
 
 let ms_since t0 = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-6
 
-let open_session ~params ?(config = default_config) ~circuit () =
+let open_session ~params ?(config = default_config) ?pool ~circuit () =
   let { adversary; plan; validate; seed; domains; offline = _ } = config.exec in
   let { board = net; link } = config.net in
   let board = Board.create ~config:net () in
   Board.set_link board link;
-  let pool, release = acquire_pool ~domains in
+  let pool, release =
+    match pool with Some p -> (p, ignore) | None -> acquire_pool ~domains
+  in
   match
     let ctx = Ops.create_ctx ?plan ~validate ~pool ~board ~params ~adversary ~seed () in
     let layout = Layout.make circuit ~k:params.Params.k in

@@ -127,12 +127,20 @@ val default_config : config
 type session
 
 val open_session :
-  params:Params.t -> ?config:config -> circuit:Circuit.t -> unit -> session
+  params:Params.t ->
+  ?config:config ->
+  ?pool:Yoso_parallel.Pool.t ->
+  circuit:Circuit.t ->
+  unit ->
+  session
 (** Builds the board, committee ctx and layout, and runs setup
-    (posting its frame).  The ctx runs its fan-out on the process's
-    live pool when that has the config's [domains]; otherwise an idle
-    live pool is joined and one of [domains] is spawned.  The session
-    holds its pool until {!close_session}.
+    (posting its frame).  The ctx runs its fan-out on [pool] when one
+    is given (the caller's, which the caller keeps and shuts down;
+    the config's [domains] is then not read: the factory's stream
+    runs both its sides' sessions on one pool).  Otherwise it runs on
+    the process's live pool when that has the config's [domains]; if
+    not, an idle live pool is joined and one of [domains] is spawned,
+    and the session holds that pool until {!close_session}.
     @raise Invalid_argument if [domains] is outside [[1, 128]]. *)
 
 val produce : session -> Offline.t

@@ -1,9 +1,15 @@
+module Pool = Yoso_parallel.Pool
+
 exception Closed
 
+(* The depot's state sits under [mutex]; every blocking wait goes
+   through [Pool.await] on [pool], whose condition reads that state
+   under [mutex] (lock order: pool, then depot), and every change a
+   waiter could be waiting for is followed by [Pool.wake] once
+   [mutex] is released. *)
 type 'a t = {
   mutex : Mutex.t;
-  filled : Condition.t;  (* consumer waits here in [draw] *)
-  drawn : Condition.t;   (* producer waits here in [put] *)
+  pool : Pool.t;
   mutable slot : 'a option;
   mutable waiting : bool;  (* a consumer is blocked in [draw] *)
   mutable closed : bool;
@@ -15,11 +21,10 @@ type 'a t = {
   mutable max_occupancy : int;
 }
 
-let create () =
+let create ?(pool = Pool.create ~domains:1) () =
   {
     mutex = Mutex.create ();
-    filled = Condition.create ();
-    drawn = Condition.create ();
+    pool;
     slot = None;
     waiting = false;
     closed = false;
@@ -32,6 +37,7 @@ let create () =
   }
 
 let locked t f = Mutex.protect t.mutex f
+let await t ready = Pool.await t.pool (fun () -> locked t ready)
 
 (* one producer: the slot is empty on entry, and it empties again
    only when the consumer draws this put's item *)
@@ -41,11 +47,10 @@ let put t x =
       t.slot <- Some x;
       t.puts <- t.puts + 1;
       t.max_occupancy <- 1;
-      if not t.waiting then t.producer_blocks <- t.producer_blocks + 1;
-      Condition.signal t.filled;
-      while Option.is_some t.slot && not t.closed do
-        Condition.wait t.drawn t.mutex
-      done;
+      if not t.waiting then t.producer_blocks <- t.producer_blocks + 1);
+  Pool.wake t.pool;
+  await t (fun () -> Option.is_none t.slot || t.closed);
+  locked t (fun () ->
       if Option.is_some t.slot then begin
         (* closed before the draw: the item stays the producer's *)
         t.slot <- None;
@@ -53,34 +58,41 @@ let put t x =
       end)
 
 let draw t =
-  locked t (fun () ->
-      if Option.is_none t.slot && not t.closed then begin
-        t.consumer_blocks <- t.consumer_blocks + 1;
-        t.waiting <- true;
-        while Option.is_none t.slot && not t.closed do
-          Condition.wait t.filled t.mutex
-        done;
-        t.waiting <- false
-      end;
-      match t.slot with
-      | Some x ->
-        t.slot <- None;
-        t.draws <- t.draws + 1;
-        Condition.signal t.drawn;
-        x
-      | None -> raise (Option.value t.poison ~default:Closed))
+  let blocked =
+    locked t (fun () ->
+        let empty = Option.is_none t.slot && not t.closed in
+        if empty then begin
+          t.consumer_blocks <- t.consumer_blocks + 1;
+          t.waiting <- true
+        end;
+        empty)
+  in
+  if blocked then await t (fun () -> Option.is_some t.slot || t.closed);
+  let item =
+    locked t (fun () ->
+        t.waiting <- false;
+        match t.slot with
+        | Some x ->
+          t.slot <- None;
+          t.draws <- t.draws + 1;
+          Ok x
+        | None -> Error (Option.value t.poison ~default:Closed))
+  in
+  match item with
+  | Ok x ->
+    Pool.wake t.pool;
+    x
+  | Error e -> raise e
 
-let stop t =
-  t.closed <- true;
-  Condition.broadcast t.filled;
-  Condition.broadcast t.drawn
-
-let close t = locked t (fun () -> stop t)
+let close t =
+  locked t (fun () -> t.closed <- true);
+  Pool.wake t.pool
 
 let fail t exn =
   locked t (fun () ->
       if t.poison = None then t.poison <- Some exn;
-      stop t)
+      t.closed <- true);
+  Pool.wake t.pool
 
 type stats = {
   puts : int;

@@ -6,6 +6,7 @@ module Meter = Yoso_net.Meter
 module Board = Yoso_net.Board
 module Protocol = Yoso_mpc.Protocol
 module Offline = Yoso_mpc.Offline
+module Pool = Yoso_parallel.Pool
 
 type job = {
   circuit : Circuit.t;
@@ -38,10 +39,14 @@ let ms_since t0 = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-6
    minor collection is a stop-the-world sync across domains; at the
    stock 256k-word arena the producer and consumer rendezvous so often
    that synchronization swamps the pipeline (measured ~2x on one
-   core).  On a 2-core box it still pays: over 5 runs each of the
-   benchmark's factory_stream workload (15 s), the median is 1904
-   gates/s with it and 1457 without, for ~10 MB more peak heap.  32 MB per domain cuts the sync
-   frequency ~16x; [stream] restores the caller's setting on exit. *)
+   core).  [Gc.set] sizes the calling domain's arena only: the
+   consumer gets 32 MB, and the producer domain, spawned afterwards,
+   keeps OCaml's default.  With the two sides sharing one pool, 10
+   alternating pairs of the benchmark's factory_stream workload (15 s
+   each, 2-core x86-64) read medians of 7960 gates/s with it and 8076
+   without, each side ahead in 5: a tie, where before the shared pool
+   it read 1904 against 1457.  [stream] restores the caller's setting
+   on exit. *)
 let stream_minor_words = 4 * 1024 * 1024
 
 let stream ~params ?(config = Protocol.default_config) ~jobs () =
@@ -50,8 +55,14 @@ let stream ~params ?(config = Protocol.default_config) ~jobs () =
   Gc.set
     { gc0 with Gc.minor_heap_size = max gc0.Gc.minor_heap_size stream_minor_words };
   Fun.protect ~finally:(fun () -> Gc.set gc0) @@ fun () ->
-  let base_seed = config.Protocol.exec.Protocol.seed in
-  let depot = Depot.create () in
+  let { Protocol.seed = base_seed; domains; _ } = config.Protocol.exec in
+  (* the stream's domains (its [domains - 1] workers, the producer
+     and the consumer) are one pool: either side's fan-outs are
+     chunked for all of them, and a side blocked in the depot runs
+     the other side's chunks *)
+  let pool = Pool.shared ~domains:(domains + 1) ~submitters:2 in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+  let depot = Depot.create ~pool () in
   let refill_meter = Meter.create () in
   let online_active = Atomic.make false in
   let refills_during_online = Atomic.make 0 in
@@ -68,7 +79,7 @@ let stream ~params ?(config = Protocol.default_config) ~jobs () =
         Protocol.exec = { config.Protocol.exec with Protocol.seed = derived_seed base_seed j };
       }
     in
-    let s = Protocol.open_session ~params ~config ~circuit:job.circuit () in
+    let s = Protocol.open_session ~params ~config ~pool ~circuit:job.circuit () in
     let meter = Board.meter (Protocol.session_board s) in
     let st = Protocol.start_stream s in
     let before = ref (Meter.phase_total meter ~phase:"offline") in

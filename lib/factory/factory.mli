@@ -14,6 +14,15 @@
     committee hands on: no part of a circuit's online phase can
     overlap its own preprocessing.
 
+    The stream's domains are one pool ({!Yoso_parallel.Pool.shared}):
+    the config's [domains - 1] workers plus the producer and the
+    consumer, [domains + 1] in all, and every fan-out of either side is
+    chunked for all of them.  A side that would block in the depot
+    (the consumer waiting for a circuit, the producer for its draw)
+    runs the other side's unclaimed chunks meanwhile and sleeps only
+    when none is left, so the consumer's wait for the next circuit
+    speeds that circuit's preprocessing up instead of idling a core.
+
     Every session is self-contained (own board, committee ctx, rng
     streams) and its ctx is used by one domain at a time, the depot
     ordering the handover, so each circuit's transcript digest,
@@ -71,7 +80,10 @@ val stream :
     {!Yoso_mpc.Protocol.default_config}) is the per-circuit template;
     only its seed is rewritten per circuit.  At most two circuits are
     alive: the producer starts circuit [j + 2] only once the consumer
-    has drawn circuit [j + 1].  A circuit's [phase_ms] ["online"] is
+    has drawn circuit [j + 1].  The stream holds [domains + 1] domains
+    (its pool's [domains - 1] workers, joined when it returns, the
+    producer and the calling domain), whatever the process's live
+    pool holds.  A circuit's [phase_ms] ["online"] is
     its online phase alone, not the wait for its preprocessing.
     Producer exceptions (including
     {!Yoso_runtime.Faults.Protocol_failure} from an audit) propagate

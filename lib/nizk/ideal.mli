@@ -23,19 +23,17 @@
       constant-size proof assumption.
 
     Honest protocol code must call {!prove} with the real witness
-    check; adversarial code uses {!forge} (which can never verify for
-    a statement whose check failed) or mutates statements (detected by
-    the binding). *)
+    check; adversarial code proves with [witness_ok = false] (a proof
+    that can never verify) or mutates statements (detected by the
+    binding). *)
 
 type proof
 
 val prove : relation:string -> statement:string -> witness_ok:bool -> proof
 (** The caller evaluates its witness against the relation and passes
-    the result; honest provers always have [witness_ok = true]. *)
-
-val forge : relation:string -> statement:string -> proof
-(** What a malicious role can produce for a false statement: a proof
-    object that never verifies. *)
+    the result; honest provers always have [witness_ok = true], and
+    [witness_ok = false] is what a malicious role can produce for a
+    false statement. *)
 
 val verify : relation:string -> statement:string -> proof -> bool
 

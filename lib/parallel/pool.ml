@@ -14,9 +14,9 @@ type job = {
 type t = {
   domains : int;
   lock : Mutex.t;
-  has_work : Condition.t;
+  has_work : Condition.t;  (* idle workers and {!await}ing domains sleep here *)
   work_done : Condition.t;
-  mutable job : job option;
+  mutable open_jobs : job list;  (* jobs with unclaimed chunks, oldest first *)
   mutable stopping : bool;
   mutable workers : unit Domain.t array;
 }
@@ -25,8 +25,10 @@ type t = {
 (* Per-chunk timing hook, off by default                                *)
 (* ------------------------------------------------------------------ *)
 
-(* When enabled, every drained chunk appends a sample to a global,
-   mutex-guarded list.  A global sink (rather than per-pool state) is
+(* When enabled, every drained chunk pushes a sample onto a global
+   lock-free list (the producer and consumer of a factory stream
+   record at once, and a mutex here would be contended on every
+   chunk).  A global sink (rather than per-pool state) is
    deliberate: the pools that matter are held inside [Protocol],
    where no caller can reach them, so the bench's [--profile] flag
    needs a collection point outside any pool.  Cost when disabled is one bool load per
@@ -34,80 +36,76 @@ type t = {
 type sample = { s_domain : int; s_chunk : int; s_ms : float }
 
 let profiling = Atomic.make false
-let profile_lock = Mutex.create ()
-let profile_samples : sample list ref = ref []
+let profile_samples : sample list Atomic.t = Atomic.make []
 
 let set_profiling b = Atomic.set profiling b
 
 let drain_profile () =
-  Mutex.lock profile_lock;
-  let s = List.rev !profile_samples in
-  profile_samples := [];
-  Mutex.unlock profile_lock;
-  List.map (fun s -> (s.s_domain, s.s_chunk, s.s_ms)) s
+  List.rev_map
+    (fun s -> (s.s_domain, s.s_chunk, s.s_ms))
+    (Atomic.exchange profile_samples [])
 
-let record_sample sample =
-  Mutex.lock profile_lock;
-  profile_samples := sample :: !profile_samples;
-  Mutex.unlock profile_lock
+let rec record_sample sample =
+  let old = Atomic.get profile_samples in
+  if not (Atomic.compare_and_set profile_samples old (sample :: old)) then
+    record_sample sample
 
 let ms_since t0 = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-6
 
-(* Claim and run chunks of [j], one at a time, until none remain.
-   Called (and returns) with [t.lock] held; the lock is released
-   around each chunk body. *)
-let drain t wid j =
-  let len = Array.length j.chunks in
-  while j.next < len do
-    let c = j.next in
-    j.next <- c + 1;
-    Mutex.unlock t.lock;
-    let prof = Atomic.get profiling in
-    let t0 = if prof then Monotonic_clock.now () else 0L in
-    let error = match j.chunks.(c) () with () -> None | exception e -> Some e in
-    if prof then record_sample { s_domain = wid; s_chunk = c; s_ms = ms_since t0 };
-    Mutex.lock t.lock;
-    (match error with
-    | Some e when j.failed = None -> j.failed <- Some e
-    | _ -> ());
-    j.completed <- j.completed + 1;
-    if j.completed = len then Condition.broadcast t.work_done
-  done
+(* Claim chunk [j.next] and run it.  Called (and returns) with
+   [t.lock] held; the lock is released around the chunk body.  A job
+   leaves [open_jobs] as its last chunk is claimed. *)
+let run_chunk t wid j =
+  let c = j.next in
+  j.next <- c + 1;
+  if j.next = Array.length j.chunks then
+    t.open_jobs <- List.filter (fun j' -> j' != j) t.open_jobs;
+  Mutex.unlock t.lock;
+  let prof = Atomic.get profiling in
+  let t0 = if prof then Monotonic_clock.now () else 0L in
+  let error = match j.chunks.(c) () with () -> None | exception e -> Some e in
+  if prof then record_sample { s_domain = wid; s_chunk = c; s_ms = ms_since t0 };
+  Mutex.lock t.lock;
+  (match error with
+  | Some e when j.failed = None -> j.failed <- Some e
+  | _ -> ());
+  j.completed <- j.completed + 1;
+  if j.completed = Array.length j.chunks then Condition.broadcast t.work_done
 
 let worker t wid =
   Mutex.lock t.lock;
   let rec loop () =
     if t.stopping then Mutex.unlock t.lock
-    else
-      match t.job with
-      | Some j when j.next < Array.length j.chunks ->
-        drain t wid j;
-        loop ()
-      | _ ->
-        Condition.wait t.has_work t.lock;
-        loop ()
+    else begin
+      (match t.open_jobs with
+      | j :: _ -> run_chunk t wid j
+      | [] -> Condition.wait t.has_work t.lock);
+      loop ()
+    end
   in
   loop ()
 
-let create ~domains =
+let shared ~domains ~submitters =
   if domains < 1 || domains > 128 then
     invalid_arg "Pool.create: domains must be in [1, 128]";
+  if submitters < 1 || submitters > domains then
+    invalid_arg "Pool.shared: submitters must be in [1, domains]";
   let t =
     {
       domains;
       lock = Mutex.create ();
       has_work = Condition.create ();
       work_done = Condition.create ();
-      job = None;
+      open_jobs = [];
       stopping = false;
       workers = [||];
     }
   in
-  if domains > 1 then
-    t.workers <-
-      Array.init (domains - 1) (fun k -> Domain.spawn (fun () -> worker t (k + 1)));
+  t.workers <-
+    Array.init (domains - submitters) (fun k -> Domain.spawn (fun () -> worker t (k + 1)));
   t
 
+let create ~domains = shared ~domains ~submitters:1
 let domains t = t.domains
 let sequential = create ~domains:1
 
@@ -122,14 +120,12 @@ let shutdown t =
   end
 
 (* Submit [chunks], participate in draining them, wait for
-   stragglers, then re-raise the first failure if any.  The pool
-   advertises one job at a time: a second submitting domain (the
-   factory's producer beside its consumer) replaces the advertised
-   job, and each submitter still drains its own job to the end, so
-   both run at once and workers help whichever job is current.  A
-   submitter clears the slot only while it still holds its own job.
-   Wake-ups are targeted: with fewer chunks than domains only
-   [len - 1] workers are signalled (the caller takes a chunk itself),
+   stragglers, then re-raise the first failure if any.  Several
+   domains may submit at once (the factory's producer beside its
+   consumer): each job joins [open_jobs], each submitter drains its
+   own job to the end, and a helper takes a chunk of the oldest open
+   job.  Wake-ups are targeted: with fewer chunks than domains only
+   [len - 1] sleepers are signalled (the caller takes a chunk itself),
    so surplus workers sleep through the whole job instead of waking
    to find nothing. *)
 let run_job t chunks =
@@ -137,19 +133,36 @@ let run_job t chunks =
   if len > 0 then begin
     let j = { chunks; next = 0; completed = 0; failed = None } in
     Mutex.lock t.lock;
-    t.job <- Some j;
+    t.open_jobs <- t.open_jobs @ [ j ];
     let wake = Stdlib.min (len - 1) (t.domains - 1) in
     for _ = 1 to wake do
       Condition.signal t.has_work
     done;
-    drain t 0 j;
+    while j.next < len do
+      run_chunk t 0 j
+    done;
     while j.completed < len do
       Condition.wait t.work_done t.lock
     done;
-    (match t.job with Some j' when j' == j -> t.job <- None | _ -> ());
     Mutex.unlock t.lock;
     match j.failed with Some e -> raise e | None -> ()
   end
+
+(* [ready] is read under [t.lock], and whoever makes it true calls
+   [wake] (which takes [t.lock]) afterwards, so the change lands
+   either before the read or while this domain sleeps: no wake-up is
+   lost.  The condition is rechecked after every chunk, so a domain
+   whose handoff completed returns as soon as its current chunk
+   ends. *)
+let await t ready =
+  Mutex.protect t.lock @@ fun () ->
+  while not (ready ()) do
+    match t.open_jobs with
+    | j :: _ -> run_chunk t 0 j
+    | [] -> Condition.wait t.has_work t.lock
+  done
+
+let wake t = Mutex.protect t.lock (fun () -> Condition.broadcast t.has_work)
 
 (* Chunking: [min n (4 * domains)] contiguous ranges of near-equal
    count, whose boundaries depend only on [n] and the pool size —

@@ -23,8 +23,13 @@
     job does not serialize behind one domain.
 
     Several domains may submit to one pool at once: each submitter
-    drains its own job to the end, and the workers help the job
-    submitted last.  The pool is {e not} re-entrant: calling [map] from inside
+    drains its own job to the end, and the workers help any open job
+    that still has unclaimed chunks, the oldest first.  A domain that
+    has to wait for something outside the pool (the factory's consumer
+    for a circuit, its producer for the draw) can {!await} it on the
+    pool instead, running open jobs' chunks until its condition holds
+    and sleeping only while no chunk is left to claim.  The pool is
+    {e not} re-entrant: calling [map] from inside
     a closure already running under the same pool deadlocks the
     caller's chunk.  Protocol code parallelizes one layer at a time
     (the per-member fan-out), which never nests. *)
@@ -38,6 +43,16 @@ val create : domains:int -> t
     runs inline — the sequential semantics are the specification the
     parallel path is tested against.
     @raise Invalid_argument if [domains < 1] or [domains > 128]. *)
+
+val shared : domains:int -> submitters:int -> t
+(** [shared ~domains ~submitters] is a pool whose [domains] include
+    [submitters] domains the caller brings: it spawns only
+    [domains - submitters] workers and chunks every job as a pool of
+    [domains] does.  The submitting domains make up the rest of the
+    parallelism by {!await}ing on the pool whenever they would block.
+    [create ~domains] is [shared ~domains ~submitters:1].
+    @raise Invalid_argument if [domains] is outside [[1, 128]] or
+    [submitters] outside [[1, domains]]. *)
 
 val domains : t -> int
 
@@ -64,6 +79,20 @@ val iter : t -> int -> (int -> unit) -> unit
 (** [iter t n f] runs [f 0 .. f (n-1)] under the pool, for effects
     into caller-allocated per-index slots. Same rules as {!map}. *)
 
+val await : t -> (unit -> bool) -> unit
+(** [await t ready] returns once [ready ()] holds.  Until then the
+    calling domain claims and runs unclaimed chunks of any open job,
+    one at a time, rechecking [ready] after each, and sleeps when no
+    chunk is left to claim.  [ready] runs with the pool's lock held,
+    so it must be quick and must not use the pool; whoever makes it
+    true must call {!wake} afterwards, or the sleeper may never see
+    it.  A chunk's exception goes to the job's submitter, never to the
+    awaiting domain. *)
+
+val wake : t -> unit
+(** Wakes every domain sleeping in {!await} (and every idle worker,
+    which finds nothing and sleeps again) to recheck its condition. *)
+
 val shutdown : t -> unit
 (** Joins the worker domains.  Idempotent; the pool must not be used
     afterwards.  Shutting down {!sequential} is a no-op. *)
@@ -82,7 +111,8 @@ val set_profiling : bool -> unit
 (** Toggle the per-chunk timing hook (off by default; one flag for the
     whole process).  While enabled, every chunk drained by any pool
     records [(domain, chunk, ms)] — the worker's index within its pool
-    ([0] is the calling domain), the chunk's position in the job, and
+    ([0] is a domain that submitted the job or {!await}s on the
+    pool), the chunk's position in the job, and
     its wall-clock duration. *)
 
 val drain_profile : unit -> (int * int * float) list

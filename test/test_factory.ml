@@ -202,19 +202,27 @@ let test_stream_adversary_matches_oneshot () =
   Alcotest.(check bool) "two streams at one seed agree" true (outcomes () = outcomes ())
 
 (* a producer failure (here a tampered triple caught by its audit)
-   reaches the caller as the producer's exception, not a hang *)
+   reaches the caller as the producer's exception, not a hang, whether
+   the consumer is running the producer's chunks or asleep in its
+   wait (1 domain: the two sides are the pool's only domains) or a
+   worker helps as well (2 domains) *)
 let test_stream_producer_failure () =
   let opts =
     { Offline.default_opts with Offline.audit_triples = true; audit_tamper = [ 2 ] }
   in
-  match
-    Factory.stream ~params:stream_params
-      ~config:(Protocol.config ~seed:0xA0D1 ~offline:opts ~domains:2 ())
-      ~jobs:(stream_jobs 3) ()
-  with
-  | _ -> Alcotest.fail "tampered stream delivered"
-  | exception Faults.Protocol_failure f ->
-    Alcotest.(check string) "audit committee" "Off-Audit" f.Faults.f_committee
+  List.iter
+    (fun domains ->
+      match
+        Factory.stream ~params:stream_params
+          ~config:(Protocol.config ~seed:0xA0D1 ~offline:opts ~domains ())
+          ~jobs:(stream_jobs 3) ()
+      with
+      | _ -> Alcotest.failf "tampered stream delivered at %d domains" domains
+      | exception Faults.Protocol_failure f ->
+        Alcotest.(check string)
+          (Printf.sprintf "audit committee at %d domains" domains)
+          "Off-Audit" f.Faults.f_committee)
+    [ 1; 2 ]
 
 (* ------------------------------------------------------------------ *)
 (* Depot unit behavior                                                 *)

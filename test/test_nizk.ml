@@ -161,8 +161,9 @@ let test_ideal_honest () =
   Alcotest.(check bool) "honest proof verifies" true
     (Ideal.verify ~relation:"reenc" ~statement:"stmt" proof)
 
+(* adversarial code forges by proving with [witness_ok = false] *)
 let test_ideal_forge_rejected () =
-  let proof = Ideal.forge ~relation:"reenc" ~statement:"stmt" in
+  let proof = Ideal.prove ~relation:"reenc" ~statement:"stmt" ~witness_ok:false in
   Alcotest.(check bool) "forged proof rejected" false
     (Ideal.verify ~relation:"reenc" ~statement:"stmt" proof)
 

@@ -14,6 +14,7 @@ module Faults = Yoso_runtime.Faults
 module Paillier = Yoso_paillier.Paillier
 module Threshold = Yoso_paillier.Threshold
 module Oracles = Yoso_oracles
+module Depot = Yoso_factory.Depot
 
 let with_pool ~domains f =
   let pool = Pool.create ~domains in
@@ -238,6 +239,12 @@ let test_create_validation () =
     (fun () -> ignore (Pool.create ~domains:0));
   Alcotest.check_raises "domains = 129" (Invalid_argument "Pool.create: domains must be in [1, 128]")
     (fun () -> ignore (Pool.create ~domains:129));
+  Alcotest.check_raises "submitters = 0"
+    (Invalid_argument "Pool.shared: submitters must be in [1, domains]") (fun () ->
+      ignore (Pool.shared ~domains:2 ~submitters:0));
+  Alcotest.check_raises "submitters > domains"
+    (Invalid_argument "Pool.shared: submitters must be in [1, domains]") (fun () ->
+      ignore (Pool.shared ~domains:2 ~submitters:3));
   let pool = Pool.create ~domains:2 in
   Pool.shutdown pool;
   Pool.shutdown pool (* idempotent *)
@@ -271,6 +278,115 @@ let test_shared_pool_two_submitters () =
       let theirs = Domain.join other in
       Alcotest.(check int) "calling domain: wrong results" 0 mine;
       Alcotest.(check int) "second domain: wrong results" 0 theirs)
+
+(* ------------------------------------------------------------------ *)
+(* waiting on a pool                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* [parties] chunks meet here: each blocks until all have arrived, so
+   a job made of them completes only if that many domains run its
+   chunks at once *)
+let barrier parties =
+  let m = Mutex.create () and c = Condition.create () and arrived = ref 0 in
+  fun () ->
+    Mutex.protect m (fun () ->
+        incr arrived;
+        Condition.broadcast c;
+        while !arrived < parties do
+          Condition.wait c m
+        done)
+
+(* the factory's shape: two domains bring themselves to a pool that
+   spawns no worker *)
+let with_waiter_pool f =
+  let pool = Pool.shared ~domains:2 ~submitters:2 in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
+
+(* a 2-chunk job whose chunks wait for each other completes only if
+   the domain in [await] runs one of them; its result is still the
+   sequential one *)
+let test_await_runs_open_chunks () =
+  with_waiter_pool (fun pool ->
+      let released = Atomic.make false in
+      let waiter =
+        Domain.spawn (fun () ->
+            Pool.await pool (fun () -> Atomic.get released);
+            (Domain.self () :> int))
+      in
+      let meet = barrier 2 in
+      let ran_on = Array.make 2 (-1) in
+      let got =
+        Pool.map pool 2 (fun i ->
+            meet ();
+            ran_on.(i) <- (Domain.self () :> int);
+            10 * i)
+      in
+      Atomic.set released true;
+      Pool.wake pool;
+      let waiter_id = Domain.join waiter in
+      Alcotest.(check (array int)) "result" [| 0; 10 |] got;
+      Alcotest.(check bool) "the waiting domain ran a chunk" true
+        (Array.mem waiter_id ran_on);
+      Alcotest.(check bool) "the submitter ran the other" true
+        (Array.mem (Domain.self () :> int) ran_on))
+
+(* two domains hand a counter back and forth through [await] alone, no
+   job ever open: a wake-up lost between a condition's check and the
+   sleep hangs the exchange *)
+let test_await_no_lost_wakeup () =
+  with_waiter_pool (fun pool ->
+      let rounds = 20000 in
+      let ping = Atomic.make 0 and pong = Atomic.make 0 in
+      let other =
+        Domain.spawn (fun () ->
+            for r = 1 to rounds do
+              Pool.await pool (fun () -> Atomic.get ping >= r);
+              Atomic.set pong r;
+              Pool.wake pool
+            done)
+      in
+      for r = 1 to rounds do
+        Atomic.set ping r;
+        Pool.wake pool;
+        Pool.await pool (fun () -> Atomic.get pong >= r)
+      done;
+      Domain.join other;
+      Alcotest.(check int) "every round answered" rounds (Atomic.get pong);
+      (* a condition already true returns at once, without a wake *)
+      Pool.await pool (fun () -> true))
+
+(* a draw on the empty depot and a put waiting for its draw sleep in
+   the pool's wait; closing or failing the depot must wake them.  A
+   job whose two chunks wait for each other proves the blocked side
+   is inside the wait before the depot is stopped. *)
+let test_depot_stop_wakes_waiter () =
+  let sides =
+    [ ("draw", fun d -> ignore (Depot.draw d)); ("put", fun d -> Depot.put d 1) ]
+  in
+  let stops =
+    [ ("close", Depot.close, fun _ -> Depot.Closed);
+      ("fail", (fun d -> Depot.fail d (Failure "died")), fun side ->
+        if side = "draw" then Failure "died" else Depot.Closed) ]
+  in
+  List.iter
+    (fun (side, block) ->
+      List.iter
+        (fun (stop_name, stop, expected) ->
+          with_waiter_pool (fun pool ->
+              let d : int Depot.t = Depot.create ~pool () in
+              let blocked =
+                Domain.spawn (fun () ->
+                    match block d with () -> None | exception e -> Some e)
+              in
+              let meet = barrier 2 in
+              ignore (Pool.map pool 2 (fun _ -> meet ()));
+              stop d;
+              let what = Printf.sprintf "%s woken by %s" side stop_name in
+              match Domain.join blocked with
+              | Some e -> Alcotest.(check bool) what true (e = expected side)
+              | None -> Alcotest.fail (what ^ ": returned normally")))
+        stops)
+    sides
 
 (* ------------------------------------------------------------------ *)
 (* protocol determinism across domain counts                           *)
@@ -436,6 +552,14 @@ let () =
           Alcotest.test_case "profiling hook" `Quick test_profiling_hook;
           Alcotest.test_case "two submitters share a pool" `Quick
             test_shared_pool_two_submitters;
+        ] );
+      ( "await",
+        [
+          Alcotest.test_case "waiting domain runs open chunks" `Quick
+            test_await_runs_open_chunks;
+          Alcotest.test_case "no lost wake-up" `Quick test_await_no_lost_wakeup;
+          Alcotest.test_case "depot stop wakes a waiter" `Quick
+            test_depot_stop_wakes_waiter;
         ] );
       ( "determinism",
         [
