@@ -43,47 +43,66 @@ let run () =
 
   Printf.printf "  %d circuits (%d mult gates each), n=%d t=%d k=%d\n%!" circuits
     (Circuit.num_mul circuit) params.Params.n params.Params.t params.Params.k;
-  let baseline, base_ms =
-    wall (fun () ->
-        Array.init circuits (fun j ->
-            Protocol.execute ~params
-              ~config:(Protocol.config ~seed:(Factory.derived_seed base_seed j) ~offline:opts ())
-              ~circuit ~inputs:(inputs_of j) ()))
-  in
   let jobs =
     Array.init circuits (fun j -> { Factory.circuit; inputs = inputs_of j })
   in
-  let streamed =
-    Factory.stream ~params
-      ~config:(Protocol.config ~seed:base_seed ~offline:opts ())
-      ~jobs ()
-  in
-  let total_mult = streamed.Factory.total_mult in
-  let base_gps = float_of_int total_mult *. 1000. /. base_ms in
-  let stream_gps = streamed.Factory.gates_per_sec in
-
-  (* streamed outputs and transcripts must equal the independent
+  (* one streamed/one-shot pair: the one-shot sequence, then the
+     stream, whose outputs and transcripts must equal the independent
      one-shot runs — streaming changes the schedule, never the bytes *)
-  List.iter
-    (fun cr ->
-      let one = baseline.(cr.Factory.index) in
-      let sd = cr.Factory.report.Protocol.transcript.Board.digest in
-      let od = one.Protocol.transcript.Board.digest in
-      if sd <> od then
-        failwith
-          (Printf.sprintf "factory: circuit %d transcript diverged (%d vs %d)"
-             cr.Factory.index sd od);
-      if not (outputs_equal cr.Factory.report.Protocol.outputs one.Protocol.outputs) then
-        failwith (Printf.sprintf "factory: circuit %d outputs diverged" cr.Factory.index);
-      if not (Protocol.check cr.Factory.report circuit ~inputs:(inputs_of cr.Factory.index))
-      then failwith (Printf.sprintf "factory: circuit %d outputs wrong" cr.Factory.index))
-    streamed.Factory.results;
-  Printf.printf "  streamed outputs / digests == one-shot runs: true\n";
+  let run_pair () =
+    let baseline, base_ms =
+      wall (fun () ->
+          Array.init circuits (fun j ->
+              Protocol.execute ~params
+                ~config:(Protocol.config ~seed:(Factory.derived_seed base_seed j) ~offline:opts ())
+                ~circuit ~inputs:(inputs_of j) ()))
+    in
+    let streamed =
+      Factory.stream ~params
+        ~config:(Protocol.config ~seed:base_seed ~offline:opts ())
+        ~jobs ()
+    in
+    List.iter
+      (fun cr ->
+        let one = baseline.(cr.Factory.index) in
+        let sd = cr.Factory.report.Protocol.transcript.Board.digest in
+        let od = one.Protocol.transcript.Board.digest in
+        if sd <> od then
+          failwith
+            (Printf.sprintf "factory: circuit %d transcript diverged (%d vs %d)"
+               cr.Factory.index sd od);
+        if not (outputs_equal cr.Factory.report.Protocol.outputs one.Protocol.outputs) then
+          failwith (Printf.sprintf "factory: circuit %d outputs diverged" cr.Factory.index);
+        if not (Protocol.check cr.Factory.report circuit ~inputs:(inputs_of cr.Factory.index))
+        then failwith (Printf.sprintf "factory: circuit %d outputs wrong" cr.Factory.index))
+      streamed.Factory.results;
+    let base_gps = float_of_int streamed.Factory.total_mult *. 1000. /. base_ms in
+    (base_gps, streamed.Factory.gates_per_sec, streamed)
+  in
+  (* the pair [runs] times; every figure below is the median run's, by
+     streamed/one-shot ratio, and the spread is over all runs *)
+  let runs = if !smoke then 1 else 9 in
+  let pairs =
+    List.sort
+      (fun (b1, s1, _) (b2, s2, _) -> compare (s1 /. b1) (s2 /. b2))
+      (List.init runs (fun _ -> run_pair ()))
+  in
+  let base_gps, stream_gps, streamed = List.nth pairs (runs / 2) in
+  let total_mult = streamed.Factory.total_mult in
+  let spread f =
+    let v = List.map f pairs in
+    (List.fold_left Float.min infinity v, List.fold_left Float.max neg_infinity v)
+  in
+  let base_lo, base_hi = spread (fun (b, _, _) -> b) in
+  let stream_lo, stream_hi = spread (fun (_, s, _) -> s) in
+  let ratio_lo, ratio_hi = spread (fun (b, s, _) -> s /. b) in
+  Printf.printf "  streamed outputs / digests == one-shot runs: true (%d runs)\n" runs;
 
   let d = streamed.Factory.depot in
-  Printf.printf "  one-shot : %7.1f gates/s (%.1f ms total)\n" base_gps base_ms;
-  Printf.printf "  streamed : %7.1f gates/s (%.1f ms total, %.2fx)\n" stream_gps
-    streamed.Factory.wall_ms (stream_gps /. base_gps);
+  Printf.printf "  one-shot : %7.1f gates/s (runs %.1f-%.1f)\n" base_gps base_lo base_hi;
+  Printf.printf "  streamed : %7.1f gates/s (%.1f ms total, %.2fx; runs %.1f-%.1f, %.2f-%.2fx)\n"
+    stream_gps streamed.Factory.wall_ms (stream_gps /. base_gps) stream_lo stream_hi ratio_lo
+    ratio_hi;
   Printf.printf
     "  depot    : peak %d circuits, %d puts, %d refills during online, producer \
      blocked %d, consumer blocked %d\n"
@@ -99,7 +118,8 @@ let run () =
      something with a core for each side of the pipeline — on one
      core the two domains time-slice and every minor GC syncs them,
      so there (and in smoke mode, where circuits are tiny) only a
-     pipeline-not-pathological floor applies. *)
+     pipeline-not-pathological floor applies.  It is held by the
+     median run. *)
   let cores = Domain.recommended_domain_count () in
   let floor, why =
     if (not !smoke) && cores >= 2 then (1.0, "full bar")
@@ -146,11 +166,19 @@ let run () =
       Json.(
         Obj
           [ ("circuits", Int circuits); ("total_mult", Int total_mult);
-            (* the timing cells are one run on a box with [cores] cores *)
-            ("cores", Int cores); ("runs", Int 1);
+            (* the timing cells are the median of [runs] runs (by
+               speedup) on a box with [cores] cores; [spread] is the
+               range over all of them *)
+            ("cores", Int cores); ("runs", Int runs);
             ("oneshot_gates_per_sec", Float (2, base_gps));
             ("streamed_gates_per_sec", Float (2, stream_gps));
             ("speedup", Float (3, stream_gps /. base_gps));
+            ( "spread",
+              let range lo hi = List [ Float (2, lo); Float (2, hi) ] in
+              Obj
+                [ ("oneshot_gates_per_sec", range base_lo base_hi);
+                  ("streamed_gates_per_sec", range stream_lo stream_hi);
+                  ("speedup", List [ Float (3, ratio_lo); Float (3, ratio_hi) ]) ] );
             ("audit_each_us_per_triple", Float (3, each_us));
             ("audit_rlc_us_per_triple", Float (3, rlc_us));
             ("stream", Factory.report_json streamed) ])

@@ -1,6 +1,8 @@
 (* E8: the arithmetic layer — threshold Paillier on the Montgomery
    backends against their baselines, the modexp kernel against the
-   retired 30-bit one, and the frame-checksum fold kernel *)
+   retired 30-bit one, the binary gcd and inverse against Euclid, the
+   squaring step against the multiply, and the frame-checksum fold
+   kernel *)
 
 module P = Yoso_paillier.Paillier
 module T = Yoso_paillier.Threshold
@@ -29,6 +31,39 @@ let fold_rates () =
   Printf.printf "  checksum fold over %d KiB: fold_words %.0f MB/s, Wire.checksum %.0f MB/s\n"
     (bytes / 1024) words checksum;
   (bytes, words, checksum)
+
+(* the binary gcd and inverse against the Euclid oracle, and the
+   ladders' squaring step against the multiply, at one size: equal
+   results first, then interleaved ratios (oracle or multiply over
+   ours).  [sqrmod x] and [mulmod x x] each repack x once, so the
+   square ratio is the two kernels' plus the same conversions on
+   both sides. *)
+let layer_rows kbits =
+  let kst = Random.State.make [| 0x6CD + kbits |] in
+  let top () = B.add (B.shift_left B.one (kbits - 1)) (B.random_bits kst (kbits - 1)) in
+  let m = let m = top () in if B.is_even m then B.add m B.one else m in
+  let a = top () and b = top () and x = B.random_below kst m in
+  let ctx = B.Mont.create m in
+  if not (B.equal (B.gcd a b) (Oracles.Euclid.gcd a b)) then
+    failwith "bench time: binary and Euclid gcds differ";
+  if not (B.equal (B.invmod x m) (Oracles.Euclid.invmod x m)) then
+    failwith "bench time: binary and Euclid inverses differ";
+  if not (B.equal (B.Mont.sqrmod ctx x) (B.Mont.mulmod ctx x x)) then
+    failwith "bench time: squaring step and multiply differ";
+  let pair ours theirs =
+    let ours_ms = per_op_ms ours and theirs_ms = per_op_ms theirs in
+    (theirs_ms, ours_ms, ab_speedup ours theirs)
+  in
+  let gcd = pair (fun () -> B.gcd a b) (fun () -> Oracles.Euclid.gcd a b) in
+  let inv = pair (fun () -> B.invmod x m) (fun () -> Oracles.Euclid.invmod x m) in
+  let sqr = pair (fun () -> B.Mont.sqrmod ctx x) (fun () -> B.Mont.mulmod ctx x x) in
+  let show name (theirs, ours, s) =
+    Printf.printf "    %-8s %4d-bit: %10.4f ms %10.4f ms %7.2fx\n" name kbits theirs ours s
+  in
+  show "gcd" gcd;
+  show "invmod" inv;
+  show "square" sqr;
+  (kbits, gcd, inv, sqr)
 
 let run () =
   header "E8. Arithmetic layer: Montgomery backends, multiexp combine, modexp and fold kernels";
@@ -129,6 +164,9 @@ let run () =
         (kbits, kernel (Printf.sprintf "%d-bit" kbits) modulus base (B.random_bits kst kbits)))
       (if !smoke then [ 512 ] else [ 512; 1024; 2048 ])
   in
+  Printf.printf "  gcd and inverse: binary vs Euclid; square: squaring step vs multiply\n";
+  Printf.printf "    %-8s %8s  %13s %13s %8s\n" "op" "size" "Euclid/mul" "ours" "speedup";
+  let layer = List.map layer_rows (if !smoke then [ 512 ] else [ 512; 1024; 2048 ]) in
   let bar name s floor =
     if s < floor then
       failwith (Printf.sprintf "bench time: %s speedup %.2fx below %.2fx" name s floor)
@@ -154,6 +192,16 @@ let run () =
     (fun (kbits, s) ->
       bar (Printf.sprintf "%d-bit kernel" kbits) s (if !smoke then 0.9 else 1.1))
     sizes;
+  (* the binary algorithms must beat Euclid outright; the squaring
+     step may only tie the multiply (it is the multiply above its
+     gate, and the public entry points add conversions to both), which
+     smoke epochs are too short to tell from a loss *)
+  List.iter
+    (fun (kbits, (_, _, g), (_, _, i), (_, _, q)) ->
+      bar (Printf.sprintf "%d-bit gcd" kbits) g (if !smoke then 1.0 else 5.0);
+      bar (Printf.sprintf "%d-bit inverse" kbits) i (if !smoke then 1.0 else 3.0);
+      if not !smoke then bar (Printf.sprintf "%d-bit square" kbits) q 0.9)
+    layer;
   let fold_bytes, fold_words_mb_s, checksum_mb_s = fold_rates () in
   if not !smoke then begin
     let pair (naive, mont, s) =
@@ -192,6 +240,20 @@ let run () =
                          (fun (kbits, s) ->
                            Obj [ ("bits", Int kbits); ("wide_vs_narrow_speedup", Float (2, s)) ])
                          sizes) ) ] );
+            ( "layer",
+              List
+                (List.map
+                   (fun (kbits, gcd, inv, sqr) ->
+                     let cell name base (theirs, ours, s) =
+                       ( name,
+                         Obj
+                           [ (base ^ "_ms", Float (4, theirs)); ("ours_ms", Float (4, ours));
+                             ("speedup", Float (2, s)) ] )
+                     in
+                     Obj
+                       [ ("bits", Int kbits); cell "gcd" "euclid" gcd;
+                         cell "invmod" "euclid" inv; cell "square" "multiply" sqr ])
+                   layer) );
             ( "fold",
               Obj
                 [ ("bytes", Int fold_bytes); ("fold_words_mb_per_s", Float (1, fold_words_mb_s));

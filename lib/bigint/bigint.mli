@@ -33,11 +33,6 @@ val of_string : string -> t
 
 val to_string : t -> string
 
-val of_hex : string -> t
-(** Hex digits, no prefix, case-insensitive. *)
-
-val to_hex : t -> string
-
 val of_bytes_be : string -> t
 (** Big-endian unsigned bytes. *)
 
@@ -119,7 +114,8 @@ val powmod_naive : t -> t -> t -> t
     product.  A context precomputes [-m^-1 mod 2^29], the repacked
     modulus and [R^2 mod m].  {!Mont.powmod} adds a sliding 5-bit
     odd-window ladder on top (a 16-entry table of odd powers
-    [b^(2k+1)], zero runs cost squarings only), and {!Mont.fixed_base}
+    [b^(2k+1)], zero runs cost squarings only; each squaring goes
+    through {!Mont.sqrmod}'s step), and {!Mont.fixed_base}
     precomputes per-window power tables for bases reused across many
     exponentiations (generators, public randomizer bases), reducing an
     exponentiation to ~bits/4 products with no squarings. *)
@@ -132,18 +128,25 @@ module Mont : sig
 
   val modulus : ctx -> t
 
-  val to_mont : ctx -> t -> t
-  (** Map [x] to Montgomery form [x * R mod m].  [x] is reduced
-      mod [m] first, so any sign/magnitude is accepted. *)
+  (** {2 The kernel's two steps}
 
-  val of_mont : ctx -> t -> t
-  (** Inverse of {!to_mont}.
-      @raise Invalid_argument if the value is not in [\[0, m)]. *)
+      The Montgomery product and squaring the ladders are built from,
+      one call each: the entry points through which the equivalence
+      tests and [bench time] drive the kernel. *)
 
   val mulmod : ctx -> t -> t -> t
-  (** Product of two values {e in Montgomery form}, result in
-      Montgomery form.
+  (** The Montgomery product [a * b * R^-1 mod m] of two values in
+      [\[0, m)], canonical.  (Values in Montgomery form [x * R mod m]
+      stay in that form.)
       @raise Invalid_argument if an operand is not in [\[0, m)]. *)
+
+  val sqrmod : ctx -> t -> t
+  (** [a * a * R^-1 mod m] through the ladders' squaring step: a
+      dedicated squaring kernel (the off-diagonal products once, one
+      pass that doubles them and adds the diagonal, then the
+      reduction) for moduli of 14 to 60 kernel digits (347 to 1738
+      bits), the multiply elsewhere.  Always equal to [mulmod ctx a a].
+      @raise Invalid_argument if the operand is not in [\[0, m)]. *)
 
   val powmod : ctx -> t -> t -> t
   (** [powmod ctx b e]: ordinary-domain base and result ([b] is
@@ -169,22 +172,29 @@ module Mont : sig
 end
 
 val gcd : t -> t -> t
-
-val extended_gcd : t -> t -> t * t * t
-(** [(g, x, y)] with [a*x + b*y = g = gcd a b], [g >= 0]. *)
+(** [gcd a b >= 0]; [gcd a 0 = |a|].  Binary (Stein) algorithm on
+    working copies of the magnitudes: shift out trailing zeros,
+    subtract the smaller odd value from the larger, never divide. *)
 
 val invmod : t -> t -> t
-(** Modular inverse in [\[0, m)].
-    @raise Division_by_zero if not coprime. *)
+(** [invmod a m] is the unique [x] in [\[0, |m|)] with
+    [a * x = 1 (mod m)]; [invmod a 1 = 0].  Binary extended GCD: an
+    odd modulus halves the two coefficients mod [m] as it shifts; an
+    even one takes [x = (1 + m (a - y)) / a] for odd [a], with
+    [y = m^-1 mod a] from the odd-modulus routine.
+    @raise Division_by_zero if [m = 0] or [gcd a m <> 1] (so whenever
+    [a] and [m] are both even). *)
 
 val factorial : int -> t
 (** @raise Invalid_argument on negative argument. *)
 
 (** Simultaneous multi-exponentiation: [prod_i b_i^(e_i) mod m] much
     faster than independent {!powmod}s, by sharing one squaring chain
-    across all bases (Straus) or bucketing digits (Pippenger).
-    Negative exponents go through the modular inverse, so every base
-    with a negative exponent must be coprime to the modulus. *)
+    across all bases (Straus) or bucketing digits (Pippenger); the
+    chain's squarings go through {!Mont.sqrmod}'s step.  Negative
+    exponents go through {!invmod} (one binary extended GCD per such
+    base), so every base with a negative exponent must be coprime to
+    the modulus. *)
 module Multiexp : sig
   val run : Mont.ctx -> (t * t) array -> t
   (** [run ctx pairs] is [prod (b, e) in pairs. b^e mod m].  Picks

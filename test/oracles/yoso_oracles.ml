@@ -5,6 +5,10 @@
    - [Checksum]: the frame checksum's polynomial a byte at a time, the
      reference for [Splitmix.fold_string], [Splitmix.fold_words] and
      [Wire.checksum].
+   - [Euclid]: gcd, extended gcd and inverse by repeated division,
+     the reference for the binary [Bigint.gcd] and [Bigint.invmod].
+   - [Mont_form]: Montgomery form in and out through the public
+     Montgomery product alone.
    - [Narrow] and [multiexp_naive]: the retired 30-bit Montgomery
      kernel and the product of independent powmods, the baselines and
      oracles for [Bigint.Mont] and [Bigint.Multiexp].
@@ -37,6 +41,40 @@ module Checksum = struct
 
   (* [Wire.checksum]'s definition, reduced mod 2^62 after every byte *)
   let checksum s = String.fold_left (fun h c -> ((h * 31) + Char.code c) land max_int) 0x1505 s
+end
+
+(* Euclid's algorithm, one [divmod] per step: the library's gcd and
+   inverse before they became binary, kept as their reference *)
+module Euclid = struct
+  let rec gcd a b = if B.is_zero b then B.abs a else gcd b (B.rem a b)
+
+  (* (g, x, y) with a x + b y = g = gcd a b >= 0 *)
+  let extended_gcd a b =
+    (* invariant: r = a*x + b*y at each step *)
+    let rec go r0 x0 y0 r1 x1 y1 =
+      if B.is_zero r1 then (r0, x0, y0)
+      else begin
+        let q, r2 = B.divmod r0 r1 in
+        go r1 x1 y1 r2 (B.sub x0 (B.mul q x1)) (B.sub y0 (B.mul q y1))
+      end
+    in
+    let g, x, y = go a B.one B.zero b B.zero B.one in
+    if B.sign g < 0 then (B.neg g, B.neg x, B.neg y) else (g, x, y)
+
+  let invmod a m =
+    let g, x, _ = extended_gcd (B.erem a m) m in
+    if not (B.is_one g) then raise Division_by_zero;
+    B.erem x m
+end
+
+(* x R mod m and back, where R^-1 = mulmod 1 1: only the public
+   Montgomery product and the Euclid inverse, no kernel constants *)
+module Mont_form = struct
+  let to_mont ctx x =
+    let m = B.Mont.modulus ctx in
+    B.mulmod x (Euclid.invmod (B.Mont.mulmod ctx B.one B.one) m) m
+
+  let of_mont ctx x = B.Mont.mulmod ctx x B.one
 end
 
 (* b^e mod m for either sign of e *)

@@ -29,14 +29,15 @@ let test_string_against_int () =
       (B.to_string (B.of_int x))
   done
 
-let test_hex () =
-  check_b "hex ff" (B.of_int 255) (B.of_hex "ff");
-  check_b "hex FF" (B.of_int 255) (B.of_hex "FF");
-  Alcotest.(check string) "to_hex" "deadbeef" (B.to_hex (B.of_hex "deadbeef"));
-  Alcotest.(check string) "zero hex" "0" (B.to_hex B.zero)
+(* a hex string's value by Horner's rule, independent of the byte
+   codec under test *)
+let hex_value h =
+  String.fold_left
+    (fun acc c -> B.add (B.mul acc (B.of_int 16)) (B.of_int (int_of_string ("0x" ^ String.make 1 c))))
+    B.zero h
 
 let test_bytes_be () =
-  let v = B.of_hex "0102030405" in
+  let v = hex_value "0102030405" in
   Alcotest.(check string) "to_bytes" "\x01\x02\x03\x04\x05" (B.to_bytes_be v);
   check_b "roundtrip" v (B.of_bytes_be (B.to_bytes_be v));
   Alcotest.(check string) "zero bytes" "" (B.to_bytes_be B.zero)
@@ -50,8 +51,7 @@ let bytes_of_hex h =
 
 let test_golden_vectors () =
   (* decimal / hex / byte encodings pinned while the library stored
-     30-bit limbs; the canonical big-endian form (and to_hex/of_hex)
-     must survive the switch to 62-bit limbs and any future width
+     30-bit limbs; the canonical big-endian form must survive the switch to 62-bit limbs and any future width
      change.  The values straddle both limb widths' boundaries. *)
   let vectors =
     [
@@ -75,8 +75,7 @@ let test_golden_vectors () =
   List.iter
     (fun (dec, hex) ->
       let v = B.of_string dec in
-      Alcotest.(check string) ("to_hex " ^ dec) hex (B.to_hex v);
-      check_b ("of_hex " ^ hex) v (B.of_hex hex);
+      check_b ("hex " ^ hex) v (hex_value hex);
       Alcotest.(check string) ("to_string " ^ dec) dec (B.to_string v);
       if not (B.is_zero v) then begin
         Alcotest.(check string) ("to_bytes_be " ^ dec) (bytes_of_hex hex)
@@ -91,7 +90,7 @@ let test_golden_vectors () =
   let hex = "0102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f20" in
   Alcotest.(check string) "pattern bytes"
     "\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0a\x0b\x0c\x0d\x0e\x0f\x10\x11\x12\x13\x14\x15\x16\x17\x18\x19\x1a\x1b\x1c\x1d\x1e\x1f\x20"
-    (B.to_bytes_be (B.of_hex hex))
+    (B.to_bytes_be (hex_value hex))
 
 let test_bad_inputs () =
   Alcotest.check_raises "empty string" (Invalid_argument "Bigint.of_string: empty")
@@ -256,10 +255,12 @@ let test_gcd () =
     end
   done
 
+(* the Euclid reference the binary gcd and inverse are checked
+   against: Bezout holds, and its gcd is the library's *)
 let test_extended_gcd () =
   for _ = 1 to 100 do
     let a = rand_big 150 and b = rand_big 150 in
-    let g, x, y = B.extended_gcd a b in
+    let g, x, y = Oracles.Euclid.extended_gcd a b in
     check_b "bezout" g (B.add (B.mul a x) (B.mul b y));
     check_b "matches gcd" (B.gcd a b) g
   done
@@ -373,11 +374,12 @@ let test_mont_edge_cases () =
   check_b "base = 0 mod m" B.zero (B.Mont.powmod ctx (B.mul m B.two) (B.of_int 5));
   check_b "negative base" (B.powmod_naive (B.neg b) (B.of_int 7) m)
     (B.Mont.powmod ctx (B.neg b) (B.of_int 7));
-  check_b "roundtrip" (B.erem b m) (B.Mont.of_mont ctx (B.Mont.to_mont ctx b));
   let x = B.random_below st m and y = B.random_below st m in
   check_b "mulmod agrees" (B.mulmod x y m)
-    (B.Mont.of_mont ctx
-       (B.Mont.mulmod ctx (B.Mont.to_mont ctx x) (B.Mont.to_mont ctx y)));
+    (Oracles.Mont_form.of_mont ctx
+       (B.Mont.mulmod ctx (Oracles.Mont_form.to_mont ctx x) (Oracles.Mont_form.to_mont ctx y)));
+  check_b "sqrmod agrees" (B.mulmod x x m)
+    (Oracles.Mont_form.of_mont ctx (B.Mont.sqrmod ctx (Oracles.Mont_form.to_mont ctx x)));
   Alcotest.check_raises "even modulus"
     (Invalid_argument "Bigint.Mont.create: modulus must be odd and >= 3") (fun () ->
       ignore (B.Mont.create (B.of_int 100)));
@@ -420,15 +422,16 @@ let test_mont_backend_equality () =
           B.zero; B.one; B.two; B.of_int 31; B.of_int 32; B.of_int 33;
           B.sub (B.shift_left B.one 64) B.one;
           B.shift_left B.one 64;
-          B.of_hex "8000000000000001";
+          B.add (B.shift_left B.one 63) B.one;
           B.add (B.shift_left B.one 200) B.one;
         ];
       (* Montgomery-domain product parity on canonical operands *)
       for _ = 1 to 5 do
         let x = B.random_below st m and y = B.random_below st m in
         check_b "mulmod wide = reference" (B.mulmod x y m)
-          (B.Mont.of_mont wide
-             (B.Mont.mulmod wide (B.Mont.to_mont wide x) (B.Mont.to_mont wide y)))
+          (Oracles.Mont_form.of_mont wide
+             (B.Mont.mulmod wide (Oracles.Mont_form.to_mont wide x)
+                (Oracles.Mont_form.to_mont wide y)))
       done)
     [ 512; 1024; 2048 ]
 
@@ -495,6 +498,172 @@ let test_multiexp_edge_cases () =
   check_b "negative exponent straus" expect (B.Multiexp.straus ctx pairs);
   check_b "negative exponent pippenger" expect (B.Multiexp.pippenger ctx pairs);
   check_b "negative exponent naive" expect (Oracles.multiexp_naive ctx pairs)
+
+(* ------------------------------------------------------------------ *)
+(* Binary gcd and inverse, and the squaring step, against references   *)
+(* ------------------------------------------------------------------ *)
+
+(* exactly [bits] bits, random below the top one *)
+let top_bit st bits = B.add (B.shift_left B.one (bits - 1)) (B.random_bits st (bits - 1))
+let make_odd m = if B.is_even m then B.add m B.one else m
+let signed st x = if Random.State.bool st then B.neg x else x
+
+(* The kernel digit count of a modulus is l = ceil((bits + 2) / 29),
+   rounded up to even: 29 l - 2 bits is the top of an l and
+   29 (l - 1) - 1 bits its bottom. *)
+let moduli_of_digits st l =
+  [ B.sub (B.shift_left B.one ((29 * l) - 2)) B.one (* every digit of m - 1 at its max *);
+    make_odd (top_bit st ((29 * l) - 2));
+    make_odd (top_bit st ((29 * l) - 30)) ]
+
+(* the squaring step against the multiply at every even digit count up
+   to 72, across both ends of the gate (20 and 60 digits), on the
+   operands that stress its column sums; then the ladders that call it
+   against the independent 30-bit kernel *)
+let test_sqr_every_l () =
+  for h = 1 to 36 do
+    let l = 2 * h in
+    List.iter
+      (fun m ->
+        let ctx = B.Mont.create m in
+        List.iter
+          (fun x ->
+            check_b (Printf.sprintf "sqrmod = mulmod at l = %d" l) (B.Mont.mulmod ctx x x)
+              (B.Mont.sqrmod ctx x))
+          (B.zero :: B.one :: B.sub m B.one :: List.init 3 (fun _ -> B.random_below st m));
+        let b = B.random_below st m and e = B.random_bits st (29 * l) in
+        check_b (Printf.sprintf "ladder at l = %d" l)
+          (Oracles.Narrow.powmod (Oracles.Narrow.create m) b e)
+          (B.Mont.powmod ctx b e);
+        let pairs = [| (b, e); (B.sub m b, B.random_bits st 64) |] in
+        check_b (Printf.sprintf "multiexp at l = %d" l) (Oracles.multiexp_naive ctx pairs)
+          (B.Multiexp.straus ctx pairs))
+      (moduli_of_digits st l)
+  done
+
+let test_gcd_edges () =
+  let g a b = B.to_int (B.gcd (B.of_int a) (B.of_int b)) in
+  List.iter
+    (fun (a, b, expect) -> Alcotest.(check int) (Printf.sprintf "gcd %d %d" a b) expect (g a b))
+    [ (0, 0, 0); (0, -7, 7); (-12, 0, 12); (12, 18, 6); (-12, 18, 6); (12, -18, 6);
+      (1 lsl 40, 1 lsl 20, 1 lsl 20); (96, 96, 96); (max_int, max_int - 1, 1);
+      (max_int - 1, (max_int - 1) / 2, (max_int - 1) / 2) ];
+  let p = B.shift_left B.one 1000 in
+  check_b "powers of two" (B.shift_left B.one 300) (B.gcd p (B.shift_left B.one 300));
+  check_b "shared 2^k" (B.shift_left (B.of_int 3) 500)
+    (B.gcd (B.shift_left (B.of_int 9) 500) (B.shift_left (B.of_int 15) 700))
+
+let test_invmod_edges () =
+  let inv a m = B.to_int (B.invmod (B.of_int a) (B.of_int m)) in
+  let raises name a m =
+    Alcotest.check_raises name Division_by_zero (fun () ->
+        ignore (B.invmod (B.of_int a) (B.of_int m)))
+  in
+  Alcotest.(check int) "mod 1" 0 (inv 5 1);
+  Alcotest.(check int) "mod 1 of 0" 0 (inv 0 1);
+  Alcotest.(check int) "mod 2" 1 (inv 7 2);
+  Alcotest.(check int) "mod 2 of -1" 1 (inv (-1) 2);
+  Alcotest.(check int) "3 mod 4" 3 (inv 3 4);
+  Alcotest.(check int) "m - 1 mod even m" 99 (inv 99 100);
+  Alcotest.(check int) "7 mod 1000" 143 (inv 7 1000);
+  Alcotest.(check int) "negative modulus" 143 (inv 7 (-1000));
+  Alcotest.(check int) "negative a" 857 (inv (-7) 1000);
+  (* an odd modulus that fills its top limb: (x + m) / 2 needs the
+     carry out of the sum *)
+  let m = B.sub (B.shift_left B.one 124) (B.of_int 3) in
+  let inv_opt f = try Some (f ()) with Division_by_zero -> None in
+  for _ = 1 to 20 do
+    let a = B.random_below st m in
+    Alcotest.(check (option big))
+      "full top limb"
+      (inv_opt (fun () -> Oracles.Euclid.invmod a m))
+      (inv_opt (fun () -> B.invmod a m))
+  done;
+  raises "m = 0" 3 0;
+  raises "0 mod 2" 0 2;
+  raises "a = 0 mod m" 22 11;
+  raises "both even" 6 10;
+  raises "shared odd factor" 6 9;
+  raises "shared factor, even m" 15 12
+
+(* operand pairs of 1 to 2,100 bits in the shapes the binary loop
+   branches on: zero, equal up to sign, powers of two, a shared power
+   of two times a shared odd factor, and plain random *)
+let gen_gcd_pair st =
+  let bits () = 1 + Random.State.int st 2100 in
+  match Random.State.int st 6 with
+  | 0 ->
+    let x = signed st (top_bit st (bits ())) in
+    if Random.State.bool st then (B.zero, x) else (x, B.zero)
+  | 1 ->
+    let x = top_bit st (bits ()) in
+    (signed st x, signed st x)
+  | 2 ->
+    let pow2 () = B.shift_left B.one (Random.State.int st 2100) in
+    (pow2 (), if Random.State.bool st then pow2 () else signed st (top_bit st (bits ())))
+  | 3 ->
+    let k = Random.State.int st 300 and g = top_bit st (1 + Random.State.int st 400) in
+    let scaled () = signed st (B.shift_left (B.mul g (top_bit st (1 + Random.State.int st 1000))) k) in
+    (scaled (), scaled ())
+  | _ -> (signed st (top_bit st (bits ())), signed st (top_bit st (bits ())))
+
+let print_pair (a, b) = B.to_string a ^ ", " ^ B.to_string b
+
+(* moduli: 1, 2, small and large even ones, 1024- and 2048-bit odd
+   ones, any size up to 2048 bits, now and then negative; operands:
+   0 mod m, m - 1, multiples of 2 and 3, anything of either sign *)
+let gen_inv_case st =
+  let m =
+    match Random.State.int st 7 with
+    | 0 -> B.one
+    | 1 -> B.two
+    | 2 -> B.of_int (2 * (2 + Random.State.int st 1000))
+    | 3 -> B.shift_left (top_bit st (1 + Random.State.int st 1000)) (1 + Random.State.int st 60)
+    | 4 -> make_odd (top_bit st 1024)
+    | 5 -> make_odd (top_bit st 2048)
+    | _ -> top_bit st (2 + Random.State.int st 2047)
+  in
+  let m = if Random.State.int st 8 = 0 then B.neg m else m in
+  let any () = signed st (B.random_bits st (B.bit_length m + 64)) in
+  let a =
+    match Random.State.int st 6 with
+    | 0 -> B.mul m (B.of_int (Random.State.int st 5 - 2))
+    | 1 -> B.sub (B.abs m) B.one
+    | 2 -> B.mul B.two (any ())
+    | 3 -> B.mul (B.of_int 3) (any ())
+    | _ -> any ()
+  in
+  (a, m)
+
+let gcd_inverse_square_props =
+  [
+    QCheck.Test.make ~count:300 ~long_factor:20 ~name:"gcd = Euclid, 1 to 2100 bits"
+      (QCheck.make ~print:print_pair gen_gcd_pair)
+      (fun (a, b) -> B.equal (B.gcd a b) (Oracles.Euclid.gcd a b) && B.sign (B.gcd a b) >= 0);
+    QCheck.Test.make ~count:300 ~long_factor:20
+      ~name:"invmod: a x = 1 mod m, x in [0, |m|), raises iff not coprime"
+      (QCheck.make ~print:print_pair gen_inv_case)
+      (fun (a, m) ->
+        let coprime = B.is_one (Oracles.Euclid.gcd a m) in
+        match B.invmod a m with
+        | x ->
+          coprime
+          && B.sign x >= 0
+          && B.compare x (B.abs m) < 0
+          && B.equal (B.erem (B.mul a x) m) (B.erem B.one m)
+          && B.equal x (Oracles.Euclid.invmod a m)
+        | exception Division_by_zero -> not coprime);
+    QCheck.Test.make ~count:100 ~long_factor:20
+      ~name:"sqrmod = mulmod and ladder = 30-bit kernel, 8 to 2100 bits"
+      QCheck.(pair (int_range 8 2100) int)
+      (fun (bits, seed) ->
+        let st = Random.State.make [| seed |] in
+        let m = make_odd (top_bit st bits) in
+        let ctx = B.Mont.create m in
+        let x = B.random_below st m and e = B.random_bits st bits in
+        B.equal (B.Mont.sqrmod ctx x) (B.Mont.mulmod ctx x x)
+        && B.equal (B.Mont.powmod ctx x e) (Oracles.Narrow.powmod (Oracles.Narrow.create m) x e));
+  ]
 
 let arb_big =
   QCheck.map
@@ -573,7 +742,6 @@ let () =
           Alcotest.test_case "int roundtrip" `Quick test_int_roundtrip;
           Alcotest.test_case "string roundtrip" `Quick test_string_roundtrip;
           Alcotest.test_case "string vs int" `Quick test_string_against_int;
-          Alcotest.test_case "hex" `Quick test_hex;
           Alcotest.test_case "bytes be" `Quick test_bytes_be;
           Alcotest.test_case "golden vectors" `Quick test_golden_vectors;
           Alcotest.test_case "bad inputs" `Quick test_bad_inputs;
@@ -598,6 +766,8 @@ let () =
           Alcotest.test_case "gcd" `Quick test_gcd;
           Alcotest.test_case "extended gcd" `Quick test_extended_gcd;
           Alcotest.test_case "invmod" `Quick test_invmod;
+          Alcotest.test_case "gcd edge cases" `Quick test_gcd_edges;
+          Alcotest.test_case "invmod edge cases" `Quick test_invmod_edges;
           Alcotest.test_case "factorial" `Quick test_factorial;
         ] );
       ( "primality",
@@ -614,6 +784,7 @@ let () =
           Alcotest.test_case "edge cases" `Quick test_mont_edge_cases;
           Alcotest.test_case "backend equality 512/1024/2048" `Quick
             test_mont_backend_equality;
+          Alcotest.test_case "squaring step at every even l to 72" `Quick test_sqr_every_l;
         ] );
       ( "multiexp",
         [
@@ -622,4 +793,6 @@ let () =
           Alcotest.test_case "edge cases" `Quick test_multiexp_edge_cases;
         ] );
       ("properties", List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_props);
+      (* QCHECK_LONG=1 runs these at [long_factor] times their count *)
+      ("gcd-inverse-square", List.map QCheck_alcotest.to_alcotest gcd_inverse_square_props);
     ]
