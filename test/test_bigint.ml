@@ -794,5 +794,5 @@ let () =
         ] );
       ("properties", List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_props);
       (* QCHECK_LONG=1 runs these at [long_factor] times their count *)
-      ("gcd-inverse-square", List.map QCheck_alcotest.to_alcotest gcd_inverse_square_props);
+      ("gcd-inv-sqr", List.map QCheck_alcotest.to_alcotest gcd_inverse_square_props);
     ]
