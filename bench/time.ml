@@ -1,8 +1,8 @@
 (* E8: the arithmetic layer — threshold Paillier on the Montgomery
    backends against their baselines, the modexp kernel against the
    retired 30-bit one, the binary gcd and inverse against Euclid, the
-   squaring step against the multiply, and the frame-checksum fold
-   kernel *)
+   squaring step against the multiply, one base's fixed-base table
+   against repeated powmods, and the frame-checksum fold kernel *)
 
 module P = Yoso_paillier.Paillier
 module T = Yoso_paillier.Threshold
@@ -64,6 +64,33 @@ let layer_rows kbits =
   show "invmod" inv;
   show "square" sqr;
   (kbits, gcd, inv, sqr)
+
+(* one base raised to k exponents: from one fresh column table (its
+   squarings done once, the table's first use included in the time)
+   against k powmods, at one modulus size.  The exponents are 3/4 of
+   the modulus bits, the sigma proofs' c_a^x shape at a 512-bit N.
+   Equal results first, then interleaved ratios (powmods over table). *)
+let same_base_rows kbits =
+  let kst = Random.State.make [| 0xFB5 + kbits |] in
+  let m = B.add (B.shift_left B.one (kbits - 1)) (B.random_bits kst (kbits - 1)) in
+  let m = if B.is_even m then B.add m B.one else m in
+  let ctx = B.Mont.create m in
+  let base = B.random_below kst m in
+  let exps = Array.init 15 (fun _ -> B.random_bits kst (3 * kbits / 4)) in
+  List.map
+    (fun k ->
+      let table () =
+        let fb = B.Mont.fixed_base ctx base in
+        Array.init k (fun i -> B.Mont.fixed_powmod fb exps.(i))
+      in
+      let powmods () = Array.init k (fun i -> B.Mont.powmod ctx base exps.(i)) in
+      if not (Array.for_all2 B.equal (table ()) (powmods ())) then
+        failwith "bench time: fixed-base table and powmod differ";
+      let powmods_ms = per_op_ms powmods and table_ms = per_op_ms table in
+      let s = ab_speedup table powmods in
+      Printf.printf "    %4d-bit, k = %2d: %10.4f ms %10.4f ms %7.2fx\n" kbits k powmods_ms table_ms s;
+      (k, powmods_ms, table_ms, s))
+    [ 1; 3; 15 ]
 
 let run () =
   header "E8. Arithmetic layer: Montgomery backends, multiexp combine, modexp and fold kernels";
@@ -167,6 +194,11 @@ let run () =
   Printf.printf "  gcd and inverse: binary vs Euclid; square: squaring step vs multiply\n";
   Printf.printf "    %-8s %8s  %13s %13s %8s\n" "op" "size" "Euclid/mul" "ours" "speedup";
   let layer = List.map layer_rows (if !smoke then [ 512 ] else [ 512; 1024; 2048 ]) in
+  Printf.printf "  one base, k exponents: one fixed-base table vs k powmods\n";
+  Printf.printf "    %-15s  %13s %13s %8s\n" "size" "powmods" "table" "speedup";
+  let same_base =
+    List.map (fun kbits -> (kbits, same_base_rows kbits)) (if !smoke then [ 1024 ] else [ 1024; 2048 ])
+  in
   let bar name s floor =
     if s < floor then
       failwith (Printf.sprintf "bench time: %s speedup %.2fx below %.2fx" name s floor)
@@ -202,6 +234,20 @@ let run () =
       bar (Printf.sprintf "%d-bit inverse" kbits) i (if !smoke then 1.0 else 3.0);
       if not !smoke then bar (Printf.sprintf "%d-bit square" kbits) q 0.9)
     layer;
+  (* a table's first use may cost a little more than one powmod (the
+     column's window products and bucket pass on top of the same
+     squarings); from three uses on it must win.  Smoke epochs only
+     guard k = 15 against losing. *)
+  List.iter
+    (fun (kbits, rows) ->
+      List.iter
+        (fun (k, _, _, s) ->
+          let name = Printf.sprintf "%d-bit same base k = %d" kbits k in
+          if !smoke then (if k = 15 then bar name s 1.0)
+          else if k = 1 then bar name s 0.85
+          else if k = 15 then bar name s 2.0)
+        rows)
+    same_base;
   let fold_bytes, fold_words_mb_s, checksum_mb_s = fold_rates () in
   if not !smoke then begin
     let pair (naive, mont, s) =
@@ -254,6 +300,18 @@ let run () =
                        [ ("bits", Int kbits); cell "gcd" "euclid" gcd;
                          cell "invmod" "euclid" inv; cell "square" "multiply" sqr ])
                    layer) );
+            ( "same_base",
+              List
+                (List.concat_map
+                   (fun (kbits, rows) ->
+                     List.map
+                       (fun (k, powmods_ms, table_ms, s) ->
+                         Obj
+                           [ ("bits", Int kbits); ("exponent_bits", Int (3 * kbits / 4));
+                             ("k", Int k); ("powmods_ms", Float (4, powmods_ms));
+                             ("table_ms", Float (4, table_ms)); ("speedup", Float (2, s)) ])
+                       rows)
+                   same_base) );
             ( "fold",
               Obj
                 [ ("bytes", Int fold_bytes); ("fold_words_mb_per_s", Float (1, fold_words_mb_s));

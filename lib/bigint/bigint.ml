@@ -941,49 +941,83 @@ module Mont = struct
       of_kernel dst
     end
 
-  (* Fixed-base exponentiation: for a base reused across many
-     exponentiations, precompute g^(w * 16^j) for every window value w
-     and position j.  An exponentiation is then just ~bits/4 Montgomery
-     products and no squarings.  The table grows on demand with the
-     largest exponent seen. *)
+  (* Fixed-base exponentiation: for a base raised to many exponents.
+     Every table keeps a column, base^(16^j) in Montgomery form for
+     each 4-bit window position j, each entry four squarings from the
+     one before, grown lazily to the longest exponent seen.  An
+     exponent is read from the column by Yao's bucket method: bucket w
+     gathers the product of the entries whose window is w (one product
+     per nonzero window), and prod_w bucket_w^w = prod_{k=15..1}
+     prod_{w>=k} bucket_w costs at most 28 more products; no
+     squarings.  [preload] adds rows, rows.(j).(w-1) = base^(w * 16^j),
+     so an exponent the rows cover costs one product per nonzero
+     window and no bucket pass.
+
+     The column is a list, newest (highest j) entry first: a spine
+     array longer than 256 words would be allocated in the major heap
+     and drag every entry stored in it out of the minor heap, where a
+     table that lives for one protocol step otherwise dies. *)
   type fixed_base = {
     fb_ctx : ctx;
-    mutable fb_windows : int array array array;
-        (* fb_windows.(j).(w-1) = base^(w * 16^j), Montgomery form *)
-    mutable fb_next : int array;  (* base^(16^nwindows), Montgomery form *)
+    mutable fb_col : int array list;  (* base^(16^j) for j = fb_len - 1 downto 0 *)
+    mutable fb_len : int;
+    mutable fb_rows : int array array array;
   }
 
   let fixed_base ctx b =
     let b = erem b ctx.m_big in
     let bm = Array.make ctx.l 0 in
     mont_mul_into ctx (scratch ctx) bm (pad ctx b.mag) ctx.r2;
-    { fb_ctx = ctx; fb_windows = [||]; fb_next = bm }
+    { fb_ctx = ctx; fb_col = [ bm ]; fb_len = 1; fb_rows = [||] }
 
-  let fb_extend fb nw =
-    let ctx = fb.fb_ctx in
-    let l = ctx.l in
-    let tbuf = scratch ctx in
-    while Array.length fb.fb_windows < nw do
-      let p = fb.fb_next in
-      let row = Array.make 15 p in
-      row.(0) <- Array.copy p;
-      for w = 2 to 15 do
-        let d = Array.make l 0 in
-        mont_mul_into ctx tbuf d row.(w - 2) p;
-        row.(w - 1) <- d
+  let fb_column fb nw =
+    if fb.fb_len < nw then begin
+      let ctx = fb.fb_ctx in
+      let tbuf = scratch ctx in
+      for _ = fb.fb_len to nw - 1 do
+        let d = Array.make ctx.l 0 in
+        sqr_into ctx tbuf d (List.hd fb.fb_col);
+        for _ = 2 to 4 do
+          sqr_into ctx tbuf d d
+        done;
+        fb.fb_col <- d :: fb.fb_col
       done;
-      let next = Array.make l 0 in
-      mont_mul_into ctx tbuf next row.(14) p;
-      fb.fb_windows <- Array.append fb.fb_windows [| row |];
-      fb.fb_next <- next
-    done
+      fb.fb_len <- nw
+    end
 
-  (* The window table grows in place: racy if a fixed base is shared
-     across domains.  Growing it up front for the largest exponent that
-     will be seen makes subsequent [fixed_powmod] calls read-only. *)
+  (* The column and the rows grow in place: racy if a fixed base is
+     shared across domains.  Growing the rows up front for the largest
+     exponent that will be seen makes later [fixed_powmod] calls
+     read-only. *)
   let preload fb ~bits =
     if bits < 0 then invalid_arg "Bigint.Mont.preload: negative bits";
-    fb_extend fb ((bits + 3) / 4)
+    let nw = (bits + 3) / 4 in
+    let have = Array.length fb.fb_rows in
+    if have < nw then begin
+      fb_column fb nw;
+      let ctx = fb.fb_ctx in
+      let tbuf = scratch ctx in
+      let col = Array.of_list (List.rev fb.fb_col) in
+      let row j =
+        let p = col.(j) in
+        let row = Array.make 15 p in
+        for w = 2 to 15 do
+          let d = Array.make ctx.l 0 in
+          mont_mul_into ctx tbuf d row.(w - 2) p;
+          row.(w - 1) <- d
+        done;
+        row
+      in
+      fb.fb_rows <- Array.append fb.fb_rows (Array.init (nw - have) (fun i -> row (have + i)))
+    end
+
+  (* [Some acc] to [acc * x], or [None] to a copy of [x] *)
+  let fb_times ctx tbuf acc x =
+    match acc with
+    | None -> Some (Array.copy x)
+    | Some a ->
+      mont_mul_into ctx tbuf a a x;
+      acc
 
   let fixed_powmod fb e =
     if sign e < 0 then invalid_arg "Bigint.Mont.fixed_powmod: negative exponent";
@@ -992,13 +1026,34 @@ module Mont = struct
     if ebits = 0 then one
     else begin
       let nw = (ebits + 3) / 4 in
-      fb_extend fb nw;
       let tbuf = scratch ctx in
-      let acc = Array.copy ctx.one_m in
-      for j = 0 to nw - 1 do
-        let w = window e j in
-        if w <> 0 then mont_mul_into ctx tbuf acc acc fb.fb_windows.(j).(w - 1)
-      done;
+      let acc =
+        if nw <= Array.length fb.fb_rows then begin
+          let acc = Array.copy ctx.one_m in
+          for j = 0 to nw - 1 do
+            let w = window e j in
+            if w <> 0 then mont_mul_into ctx tbuf acc acc fb.fb_rows.(j).(w - 1)
+          done;
+          acc
+        end
+        else begin
+          fb_column fb nw;
+          let bucket = Array.make 16 None in
+          (* windows past the exponent's top read 0 *)
+          List.iteri
+            (fun i p ->
+              let w = window e (fb.fb_len - 1 - i) in
+              if w <> 0 then bucket.(w) <- fb_times ctx tbuf bucket.(w) p)
+            fb.fb_col;
+          (* run = prod_{w>=k} bucket_w, and acc gathers every run *)
+          let run = ref None and acc = ref None in
+          for k = 15 downto 1 do
+            Option.iter (fun b -> run := fb_times ctx tbuf !run b) bucket.(k);
+            Option.iter (fun r -> acc := fb_times ctx tbuf !acc r) !run
+          done;
+          Option.get !acc
+        end
+      in
       let dst = Array.make ctx.l 0 in
       mont_mul_into ctx tbuf dst acc ctx.unit_arr;
       canon ctx dst;

@@ -115,10 +115,9 @@ val powmod_naive : t -> t -> t -> t
     modulus and [R^2 mod m].  {!Mont.powmod} adds a sliding 5-bit
     odd-window ladder on top (a 16-entry table of odd powers
     [b^(2k+1)], zero runs cost squarings only; each squaring goes
-    through {!Mont.sqrmod}'s step), and {!Mont.fixed_base}
-    precomputes per-window power tables for bases reused across many
-    exponentiations (generators, public randomizer bases), reducing an
-    exponentiation to ~bits/4 products with no squarings. *)
+    through {!Mont.sqrmod}'s step), and {!Mont.fixed_base} keeps a
+    table for a base raised to several exponents (a generator, a
+    public ciphertext), so that its squarings are done once. *)
 module Mont : sig
   type ctx
   (** Precomputed reduction context for one odd modulus. *)
@@ -154,20 +153,48 @@ module Mont : sig
       @raise Invalid_argument if [e < 0]. *)
 
   type fixed_base
-  (** Growable per-window power table for one base; extends itself to
-      the largest exponent seen. *)
+  (** A table for one base [b] raised to many exponents, in one of
+      two forms.
+
+      - {b Column} (every table): [b^(16^j)] for each 4-bit window
+        position [j], each entry four squarings from the one before.
+        It grows inside {!fixed_powmod} to the longest exponent seen.
+        An exponent is read from it by Yao's bucket method: one product
+        per nonzero window into the bucket of its digit, then at most
+        28 products to raise the 15 buckets to their digits; no
+        squarings.  The first use pays the squarings of a {!powmod}
+        plus those window products: 4-10% more than one {!powmod}.
+        Each later use within the grown length is ~4x cheaper at 1024
+        and 2048 bits ([bench time], EXPERIMENTS.md E8).
+      - {b Rows} (built by {!preload} only): [b^(w * 16^j)] for every
+        digit [w] in 1..15 as well, 14 more products per window.  An
+        exponent the rows cover then costs one product per nonzero
+        window and no bucket pass; a longer one is read from the
+        column.  Rows pay for a base raised to a great many short
+        exponents, as Feldman's [h] is.
+
+      Every exponent gives {!powmod}'s result, bit for bit.
+
+      {b Sharing across domains.}  {!fixed_powmod} writes to the table
+      whenever an exponent is longer than every one before it (the
+      column grows).  A table may be read from several domains only
+      after {!preload} has covered the longest exponent any of them
+      will use; until then it belongs to one domain. *)
 
   val fixed_base : ctx -> t -> fixed_base
+  (** A table holding the column's first entry only: one conversion
+      into Montgomery form.  [b] is reduced mod [m]. *)
 
   val fixed_powmod : fixed_base -> t -> t
-  (** Same result as [powmod ctx base e].
+  (** Same result as [powmod ctx base e]: from the rows when they
+      cover [e], otherwise from the column, grown to [e]'s length
+      first.
       @raise Invalid_argument if [e < 0]. *)
 
   val preload : fixed_base -> bits:int -> unit
-  (** Grow the window table to cover [bits]-bit exponents now.  The
-      table otherwise extends itself lazily inside {!fixed_powmod},
-      which is a write — call [preload] before sharing a fixed base
-      across domains so that parallel readers never race the growth.
+  (** Build the column and the rows for [bits]-bit exponents now.
+      After it, {!fixed_powmod} on exponents of at most [bits] bits
+      only reads the table, so it may be shared across domains.
       @raise Invalid_argument on negative [bits]. *)
 end
 

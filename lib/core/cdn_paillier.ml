@@ -47,8 +47,7 @@ let execute ~n ~t ?(bits = 96) ?(malicious = []) ?(seed = 0xBEEF) ~circuit ~inpu
     let contribs =
       List.init n (fun i ->
           let a = B.random_below st modulus in
-          let r = P.sample_unit pk ~rng:st in
-          let c = P.Ctx.encrypt_with pctx ~r a in
+          let c, r = P.Ctx.encrypt_r pctx ~rng:st a in
           let proof =
             if is_malicious i then
               (* lie about the plaintext: proof will not verify *)
@@ -70,22 +69,24 @@ let execute ~n ~t ?(bits = 96) ?(malicious = []) ?(seed = 0xBEEF) ~circuit ~inpu
     | (c0, _) :: rest -> List.fold_left (fun acc (c, _) -> P.Ctx.add pctx acc c) c0 rest
   in
   let second_committee c_a =
+    (* c_a is on the board: one table serves every member's c_a^b and
+       c_a^x and the verifier's c_a^z *)
+    let table = P.Ctx.table pctx c_a in
     let contribs =
       List.init n (fun i ->
           let b = B.random_below st modulus in
-          let r = P.sample_unit pk ~rng:st in
-          let c_b = P.Ctx.encrypt_with pctx ~r b in
+          let c_b, r = P.Ctx.encrypt_r pctx ~rng:st b in
           let c_c =
             if is_malicious i then P.Ctx.encrypt pctx ~rng:st (B.of_int 1337)
-            else P.Ctx.scalar_mul pctx b c_a
+            else P.Ctx.scalar_mul ~table pctx b c_a
           in
-          let proof = Sigma.Multiplication.prove pctx ~rng:st ~b ~r ~c_a ~c_b ~c_c in
+          let proof = Sigma.Multiplication.prove ~table pctx ~rng:st ~b ~r ~c_a ~c_b ~c_c in
           (c_b, c_c, proof))
     in
     let verified =
       List.filter
         (fun (c_b, c_c, proof) ->
-          let ok = Sigma.Multiplication.verify pctx ~c_a ~c_b ~c_c proof in
+          let ok = Sigma.Multiplication.verify ~table pctx ~c_a ~c_b ~c_c proof in
           if not ok then incr rejected;
           ok)
         contribs
@@ -110,10 +111,12 @@ let execute ~n ~t ?(bits = 96) ?(malicious = []) ?(seed = 0xBEEF) ~circuit ~inpu
   let opened_count = ref 0 in
   let open_ct ct =
     (* partial-decryption correctness is attested with the ideal NIZK
-       (no sigma protocol without extra setup); honest partials only *)
+       (no sigma protocol without extra setup); honest partials only.
+       The quorum raises the one opened ciphertext: one table *)
+    let table = P.Ctx.table pctx ct in
     let parts =
       List.init (t + 1) (fun i ->
-          let d = T.Ctx.partial_decrypt tctx !shares.(i) ct in
+          let d = T.Ctx.partial_decrypt ~table tctx !shares.(i) ct in
           let proof =
             Ideal.prove ~relation:"tpdec" ~statement:(string_of_int i) ~witness_ok:true
           in
@@ -153,8 +156,7 @@ let execute ~n ~t ?(bits = 96) ?(malicious = []) ?(seed = 0xBEEF) ~circuit ~inpu
       match g with
       | Circuit.Input { wire; _ } ->
         let v = Hashtbl.find input_value wire in
-        let r = P.sample_unit pk ~rng:st in
-        let c = P.Ctx.encrypt_with pctx ~r v in
+        let c, r = P.Ctx.encrypt_r pctx ~rng:st v in
         let proof = Sigma.Plaintext_knowledge.prove pctx ~rng:st ~m:v ~r ~c in
         if not (Sigma.Plaintext_knowledge.verify pctx ~c proof) then
           failwith "Cdn_paillier: honest input proof failed";

@@ -45,7 +45,14 @@ end
 module Multiplication : sig
   type proof = { a1 : B.t; a2 : B.t; z : B.t; z_r : B.t }
 
+  (** [table], when given, is [c_a]'s {!P.Ctx.table}: the prover's
+      [c_a^x] and the verifier's [c_a^z] are read from it.  [c_a] is
+      public, so every prover of a committee and the verifier may share
+      one table; proofs and verdicts are the same with or without it.
+      @raise Invalid_argument if [table] is another ciphertext's. *)
+
   val prove :
+    ?table:P.Ctx.table ->
     P.Ctx.t ->
     rng:Random.State.t ->
     b:B.t ->
@@ -56,7 +63,13 @@ module Multiplication : sig
     proof
 
   val verify :
-    P.Ctx.t -> c_a:P.ciphertext -> c_b:P.ciphertext -> c_c:P.ciphertext -> proof -> bool
+    ?table:P.Ctx.table ->
+    P.Ctx.t ->
+    c_a:P.ciphertext ->
+    c_b:P.ciphertext ->
+    c_c:P.ciphertext ->
+    proof ->
+    bool
 
   val size_bits : P.Ctx.t -> int
 end

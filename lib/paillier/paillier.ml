@@ -64,13 +64,21 @@ module Ctx = struct
 
   let randomizer ctx r = pow_n2 ctx r ctx.pk.n
 
+  (* [r] is a unit: checked by the caller, or just drawn by
+     [sample_unit] *)
+  let encrypt_unit ctx ~r m =
+    { pk_n2 = ctx.pk.n2; c = B.mulmod (g_pow ctx m) (randomizer ctx r) ctx.pk.n2 }
+
   let encrypt_with ctx ~r m =
     if not (B.is_one (B.gcd r ctx.pk.n)) then
       invalid_arg "Paillier.encrypt_with: randomness not a unit";
-    let c = B.mulmod (g_pow ctx m) (randomizer ctx r) ctx.pk.n2 in
-    { pk_n2 = ctx.pk.n2; c }
+    encrypt_unit ctx ~r m
 
-  let encrypt ctx ~rng m = encrypt_with ctx ~r:(sample_unit ctx.pk ~rng) m
+  let encrypt_r ctx ~rng m =
+    let r = sample_unit ctx.pk ~rng in
+    (encrypt_unit ctx ~r m, r)
+
+  let encrypt ctx ~rng m = fst (encrypt_r ctx ~rng m)
 
   let decrypt ctx (sk : secret_key) ct =
     if not (B.equal ct.pk_n2 sk.pk.n2) then
@@ -83,17 +91,49 @@ module Ctx = struct
     check_same "Paillier.add" ctx.pk b;
     { pk_n2 = ctx.pk.n2; c = B.mulmod a.c b.c ctx.pk.n2 }
 
-  let scalar_mul ctx s ct =
-    check_same "Paillier.scalar_mul" ctx.pk ct;
-    { pk_n2 = ctx.pk.n2; c = pow_n2 ctx ct.c (B.erem s ctx.pk.n) }
+  type table = {
+    t_ct : ciphertext;
+    t_fb : B.Mont.fixed_base;
+    mutable t_inv : B.Mont.fixed_base option;  (* c^-1's, built on first need *)
+  }
 
+  let table ctx ct =
+    check_same "Paillier.table" ctx.pk ct;
+    { t_ct = ct; t_fb = B.Mont.fixed_base ctx.mont_n2 ct.c; t_inv = None }
+
+  let pow_ct ?table ctx ct e =
+    match table with
+    | None ->
+      if B.sign e >= 0 then pow_n2 ctx ct.c e
+      else pow_n2 ctx (B.invmod ct.c ct.pk_n2) (B.neg e)
+    | Some tb ->
+      if not (B.equal tb.t_ct.c ct.c && B.equal tb.t_ct.pk_n2 ct.pk_n2) then
+        invalid_arg "Paillier.pow_ct: table of another ciphertext";
+      if B.sign e >= 0 then B.Mont.fixed_powmod tb.t_fb e
+      else begin
+        let inv =
+          match tb.t_inv with
+          | Some fb -> fb
+          | None ->
+            let fb = B.Mont.fixed_base ctx.mont_n2 (B.invmod ct.c ct.pk_n2) in
+            tb.t_inv <- Some fb;
+            fb
+        in
+        B.Mont.fixed_powmod inv (B.neg e)
+      end
+
+  let scalar_mul ?table ctx s ct =
+    check_same "Paillier.scalar_mul" ctx.pk ct;
+    { pk_n2 = ctx.pk.n2; c = pow_ct ?table ctx ct (B.erem s ctx.pk.n) }
+
+  (* one multi-exponentiation over every (ciphertext, coefficient)
+     pair: the pairs share its squarings *)
   let linear_combination ctx cts coeffs =
     if List.length cts <> List.length coeffs then
       invalid_arg "Paillier.linear_combination: length mismatch";
-    List.fold_left2
-      (fun acc ct coeff -> add ctx acc (scalar_mul ctx coeff ct))
-      { pk_n2 = ctx.pk.n2; c = B.one }
-      cts coeffs
+    List.iter (check_same "Paillier.linear_combination" ctx.pk) cts;
+    let pairs = List.map2 (fun ct k -> (ct.c, B.erem k ctx.pk.n)) cts coeffs in
+    { pk_n2 = ctx.pk.n2; c = B.Multiexp.run ctx.mont_n2 (Array.of_list pairs) }
 
   let rerandomize ctx ~rng ct =
     check_same "Paillier.rerandomize" ctx.pk ct;

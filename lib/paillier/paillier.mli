@@ -66,6 +66,12 @@ module Ctx : sig
   (** [encrypt ctx ~rng m] for [m] reduced into [Z_N], with
       randomness from {!sample_unit}. *)
 
+  val encrypt_r : t -> rng:Random.State.t -> B.t -> ciphertext * B.t
+  (** {!encrypt}, also returning the randomness [r] it drew (the
+      witness a sigma proof about the ciphertext needs).  Draws what
+      [sample_unit] then [encrypt_with ~r] would, and skips
+      [encrypt_with]'s gcd: [sample_unit] has just checked [r]. *)
+
   val encrypt_with : t -> r:B.t -> B.t -> ciphertext
   (** Deterministic variant with explicit randomness [r].
       @raise Invalid_argument if [r] is not a unit mod [N]. *)
@@ -78,12 +84,44 @@ module Ctx : sig
   (** Homomorphic addition of plaintexts.
       @raise Invalid_argument on a foreign ciphertext. *)
 
-  val scalar_mul : t -> B.t -> ciphertext -> ciphertext
-  (** Homomorphic multiplication of the plaintext by a known scalar.
-      @raise Invalid_argument on a foreign ciphertext. *)
+  (** {2 Public ciphertexts raised to several exponents}
+
+      A ciphertext on the board is public, and a protocol step may
+      raise it to many exponents: the second Beaver committee raises
+      [c_a] once per member to multiply and once per member in the
+      proof, and the verifier once per proof; every partial decryption
+      of an opening raises the opened ciphertext.  A {!table} does the
+      squarings of that base once for all of them.  It is built from
+      the public ciphertext alone, never from an exponent, so sharing
+      it between the holders of different secret exponents is public
+      precomputation. *)
+
+  type table
+  (** A ciphertext [c] with its exponentiation table mod [N^2] (a
+      {!B.Mont.fixed_base} column, which grows to the longest exponent
+      seen) and, built the first time a negative exponent needs it,
+      the same for [c^-1].  Every use may grow it, so it belongs to one
+      domain. *)
+
+  val table : t -> ciphertext -> table
+  (** @raise Invalid_argument on a foreign ciphertext. *)
+
+  val pow_ct : ?table:table -> t -> ciphertext -> B.t -> B.t
+  (** [pow_ct ctx c e] is [c^e mod N^2] for an exponent of either
+      sign (a negative one raises [c^-1]), from [table] when given.
+      Equal to the result without a table, bit for bit.
+      @raise Invalid_argument if [table] is not [c]'s.
+      @raise Division_by_zero if [e < 0] and [c] is not a unit. *)
+
+  val scalar_mul : ?table:table -> t -> B.t -> ciphertext -> ciphertext
+  (** Homomorphic multiplication of the plaintext by a known scalar;
+      [table], when given, must be the ciphertext's.
+      @raise Invalid_argument on a foreign ciphertext or another
+      ciphertext's table. *)
 
   val linear_combination : t -> ciphertext list -> B.t list -> ciphertext
-  (** [TEval]: ciphertext of [sum_i coeff_i * m_i].
+  (** [TEval]: ciphertext of [sum_i coeff_i * m_i], as one
+      {!B.Multiexp.run} over the pairs [(c_i, coeff_i mod N)].
       @raise Invalid_argument on list length mismatch or foreign
       ciphertexts. *)
 

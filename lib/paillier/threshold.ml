@@ -12,7 +12,6 @@ type partial = { p_index : int; p_epoch : int; d : B.t }
 
 let share_index s = s.index
 let share_epoch s = s.epoch
-let unsafe_share ~index ~epoch ~value = { index; epoch; value }
 let unsafe_partial ~index ~epoch ~d = { p_index = index; p_epoch = epoch; d }
 
 (* integral Lagrange-at-zero weight: mu_i = Delta * prod_{j in s, j<>i} j / (j - i).
@@ -115,13 +114,9 @@ module Ctx = struct
 
   (* d_i = c^(2 Delta s_i) mod N^2; epoch >= 1 shares can be negative,
      handled through the inverse *)
-  let partial_decrypt ctx share ct =
+  let partial_decrypt ?table ctx share ct =
     let e = B.mul B.two (B.mul ctx.tpk.delta share.value) in
-    let c = Paillier.raw ct in
-    let d =
-      if B.sign e >= 0 then Paillier.Ctx.pow_n2 ctx.pctx c e
-      else Paillier.Ctx.pow_n2 ctx.pctx (B.invmod c ctx.tpk.pk.Paillier.n2) (B.neg e)
-    in
+    let d = Paillier.Ctx.pow_ct ?table ctx.pctx ct e in
     { p_index = share.index; p_epoch = share.epoch; d }
 
   (* prod d_i^(2 mu_i) runs as one Straus/Pippenger multi-exponentiation
@@ -159,14 +154,18 @@ module Ctx = struct
   let sim_partial_decrypt ctx ct ~m ~honest =
     if List.length honest < ctx.tpk.threshold + 1 then
       invalid_arg "Threshold.sim_partial_decrypt: not enough honest shares";
+    let partials ct =
+      let table = Paillier.Ctx.table ctx.pctx ct in
+      List.map (fun s -> partial_decrypt ~table ctx s ct) honest
+    in
     (* decrypt beta using the honest shares themselves *)
-    let m0 = combine ctx (List.map (fun s -> partial_decrypt ctx s ct) honest) in
+    let m0 = combine ctx (partials ct) in
     (* beta' = beta * (1+N)^(m - m0): same randomness component, target
        plaintext *)
     let adjust = Paillier.Ctx.g_pow ctx.pctx (B.sub m m0) in
     let n2 = ctx.tpk.pk.Paillier.n2 in
     let ct' = Paillier.Ctx.of_raw ctx.pctx (B.mulmod (Paillier.raw ct) adjust n2) in
-    List.map (fun s -> partial_decrypt ctx s ct') honest
+    partials ct'
 end
 
 let reshare tpk share ~rng =

@@ -69,9 +69,15 @@ module Ctx : sig
   val eval : t -> Paillier.ciphertext list -> B.t list -> Paillier.ciphertext
   (** [TEval], delegating to {!Paillier.Ctx.linear_combination}. *)
 
-  val partial_decrypt : t -> key_share -> Paillier.ciphertext -> partial
+  val partial_decrypt :
+    ?table:Paillier.Ctx.table -> t -> key_share -> Paillier.ciphertext -> partial
   (** [TPDec]: [c^(2 Delta s_i) mod N^2] via Montgomery
-      exponentiation. *)
+      exponentiation; a negative share (epoch [>= 1]) raises [c^-1].
+      The [t + 1] partial decryptions of one opening raise the same
+      public ciphertext: pass them its {!Paillier.Ctx.table} and its
+      squarings are done once.  The partial is the same with or
+      without it.
+      @raise Invalid_argument if [table] is another ciphertext's. *)
 
   val combine : t -> partial list -> B.t
   (** [TDec]: needs [>= t + 1] partials with distinct indices, all of
@@ -128,9 +134,8 @@ val theta : tpk -> int -> B.t
 
 val share_index : key_share -> int
 val share_epoch : key_share -> int
-val unsafe_share : index:int -> epoch:int -> value:B.t -> key_share
-(** Test/adversary constructor. *)
-
 val unsafe_partial : index:int -> epoch:int -> d:B.t -> partial
-(** Test/adversary constructor (e.g. a malicious role posting a junk
-    partial decryption). *)
+(** A partial from its parts, with no check that [d] is one.  The
+    interface of the test oracle [Yoso_oracles.Threshold], which
+    computes partial decryptions by naive arithmetic and compares
+    them with {!Ctx.partial_decrypt}'s; the protocol never calls it. *)

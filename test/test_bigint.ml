@@ -355,14 +355,19 @@ let test_mont_fixed_base () =
       let m = random_odd_modulus bits in
       let ctx = B.Mont.create m in
       let base = B.random_bits st (bits - 1) in
-      let fb = B.Mont.fixed_base ctx base in
-      (* growing exponents force the table to extend across calls *)
+      (* a column (never preloaded) grows across calls and serves a
+         short exponent again after a long one; the preloaded table
+         answers from its rows up to 300 bits and from its column
+         beyond *)
+      let column = B.Mont.fixed_base ctx base and rows = B.Mont.fixed_base ctx base in
+      B.Mont.preload rows ~bits:300;
       List.iter
         (fun ebits ->
           let e = B.random_bits st ebits in
-          check_b "fixed = generic" (B.Mont.powmod ctx base e)
-            (B.Mont.fixed_powmod fb e))
-        [ 4; 30; 64; 200; 700 ])
+          let want = B.Mont.powmod ctx base e in
+          check_b "column = generic" want (B.Mont.fixed_powmod column e);
+          check_b "rows = generic" want (B.Mont.fixed_powmod rows e))
+        [ 0; 4; 30; 64; 200; 700; 1; 2 * bits; 300; 301 ])
     [ 512; 1024 ]
 
 let test_mont_edge_cases () =
@@ -665,6 +670,31 @@ let gcd_inverse_square_props =
         && B.equal (B.Mont.powmod ctx x e) (Oracles.Narrow.powmod (Oracles.Narrow.create m) x e));
   ]
 
+(* one table per kind, each reused across exponents of 0 to twice
+   the modulus bits: a column that was never preloaded, and a table
+   preloaded to a random length, so that some exponents read its rows
+   and longer ones its column *)
+let fixed_base_props =
+  [
+    QCheck.Test.make ~count:30 ~long_factor:20
+      ~name:"fixed base = powmod, column and rows, 8 to 2100 bits"
+      QCheck.(pair (int_range 8 2100) int)
+      (fun (bits, seed) ->
+        let st = Random.State.make [| seed |] in
+        let m = make_odd (top_bit st bits) in
+        let ctx = B.Mont.create m in
+        let base = B.random_bits st (bits + 8) in
+        let column = B.Mont.fixed_base ctx base and rows = B.Mont.fixed_base ctx base in
+        B.Mont.preload rows ~bits:(Random.State.int st ((2 * bits) + 1));
+        List.for_all
+          (fun ebits ->
+            let e = B.random_bits st ebits in
+            let want = B.Mont.powmod ctx base e in
+            B.equal (B.Mont.fixed_powmod column e) want
+            && B.equal (B.Mont.fixed_powmod rows e) want)
+          (0 :: (2 * bits) :: List.init 4 (fun _ -> Random.State.int st ((2 * bits) + 1))));
+  ]
+
 let arb_big =
   QCheck.map
     (fun (bits, seed) ->
@@ -795,4 +825,5 @@ let () =
       ("properties", List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_props);
       (* QCHECK_LONG=1 runs these at [long_factor] times their count *)
       ("gcd-inv-sqr", List.map QCheck_alcotest.to_alcotest gcd_inverse_square_props);
+      ("fixed-base", List.map QCheck_alcotest.to_alcotest fixed_base_props);
     ]

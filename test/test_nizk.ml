@@ -131,6 +131,29 @@ let test_mult_roundtrip () =
       (B.equal (P.Ctx.decrypt ctx sk c_c) (B.erem (B.mul a b) pk.P.n))
   done
 
+(* a prover and a verifier reading c_a^x and c_a^z from c_a's table:
+   at the same RNG state the proof is the one made without it, both
+   verifiers accept it, and both reject it tampered *)
+let test_mult_table () =
+  let _, b, r, c_a, c_b, c_c = mult_instance () in
+  let table = P.Ctx.table ctx c_a in
+  let seed = Random.State.bits st in
+  let prove ?table () =
+    Sigma.Multiplication.prove ?table ctx ~rng:(Random.State.make [| seed |]) ~b ~r ~c_a ~c_b ~c_c
+  in
+  let plain = prove () in
+  for _ = 1 to 3 do
+    Alcotest.(check bool) "same proof" true (prove ~table () = plain)
+  done;
+  let verify ?table proof = Sigma.Multiplication.verify ?table ctx ~c_a ~c_b ~c_c proof in
+  Alcotest.(check bool) "table verifier accepts" true (verify ~table plain);
+  Alcotest.(check bool) "plain verifier accepts" true (verify plain);
+  let bad = { plain with Sigma.Multiplication.z = B.add plain.Sigma.Multiplication.z B.one } in
+  Alcotest.(check bool) "table verifier rejects tampered z" false (verify ~table bad);
+  Alcotest.(check bool) "plain verifier rejects tampered z" false (verify bad);
+  let bad2 = { plain with Sigma.Multiplication.a2 = B.add plain.Sigma.Multiplication.a2 B.one } in
+  Alcotest.(check bool) "table verifier rejects tampered a2" false (verify ~table bad2)
+
 let test_mult_rejects_wrong_product () =
   let _, b, r, c_a, c_b, _ = mult_instance () in
   (* claim a different product ciphertext *)
@@ -205,6 +228,7 @@ let () =
           Alcotest.test_case "wrong product" `Quick test_mult_rejects_wrong_product;
           Alcotest.test_case "swapped statement" `Quick test_mult_rejects_swapped_statement;
           Alcotest.test_case "negative response" `Quick test_mult_rejects_negative_response;
+          Alcotest.test_case "table" `Quick test_mult_table;
         ] );
       ( "ideal",
         [

@@ -16,6 +16,7 @@ let ctx = P.Ctx.create pk
 let tctx5 = T.Ctx.create tpk5
 
 let rand_msg () = B.random_below st pk.P.n
+let tctx5_paillier = T.Ctx.paillier tctx5
 
 (* ------------------------------------------------------------------ *)
 (* Base Paillier                                                       *)
@@ -51,7 +52,21 @@ let test_linear_combination () =
   let expected =
     B.erem (List.fold_left2 (fun acc m k -> B.add acc (B.mul m k)) B.zero ms coeffs) pk.P.n
   in
-  check_b "TEval" expected (P.Ctx.decrypt ctx sk c)
+  check_b "TEval" expected (P.Ctx.decrypt ctx sk c);
+  (* coefficients are read mod N: a negative one or one past N gives
+     the oracle's ciphertext, not merely one of the same plaintext *)
+  let wide = [ B.neg (List.hd coeffs); B.add pk.P.n (rand_msg ()); B.zero; B.sub B.zero pk.P.n ] in
+  check_b "coefficients mod N"
+    (O.Paillier.linear_combination pk (List.map P.raw cts) wide)
+    (P.raw (P.Ctx.linear_combination ctx cts wide));
+  check_b "empty combination" B.one (P.raw (P.Ctx.linear_combination ctx [] []));
+  Alcotest.check_raises "length mismatch"
+    (Invalid_argument "Paillier.linear_combination: length mismatch") (fun () ->
+      ignore (P.Ctx.linear_combination ctx cts (List.tl coeffs)));
+  let foreign = P.Ctx.encrypt tctx5_paillier ~rng:st B.one in
+  Alcotest.check_raises "foreign ciphertext"
+    (Invalid_argument "Paillier.linear_combination: ciphertext under a different key") (fun () ->
+      ignore (P.Ctx.linear_combination ctx (foreign :: List.tl cts) coeffs))
 
 let test_rerandomize () =
   let m = rand_msg () in
@@ -64,7 +79,11 @@ let test_deterministic_encrypt () =
   let m = rand_msg () in
   let r = B.of_int 12345 in
   let c1 = P.Ctx.encrypt_with ctx ~r m and c2 = P.Ctx.encrypt_with ctx ~r m in
-  check_b "deterministic" (P.raw c1) (P.raw c2)
+  check_b "deterministic" (P.raw c1) (P.raw c2);
+  (* encrypt_r draws what sample_unit draws, and returns it *)
+  let c, r = P.Ctx.encrypt_r ctx ~rng:(Random.State.make [| 0xE4C |]) m in
+  check_b "encrypt_r's unit" (P.sample_unit pk ~rng:(Random.State.make [| 0xE4C |])) r;
+  check_b "encrypt_r = encrypt_with its unit" (P.raw (P.Ctx.encrypt_with ctx ~r m)) (P.raw c)
 
 let test_ciphertexts_randomized () =
   let m = rand_msg () in
@@ -135,9 +154,6 @@ let test_key_rerandomization () =
   let shares2 = reshare_all shares1 2 in
   check_b "epoch 2 decrypts" m (T.Ctx.combine tctx5 (partials shares2 ct ~who:[ 1; 2; 3 ]));
   (* old and new shares are different values *)
-  Alcotest.(check bool) "shares refreshed" false
-    (B.equal (T.unsafe_share ~index:1 ~epoch:0 ~value:B.zero).T.value tshares5.(0).T.value
-     && true);
   Alcotest.(check bool) "share value changed" false
     (B.equal tshares5.(0).T.value shares1.(0).T.value)
 
@@ -213,6 +229,33 @@ let reshare_from shares epoch =
 let oshares =
   let s1 = reshare_from oshares0 1 in
   [| oshares0; s1; reshare_from s1 2 |]
+
+(* every share's partial decryption of one ciphertext through one
+   table, at epochs 0 to 2: later epochs hold negative shares, whose
+   first use builds the inverse's table and the rest reuse it *)
+let test_partial_decrypt_table () =
+  let rng = Random.State.make [| 0x7AB1E |] in
+  let ct = T.Ctx.encrypt otctx ~rng (B.random_below rng otpk.T.pk.P.n) in
+  let negative = Array.exists (fun (s : T.key_share) -> B.sign s.value < 0) in
+  Alcotest.(check bool) "an epoch-1 share is negative" true (negative oshares.(1));
+  Array.iteri
+    (fun epoch shares ->
+      let table = P.Ctx.table (T.Ctx.paillier otctx) ct in
+      Array.iter
+        (fun (s : T.key_share) ->
+          let want = O.Threshold.partial_decrypt otpk s (P.raw ct) in
+          let name = Printf.sprintf "epoch %d share %d" epoch s.index in
+          Alcotest.(check bool) (name ^ ", table = oracle") true
+            (T.Ctx.partial_decrypt ~table otctx s ct = want);
+          Alcotest.(check bool) (name ^ ", no table = oracle") true
+            (T.Ctx.partial_decrypt otctx s ct = want))
+        shares)
+    oshares;
+  let other = T.Ctx.encrypt otctx ~rng B.one in
+  Alcotest.check_raises "another ciphertext's table"
+    (Invalid_argument "Paillier.pow_ct: table of another ciphertext") (fun () ->
+      let table = P.Ctx.table (T.Ctx.paillier otctx) other in
+      ignore (T.Ctx.partial_decrypt ~table otctx oshares.(0).(0) ct))
 
 (* one random instance per seed: the base operations on [pk]/[sk], a
    TPDec -> combine round trip over a random (t+1)-subset at a random
@@ -315,6 +358,7 @@ let () =
           Alcotest.test_case "SimTPDec too few" `Quick test_sim_not_enough_honest;
           Alcotest.test_case "keygen validation" `Quick test_keygen_validation;
           Alcotest.test_case "t = 0" `Quick test_threshold_t0;
+          Alcotest.test_case "partial decrypt from a table" `Quick test_partial_decrypt_table;
         ] );
       ("backends", [ QCheck_alcotest.to_alcotest prop_ctx_matches_oracle ]);
     ]
