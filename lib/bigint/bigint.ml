@@ -942,16 +942,13 @@ module Mont = struct
     end
 
   (* Fixed-base exponentiation: for a base raised to many exponents.
-     Every table keeps a column, base^(16^j) in Montgomery form for
-     each 4-bit window position j, each entry four squarings from the
-     one before, grown lazily to the longest exponent seen.  An
-     exponent is read from the column by Yao's bucket method: bucket w
-     gathers the product of the entries whose window is w (one product
-     per nonzero window), and prod_w bucket_w^w = prod_{k=15..1}
-     prod_{w>=k} bucket_w costs at most 28 more products; no
-     squarings.  [preload] adds rows, rows.(j).(w-1) = base^(w * 16^j),
-     so an exponent the rows cover costs one product per nonzero
-     window and no bucket pass.
+     A table is a column, base^(16^j) in Montgomery form for each 4-bit
+     window position j, each entry four squarings from the one before,
+     grown lazily to the longest exponent seen.  An exponent is read
+     from the column by Yao's bucket method: bucket w gathers the
+     product of the entries whose window is w (one product per nonzero
+     window), and prod_w bucket_w^w = prod_{k=15..1} prod_{w>=k}
+     bucket_w costs at most 28 more products; no squarings.
 
      The column is a list, newest (highest j) entry first: a spine
      array longer than 256 words would be allocated in the major heap
@@ -961,14 +958,13 @@ module Mont = struct
     fb_ctx : ctx;
     mutable fb_col : int array list;  (* base^(16^j) for j = fb_len - 1 downto 0 *)
     mutable fb_len : int;
-    mutable fb_rows : int array array array;
   }
 
   let fixed_base ctx b =
     let b = erem b ctx.m_big in
     let bm = Array.make ctx.l 0 in
     mont_mul_into ctx (scratch ctx) bm (pad ctx b.mag) ctx.r2;
-    { fb_ctx = ctx; fb_col = [ bm ]; fb_len = 1; fb_rows = [||] }
+    { fb_ctx = ctx; fb_col = [ bm ]; fb_len = 1 }
 
   let fb_column fb nw =
     if fb.fb_len < nw then begin
@@ -985,31 +981,12 @@ module Mont = struct
       fb.fb_len <- nw
     end
 
-  (* The column and the rows grow in place: racy if a fixed base is
-     shared across domains.  Growing the rows up front for the largest
-     exponent that will be seen makes later [fixed_powmod] calls
-     read-only. *)
+  (* The column grows in place: racy if a fixed base is shared across
+     domains.  Growing it up front for the longest exponent that will
+     be seen makes later [fixed_powmod] calls read-only. *)
   let preload fb ~bits =
     if bits < 0 then invalid_arg "Bigint.Mont.preload: negative bits";
-    let nw = (bits + 3) / 4 in
-    let have = Array.length fb.fb_rows in
-    if have < nw then begin
-      fb_column fb nw;
-      let ctx = fb.fb_ctx in
-      let tbuf = scratch ctx in
-      let col = Array.of_list (List.rev fb.fb_col) in
-      let row j =
-        let p = col.(j) in
-        let row = Array.make 15 p in
-        for w = 2 to 15 do
-          let d = Array.make ctx.l 0 in
-          mont_mul_into ctx tbuf d row.(w - 2) p;
-          row.(w - 1) <- d
-        done;
-        row
-      in
-      fb.fb_rows <- Array.append fb.fb_rows (Array.init (nw - have) (fun i -> row (have + i)))
-    end
+    fb_column fb ((bits + 3) / 4)
 
   (* [Some acc] to [acc * x], or [None] to a copy of [x] *)
   let fb_times ctx tbuf acc x =
@@ -1027,33 +1004,21 @@ module Mont = struct
     else begin
       let nw = (ebits + 3) / 4 in
       let tbuf = scratch ctx in
-      let acc =
-        if nw <= Array.length fb.fb_rows then begin
-          let acc = Array.copy ctx.one_m in
-          for j = 0 to nw - 1 do
-            let w = window e j in
-            if w <> 0 then mont_mul_into ctx tbuf acc acc fb.fb_rows.(j).(w - 1)
-          done;
-          acc
-        end
-        else begin
-          fb_column fb nw;
-          let bucket = Array.make 16 None in
-          (* windows past the exponent's top read 0 *)
-          List.iteri
-            (fun i p ->
-              let w = window e (fb.fb_len - 1 - i) in
-              if w <> 0 then bucket.(w) <- fb_times ctx tbuf bucket.(w) p)
-            fb.fb_col;
-          (* run = prod_{w>=k} bucket_w, and acc gathers every run *)
-          let run = ref None and acc = ref None in
-          for k = 15 downto 1 do
-            Option.iter (fun b -> run := fb_times ctx tbuf !run b) bucket.(k);
-            Option.iter (fun r -> acc := fb_times ctx tbuf !acc r) !run
-          done;
-          Option.get !acc
-        end
-      in
+      fb_column fb nw;
+      let bucket = Array.make 16 None in
+      (* windows past the exponent's top read 0 *)
+      List.iteri
+        (fun i p ->
+          let w = window e (fb.fb_len - 1 - i) in
+          if w <> 0 then bucket.(w) <- fb_times ctx tbuf bucket.(w) p)
+        fb.fb_col;
+      (* run = prod_{w>=k} bucket_w, and acc gathers every run *)
+      let run = ref None and acc = ref None in
+      for k = 15 downto 1 do
+        Option.iter (fun b -> run := fb_times ctx tbuf !run b) bucket.(k);
+        Option.iter (fun r -> acc := fb_times ctx tbuf !acc r) !run
+      done;
+      let acc = Option.get !acc in
       let dst = Array.make ctx.l 0 in
       mont_mul_into ctx tbuf dst acc ctx.unit_arr;
       canon ctx dst;

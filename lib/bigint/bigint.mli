@@ -153,27 +153,18 @@ module Mont : sig
       @raise Invalid_argument if [e < 0]. *)
 
   type fixed_base
-  (** A table for one base [b] raised to many exponents, in one of
-      two forms.
-
-      - {b Column} (every table): [b^(16^j)] for each 4-bit window
-        position [j], each entry four squarings from the one before.
-        It grows inside {!fixed_powmod} to the longest exponent seen.
-        An exponent is read from it by Yao's bucket method: one product
-        per nonzero window into the bucket of its digit, then at most
-        28 products to raise the 15 buckets to their digits; no
-        squarings.  The first use pays the squarings of a {!powmod}
-        plus those window products: 4-10% more than one {!powmod}.
-        Each later use within the grown length is ~4x cheaper at 1024
-        and 2048 bits ([bench time], EXPERIMENTS.md E8).
-      - {b Rows} (built by {!preload} only): [b^(w * 16^j)] for every
-        digit [w] in 1..15 as well, 14 more products per window.  An
-        exponent the rows cover then costs one product per nonzero
-        window and no bucket pass; a longer one is read from the
-        column.  Rows pay for a base raised to a great many short
-        exponents, as Feldman's [h] is.
-
-      Every exponent gives {!powmod}'s result, bit for bit.
+  (** A table for one base [b] raised to many exponents: a column,
+      [b^(16^j)] for each 4-bit window position [j], each entry four
+      squarings from the one before.  It grows inside {!fixed_powmod}
+      to the longest exponent seen, or up front by {!preload}.  An
+      exponent is read from it by Yao's bucket method: one product per
+      nonzero window into the bucket of its digit, then at most 28
+      products to raise the 15 buckets to their digits; no squarings.
+      The first use pays the squarings of a {!powmod} plus those
+      products: 4-10% more than one {!powmod} at 1024 and 2048 bits.
+      Each later use within the grown length is ~4x cheaper there
+      ([bench time], EXPERIMENTS.md E8).  Every exponent gives
+      {!powmod}'s result, bit for bit.
 
       {b Sharing across domains.}  {!fixed_powmod} writes to the table
       whenever an exponent is longer than every one before it (the
@@ -186,15 +177,14 @@ module Mont : sig
       into Montgomery form.  [b] is reduced mod [m]. *)
 
   val fixed_powmod : fixed_base -> t -> t
-  (** Same result as [powmod ctx base e]: from the rows when they
-      cover [e], otherwise from the column, grown to [e]'s length
-      first.
+  (** Same result as [powmod ctx base e], read from the column, grown
+      to [e]'s length first.
       @raise Invalid_argument if [e < 0]. *)
 
   val preload : fixed_base -> bits:int -> unit
-  (** Build the column and the rows for [bits]-bit exponents now.
-      After it, {!fixed_powmod} on exponents of at most [bits] bits
-      only reads the table, so it may be shared across domains.
+  (** Grow the column for [bits]-bit exponents now.  After it,
+      {!fixed_powmod} on exponents of at most [bits] bits only reads
+      the table, so it may be shared across domains.
       @raise Invalid_argument on negative [bits]. *)
 end
 

@@ -71,22 +71,22 @@ let execute ~n ~t ?(bits = 96) ?(malicious = []) ?(seed = 0xBEEF) ~circuit ~inpu
   let second_committee c_a =
     (* c_a is on the board: one table serves every member's c_a^b and
        c_a^x and the verifier's c_a^z *)
-    let table = P.Ctx.table pctx c_a in
+    let c_a = P.Ctx.table pctx c_a in
     let contribs =
       List.init n (fun i ->
           let b = B.random_below st modulus in
           let c_b, r = P.Ctx.encrypt_r pctx ~rng:st b in
           let c_c =
             if is_malicious i then P.Ctx.encrypt pctx ~rng:st (B.of_int 1337)
-            else P.Ctx.scalar_mul ~table pctx b c_a
+            else P.Ctx.scalar_mul pctx b c_a
           in
-          let proof = Sigma.Multiplication.prove ~table pctx ~rng:st ~b ~r ~c_a ~c_b ~c_c in
+          let proof = Sigma.Multiplication.prove pctx ~rng:st ~b ~r ~c_a ~c_b ~c_c in
           (c_b, c_c, proof))
     in
     let verified =
       List.filter
         (fun (c_b, c_c, proof) ->
-          let ok = Sigma.Multiplication.verify ~table pctx ~c_a ~c_b ~c_c proof in
+          let ok = Sigma.Multiplication.verify pctx ~c_a ~c_b ~c_c proof in
           if not ok then incr rejected;
           ok)
         contribs
@@ -113,16 +113,11 @@ let execute ~n ~t ?(bits = 96) ?(malicious = []) ?(seed = 0xBEEF) ~circuit ~inpu
     (* partial-decryption correctness is attested with the ideal NIZK
        (no sigma protocol without extra setup); honest partials only.
        The quorum raises the one opened ciphertext: one table *)
-    let table = P.Ctx.table pctx ct in
-    let parts =
-      List.init (t + 1) (fun i ->
-          let d = T.Ctx.partial_decrypt ~table tctx !shares.(i) ct in
-          let proof =
-            Ideal.prove ~relation:"tpdec" ~statement:(string_of_int i) ~witness_ok:true
-          in
-          assert (Ideal.verify ~relation:"tpdec" ~statement:(string_of_int i) proof);
-          d)
-    in
+    let parts = T.Ctx.partial_decrypt_quorum tctx (List.init (t + 1) (fun i -> !shares.(i))) ct in
+    for i = 0 to t do
+      let proof = Ideal.prove ~relation:"tpdec" ~statement:(string_of_int i) ~witness_ok:true in
+      assert (Ideal.verify ~relation:"tpdec" ~statement:(string_of_int i) proof)
+    done;
     incr opened_count;
     T.Ctx.combine tctx parts
   in

@@ -47,27 +47,27 @@ module Multiplication = struct
     let pk = P.Ctx.public_key ctx in
     let ts = Transcript.create ~label:"paillier-mult" in
     Transcript.absorb_bigint ts ~label:"N" pk.P.n;
-    Transcript.absorb_bigint ts ~label:"c_a" (P.raw c_a);
+    Transcript.absorb_bigint ts ~label:"c_a" (P.raw (P.Ctx.table_ct c_a));
     Transcript.absorb_bigint ts ~label:"c_b" (P.raw c_b);
     Transcript.absorb_bigint ts ~label:"c_c" (P.raw c_c);
     Transcript.absorb_bigint ts ~label:"a1" a1;
     Transcript.absorb_bigint ts ~label:"a2" a2;
     Transcript.challenge_bigint ts ~label:"e" ~bits:chal_bits
 
-  let prove ?table ctx ~rng ~b ~r ~c_a ~c_b ~c_c =
+  let prove ctx ~rng ~b ~r ~c_a ~c_b ~c_c =
     let pk = P.Ctx.public_key ctx in
     let n = pk.P.n and n2 = pk.P.n2 in
     (* x blinds e*b statistically: |x| = |N| + chal + blind bits *)
     let x = B.random_bits rng (B.bit_length n + chal_bits + blind_bits) in
     let u = P.sample_unit pk ~rng in
     let a1 = B.mulmod (P.Ctx.g_pow ctx x) (P.Ctx.pow_n2 ctx u n) n2 in
-    let a2 = P.Ctx.pow_ct ?table ctx c_a x in
+    let a2 = P.Ctx.pow_ct c_a x in
     let e = transcript ctx ~c_a ~c_b ~c_c ~a1 ~a2 in
     let z = B.add x (B.mul e b) in
     let z_r = B.mulmod u (P.Ctx.pow_n ctx r e) n in
     { a1; a2; z; z_r }
 
-  let verify ?table ctx ~c_a ~c_b ~c_c proof =
+  let verify ctx ~c_a ~c_b ~c_c proof =
     let pk = P.Ctx.public_key ctx in
     let n = pk.P.n and n2 = pk.P.n2 in
     if B.sign proof.z < 0 || B.sign proof.z_r <= 0 || not (B.is_one (B.gcd proof.z_r n))
@@ -76,7 +76,7 @@ module Multiplication = struct
       let e = transcript ctx ~c_a ~c_b ~c_c ~a1:proof.a1 ~a2:proof.a2 in
       let lhs1 = B.mulmod (P.Ctx.g_pow ctx proof.z) (P.Ctx.pow_n2 ctx proof.z_r n) n2 in
       let rhs1 = B.mulmod proof.a1 (P.Ctx.pow_n2 ctx (P.raw c_b) e) n2 in
-      let lhs2 = P.Ctx.pow_ct ?table ctx c_a proof.z in
+      let lhs2 = P.Ctx.pow_ct c_a proof.z in
       let rhs2 = B.mulmod proof.a2 (P.Ctx.pow_n2 ctx (P.raw c_c) e) n2 in
       B.equal lhs1 rhs1 && B.equal lhs2 rhs2
     end

@@ -45,27 +45,25 @@ end
 module Multiplication : sig
   type proof = { a1 : B.t; a2 : B.t; z : B.t; z_r : B.t }
 
-  (** [table], when given, is [c_a]'s {!P.Ctx.table}: the prover's
-      [c_a^x] and the verifier's [c_a^z] are read from it.  [c_a] is
-      public, so every prover of a committee and the verifier may share
-      one table; proofs and verdicts are the same with or without it.
-      @raise Invalid_argument if [table] is another ciphertext's. *)
+  (** [c_a] is passed as its {!P.Ctx.table}: the prover's [c_a^x] and
+      the verifier's [c_a^z] are read from it.  [c_a] is public, so
+      every prover of a committee and the verifier may share one
+      table; a proof is the same as one computed by plain
+      exponentiation. *)
 
   val prove :
-    ?table:P.Ctx.table ->
     P.Ctx.t ->
     rng:Random.State.t ->
     b:B.t ->
     r:B.t ->
-    c_a:P.ciphertext ->
+    c_a:P.Ctx.table ->
     c_b:P.ciphertext ->
     c_c:P.ciphertext ->
     proof
 
   val verify :
-    ?table:P.Ctx.table ->
     P.Ctx.t ->
-    c_a:P.ciphertext ->
+    c_a:P.Ctx.table ->
     c_b:P.ciphertext ->
     c_c:P.ciphertext ->
     proof ->

@@ -93,38 +93,34 @@ module Ctx = struct
 
   type table = {
     t_ct : ciphertext;
+    t_mont : B.Mont.ctx;
     t_fb : B.Mont.fixed_base;
     mutable t_inv : B.Mont.fixed_base option;  (* c^-1's, built on first need *)
   }
 
   let table ctx ct =
     check_same "Paillier.table" ctx.pk ct;
-    { t_ct = ct; t_fb = B.Mont.fixed_base ctx.mont_n2 ct.c; t_inv = None }
+    { t_ct = ct; t_mont = ctx.mont_n2; t_fb = B.Mont.fixed_base ctx.mont_n2 ct.c; t_inv = None }
 
-  let pow_ct ?table ctx ct e =
-    match table with
-    | None ->
-      if B.sign e >= 0 then pow_n2 ctx ct.c e
-      else pow_n2 ctx (B.invmod ct.c ct.pk_n2) (B.neg e)
-    | Some tb ->
-      if not (B.equal tb.t_ct.c ct.c && B.equal tb.t_ct.pk_n2 ct.pk_n2) then
-        invalid_arg "Paillier.pow_ct: table of another ciphertext";
-      if B.sign e >= 0 then B.Mont.fixed_powmod tb.t_fb e
-      else begin
-        let inv =
-          match tb.t_inv with
-          | Some fb -> fb
-          | None ->
-            let fb = B.Mont.fixed_base ctx.mont_n2 (B.invmod ct.c ct.pk_n2) in
-            tb.t_inv <- Some fb;
-            fb
-        in
-        B.Mont.fixed_powmod inv (B.neg e)
-      end
+  let table_ct tb = tb.t_ct
 
-  let scalar_mul ?table ctx s ct =
-    check_same "Paillier.scalar_mul" ctx.pk ct;
-    { pk_n2 = ctx.pk.n2; c = pow_ct ?table ctx ct (B.erem s ctx.pk.n) }
+  let pow_ct tb e =
+    if B.sign e >= 0 then B.Mont.fixed_powmod tb.t_fb e
+    else begin
+      let inv =
+        match tb.t_inv with
+        | Some fb -> fb
+        | None ->
+          let fb = B.Mont.fixed_base tb.t_mont (B.invmod tb.t_ct.c tb.t_ct.pk_n2) in
+          tb.t_inv <- Some fb;
+          fb
+      in
+      B.Mont.fixed_powmod inv (B.neg e)
+    end
+
+  let scalar_mul ctx s tb =
+    check_same "Paillier.scalar_mul" ctx.pk tb.t_ct;
+    { pk_n2 = ctx.pk.n2; c = pow_ct tb (B.erem s ctx.pk.n) }
 
   (* one multi-exponentiation over every (ciphertext, coefficient)
      pair: the pairs share its squarings *)

@@ -106,18 +106,20 @@ module Ctx : sig
   val table : t -> ciphertext -> table
   (** @raise Invalid_argument on a foreign ciphertext. *)
 
-  val pow_ct : ?table:table -> t -> ciphertext -> B.t -> B.t
-  (** [pow_ct ctx c e] is [c^e mod N^2] for an exponent of either
-      sign (a negative one raises [c^-1]), from [table] when given.
-      Equal to the result without a table, bit for bit.
-      @raise Invalid_argument if [table] is not [c]'s.
+  val table_ct : table -> ciphertext
+  (** The ciphertext the table raises. *)
+
+  val pow_ct : table -> B.t -> B.t
+  (** [pow_ct tb e] is [c^e mod N^2] for the table's ciphertext [c]
+      and an exponent of either sign (a negative one raises [c^-1]).
+      Equal, bit for bit, to {!pow_n2} on [c] or [c^-1].
       @raise Division_by_zero if [e < 0] and [c] is not a unit. *)
 
-  val scalar_mul : ?table:table -> t -> B.t -> ciphertext -> ciphertext
-  (** Homomorphic multiplication of the plaintext by a known scalar;
-      [table], when given, must be the ciphertext's.
-      @raise Invalid_argument on a foreign ciphertext or another
-      ciphertext's table. *)
+  val scalar_mul : t -> B.t -> table -> ciphertext
+  (** Homomorphic multiplication of the plaintext by a known scalar,
+      [c^(s mod N)], read from the ciphertext's table.  A one-off
+      product pays the table's first use (4-10% over one powmod).
+      @raise Invalid_argument on a foreign ciphertext. *)
 
   val linear_combination : t -> ciphertext list -> B.t list -> ciphertext
   (** [TEval]: ciphertext of [sum_i coeff_i * m_i], as one

@@ -114,10 +114,25 @@ module Ctx = struct
 
   (* d_i = c^(2 Delta s_i) mod N^2; epoch >= 1 shares can be negative,
      handled through the inverse *)
-  let partial_decrypt ?table ctx share ct =
-    let e = B.mul B.two (B.mul ctx.tpk.delta share.value) in
-    let d = Paillier.Ctx.pow_ct ?table ctx.pctx ct e in
+  let exponent ctx share = B.mul B.two (B.mul ctx.tpk.delta share.value)
+
+  let partial_decrypt ctx share ct =
+    let e = exponent ctx share in
+    let c = Paillier.raw ct in
+    let d =
+      if B.sign e >= 0 then Paillier.Ctx.pow_n2 ctx.pctx c e
+      else Paillier.Ctx.pow_n2 ctx.pctx (B.invmod c ctx.tpk.pk.Paillier.n2) (B.neg e)
+    in
     { p_index = share.index; p_epoch = share.epoch; d }
+
+  (* a quorum raises one public ciphertext: one table for all of it *)
+  let partial_decrypt_quorum ctx shares ct =
+    let tb = Paillier.Ctx.table ctx.pctx ct in
+    List.map
+      (fun share ->
+        let d = Paillier.Ctx.pow_ct tb (exponent ctx share) in
+        { p_index = share.index; p_epoch = share.epoch; d })
+      shares
 
   (* prod d_i^(2 mu_i) runs as one Straus/Pippenger multi-exponentiation
      over the Montgomery context for N^2: one shared-window pass over
@@ -154,10 +169,7 @@ module Ctx = struct
   let sim_partial_decrypt ctx ct ~m ~honest =
     if List.length honest < ctx.tpk.threshold + 1 then
       invalid_arg "Threshold.sim_partial_decrypt: not enough honest shares";
-    let partials ct =
-      let table = Paillier.Ctx.table ctx.pctx ct in
-      List.map (fun s -> partial_decrypt ~table ctx s ct) honest
-    in
+    let partials ct = partial_decrypt_quorum ctx honest ct in
     (* decrypt beta using the honest shares themselves *)
     let m0 = combine ctx (partials ct) in
     (* beta' = beta * (1+N)^(m - m0): same randomness component, target

@@ -69,15 +69,16 @@ module Ctx : sig
   val eval : t -> Paillier.ciphertext list -> B.t list -> Paillier.ciphertext
   (** [TEval], delegating to {!Paillier.Ctx.linear_combination}. *)
 
-  val partial_decrypt :
-    ?table:Paillier.Ctx.table -> t -> key_share -> Paillier.ciphertext -> partial
+  val partial_decrypt : t -> key_share -> Paillier.ciphertext -> partial
   (** [TPDec]: [c^(2 Delta s_i) mod N^2] via Montgomery
-      exponentiation; a negative share (epoch [>= 1]) raises [c^-1].
-      The [t + 1] partial decryptions of one opening raise the same
-      public ciphertext: pass them its {!Paillier.Ctx.table} and its
-      squarings are done once.  The partial is the same with or
-      without it.
-      @raise Invalid_argument if [table] is another ciphertext's. *)
+      exponentiation; a negative share (epoch [>= 1]) raises [c^-1]. *)
+
+  val partial_decrypt_quorum : t -> key_share list -> Paillier.ciphertext -> partial list
+  (** {!partial_decrypt} of one ciphertext by each share, in order.
+      The [t + 1] partial decryptions of an opening raise the same
+      public ciphertext, so they are read from one
+      {!Paillier.Ctx.table}, built here, and its squarings are done
+      once.  Each partial is bit for bit {!partial_decrypt}'s. *)
 
   val combine : t -> partial list -> B.t
   (** [TDec]: needs [>= t + 1] partials with distinct indices, all of

@@ -20,20 +20,23 @@ let group =
      { modulus; order = q; h = find_generator 2 })
 
 (* h is the one base every commitment and verification exponentiates,
-   so it gets a Montgomery fixed-base table; varying bases go through
-   the group's shared Montgomery context. *)
+   so it gets a Montgomery fixed-base table, grown when it is built to
+   every exponent [pow_h] takes (a field element, 31 bits): once
+   forced, it is only read.  Varying bases go through the group's
+   shared Montgomery context. *)
 let mont = lazy (B.Mont.create (Lazy.force group).modulus)
-let fb_h = lazy (B.Mont.fixed_base (Lazy.force mont) (Lazy.force group).h)
+
+let fb_h =
+  lazy
+    (let fb = B.Mont.fixed_base (Lazy.force mont) (Lazy.force group).h in
+     B.Mont.preload fb ~bits:31;
+     fb)
 
 let pow_h e = B.Mont.fixed_powmod (Lazy.force fb_h) (B.of_int e)
 
-(* force the lazy group/Montgomery state and grow the h table to cover
-   full-width (31-bit) exponents; afterwards verification is read-only
-   and safe to fan out across domains *)
-let prepare () =
-  ignore (Lazy.force group);
-  ignore (Lazy.force mont);
-  B.Mont.preload (Lazy.force fb_h) ~bits:31
+(* force the lazy group, Montgomery context and h table; afterwards
+   verification is read-only and safe to fan out across domains *)
+let prepare () = ignore (Lazy.force fb_h)
 
 (* ------------------------------------------------------------------ *)
 (* Chaum-Pedersen product proofs over the same group                    *)

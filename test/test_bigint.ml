@@ -355,18 +355,17 @@ let test_mont_fixed_base () =
       let m = random_odd_modulus bits in
       let ctx = B.Mont.create m in
       let base = B.random_bits st (bits - 1) in
-      (* a column (never preloaded) grows across calls and serves a
-         short exponent again after a long one; the preloaded table
-         answers from its rows up to 300 bits and from its column
-         beyond *)
-      let column = B.Mont.fixed_base ctx base and rows = B.Mont.fixed_base ctx base in
-      B.Mont.preload rows ~bits:300;
+      (* a column that was never preloaded grows across calls and
+         serves a short exponent again after a long one; one preloaded
+         to 300 bits is only read up to there and grows beyond *)
+      let column = B.Mont.fixed_base ctx base and preloaded = B.Mont.fixed_base ctx base in
+      B.Mont.preload preloaded ~bits:300;
       List.iter
         (fun ebits ->
           let e = B.random_bits st ebits in
           let want = B.Mont.powmod ctx base e in
           check_b "column = generic" want (B.Mont.fixed_powmod column e);
-          check_b "rows = generic" want (B.Mont.fixed_powmod rows e))
+          check_b "preloaded = generic" want (B.Mont.fixed_powmod preloaded e))
         [ 0; 4; 30; 64; 200; 700; 1; 2 * bits; 300; 301 ])
     [ 512; 1024 ]
 
@@ -670,28 +669,27 @@ let gcd_inverse_square_props =
         && B.equal (B.Mont.powmod ctx x e) (Oracles.Narrow.powmod (Oracles.Narrow.create m) x e));
   ]
 
-(* one table per kind, each reused across exponents of 0 to twice
-   the modulus bits: a column that was never preloaded, and a table
-   preloaded to a random length, so that some exponents read its rows
-   and longer ones its column *)
+(* two tables, each reused across exponents of 0 to twice the modulus
+   bits: one never preloaded, and one preloaded to a random length, so
+   that some exponents only read it and longer ones grow it *)
 let fixed_base_props =
   [
     QCheck.Test.make ~count:30 ~long_factor:20
-      ~name:"fixed base = powmod, column and rows, 8 to 2100 bits"
+      ~name:"fixed base = powmod, preloaded or not, 8 to 2100 bits"
       QCheck.(pair (int_range 8 2100) int)
       (fun (bits, seed) ->
         let st = Random.State.make [| seed |] in
         let m = make_odd (top_bit st bits) in
         let ctx = B.Mont.create m in
         let base = B.random_bits st (bits + 8) in
-        let column = B.Mont.fixed_base ctx base and rows = B.Mont.fixed_base ctx base in
-        B.Mont.preload rows ~bits:(Random.State.int st ((2 * bits) + 1));
+        let column = B.Mont.fixed_base ctx base and preloaded = B.Mont.fixed_base ctx base in
+        B.Mont.preload preloaded ~bits:(Random.State.int st ((2 * bits) + 1));
         List.for_all
           (fun ebits ->
             let e = B.random_bits st ebits in
             let want = B.Mont.powmod ctx base e in
             B.equal (B.Mont.fixed_powmod column e) want
-            && B.equal (B.Mont.fixed_powmod rows e) want)
+            && B.equal (B.Mont.fixed_powmod preloaded e) want)
           (0 :: (2 * bits) :: List.init 4 (fun _ -> Random.State.int st ((2 * bits) + 1))));
   ]
 

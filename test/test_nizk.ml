@@ -114,7 +114,7 @@ let mult_instance () =
   let a = B.random_below st pk.P.n in
   let b = B.random_below st pk.P.n in
   let r = sample_unit () in
-  let c_a = P.Ctx.encrypt ctx ~rng:st a in
+  let c_a = P.Ctx.table ctx (P.Ctx.encrypt ctx ~rng:st a) in
   let c_b = P.Ctx.encrypt_with ctx ~r b in
   let c_c = P.Ctx.scalar_mul ctx b c_a in
   (a, b, r, c_a, c_b, c_c)
@@ -126,33 +126,49 @@ let test_mult_roundtrip () =
     Alcotest.(check bool) "verifies" true
       (Sigma.Multiplication.verify ctx ~c_a ~c_b ~c_c proof);
     (* plaintext of c_c really is a*b *)
-    let a = P.Ctx.decrypt ctx sk c_a in
+    let a = P.Ctx.decrypt ctx sk (P.Ctx.table_ct c_a) in
     Alcotest.(check bool) "c_c = a*b" true
       (B.equal (P.Ctx.decrypt ctx sk c_c) (B.erem (B.mul a b) pk.P.n))
   done
 
-(* a prover and a verifier reading c_a^x and c_a^z from c_a's table:
-   at the same RNG state the proof is the one made without it, both
-   verifiers accept it, and both reject it tampered *)
+(* proofs read through c_a's table against plain exponentiation: a2 is
+   powmod_naive c_a x for the prover's x (recovered as z - e b); a
+   table that earlier proofs grew gives, at the same RNG state, the
+   proof a fresh table gives; the naive-arithmetic verifier accepts
+   it; and both verifiers reject it tampered *)
 let test_mult_table () =
+  let module O = Yoso_oracles.Sigma in
   let _, b, r, c_a, c_b, c_c = mult_instance () in
-  let table = P.Ctx.table ctx c_a in
-  let seed = Random.State.bits st in
-  let prove ?table () =
-    Sigma.Multiplication.prove ?table ctx ~rng:(Random.State.make [| seed |]) ~b ~r ~c_a ~c_b ~c_c
+  let raw = P.raw in
+  let ca = P.Ctx.table_ct c_a in
+  let prove c_a seed =
+    Sigma.Multiplication.prove ctx ~rng:(Random.State.make [| seed |]) ~b ~r ~c_a ~c_b ~c_c
   in
-  let plain = prove () in
-  for _ = 1 to 3 do
-    Alcotest.(check bool) "same proof" true (prove ~table () = plain)
+  let oracle_accepts pf =
+    O.verify_multiplication pk ~c_a:(raw ca) ~c_b:(raw c_b) ~c_c:(raw c_c) pf
+  in
+  for seed = 1 to 4 do
+    let pf = prove c_a seed in
+    Alcotest.(check bool) "reused table = fresh table" true
+      (pf = prove (P.Ctx.table ctx ca) seed);
+    let e =
+      O.challenge "paillier-mult"
+        [ ("N", pk.P.n); ("c_a", raw ca); ("c_b", raw c_b); ("c_c", raw c_c);
+          ("a1", pf.a1); ("a2", pf.a2) ]
+    in
+    let x = B.sub pf.z (B.mul e b) in
+    Alcotest.(check bool) "a2 = c_a^x" true (B.equal pf.a2 (B.powmod_naive (raw ca) x pk.P.n2));
+    Alcotest.(check bool) "oracle accepts" true (oracle_accepts pf);
+    Alcotest.(check bool) "verifies" true (Sigma.Multiplication.verify ctx ~c_a ~c_b ~c_c pf)
   done;
-  let verify ?table proof = Sigma.Multiplication.verify ?table ctx ~c_a ~c_b ~c_c proof in
-  Alcotest.(check bool) "table verifier accepts" true (verify ~table plain);
-  Alcotest.(check bool) "plain verifier accepts" true (verify plain);
-  let bad = { plain with Sigma.Multiplication.z = B.add plain.Sigma.Multiplication.z B.one } in
-  Alcotest.(check bool) "table verifier rejects tampered z" false (verify ~table bad);
-  Alcotest.(check bool) "plain verifier rejects tampered z" false (verify bad);
-  let bad2 = { plain with Sigma.Multiplication.a2 = B.add plain.Sigma.Multiplication.a2 B.one } in
-  Alcotest.(check bool) "table verifier rejects tampered a2" false (verify ~table bad2)
+  let pf = prove c_a 5 in
+  List.iter
+    (fun (what, bad) ->
+      Alcotest.(check bool) ("rejects tampered " ^ what) false
+        (Sigma.Multiplication.verify ctx ~c_a ~c_b ~c_c bad);
+      Alcotest.(check bool) ("oracle rejects tampered " ^ what) false (oracle_accepts bad))
+    [ ("z", { pf with Sigma.Multiplication.z = B.add pf.z B.one });
+      ("a2", { pf with Sigma.Multiplication.a2 = B.add pf.a2 B.one }) ]
 
 let test_mult_rejects_wrong_product () =
   let _, b, r, c_a, c_b, _ = mult_instance () in
@@ -166,7 +182,8 @@ let test_mult_rejects_swapped_statement () =
   let _, b, r, c_a, c_b, c_c = mult_instance () in
   let proof = Sigma.Multiplication.prove ctx ~rng:st ~b ~r ~c_a ~c_b ~c_c in
   Alcotest.(check bool) "swapped statement rejected" false
-    (Sigma.Multiplication.verify ctx ~c_a:c_b ~c_b:c_a ~c_c proof)
+    (Sigma.Multiplication.verify ctx ~c_a:(P.Ctx.table ctx c_b) ~c_b:(P.Ctx.table_ct c_a) ~c_c
+       proof)
 
 let test_mult_rejects_negative_response () =
   let _, b, r, c_a, c_b, c_c = mult_instance () in

@@ -40,7 +40,7 @@ let test_additive_homomorphism () =
 let test_scalar_mul () =
   for _ = 1 to 10 do
     let m = rand_msg () and s = rand_msg () in
-    let c = P.Ctx.scalar_mul ctx s (P.Ctx.encrypt ctx ~rng:st m) in
+    let c = P.Ctx.scalar_mul ctx s (P.Ctx.table ctx (P.Ctx.encrypt ctx ~rng:st m)) in
     check_b "scalar" (B.erem (B.mul s m) pk.P.n) (P.Ctx.decrypt ctx sk c)
   done
 
@@ -233,29 +233,24 @@ let oshares =
 (* every share's partial decryption of one ciphertext through one
    table, at epochs 0 to 2: later epochs hold negative shares, whose
    first use builds the inverse's table and the rest reuse it *)
-let test_partial_decrypt_table () =
+let test_partial_decrypt_quorum () =
   let rng = Random.State.make [| 0x7AB1E |] in
   let ct = T.Ctx.encrypt otctx ~rng (B.random_below rng otpk.T.pk.P.n) in
   let negative = Array.exists (fun (s : T.key_share) -> B.sign s.value < 0) in
   Alcotest.(check bool) "an epoch-1 share is negative" true (negative oshares.(1));
   Array.iteri
     (fun epoch shares ->
-      let table = P.Ctx.table (T.Ctx.paillier otctx) ct in
-      Array.iter
-        (fun (s : T.key_share) ->
+      let shares = Array.to_list shares in
+      List.iter2
+        (fun (s : T.key_share) part ->
           let want = O.Threshold.partial_decrypt otpk s (P.raw ct) in
           let name = Printf.sprintf "epoch %d share %d" epoch s.index in
-          Alcotest.(check bool) (name ^ ", table = oracle") true
-            (T.Ctx.partial_decrypt ~table otctx s ct = want);
-          Alcotest.(check bool) (name ^ ", no table = oracle") true
+          Alcotest.(check bool) (name ^ ", quorum = oracle") true (part = want);
+          Alcotest.(check bool) (name ^ ", single = oracle") true
             (T.Ctx.partial_decrypt otctx s ct = want))
-        shares)
-    oshares;
-  let other = T.Ctx.encrypt otctx ~rng B.one in
-  Alcotest.check_raises "another ciphertext's table"
-    (Invalid_argument "Paillier.pow_ct: table of another ciphertext") (fun () ->
-      let table = P.Ctx.table (T.Ctx.paillier otctx) other in
-      ignore (T.Ctx.partial_decrypt ~table otctx oshares.(0).(0) ct))
+        shares
+        (T.Ctx.partial_decrypt_quorum otctx shares ct))
+    oshares
 
 (* one random instance per seed: the base operations on [pk]/[sk], a
    TPDec -> combine round trip over a random (t+1)-subset at a random
@@ -273,7 +268,7 @@ let ctx_matches_oracle seed =
   in
   let enc_ok = B.equal (P.raw c) (O.Paillier.encrypt_with pk ~r m) in
   let dec_ok = B.equal (P.Ctx.decrypt ctx sk c) m && B.equal (O.Paillier.decrypt sk (P.raw c)) m in
-  let smul = P.Ctx.scalar_mul ctx s c in
+  let smul = P.Ctx.scalar_mul ctx s (P.Ctx.table ctx c) in
   let smul_ok =
     B.equal (P.raw smul) (O.Paillier.scalar_mul pk s (P.raw c))
     && B.equal (O.Paillier.decrypt sk (P.raw smul)) (B.erem (B.mul s m) n)
@@ -315,16 +310,17 @@ let ctx_matches_oracle seed =
     && not (O.Sigma.verify_plaintext_knowledge pk ~c:(P.raw other) ptk)
   in
   (* c = Enc(m; r) doubles as c_b, so the witness is (m, r) *)
-  let c_a = List.hd cts in
+  let ca = List.hd cts in
+  let c_a = P.Ctx.table ctx ca in
   let c_c = P.Ctx.scalar_mul ctx m c_a in
   let mul = Sigma.Multiplication.prove ctx ~rng ~b:m ~r ~c_a ~c_b:c ~c_c in
   let bad = Sigma.Multiplication.prove ctx ~rng ~b:m ~r ~c_a ~c_b:c ~c_c:other in
   let raw = P.raw in
   let mul_ok =
     Sigma.Multiplication.verify ctx ~c_a ~c_b:c ~c_c mul
-    && O.Sigma.verify_multiplication pk ~c_a:(raw c_a) ~c_b:(raw c) ~c_c:(raw c_c) mul
+    && O.Sigma.verify_multiplication pk ~c_a:(raw ca) ~c_b:(raw c) ~c_c:(raw c_c) mul
     && (not (Sigma.Multiplication.verify ctx ~c_a ~c_b:c ~c_c:other bad))
-    && not (O.Sigma.verify_multiplication pk ~c_a:(raw c_a) ~c_b:(raw c) ~c_c:(raw other) bad)
+    && not (O.Sigma.verify_multiplication pk ~c_a:(raw ca) ~c_b:(raw c) ~c_c:(raw other) bad)
   in
   g_ok && enc_ok && dec_ok && smul_ok && lin_ok && t_ok && ptk_ok && mul_ok
 
@@ -358,7 +354,7 @@ let () =
           Alcotest.test_case "SimTPDec too few" `Quick test_sim_not_enough_honest;
           Alcotest.test_case "keygen validation" `Quick test_keygen_validation;
           Alcotest.test_case "t = 0" `Quick test_threshold_t0;
-          Alcotest.test_case "partial decrypt from a table" `Quick test_partial_decrypt_table;
+          Alcotest.test_case "partial decrypt quorum" `Quick test_partial_decrypt_quorum;
         ] );
       ("backends", [ QCheck_alcotest.to_alcotest prop_ctx_matches_oracle ]);
     ]
