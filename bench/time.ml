@@ -1,6 +1,6 @@
 (* E8: the arithmetic layer — threshold Paillier on the Montgomery
-   backends against their baselines, the modexp kernel against the
-   retired 30-bit one, the binary gcd and inverse against Euclid, the
+   backends against their baselines, the C modexp kernel against the
+   retired 29-bit one, the binary gcd and inverse against Euclid, the
    squaring step against the multiply, one base's fixed-base table
    against repeated powmods, and the frame-checksum fold kernel *)
 
@@ -35,9 +35,9 @@ let fold_rates () =
 (* the binary gcd and inverse against the Euclid oracle, and the
    ladders' squaring step against the multiply, at one size: equal
    results first, then interleaved ratios (oracle or multiply over
-   ours).  [sqrmod x] and [mulmod x x] each repack x once, so the
-   square ratio is the two kernels' plus the same conversions on
-   both sides. *)
+   ours).  [sqrmod x] and [mulmod x x] each convert x to kernel limbs
+   once and the result back, so the square ratio is the two kernels'
+   plus the same conversions on both sides. *)
 let layer_rows kbits =
   let kst = Random.State.make [| 0x6CD + kbits |] in
   let top () = B.add (B.shift_left B.one (kbits - 1)) (B.random_bits kst (kbits - 1)) in
@@ -154,20 +154,21 @@ let run () =
   let powmods_ms, _, powmods_s =
     row (comb ^ " vs powmods") ~ours:multiexp ~ours_ms:multiexp_ms ~baseline:powmods
   in
-  (* --- the wide-limb kernel vs the retired 30-bit kernel: on the live
-     modexp shapes behind the encrypt and partial-decrypt rows, and at
-     protocol modulus sizes.  Against an in-process baseline: comparing
-     against numbers recorded in an older BENCH_time.json would measure
-     how much the box slowed down since, not the kernel. *)
-  Printf.printf "  kernel 62-bit vs 30-bit Montgomery modexp (interleaved medians):\n";
+  (* --- the C kernel on 64-bit limbs vs the retired 29-bit OCaml
+     kernel it replaced: on the live modexp shapes behind the encrypt
+     and partial-decrypt rows, and at protocol modulus sizes.  Against
+     an in-process baseline: comparing against numbers recorded in an
+     older BENCH_time.json would measure how much the box slowed down
+     since, not the kernel. *)
+  Printf.printf "  kernel 64-bit C vs 29-bit OCaml Montgomery modexp (interleaved medians):\n";
   let kernel name modulus base e =
-    let wide = B.Mont.create modulus and narrow = Oracles.Narrow.create modulus in
-    if not (B.equal (B.Mont.powmod wide base e) (Oracles.Narrow.powmod narrow base e)) then
-      failwith ("bench time: wide and 30-bit kernels disagree on " ^ name);
+    let ours = B.Mont.create modulus and k29 = Oracles.Kernel29.create modulus in
+    if not (B.equal (B.Mont.powmod ours base e) (Oracles.Kernel29.powmod k29 base e)) then
+      failwith ("bench time: C and 29-bit kernels disagree on " ^ name);
     let s =
       ab_speedup
-        (fun () -> B.Mont.powmod wide base e)
-        (fun () -> Oracles.Narrow.powmod narrow base e)
+        (fun () -> B.Mont.powmod ours base e)
+        (fun () -> Oracles.Kernel29.powmod k29 base e)
     in
     Printf.printf "    %-14s %4d-bit mod, %4d-bit exp: %5.2fx\n" name (B.bit_length modulus)
       (B.bit_length e) s;
@@ -209,30 +210,27 @@ let run () =
     bar "partial-decrypt" (speedup tpdec) 3.0;
     bar "combine vs naive" naive_s 3.0;
     bar "combine vs per-partial powmods" powmods_s 2.0;
-    (* The wide kernel must beat the retired 30-bit kernel on both
-       live shapes.  The bars are set from measured medians minus box
-       variance, not from the 1.4x design target: at this modulus the
-       30-bit baseline packs into 17 limbs while the 29-bit-radix wide
-       kernel needs 18, which caps the honest win near 1.25x — see
-       EXPERIMENTS.md E14 for the full account. *)
-    bar "tpdec-shape kernel" k_tpdec 1.15;
-    bar "encrypt-shape kernel" k_enc 1.05
+    (* The C kernel must beat the 29-bit kernel it replaced on both
+       live shapes.  The bars are the measured medians (2.5x on a
+       2-core x86-64 box, EXPERIMENTS.md E8) less box variance. *)
+    bar "tpdec-shape kernel" k_tpdec 2.0;
+    bar "encrypt-shape kernel" k_enc 2.0
   end;
   (* smoke epochs are short, so there the sizes only guard against the
-     wide kernel actually losing *)
+     C kernel actually losing *)
   List.iter
     (fun (kbits, s) ->
-      bar (Printf.sprintf "%d-bit kernel" kbits) s (if !smoke then 0.9 else 1.1))
+      bar (Printf.sprintf "%d-bit kernel" kbits) s (if !smoke then 1.0 else 2.0))
     sizes;
-  (* the binary algorithms must beat Euclid outright; the squaring
-     step may only tie the multiply (it is the multiply above its
-     gate, and the public entry points add conversions to both), which
-     smoke epochs are too short to tell from a loss *)
+  (* the binary algorithms must beat Euclid outright, and the squaring
+     step the multiply at every size (the public entry points add the
+     same conversions to both), which smoke epochs are too short to
+     tell from a tie *)
   List.iter
     (fun (kbits, (_, _, g), (_, _, i), (_, _, q)) ->
       bar (Printf.sprintf "%d-bit gcd" kbits) g (if !smoke then 1.0 else 5.0);
       bar (Printf.sprintf "%d-bit inverse" kbits) i (if !smoke then 1.0 else 3.0);
-      if not !smoke then bar (Printf.sprintf "%d-bit square" kbits) q 0.9)
+      if not !smoke then bar (Printf.sprintf "%d-bit square" kbits) q 1.0)
     layer;
   (* a table's first use may cost a little more than one powmod (the
      column's window products and bucket pass on top of the same
@@ -284,7 +282,7 @@ let run () =
                     List
                       (List.map
                          (fun (kbits, s) ->
-                           Obj [ ("bits", Int kbits); ("wide_vs_narrow_speedup", Float (2, s)) ])
+                           Obj [ ("bits", Int kbits); ("c_vs_29bit_speedup", Float (2, s)) ])
                          sizes) ) ] );
             ( "layer",
               List

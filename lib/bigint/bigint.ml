@@ -1,12 +1,13 @@
 (* Sign-magnitude bignums over little-endian 62-bit limbs.  A limb
-   product spans 124 bits, so inner products (schoolbook, Montgomery
-   CIOS) are computed from split 31-bit half-limb partial products —
-   every intermediate stays inside native unboxed 63-bit int
-   arithmetic, treated as unsigned (values up to 2^63-1 are exact even
-   when they print negative).  Division is Knuth's Algorithm D on a
-   30-bit repacked view (it needs two-limb numerators, which 62-bit
-   limbs don't leave headroom for); multiplication is schoolbook with
-   a Karatsuba layer above [kara_threshold] limbs. *)
+   product spans 124 bits, so schoolbook inner products are computed
+   from split 31-bit half-limb partial products — every intermediate
+   stays inside native unboxed 63-bit int arithmetic, treated as
+   unsigned (values up to 2^63-1 are exact even when they print
+   negative).  Division is Knuth's Algorithm D on a 30-bit repacked
+   view (it needs two-limb numerators, which 62-bit limbs don't leave
+   headroom for); multiplication is schoolbook with a Karatsuba layer
+   above [kara_threshold] limbs.  Montgomery arithmetic runs in C on
+   64-bit limbs (module [Mont], mont_stubs.c). *)
 
 let limb_bits = 62
 let mask = (1 lsl limb_bits) - 1 (* = max_int *)
@@ -471,405 +472,46 @@ let mulmod a b m = erem (mul a b) m
 (* Montgomery arithmetic                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Montgomery multiplication: 2-way blocked delayed-carry product
-   scanning.
-
-   The kernel works on a repacked 29-bit limb view of the 62-bit
-   representation.  A 29-bit partial product fits in 58 bits, which
-   leaves 5 bits of headroom in a native 63-bit int: columns can
-   accumulate raw (uncarried) product sums for several outer
-   iterations, with a short carry-flush pass restoring headroom every
-   6 outer pairs and one final pass canonicalizing the result.  That
-   removes the serial carry chain that rate-limits a carry-per-step
-   kernel (the retired 30-bit one, now the test-side oracle
-   [Yoso_oracles.Narrow]): the inner loop is independent multiplies
-   and adds that a superscalar core can overlap freely.
-
-   The 2-way blocking processes two columns of [b] (and their two mu
-   reductions) per outer pass, so each inner-loop iteration touches
-   [tbuf] once for four products — halving load/store traffic per
-   product relative to the single-column form, which measured at only
-   ~1.1x over the 30-bit kernel; the blocked form measures ~1.4-1.5x
-   (interleaved A/B medians; see DESIGN.md).
-
-   (The obvious alternative — single-pass CIOS directly on 62-bit
-   limbs with split 31-bit half-limb partial products — was built and
-   measured first: 8 multiplies plus ~30 masked adds per 62-bit
-   column comes out at op-count parity with the 30-bit kernel and
-   loses ~15% to its longer dependency chains.)
-
-   Column-sum bound, l-independent thanks to the flush: between
-   flushes a column receives at most 6 pairs x 4 products
-   <= 24*(2^29-1)^2 < 2^63 - 2^59, plus a flush residue (< 2^29), at
-   most one flush tail carry and two fold carries (each < 2^35) —
-   comfortably inside 63 bits for any modulus size. *)
+(* The kernel is C (mont_stubs.c): a CIOS multiply and a dedicated
+   squaring on L native 64-bit limbs with 128-bit products, R =
+   2^(64L), L = ceil(bits m / 64), every result fully reduced into
+   [0, m).  A Montgomery-form value is a [bytes] of L limbs, opaque to
+   the GC; the one table that outlives an exponentiation, a fixed-base
+   column, keeps several entries per buffer at limb offsets, which is
+   what the kernel's offset arguments are for.  Values cross between [t]'s
+   62-bit limbs and the kernel's 64-bit ones once per exponentiation,
+   at [store] and [load]. *)
 module Mont = struct
-  let kbits = 29
-  let kbase = 1 lsl kbits
-  let kmask = kbase - 1
+  external mul_at :
+    bytes ->
+    (int[@untagged]) ->
+    bytes ->
+    (int[@untagged]) ->
+    bytes ->
+    (int[@untagged]) ->
+    bytes ->
+    bytes ->
+    unit = "yoso_mont_mul_byte" "yoso_mont_mul"
+  [@@noalloc]
+  (* [mul_at dst d a i b j km scratch]: dst at d <- a at i * b at j * R^-1 *)
 
-  (* the overflow bound is l-independent; this guard only bounds
-     precomputation and scratch allocation to something sane *)
-  let max_limbs = 4096
+  external sqr_at :
+    bytes -> (int[@untagged]) -> bytes -> (int[@untagged]) -> bytes -> bytes -> unit
+    = "yoso_mont_sqr_byte" "yoso_mont_sqr"
+  [@@noalloc]
+  (* [sqr_at dst d a i km scratch]: dst at d <- (a at i)^2 * R^-1 *)
 
   type ctx = {
     m_big : t;          (* the modulus, as a bigint *)
-    mm : int array;     (* modulus in 62-bit limbs, for range checks *)
-    km : int array;     (* modulus in kernel (29-bit) limbs, length l *)
-    l : int;            (* kernel limb count; always even (2-way blocking) *)
-    m' : int;           (* -m^-1 mod 2^29 *)
-    r2 : int array;     (* R^2 mod m, kernel limbs; R = 2^(29l) *)
-    one_m : int array;  (* R mod m: Montgomery form of 1 *)
-    unit_arr : int array;  (* plain 1, for conversion out of Mont form *)
+    l : int;            (* limb count *)
+    km : bytes;         (* the l limbs of m, then m' = -m^-1 mod 2^64 *)
+    r2 : bytes;         (* R^2 mod m *)
+    one_m : bytes;      (* R mod m: Montgomery form of 1 *)
+    unit_l : bytes;     (* plain 1, for conversion out of Montgomery form *)
   }
 
-  let to_kernel a = repack ~src_bits:limb_bits ~dst_bits:kbits a
-  let of_kernel a = make 1 (repack ~src_bits:kbits ~dst_bits:limb_bits a)
-
-  let create m =
-    if m.sign <= 0 || is_even m || (Array.length m.mag = 1 && m.mag.(0) < 3) then
-      invalid_arg "Bigint.Mont.create: modulus must be odd and >= 3";
-    let km0 = to_kernel m.mag in
-    (* limb-count rounding, two constraints: R = 2^(29l) must satisfy
-       R >= 4m (the almost-Montgomery invariant below needs two spare
-       bits), and l must be even (the 2-way blocked pass consumes two
-       b-columns per iteration).  Zero top limbs of m are harmless —
-       they only make R larger than strictly needed. *)
-    let l =
-      let n = Array.length km0 in
-      let n = if bit_length m > (kbits * n) - 2 then n + 1 else n in
-      if n land 1 = 1 then n + 1 else n
-    in
-    if l > max_limbs then invalid_arg "Bigint.Mont.create: modulus too large";
-    let pad a =
-      if Array.length a = l then a
-      else Array.append a (Array.make (l - Array.length a) 0)
-    in
-    let km = pad km0 in
-    (* Newton iteration for m0^-1 mod 2^29 (m0 odd), then negate;
-       precision doubles per step: 2, 4, 8, 16, 32 > 29 bits *)
-    let m0 = km.(0) in
-    let x = ref 1 in
-    for _ = 1 to 5 do
-      x := (!x * (2 - (m0 * !x))) land kmask
-    done;
-    let m' = (kbase - !x) land kmask in
-    let r = shift_left one (l * kbits) in
-    let r2 = pad (to_kernel (erem (mul r r) m).mag) in
-    let one_m = pad (to_kernel (erem r m).mag) in
-    let unit_arr = Array.make l 0 in
-    unit_arr.(0) <- 1;
-    { m_big = m; mm = Array.copy m.mag; km; l; m'; r2; one_m; unit_arr }
-
-  let modulus ctx = ctx.m_big
-
-  (* 62-bit magnitude (already < m) to a padded kernel-format operand *)
-  let pad ctx a =
-    let k = to_kernel a in
-    if Array.length k = ctx.l then k
-    else Array.append k (Array.make (ctx.l - Array.length k) 0)
-
-  (* dst <- a * b * R^-1 mod m, operands in kernel format padded to l
-     limbs (l even).  [tbuf] is a 2l+1 column buffer; [dst] may alias
-     [a] or [b] (columns live in [tbuf]; [dst] is only written at the
-     end).  Unsafe accesses: every index is bounded by 2l, and
-     operands are padded to exactly [l] limbs before we get here.
-
-     Each outer pass consumes the column pair (i, i+1) of [b].  mu0 is
-     fixed from the low 29 bits of raw column i (exact sums have exact
-     low bits); column i+1 then receives every one of its remaining
-     contributions — the fold carry of column i, a1*bi0, mu0*m1 and
-     a0*bi1 — before mu1 is read off it.  The fused inner loop adds
-     all four products a[j]*bi0 + mu0*m[j] + a[j-1]*bi1 + mu1*m[j-1]
-     to column i+j in a single load/store.  Columns i and i+1 end
-     ≡ 0 mod 2^29 by choice of mu and are dead after their fold
-     carries move up; every 6 pairs a short flush pass re-normalizes
-     the live window to keep raw sums inside 63 bits (bound in the
-     module comment).  One final carry pass canonicalizes columns
-     l..2l, which hold t < 2m. *)
-  let mont_mul_into ctx tbuf dst a b =
-    let l = ctx.l and km = ctx.km and m' = ctx.m' in
-    Array.fill tbuf 0 ((2 * l) + 1) 0;
-    let npairs = l / 2 in
-    let a0 = Array.unsafe_get a 0 and m0 = Array.unsafe_get km 0 in
-    for p = 0 to npairs - 1 do
-      let i = 2 * p in
-      let bi0 = Array.unsafe_get b i and bi1 = Array.unsafe_get b (i + 1) in
-      let t0 = Array.unsafe_get tbuf i + (a0 * bi0) in
-      let mu0 = (t0 * m') land kmask in
-      let f0 = (t0 + (mu0 * m0)) lsr kbits in
-      let t1 =
-        Array.unsafe_get tbuf (i + 1) + f0
-        + (Array.unsafe_get a 1 * bi0)
-        + (mu0 * Array.unsafe_get km 1)
-        + (a0 * bi1)
-      in
-      let mu1 = (t1 * m') land kmask in
-      let f1 = (t1 + (mu1 * m0)) lsr kbits in
-      Array.unsafe_set tbuf (i + 2) (Array.unsafe_get tbuf (i + 2) + f1);
-      for j = 2 to l - 1 do
-        let idx = i + j in
-        Array.unsafe_set tbuf idx
-          (Array.unsafe_get tbuf idx
-          + (Array.unsafe_get a j * bi0)
-          + (mu0 * Array.unsafe_get km j)
-          + (Array.unsafe_get a (j - 1) * bi1)
-          + (mu1 * Array.unsafe_get km (j - 1)))
-      done;
-      let idx = i + l in
-      Array.unsafe_set tbuf idx
-        (Array.unsafe_get tbuf idx
-        + (Array.unsafe_get a (l - 1) * bi1)
-        + (mu1 * Array.unsafe_get km (l - 1)));
-      if (p + 1) mod 6 = 0 && p < npairs - 1 then begin
-        (* flush: re-normalize the live window i+2..i+l+1 so columns
-           can keep absorbing raw products without overflow *)
-        let c = ref 0 in
-        for k = i + 2 to i + l + 1 do
-          let v = Array.unsafe_get tbuf k + !c in
-          Array.unsafe_set tbuf k (v land kmask);
-          c := v lsr kbits
-        done;
-        Array.unsafe_set tbuf (i + l + 2)
-          (Array.unsafe_get tbuf (i + l + 2) + !c)
-      end
-    done;
-    (* single carry pass over the shifted result columns l..2l-1,
-       written straight into dst.  Almost-Montgomery: the result is
-       only guaranteed < 2m (not < m).  Because R >= 4m, the invariant
-       "operands < 2m => result < 2m" is self-sustaining:
-       t = (a*b + mu*m)/R < (4m^2 + R*m)/R = m*(4m/R + 1) <= 2m, and
-       2m < R means the top column 2l stays zero.  No compare, no
-       conditional subtract, no blit — callers canonicalize once at
-       API boundaries with [canon]. *)
-    let c = ref 0 in
-    for j = 0 to l - 1 do
-      let v = Array.unsafe_get tbuf (l + j) + !c in
-      Array.unsafe_set dst j (v land kmask);
-      c := v lsr kbits
-    done
-
-  (* dst <- a * a * R^-1 mod m, same formats, aliasing and result range
-     as [mont_mul_into a a], for l >= 4, in three passes over [tbuf]:
-
-     1. the off-diagonal products a_i a_j (i < j) into column i+j, rows
-        i and i+1 per pass (one sweep of [a] serves both rows);
-     2. one pass that doubles the columns and adds the diagonal a_h^2
-        at column 2h;
-     3. the lazy REDC of the multiply without its a*b terms, four
-        columns per pass (one 2-column pass first when l = 2 mod 4):
-        mu0..mu3 are read off columns i..i+3 in turn, each fold carry
-        moves up, and the inner loop adds four products per column in
-        one load/store, as the multiply's does.  A flush every
-        [sqr_flush] passes, then one final carry pass into [dst].
-
-     That is l^2/2 + l products for a^2 and l^2 for the reduction,
-     against the multiply's 2 l^2.  (Two columns per pass in step 3
-     left the kernel only 6% ahead of the multiply at l = 36, against
-     17% now.)
-
-     Column bounds (a product of digits is <= (2^29-1)^2 < 2^58).
-     Pass 1: column c takes at most l/2 products (pairs i < j with
-     i + j = c), so for l <= [sqr_max_limbs] = 60 a raw sum is at most
-     30 * 2^58 < 2^63.  Pass 2 never forms 2v for a raw sum v: it splits
-     v = lo + hi 2^29 and moves 2 hi to the next column, so a column
-     leaves it below 2^58 + 2^36.  Pass 3 adds at most 4 products per
-     column per pass, so between flushes a column holds at most 30
-     products (2 from the leading pass, 28 from 7 passes) over that
-     start (or over a flushed digit), one flush tail carry and at
-     most four fold carries (< 2^35 each): below 31 * 2^58 + 2^38
-     < 2^63.  mu is the unique value in [0, R) with a^2 + mu m = 0
-     mod R, and the result is below 2m by the multiply's argument. *)
-  let sqr_flush = 7
-
-  let mont_sqr_kernel ctx tbuf dst a =
-    let l = ctx.l and km = ctx.km and m' = ctx.m' in
-    Array.fill tbuf 0 ((2 * l) + 1) 0;
-    let i = ref 0 in
-    while !i < l - 2 do
-      let i0 = !i in
-      let ai0 = Array.unsafe_get a i0 and ai1 = Array.unsafe_get a (i0 + 1) in
-      let c = (2 * i0) + 1 in
-      Array.unsafe_set tbuf c (Array.unsafe_get tbuf c + (ai0 * ai1));
-      Array.unsafe_set tbuf (c + 1)
-        (Array.unsafe_get tbuf (c + 1) + (ai0 * Array.unsafe_get a (i0 + 2)));
-      for j = i0 + 3 to l - 1 do
-        let idx = i0 + j in
-        Array.unsafe_set tbuf idx
-          (Array.unsafe_get tbuf idx
-          + (ai0 * Array.unsafe_get a j)
-          + (ai1 * Array.unsafe_get a (j - 1)))
-      done;
-      let idx = i0 + l in
-      Array.unsafe_set tbuf idx (Array.unsafe_get tbuf idx + (ai1 * Array.unsafe_get a (l - 1)));
-      i := i0 + 2
-    done;
-    (* the last row pair (l-2, l-1) has one off-diagonal product *)
-    let c = (2 * l) - 3 in
-    Array.unsafe_set tbuf c
-      (Array.unsafe_get tbuf c + (Array.unsafe_get a (l - 2) * Array.unsafe_get a (l - 1)));
-    (* column 2h becomes 2 lo(2h) + a_h^2 + 2 hi(2h-1) and column 2h+1
-       becomes 2 lo(2h+1) + 2 hi(2h): no carry chain runs from column
-       to column *)
-    let hi_prev = ref 0 in
-    for h = 0 to l - 1 do
-      let ah = Array.unsafe_get a h in
-      let k = 2 * h in
-      let v = Array.unsafe_get tbuf k and v' = Array.unsafe_get tbuf (k + 1) in
-      Array.unsafe_set tbuf k ((2 * (v land kmask)) + (ah * ah) + !hi_prev);
-      Array.unsafe_set tbuf (k + 1) ((2 * (v' land kmask)) + (2 * (v lsr kbits)));
-      hi_prev := 2 * (v' lsr kbits)
-    done;
-    let m0 = Array.unsafe_get km 0 and m1 = Array.unsafe_get km 1 in
-    let start =
-      if l land 3 = 0 then 0
-      else begin
-        (* one 2-column pass first when l = 2 mod 4 *)
-        let t0 = Array.unsafe_get tbuf 0 in
-        let mu0 = (t0 * m') land kmask in
-        let f0 = (t0 + (mu0 * m0)) lsr kbits in
-        let t1 = Array.unsafe_get tbuf 1 + f0 + (mu0 * m1) in
-        let mu1 = (t1 * m') land kmask in
-        let f1 = (t1 + (mu1 * m0)) lsr kbits in
-        Array.unsafe_set tbuf 2 (Array.unsafe_get tbuf 2 + f1);
-        for j = 2 to l - 1 do
-          Array.unsafe_set tbuf j
-            (Array.unsafe_get tbuf j
-            + (mu0 * Array.unsafe_get km j)
-            + (mu1 * Array.unsafe_get km (j - 1)))
-        done;
-        Array.unsafe_set tbuf l (Array.unsafe_get tbuf l + (mu1 * Array.unsafe_get km (l - 1)));
-        2
-      end
-    in
-    let m2 = Array.unsafe_get km 2 and m3 = Array.unsafe_get km 3 in
-    let nq = (l - start) / 4 in
-    for q = 0 to nq - 1 do
-      let i = start + (4 * q) in
-      let t0 = Array.unsafe_get tbuf i in
-      let mu0 = (t0 * m') land kmask in
-      let f0 = (t0 + (mu0 * m0)) lsr kbits in
-      let t1 = Array.unsafe_get tbuf (i + 1) + f0 + (mu0 * m1) in
-      let mu1 = (t1 * m') land kmask in
-      let f1 = (t1 + (mu1 * m0)) lsr kbits in
-      let t2 = Array.unsafe_get tbuf (i + 2) + f1 + (mu0 * m2) + (mu1 * m1) in
-      let mu2 = (t2 * m') land kmask in
-      let f2 = (t2 + (mu2 * m0)) lsr kbits in
-      let t3 = Array.unsafe_get tbuf (i + 3) + f2 + (mu0 * m3) + (mu1 * m2) + (mu2 * m1) in
-      let mu3 = (t3 * m') land kmask in
-      let f3 = (t3 + (mu3 * m0)) lsr kbits in
-      Array.unsafe_set tbuf (i + 4) (Array.unsafe_get tbuf (i + 4) + f3);
-      for j = 4 to l - 1 do
-        let idx = i + j in
-        Array.unsafe_set tbuf idx
-          (Array.unsafe_get tbuf idx
-          + (mu0 * Array.unsafe_get km j)
-          + (mu1 * Array.unsafe_get km (j - 1))
-          + (mu2 * Array.unsafe_get km (j - 2))
-          + (mu3 * Array.unsafe_get km (j - 3)))
-      done;
-      let idx = i + l in
-      Array.unsafe_set tbuf idx
-        (Array.unsafe_get tbuf idx
-        + (mu1 * Array.unsafe_get km (l - 1))
-        + (mu2 * Array.unsafe_get km (l - 2))
-        + (mu3 * Array.unsafe_get km (l - 3)));
-      Array.unsafe_set tbuf (idx + 1)
-        (Array.unsafe_get tbuf (idx + 1)
-        + (mu2 * Array.unsafe_get km (l - 1))
-        + (mu3 * Array.unsafe_get km (l - 2)));
-      Array.unsafe_set tbuf (idx + 2)
-        (Array.unsafe_get tbuf (idx + 2) + (mu3 * Array.unsafe_get km (l - 1)));
-      if (q + 1) mod sqr_flush = 0 && q < nq - 1 then begin
-        let c = ref 0 in
-        for k = i + 4 to i + l + 3 do
-          let v = Array.unsafe_get tbuf k + !c in
-          Array.unsafe_set tbuf k (v land kmask);
-          c := v lsr kbits
-        done;
-        Array.unsafe_set tbuf (i + l + 4) (Array.unsafe_get tbuf (i + l + 4) + !c)
-      end
-    done;
-    let c = ref 0 in
-    for j = 0 to l - 1 do
-      let v = Array.unsafe_get tbuf (l + j) + !c in
-      Array.unsafe_set dst j (v land kmask);
-      c := v lsr kbits
-    done
-
-  (* The gate: the squaring kernel runs for l in [sqr_min_limbs,
-     sqr_max_limbs], the multiply elsewhere.  The top is pass 1's
-     column bound above.  The bottom is measured on a 2-core x86-64
-     box (best of 7 batches, ns per call, multiply against square):
-     l = 8 59/63, l = 12 113/116, l = 14 150/143, l = 18 238/212,
-     l = 36 858/717, l = 60 2273/1855; a full-width [powmod] loses
-     1.7% with the squaring kernel at l = 12 and gains 4.8% at
-     l = 14, 6.6% at l = 18 and 14% at l = 36.  Feldman's group
-     (l = 2) and the N^2 of a 1024-bit N (l = 72) stay on the
-     multiply; a 512-bit N (l = 18) and its N^2 (l = 36) square. *)
-  let sqr_min_limbs = 14
-  let sqr_max_limbs = 60
-
-  (* the ladders' squaring step: dst <- a^2 R^-1, result < 2m *)
-  let sqr_into ctx tbuf dst a =
-    if ctx.l >= sqr_min_limbs && ctx.l <= sqr_max_limbs then mont_sqr_kernel ctx tbuf dst a
-    else mont_mul_into ctx tbuf dst a a
-
-  (* reduce a kernel-format value < 2m into [0, m), in place *)
-  let canon ctx dst =
-    let l = ctx.l and km = ctx.km in
-    let ge =
-      let rec go j =
-        if j < 0 then true
-        else if dst.(j) <> km.(j) then dst.(j) > km.(j)
-        else go (j - 1)
-      in
-      go (l - 1)
-    in
-    if ge then begin
-      let borrow = ref 0 in
-      for j = 0 to l - 1 do
-        let d = Array.unsafe_get dst j - Array.unsafe_get km j - !borrow in
-        Array.unsafe_set dst j (d land kmask);
-        borrow := d lsr 62 (* 1 iff the subtraction went negative *)
-      done
-    end
-
-  let scratch ctx = Array.make ((2 * ctx.l) + 1) 0
-
-  let in_range ctx a = a.sign >= 0 && mag_cmp a.mag ctx.mm < 0
-
-  let mulmod ctx a b =
-    if not (in_range ctx a && in_range ctx b) then
-      invalid_arg "Bigint.Mont.mulmod: operands out of range";
-    let dst = Array.make ctx.l 0 in
-    let pa = pad ctx a.mag in
-    mont_mul_into ctx (scratch ctx) dst pa (if b == a then pa else pad ctx b.mag);
-    canon ctx dst;
-    of_kernel dst
-
-  let sqrmod ctx a =
-    if not (in_range ctx a) then invalid_arg "Bigint.Mont.sqrmod: operand out of range";
-    let dst = Array.make ctx.l 0 in
-    sqr_into ctx (scratch ctx) dst (pad ctx a.mag);
-    canon ctx dst;
-    of_kernel dst
-
-  (* 4-bit window of |e| starting at bit 4j *)
-  let window e j =
-    let pos = 4 * j in
-    let limb = pos / limb_bits and off = pos mod limb_bits in
-    let mag = e.mag in
-    let len = Array.length mag in
-    let v = if limb < len then mag.(limb) lsr off else 0 in
-    let v =
-      if off + 4 > limb_bits && limb + 1 < len then
-        v lor (mag.(limb + 1) lsl (limb_bits - off))
-      else v
-    in
-    v land 15
-
-  (* [len]-bit field of a magnitude starting at bit [pos]; len <= 5 *)
+  (* [len]-bit field of a magnitude starting at bit [pos], len <= 32,
+     so it spans at most two 62-bit limbs *)
   let bitfield mag pos len =
     let limb = pos / limb_bits and off = pos mod limb_bits in
     let n = Array.length mag in
@@ -881,32 +523,111 @@ module Mont = struct
     in
     v land ((1 lsl len) - 1)
 
+  (* the magnitude [mag] < 2^(64 l) as the l limbs of [dst] *)
+  let store dst l mag =
+    for i = 0 to l - 1 do
+      let lo = bitfield mag (64 * i) 32 and hi = bitfield mag ((64 * i) + 32) 32 in
+      Bytes.set_int64_ne dst (8 * i)
+        (Int64.logor (Int64.of_int lo) (Int64.shift_left (Int64.of_int hi) 32))
+    done
+
+  (* the l limbs of [src], as a [t] *)
+  let load src l =
+    let half j =
+      let x = Bytes.get_int64_ne src (8 * (j / 2)) in
+      (if j land 1 = 0 then Int64.to_int x else Int64.to_int (Int64.shift_right_logical x 32))
+      land 0xFFFF_FFFF
+    in
+    make 1 (repack ~src_bits:32 ~dst_bits:limb_bits (Array.init (2 * l) half))
+
+  let create m =
+    if m.sign <= 0 || is_even m || (Array.length m.mag = 1 && m.mag.(0) < 3) then
+      invalid_arg "Bigint.Mont.create: modulus must be odd and >= 3";
+    let l = (bit_length m + 63) / 64 in
+    let km = Bytes.create (8 * (l + 1)) in
+    store km l m.mag;
+    (* Newton iteration for m0^-1 mod 2^64 (m0 odd): the correct low
+       bits double per step, 1, 2, .., 64 *)
+    let m0 = Bytes.get_int64_ne km 0 in
+    let x = ref 1L in
+    for _ = 1 to 6 do
+      x := Int64.mul !x (Int64.sub 2L (Int64.mul m0 !x))
+    done;
+    Bytes.set_int64_ne km (8 * l) (Int64.neg !x);
+    let limbs x =
+      let b = Bytes.create (8 * l) in
+      store b l x.mag;
+      b
+    in
+    let r = shift_left one (64 * l) in
+    { m_big = m; l; km; r2 = limbs (erem (mul r r) m); one_m = limbs (erem r m); unit_l = limbs one }
+
+  let modulus ctx = ctx.m_big
+
+  (* the kernel's scratch: 2l + 2 limbs, one per call chain, so that a
+     context can be shared across domains *)
+  let scratch ctx = Bytes.create (8 * ((2 * ctx.l) + 2))
+
+  let limbs ctx = Bytes.create (8 * ctx.l)
+
+  (* dst <- a b R^-1 and dst <- a^2 R^-1, on one-value buffers *)
+  let mul ctx tbuf dst a b = mul_at dst 0 a 0 b 0 ctx.km tbuf
+  let sqr ctx tbuf dst a = sqr_at dst 0 a 0 ctx.km tbuf
+
+  (* a value in [0, m), as kernel limbs *)
+  let operand ctx a =
+    let b = limbs ctx in
+    store b ctx.l a.mag;
+    b
+
+  (* b mod m in Montgomery form *)
+  let to_mont ctx tbuf b =
+    let d = operand ctx (erem b ctx.m_big) in
+    mul ctx tbuf d d ctx.r2;
+    d
+
+  (* a Montgomery-form value out of that form, as a [t]; [x] is spent *)
+  let finish ctx tbuf x =
+    mul ctx tbuf x x ctx.unit_l;
+    load x ctx.l
+
+  let in_range ctx a = a.sign >= 0 && compare a ctx.m_big < 0
+
+  let mulmod ctx a b =
+    if not (in_range ctx a && in_range ctx b) then
+      invalid_arg "Bigint.Mont.mulmod: operands out of range";
+    let pa = operand ctx a in
+    let pb = if b == a then pa else operand ctx b in
+    mul ctx (scratch ctx) pa pa pb;
+    load pa ctx.l
+
+  let sqrmod ctx a =
+    if not (in_range ctx a) then invalid_arg "Bigint.Mont.sqrmod: operand out of range";
+    let pa = operand ctx a in
+    sqr ctx (scratch ctx) pa pa;
+    load pa ctx.l
+
   (* Sliding 5-bit odd windows rather than fixed 4-bit windows: the
      precomputed table holds only the 16 odd powers b^1, b^3, ..,
      b^31, and runs of zero bits between windows cost squarings only.
      For a 512-bit exponent this is ~17 table + ~87 window products
-     against 14 + ~120 for the fixed ladder — about 4% of the whole
-     exponentiation, which the 1.4x kernel budget cares about. *)
+     against 14 + ~120 for the fixed ladder. *)
   let powmod ctx b e =
     if sign e < 0 then invalid_arg "Bigint.Mont.powmod: negative exponent";
-    let b = erem b ctx.m_big in
     let ebits = bit_length e in
     if ebits = 0 then one
     else begin
-      let l = ctx.l in
       let tbuf = scratch ctx in
       let mag = e.mag in
-      let bm = Array.make l 0 in
-      mont_mul_into ctx tbuf bm (pad ctx b.mag) ctx.r2;
       (* tbl.(k) = b^(2k+1) in Montgomery form *)
       let tsize = if ebits >= 5 then 16 else 1 lsl (ebits - 1) in
-      let tbl = Array.make tsize bm in
+      let tbl = Array.make tsize (to_mont ctx tbuf b) in
       if tsize > 1 then begin
-        let b2 = Array.make l 0 in
-        sqr_into ctx tbuf b2 bm;
+        let b2 = limbs ctx in
+        sqr ctx tbuf b2 tbl.(0);
         for k = 1 to tsize - 1 do
-          let d = Array.make l 0 in
-          mont_mul_into ctx tbuf d tbl.(k - 1) b2;
+          let d = limbs ctx in
+          mul ctx tbuf d tbl.(k - 1) b2;
           tbl.(k) <- d
         done
       end;
@@ -916,67 +637,75 @@ module Mont = struct
         while bitfield mag !s 1 = 0 do incr s done;
         !s
       in
-      let acc = Array.make l 0 in
+      let entry s i = tbl.(bitfield mag s (i - s + 1) lsr 1) in
       let i = ref (ebits - 1) in
       let s = wstart !i in
-      Array.blit tbl.(bitfield mag s (!i - s + 1) lsr 1) 0 acc 0 l;
+      let acc = Bytes.copy (entry s !i) in
       i := s - 1;
       while !i >= 0 do
         if bitfield mag !i 1 = 0 then begin
-          sqr_into ctx tbuf acc acc;
+          sqr ctx tbuf acc acc;
           decr i
         end
         else begin
           let s = wstart !i in
           for _ = 1 to !i - s + 1 do
-            sqr_into ctx tbuf acc acc
+            sqr ctx tbuf acc acc
           done;
-          mont_mul_into ctx tbuf acc acc tbl.(bitfield mag s (!i - s + 1) lsr 1);
+          mul ctx tbuf acc acc (entry s !i);
           i := s - 1
         end
       done;
-      let dst = Array.make l 0 in
-      mont_mul_into ctx tbuf dst acc ctx.unit_arr;
-      canon ctx dst;
-      of_kernel dst
+      finish ctx tbuf acc
     end
 
   (* Fixed-base exponentiation: for a base raised to many exponents.
      A table is a column, base^(16^j) in Montgomery form for each 4-bit
      window position j, each entry four squarings from the one before,
-     grown lazily to the longest exponent seen.  An exponent is read
-     from the column by Yao's bucket method: bucket w gathers the
-     product of the entries whose window is w (one product per nonzero
-     window), and prod_w bucket_w^w = prod_{k=15..1} prod_{w>=k}
-     bucket_w costs at most 28 more products; no squarings.
+     grown to the longest exponent seen.  An exponent is read from the
+     column by Yao's bucket method: bucket w gathers the product of the
+     entries whose window is w (one product per nonzero window), and
+     prod_w bucket_w^w = prod_{k=15..1} prod_{w>=k} bucket_w costs at
+     most 28 more products; no squarings.
 
-     The column is a list, newest (highest j) entry first: a spine
-     array longer than 256 words would be allocated in the major heap
-     and drag every entry stored in it out of the minor heap, where a
-     table that lives for one protocol step otherwise dies. *)
+     The column's limbs are flat, in chunks of [fb_per] entries: entry j
+     at limb offset (j mod fb_per) l of chunk j / fb_per.  A chunk is at
+     most 255 limbs, so that it is allocated young like any small block
+     and a table that lives for one protocol step can die there; a
+     single buffer for the whole column would be allocated straight
+     into the major heap once past 256 words, and measured a higher
+     heap peak on [real_crypto] (EXPERIMENTS.md E8).  Growing adds
+     chunks and never copies limbs. *)
   type fixed_base = {
     fb_ctx : ctx;
-    mutable fb_col : int array list;  (* base^(16^j) for j = fb_len - 1 downto 0 *)
-    mutable fb_len : int;
+    fb_per : int;                     (* entries per chunk *)
+    mutable fb_chunks : bytes array;
+    mutable fb_len : int;             (* entries computed *)
   }
 
   let fixed_base ctx b =
-    let b = erem b ctx.m_big in
-    let bm = Array.make ctx.l 0 in
-    mont_mul_into ctx (scratch ctx) bm (pad ctx b.mag) ctx.r2;
-    { fb_ctx = ctx; fb_col = [ bm ]; fb_len = 1 }
+    let per = Stdlib.max 1 (255 / ctx.l) in
+    let c0 = Bytes.create (8 * ctx.l * per) in
+    Bytes.blit (to_mont ctx (scratch ctx) b) 0 c0 0 (8 * ctx.l);
+    { fb_ctx = ctx; fb_per = per; fb_chunks = [| c0 |]; fb_len = 1 }
 
   let fb_column fb nw =
     if fb.fb_len < nw then begin
       let ctx = fb.fb_ctx in
-      let tbuf = scratch ctx in
-      for _ = fb.fb_len to nw - 1 do
-        let d = Array.make ctx.l 0 in
-        sqr_into ctx tbuf d (List.hd fb.fb_col);
+      let l = ctx.l and per = fb.fb_per in
+      let have = Array.length fb.fb_chunks in
+      let need = (nw + per - 1) / per in
+      if have < need then
+        fb.fb_chunks <-
+          Array.init need (fun k ->
+              if k < have then fb.fb_chunks.(k) else Bytes.create (8 * l * per));
+      let chunks = fb.fb_chunks and tbuf = scratch ctx in
+      for j = fb.fb_len to nw - 1 do
+        let c = chunks.(j / per) and off = (j mod per) * l in
+        sqr_at c off chunks.((j - 1) / per) (((j - 1) mod per) * l) ctx.km tbuf;
         for _ = 2 to 4 do
-          sqr_into ctx tbuf d d
-        done;
-        fb.fb_col <- d :: fb.fb_col
+          sqr_at c off c off ctx.km tbuf
+        done
       done;
       fb.fb_len <- nw
     end
@@ -988,14 +717,6 @@ module Mont = struct
     if bits < 0 then invalid_arg "Bigint.Mont.preload: negative bits";
     fb_column fb ((bits + 3) / 4)
 
-  (* [Some acc] to [acc * x], or [None] to a copy of [x] *)
-  let fb_times ctx tbuf acc x =
-    match acc with
-    | None -> Some (Array.copy x)
-    | Some a ->
-      mont_mul_into ctx tbuf a a x;
-      acc
-
   let fixed_powmod fb e =
     if sign e < 0 then invalid_arg "Bigint.Mont.fixed_powmod: negative exponent";
     let ctx = fb.fb_ctx in
@@ -1003,26 +724,30 @@ module Mont = struct
     if ebits = 0 then one
     else begin
       let nw = (ebits + 3) / 4 in
-      let tbuf = scratch ctx in
       fb_column fb nw;
-      let bucket = Array.make 16 None in
-      (* windows past the exponent's top read 0 *)
-      List.iteri
-        (fun i p ->
-          let w = window e (fb.fb_len - 1 - i) in
-          if w <> 0 then bucket.(w) <- fb_times ctx tbuf bucket.(w) p)
-        fb.fb_col;
-      (* run = prod_{w>=k} bucket_w, and acc gathers every run *)
-      let run = ref None and acc = ref None in
-      for k = 15 downto 1 do
-        Option.iter (fun b -> run := fb_times ctx tbuf !run b) bucket.(k);
-        Option.iter (fun r -> acc := fb_times ctx tbuf !acc r) !run
+      let l = ctx.l and per = fb.fb_per and chunks = fb.fb_chunks in
+      let tbuf = scratch ctx in
+      (* [acc] times the value at limb [off] of [src], in place, or a
+         copy of that value while [acc] is empty *)
+      let times acc src off =
+        if Bytes.length acc = 0 then Bytes.sub src (8 * off) (8 * l)
+        else begin
+          mul_at acc 0 acc 0 src off ctx.km tbuf;
+          acc
+        end
+      in
+      let bucket = Array.make 16 Bytes.empty in
+      for j = 0 to nw - 1 do
+        let w = bitfield e.mag (4 * j) 4 in
+        if w <> 0 then bucket.(w) <- times bucket.(w) chunks.(j / per) ((j mod per) * l)
       done;
-      let acc = Option.get !acc in
-      let dst = Array.make ctx.l 0 in
-      mont_mul_into ctx tbuf dst acc ctx.unit_arr;
-      canon ctx dst;
-      of_kernel dst
+      (* run = prod_{w>=k} bucket_w, and acc gathers every run *)
+      let run = ref Bytes.empty and acc = ref Bytes.empty in
+      for k = 15 downto 1 do
+        if Bytes.length bucket.(k) > 0 then run := times !run bucket.(k) 0;
+        if Bytes.length !run > 0 then acc := times !acc !run 0
+      done;
+      finish ctx tbuf !acc
     end
 end
 
@@ -1277,56 +1002,30 @@ let factorial n =
    Delta-scaled exponents => Straus) and batched commitment checks
    (many bases, short exponents => Pippenger). *)
 module Multiexp = struct
-  (* c-bit digit of a magnitude starting at bit [pos]; c <= 16 so a
-     digit spans at most two 62-bit limbs *)
-  let digit mag pos c =
-    let limb = pos / limb_bits and off = pos mod limb_bits in
-    let len = Array.length mag in
-    let v = if limb < len then mag.(limb) lsr off else 0 in
-    let v =
-      if off + c > limb_bits && limb + 1 < len then
-        v lor (mag.(limb + 1) lsl (limb_bits - off))
-      else v
-    in
-    v land ((1 lsl c) - 1)
-
   (* drop zero exponents, flip negative ones through the inverse, and
      convert the bases to Montgomery form *)
-  let normalize ctx pairs =
+  let normalize ctx tbuf pairs =
     let m = ctx.Mont.m_big in
-    let tbuf = Mont.scratch ctx in
-    let keep =
-      List.filter_map
-        (fun (b, e) ->
-          if is_zero e then None
-          else begin
-            let b, e = if sign e < 0 then (invmod b m, neg e) else (b, e) in
-            let b = erem b m in
-            let bm = Array.make ctx.Mont.l 0 in
-            Mont.mont_mul_into ctx tbuf bm (Mont.pad ctx b.mag) ctx.Mont.r2;
-            Some (bm, e)
-          end)
-        (Array.to_list pairs)
-    in
-    Array.of_list keep
+    Array.of_list
+      (List.filter_map
+         (fun (b, e) ->
+           if is_zero e then None
+           else begin
+             let b, e = if sign e < 0 then (invmod b m, neg e) else (b, e) in
+             Some (Mont.to_mont ctx tbuf b, e)
+           end)
+         (Array.to_list pairs))
 
   let max_bits ps = Array.fold_left (fun acc (_, e) -> Stdlib.max acc (bit_length e)) 0 ps
-
-  let finish ctx acc =
-    let dst = Array.make ctx.Mont.l 0 in
-    Mont.mont_mul_into ctx (Mont.scratch ctx) dst acc ctx.Mont.unit_arr;
-    Mont.canon ctx dst;
-    Mont.of_kernel dst
 
   (* Straus interleaving: per-base window tables, one shared squaring
      chain.  Window width adapts to the exponent size — short
      exponents cannot amortize a large table. *)
   let straus ctx pairs =
-    let ps = normalize ctx pairs in
+    let tbuf = Mont.scratch ctx in
+    let ps = normalize ctx tbuf pairs in
     if Array.length ps = 0 then one
     else begin
-      let l = ctx.Mont.l in
-      let tbuf = Mont.scratch ctx in
       let bits = max_bits ps in
       let c = if bits <= 16 then 2 else if bits <= 64 then 3 else 4 in
       let tsize = (1 lsl c) - 1 in
@@ -1335,38 +1034,38 @@ module Multiexp = struct
           (fun (bm, _) ->
             let row = Array.make tsize bm in
             for w = 2 to tsize do
-              let d = Array.make l 0 in
-              Mont.mont_mul_into ctx tbuf d row.(w - 2) bm;
+              let d = Mont.limbs ctx in
+              Mont.mul ctx tbuf d row.(w - 2) bm;
               row.(w - 1) <- d
             done;
             row)
           ps
       in
       let nw = (bits + c - 1) / c in
-      let acc = Array.copy ctx.Mont.one_m in
+      let acc = Bytes.copy ctx.Mont.one_m in
       for j = nw - 1 downto 0 do
         if j < nw - 1 then
           for _ = 1 to c do
-            Mont.sqr_into ctx tbuf acc acc
+            Mont.sqr ctx tbuf acc acc
           done;
         Array.iteri
           (fun i (_, e) ->
-            let w = digit e.mag (j * c) c in
-            if w <> 0 then Mont.mont_mul_into ctx tbuf acc acc tables.(i).(w - 1))
+            let w = Mont.bitfield e.mag (j * c) c in
+            if w <> 0 then Mont.mul ctx tbuf acc acc tables.(i).(w - 1))
           ps
       done;
-      finish ctx acc
+      Mont.finish ctx tbuf acc
     end
 
   (* Pippenger bucketing: no per-base tables; each digit position
      sorts bases into 2^c - 1 buckets and aggregates them with the
      suffix-product trick (sum_d d*B_d as a running product). *)
   let pippenger ctx pairs =
-    let ps = normalize ctx pairs in
+    let tbuf = Mont.scratch ctx in
+    let ps = normalize ctx tbuf pairs in
     if Array.length ps = 0 then one
     else begin
       let l = ctx.Mont.l in
-      let tbuf = Mont.scratch ctx in
       let bits = max_bits ps in
       let npairs = Array.length ps in
       (* pick c minimizing (bits/c) * (npairs + 2^(c+1)) *)
@@ -1379,38 +1078,36 @@ module Multiexp = struct
       done;
       let c = !c in
       let nbuckets = (1 lsl c) - 1 in
-      let buckets = Array.init nbuckets (fun _ -> Array.make l 0) in
+      let buckets = Array.init nbuckets (fun _ -> Mont.limbs ctx) in
       let occupied = Array.make nbuckets false in
-      let run = Array.make l 0 and sum = Array.make l 0 in
-      let acc = Array.copy ctx.Mont.one_m in
+      let run = Mont.limbs ctx and sum = Mont.limbs ctx in
+      let acc = Bytes.copy ctx.Mont.one_m in
       let nw = (bits + c - 1) / c in
       for j = nw - 1 downto 0 do
         if j < nw - 1 then
           for _ = 1 to c do
-            Mont.sqr_into ctx tbuf acc acc
+            Mont.sqr ctx tbuf acc acc
           done;
         Array.fill occupied 0 nbuckets false;
         Array.iter
           (fun (bm, e) ->
-            let d = digit e.mag (j * c) c in
+            let d = Mont.bitfield e.mag (j * c) c in
             if d > 0 then
-              if occupied.(d - 1) then
-                Mont.mont_mul_into ctx tbuf buckets.(d - 1) buckets.(d - 1) bm
+              if occupied.(d - 1) then Mont.mul ctx tbuf buckets.(d - 1) buckets.(d - 1) bm
               else begin
-                Array.blit bm 0 buckets.(d - 1) 0 l;
+                Bytes.blit bm 0 buckets.(d - 1) 0 (8 * l);
                 occupied.(d - 1) <- true
               end)
           ps;
-        Array.blit ctx.Mont.one_m 0 run 0 l;
-        Array.blit ctx.Mont.one_m 0 sum 0 l;
+        Bytes.blit ctx.Mont.one_m 0 run 0 (8 * l);
+        Bytes.blit ctx.Mont.one_m 0 sum 0 (8 * l);
         for b = nbuckets - 1 downto 0 do
-          if occupied.(b) then Mont.mont_mul_into ctx tbuf run run buckets.(b);
-          if b < nbuckets - 1 || occupied.(b) then
-            Mont.mont_mul_into ctx tbuf sum sum run
+          if occupied.(b) then Mont.mul ctx tbuf run run buckets.(b);
+          if b < nbuckets - 1 || occupied.(b) then Mont.mul ctx tbuf sum sum run
         done;
-        Mont.mont_mul_into ctx tbuf acc acc sum
+        Mont.mul ctx tbuf acc acc sum
       done;
-      finish ctx acc
+      Mont.finish ctx tbuf acc
     end
 
   let run ctx pairs = if Array.length pairs >= 64 then pippenger ctx pairs else straus ctx pairs

@@ -6,14 +6,13 @@
     arithmetic: this module provides it.
 
     Representation: sign-magnitude with little-endian 62-bit limbs.
-    A limb product spans 124 bits, so inner products are computed from
-    split 31-bit half-limb partial products, keeping every
+    A limb product spans 124 bits, so schoolbook products are computed
+    from split 31-bit half-limb partial products, keeping every
     intermediate inside OCaml's 63-bit native [int] (treated as
-    unsigned, exact up to [2^63 - 1]).  Halving the limb count
-    relative to the earlier 30-bit representation halves the length of
-    every Montgomery CIOS pass over the 1024/2048-bit Paillier moduli.
-    Values are immutable and always normalised (no leading zero limbs;
-    zero has positive sign and empty magnitude). *)
+    unsigned, exact up to [2^63 - 1]).  Montgomery arithmetic ({!Mont})
+    runs in C on 64-bit limbs instead.  Values are immutable and always
+    normalised (no leading zero limbs; zero has positive sign and empty
+    magnitude). *)
 
 type t
 
@@ -103,21 +102,21 @@ val powmod_naive : t -> t -> t -> t
 
 (** Montgomery arithmetic for a fixed odd modulus.
 
-    The kernel works on a radix-29 repacking of the 62-bit storage
-    limbs: 29-bit digits leave 34 headroom bits per word, so partial
-    products accumulate column-wise with {e delayed carries} — the
-    inner loops are pure multiply-accumulate over native [int]s, with
-    a carry flush only every few digit pairs and one final carry pass.
-    Digits are consumed two at a time (2-way blocked passes), and
-    reduction is {e almost-Montgomery}: intermediate values live in
-    [\[0, 2m)] and are canonicalized once at API boundaries, never per
-    product.  A context precomputes [-m^-1 mod 2^29], the repacked
-    modulus and [R^2 mod m].  {!Mont.powmod} adds a sliding 5-bit
-    odd-window ladder on top (a 16-entry table of odd powers
-    [b^(2k+1)], zero runs cost squarings only; each squaring goes
-    through {!Mont.sqrmod}'s step), and {!Mont.fixed_base} keeps a
-    table for a base raised to several exponents (a generator, a
-    public ciphertext), so that its squarings are done once. *)
+    The kernel is C on [L = ceil(bits m / 64)] native 64-bit limbs with
+    128-bit products: a CIOS multiply and a dedicated squaring (the
+    off-diagonal products once, one pass that doubles them and adds
+    the diagonal, then the reduction), each returning a fully reduced
+    value in [\[0, m)].  [R = 2^(64 L)].  A context precomputes
+    [-m^-1 mod 2^64], the modulus in kernel limbs and [R^2 mod m];
+    operands cross from the 62-bit storage limbs into kernel limbs and
+    back once per exponentiation, never inside a ladder.
+    {!Mont.powmod} adds a sliding 5-bit odd-window ladder on top (a
+    16-entry table of odd powers [b^(2k+1)], zero runs cost squarings
+    only; each squaring goes through {!Mont.sqrmod}'s step), and
+    {!Mont.fixed_base} keeps a table for a base raised to several
+    exponents (a generator, a public ciphertext), so that its
+    squarings are done once.  A context may be shared across domains:
+    every call brings its own scratch. *)
 module Mont : sig
   type ctx
   (** Precomputed reduction context for one odd modulus. *)
@@ -135,16 +134,15 @@ module Mont : sig
 
   val mulmod : ctx -> t -> t -> t
   (** The Montgomery product [a * b * R^-1 mod m] of two values in
-      [\[0, m)], canonical.  (Values in Montgomery form [x * R mod m]
-      stay in that form.)
+      [\[0, m)], canonical, where [R = 2^(64 L)] and [L] is the number
+      of 64-bit limbs the modulus fills, [ceil(bits m / 64)].  (Values
+      in Montgomery form [x * R mod m] stay in that form.)
       @raise Invalid_argument if an operand is not in [\[0, m)]. *)
 
   val sqrmod : ctx -> t -> t
-  (** [a * a * R^-1 mod m] through the ladders' squaring step: a
-      dedicated squaring kernel (the off-diagonal products once, one
-      pass that doubles them and adds the diagonal, then the
-      reduction) for moduli of 14 to 60 kernel digits (347 to 1738
-      bits), the multiply elsewhere.  Always equal to [mulmod ctx a a].
+  (** [a * a * R^-1 mod m] through the ladders' squaring step, the
+      dedicated squaring kernel, at every modulus size.  Always equal
+      to [mulmod ctx a a].
       @raise Invalid_argument if the operand is not in [\[0, m)]. *)
 
   val powmod : ctx -> t -> t -> t
@@ -161,10 +159,12 @@ module Mont : sig
       nonzero window into the bucket of its digit, then at most 28
       products to raise the 15 buckets to their digits; no squarings.
       The first use pays the squarings of a {!powmod} plus those
-      products: 4-10% more than one {!powmod} at 1024 and 2048 bits.
-      Each later use within the grown length is ~4x cheaper there
+      products: 5-10% more than one {!powmod} at 1024 and 2048 bits.
+      From three uses on the table wins, by ~3x at fifteen
       ([bench time], EXPERIMENTS.md E8).  Every exponent gives
-      {!powmod}'s result, bit for bit.
+      {!powmod}'s result, bit for bit.  The column's limbs are flat,
+      in chunks of at most 255 limbs, so the GC neither scans them nor
+      promotes them entry by entry.
 
       {b Sharing across domains.}  {!fixed_powmod} writes to the table
       whenever an exponent is longer than every one before it (the

@@ -37,5 +37,3 @@ let challenge_bigint t ~label ~bits =
   let v = B.of_bytes_be raw in
   let excess = (nbytes * 8) - bits in
   B.shift_right v excess
-
-let clone t = { state = t.state; counter = t.counter }

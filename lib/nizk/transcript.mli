@@ -18,6 +18,3 @@ val challenge_bytes : t -> label:string -> int -> string
 
 val challenge_bigint : t -> label:string -> bits:int -> Yoso_bigint.Bigint.t
 (** Uniform challenge in [\[0, 2^bits)]. *)
-
-val clone : t -> t
-(** Independent copy (verifier replays the prover's absorptions). *)

@@ -384,6 +384,16 @@ let test_mont_edge_cases () =
        (B.Mont.mulmod ctx (Oracles.Mont_form.to_mont ctx x) (Oracles.Mont_form.to_mont ctx y)));
   check_b "sqrmod agrees" (B.mulmod x x m)
     (Oracles.Mont_form.of_mont ctx (B.Mont.sqrmod ctx (Oracles.Mont_form.to_mont ctx x)));
+  (* a product whose value before the final subtraction is t = m + d,
+     d = 2^128 - 1: limb 0 of t is below m's and limb 1 equals m's, so
+     the subtraction must carry its borrow through an equal limb.  For
+     a = m - 1 and b = -t R mod m, mu = (t R - a b) / m is in [0, R)
+     when a b > d R, so it is the kernel's mu and a b + mu m = t R. *)
+  let r = B.shift_left B.one 256 and d = B.sub (B.shift_left B.one 128) B.one in
+  let a = B.sub m B.one in
+  let b = B.erem (B.neg (B.mul (B.add m d) r)) m in
+  Alcotest.(check bool) "kernel's mu below R" true (B.compare (B.mul a b) (B.mul d r) > 0);
+  check_b "final subtraction borrows through an equal limb" d (B.Mont.mulmod ctx a b);
   Alcotest.check_raises "even modulus"
     (Invalid_argument "Bigint.Mont.create: modulus must be odd and >= 3") (fun () ->
       ignore (B.Mont.create (B.of_int 100)));
@@ -693,6 +703,83 @@ let fixed_base_props =
           (0 :: (2 * bits) :: List.init 4 (fun _ -> Random.State.int st ((2 * bits) + 1))));
   ]
 
+(* The C kernel on one modulus against two references: plain bigint
+   arithmetic ([B.mulmod], [powmod_naive]) and the retired 29-bit
+   kernel ([Oracles.Kernel29]).  [mulmod] and [sqrmod] carry the factor
+   R^-1, R = 2^(64L) for the modulus's L = ceil(bits / 64) limbs; the
+   exponentiations carry none.  Exponents stay short enough for
+   [powmod_naive] ([short] bits), and up to [long] bits against the
+   29-bit kernel.  [Multiexp.run] takes its Straus path below 64 pairs,
+   checked against the 29-bit kernel's powmods, and Pippenger's from
+   64, checked against the product of the [powmod]s checked here. *)
+let kernel_agrees st ~long m =
+  let bits = B.bit_length m in
+  let ctx = B.Mont.create m and k29 = Oracles.Kernel29.create m in
+  let rinv = B.invmod (B.shift_left B.one (64 * ((bits + 63) / 64))) m in
+  let redc x = B.mulmod x rinv m in
+  let operands = B.zero :: B.one :: B.sub m B.one :: List.init 3 (fun _ -> B.random_below st m) in
+  let products =
+    List.for_all
+      (fun x ->
+        let y = B.random_below st m in
+        let sq = B.Mont.sqrmod ctx x and prod = B.Mont.mulmod ctx x y in
+        B.equal sq (redc (B.mulmod x x m))
+        && B.equal sq (redc (Oracles.Kernel29.sqrmod k29 x))
+        && B.equal prod (redc (B.mulmod x y m))
+        && B.equal prod (redc (Oracles.Kernel29.mulmod k29 x y)))
+      operands
+  in
+  let base = B.random_bits st (bits + 9) in
+  let short = B.random_bits st (1 + Random.State.int st 48)
+  and long = B.random_bits st (1 + Random.State.int st long) in
+  let want_short = B.powmod_naive base short m and want_long = Oracles.Kernel29.powmod k29 base long in
+  let fb = B.Mont.fixed_base ctx base in
+  let pairs n ebits = Array.init n (fun _ -> (B.random_below st m, B.random_bits st ebits)) in
+  let straus = pairs (1 + Random.State.int st 3) 32 in
+  let want =
+    Array.fold_left
+      (fun acc (b, e) -> B.mulmod acc (Oracles.Kernel29.powmod k29 b e) m)
+      B.one straus
+  in
+  products
+  && B.equal want_short (Oracles.Kernel29.powmod k29 base short)
+  && B.equal (B.Mont.powmod ctx base short) want_short
+  && B.equal (B.Mont.powmod ctx base long) want_long
+  && B.equal (B.Mont.fixed_powmod fb long) want_long
+  && B.equal (B.Mont.fixed_powmod fb short) want_short
+  && B.equal (B.Multiexp.run ctx straus) want
+  &&
+  let pippenger = pairs 64 8 in
+  B.equal (B.Multiexp.run ctx pippenger) (Oracles.multiexp_naive ctx pippenger)
+
+(* for L = 1 to 66 limbs: odd moduli of 64L - 2, 64L - 1 and 64L bits,
+   and 2^(64L) - 1, whose every limb is all ones; then the moduli at the
+   29-bit kernel's digit boundaries, three per even digit count to 72 *)
+let limb_boundary_moduli st =
+  List.concat_map
+    (fun l ->
+      let w = 64 * l in
+      [ make_odd (top_bit st (w - 2)); make_odd (top_bit st (w - 1)); make_odd (top_bit st w);
+        B.sub (B.shift_left B.one w) B.one ])
+    (List.init 66 (fun i -> i + 1))
+  @ List.concat_map (fun h -> moduli_of_digits st (2 * h)) (List.init 36 (fun h -> h + 1))
+
+let mont_limb_props =
+  [
+    QCheck.Test.make ~count:20 ~long_factor:20
+      ~name:"C kernel = 29-bit kernel = naive, 2 to 4200 bits"
+      QCheck.(pair (int_range 2 4200) int)
+      (fun (bits, seed) ->
+        let st = Random.State.make [| seed |] in
+        kernel_agrees st ~long:bits (make_odd (top_bit st bits)));
+    QCheck.Test.make ~count:1 ~long_factor:10
+      ~name:"C kernel = 29-bit kernel = naive at limb boundaries"
+      QCheck.int
+      (fun seed ->
+        let st = Random.State.make [| seed |] in
+        List.for_all (kernel_agrees st ~long:128) (limb_boundary_moduli st));
+  ]
+
 let arb_big =
   QCheck.map
     (fun (bits, seed) ->
@@ -824,4 +911,5 @@ let () =
       (* QCHECK_LONG=1 runs these at [long_factor] times their count *)
       ("gcd-inv-sqr", List.map QCheck_alcotest.to_alcotest gcd_inverse_square_props);
       ("fixed-base", List.map QCheck_alcotest.to_alcotest fixed_base_props);
+      ("mont-limbs", List.map QCheck_alcotest.to_alcotest mont_limb_props);
     ]

@@ -47,14 +47,6 @@ let test_transcript_ratchet () =
   let c2 = Transcript.challenge_bytes ts ~label:"c" 16 in
   Alcotest.(check bool) "subsequent challenges differ" true (c1 <> c2)
 
-let test_transcript_clone () =
-  let ts = Transcript.create ~label:"test" in
-  Transcript.absorb ts ~label:"x" "data";
-  let ts' = Transcript.clone ts in
-  Alcotest.(check string) "clone agrees"
-    (Transcript.challenge_bytes ts ~label:"c" 16)
-    (Transcript.challenge_bytes ts' ~label:"c" 16)
-
 let test_challenge_bigint_bits () =
   let ts = Transcript.create ~label:"test" in
   let v = Transcript.challenge_bigint ts ~label:"c" ~bits:40 in
@@ -228,7 +220,6 @@ let () =
           Alcotest.test_case "order sensitive" `Quick test_transcript_order_sensitive;
           Alcotest.test_case "injective framing" `Quick test_transcript_framing_injective;
           Alcotest.test_case "ratchet" `Quick test_transcript_ratchet;
-          Alcotest.test_case "clone" `Quick test_transcript_clone;
           Alcotest.test_case "challenge bits" `Quick test_challenge_bigint_bits;
         ] );
       ( "plaintext-knowledge",
