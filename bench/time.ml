@@ -2,7 +2,8 @@
    backends against their baselines, the C modexp kernel against the
    retired 29-bit one, the binary gcd and inverse against Euclid, the
    squaring step against the multiply, one base's fixed-base table
-   against repeated powmods, and the frame-checksum fold kernel *)
+   against repeated powmods, batch sigma-proof verification against
+   per-proof, and the frame-checksum fold kernel *)
 
 module P = Yoso_paillier.Paillier
 module T = Yoso_paillier.Threshold
@@ -91,6 +92,70 @@ let same_base_rows kbits =
       Printf.printf "    %4d-bit, k = %2d: %10.4f ms %10.4f ms %7.2fx\n" kbits k powmods_ms table_ms s;
       (k, powmods_ms, table_ms, s))
     [ 1; 3; 15 ]
+
+(* a committee's sigma proofs checked one by one against one batch
+   (Sigma.*.verify_batch), at 5, 32 and 160 proofs under a 512-bit N:
+   5 is one committee of the real_crypto workload, 160 its first
+   committee's whole step.  The Multiplication proofs all share one
+   c_a, as a second committee's do.  Equal verdicts first (an honest
+   batch, then one with a bad proof), then interleaved ratios
+   (per-proof over batch). *)
+let sigma_batch_rows () =
+  let module S = Yoso_nizk.Sigma in
+  let bits = if !smoke then 256 else 512 in
+  let st = Random.State.make [| 0x51B7 |] in
+  let pk, _ = P.keygen ~bits ~rng:st () in
+  let ctx = P.Ctx.create pk in
+  let c_a = P.Ctx.table ctx (P.Ctx.encrypt ctx ~rng:st (B.random_below st pk.P.n)) in
+  let ptk () =
+    let m = B.random_below st pk.P.n in
+    let c, r = P.Ctx.encrypt_r ctx ~rng:st m in
+    (c, S.Plaintext_knowledge.prove ctx ~rng:st ~m ~r ~c)
+  in
+  let mult () =
+    let b = B.random_below st pk.P.n in
+    let c_b, r = P.Ctx.encrypt_r ctx ~rng:st b in
+    let c_c = P.Ctx.scalar_mul ctx b c_a in
+    (c_b, c_c, S.Multiplication.prove ctx ~rng:st ~b ~r ~c_a ~c_b ~c_c)
+  in
+  let rejected verify batch =
+    List.filter (fun i -> not (verify batch.(i))) (List.init (Array.length batch) Fun.id)
+  in
+  let row relation ~make ~verify ~verify_batch ~tamper size =
+    let batch = Array.init size (fun _ -> make ()) in
+    let bad = Array.copy batch in
+    bad.(size / 2) <- tamper bad.(size / 2);
+    List.iter
+      (fun b ->
+        if verify_batch b <> rejected verify b then
+          failwith ("bench time: batch and per-proof verdicts differ on " ^ relation))
+      [ batch; bad ];
+    let each () = Array.for_all verify batch and whole () = verify_batch batch in
+    let each_ms = per_op_ms each and batch_ms = per_op_ms whole in
+    let s = ab_speedup whole each in
+    Printf.printf "    %-15s %3d proofs: %10.3f ms %10.3f ms %7.2fx\n" relation size each_ms
+      batch_ms s;
+    (relation, size, each_ms, batch_ms, s)
+  in
+  let bump v = B.add v B.one in
+  let sizes = if !smoke then [ 5; 32 ] else [ 5; 32; 160 ] in
+  let ptk_rows =
+    List.map
+      (row "PoPK" ~make:ptk
+         ~verify:(fun (c, p) -> S.Plaintext_knowledge.verify ctx ~c p)
+         ~verify_batch:(S.Plaintext_knowledge.verify_batch ctx)
+         ~tamper:(fun (c, p) -> (c, { p with S.Plaintext_knowledge.z_m = bump p.z_m })))
+      sizes
+  in
+  let mult_rows =
+    List.map
+      (row "Multiplication" ~make:mult
+         ~verify:(fun (c_b, c_c, p) -> S.Multiplication.verify ctx ~c_a ~c_b ~c_c p)
+         ~verify_batch:(S.Multiplication.verify_batch ctx ~c_a)
+         ~tamper:(fun (c_b, c_c, p) -> (c_b, c_c, { p with S.Multiplication.z = bump p.z })))
+      sizes
+  in
+  (bits, ptk_rows @ mult_rows)
 
 let run () =
   header "E8. Arithmetic layer: Montgomery backends, multiexp combine, modexp and fold kernels";
@@ -246,6 +311,17 @@ let run () =
           else if k = 15 then bar name s 2.0)
         rows)
     same_base;
+  Printf.printf "  sigma proofs: per-proof verify vs one batch (RLC)\n";
+  Printf.printf "    %-15s %10s  %13s %13s %8s\n" "relation" "size" "per-proof" "batch" "speedup";
+  let sigma_bits, sigma_rows = sigma_batch_rows () in
+  (* the batch pays one N-th power and one multiexp for what costs an
+     N-th power per proof, so it must win at every size, and by more
+     as the batch grows; smoke epochs only guard against it losing *)
+  List.iter
+    (fun (relation, size, _, _, s) ->
+      let floor = if !smoke then 1.0 else if size <= 5 then 1.3 else if size <= 32 then 1.6 else 2.4 in
+      bar (Printf.sprintf "%s batch of %d" relation size) s floor)
+    sigma_rows;
   let fold_bytes, fold_words_mb_s, checksum_mb_s = fold_rates () in
   if not !smoke then begin
     let pair (naive, mont, s) =
@@ -310,6 +386,18 @@ let run () =
                              ("table_ms", Float (4, table_ms)); ("speedup", Float (2, s)) ])
                        rows)
                    same_base) );
+            ( "sigma_batch",
+              Obj
+                [ ("modulus_bits", Int sigma_bits);
+                  ( "rows",
+                    List
+                      (List.map
+                         (fun (relation, size, each_ms, batch_ms, s) ->
+                           Obj
+                             [ ("relation", String relation); ("proofs", Int size);
+                               ("per_proof_ms", Float (4, each_ms));
+                               ("batch_ms", Float (4, batch_ms)); ("speedup", Float (2, s)) ])
+                         sigma_rows) ) ] );
             ( "fold",
               Obj
                 [ ("bytes", Int fold_bytes); ("fold_words_mb_per_s", Float (1, fold_words_mb_s));

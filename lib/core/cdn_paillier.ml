@@ -40,64 +40,56 @@ let execute ~n ~t ?(bits = 96) ?(malicious = []) ?(seed = 0xBEEF) ~circuit ~inpu
   let m = Circuit.num_mul circuit in
 
   (* ---- Beaver triples with real sigma proofs (Protocol 3) --------- *)
+  (* each step's proofs are checked as one batch: the contributions
+     whose proofs it rejects are counted and left out *)
+  let accepted contribs rejects =
+    rejected := !rejected + List.length rejects;
+    List.filteri (fun j _ -> not (List.mem j rejects)) (Array.to_list contribs)
+  in
+  let sum = function
+    | [] -> None
+    | c0 :: rest -> Some (List.fold_left (P.Ctx.add pctx) c0 rest)
+  in
+  (* the first committee posts, for every gate, each member's encrypted
+     random summand with a proof of plaintext knowledge *)
+  let first =
+    Array.init (m * n) (fun j ->
+        let i = j mod n in
+        let a = B.random_below st modulus in
+        let c, r = P.Ctx.encrypt_r pctx ~rng:st a in
+        (* a malicious member lies about the plaintext: its proof will
+           not verify *)
+        let claimed = if is_malicious i then B.add a B.one else a in
+        (c, Sigma.Plaintext_knowledge.prove pctx ~rng:st ~m:claimed ~r ~c))
+  in
+  let kept =
+    accepted
+      (Array.mapi (fun j (c, _) -> (j / n, c)) first)
+      (Sigma.Plaintext_knowledge.verify_batch pctx first)
+  in
   let first_committee g =
-    (* per gate: each member contributes an encrypted random summand
-       with a proof of plaintext knowledge *)
-    ignore g;
-    let contribs =
-      List.init n (fun i ->
-          let a = B.random_below st modulus in
-          let c, r = P.Ctx.encrypt_r pctx ~rng:st a in
-          let proof =
-            if is_malicious i then
-              (* lie about the plaintext: proof will not verify *)
-              Sigma.Plaintext_knowledge.prove pctx ~rng:st ~m:(B.add a B.one) ~r ~c
-            else Sigma.Plaintext_knowledge.prove pctx ~rng:st ~m:a ~r ~c
-          in
-          (c, proof))
-    in
-    let verified =
-      List.filter
-        (fun (c, proof) ->
-          let ok = Sigma.Plaintext_knowledge.verify pctx ~c proof in
-          if not ok then incr rejected;
-          ok)
-        contribs
-    in
-    match verified with
-    | [] -> failwith "Cdn_paillier: all first-committee contributions rejected"
-    | (c0, _) :: rest -> List.fold_left (fun acc (c, _) -> P.Ctx.add pctx acc c) c0 rest
+    match sum (List.filter_map (fun (g', c) -> if g' = g then Some c else None) kept) with
+    | Some c_a -> c_a
+    | None -> failwith "Cdn_paillier: all first-committee contributions rejected"
   in
   let second_committee c_a =
     (* c_a is on the board: one table serves every member's c_a^b and
-       c_a^x and the verifier's c_a^z *)
+       c_a^x and the verifier's c_a^(sum sigma_i z_i) *)
     let c_a = P.Ctx.table pctx c_a in
     let contribs =
-      List.init n (fun i ->
+      Array.init n (fun i ->
           let b = B.random_below st modulus in
           let c_b, r = P.Ctx.encrypt_r pctx ~rng:st b in
           let c_c =
             if is_malicious i then P.Ctx.encrypt pctx ~rng:st (B.of_int 1337)
             else P.Ctx.scalar_mul pctx b c_a
           in
-          let proof = Sigma.Multiplication.prove pctx ~rng:st ~b ~r ~c_a ~c_b ~c_c in
-          (c_b, c_c, proof))
+          (c_b, c_c, Sigma.Multiplication.prove pctx ~rng:st ~b ~r ~c_a ~c_b ~c_c))
     in
-    let verified =
-      List.filter
-        (fun (c_b, c_c, proof) ->
-          let ok = Sigma.Multiplication.verify pctx ~c_a ~c_b ~c_c proof in
-          if not ok then incr rejected;
-          ok)
-        contribs
-    in
-    match verified with
-    | [] -> failwith "Cdn_paillier: all second-committee contributions rejected"
-    | (b0, c0, _) :: rest ->
-      List.fold_left
-        (fun (accb, accc) (cb, cc, _) ->
-          (P.Ctx.add pctx accb cb, P.Ctx.add pctx accc cc))
-        (b0, c0) rest
+    let kept = accepted contribs (Sigma.Multiplication.verify_batch pctx ~c_a contribs) in
+    match (sum (List.map (fun (c_b, _, _) -> c_b) kept), sum (List.map (fun (_, c_c, _) -> c_c) kept)) with
+    | Some c_b, Some c_c -> (c_b, c_c)
+    | _ -> failwith "Cdn_paillier: all second-committee contributions rejected"
   in
   let triples =
     Array.init m (fun g ->
@@ -144,18 +136,28 @@ let execute ~n ~t ?(bits = 96) ?(malicious = []) ?(seed = 0xBEEF) ~circuit ~inpu
     Hashtbl.of_seq
       (List.to_seq (Circuit.assign_inputs circuit ~inputs:(reduced_inputs ~modulus inputs)))
   in
+  (* every client posts its encrypted inputs with proofs of plaintext
+     knowledge, checked as one batch before any wire is used *)
+  let posted =
+    Array.of_list
+      (List.filter_map
+         (function
+           | Circuit.Input { wire; _ } ->
+             let v = Hashtbl.find input_value wire in
+             let c, r = P.Ctx.encrypt_r pctx ~rng:st v in
+             Some (wire, (c, Sigma.Plaintext_knowledge.prove pctx ~rng:st ~m:v ~r ~c))
+           | _ -> None)
+         (Array.to_list circuit.Circuit.gates))
+  in
+  if Sigma.Plaintext_knowledge.verify_batch pctx (Array.map snd posted) <> [] then
+    failwith "Cdn_paillier: honest input proof failed";
+  Array.iter (fun (wire, (c, _)) -> wire_ct.(wire) <- Some c) posted;
   let triple_cursor = ref 0 in
   let outputs = ref [] in
   Array.iter
     (fun g ->
       match g with
-      | Circuit.Input { wire; _ } ->
-        let v = Hashtbl.find input_value wire in
-        let c, r = P.Ctx.encrypt_r pctx ~rng:st v in
-        let proof = Sigma.Plaintext_knowledge.prove pctx ~rng:st ~m:v ~r ~c in
-        if not (Sigma.Plaintext_knowledge.verify pctx ~c proof) then
-          failwith "Cdn_paillier: honest input proof failed";
-        wire_ct.(wire) <- Some c
+      | Circuit.Input _ -> ()
       | Circuit.Add { a; b; out } ->
         wire_ct.(out) <- Some (P.Ctx.add pctx (get a) (get b))
       | Circuit.Mul { a; b; out } ->

@@ -16,7 +16,24 @@
       standard sigma protocol without extra setup; see DESIGN.md).
 
     Intended for small committees ([n <= 7], test-size moduli):
-    everything is executed for real, nothing is mocked. *)
+    everything is executed for real, nothing is mocked.
+
+    {b Step order.}  Each step's proofs are checked as one batch
+    ({!Yoso_nizk.Sigma.Plaintext_knowledge.verify_batch},
+    {!Yoso_nizk.Sigma.Multiplication.verify_batch}) before the next
+    step uses what it accepts:
+    + keygen;
+    + the first Beaver committee posts its contributions for all m
+      triples, checked as one batch of [n * m] proofs;
+    + for each triple in turn, a second committee posts its [n]
+      contributions, checked as one batch under that triple's [c_a];
+    + the clients post every input, checked as one batch before any
+      wire is used;
+    + the gates are evaluated, opening with the threshold scheme and
+      refreshing the key shares once mid-circuit.
+
+    Every random draw comes from one RNG seeded by [seed], in that
+    order. *)
 
 module B = Yoso_bigint.Bigint
 module Circuit = Yoso_circuit.Circuit

@@ -52,6 +52,7 @@ module Ctx = struct
   let create pk = { pk; mont_n = B.Mont.create pk.n; mont_n2 = B.Mont.create pk.n2 }
 
   let public_key ctx = ctx.pk
+  let mont_n ctx = ctx.mont_n
   let mont_n2 ctx = ctx.mont_n2
   let pow_n ctx b e = B.Mont.powmod ctx.mont_n b e
   let pow_n2 ctx b e = B.Mont.powmod ctx.mont_n2 b e

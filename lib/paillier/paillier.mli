@@ -47,6 +47,10 @@ module Ctx : sig
   val create : public_key -> t
   val public_key : t -> public_key
 
+  val mont_n : t -> B.Mont.ctx
+  (** The Montgomery context for [N] — the domain of encryption
+      randomness; lets callers drive {!B.Multiexp} over it. *)
+
   val mont_n2 : t -> B.Mont.ctx
   (** The Montgomery context for [N^2] — the domain of ciphertext
       arithmetic; lets callers drive {!B.Multiexp} over it. *)

@@ -1,5 +1,6 @@
 module F = Yoso_field.Field.Fp
 module B = Yoso_bigint.Bigint
+module Sha256 = Yoso_hash.Sha256
 
 type group = { modulus : B.t; order : B.t; h : B.t }
 
@@ -49,9 +50,8 @@ module Product = struct
   let commit v = pow_h (F.to_int v)
 
   (* Fiat-Shamir challenge in [1, q): both prover and verifier derive
-     it from the full transcript prefix.  Hashtbl.hash is the same
-     heuristic [verify_batch] derives its weights with (and matches
-     the toy-sized group). *)
+     it from the full transcript prefix, through Hashtbl.hash (a
+     heuristic that matches the toy-sized group). *)
   let challenge st p =
     let mix =
       Hashtbl.hash
@@ -101,7 +101,23 @@ module Product = struct
     4 per proof.  A batch that verifies per-proof passes identically;
     a batch containing a bad proof survives with probability 1/q over
     the r_i.  Without [rng] the weights are derived Fiat-Shamir-style
-    from the whole batch. *)
+    from one SHA-256 over the whole batch: every statement and every
+    proof, responses included, so no entry's weight is known before
+    the entry is written. *)
+  let batch_digest batch =
+    let buf = Buffer.create (Array.length batch * 64) in
+    (* sign, length, magnitude: injective on any value a prover posts *)
+    let add v =
+      let mag = B.to_bytes_be v in
+      Buffer.add_char buf (if B.sign v < 0 then '-' else '+');
+      Buffer.add_int32_be buf (Int32.of_int (String.length mag));
+      Buffer.add_string buf mag
+    in
+    Array.iter
+      (fun (st, p) -> List.iter add [ st.cx; st.cy; st.cz; p.a1; p.a2; B.of_int (F.to_int p.s) ])
+      batch;
+    Sha256.digest_string (Buffer.contents buf)
+
   let verify_batch ?rng batch =
     let b = Array.length batch in
     if b = 0 then true
@@ -111,13 +127,9 @@ module Product = struct
         match rng with
         | Some st -> st
         | None ->
-          let mix =
-            Hashtbl.hash
-              (Array.map
-                 (fun (st, p) -> (B.to_string st.cx, B.to_string st.cz, B.to_string p.a1))
-                 batch)
-          in
-          Random.State.make [| 0xBA7C; mix |]
+          let d = batch_digest batch in
+          Random.State.make
+            (Array.init 8 (fun i -> Int32.to_int (String.get_int32_be d (4 * i))))
       in
       let rec nonzero () =
         let v = F.random rng in

@@ -44,7 +44,11 @@ module Product : sig
     cz : B.t;  (** [h^z]; the claim is [z = x y] *)
   }
 
-  type proof
+  type proof = {
+    a1 : B.t;  (** [h^w] *)
+    a2 : B.t;  (** [Cx^w] *)
+    s : F.t;   (** [w + e y] *)
+  }
 
   val commit : F.t -> B.t
   (** [h^v] via the shared fixed-base table. *)
@@ -67,8 +71,10 @@ module Product : sig
       plus one fixed-base power for the whole batch instead of four
       exponentiations per proof.  Accepts every batch {!verify}
       accepts; a bad proof slips through with probability [1/q] over
-      the weights.  Without [rng], weights are derived from the batch
-      (Fiat-Shamir heuristic, matching the toy-sized group). *)
+      the weights.  Without [rng], weights are derived from one
+      SHA-256 digest of every statement and proof in the batch
+      (Fiat-Shamir), so a prover cannot learn an entry's weight before
+      fixing that entry. *)
 
   val attribute : (statement * proof) array -> int list
   (** Indices whose proofs fail per-proof verification — exact blame

@@ -41,6 +41,17 @@ let test_malicious_detected_and_tolerated () =
   Alcotest.(check int) "rejections counted" 8 r.CP.rejected_contributions;
   Alcotest.(check bool) "output still correct" true (CP.check r circuit ~inputs)
 
+(* the benchmark's real_crypto shape (512-bit N, 32 gates) at its
+   default seed: every batch with a lying member falls back to
+   per-proof verification, which blames exactly those members'
+   contributions, 2 members x 2 committees x 32 gates *)
+let test_malicious_blame_exact () =
+  let circuit = Gen.dot_product ~len:32 in
+  let inputs c = Array.init 32 (fun i -> B.of_int ((31 * c) + i + 1)) in
+  let r = CP.execute ~n:5 ~t:2 ~bits:512 ~malicious:[ 0; 3 ] ~seed:24301 ~circuit ~inputs () in
+  Alcotest.(check int) "4 m rejections" 128 r.CP.rejected_contributions;
+  Alcotest.(check bool) "outputs correct" true (CP.check r circuit ~inputs)
+
 let test_values_reduced_mod_n () =
   (* huge inputs wrap around the modulus, consistently with expected *)
   let circuit = Gen.dot_product ~len:2 in
@@ -88,6 +99,7 @@ let () =
           Alcotest.test_case "additions only" `Quick test_additions_only;
           Alcotest.test_case "deep + key refresh" `Quick test_deep_circuit_with_reshare;
           Alcotest.test_case "malicious detected" `Quick test_malicious_detected_and_tolerated;
+          Alcotest.test_case "blame exact at 512 bits" `Quick test_malicious_blame_exact;
           Alcotest.test_case "mod-N reduction" `Quick test_values_reduced_mod_n;
           Alcotest.test_case "evaluator consistency" `Quick test_expected_matches_field_semantics;
         ] );

@@ -69,6 +69,50 @@ let test_product_batch_attribution () =
   Alcotest.(check (list int)) "attribution names exactly it" [ bad ]
     (Feldman.Product.attribute batch)
 
+(* The weights [verify_batch] once derived without [rng]: a seed from
+   Hashtbl.hash of each entry's (cx, cz, a1), which never reads a
+   response.  A prover who knows them before writing two entries with
+   the same x can shift their responses so that both combined
+   equations still hold. *)
+let responseless_weights batch =
+  let mix =
+    Hashtbl.hash
+      (Array.map
+         (fun ((st : Feldman.Product.statement), (p : Feldman.Product.proof)) ->
+           (B.to_string st.cx, B.to_string st.cz, B.to_string p.a1))
+         batch)
+  in
+  let rng = Random.State.make [| 0xBA7C; mix |] in
+  let rec nonzero () =
+    let v = F.random rng in
+    if F.equal v F.zero then nonzero () else v
+  in
+  Array.init (Array.length batch) (fun _ -> nonzero ())
+
+let test_product_batch_weights_bind_responses () =
+  let rng = Random.State.make [| 0x9D; 5 |] in
+  let shared_x = F.random rng in
+  let batch =
+    Array.init 6 (fun i ->
+        let x = if i = 3 || i = 4 then shared_x else F.random rng in
+        let y = F.random rng in
+        Feldman.Product.prove ~rng ~x ~y ~z:(F.mul x y))
+  in
+  let r = responseless_weights batch in
+  let shift i delta =
+    let st, (p : Feldman.Product.proof) = batch.(i) in
+    batch.(i) <- (st, { p with s = F.add p.s delta })
+  in
+  (* r3 d + r4 (-r3 d / r4) = 0: the errors cancel in both sums *)
+  let d = F.of_int 0x5EED in
+  shift 3 d;
+  shift 4 (F.neg (F.div (F.mul r.(3) d) r.(4)));
+  Alcotest.(check bool) "the old weights do not see the shift" true
+    (r = responseless_weights batch);
+  Alcotest.(check (list int)) "per-proof checks reject both" [ 3; 4 ]
+    (Feldman.Product.attribute batch);
+  Alcotest.(check bool) "RLC batch rejects" false (Feldman.Product.verify_batch batch)
+
 let () =
   Alcotest.run "feldman"
     [
@@ -80,5 +124,7 @@ let () =
           Alcotest.test_case "soundness" `Quick test_product_soundness;
           Alcotest.test_case "batch matches each" `Quick test_product_batch_matches_each;
           Alcotest.test_case "attribution" `Quick test_product_batch_attribution;
+          Alcotest.test_case "weights bind responses" `Quick
+            test_product_batch_weights_bind_responses;
         ] );
     ]

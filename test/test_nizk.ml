@@ -185,6 +185,123 @@ let test_mult_rejects_negative_response () =
     (Sigma.Multiplication.verify ctx ~c_a ~c_b ~c_c bad)
 
 (* ------------------------------------------------------------------ *)
+(* Batch verification                                                  *)
+(* ------------------------------------------------------------------ *)
+
+module Ptk = Sigma.Plaintext_knowledge
+module Mult = Sigma.Multiplication
+
+let ptk_statement rng =
+  let m = B.random_below rng pk.P.n in
+  let c, r = P.Ctx.encrypt_r ctx ~rng m in
+  (c, Ptk.prove ctx ~rng ~m ~r ~c)
+
+let mult_statement rng c_a =
+  let b = B.random_below rng pk.P.n in
+  let c_b, r = P.Ctx.encrypt_r ctx ~rng b in
+  let c_c = P.Ctx.scalar_mul ctx b c_a in
+  (c_b, c_c, Mult.prove ctx ~rng ~b ~r ~c_a ~c_b ~c_c)
+
+let ptk_rejected batch =
+  List.filter_map
+    (fun i -> let c, p = batch.(i) in if Ptk.verify ctx ~c p then None else Some i)
+    (List.init (Array.length batch) Fun.id)
+
+let mult_rejected c_a batch =
+  List.filter_map
+    (fun i ->
+      let c_b, c_c, p = batch.(i) in
+      if Mult.verify ctx ~c_a ~c_b ~c_c p then None else Some i)
+    (List.init (Array.length batch) Fun.id)
+
+let test_batch_empty () =
+  let c_a = P.Ctx.table ctx (P.Ctx.encrypt ctx ~rng:st B.one) in
+  Alcotest.(check (list int)) "empty PoPK batch" [] (Ptk.verify_batch ctx [||]);
+  Alcotest.(check (list int)) "empty Multiplication batch" [] (Mult.verify_batch ctx ~c_a [||])
+
+(* one lying prover among 160: the batch names it and nobody else *)
+let test_batch_blames_one () =
+  let rng = Random.State.make [| 0xB1A3 |] in
+  let batch = Array.init 160 (fun _ -> ptk_statement rng) in
+  Alcotest.(check (list int)) "honest batch" [] (Ptk.verify_batch ctx batch);
+  let c, r = P.Ctx.encrypt_r ctx ~rng (B.of_int 7) in
+  batch.(117) <- (c, Ptk.prove ctx ~rng ~m:(B.of_int 8) ~r ~c);
+  Alcotest.(check (list int)) "the one bad proof" [ 117 ] (Ptk.verify_batch ctx batch);
+  let c_a = P.Ctx.table ctx (P.Ctx.encrypt ctx ~rng (B.of_int 3)) in
+  let batch = Array.init 12 (fun _ -> mult_statement rng c_a) in
+  Alcotest.(check (list int)) "honest Multiplication batch" [] (Mult.verify_batch ctx ~c_a batch);
+  let c_b, _, p = batch.(4) in
+  batch.(4) <- (c_b, P.Ctx.encrypt ctx ~rng (B.of_int 1337), p);
+  Alcotest.(check (list int)) "the one wrong product" [ 4 ] (Mult.verify_batch ctx ~c_a batch)
+
+(* z_r -> N - z_r multiplies z_r^N by (-1)^N = -1, an encryption of 0:
+   [verify] rejects the proof, while the batch passes it whenever its
+   weight is even (its plaintext relation still holds).  Either way
+   the batch never blames an honest proof. *)
+let test_batch_minus_one () =
+  let rng = Random.State.make [| 0x0DD |] in
+  for _ = 1 to 16 do
+    let batch = Array.init 6 (fun _ -> ptk_statement rng) in
+    let bad = Random.State.int rng 6 in
+    let c, p = batch.(bad) in
+    batch.(bad) <- (c, { p with Ptk.z_r = B.sub pk.P.n p.Ptk.z_r });
+    Alcotest.(check (list int)) "verify rejects it" [ bad ] (ptk_rejected batch);
+    let got = Ptk.verify_batch ctx batch in
+    Alcotest.(check bool) "no honest proof blamed" true (got = [] || got = [ bad ])
+  done
+
+(* random batches of 0 to 40 proofs with one field of one proof moved
+   by +1: the batch rejects exactly the proofs [verify] rejects *)
+let bump v = B.add v B.one
+let bump_ct c = P.Ctx.of_raw ctx (bump (P.raw c))
+
+let sigma_batch_props =
+  let ptk_fields = [| "z_m"; "z_r"; "a"; "c" |] in
+  let mult_fields = [| "z"; "z_r"; "a1"; "a2"; "c_b"; "c_c" |] in
+  let gen_case fields =
+    QCheck.make
+      ~print:(fun (size, bad, field, _) -> Printf.sprintf "size %d, proof %d, field %s" size bad field)
+      QCheck.Gen.(
+        int_range 0 40 >>= fun size ->
+        int_range 0 (max 0 (size - 1)) >>= fun bad ->
+        oneofl (Array.to_list fields) >>= fun field ->
+        int >|= fun seed -> (size, bad, field, seed))
+  in
+  [
+    QCheck.Test.make ~count:20 ~long_factor:20 ~name:"PoPK batch = per-proof verify"
+      (gen_case ptk_fields) (fun (size, bad, field, seed) ->
+        let rng = Random.State.make [| seed |] in
+        let batch = Array.init size (fun _ -> ptk_statement rng) in
+        if size > 0 then begin
+          let c, p = batch.(bad) in
+          batch.(bad) <-
+            (match field with
+            | "z_m" -> (c, { p with Ptk.z_m = bump p.Ptk.z_m })
+            | "z_r" -> (c, { p with Ptk.z_r = bump p.Ptk.z_r })
+            | "a" -> (c, { p with Ptk.a = bump p.Ptk.a })
+            | _ -> (bump_ct c, p))
+        end;
+        Ptk.verify_batch ctx batch = ptk_rejected batch);
+    QCheck.Test.make ~count:20 ~long_factor:20 ~name:"Multiplication batch = per-proof verify"
+      (gen_case mult_fields) (fun (size, bad, field, seed) ->
+        let rng = Random.State.make [| seed |] in
+        let c_a = P.Ctx.table ctx (P.Ctx.encrypt ctx ~rng (B.random_below rng pk.P.n)) in
+        let batch = Array.init size (fun _ -> mult_statement rng c_a) in
+        if size > 0 then begin
+          let c_b, c_c, p = batch.(bad) in
+          batch.(bad) <-
+            (match field with
+            | "z" -> (c_b, c_c, { p with Mult.z = bump p.Mult.z })
+            | "z_r" -> (c_b, c_c, { p with Mult.z_r = bump p.Mult.z_r })
+            | "a1" -> (c_b, c_c, { p with Mult.a1 = bump p.Mult.a1 })
+            | "a2" -> (c_b, c_c, { p with Mult.a2 = bump p.Mult.a2 })
+            | "c_b" -> (bump_ct c_b, c_c, p)
+            | _ -> (c_b, bump_ct c_c, p))
+        end;
+        Mult.verify_batch ctx ~c_a batch = mult_rejected c_a batch);
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Ideal NIZK                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -238,6 +355,14 @@ let () =
           Alcotest.test_case "negative response" `Quick test_mult_rejects_negative_response;
           Alcotest.test_case "table" `Quick test_mult_table;
         ] );
+      ( "batch",
+        [
+          Alcotest.test_case "empty" `Quick test_batch_empty;
+          Alcotest.test_case "blames one" `Quick test_batch_blames_one;
+          Alcotest.test_case "z_r off by -1" `Quick test_batch_minus_one;
+        ] );
+      (* QCHECK_LONG=1 runs these at [long_factor] times their count *)
+      ("sigma-batch", List.map QCheck_alcotest.to_alcotest sigma_batch_props);
       ( "ideal",
         [
           Alcotest.test_case "honest" `Quick test_ideal_honest;
