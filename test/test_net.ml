@@ -1241,9 +1241,9 @@ let test_protocol_lossy_never_wrong () =
 
 (* The meter is the one byte ledger: on a run where the network loses
    frames and the adversary both delays posts and garbles frames, its
-   totals equal the transcript's and the simulator's, its phases add
-   up to its grand total, and the board holds exactly the frames that
-   were not dropped.  The latency model is ideal, so a corrupted frame
+   totals equal the transcript's, its phases add up to its grand
+   total, and the board holds exactly the frames that were not
+   dropped.  The latency model is ideal, so a corrupted frame
    is either dropped or delivered garbled: more garbage-ciphertext
    blames than dropped frames means at least one arrived [Garbled]. *)
 let test_meter_single_ledger () =
@@ -1261,15 +1261,18 @@ let test_meter_single_ledger () =
          r.Protocol.blames)
   in
   Alcotest.(check bool) "correct" true (Protocol.check r circuit ~inputs);
-  Alcotest.(check bool) "some frames late" true (s.Sim.late > 0);
-  Alcotest.(check bool) "some frames dropped" true (s.Sim.dropped > 0);
+  (* exact pins: the loss coin's draws decide these, so a change to
+     where or how often the coin is drawn fails here *)
+  Alcotest.(check int) "transcript digest" 2208966108802659726 tr.Board.digest;
+  Alcotest.(check int) "late" 11 s.Sim.late;
+  Alcotest.(check int) "dropped" 3 s.Sim.dropped;
+  Alcotest.(check int) "blames" 82 (List.length r.Protocol.blames);
   Alcotest.(check bool) "some frames garbled" true (garbage > s.Sim.dropped);
   Alcotest.(check int) "meter = transcript bytes" tr.Board.frame_bytes (Meter.grand_total m);
-  Alcotest.(check int) "meter = bytes sent" s.Sim.bytes_sent (Meter.grand_total m);
   Alcotest.(check int) "phases add up" (Meter.grand_total m)
     (List.fold_left (fun acc phase -> acc + Meter.phase_total m ~phase) 0 (Meter.phases m));
-  Alcotest.(check int) "every transmission is a frame" s.Sim.sent tr.Board.frames;
-  Alcotest.(check int) "posts = frames not dropped" (s.Sim.sent - s.Sim.dropped) r.Protocol.posts
+  Alcotest.(check int) "posts = frames not dropped" (tr.Board.frames - s.Sim.dropped)
+    r.Protocol.posts
 
 let test_report_json () =
   let r =
