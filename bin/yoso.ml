@@ -19,7 +19,6 @@ module Sampler = Yoso_sortition.Sampler
 module Faults = Yoso_runtime.Faults
 module Board = Yoso_net.Board
 module Meter = Yoso_net.Meter
-module Sim = Yoso_net.Sim
 module Factory = Yoso_factory.Factory
 module Depot = Yoso_factory.Depot
 module Runner = Yoso_transport.Runner
@@ -159,7 +158,7 @@ let run_transport ~transport ~deadline_ms ?journal ?chaos ~topology ~params ~cir
   if res.Runner.agree && res.Runner.down = [] then 0 else 2
 
 let run_protocol params protocol program kind size n t malicious fail_stop seed fault_seed json
-    net_seed latency drop domains transport deadline_ms journal chaos quorum stream =
+    net_seed drop domains transport deadline_ms journal chaos quorum stream =
   let circuit, inputs, compiled =
     match program with
     | None ->
@@ -177,10 +176,7 @@ let run_protocol params protocol program kind size n t malicious fail_stop seed 
     | Some c -> [ ("compiler", Lang.stats_json c) ]
     | None -> []
   in
-  let net =
-    let model = { Sim.latency_ms = latency; drop = max 0. (min 1. drop) } in
-    { Board.default_config with Board.model; net_seed }
-  in
+  let net = { Board.drop = max 0. (min 1. drop); net_seed } in
   if not json then begin
     (match compiled with
     | Some c ->
@@ -265,9 +261,9 @@ let run_protocol params protocol program kind size n t malicious fail_stop seed 
         r.Protocol.setup_bytes r.Protocol.offline_bytes r.Protocol.online_bytes
         r.Protocol.online_field_bytes
         (Protocol.online_field_bytes_per_gate r);
-      Format.printf "net: %d frames, %d late, %d dropped, %.0f ms simulated@."
-        r.Protocol.net.Sim.sent r.Protocol.net.Sim.late r.Protocol.net.Sim.dropped
-        r.Protocol.net.Sim.elapsed_ms;
+      Format.printf "net: %d frames, %d late, %d dropped over %d rounds@."
+        r.Protocol.transcript.Board.frames r.Protocol.net.Board.late
+        r.Protocol.net.Board.dropped r.Protocol.net.Board.rounds;
       Format.printf "posts: %d over %d committees@." r.Protocol.posts r.Protocol.committees;
       if malicious + fail_stop > 0 then begin
         Format.printf "faults: %d detected, %d posts rejected@." r.Protocol.faults_detected
@@ -301,7 +297,7 @@ let run_protocol params protocol program kind size n t malicious fail_stop seed 
    together, are usage errors, checked before anything runs: cmdliner
    prints the message and exits 124. *)
 let run_cmd protocol program kind size n t k eps malicious fail_stop seed fault_seed json
-    net_seed latency drop domains transport deadline_ms journal chaos quorum stream =
+    net_seed drop domains transport deadline_ms journal chaos quorum stream =
   let checked () =
     let params =
       match eps with
@@ -326,7 +322,7 @@ let run_cmd protocol program kind size n t k eps malicious fail_stop seed fault_
   | params ->
     `Ok
       (run_protocol params protocol program kind size n t malicious fail_stop seed fault_seed
-         json net_seed latency drop domains transport deadline_ms journal chaos quorum stream)
+         json net_seed drop domains transport deadline_ms journal chaos quorum stream)
 
 (* ------------------------------------------------------------------ *)
 (* analyze                                                             *)
@@ -444,22 +440,17 @@ let run_t =
       value & opt int 1
       & info [ "net-seed" ]
           ~doc:
-            "Seed of the simulated network (loss, synthesized frame bytes).  \
+            "Seed of the board's loss coin and of the synthesized frame bytes.  \
              Equal seeds replay byte-identical transcripts.")
-  in
-  let latency =
-    Arg.(
-      value & opt float 0.
-      & info [ "latency" ] ~doc:"Per-link latency in ms for the simulated network.")
   in
   let drop =
     Arg.(
       value & opt float 0.
       & info [ "drop" ]
           ~doc:
-            "Per-message loss probability on the simulated network (honest posts that \
-             vanish are treated like fail-stops; the run may abort with a protocol \
-             failure if too few contributions survive).")
+            "Loss rate of the board: the probability that a frame never reaches it \
+             (honest posts that vanish are treated like fail-stops; the run may abort \
+             with a protocol failure if too few contributions survive).")
   in
   let domains =
     Arg.(
@@ -540,7 +531,7 @@ let run_t =
     Term.(
       ret
         (const run_cmd $ protocol $ program $ kind $ size $ n_arg $ t_arg $ k_arg $ eps
-       $ malicious $ fail_stop $ seed_arg $ fault_seed $ json $ net_seed $ latency $ drop
+       $ malicious $ fail_stop $ seed_arg $ fault_seed $ json $ net_seed $ drop
        $ domains $ transport $ deadline $ journal $ chaos $ quorum $ stream))
 
 let analyze_t =

@@ -7,7 +7,6 @@ module Splitmix = Yoso_hash.Splitmix
 module Faults = Yoso_runtime.Faults
 module Board = Yoso_net.Board
 module Meter = Yoso_net.Meter
-module Sim = Yoso_net.Sim
 module Ops = Committee_ops
 module Pool = Yoso_parallel.Pool
 
@@ -27,7 +26,7 @@ type report = {
   faults_detected : int;
   posts_rejected : int;
   blames : Faults.blame list;
-  net : Sim.stats;
+  net : Board.net;
   transcript : Board.transcript;
   meter : Meter.t;
   phase_ms : (string * float) list;
@@ -209,7 +208,7 @@ let consume s source ~inputs =
     faults_detected = Faults.faults_detected ctx.Ops.log;
     posts_rejected = Faults.posts_rejected ctx.Ops.log;
     blames = Faults.blames ctx.Ops.log;
-    net = Board.sim_stats board;
+    net = Board.net board;
     transcript = Board.transcript board;
     meter;
     phase_ms =
@@ -267,10 +266,8 @@ let report_json ?(options = Report.default) (r : report) =
     @ opt timings [ ("phase_ms", Obj (List.map (fun (p, ms) -> (p, flt ms)) r.phase_ms)) ]
     @ [ ( "net",
           Obj
-            [ ("rounds", Int net.Sim.rounds); ("sent", Int net.Sim.sent);
-              ("delivered", Int net.Sim.delivered); ("late", Int net.Sim.late);
-              ("dropped", Int net.Sim.dropped); ("bytes_sent", Int net.Sim.bytes_sent);
-              ("elapsed_ms", flt net.Sim.elapsed_ms) ] );
+            [ ("rounds", Int net.Board.rounds); ("late", Int net.Board.late);
+              ("dropped", Int net.Board.dropped) ] );
         ( "transcript",
           Obj
             [ ("frames", Int t.Board.frames); ("frame_bytes", Int t.Board.frame_bytes);

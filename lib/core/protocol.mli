@@ -28,7 +28,9 @@ type report = {
   posts_rejected : int;  (** posts excluded after verification failed *)
   blames : Yoso_runtime.Faults.blame list;
       (** who misbehaved, how, and at which step it was detected *)
-  net : Yoso_net.Sim.stats;        (** simulated-network counters *)
+  net : Yoso_net.Board.net;
+      (** the board's rounds and its late and dropped frames; sent
+          frames and bytes are the [transcript]'s *)
   transcript : Yoso_net.Board.transcript;
       (** rolling digest of every frame on the wire; equal seeds give
           equal transcripts *)

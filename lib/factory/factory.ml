@@ -35,26 +35,8 @@ let derived_seed base j = Splitmix.mix base j
 
 let ms_since t0 = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-6
 
-(* minor arena for sustained dual-domain operation, in words.  Every
-   minor collection is a stop-the-world sync across domains; at the
-   stock 256k-word arena the producer and consumer rendezvous so often
-   that synchronization swamps the pipeline (measured ~2x on one
-   core).  [Gc.set] sizes the calling domain's arena only: the
-   consumer gets 32 MB, and the producer domain, spawned afterwards,
-   keeps OCaml's default.  With the two sides sharing one pool, 10
-   alternating pairs of the benchmark's factory_stream workload (15 s
-   each, 2-core x86-64) read medians of 7960 gates/s with it and 8076
-   without, each side ahead in 5: a tie, where before the shared pool
-   it read 1904 against 1457.  [stream] restores the caller's setting
-   on exit. *)
-let stream_minor_words = 4 * 1024 * 1024
-
 let stream ~params ?(config = Protocol.default_config) ~jobs () =
   if Array.length jobs = 0 then invalid_arg "Factory.stream: no jobs";
-  let gc0 = Gc.get () in
-  Gc.set
-    { gc0 with Gc.minor_heap_size = max gc0.Gc.minor_heap_size stream_minor_words };
-  Fun.protect ~finally:(fun () -> Gc.set gc0) @@ fun () ->
   let { Protocol.seed = base_seed; domains; _ } = config.Protocol.exec in
   (* the stream's domains (its [domains - 1] workers, the producer
      and the consumer) are one pool: either side's fan-outs are

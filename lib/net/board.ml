@@ -3,9 +3,9 @@ module Cost = Yoso_runtime.Cost
 module Role = Yoso_runtime.Role
 module Splitmix = Yoso_hash.Splitmix
 
-type config = { model : Sim.model; round_ms : float; net_seed : int }
+type config = { drop : float; net_seed : int }
 
-let default_config = { model = Sim.ideal; round_ms = 100.; net_seed = 1 }
+let default_config = { drop = 0.; net_seed = 1 }
 
 type outcome = Delivered | Late | Dropped | Garbled
 
@@ -27,22 +27,20 @@ type link = {
   recv : seq:int -> phase:string -> author:Role.id -> delivery;
 }
 
-let outcome_to_string = function
-  | Delivered -> "delivered"
-  | Late -> "late"
-  | Dropped -> "dropped"
-  | Garbled -> "garbled"
-
 type transcript = { frames : int; frame_bytes : int; digest : int }
 
 let digest_seed = 0x9e3779b9
 let chain_digest d csum = ((d * 1000003) + csum) land max_int
 
+type net = { rounds : int; late : int; dropped : int }
+
 type t = {
   bulletin : Bulletin.t;
-  sim : Sim.t;
+  coin : Splitmix.t;  (* the loss coin, drawn only when [drop > 0] *)
   meter : Meter.t;
   config : config;
+  mutable late : int;
+  mutable dropped : int;
   mutable frames : int;
   mutable frame_bytes : int;
   mutable digest : int;
@@ -53,9 +51,11 @@ type t = {
 let create ?(config = default_config) () =
   {
     bulletin = Bulletin.create ();
-    sim = Sim.create ~model:config.model ~round_ms:config.round_ms ~seed:config.net_seed ();
+    coin = Splitmix.of_int config.net_seed;
     meter = Meter.create ();
     config;
+    late = 0;
+    dropped = 0;
     frames = 0;
     frame_bytes = 0;
     digest = digest_seed;
@@ -71,12 +71,11 @@ let cost t = Bulletin.cost t.bulletin
 let registry t = Bulletin.registry t.bulletin
 let length t = Bulletin.length t.bulletin
 let round t = Bulletin.round t.bulletin
-let sim_stats t = Sim.stats t.sim
+let net t = { rounds = round t; late = t.late; dropped = t.dropped }
 let transcript t = { frames = t.frames; frame_bytes = t.frame_bytes; digest = t.digest }
 
 let next_round t =
   Bulletin.next_round t.bulletin;
-  Sim.next_round t.sim;
   t.round_posts <- 0
 
 type prepared = {
@@ -163,7 +162,7 @@ let prepare t ~author ~phase ~step ?(items = []) ?(corrupt = false) ?(force_late
     p_local = local;
   }
 
-(* The sequential half: transcript digest, cost charging, transmission
+(* The sequential half: transcript digest, cost charging, loss coin
    and bulletin slot — everything whose order is the board's order. *)
 let commit t p =
   let { p_author = author; p_phase = phase; p_step = step; p_payload = payload; p_frame;
@@ -178,8 +177,20 @@ let commit t p =
   t.frame_bytes <- t.frame_bytes + frame_bytes;
   let tally = Bulletin.cost t.bulletin in
   Meter.record t.meter ~phase ~step ~frame_bytes ~payload;
-  let extra_delay_ms = if force_late then 2. *. t.config.round_ms else 0. in
-  let verdict = Sim.transmit t.sim ~extra_delay_ms ~bytes:frame_bytes () in
+  (* the loss coin is drawn before the exchange, and only when loss is
+     on, so the ideal network consumes no randomness; a frame a link
+     later reports [`Down] is still counted here *)
+  let verdict =
+    if t.config.drop > 0. && Splitmix.float t.coin < t.config.drop then begin
+      t.dropped <- t.dropped + 1;
+      Dropped
+    end
+    else if force_late then begin
+      t.late <- t.late + 1;
+      Late
+    end
+    else Delivered
+  in
   (* Transport exchange: under a link the frame crosses a real process
      boundary.  The owning process physically sends it; every other
      process blocks until the board daemon routes it — in full for
@@ -223,34 +234,28 @@ let commit t p =
     | `Summary (csum, len) -> (csum, len = frame_bytes)
   in
   t.digest <- chain_digest t.digest csum;
-  match exchange with
-  | `Down ->
-    (* the owning process vanished mid-round: nothing ever reached the
-       board.  Observationally a fail-stop — same path as a Sim drop,
-       so the verify/exclude/blame machinery handles it unchanged. *)
+  match (exchange, verdict) with
+  | `Down, _ | _, Dropped ->
+    (* the role spoke — its one shot is consumed and the bytes were
+       sent — but nothing ever reaches the board: a lost frame, or an
+       owning process that vanished mid-round.  Observationally a
+       fail-stop, so the verify/exclude/blame machinery handles it
+       unchanged. *)
     Role.Registry.speak (Bulletin.registry t.bulletin) author;
     List.iter (fun (kind, n) -> Cost.charge tally ~phase kind n) cost;
     Dropped
-  | `Local | `Frame _ | `Summary _ -> (
-    match verdict with
-    | Sim.Dropped ->
-      (* the role spoke — its one shot is consumed and the bytes were
-         sent — but nothing ever reaches the board *)
-      Role.Registry.speak (Bulletin.registry t.bulletin) author;
-      List.iter (fun (kind, n) -> Cost.charge tally ~phase kind n) cost;
-      Dropped
-    | Sim.Late ->
-      Bulletin.post t.bulletin ~author ~phase ~cost;
-      Late
-    | Sim.Delivered ->
-      (* a frame that fails its integrity check occupies its slot on
-         the board but contributes nothing; verification will exclude
-         the author.  The sender's own frame needs no decode here: the
-         encoder emits only frames [Wire.of_frame] accepts, and the
-         single flipped byte of a corrupted one always fails the
-         checksum. *)
-      Bulletin.post t.bulletin ~author ~phase ~cost;
-      if consistent && not p_corrupt then Delivered else Garbled)
+  | _, Late ->
+    Bulletin.post t.bulletin ~author ~phase ~cost;
+    Late
+  | _, (Delivered | Garbled) ->
+    (* a frame that fails its integrity check occupies its slot on
+       the board but contributes nothing; verification will exclude
+       the author.  The sender's own frame needs no decode here: the
+       encoder emits only frames [Wire.of_frame] accepts, and the
+       single flipped byte of a corrupted one always fails the
+       checksum. *)
+    Bulletin.post t.bulletin ~author ~phase ~cost;
+    if consistent && not p_corrupt then Delivered else Garbled
 
 (* post = prepare + commit with a tag drawn from the per-round post
    counter; single-threaded callers never see the split. *)

@@ -2,11 +2,15 @@
 
     Wraps the abstract {!Yoso_runtime.Bulletin} so that every post is
     a real transmission: the message is encoded to a canonical
-    {!Wire} frame, sent through the {!Sim} network, and — if it
-    arrives — integrity-checked.  Fault behaviours become genuine
-    network events: a [Delayed] role is a frame that misses its round
-    deadline, a corrupted payload is a frame that fails its checksum,
-    and (under lossy models) an honest post can simply vanish.
+    {!Wire} frame, put through the board's network, and — if it
+    arrives — integrity-checked.  The network is the paper's
+    synchronous broadcast board with a loss rate: a frame is lost with
+    probability [drop] (a seeded coin, so a run replays from its
+    seed), and is otherwise on time unless its sender stalls.  Fault
+    behaviours become network events: a [Delayed] role is a frame
+    that misses its round deadline ([Late]), a corrupted payload is a
+    frame that fails its checksum, and under loss an honest post can
+    simply vanish ([Dropped]).
 
     No frame is decoded on the protocol's path.  Two checks run where
     frame bytes cross a process boundary: the board daemon verifies
@@ -27,23 +31,25 @@
     checksum as it is drawn, and {!prepare} keeps the frame's length,
     checksum and payload tally, which is all {!commit} needs.
 
-    Under {!default_config} (ideal network) every post is [Delivered]
-    unless forced late, so protocol behaviour — post counts, blame
+    Under {!default_config} (no loss) every post is [Delivered] unless
+    forced late, so protocol behaviour — post counts, blame
     verdicts, element tallies — is identical to the unsimulated board;
     the network layer only *adds* the byte measurements. *)
 
 module Cost = Yoso_runtime.Cost
 module Role = Yoso_runtime.Role
 
-type config = { model : Sim.model; round_ms : float; net_seed : int }
+type config = {
+  drop : float;  (** independent loss probability per frame *)
+  net_seed : int;  (** seeds the loss coin and the synthesized frame bytes *)
+}
 
 val default_config : config
-(** {!Sim.ideal}, 100 ms rounds, seed 1.  Synthesized wire weight is
+(** The ideal board: no loss, seed 1.  It draws no coin, so every post
+    is [Delivered] unless forced late.  Synthesized wire weight is
     always sized by {!Wire.default_sizing}. *)
 
 type outcome = Delivered | Late | Dropped | Garbled
-
-val outcome_to_string : outcome -> string
 
 (** {1 Transport link}
 
@@ -105,7 +111,7 @@ val create : ?config:config -> unit -> t
 val set_link : t -> link option -> unit
 (** Installs (or clears) the transport behind the façade.  With no
     link every exchange is local and behaviour is exactly the
-    simulated board of PR 2. *)
+    in-process board. *)
 
 val post :
   t ->
@@ -165,8 +171,10 @@ val prepare :
     committee fan-out uses the member index. *)
 
 val commit : t -> prepared -> outcome
-(** Mutates the board: digest chain, meter, network transmission,
-    bulletin slot.  Must be called from one domain, in the intended
+(** Mutates the board: digest chain, meter, loss coin, bulletin slot.
+    The coin is drawn once per frame, before the link exchange, and
+    only when [drop > 0]; a frame that is not lost is [Late] iff it
+    was prepared [force_late].  Must be called from one domain, in the intended
     board order, under the link the frame was prepared with: raises
     [Invalid_argument] if a link now needs bytes {!prepare} did not
     keep. *)
@@ -179,5 +187,15 @@ val cost : t -> Cost.t
 val registry : t -> Role.Registry.t
 val length : t -> int
 val round : t -> int
-val sim_stats : t -> Sim.stats
 val transcript : t -> transcript
+
+type net = {
+  rounds : int;  (** {!round}: rounds the board has closed *)
+  late : int;  (** frames that missed their round *)
+  dropped : int;  (** frames the loss coin took *)
+}
+
+val net : t -> net
+(** The network's counters.  [late] and [dropped] are counted where
+    the coin is drawn, so they include a frame a link later reports
+    [`Down]; sent frames and bytes are the {!transcript}'s. *)

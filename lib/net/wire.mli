@@ -70,6 +70,17 @@ val item_payload_bytes : item -> int
 (** Bytes of element *data* the item carries, excluding tags and
     length prefixes (those are accounted as framing overhead). *)
 
+val summary : message -> (Cost.kind * int) list
+(** Element tally of a message, in {!Cost.all_kinds} order. *)
+
+(** {1 Message codec}
+
+    No protocol path encodes or decodes a bare message: the board
+    writes whole frames ({!with_frame}, {!frame_checksum}).  These two
+    are the decoder boundary that the codec's tests and fuzzers drive
+    directly (round trips, hostile corpora, the encoder's refusals);
+    theirs is the interface they serve. *)
+
 val encode_message : message -> string
 (** Raises [Invalid_argument] on a message {!decode_message} would
     reject: more than 4096 items or a vector of more than [2^24]
@@ -80,9 +91,6 @@ val decode_message : string -> message
     bytes that remain before anything of that size is allocated, so a
     short input declaring a huge vector is rejected without
     materializing it. *)
-
-val summary : message -> (Cost.kind * int) list
-(** Element tally of a message, in {!Cost.all_kinds} order. *)
 
 (** {1 Size model for ideal-functionality objects} *)
 

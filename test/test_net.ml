@@ -3,7 +3,6 @@ module Cost = Yoso_runtime.Cost
 module Role = Yoso_runtime.Role
 module Splitmix = Yoso_hash.Splitmix
 module Wire = Yoso_net.Wire
-module Sim = Yoso_net.Sim
 module Meter = Yoso_net.Meter
 module Board = Yoso_net.Board
 module Params = Yoso_mpc.Params
@@ -829,64 +828,70 @@ let wire_fuzz_props =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Sim                                                                 *)
+(* The sim transport's network: the board's loss coin and counters     *)
 (* ------------------------------------------------------------------ *)
 
+let net_author i = Role.id ~committee:"N#1" ~index:i
+let no_net = { Board.rounds = 0; late = 0; dropped = 0 }
+
+let outcome_t =
+  Alcotest.testable
+    (fun ppf o ->
+      Format.pp_print_string ppf
+        (match o with
+        | Board.Delivered -> "delivered"
+        | Board.Late -> "late"
+        | Board.Dropped -> "dropped"
+        | Board.Garbled -> "garbled"))
+    ( = )
+
 let test_sim_ideal_delivers () =
-  let sim = Sim.create ~seed:7 () in
-  for _ = 1 to 50 do
-    match Sim.transmit sim ~bytes:1000 () with
-    | Sim.Delivered -> ()
-    | _ -> Alcotest.fail "ideal network must deliver"
+  let b = Board.create () in
+  for i = 0 to 49 do
+    Alcotest.check outcome_t "ideal board must deliver" Board.Delivered
+      (Board.post b ~author:(net_author i) ~phase:"p" ~step:"s" ~cost:[ (Cost.Key, 1) ] ())
   done;
-  let s = Sim.stats sim in
-  Alcotest.(check int) "all delivered" 50 s.Sim.delivered;
-  Alcotest.(check int) "no loss" 0 s.Sim.dropped
+  Alcotest.(check bool) "no late, no loss" true (Board.net b = no_net);
+  Alcotest.(check int) "all on the board" 50 (Board.length b)
 
 let test_sim_forced_late () =
-  let sim = Sim.create ~round_ms:100. ~seed:7 () in
-  (match Sim.transmit sim ~extra_delay_ms:150. ~bytes:64 () with
-  | Sim.Late -> ()
-  | _ -> Alcotest.fail "150ms past a 100ms deadline must be late");
-  Sim.next_round sim;
-  Sim.next_round sim;
-  let s = Sim.stats sim in
-  Alcotest.(check int) "counted late" 1 s.Sim.late;
-  Alcotest.(check int) "rounds" 2 s.Sim.rounds;
-  Alcotest.(check (float 0.)) "clock at the round boundary" 200. s.Sim.elapsed_ms
-
-let test_sim_latency_beyond_round () =
-  let model = { Sim.latency_ms = 250.; drop = 0. } in
-  let sim = Sim.create ~model ~round_ms:100. ~seed:1 () in
-  match Sim.transmit sim ~bytes:8 () with
-  | Sim.Late -> ()
-  | _ -> Alcotest.fail "latency past the deadline must be late"
+  let b = Board.create () in
+  Alcotest.check outcome_t "a stalled sender misses its round" Board.Late
+    (Board.post b ~author:(net_author 0) ~phase:"p" ~step:"s" ~force_late:true ~cost:[] ());
+  Board.next_round b;
+  Board.next_round b;
+  Alcotest.(check bool) "counted late over two rounds" true
+    (Board.net b = { no_net with Board.rounds = 2; late = 1 })
 
 let test_sim_drop () =
-  let model = { Sim.ideal with Sim.drop = 1.0 } in
-  let sim = Sim.create ~model ~seed:3 () in
-  (match Sim.transmit sim ~bytes:10 () with
-  | Sim.Dropped -> ()
-  | _ -> Alcotest.fail "drop = 1 must drop");
-  Alcotest.(check int) "counted dropped" 1 (Sim.stats sim).Sim.dropped
+  let b = Board.create ~config:{ Board.default_config with Board.drop = 1.0 } () in
+  Alcotest.check outcome_t "drop = 1 must drop" Board.Dropped
+    (Board.post b ~author:(net_author 0) ~phase:"p" ~step:"s" ~force_late:true ~cost:[] ());
+  Alcotest.(check bool) "counted dropped, not late" true
+    (Board.net b = { no_net with Board.dropped = 1 })
 
+(* a lossy board with stalled senders replays from its seed: the same
+   outcomes, counters and transcript *)
 let test_sim_deterministic () =
   let run () =
-    let model = { Sim.latency_ms = 40.; drop = 0.1 } in
-    let sim = Sim.create ~model ~round_ms:50. ~seed:0xD15C () in
-    let verdicts =
+    let b = Board.create ~config:{ Board.drop = 0.1; net_seed = 0xD15C } () in
+    let outcomes =
       List.init 300 (fun i ->
-          let v = Sim.transmit sim ~extra_delay_ms:(float_of_int (i mod 20)) ~bytes:100 () in
-          if i mod 10 = 0 then Sim.next_round sim;
-          v)
+          let o =
+            Board.post b ~author:(net_author i) ~phase:"p" ~step:"s" ~force_late:(i mod 3 = 0)
+              ~cost:[ (Cost.Key, 1) ] ()
+          in
+          if i mod 10 = 0 then Board.next_round b;
+          o)
     in
-    (verdicts, Sim.stats sim)
+    (outcomes, Board.net b, Board.transcript b)
   in
-  let ((verdicts, s) as first) = run () in
+  let ((outcomes, net, _) as first) = run () in
   Alcotest.(check bool) "replay identical" true (first = run ());
   Alcotest.(check bool) "every verdict occurs" true
-    (List.for_all (fun v -> List.mem v verdicts) Sim.[ Delivered; Late; Dropped ]);
-  Alcotest.(check int) "verdicts add up" 300 (s.Sim.delivered + s.Sim.late + s.Sim.dropped)
+    (List.for_all (fun o -> List.mem o outcomes) Board.[ Delivered; Late; Dropped ]);
+  let delivered = List.length (List.filter (( = ) Board.Delivered) outcomes) in
+  Alcotest.(check int) "verdicts add up" 300 (delivered + net.Board.late + net.Board.dropped)
 
 (* ------------------------------------------------------------------ *)
 (* Meter                                                               *)
@@ -946,7 +951,7 @@ let test_board_post_delivered () =
       ~cost:[ (Cost.Field_element, 2); (Cost.Proof, 1) ]
       ()
   in
-  Alcotest.(check string) "delivered" "delivered" (Board.outcome_to_string outcome);
+  Alcotest.check outcome_t "delivered" Board.Delivered outcome;
   Alcotest.(check int) "on the board" 1 (Board.length b);
   (* element counts charged exactly as the abstract bulletin would *)
   Alcotest.(check int) "elements" 3 (Cost.elements (Board.cost b) ~phase:"online");
@@ -963,7 +968,7 @@ let test_board_corrupt_garbled () =
     Board.post b ~author:(author 1) ~phase:"online" ~step:"evil" ~corrupt:true
       ~cost:[ (Cost.Field_element, 1) ] ()
   in
-  Alcotest.(check string) "garbled" "garbled" (Board.outcome_to_string outcome);
+  Alcotest.check outcome_t "garbled" Board.Garbled outcome;
   (* the slot is consumed: the frame landed, it just decodes to nothing *)
   Alcotest.(check int) "still occupies a post" 1 (Board.length b)
 
@@ -973,19 +978,16 @@ let test_board_force_late () =
     Board.post b ~author:(author 2) ~phase:"online" ~step:"slow" ~force_late:true
       ~cost:[] ()
   in
-  Alcotest.(check string) "late" "late" (Board.outcome_to_string outcome);
+  Alcotest.check outcome_t "late" Board.Late outcome;
   (* a late post still takes its slot on the board *)
   Alcotest.(check int) "on the board" 1 (Board.length b)
 
 let test_board_drop_consumes_slot () =
-  let config =
-    { Board.default_config with Board.model = { Sim.ideal with Sim.drop = 1.0 } }
-  in
-  let b = Board.create ~config () in
+  let b = Board.create ~config:{ Board.default_config with Board.drop = 1.0 } () in
   let outcome =
     Board.post b ~author:(author 3) ~phase:"online" ~step:"lost" ~cost:[] ()
   in
-  Alcotest.(check string) "dropped" "dropped" (Board.outcome_to_string outcome);
+  Alcotest.check outcome_t "dropped" Board.Dropped outcome;
   Alcotest.(check int) "never reaches the board" 0 (Board.length b);
   (* speak-once is still consumed: the role sent its message *)
   Alcotest.(check bool) "spoke" true
@@ -1190,7 +1192,7 @@ let test_protocol_replay () =
   Alcotest.(check bool) "correct" true (Protocol.check r1 circuit ~inputs);
   Alcotest.(check bool) "transcripts byte-identical" true (r1.Protocol.transcript = r2.Protocol.transcript);
   Alcotest.(check bool) "frames flowed" true (r1.Protocol.transcript.Board.frames > 0);
-  Alcotest.(check int) "every post is a frame" r1.Protocol.net.Sim.sent
+  Alcotest.(check int) "every post is a frame" r1.Protocol.posts
     r1.Protocol.transcript.Board.frames
 
 let test_protocol_bytes_measured () =
@@ -1212,22 +1214,24 @@ let test_protocol_bytes_measured () =
     r.Protocol.transcript.Board.frame_bytes
 
 let test_protocol_over_lan () =
-  (* a LAN's half-millisecond hop fits every post into its round *)
-  let model = { Sim.latency_ms = 0.5; drop = 0. } in
-  let net = { Board.default_config with Board.model; Board.round_ms = 200. } in
+  (* a LAN's hop fits every post into its round, which is the ideal
+     board: no frame late or lost, every frame a post *)
   let r =
     Protocol.execute ~params:params16
-      ~config:(Protocol.config ~seed:11 ~board:net ())
+      ~config:(Protocol.config ~seed:11 ())
       ~circuit ~inputs ()
   in
+  let net = r.Protocol.net in
   Alcotest.(check bool) "correct over lan" true (Protocol.check r circuit ~inputs);
-  Alcotest.(check bool) "time passed" true (r.Protocol.net.Sim.elapsed_ms > 0.);
-  Alcotest.(check int) "nothing late" r.Protocol.net.Sim.sent r.Protocol.net.Sim.delivered
+  Alcotest.(check bool) "rounds passed" true (net.Board.rounds > 0);
+  Alcotest.(check int) "nothing late" 0 net.Board.late;
+  Alcotest.(check int) "nothing lost" 0 net.Board.dropped;
+  Alcotest.(check int) "every frame a post" r.Protocol.transcript.Board.frames r.Protocol.posts
 
 let test_protocol_lossy_never_wrong () =
   (* under loss the protocol either completes correctly or aborts with
      the structured failure — never a wrong output *)
-  let net = { Board.default_config with Board.model = { Sim.ideal with Sim.drop = 0.08 } } in
+  let net = { Board.default_config with Board.drop = 0.08 } in
   for seed = 1 to 5 do
     match
       Protocol.execute ~params:params16
@@ -1243,11 +1247,11 @@ let test_protocol_lossy_never_wrong () =
    frames and the adversary both delays posts and garbles frames, its
    totals equal the transcript's, its phases add up to its grand
    total, and the board holds exactly the frames that were not
-   dropped.  The latency model is ideal, so a corrupted frame
-   is either dropped or delivered garbled: more garbage-ciphertext
+   dropped.  A corrupted frame is either dropped or delivered
+   garbled: more garbage-ciphertext
    blames than dropped frames means at least one arrived [Garbled]. *)
 let test_meter_single_ledger () =
-  let net = { Board.default_config with Board.model = { Sim.ideal with Sim.drop = 0.02 } } in
+  let net = { Board.default_config with Board.drop = 0.02 } in
   let adversary = { Params.malicious = 3; passive = 0; fail_stop = 2 } in
   let config =
     Protocol.config ~adversary ~plan:(Yoso_runtime.Faults.random ~seed:7) ~seed:11 ~board:net ()
@@ -1264,14 +1268,14 @@ let test_meter_single_ledger () =
   (* exact pins: the loss coin's draws decide these, so a change to
      where or how often the coin is drawn fails here *)
   Alcotest.(check int) "transcript digest" 2208966108802659726 tr.Board.digest;
-  Alcotest.(check int) "late" 11 s.Sim.late;
-  Alcotest.(check int) "dropped" 3 s.Sim.dropped;
+  Alcotest.(check int) "late" 11 s.Board.late;
+  Alcotest.(check int) "dropped" 3 s.Board.dropped;
   Alcotest.(check int) "blames" 82 (List.length r.Protocol.blames);
-  Alcotest.(check bool) "some frames garbled" true (garbage > s.Sim.dropped);
+  Alcotest.(check bool) "some frames garbled" true (garbage > s.Board.dropped);
   Alcotest.(check int) "meter = transcript bytes" tr.Board.frame_bytes (Meter.grand_total m);
   Alcotest.(check int) "phases add up" (Meter.grand_total m)
     (List.fold_left (fun acc phase -> acc + Meter.phase_total m ~phase) 0 (Meter.phases m));
-  Alcotest.(check int) "posts = frames not dropped" (tr.Board.frames - s.Sim.dropped)
+  Alcotest.(check int) "posts = frames not dropped" (tr.Board.frames - s.Board.dropped)
     r.Protocol.posts
 
 let test_report_json () =
@@ -1309,9 +1313,8 @@ let pinned_report_default =
     \"online_field_bytes\":160,\"offline_bytes_per_gate\":583744.0000,\
     \"online_bytes_per_gate\":108295.0000,\"online_field_bytes_per_gate\":40.0000,\
     \"faults_detected\":16,\"posts_rejected\":16,\
-    \"net\":{\"rounds\":17,\"sent\":259,\"delivered\":259,\"late\":0,\
-    \"dropped\":0,\"bytes_sent\":2782899,\
-    \"elapsed_ms\":1700.0000},\"transcript\":{\"frames\":259,\
+    \"net\":{\"rounds\":17,\"late\":0,\"dropped\":0},\
+    \"transcript\":{\"frames\":259,\
     \"frame_bytes\":2782899,\"digest\":782272987632467621},\
     \"outputs\":[{\"client\":0,\"wire\":14,\"value\":130},{\"client\":1,\
     \"wire\":14,\"value\":130}],\"blames\":[{\"role\":\"Off-B1#1[15]\",\
@@ -1356,9 +1359,7 @@ let pinned_report_extra =
     \"online_field_bytes\":160,\"offline_bytes_per_gate\":583744.0000,\
     \"online_bytes_per_gate\":108295.0000,\"online_field_bytes_per_gate\":40.0000,\
     \"faults_detected\":16,\"posts_rejected\":16,\
-    \"net\":{\"rounds\":17,\"sent\":259,\
-    \"delivered\":259,\"late\":0,\"dropped\":0,\"bytes_sent\":2782899,\
-    \"elapsed_ms\":1700.0000},\
+    \"net\":{\"rounds\":17,\"late\":0,\"dropped\":0},\
     \"transcript\":{\"frames\":259,\"frame_bytes\":2782899,\
     \"digest\":782272987632467621},\"outputs\":[{\"client\":0,\"wire\":14,\
     \"value\":130},{\"client\":1,\"wire\":14,\"value\":130}],\
@@ -1445,7 +1446,6 @@ let () =
         [
           Alcotest.test_case "ideal delivers" `Quick test_sim_ideal_delivers;
           Alcotest.test_case "forced late" `Quick test_sim_forced_late;
-          Alcotest.test_case "latency" `Quick test_sim_latency_beyond_round;
           Alcotest.test_case "drop" `Quick test_sim_drop;
           Alcotest.test_case "deterministic" `Quick test_sim_deterministic;
         ] );

@@ -591,7 +591,7 @@ let test_sockio_deadline_and_close () =
   Unix.close b
 
 (* ------------------------------------------------------------------ *)
-(* Sim vs loopback equivalence                                         *)
+(* sim transport vs loopback equivalence                               *)
 (* ------------------------------------------------------------------ *)
 
 let params8 = Params.create ~n:8 ~t:2 ~k:2 ()
